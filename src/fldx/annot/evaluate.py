@@ -281,13 +281,6 @@ def _abstract_arg(tt: TypedTerm, mem: Memory, binders) -> AbstractFloat:
     raise TypeErrorAt(f"{tt.term.loc}: expected a floating-point variable")
 
 
-def _scalar_bound(tt: TypedTerm, mem: Memory, binders, pick_hi: bool) -> Fraction:
-    """Worst-case endpoint of a bound term: for a lower bound take the
-    sup, for an upper bound the inf, so validity is conservative."""
-    iv = eval_term(tt, mem, binders)
-    return iv.hi if pick_hi else iv.lo
-
-
 def eval_builtin(b: TypedBuiltin, mem: Memory, binders,
                  records: List[AssertRecord]):
     name = b.name

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 from ..errors import TypeErrorAt
 from ..frontend import syntax as S
@@ -83,15 +83,6 @@ def const_kind(t: S.TConst) -> Kind:
     if is_representable(t.value, BINARY64):
         return FKind("double")
     return Q
-
-
-def infer_interval(t: S.Term, var_types: Dict[str, Tuple[str, bool]],
-                   gamma: Gamma) -> IntInterval:
-    """Sound integer interval for an integer-kinded term."""
-    k = _term_kind(t, var_types, gamma)
-    if isinstance(k, ZKind):
-        return k.iv
-    return IntInterval.top()
 
 
 def _term_kind(t: S.Term, var_types, gamma: Gamma) -> Kind:

@@ -131,13 +131,5 @@ def schema():
     click.echo(json.dumps(REPORT_SCHEMA, indent=2))
 
 
-@main.command()
-@click.option("--runs", default=3, show_default=True)
-def bench(runs):
-    """Time the analyzer on the bundled example programs."""
-    from .bench import run_bench
-    run_bench(runs)
-
-
 if __name__ == "__main__":
     main()

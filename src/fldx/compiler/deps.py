@@ -12,7 +12,9 @@ For a statement (or statement sequence) p:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, List, Set, Tuple
+
+import networkx as nx
 
 from ..frontend import cfg as C
 from ..frontend import syntax as S
@@ -193,62 +195,86 @@ Triple = Tuple[int, int, str]  # (writer stmt id, reader stmt id, variable)
 @dataclass
 class DepSets:
     fn: S.FuncDef
-    #: def-use triples over the whole function body
-    data: Set[Triple] = field(default_factory=set)
+    #: (writer stmt id, variable) -> ids of the statements its value reaches
+    readers: Dict[Tuple[int, str], Set[int]] = field(default_factory=dict)
     stmt_by_id: Dict[int, S.Stmt] = field(default_factory=dict)
 
+    @property
+    def data(self) -> Set[Triple]:
+        """Def-use triples over the whole function body."""
+        return {(w, r, v) for (w, v), rs in self.readers.items() for r in rs}
 
-def compute_dep_sets(fn: S.FuncDef) -> DepSets:
-    graph = C.build_cfg(fn)
+    def escapes(self, writer: int, v: str, inside: Set[int]) -> bool:
+        """Whether v as written by writer reaches a reader not in inside."""
+        return any(r not in inside for r in self.readers.get((writer, v), ()))
+
+
+def compute_dep_sets(fn: S.FuncDef, graph: C.Cfg) -> DepSets:
+    """Reaching definitions over fn's CFG, one bit per (variable, writer)
+    definition; parameters are definitions at entry."""
     g = graph.graph
-    stmt_of = graph.stmt_of
+    # sweep in reverse postorder from entry, then the unreachable nodes
+    nodes = list(nx.dfs_postorder_nodes(g, C.ENTRY))[::-1]
+    reached = set(nodes)
+    nodes += [n for n in g.nodes if n not in reached]
+    index = {n: i for i, n in enumerate(nodes)}
+    preds = [[index[p] for p in g.predecessors(n)] for n in nodes]
 
-    gen: Dict[object, FrozenSet[Tuple[str, int]]] = {}
-    kill_vars: Dict[object, Set[str]] = {}
-    reads: Dict[object, Set[str]] = {}
+    defs_of: Dict[str, int] = {}  # variable -> mask of its definitions
+    def_site: List[Tuple[int, str]] = []  # bit -> (writer id, variable)
+
+    def define(v: str, writer: int) -> int:
+        bit = 1 << len(def_site)
+        def_site.append((writer, v))
+        defs_of[v] = defs_of.get(v, 0) | bit
+        return bit
+
     stmt_by_id: Dict[int, S.Stmt] = {}
-    for n in g.nodes:
-        st = stmt_of.get(n)
+    gen = [0] * len(nodes)
+    kill_vars: List[Set[str]] = [set()] * len(nodes)
+    reads: List[Set[str]] = [set()] * len(nodes)
+    for i, n in enumerate(nodes):
+        st = graph.stmt_of.get(n)
         if st is None:
-            gen[n] = frozenset()
-            kill_vars[n] = set()
-            reads[n] = set()
             continue
         stmt_by_id[id(st)] = st
-        gen[n] = frozenset((v, id(st)) for v in leaf_defs(st))
-        kill_vars[n] = leaf_must_defs(st)
-        reads[n] = leaf_reads(st)
+        for v in leaf_defs(st):
+            gen[i] |= define(v, id(st))
+        kill_vars[i] = leaf_must_defs(st)
+        reads[i] = leaf_reads(st)
+    params = 0
+    for p in fn.params:
+        params |= define(p.name, id(fn))
+    gen[index[C.ENTRY]] |= params
+    # masks of distinct variables are disjoint: their sum is their union
+    keep = [~sum(defs_of.get(v, 0) for v in kv) for kv in kill_vars]
 
-    # parameters act as definitions at entry
-    entry_defs = frozenset((p.name, id(fn)) for p in fn.params)
-    gen[C.ENTRY] = entry_defs
+    # round-robin sweeps reach the same least fixed point as any worklist
+    inn = [0] * len(nodes)
+    out = gen[:]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(nodes)):
+            x = 0
+            for p in preds[i]:
+                x |= out[p]
+            inn[i] = x
+            o = gen[i] | (x & keep[i])
+            if o != out[i]:
+                out[i] = o
+                changed = True
 
-    inn: Dict[object, Set[Tuple[str, int]]] = {n: set() for n in g.nodes}
-    out: Dict[object, Set[Tuple[str, int]]] = {n: set(gen[n]) for n in g.nodes}
-    work = list(g.nodes)
-    while work:
-        n = work.pop()
-        new_in: Set[Tuple[str, int]] = set()
-        for p in g.predecessors(n):
-            new_in |= out[p]
-        if new_in != inn[n]:
-            inn[n] = new_in
-        new_out = gen[n] | {(v, d) for v, d in new_in
-                            if v not in kill_vars[n]}
-        if new_out != out[n]:
-            out[n] = new_out
-            work.extend(g.successors(n))
-
-    triples: Set[Triple] = set()
-    for n in g.nodes:
-        st = stmt_of.get(n)
-        if st is None:
-            continue
-        for v in reads[n]:
-            for dv, did in inn[n]:
-                if dv == v and did != id(fn):
-                    triples.add((did, id(st), v))
-    return DepSets(fn, triples, stmt_by_id)
+    readers: Dict[Tuple[int, str], Set[int]] = {}
+    for i, n in enumerate(nodes):
+        for v in reads[i]:
+            bits = inn[i] & defs_of.get(v, 0) & ~params
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                key = def_site[low.bit_length() - 1]
+                readers.setdefault(key, set()).add(id(graph.stmt_of[n]))
+    return DepSets(fn, readers, stmt_by_id)
 
 
 def region_descendant_ids(stmts: List[S.Stmt]) -> Set[int]:
@@ -267,11 +293,5 @@ def save_list(stmts: List[S.Stmt]) -> Set[str]:
 
 def merge_list(stmts: List[S.Stmt], deps: DepSets) -> Set[str]:
     inside = region_descendant_ids(stmts)
-    defs_in = {(v, i) for v, i in may_def_seq(stmts)}
-    out: Set[str] = set()
-    for v, writer in defs_in:
-        for w, reader, x in deps.data:
-            if w == writer and x == v and reader not in inside:
-                out.add(v)
-                break
-    return out
+    return {v for v, writer in may_def_seq(stmts)
+            if deps.escapes(writer, v, inside)}

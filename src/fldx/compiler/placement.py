@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import PlacementError
 from ..frontend import syntax as S
+from ..frontend.cfg import build_cfg
 from . import deps as D
 
 
@@ -110,13 +111,12 @@ def _escaping_int_readers(stmts: List[S.Stmt], deps: D.DepSets,
     """Readers outside the region of int variables written inside it."""
     inside = D.region_descendant_ids(stmts)
     readers: List[S.Stmt] = []
-    defs_in = D.may_def_seq(stmts)
-    for v, writer in defs_in:
+    for v, writer in D.may_def_seq(stmts):
         if var_types.get(v, ("int", False))[0] != "int":
             continue
-        for w, reader, x in deps.data:
-            if w == writer and x == v and reader not in inside:
-                readers.append(deps.stmt_by_id[reader])
+        readers.extend(deps.stmt_by_id[r]
+                       for r in deps.readers.get((writer, v), ())
+                       if r not in inside)
     return readers
 
 
@@ -257,7 +257,7 @@ def instrument(program: S.Program) -> Tuple[S.Program, List[str]]:
     """Place and insert sections in every function; returns warnings."""
     warnings: List[str] = []
     for fn in program.functions.values():
-        deps = D.compute_dep_sets(fn)
+        deps = D.compute_dep_sets(fn, build_cfg(fn))
         res = place_sections(fn, deps, program)
         warnings.extend(res.warnings)
         instrument_function(fn, res)

@@ -17,7 +17,7 @@ def validate_function(fn: S.FuncDef) -> List[str]:
     """Returns a list of criterion violations (empty means valid)."""
     problems: List[str] = []
     graph = C.build_cfg(fn)
-    deps = D.compute_dep_sets(fn)
+    deps = D.compute_dep_sets(fn, graph)
 
     sections = [s for s in S.walk_stmts(fn.body)
                 if isinstance(s, S.SectionStmt)]
@@ -43,13 +43,10 @@ def validate_function(fn: S.FuncDef) -> List[str]:
         # criterion 3: no integer variable written inside is read outside
         inside = D.region_descendant_ids(sec.body)
         for v, writer in D.may_def_seq(sec.body):
-            if fn.var_types.get(v, ("double", False))[0] != "int":
-                continue
-            for w, reader, x in deps.data:
-                if w == writer and x == v and reader not in inside:
-                    problems.append(f"{tag}: int variable {v!r} written"
-                                    f" inside is read after the merge")
-                    break
+            if fn.var_types.get(v, ("double", False))[0] == "int" \
+                    and deps.escapes(writer, v, inside):
+                problems.append(f"{tag}: int variable {v!r} written"
+                                f" inside is read after the merge")
         # merge_list must cover every escaping defined variable
         needed = D.merge_list(sec.body, deps)
         missing = needed - set(sec.merge_list)

@@ -395,16 +395,3 @@ def union(a: AbstractFloat, b: AbstractFloat, pool: SymbolPool,
     real = AffineForm.from_interval(riv, pool, Origin.NONLINEAR)
     err = AffineForm.from_interval(eiv, pool, Origin.NONLINEAR)
     return AbstractFloat(fiv, real, riv, err, eiv, _rel_of(eiv, riv))
-
-
-@dataclass
-class MergeState:
-    """Accumulator for the states reaching a merge point.
-
-    accumulated is None while no feasible path has reached the merge.
-    """
-
-    accumulated: Optional[Dict[str, object]] = None
-
-    def is_empty(self) -> bool:
-        return self.accumulated is None

@@ -10,10 +10,6 @@ from __future__ import annotations
 from typing import List
 
 
-class PathBudgetExceeded(Exception):
-    pass
-
-
 class PathExplorer:
     def __init__(self, budget: int = 256) -> None:
         self.trace: List[int] = []

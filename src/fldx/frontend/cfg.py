@@ -7,6 +7,7 @@ about section boundaries are direct.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Dict, List, Optional
 
@@ -20,6 +21,9 @@ EXIT = "exit"
 
 @dataclass
 class Cfg:
+    """A function's CFG. The graph must not change once built: the
+    immediate-(post-)dominator maps are computed on first use and kept."""
+
     graph: nx.DiGraph
     #: node id -> statement (None for entry/exit and synthetic nodes)
     stmt_of: Dict[object, Optional[S.Stmt]] = field(default_factory=dict)
@@ -27,22 +31,22 @@ class Cfg:
     #: id(SectionStmt) -> synthetic merge node
     merge_of: Dict[int, object] = field(default_factory=dict)
 
-    def dominators(self) -> Dict[object, object]:
+    @cached_property
+    def idom(self) -> Dict[object, object]:
         return nx.immediate_dominators(self.graph, ENTRY)
 
-    def post_dominators(self) -> Dict[object, object]:
+    @cached_property
+    def ipdom(self) -> Dict[object, object]:
         return nx.immediate_dominators(self.graph.reverse(copy=False), EXIT)
 
     def dominates(self, a, b) -> bool:
-        idom = self.dominators()
-        return _dom_query(idom, a, b)
+        return _dom_query(self.idom, a, b)
 
     def strictly_dominates(self, a, b) -> bool:
         return a != b and self.dominates(a, b)
 
     def post_dominates(self, a, b) -> bool:
-        ipdom = self.post_dominators()
-        return _dom_query(ipdom, a, b)
+        return _dom_query(self.ipdom, a, b)
 
     def strictly_post_dominates(self, a, b) -> bool:
         return a != b and self.post_dominates(a, b)

@@ -30,21 +30,6 @@ def rat(x: RationalLike) -> Fraction:
     return Fraction(str(x))
 
 
-def rat_arith(op: str, a: Fraction, b: Fraction) -> Fraction:
-    """Exact rational arithmetic; '/' raises DivisionByZero on b == 0."""
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        if b == 0:
-            raise DivisionByZero("rational division by zero")
-        return a / b
-    raise ValueError(f"unknown operator {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # Rational intervals
 # ---------------------------------------------------------------------------
@@ -153,11 +138,6 @@ def interval_arith(op: str, a: RInterval, b: RInterval) -> Optional[RInterval]:
     if op == "meet":
         return a.meet(b)
     raise ValueError(f"unknown interval operator {op!r}")
-
-
-def hull_of(*xs: RationalLike) -> RInterval:
-    vals = [rat(x) for x in xs]
-    return RInterval(min(vals), max(vals))
 
 
 # ---------------------------------------------------------------------------

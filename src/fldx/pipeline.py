@@ -2,7 +2,8 @@
 execute, report."""
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from contextlib import contextmanager
+from typing import Iterator, List, Tuple, Type
 
 from .compiler.placement import instrument
 from .compiler.validator import validate
@@ -44,28 +45,35 @@ def pick_entry(program: S.Program, config: AnalysisConfig) -> str:
     raise TypeErrorAt("no entry function: define main or pass --entry")
 
 
+@contextmanager
+def _stage(stage: str, *errors: Type[Exception]) -> Iterator[None]:
+    """Re-raise the stage's own errors, and recursion too deep for the
+    interpreter's stack, as that stage's StageError."""
+    try:
+        yield
+    except errors as exn:
+        raise StageError(stage, exn)
+    except RecursionError:
+        raise StageError(stage, FldxError("program nested too deeply"))
+
+
 def prepare(source: str, config: AnalysisConfig
             ) -> Tuple[S.Program, List[str]]:
     """Parse and instrument a program, returning it analysis-ready."""
     warnings: List[str] = []
-    try:
+    with _stage("parse", SyntaxErrorAt):
         program = parse_program(source)
-    except SyntaxErrorAt as exn:
-        raise StageError("parse", exn)
-    try:
+    with _stage("normalize", FldxError):
         for name, fn in list(program.functions.items()):
             check_exit_reachable(build_cfg(fn))
             program.functions[name] = normalize_returns(fn)
         S.resolve(program)
-    except FldxError as exn:
-        raise StageError("normalize", exn)
     if config.auto_instrument and not _has_sections(program):
-        try:
+        with _stage("instrument", PlacementError):
             program, w = instrument(program)
             warnings.extend(w)
-        except PlacementError as exn:
-            raise StageError("instrument", exn)
-    problems = validate(program)
+    with _stage("validate"):
+        problems = validate(program)
     if problems:
         raise StageError("validate",
                          FldxError("; ".join(problems)))
@@ -77,13 +85,11 @@ def analyze(source: str, config: AnalysisConfig,
     program, warnings = prepare(source, config)
     entry = pick_entry(program, config)
     interp = Interp(program, config)
-    try:
-        interp.run(entry)
-    except FldxError as exn:
-        if isinstance(exn, AnalysisAlarm):
+    with _stage("execute", FldxError):
+        try:
+            interp.run(entry)
+        except AnalysisAlarm as exn:
             interp.alarms.append(exn)
-        else:
-            raise StageError("execute", exn)
     report = RunReport(
         source=source_name,
         entry=entry,
@@ -106,7 +112,8 @@ def analyze(source: str, config: AnalysisConfig,
 
 def instrumented_source(source: str, config: AnalysisConfig) -> str:
     program, _ = prepare(source, config)
-    return print_program(program)
+    with _stage("instrument"):
+        return print_program(program)
 
 
 def _format_name(fmt) -> str:

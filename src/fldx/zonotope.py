@@ -145,14 +145,6 @@ class AffineForm:
     __repr__ = __str__
 
 
-def af_linear(op: str, a: AffineForm, b: AffineForm) -> AffineForm:
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    raise ValueError(f"af_linear supports + and -, got {op!r}")
-
-
 def af_scale(k: RationalLike, a: AffineForm) -> AffineForm:
     return a.scale(k)
 

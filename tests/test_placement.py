@@ -1,13 +1,16 @@
 """Automatic split/merge placement around unstable floating-point tests,
 and the independent validator that re-checks every placed section."""
 import re
+from collections import deque
 
 import pytest
 
+from fldx.compiler import deps as D
 from fldx.compiler.placement import instrument
 from fldx.compiler.validator import validate
 from fldx.config import AnalysisConfig
 from fldx.frontend import parse_program, print_program
+from fldx.frontend import cfg as C
 from fldx.frontend import syntax as S
 from fldx.pipeline import instrumented_source, prepare
 from tests.conftest import all_corpus_names, corpus_source
@@ -130,6 +133,43 @@ def test_validator_flags_missing_merge_variable():
     assert any("merge_list misses" in p and "'z'" in p for p in problems)
 
 
+def test_validator_flags_a_return_that_skips_the_merge(monkeypatch):
+    src = """
+    int main() {
+      double x = read_double(0.0, 1.0);
+      double y = 0.0;
+      /*@ split(1); */
+      if (x < 0.5) { return 1; }
+      y = x + 1.0;
+      /*@ merge(1, y); */
+      /*@ split(2, y); */
+      if (x < 0.25) { y = y + 1.0; }
+      /*@ merge(2); */
+      return 0;
+    }
+    """
+    program = parse_program(src)
+    built, dominator_runs = [], []
+    build_cfg, immediate_dominators = C.build_cfg, C.nx.immediate_dominators
+
+    def counting_build(fn):
+        built.append(fn)
+        return build_cfg(fn)
+
+    def counting_dominators(*args, **kwargs):
+        dominator_runs.append(args)
+        return immediate_dominators(*args, **kwargs)
+
+    monkeypatch.setattr(C, "build_cfg", counting_build)
+    monkeypatch.setattr(C.nx, "immediate_dominators", counting_dominators)
+    assert validate(program) == [
+        "main: section 1: merge does not strictly post-dominate split"]
+    # one CFG for the one function, with dominators and post-dominators
+    # computed once each however many sections are checked
+    assert len(built) == 1
+    assert len(dominator_runs) <= 2
+
+
 def test_validator_accepts_complete_manual_section():
     src = """
     int main() {
@@ -148,3 +188,89 @@ def test_validator_accepts_complete_manual_section():
 def test_section_round_trips_through_the_printer():
     src = instrumented("comp_disc_nested.c")
     assert print_program(parse_program(src)) == src
+
+
+# ---------------------------------------------------------------------------
+# Def-use triples against a reachability oracle
+# ---------------------------------------------------------------------------
+
+
+def brute_def_use(fn):
+    """(writer, reader, v) where a breadth-first search from the writer's
+    successors reaches the reader without passing a node that must-define
+    v. Parameters are not writers."""
+    graph = C.build_cfg(fn)
+    g, stmt_of = graph.graph, graph.stmt_of
+    out = set()
+    for w in g.nodes:
+        if stmt_of.get(w) is None:
+            continue
+        for v in D.leaf_defs(stmt_of[w]):
+            seen = set()
+            todo = deque(g.successors(w))
+            while todo:
+                n = todo.popleft()
+                if n in seen:
+                    continue
+                seen.add(n)
+                st = stmt_of.get(n)
+                if st is not None and v in D.leaf_reads(st):
+                    out.add((id(stmt_of[w]), id(st), v))
+                if st is not None and v in D.leaf_must_defs(st):
+                    continue
+                todo.extend(g.successors(n))
+    return out
+
+
+DEF_USE_PROGRAMS = [
+    """
+    double f(double a, int n) {
+      double t[4] = {0.0, 1.0, 2.0, 3.0};
+      int i = 0;
+      double s = a;
+      while (i < n) {
+        t[i] = s * 0.5;
+        if (s > 1.0) {
+          if (i > 2) { s = s - t[i]; } else { a = a + 1.0; }
+        }
+        i = i + 1;
+      }
+      do { s = s + t[0]; a = a * 0.5; } while (a > 0.1);
+      t[1] = a;
+      return s + t[1] + t[2];
+    }
+    """,
+    """
+    int main() {
+      double x = read_double(0.0, 1.0);
+      double y = 0.0;
+      int k = 0;
+      if (x < 0.5) {
+        if (x < 0.25) { y = x; k = 1; } else { y = 0.0 - x; }
+      } else {
+        do { y = y + x; k = k + 1; } while (k < 3 && y < 2.0);
+      }
+      while (k > 0) { x = x * y; k = k - 1; }
+      /*@ assert dprint(x); */
+      return k;
+    }
+    """,
+]
+
+
+@pytest.mark.parametrize("src", DEF_USE_PROGRAMS)
+def test_def_use_triples_match_brute_force(src):
+    program = parse_program(src)
+    for fn in program.functions.values():
+        deps = D.compute_dep_sets(fn, C.build_cfg(fn))
+        assert deps.data == brute_def_use(fn)
+
+
+def test_array_cell_write_does_not_kill_earlier_writes():
+    fn = parse_program(DEF_USE_PROGRAMS[0]).functions["f"]
+    data = D.compute_dep_sets(fn, C.build_cfg(fn)).data
+    ret = fn.body.stmts[-1]
+    # the declaration's cells reach the return past `t[1] = a`, and the
+    # parameter a is read without a writer inside the function
+    assert (id(fn.body.stmts[0]), id(ret), "t") in data
+    assert not any(w == id(fn) for w, _, _ in data)

@@ -146,6 +146,30 @@ def test_cli_parse_error_exit_code(tmp_path):
     assert res.exit_code == 2  # first pipeline stage
 
 
+@pytest.mark.parametrize("command", ["analyze", "instrument"])
+def test_cli_deep_nesting_is_a_parse_error(tmp_path, command):
+    src = tmp_path / "deep.c"
+    src.write_text("int main() { double x = " + "(" * 400 + "1.0"
+                   + ")" * 400 + "; return 0; }")
+    res = CliRunner().invoke(main, [command, str(src)])
+    assert res.exit_code == 2, res.output
+    assert type(res.exception) is SystemExit
+    assert "nested too deeply" in res.output
+
+
+def test_cli_deep_expression_is_an_execute_error(tmp_path):
+    # 700 chained additions parse and instrument, but evaluating the
+    # left-deep sum recurses about twice per level, past the interpreter's
+    # default stack depth of 1000
+    src = tmp_path / "long.c"
+    src.write_text("int main() { double x = 1.0" + " + 1.0" * 700
+                   + "; return 0; }")
+    res = CliRunner().invoke(main, ["analyze", str(src)])
+    assert res.exit_code == 6, res.output
+    assert type(res.exception) is SystemExit
+    assert "nested too deeply" in res.output
+
+
 def test_cli_instrument_prints_sections():
     runner = CliRunner()
     res = runner.invoke(main, ["instrument", str(CORPUS / "comp_disc.c")])
