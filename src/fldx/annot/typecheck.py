@@ -9,13 +9,12 @@ rational arithmetic is actually needed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, List, Optional, Union
 
 from ..errors import TypeErrorAt
 from ..frontend import syntax as S
-from ..numerics import BINARY32, BINARY64, is_representable
-from .kinds import (INT_RANGE, IntInterval, Kind, FKind, QKind, Q, ZKind,
+from ..numerics import BINARY64, is_representable
+from .kinds import (INT_RANGE, IntInterval, Kind, FKind, Q, ZKind,
                     int_interval_arith, kind_join, theta, type_join, type_le)
 
 CTYPE_KIND = {

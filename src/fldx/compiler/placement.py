@@ -13,7 +13,7 @@ block when needed) until:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import PlacementError
 from ..frontend import syntax as S

@@ -7,6 +7,7 @@ AbstractFloat holding:
   * real_iv   -- interval refinement of the real value,
   * err       -- zonotope of the absolute error (float - real),
   * err_iv    -- interval refinement of the error,
+and derives from err_iv and real_iv, on first read,
   * rel       -- interval of the relative error, or None when the real
                  value may cross zero (relative error unbounded).
 
@@ -17,22 +18,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from functools import cached_property, lru_cache
+from typing import Dict, List, Optional, Tuple
 
 from .errors import DivisionByZero, InfeasiblePath, OverflowAlarm
 from .numerics import (FloatFormat, RInterval, RationalLike, rat,
                        representation_error_bound, round_directed,
                        round_nearest)
 from .zonotope import (AffineForm, Origin, SymbolEnv, SymbolPool, condense,
-                       af_div, af_inverse, af_mul, sym_range)
+                       af_div, af_mul, sym_range)
 
 ZERO = Fraction(0)
 
-
-def _rel_of(err_iv: RInterval, real_iv: RInterval) -> Optional[RInterval]:
-    if real_iv.contains(ZERO):
-        return None
-    return err_iv.divide(real_iv)
+#: distinct (literal, format) pairs kept by the literal cache
+_LITERAL_CACHE_SIZE = 4096
 
 
 def _snap_in(iv: RInterval, fmt: FloatFormat) -> RInterval:
@@ -56,7 +55,13 @@ class AbstractFloat:
     real_iv: RInterval
     err: AffineForm
     err_iv: RInterval
-    rel: Optional[RInterval]
+
+    @cached_property
+    def rel(self) -> Optional[RInterval]:
+        """Relative error err/real, or None when the real value may be 0."""
+        if self.real_iv.contains(ZERO):
+            return None
+        return self.err_iv.divide(self.real_iv)
 
     # -- constructors -----------------------------------------------------
 
@@ -74,19 +79,13 @@ class AbstractFloat:
         real = AffineForm.from_interval(value_iv, pool, Origin.INPUT)
         err = AffineForm.from_interval(err_iv, pool, Origin.INPUT)
         float_iv = _snap_in(value_iv + err_iv, fmt)
-        return AbstractFloat(float_iv, real, value_iv, err, err_iv,
-                             _rel_of(err_iv, value_iv))
+        return AbstractFloat(float_iv, real, value_iv, err, err_iv)
 
     @staticmethod
     def from_literal(x: RationalLike, fmt: FloatFormat) -> "AbstractFloat":
-        """Source literal: ideal value x, machine value round(x)."""
-        x = rat(x)
-        f = round_nearest(x, fmt).value
-        e = f - x
-        return AbstractFloat(RInterval.point(f), AffineForm.constant(x),
-                             RInterval.point(x), AffineForm.constant(e),
-                             RInterval.point(e),
-                             _rel_of(RInterval.point(e), RInterval.point(x)))
+        """Source literal: ideal value x, machine value round(x). Values
+        are immutable, so one instance per (x, format) is shared."""
+        return _literal(rat(x), fmt)
 
     @staticmethod
     def exact(x: RationalLike, fmt: FloatFormat) -> "AbstractFloat":
@@ -97,8 +96,7 @@ class AbstractFloat:
             return AbstractFloat.from_literal(x, fmt)
         return AbstractFloat(RInterval.point(x), AffineForm.constant(x),
                              RInterval.point(x), AffineForm.constant(0),
-                             RInterval.point(0), RInterval.point(0)
-                             if x != 0 else None)
+                             RInterval.point(0))
 
     # -- refined views ----------------------------------------------------
 
@@ -124,11 +122,19 @@ class AbstractFloat:
             raise InfeasiblePath
         real_iv2 = real_iv.meet(fiv - err_iv) or real_iv
         err_iv2 = err_iv.meet(fiv - real_iv) or err_iv
-        return AbstractFloat(fiv, self.real, real_iv2, self.err, err_iv2,
-                             _rel_of(err_iv2, real_iv2))
+        return AbstractFloat(fiv, self.real, real_iv2, self.err, err_iv2)
 
     def with_float_iv(self, fiv: RInterval) -> "AbstractFloat":
         return replace(self, float_iv=fiv)
+
+
+@lru_cache(maxsize=_LITERAL_CACHE_SIZE)
+def _literal(x: Fraction, fmt: FloatFormat) -> AbstractFloat:
+    f = round_nearest(x, fmt).value
+    e = f - x
+    return AbstractFloat(RInterval.point(f), AffineForm.constant(x),
+                         RInterval.point(x), AffineForm.constant(e),
+                         RInterval.point(e))
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +209,7 @@ def abs_op(op: str, a: AbstractFloat, b: AbstractFloat, fmt: FloatFormat,
         err_iv0 = err.concretize(env).meet(float_iv - real_iv)
         if err_iv0 is None:
             raise InfeasiblePath
-        return AbstractFloat(float_iv, real, real_iv, err, err_iv0,
-                             _rel_of(err_iv0, real_iv))
+        return AbstractFloat(float_iv, real, real_iv, err, err_iv0)
 
     if op == "/":
         z_iv = a.float_iv.divide(b.float_iv)
@@ -235,8 +240,7 @@ def abs_op(op: str, a: AbstractFloat, b: AbstractFloat, fmt: FloatFormat,
     if fiv is None:
         raise InfeasiblePath
     fiv = _snap_in(fiv, fmt)
-    return AbstractFloat(fiv, real, real_iv, err, err_iv,
-                         _rel_of(err_iv, real_iv))
+    return AbstractFloat(fiv, real, real_iv, err, err_iv)
 
 
 def rat_op(op: str, x: Fraction, y: Fraction) -> Fraction:
@@ -253,8 +257,7 @@ def rat_op(op: str, x: Fraction, y: Fraction) -> Fraction:
 
 def abs_neg(a: AbstractFloat) -> AbstractFloat:
     """Unary negation is exact in any binary-or-decimal format."""
-    return AbstractFloat(-a.float_iv, -a.real, -a.real_iv, -a.err,
-                         -a.err_iv, a.rel)
+    return AbstractFloat(-a.float_iv, -a.real, -a.real_iv, -a.err, -a.err_iv)
 
 
 # ---------------------------------------------------------------------------
@@ -394,4 +397,4 @@ def union(a: AbstractFloat, b: AbstractFloat, pool: SymbolPool,
     eiv = a.err_refined(env).join(b.err_refined(env))
     real = AffineForm.from_interval(riv, pool, Origin.NONLINEAR)
     err = AffineForm.from_interval(eiv, pool, Origin.NONLINEAR)
-    return AbstractFloat(fiv, real, riv, err, eiv, _rel_of(eiv, riv))
+    return AbstractFloat(fiv, real, riv, err, eiv)

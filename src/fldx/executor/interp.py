@@ -21,12 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..annot.evaluate import AssertRecord, Memory, eval_pred
 from ..annot.typecheck import TypedPred, type_pred
 from ..config import AnalysisConfig, InputSpec
-from ..domain import (AbstractFloat, _rel_of, abs_neg, abs_op,
+from ..domain import (AbstractFloat, abs_neg, abs_op,
                       apply_substitution, make_substitution,
                       project_onto_symbols, union)
 from ..errors import (AnalysisAlarm, InfeasiblePath, SectionInfeasible,
@@ -87,6 +87,7 @@ class Interp:
         self.stack: List[SectionCtx] = []
         self.records: List[AssertRecord] = []
         self.alarms: List[AnalysisAlarm] = []
+        self._alarm_keys: Set[Tuple[str, str]] = set()
         self.warnings: List[str] = []
         self.trace: List[str] = []
         self.section_reports: List[SectionReport] = []
@@ -106,7 +107,8 @@ class Interp:
 
     def _alarm(self, alarm: AnalysisAlarm) -> None:
         key = (alarm.kind, str(alarm))
-        if key not in {(a.kind, str(a)) for a in self.alarms}:
+        if key not in self._alarm_keys:
+            self._alarm_keys.add(key)
             self.alarms.append(alarm)
 
     @property
@@ -117,7 +119,7 @@ class Interp:
         """Exact int-to-float promotion (widened if not representable)."""
         real = AffineForm.from_interval(iv, self.pool, Origin.INPUT)
         return AbstractFloat(iv, real, iv, AffineForm.constant(0),
-                             RInterval.point(0), _rel_of(RInterval.point(0), iv))
+                             RInterval.point(0))
 
     def _as_float(self, v) -> AbstractFloat:
         if isinstance(v, AbstractFloat):
@@ -148,7 +150,7 @@ class Interp:
             err = apply_substitution(v.err, sub, w_err, self.env, thr)
             if real is not v.real or err is not v.err:
                 self.mem.vars[name] = AbstractFloat(
-                    v.float_iv, real, v.real_iv, err, v.err_iv, v.rel)
+                    v.float_iv, real, v.real_iv, err, v.err_iv)
 
     def _constrain_form(self, form: AffineForm, lo: Optional[Fraction],
                         hi: Optional[Fraction]) -> None:
@@ -874,7 +876,7 @@ class Interp:
             if err_iv is None:
                 raise InfeasiblePath
             return AbstractFloat(vf.float_iv, vr.real, real_iv, err_form,
-                                 err_iv, _rel_of(err_iv, real_iv))
+                                 err_iv)
         if isinstance(vf, list) and isinstance(vr, list):
             return [self._combine_value(a, b, env_c) for a, b in zip(vf, vr)]
         return vf  # machine value for ints
@@ -966,8 +968,7 @@ def _bake(v: AbstractFloat, env: SymbolEnv, pool: SymbolPool) -> AbstractFloat:
     return AbstractFloat(
         v.float_iv,
         AffineForm.from_interval(riv, pool, Origin.NONLINEAR), riv,
-        AffineForm.from_interval(eiv, pool, Origin.NONLINEAR), eiv,
-        _rel_of(eiv, riv))
+        AffineForm.from_interval(eiv, pool, Origin.NONLINEAR), eiv)
 
 
 def _sig_str(sig, interp) -> str:

@@ -4,21 +4,31 @@ floating-point rounding model.
 All arithmetic in the analysis is carried out over exact rationals
 (`fractions.Fraction`), so interval endpoints never need outward rounding
 and rounding of floats can be modeled exactly for any radix/precision.
+
+Two module-private constructors skip the checks of the public ones, and
+only code of this module calls them:
+  * `_iv(lo, hi)` builds an RInterval from two Fractions already known to
+    satisfy lo <= hi, as the results of the interval operations below do.
+    Every value that comes from outside (ints, strings, endpoints of
+    unknown order) goes through `RInterval(...)`, which coerces and checks.
+  * `_fv(value, fmt)` builds the FloatValue a rounding function computed,
+    which is representable by construction. `FloatValue(...)` called
+    directly still checks `is_representable`.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Union
+from functools import cached_property
+from typing import Callable, Iterator, Optional, Union
 
 from .errors import DivisionByZero, OverflowAlarm
 
-#: The exact rational substrate. Normalization (gcd-reduced, positive
-#: denominator) is guaranteed by Fraction itself.
-Rational = Fraction
-
 RationalLike = Union[Fraction, int, str]
+
+ZERO = Fraction(0)
 
 
 def rat(x: RationalLike) -> Fraction:
@@ -51,7 +61,7 @@ class RInterval:
     @staticmethod
     def point(x: RationalLike) -> "RInterval":
         x = rat(x)
-        return RInterval(x, x)
+        return _iv(x, x)
 
     @property
     def width(self) -> Fraction:
@@ -78,49 +88,58 @@ class RInterval:
         return max(abs(self.lo), abs(self.hi))
 
     def __add__(self, other: "RInterval") -> "RInterval":
-        return RInterval(self.lo + other.lo, self.hi + other.hi)
+        return _iv(self.lo + other.lo, self.hi + other.hi)
 
     def __sub__(self, other: "RInterval") -> "RInterval":
-        return RInterval(self.lo - other.hi, self.hi - other.lo)
+        return _iv(self.lo - other.hi, self.hi - other.lo)
 
     def __neg__(self) -> "RInterval":
-        return RInterval(-self.hi, -self.lo)
+        return _iv(-self.hi, -self.lo)
 
     def __mul__(self, other: "RInterval") -> "RInterval":
         ps = (self.lo * other.lo, self.lo * other.hi,
               self.hi * other.lo, self.hi * other.hi)
-        return RInterval(min(ps), max(ps))
+        return _iv(min(ps), max(ps))
 
     def scale(self, k: Fraction) -> "RInterval":
         a, b = k * self.lo, k * self.hi
-        return RInterval(a, b) if a <= b else RInterval(b, a)
+        return _iv(a, b) if a <= b else _iv(b, a)
 
     def shift(self, k: Fraction) -> "RInterval":
-        return RInterval(self.lo + k, self.hi + k)
+        return _iv(self.lo + k, self.hi + k)
 
     def divide(self, other: "RInterval") -> "RInterval":
-        if other.contains(Fraction(0)):
+        if other.contains(ZERO):
             raise DivisionByZero("interval division by zero-containing interval")
-        inv = RInterval(1 / other.hi, 1 / other.lo)
+        inv = _iv(1 / other.hi, 1 / other.lo)
         return self * inv
 
     def square(self) -> "RInterval":
         if self.lo >= 0:
-            return RInterval(self.lo * self.lo, self.hi * self.hi)
+            return _iv(self.lo * self.lo, self.hi * self.hi)
         if self.hi <= 0:
-            return RInterval(self.hi * self.hi, self.lo * self.lo)
+            return _iv(self.hi * self.hi, self.lo * self.lo)
         m = max(self.lo * self.lo, self.hi * self.hi)
-        return RInterval(Fraction(0), m)
+        return _iv(ZERO, m)
 
     def join(self, other: "RInterval") -> "RInterval":
-        return RInterval(min(self.lo, other.lo), max(self.hi, other.hi))
+        return _iv(min(self.lo, other.lo), max(self.hi, other.hi))
 
     def meet(self, other: "RInterval") -> Optional["RInterval"]:
         lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
-        return RInterval(lo, hi) if lo <= hi else None
+        return _iv(lo, hi) if lo <= hi else None
 
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
+
+
+def _iv(lo: Fraction, hi: Fraction) -> RInterval:
+    """Trusted RInterval constructor: lo and hi are Fractions, lo <= hi."""
+    iv = object.__new__(RInterval)
+    d = iv.__dict__
+    d["lo"] = lo
+    d["hi"] = hi
+    return iv
 
 
 def interval_arith(op: str, a: RInterval, b: RInterval) -> Optional[RInterval]:
@@ -162,21 +181,28 @@ class FloatFormat:
         if self.beta < 2 or self.p < 2 or self.e_min > self.e_max:
             raise ValueError("invalid float format parameters")
 
-    @property
+    @cached_property
     def max_finite(self) -> Fraction:
-        return (self.beta**self.p - 1) * Fraction(self.beta) ** (self.e_max - self.p + 1)
+        return (self.beta**self.p - 1) * self.quantum(self.e_max)
 
-    @property
+    @cached_property
     def unit_roundoff(self) -> Fraction:
-        return Fraction(self.beta) ** (1 - self.p) / 2
+        return Fraction(1, 2 * self.beta ** (self.p - 1))
 
-    @property
+    @cached_property
     def subnormal_step(self) -> Fraction:
         """Smallest positive value; the absolute-error floor eta."""
-        return Fraction(self.beta) ** (self.e_min - self.p + 1)
+        return self.quantum(self.e_min)
 
     def quantum(self, e: int) -> Fraction:
-        return Fraction(self.beta) ** (e - self.p + 1)
+        return Fraction(*self._quantum_ratio(e))
+
+    def _quantum_ratio(self, e: int) -> tuple[int, int]:
+        """quantum(e) as a (numerator, denominator) pair of ints."""
+        k = e - self.p + 1
+        if self.beta == 2:
+            return (1 << k, 1) if k >= 0 else (1, 1 << -k)
+        return (self.beta**k, 1) if k >= 0 else (1, self.beta**-k)
 
 
 BINARY32 = FloatFormat(beta=2, p=24, e_min=-126, e_max=127)
@@ -198,13 +224,30 @@ class FloatValue:
             raise ValueError(f"{self.value} is not representable in {self.fmt}")
 
 
+def _fv(value: Fraction, fmt: FloatFormat) -> FloatValue:
+    """Trusted FloatValue constructor for a value a rounding function
+    built, representable by construction."""
+    fv = object.__new__(FloatValue)
+    d = fv.__dict__
+    d["value"] = value
+    d["fmt"] = fmt
+    return fv
+
+
 def unit_roundoff(fmt: FloatFormat) -> Fraction:
     return fmt.unit_roundoff
 
 
 def _ilog(x: Fraction, beta: int) -> int:
     """Largest e with beta^e <= x, for x > 0."""
-    approx = (math.log2(x.numerator) - math.log2(x.denominator)) / math.log2(beta)
+    n, d = x.numerator, x.denominator
+    if beta == 2:
+        # n/d lies in [2^(e-1), 2^(e+1)) for this e
+        e = n.bit_length() - d.bit_length()
+        if (d << e if e >= 0 else d) > (n if e >= 0 else n << -e):
+            e -= 1
+        return e
+    approx = (math.log2(n) - math.log2(d)) / math.log2(beta)
     e = math.floor(approx)
     b = Fraction(beta)
     while b**e > x:
@@ -214,8 +257,8 @@ def _ilog(x: Fraction, beta: int) -> int:
     return e
 
 
-def _round_half_even(x: Fraction) -> int:
-    n, d = x.numerator, x.denominator
+def _round_half_even(n: int, d: int) -> int:
+    """n/d rounded to the nearest integer, ties to even (d > 0)."""
     q, r = divmod(n, d)
     twice = 2 * r
     if twice < d:
@@ -225,48 +268,40 @@ def _round_half_even(x: Fraction) -> int:
     return q if q % 2 == 0 else q + 1
 
 
-def _decompose(x: Fraction, fmt: FloatFormat) -> tuple[int, int, Fraction]:
-    """Exponent, sign and magnitude used by the rounding functions."""
-    s = -1 if x < 0 else 1
-    a = abs(x)
-    e = max(_ilog(a, fmt.beta), fmt.e_min)
-    return e, s, a
+def _ceil_div(n: int, d: int) -> int:
+    return -(-n // d)
+
+
+def _round(x: Fraction, fmt: FloatFormat,
+           to_int: Callable[[int, int], int]) -> FloatValue:
+    """Round x into fmt; to_int(n, d) rounds the scaled significand n/d of
+    |x| to an integer."""
+    n, d = x.numerator, x.denominator
+    if n == 0:
+        return _fv(ZERO, fmt)
+    s = -1 if n < 0 else 1
+    e = max(_ilog(abs(x), fmt.beta), fmt.e_min)
+    qn, qd = fmt._quantum_ratio(e)
+    m = to_int(s * n * qd, d * qn)
+    if m >= fmt.beta**fmt.p:
+        e += 1
+        m = fmt.beta ** (fmt.p - 1)
+        qn, qd = fmt._quantum_ratio(e)
+    if e > fmt.e_max:
+        raise OverflowAlarm(f"{x} rounds beyond the largest finite value")
+    return _fv(Fraction(s * m * qn, qd), fmt)
 
 
 def round_nearest(x: RationalLike, fmt: FloatFormat) -> FloatValue:
     """Round to nearest representable value, ties to even significand."""
-    x = rat(x)
-    if x == 0:
-        return FloatValue(Fraction(0), fmt)
-    e, s, a = _decompose(x, fmt)
-    q = fmt.quantum(e)
-    m = _round_half_even(a / q)
-    if m >= fmt.beta**fmt.p:
-        e += 1
-        m = fmt.beta ** (fmt.p - 1)
-        q = fmt.quantum(e)
-    if e > fmt.e_max:
-        raise OverflowAlarm(f"{x} rounds beyond the largest finite value")
-    return FloatValue(s * m * q, fmt)
+    return _round(rat(x), fmt, _round_half_even)
 
 
 def round_directed(x: RationalLike, fmt: FloatFormat, up: bool) -> FloatValue:
     """Round toward +inf (up) or -inf; used to snap interval endpoints."""
     x = rat(x)
-    if x == 0:
-        return FloatValue(Fraction(0), fmt)
-    e, s, a = _decompose(x, fmt)
-    q = fmt.quantum(e)
-    m = a / q
-    outward = (up and s > 0) or (not up and s < 0)
-    mi = -(-m.numerator // m.denominator) if outward else m.numerator // m.denominator
-    if mi >= fmt.beta**fmt.p:
-        e += 1
-        mi = fmt.beta ** (fmt.p - 1)
-        q = fmt.quantum(e)
-    if e > fmt.e_max:
-        raise OverflowAlarm(f"{x} rounds beyond the largest finite value")
-    return FloatValue(s * mi * q, fmt)
+    outward = up == (x.numerator > 0)
+    return _round(x, fmt, _ceil_div if outward else operator.floordiv)
 
 
 def is_representable(x: RationalLike, fmt: FloatFormat) -> bool:
@@ -277,8 +312,8 @@ def is_representable(x: RationalLike, fmt: FloatFormat) -> bool:
     if a > fmt.max_finite:
         return False
     e = max(_ilog(a, fmt.beta), fmt.e_min)
-    m = a / fmt.quantum(e)
-    return m.denominator == 1
+    qn, qd = fmt._quantum_ratio(e)
+    return (a.numerator * qd) % (a.denominator * qn) == 0
 
 
 def representation_error_bound(iv: RInterval, fmt: FloatFormat) -> RInterval:

@@ -21,17 +21,15 @@ _MAX_DECIMAL_DIGITS = 40
 
 def rational_to_json(x: Fraction):
     den = x.denominator
-    d = den
-    a = b = 0
-    while d % 2 == 0:
-        d //= 2
-        a += 1
+    a = (den & -den).bit_length() - 1  # the power of 2 dividing den
+    d = den >> a
+    b = 0
     while d % 5 == 0:
         d //= 5
         b += 1
     if d == 1 and max(a, b) <= _MAX_DECIMAL_DIGITS:
         scale = max(a, b)
-        digits = abs(x.numerator) * (5 ** (scale - b)) * (2 ** (scale - a))
+        digits = abs(x.numerator) * 5 ** (scale - b) << (scale - a)
         s = str(digits).rjust(scale + 1, "0")
         if scale:
             s = s[:-scale] + "." + s[-scale:]

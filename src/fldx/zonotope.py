@@ -8,11 +8,11 @@ the joint range over several forms is a zonotope.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional
 
-from .numerics import RInterval, Rational, rat, RationalLike
+from .numerics import RInterval, rat, RationalLike
 
 UNIT = RInterval(Fraction(-1), Fraction(1))
 

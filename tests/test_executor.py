@@ -7,6 +7,7 @@ import pytest
 
 from fldx.config import AnalysisConfig
 from fldx.domain import AbstractFloat
+from fldx.errors import AnalysisAlarm
 from fldx.executor.explorer import PathExplorer
 from fldx.executor.interp import Interp, SectionCtx
 from fldx.frontend import parse_expr, parse_program
@@ -30,7 +31,7 @@ def run_flow(idx):
     x = AbstractFloat(RInterval(F(-1), F(1)),
                       AffineForm(F(0), {e0: F(1)}), RInterval(F(-1), F(1)),
                       AffineForm(F(0), {e1: F(1, 10 ** 7)}),
-                      RInterval(F(-1, 10 ** 7), F(1, 10 ** 7)), None)
+                      RInterval(F(-1, 10 ** 7), F(1, 10 ** 7)))
     it.mem.store("x", x)
     ex = PathExplorer()
     ex.trace, ex.limits = [idx], [1]
@@ -223,3 +224,12 @@ def test_unstable_test_outside_sections_raises_instrumentation_gap():
     """
     rep = analyze(src, AnalysisConfig(auto_instrument=False))
     assert any(a["kind"] == "instrumentation-gap" for a in rep.alarms)
+
+
+def test_alarm_keeps_first_of_each_kind_and_text_in_order():
+    it = Interp(parse_program("int main() { return 0; }"), AnalysisConfig())
+    for kind, msg in [("b", "one"), ("a", "one"), ("b", "one"),
+                      ("a", "two"), ("a", "one")]:
+        it._alarm(AnalysisAlarm(kind, msg))
+    assert [(a.kind, str(a)) for a in it.alarms] == [
+        ("b", "one"), ("a", "one"), ("a", "two")]

@@ -1,18 +1,21 @@
 """Rounding and interval arithmetic, checked against brute-force
-oracles on the small base-10 format and against random sampling."""
+oracles on the small base-10 format and against random sampling; the
+integer rounding path, trusted interval results and report encoding,
+checked against the Fraction-only code they replaced."""
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fldx.errors import OverflowAlarm
-from fldx.numerics import (FORMATS, TOY, FloatFormat, RInterval,
-                           enumerate_floats, interval_arith,
+from fldx.numerics import (FORMATS, TOY, FloatFormat, FloatValue,
+                           RInterval, _ilog, enumerate_floats, interval_arith,
                            is_representable, rat,
                            representation_error_bound, round_directed,
                            round_nearest, unit_roundoff)
+from fldx.report import rational_to_json
 
 # ---------------------------------------------------------------------------
 # Brute-force model of the toy format (base 10, two digits), built from
@@ -193,3 +196,212 @@ def test_interval_divide_contains_samples(a, b, t1, t2):
     x = _sample(a, t1)
     y = _sample(b, t2)
     assert r.lo <= x / y <= r.hi
+
+
+# ---------------------------------------------------------------------------
+# The integer and bit-level rounding path against Fraction-only references
+# ---------------------------------------------------------------------------
+
+
+def ilog_reference(x: Fraction, beta: int) -> int:
+    """Largest e with beta^e <= x, by powers of beta."""
+    approx = (math.log2(x.numerator) - math.log2(x.denominator)) / math.log2(beta)
+    e = math.floor(approx)
+    b = Fraction(beta)
+    while b**e > x:
+        e -= 1
+    while b ** (e + 1) <= x:
+        e += 1
+    return e
+
+
+def round_reference(x: Fraction, fmt: FloatFormat, mode: str) -> Fraction:
+    """Round by Fraction arithmetic: "nearest" (ties to even), "up" or
+    "down"; raises OverflowAlarm past the largest finite value."""
+    if x == 0:
+        return Fraction(0)
+    s = -1 if x < 0 else 1
+    a = abs(x)
+    e = max(ilog_reference(a, fmt.beta), fmt.e_min)
+    q = Fraction(fmt.beta) ** (e - fmt.p + 1)
+    m = a / q
+    if mode == "nearest":
+        mi = round(m)  # Fraction rounds half to even
+    elif (mode == "up") == (s > 0):
+        mi = math.ceil(m)
+    else:
+        mi = math.floor(m)
+    if mi >= fmt.beta**fmt.p:
+        e += 1
+        mi = fmt.beta ** (fmt.p - 1)
+        q = Fraction(fmt.beta) ** (e - fmt.p + 1)
+    if e > fmt.e_max:
+        raise OverflowAlarm("overflow")
+    return s * mi * q
+
+
+def wide_positive(beta: int):
+    """Positive rationals from about 2^-1100 to 2^1100, exact powers of
+    beta and their neighbours included."""
+    top = 1100 if beta == 2 else 331
+    scaled = st.builds(lambda n, d, k: Fraction(n, d) * Fraction(beta) ** k,
+                       st.integers(1, 2**64), st.integers(1, 2**64),
+                       st.integers(-top + 20, top - 20))
+    powers = st.builds(lambda k, t: Fraction(beta) ** k + t,
+                       st.integers(-top, top),
+                       st.sampled_from([Fraction(0), Fraction(1, 2**1200),
+                                        Fraction(-1, 2**1200)]))
+    return st.one_of(scaled, powers)
+
+
+def signed(positive):
+    return st.builds(lambda x, neg: -x if neg else x, positive, st.booleans())
+
+
+def ties(fmt: FloatFormat):
+    """Midpoints between neighbouring values of fmt, where rounding to
+    nearest goes to the even significand."""
+    b = Fraction(fmt.beta)
+    return st.builds(lambda m, e: (m + Fraction(1, 2)) * b ** (e - fmt.p + 1),
+                     st.integers(0, fmt.beta**fmt.p - 1),
+                     st.integers(fmt.e_min, fmt.e_max))
+
+
+@settings(max_examples=400, deadline=None)
+@given(wide_positive(2))
+@example(Fraction(1, 2**1100))
+@example(Fraction(2**1100))
+@example(Fraction(2**1100 - 1))
+def test_ilog_base_2_matches_power_loop(x):
+    assert _ilog(x, 2) == ilog_reference(x, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_positive(10))
+@example(Fraction(1, 10**331))
+@example(Fraction(10**331))
+def test_ilog_base_10_matches_power_loop(x):
+    assert _ilog(x, 10) == ilog_reference(x, 10)
+
+
+FORMAT_CASES = [FORMATS["binary32"], FORMATS["binary64"], TOY]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(FORMAT_CASES), st.data())
+def test_rounding_gives_representable_reference_values(fmt, data):
+    x = data.draw(st.one_of(signed(wide_positive(fmt.beta)),
+                            signed(ties(fmt)),
+                            st.fractions(max_denominator=10**6)))
+    for mode, rounded in (("nearest", lambda: round_nearest(x, fmt)),
+                          ("up", lambda: round_directed(x, fmt, up=True)),
+                          ("down", lambda: round_directed(x, fmt, up=False))):
+        try:
+            want = round_reference(x, fmt, mode)
+        except OverflowAlarm:
+            with pytest.raises(OverflowAlarm):
+                rounded()
+            continue
+        got = rounded()
+        assert got.value == want
+        assert type(got.value) is Fraction
+        assert is_representable(got.value, fmt)
+        if mode == "up":
+            assert got.value >= x
+        elif mode == "down":
+            assert got.value <= x
+
+
+def test_float_value_constructor_still_checks_representability():
+    with pytest.raises(ValueError):
+        FloatValue(Fraction(1, 3), TOY)
+
+
+@pytest.mark.parametrize("fmt", FORMAT_CASES)
+def test_format_constants_match_their_definitions(fmt):
+    b = Fraction(fmt.beta)
+    assert fmt.max_finite == (fmt.beta**fmt.p - 1) * b ** (fmt.e_max - fmt.p + 1)
+    assert fmt.unit_roundoff == b ** (1 - fmt.p) / 2
+    assert fmt.subnormal_step == b ** (fmt.e_min - fmt.p + 1)
+    for e in range(fmt.e_min - 2, fmt.e_max + 3):
+        assert fmt.quantum(e) == b ** (e - fmt.p + 1)
+
+
+# ---------------------------------------------------------------------------
+# Trusted interval construction: results stay ordered Fraction pairs
+# ---------------------------------------------------------------------------
+
+
+def assert_trusted_shape(iv: RInterval):
+    assert type(iv.lo) is Fraction and type(iv.hi) is Fraction
+    assert iv.lo <= iv.hi
+    assert RInterval(iv.lo, iv.hi) == iv
+
+
+@settings(max_examples=150, deadline=None)
+@given(intervals(), intervals(), finite_fracs)
+def test_interval_operations_return_ordered_fraction_endpoints(a, b, k):
+    results = [a + b, a - b, -a, a * b, a.scale(k), a.scale(-k), a.shift(k),
+               a.join(b), a.square(), RInterval.point(k)]
+    m = a.meet(b)
+    if m is not None:
+        results.append(m)
+    if not b.contains(Fraction(0)):
+        results.append(a.divide(b))
+    for r in results:
+        assert_trusted_shape(r)
+
+
+@pytest.mark.parametrize("x", [3, "0.1", "-2.5e-3", Fraction(1, 3)])
+def test_point_coerces_to_fraction(x):
+    iv = RInterval.point(x)
+    assert_trusted_shape(iv)
+    assert iv.lo == rat(x)
+
+
+def test_public_constructor_still_coerces_and_checks():
+    iv = RInterval(1, "2.5")
+    assert_trusted_shape(iv)
+    with pytest.raises(ValueError):
+        RInterval(2, 1)
+
+
+# ---------------------------------------------------------------------------
+# Report encoding against the division loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def rational_to_json_reference(x: Fraction):
+    d = x.denominator
+    a = b = 0
+    while d % 2 == 0:
+        d //= 2
+        a += 1
+    while d % 5 == 0:
+        d //= 5
+        b += 1
+    if d == 1 and max(a, b) <= 40:
+        scale = max(a, b)
+        digits = abs(x.numerator) * (5 ** (scale - b)) * (2 ** (scale - a))
+        s = str(digits).rjust(scale + 1, "0")
+        if scale:
+            s = s[:-scale] + "." + s[-scale:]
+        return ("-" if x < 0 else "") + s
+    return {"num": str(x.numerator), "den": str(x.denominator)}
+
+
+decimal_like = st.builds(lambda n, j, k: Fraction(n, 2**j * 5**k),
+                         st.integers(-10**30, 10**30), st.integers(0, 1100),
+                         st.integers(0, 60))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.fractions(), decimal_like))
+@example(Fraction(1, 2**1074))
+@example(Fraction(-3, 2**1074))
+@example(Fraction(7, 2**40 * 5**3))
+@example(Fraction(-7, 2**3 * 5**40))
+@example(Fraction(1, 2**41))
+@example(Fraction(0))
+def test_rational_to_json_matches_division_loop(x):
+    assert rational_to_json(x) == rational_to_json_reference(x)

@@ -1,5 +1,6 @@
 """Report serialization (exact rationals to JSON and back), schema
 conformance, assertion aggregation, and the command-line interface."""
+import hashlib
 import json
 from fractions import Fraction as F
 
@@ -12,11 +13,11 @@ from hypothesis import strategies as st
 from fldx.annot.evaluate import AssertRecord
 from fldx.cli import main
 from fldx.config import AnalysisConfig
-from fldx.numerics import RInterval
+from fldx.numerics import FORMATS, RInterval
 from fldx.pipeline import analyze
 from fldx.report import (REPORT_SCHEMA, rational_to_json,
                          summarize_assertions)
-from tests.conftest import CORPUS, corpus_source
+from tests.conftest import CORPUS, all_corpus_names, corpus_source
 
 
 def from_json(v):
@@ -49,6 +50,57 @@ def test_rational_to_json_forms(x, expected):
 @given(st.fractions())
 def test_rational_round_trips_exactly(x):
     assert from_json(rational_to_json(x)) == x
+
+
+#: SHA-256 of `analyze(...).to_json()` for every corpus program, in the
+#: format the benchmark runs it in
+REPORT_SHA256 = {
+    "absorption.c":
+        "df29f36a907552556990c6360f75d9c85401335350f201a571bcb756b9392e1e",
+    "associativity.c":
+        "5dd243d6a6da56748083a4f0c83f86280ef6d67aed855ce370bec865a4eb8323",
+    "comp_abs.c":
+        "02f0184849b55e41eb459d38e2a9fcc8d8c0ef9f61c52c2b5f7bf2309fb1d4a6",
+    "comp_cont.c":
+        "9027d83bed26a3aa93c54c16ee60807cf5fc1479aec3700686f8c885f3eadc52",
+    "comp_disc.c":
+        "53af40bac4d6dcbe8586055f2e0156134af8676fc9f62f2da899df9d6da1a185",
+    "comp_disc_nested.c":
+        "e6ec47aaab038bbe4b74b83663954343aa8beb6d464ea9fc303daa2f3b6b6369",
+    "division.c":
+        "eaff243d3df9e67aef1bdf020a25c3f5ddbfe5e5f6eec7c1d292e1ee50873e82",
+    "filter.c":
+        "88a805e55548d6792cefc1f33ff082f2d2961111b2222f923f05d54b984d21c1",
+    "inter_loop.c":
+        "e327abc55e7fde8dcdd2a254feb47d0f29919a026467d11efa95c149ee55191d",
+    "motiv_example.c":
+        "f1bec1e930165d1f9787015ac9f9e284b4de93f8407af272b8cc6b6f2c90a41a",
+    "newton_sqrt.c":
+        "16201622f2053b1168c8086bac55d405e77cf3e7e209ecc98df7f322ece1353b",
+    "patriot.c":
+        "43298c0b2105895ce686b5eb9af5332cd0fa679c2b19759079fd13e4c5200f37",
+    "polynome.c":
+        "bdf0fb0282901c7567cd21e0fb23a2218231ac3d589ee6839fa6b08f052bbaad",
+    "relative.c":
+        "8d6ca3d87f5974d491e241bc146a4f112a689fac053cfd9c54b84afbe45e11a4",
+    "scanf.c":
+        "038fcab60be657a635ac32ba9fc112b5d69ea784697218390af92c0be2e264d6",
+}
+CORPUS_FORMATS = {"patriot.c": "binary32"}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_SHA256))
+def test_corpus_report_bytes_are_unchanged(name):
+    """Reports are byte-identical to the recorded table, so a speed-up can
+    not loosen a hull unseen (ROADMAP aim 1). Regenerate the table only in
+    a change that explains why the hulls changed."""
+    config = AnalysisConfig(fmt=FORMATS[CORPUS_FORMATS.get(name, "binary64")])
+    text = analyze(corpus_source(name), config, source_name=name).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[name]
+
+
+def test_report_table_covers_the_corpus():
+    assert sorted(REPORT_SHA256) == all_corpus_names()
 
 
 # ---------------------------------------------------------------------------
