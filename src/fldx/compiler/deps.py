@@ -6,8 +6,9 @@ For a statement (or statement sequence) p:
   * mayref(p): (variable, reading leaf statement) pairs read before being
     written when executing p (sequences kill later reads of variables
     already assigned),
-  * data(F): (writer, reader, variable) def-use triples over the whole
-    function, computed by reaching definitions on the CFG.
+  * readers(F): for each (writer, variable) definition of the function,
+    the statements it reaches, computed by reaching definitions on the
+    CFG.
 """
 from __future__ import annotations
 
@@ -186,10 +187,8 @@ def may_ref_seq(stmts: List[S.Stmt]) -> Set[Tuple[str, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Reaching definitions / def-use triples
+# Reaching definitions
 # ---------------------------------------------------------------------------
-
-Triple = Tuple[int, int, str]  # (writer stmt id, reader stmt id, variable)
 
 
 @dataclass
@@ -198,11 +197,6 @@ class DepSets:
     #: (writer stmt id, variable) -> ids of the statements its value reaches
     readers: Dict[Tuple[int, str], Set[int]] = field(default_factory=dict)
     stmt_by_id: Dict[int, S.Stmt] = field(default_factory=dict)
-
-    @property
-    def data(self) -> Set[Triple]:
-        """Def-use triples over the whole function body."""
-        return {(w, r, v) for (w, v), rs in self.readers.items() for r in rs}
 
     def escapes(self, writer: int, v: str, inside: Set[int]) -> bool:
         """Whether v as written by writer reaches a reader not in inside."""

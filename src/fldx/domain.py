@@ -19,14 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Dict, List, Optional, Tuple
+from operator import is_
+from typing import Dict, Optional
 
 from .errors import DivisionByZero, InfeasiblePath, OverflowAlarm
 from .numerics import (FloatFormat, RInterval, RationalLike, rat,
                        representation_error_bound, round_directed,
                        round_nearest)
-from .zonotope import (AffineForm, Origin, SymbolEnv, SymbolPool, condense,
-                       af_div, af_mul, sym_range)
+from .zonotope import (UNIT, AffineForm, Origin, SymbolEnv, SymbolPool,
+                       condense, af_div, af_mul, sym_range)
 
 ZERO = Fraction(0)
 
@@ -112,9 +113,32 @@ class AbstractFloat:
             raise InfeasiblePath
         return m
 
-    def refresh(self, env: SymbolEnv, fmt: Optional[FloatFormat] = None) -> "AbstractFloat":
+    def _ranges(self, env: SymbolEnv) -> tuple:
+        """The range objects of the symbols of real, then of err."""
+        return tuple([env.get(i, UNIT) for i in self.real.terms]
+                     + [env.get(i, UNIT) for i in self.err.terms])
+
+    def refresh(self, env: SymbolEnv) -> "AbstractFloat":
         """Re-meet the interval refinements against form concretizations
-        and restore mutual consistency (float = real + err)."""
+        and restore mutual consistency (float = real + err).
+
+        A refreshed value records the range objects it was refreshed
+        under (`_refreshed`, outside the dataclass fields, so it takes
+        no part in `==`, hash or repr). Refreshing it again while every
+        one of them is still the same object returns the value itself,
+        which is exactly what a second refresh would compute. With C_r
+        and C_e the unchanged concretizations, the first refresh gives
+        R = C_r ∩ real_iv, E = C_e ∩ err_iv, F' = float_iv ∩ (R + E),
+        R' = R ∩ (F' - E) and E' = E ∩ (F' - R). Every f in F' is r + e
+        with r in R and e in E, where r = f - e lies in R' and e = f - r
+        in E', so F' ⊆ R' + E'. Every r in R' is f - e with f in F' and
+        e in E, where e = f - r lies in E', so R' ⊆ F' - E'; likewise
+        E' ⊆ F' - R'. Since R' ⊆ C_r and E' ⊆ C_e, the second refresh
+        meets every field with a superset of it and changes none.
+        """
+        rec = self.__dict__.get("_refreshed")
+        if rec is not None and all(map(is_, self._ranges(env), rec)):
+            return self
         real_iv = self.real_refined(env)
         err_iv = self.err_refined(env)
         fiv = self.float_iv.meet(real_iv + err_iv)
@@ -122,7 +146,9 @@ class AbstractFloat:
             raise InfeasiblePath
         real_iv2 = real_iv.meet(fiv - err_iv) or real_iv
         err_iv2 = err_iv.meet(fiv - real_iv) or err_iv
-        return AbstractFloat(fiv, self.real, real_iv2, self.err, err_iv2)
+        out = AbstractFloat(fiv, self.real, real_iv2, self.err, err_iv2)
+        object.__setattr__(out, "_refreshed", self._ranges(env))
+        return out
 
     def with_float_iv(self, fiv: RInterval) -> "AbstractFloat":
         return replace(self, float_iv=fiv)
@@ -273,16 +299,18 @@ def project_onto_symbols(form: AffineForm, lo: Optional[Fraction],
     Returns the symbols whose range strictly shrinks. Raises
     InfeasiblePath when the constraint is unsatisfiable.
     """
-    conc = form.concretize(env)
-    if lo is not None and conc.hi < lo:
-        raise InfeasiblePath
-    if hi is not None and conc.lo > hi:
-        raise InfeasiblePath
     updates: Dict[int, RInterval] = {}
     ranges = {i: sym_range(env, i) for i in form.terms}
     contribs = {i: ranges[i].scale(c) for i, c in form.terms.items()}
+    # the totals are the form's exact concretization
     total_lo = form.center + sum(c.lo for c in contribs.values())
     total_hi = form.center + sum(c.hi for c in contribs.values())
+    if lo is not None and total_hi < lo:
+        raise InfeasiblePath
+    if hi is not None and total_lo > hi:
+        raise InfeasiblePath
+    if not form.terms:
+        return updates
     for i, c in form.terms.items():
         other_lo = total_lo - contribs[i].lo
         other_hi = total_hi - contribs[i].hi
@@ -309,14 +337,14 @@ def project_onto_symbols(form: AffineForm, lo: Optional[Fraction],
         nhi = r.hi if ahi is None else min(r.hi, ahi)
         if nlo > nhi:
             raise InfeasiblePath
-        nr = RInterval(nlo, nhi)
-        if nr != r:
+        if nlo != r.lo or nhi != r.hi:
+            nr = RInterval(nlo, nhi)
             updates[i] = nr
             ranges[i] = nr
             new_contrib = nr.scale(c)
             total_lo += new_contrib.lo - contribs[i].lo
             total_hi += new_contrib.hi - contribs[i].hi
-            contribs[i] = nr.scale(c)
+            contribs[i] = new_contrib
     return updates
 
 
@@ -369,18 +397,6 @@ def apply_substitution(form: AffineForm, sub: Substitution,
     if (old_width - new_width) >= threshold * old_width:
         return candidate
     return form
-
-
-def constrain_forms(forms: List[AffineForm], sym: int, new_range: RInterval,
-                    pool: SymbolPool, env: SymbolEnv,
-                    threshold: Fraction) -> Tuple[List[AffineForm], Optional[Substitution]]:
-    """Spec-level entry point: narrow one symbol across a set of forms."""
-    old_widths = [f.width(env) for f in forms]
-    sub = make_substitution(sym, new_range, pool, env)
-    if sub is None:
-        return forms, None
-    return [apply_substitution(f, sub, w, env, threshold)
-            for f, w in zip(forms, old_widths)], sub
 
 
 # ---------------------------------------------------------------------------

@@ -136,9 +136,13 @@ class Interp:
     # -- constraint machinery ---------------------------------------------
 
     def _narrow_symbol(self, sym: int, nr: RInterval) -> None:
+        """Narrow sym to nr and offer the rewrite to every variable whose
+        forms contain sym; `apply_substitution` returns any other form
+        unchanged, so the others are not visited."""
         affected: List[Tuple[str, AbstractFloat, Fraction, Fraction]] = []
         for name, v in self.mem.vars.items():
-            if isinstance(v, AbstractFloat):
+            if isinstance(v, AbstractFloat) \
+                    and (sym in v.real.terms or sym in v.err.terms):
                 affected.append((name, v, v.real.width(self.env),
                                  v.err.width(self.env)))
         sub = make_substitution(sym, nr, self.pool, self.env)
@@ -151,10 +155,6 @@ class Interp:
             if real is not v.real or err is not v.err:
                 self.mem.vars[name] = AbstractFloat(
                     v.float_iv, real, v.real_iv, err, v.err_iv)
-
-    def _constrain_form(self, form: AffineForm, lo: Optional[Fraction],
-                        hi: Optional[Fraction]) -> None:
-        self._constrain_joint([(form, lo, hi)])
 
     def _constrain_joint(self, constraints) -> None:
         """Narrow symbol ranges under several simultaneous form
@@ -174,7 +174,8 @@ class Interp:
                 break
         for sym in sorted(scratch):
             nr = scratch[sym]
-            if nr != sym_range(self.env, sym):
+            cur = sym_range(self.env, sym)
+            if nr is not cur and nr != cur:
                 self._narrow_symbol(sym, nr)
 
     def _refresh_all(self) -> None:
@@ -442,22 +443,21 @@ class Interp:
         in_user = self.ctx.is_user
         fixed = self.ctx.interp
         unstable_possible = []
+        # uT: machine true, ideal false; uF the reverse. The error
+        # t_float - t_real must be able to take the sign that separates
+        # the two sides.
         if op == "==":
             # true region is a point: the complement is not an interval,
             # so the real side of unstable flows is left unconstrained
-            uT_ok = overlaps(t_fiv, region_T) and not t_eiv.is_point()
-            uF_ok = overlaps(t_fiv, region_F) and overlaps(t_riv, region_T) \
-                and not t_eiv.is_point()
-        else:
-            uT_ok = overlaps(t_fiv, region_T) and overlaps(t_riv, region_F) \
-                and t_eiv.lo < 0 if region_T[1] is not None else False
-            uF_ok = overlaps(t_fiv, region_F) and overlaps(t_riv, region_T) \
-                and t_eiv.hi > 0 if region_T[1] is not None else False
-            if region_T[0] is not None and region_T[1] is None:  # > or >=
-                uT_ok = overlaps(t_fiv, region_T) and overlaps(t_riv, region_F) \
-                    and t_eiv.hi > 0
-                uF_ok = overlaps(t_fiv, region_F) and overlaps(t_riv, region_T) \
-                    and t_eiv.lo < 0
+            err_T = err_F = not t_eiv.is_point()
+        elif op in ("<", "<="):
+            err_T, err_F = t_eiv.lo < 0, t_eiv.hi > 0
+        else:  # > or >=
+            err_T, err_F = t_eiv.hi > 0, t_eiv.lo < 0
+        uT_ok = err_T and overlaps(t_fiv, region_T) \
+            and overlaps(t_riv, region_F)
+        uF_ok = err_F and overlaps(t_fiv, region_F) \
+            and overlaps(t_riv, region_T)
         if uT_ok:
             unstable_possible.append("uT")
         if uF_ok:

@@ -130,39 +130,39 @@ class _Cursor:
 # Expressions (precedence climbing)
 # ---------------------------------------------------------------------------
 
-_BIN_LEVELS = [
+#: binary operators by precedence, loosest first; all left-associative
+_BIN_PREC = {op: prec for prec, ops in enumerate([
     ["||"],
     ["&&"],
     ["==", "!="],
     ["<", "<=", ">", ">="],
     ["+", "-"],
     ["*", "/", "%"],
-]
+]) for op in ops}
 
 
 def _parse_expr(c: _Cursor) -> S.Expr:
-    return _parse_ternary(c)
-
-
-def _parse_ternary(c: _Cursor) -> S.Expr:
+    """A ternary, or a binary expression; `?:` is right-associative."""
     cond = _parse_binary(c, 0)
     if c.accept("?"):
-        loc = cond.loc
         then = _parse_expr(c)
         c.expect(":")
-        els = _parse_ternary(c)
-        return S.Ternary(cond, then, els, loc)
+        return S.Ternary(cond, then, _parse_expr(c), cond.loc)
     return cond
 
 
-def _parse_binary(c: _Cursor, level: int) -> S.Expr:
-    if level >= len(_BIN_LEVELS):
-        return _parse_unary(c)
-    left = _parse_binary(c, level + 1)
-    while c.cur.kind == "op" and c.cur.text in _BIN_LEVELS[level]:
-        op = c.advance().text
-        right = _parse_binary(c, level + 1)
-        left = S.Binary(op, left, right, left.loc)
+def _parse_binary(c: _Cursor, min_prec: int) -> S.Expr:
+    """Operators binding at least as tight as min_prec, in one loop: a
+    right operand takes only the operators binding tighter than its own,
+    so equal precedence folds to the left."""
+    left = _parse_unary(c)
+    while c.cur.kind == "op":
+        op = c.cur.text
+        prec = _BIN_PREC.get(op)
+        if prec is None or prec < min_prec:
+            break
+        c.advance()
+        left = S.Binary(op, left, _parse_binary(c, prec + 1), left.loc)
     return left
 
 

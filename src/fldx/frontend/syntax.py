@@ -309,9 +309,6 @@ class FuncDef:
 class Program:
     functions: Dict[str, FuncDef]
 
-    def function(self, name: str) -> FuncDef:
-        return self.functions[name]
-
 
 # -- helpers -----------------------------------------------------------------
 

@@ -22,7 +22,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Optional, Union
 
 from .errors import DivisionByZero, OverflowAlarm
 
@@ -81,9 +81,6 @@ class RInterval:
     def contains(self, x: Fraction) -> bool:
         return self.lo <= x <= self.hi
 
-    def contains_interval(self, other: "RInterval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def max_abs(self) -> Fraction:
         return max(abs(self.lo), abs(self.hi))
 
@@ -140,23 +137,6 @@ def _iv(lo: Fraction, hi: Fraction) -> RInterval:
     d["lo"] = lo
     d["hi"] = hi
     return iv
-
-
-def interval_arith(op: str, a: RInterval, b: RInterval) -> Optional[RInterval]:
-    """Exact interval arithmetic. 'meet' may return None (empty)."""
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return a.divide(b)
-    if op == "join":
-        return a.join(b)
-    if op == "meet":
-        return a.meet(b)
-    raise ValueError(f"unknown interval operator {op!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +212,6 @@ def _fv(value: Fraction, fmt: FloatFormat) -> FloatValue:
     d["value"] = value
     d["fmt"] = fmt
     return fv
-
-
-def unit_roundoff(fmt: FloatFormat) -> Fraction:
-    return fmt.unit_roundoff
 
 
 def _ilog(x: Fraction, beta: int) -> int:
@@ -324,18 +300,3 @@ def representation_error_bound(iv: RInterval, fmt: FloatFormat) -> RInterval:
     e = max(_ilog(m, fmt.beta), fmt.e_min)
     half_ulp = fmt.quantum(e) / 2
     return RInterval(-half_ulp, half_ulp)
-
-
-def enumerate_floats(fmt: FloatFormat) -> Iterator[Fraction]:
-    """All finite values of a (small) format, ascending. Test oracle helper."""
-    nonneg = []
-    eta = fmt.subnormal_step
-    for m in range(0, fmt.beta ** (fmt.p - 1)):
-        nonneg.append(m * eta)
-    for e in range(fmt.e_min, fmt.e_max + 1):
-        q = fmt.quantum(e)
-        for m in range(fmt.beta ** (fmt.p - 1), fmt.beta**fmt.p):
-            nonneg.append(m * q)
-    for v in reversed(nonneg[1:]):
-        yield -v
-    yield from nonneg

@@ -4,12 +4,24 @@ An affine form is center + sum(coeff_i * eps_i) where each noise symbol
 eps_i ranges over a sub-interval of [-1, 1] recorded in a symbol
 environment. Sharing symbols between forms encodes linear correlations;
 the joint range over several forms is a zonotope.
+
+The center and terms of an AffineForm never change after `__init__`:
+every operation builds a new form. Symbol environments are never
+mutated in place either: an entry is replaced by another RInterval
+(`make_substitution` assigns a new range, a checkpoint restore puts back
+the saved objects), and RInterval is frozen. So a form's concretization
+is a function of the range objects its symbols map to, and `linear_part`
+keeps its last result keyed by those objects, compared with `is`: the
+key holds references, so no other object can take the id of one of them
+while the memo lives. An equal but distinct range misses the memo and
+recomputes the same exact interval.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import is_
 from typing import Dict, Optional
 
 from .numerics import RInterval, rat, RationalLike
@@ -53,9 +65,15 @@ def sym_range(env: SymbolEnv, i: int) -> RInterval:
 
 
 class AffineForm:
-    """center + sum of coeff * eps; zero coefficients are never stored."""
+    """center + sum of coeff * eps; zero coefficients are never stored.
 
-    __slots__ = ("center", "terms")
+    Center and terms are fixed at `__init__` (see the module docstring);
+    only the memo changes: `_key` holds the range objects the last
+    `linear_part` read, one per term, `_lin` its result and `_conc` that
+    result shifted by the center, or None.
+    """
+
+    __slots__ = ("center", "terms", "_key", "_lin", "_conc")
 
     def __init__(self, center: RationalLike = 0,
                  terms: Optional[Dict[int, Fraction]] = None) -> None:
@@ -63,6 +81,9 @@ class AffineForm:
         self.terms: Dict[int, Fraction] = {
             i: c for i, c in (terms or {}).items() if c != 0
         }
+        self._key: Optional[tuple] = None
+        self._lin: Optional[RInterval] = None
+        self._conc: Optional[RInterval] = None
 
     @staticmethod
     def constant(x: RationalLike) -> "AffineForm":
@@ -112,18 +133,27 @@ class AffineForm:
 
     def linear_part(self, env: SymbolEnv) -> RInterval:
         """Concretization of the noise terms alone (center excluded)."""
+        key = tuple([env.get(i, UNIT) for i in self.terms])
+        old = self._key
+        if old is not None and all(map(is_, key, old)):
+            return self._lin
         lo = hi = Fraction(0)
-        for i, c in self.terms.items():
-            r = sym_range(env, i)
+        for c, r in zip(self.terms.values(), key):
             a, b = c * r.lo, c * r.hi
             if a > b:
                 a, b = b, a
             lo += a
             hi += b
-        return RInterval(lo, hi)
+        lin = RInterval(lo, hi)
+        self._key, self._lin, self._conc = key, lin, None
+        return lin
 
     def concretize(self, env: SymbolEnv) -> RInterval:
-        return self.linear_part(env).shift(self.center)
+        lin = self.linear_part(env)
+        conc = self._conc
+        if conc is None:
+            conc = self._conc = lin.shift(self.center)
+        return conc
 
     def width(self, env: SymbolEnv) -> Fraction:
         return self.linear_part(env).width
@@ -143,10 +173,6 @@ class AffineForm:
         return " ".join(parts)
 
     __repr__ = __str__
-
-
-def af_scale(k: RationalLike, a: AffineForm) -> AffineForm:
-    return a.scale(k)
 
 
 def _recenter(iv: RInterval, pool: SymbolPool) -> AffineForm:
@@ -178,10 +204,6 @@ def af_mul(a: AffineForm, b: AffineForm, pool: SymbolPool,
     else:
         nl = la * b.linear_part(env)
     return linear + _recenter(nl, pool)
-
-
-def af_square(a: AffineForm, pool: SymbolPool, env: SymbolEnv) -> AffineForm:
-    return af_mul(a, a, pool, env)
 
 
 def af_inverse(a: AffineForm, hint: RInterval, pool: SymbolPool,

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from fldx.domain import (AbstractFloat, abs_neg, abs_op, constrain_forms,
+from fldx.domain import (AbstractFloat, abs_neg, abs_op, apply_substitution,
                          make_substitution, project_onto_symbols, union)
 from fldx.errors import DivisionByZero, InfeasiblePath
 from fldx.numerics import BINARY64, RInterval, rat, round_nearest
@@ -146,6 +146,17 @@ def test_substitution_rewrites_through_derived_symbol():
     # eps0 := 1/2 + 1/2 * eps_d
     assert sub.replacement.center == F(1, 2)
     assert list(sub.replacement.terms.values()) == [F(1, 2)]
+
+
+def constrain_forms(forms, sym, new_range, pool, env, threshold):
+    """Narrow one symbol across a set of forms, as the interpreter's
+    `_narrow_symbol` does across the variables of a path."""
+    old_widths = [f.width(env) for f in forms]
+    sub = make_substitution(sym, new_range, pool, env)
+    if sub is None:
+        return forms, None
+    return [apply_substitution(f, sub, w, env, threshold)
+            for f, w in zip(forms, old_widths)], sub
 
 
 def test_constrain_forms_adopts_only_when_width_improves():

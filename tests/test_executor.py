@@ -233,3 +233,62 @@ def test_alarm_keeps_first_of_each_kind_and_text_in_order():
         it._alarm(AnalysisAlarm(kind, msg))
     assert [(a.kind, str(a)) for a in it.alarms] == [
         ("b", "one"), ("a", "one"), ("a", "two")]
+
+
+# ---------------------------------------------------------------------------
+# The flows _decide_float offers, per comparison operator: x = eps0 with
+# float [-1, 1] against 0.0, its error c + 1e-7*eps1. An unstable flow
+# needs an error of the sign that puts machine and ideal on opposite sides.
+# ---------------------------------------------------------------------------
+
+STABLE = [("sT", None, True), ("sF", None, False)]
+UT = [("uT", "float", True), ("uT", "real", False)]
+UF = [("uF", "float", False), ("uF", "real", True)]
+E7 = F(1, 10 ** 7)
+
+
+def negated(flows):
+    return [(kind, interp, not taken) for kind, interp, taken in flows]
+
+
+@pytest.mark.parametrize("op,err_center,expected", [
+    ("<", 0, STABLE + UT + UF),
+    ("<=", 0, STABLE + UT + UF),
+    (">", 0, STABLE + UT + UF),
+    (">=", 0, STABLE + UT + UF),
+    ("==", 0, STABLE + UT + UF),
+    ("!=", 0, negated(STABLE + UT + UF)),
+    # float >= real: machine below while ideal above is impossible
+    ("<", E7, STABLE + UF),
+    ("<=", E7, STABLE + UF),
+    (">", E7, STABLE + UT),
+    (">=", E7, STABLE + UT),
+    ("==", E7, STABLE + UT + UF),
+    ("!=", E7, negated(STABLE + UT + UF)),
+    # float <= real
+    ("<", -E7, STABLE + UT),
+    ("<=", -E7, STABLE + UT),
+    (">", -E7, STABLE + UF),
+    (">=", -E7, STABLE + UF),
+    ("==", -E7, STABLE + UT + UF),
+    ("!=", -E7, negated(STABLE + UT + UF)),
+])
+def test_decide_float_offers_flows_per_operator(op, err_center, expected):
+    offered, n = [], 1
+    while len(offered) < n:
+        program = parse_program("int main() { return 0; }")
+        it = Interp(program, AnalysisConfig())
+        e0 = it.pool.fresh(Origin.INPUT)
+        e1 = it.pool.fresh(Origin.INPUT)
+        c = F(err_center)
+        it.mem.store("x", AbstractFloat(
+            RInterval(F(-1), F(1)), AffineForm(F(0), {e0: F(1)}),
+            RInterval(F(-1), F(1)), AffineForm(c, {e1: E7}),
+            RInterval(c - E7, c + E7)))
+        ex = PathExplorer()
+        ex.trace, ex.limits = [len(offered)], [1]
+        it.stack.append(SectionCtx(1, True, ex))
+        taken = it.decide(parse_expr(f"x {op} 0.0"))
+        n = ex.limits[0]
+        offered.append((it.ctx.signature[-1][1], it.ctx.interp, taken))
+    assert offered == expected

@@ -45,6 +45,40 @@ def test_expression_round_trip(text):
     assert print_expr(parse_expr(t1)) == t1
 
 
+#: (source expression, its print): the print shows the parse tree's
+#: grouping, with parentheses only where precedence needs them
+PRINTED_EXPRESSIONS = [
+    ('a + b * c - d / a', 'a + b * c - d / a'),
+    ('a - b - c - d', 'a - b - c - d'),
+    ('a / b / c * d', 'a / b / c * d'),
+    ('a - (b - c) + (a + b) * (c - d)', 'a - (b - c) + (a + b) * (c - d)'),
+    ('-a * -b - -c', '-a * -b - -c'),
+    ('-(a + b) * -(int) c', '-(a + b) * -(int) c'),
+    ('(int) a + (double) i * 2', '(int) a + (double) i * 2'),
+    ('(double) (i + j) / k', '(double) (i + j) / k'),
+    ('i % j * k - i / j % k', 'i % j * k - i / j % k'),
+    ('a < b && b < c || !(c == d) && i != j', 'a < b && b < c || !(c == d) && i != j'),
+    ('a <= b == c >= d', 'a <= b == c >= d'),
+    ('!a || b && !c', '!a || b && !c'),
+    ('a > b ? a - b : b > c ? b : c', 'a > b ? a - b : b > c ? b : c'),
+    ('(a > b ? a : b) * c', '(a > b ? a : b) * c'),
+    ('a ? b : c ? d : a', 'a ? b : c ? d : a'),
+    ('a || b ? c + d : -d', 'a || b ? c + d : -d'),
+    ("((a - b) - (c))", "a - b - c"),
+    ("(a * (b)) / ((c))", "a * b / c"),
+    ("a - (b + c) * d", "a - (b + c) * d"),
+]
+
+
+@pytest.mark.parametrize("text,printed", PRINTED_EXPRESSIONS)
+def test_expression_prints_as_parsed(text, printed):
+    src = ("int main() { double a = 1.0; double b = 2.0; double c = 3.0;"
+           " double d = 4.0; int i = 1; int j = 2; int k = 3; double r = "
+           + text + "; return 0; }")
+    lines = print_program(parse_program(src)).splitlines()
+    assert f"  double r = {printed};" in lines
+
+
 @pytest.mark.parametrize("text", [
     "x + 1 <= y",
     "\\let e = x - y; e <= 0.001 && e >= -0.001",

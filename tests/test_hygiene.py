@@ -1,7 +1,9 @@
-"""Source hygiene: every module of the package uses each name it imports.
+"""Source hygiene: every module of the package uses each name it
+imports, and the package reads every function and method it defines.
 
-Package `__init__` modules are left out, since their imports are the
-package's public names.
+Package `__init__` modules are left out of the import check, since their
+imports are the package's public names; for the same reason a name they
+import counts as read.
 """
 import ast
 from pathlib import Path
@@ -50,3 +52,80 @@ def test_scan_finds_an_unused_import():
                          ids=[str(p.relative_to(SRC)) for p in MODULES])
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+# ---------------------------------------------------------------------------
+# Functions nothing reads
+# ---------------------------------------------------------------------------
+
+PYPROJECT = SRC.parent.parent / "pyproject.toml"
+
+
+def entry_points():
+    """(module, function) of every `[project.scripts]` entry."""
+    out, section = set(), None
+    for line in PYPROJECT.read_text().splitlines():
+        line = line.strip()
+        if line.startswith("["):
+            section = line
+        elif section == "[project.scripts]" and "=" in line:
+            target = line.split("=", 1)[1].strip().strip('"')
+            module, _, fn = target.partition(":")
+            out.add((module, fn))
+    return out
+
+
+def unread_functions(modules, exempt=frozenset()):
+    """(module, line, name) of every function or method defined in
+    `modules` ({dotted name: source}) whose name the code never reads.
+
+    A method counts as read by any attribute access of its name. A
+    module-level or nested function counts as read by its bare name, by
+    an import of it, or by an attribute access on an imported name
+    (`module.f`), but not by `obj.f`, which reads some method `f`.
+    Dunders and the `exempt` (module, name) pairs are left out.
+    """
+    attrs, names, defs = set(), set(), []
+    for m, src in modules.items():
+        tree = ast.parse(src)
+        bound = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    names.add(alias.name.split(".")[-1])
+                    bound.add(alias.asname or alias.name.split(".")[0])
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                   for f in c.body}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+                if isinstance(node.value, ast.Name) and node.value.id in bound:
+                    names.add(node.attr)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs.append((m, node.lineno, node.name, id(node) in methods))
+    return sorted((m, line, name) for m, line, name, is_method in defs
+                  if not (name.startswith("__") and name.endswith("__"))
+                  and (m, name) not in exempt
+                  and name not in (attrs if is_method else names))
+
+
+def test_scan_finds_an_unread_function():
+    src = ("import math\n"
+           "def used(): return math.floor(1)\n"
+           "def unused(): pass\n"
+           "def f(): pass\n"
+           "class A:\n"
+           "    def f(self): return used()\n"
+           "    def g(self): pass\n"
+           "    def __repr__(self): return ''\n"
+           "def main(): A().f()\n")
+    assert unread_functions({"m": src}, {("m", "main")}) == [
+        ("m", 3, "unused"), ("m", 4, "f"), ("m", 7, "g")]
+
+
+def test_every_function_is_read():
+    modules = {".".join(("fldx",) + p.relative_to(SRC).with_suffix("").parts):
+               p.read_text() for p in sorted(SRC.rglob("*.py"))}
+    assert unread_functions(modules, entry_points()) == []

@@ -258,17 +258,22 @@ DEF_USE_PROGRAMS = [
 ]
 
 
+def def_use_triples(deps):
+    """(writer stmt id, reader stmt id, variable) over the whole body."""
+    return {(w, r, v) for (w, v), rs in deps.readers.items() for r in rs}
+
+
 @pytest.mark.parametrize("src", DEF_USE_PROGRAMS)
 def test_def_use_triples_match_brute_force(src):
     program = parse_program(src)
     for fn in program.functions.values():
         deps = D.compute_dep_sets(fn, C.build_cfg(fn))
-        assert deps.data == brute_def_use(fn)
+        assert def_use_triples(deps) == brute_def_use(fn)
 
 
 def test_array_cell_write_does_not_kill_earlier_writes():
     fn = parse_program(DEF_USE_PROGRAMS[0]).functions["f"]
-    data = D.compute_dep_sets(fn, C.build_cfg(fn)).data
+    data = def_use_triples(D.compute_dep_sets(fn, C.build_cfg(fn)))
     ret = fn.body.stmts[-1]
     # the declaration's cells reach the return past `t[1] = a`, and the
     # parameter a is read without a writer inside the function

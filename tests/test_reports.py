@@ -103,6 +103,67 @@ def test_report_table_covers_the_corpus():
     assert sorted(REPORT_SHA256) == all_corpus_names()
 
 
+#: section-heavy sources beyond the corpus, with the SHA-256 of their
+#: binary64 reports: nested stable tests around shared symbols, then an
+#: unstable test (sections of 28 and 6 paths, 4 and 2 unstable pairs)
+NESTED_THEN_UNSTABLE = """\
+int main() {
+  double x = read_double(0.0, 1.0);
+  double y = read_double(-1.0, 1.0);
+  double w = x * y + 0.1;
+  double v = y - 0.3;
+  double s = 0.0;
+  if (x < 0.5) {
+    s = s + w;
+    if (y < 0.25) { s = s - v; } else { s = s + x * 0.5; }
+  } else {
+    s = s - w;
+    if (y + x < 0.75) { s = s + 1.0; } else { s = s * y; }
+  }
+  double u = read_double(0.4999999, 0.5000001);
+  double t = 0.0;
+  if (u < 0.5) { t = s + u; } else { t = s - u + 0.1; }
+  /*@ accuracy_assert_derr(t, -1e-6, 1e-6); */
+  /*@ dprint(s); */
+  /*@ dprint(t); */
+  /*@ dprint(w); */
+  return 0;
+}
+"""
+
+#: a float-to-int cast whose truncation is unstable at k = 2, and an int
+#: test on its result (6 paths, 2 unstable pairs)
+CAST_DECISION = """\
+int main() {
+  double x = read_double(1.9, 4.1);
+  double y = x * 0.7 + 0.05;
+  int k = (int) y;
+  double z = 0.0;
+  if (k < 2) { z = y - 1.0; } else { z = y * 0.5 + 0.25; }
+  /*@ accuracy_assert_derr(z, -1e-9, 1e-9); */
+  /*@ dprint(z); */
+  /*@ dprint(y); */
+  return 0;
+}
+"""
+
+SECTION_REPORT_SHA256 = {
+    "nested_then_unstable": (
+        NESTED_THEN_UNSTABLE,
+        "e17f3fcddcc9be53aa158b609940a15378673f8a0b63cdec1393f16931276f71"),
+    "cast_decision": (
+        CAST_DECISION,
+        "451a20f509818ec747239d5246c624ef5e85ab4a4da19cfe318e09ec135432bc"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SECTION_REPORT_SHA256))
+def test_section_report_bytes_are_unchanged(name):
+    source, digest = SECTION_REPORT_SHA256[name]
+    text = analyze(source, AnalysisConfig(), source_name=name + ".c").to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # Aggregation
 # ---------------------------------------------------------------------------
@@ -207,6 +268,15 @@ def test_cli_deep_nesting_is_a_parse_error(tmp_path, command):
     assert res.exit_code == 2, res.output
     assert type(res.exception) is SystemExit
     assert "nested too deeply" in res.output
+
+
+def test_cli_150_nested_parentheses_analyze(tmp_path):
+    # precedence climbing spends four parser frames per parenthesis level
+    src = tmp_path / "nested.c"
+    src.write_text("int main() { double x = " + "(" * 150 + "1.0"
+                   + ")" * 150 + "; return 0; }")
+    res = CliRunner().invoke(main, ["analyze", str(src)])
+    assert res.exit_code == 0, res.output
 
 
 def test_cli_deep_expression_is_an_execute_error(tmp_path):

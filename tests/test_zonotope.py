@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from fldx.numerics import RInterval
 from fldx.zonotope import (AffineForm, Origin, SymbolPool, af_div,
-                           af_inverse, af_mul, af_scale, af_square, condense,
-                           sym_range)
+                           af_inverse, af_mul, condense, sym_range)
 
 F = Fraction
 
@@ -80,12 +79,19 @@ def test_square_via_mul_of_same_form_contains_grid():
     assert conc.lo > RInterval(F(0), F(1)).square().lo - 1
 
 
+def af_square(a: AffineForm, pool: SymbolPool, env) -> AffineForm:
+    return af_mul(a, a, pool, env)
+
+
 def test_af_square_matches_self_mul_concretization():
     pool = SymbolPool()
     env = {}
     a, _ = make(pool, [F(1, 2)], center=F(1, 2))
     assert af_square(a, pool, env).concretize(env) == \
         af_mul(a, a, pool, env).concretize(env)
+    # 1/4 + 1/2*e0 plus the square of the noise [0, 1/4]; a product of
+    # two distinct symbols would reach down to -1/2
+    assert af_square(a, pool, env).concretize(env) == RInterval(F(-1, 4), F(1))
 
 
 def test_inverse_contains_grid_reciprocals():
@@ -127,7 +133,7 @@ def test_scale_and_narrowed_env_concretization():
     pool = SymbolPool()
     a, (s0,) = make(pool, [2], center=F(1))
     env = {s0: RInterval(F(0), F(1))}
-    assert af_scale(3, a).concretize(env) == RInterval(F(3), F(9))
+    assert a.scale(3).concretize(env) == RInterval(F(3), F(9))
 
 
 @settings(max_examples=150, deadline=None)
