@@ -24,7 +24,9 @@ class AnalysisAlarm(FldxError):
     """A runtime alarm raised during abstract execution.
 
     kind is a short machine-readable tag: division-by-zero, overflow,
-    out-of-bounds, no-feasible-path, relerr-undefined, instrumentation-gap.
+    out-of-bounds, no-feasible-path, relerr-undefined, instrumentation-gap,
+    assertion (an assertion not proved valid), loop-limit and
+    analysis-incomplete (a resource limit cut the analysis short).
     """
 
     def __init__(self, kind, message, location=None):

@@ -1,17 +1,29 @@
 """Abstract interpreter with split/merge path exploration.
 
 The whole entry function runs as an implicit root section. Inside a
-section, every undecided test becomes a decision point enumerated by the
-section's path explorer:
+section, every undecided test and every float-to-int cast is one
+decision step on t = lhs - rhs (for a cast, the cast value), enumerated
+by the section's path explorer. `_REGIONS` is the one region table: a
+comparison maps to a true and a false region of t, and `!=` is decided
+as `==` negated. An int test chooses a side only when t straddles the
+boundary. A float test or a cast offers, in order, the candidates of
+`_flow`, each a machine region and an ideal region of t:
 
-  * stable flows: machine and ideal executions take the same branch;
-  * unstable flows (user sections only): the machine float value and the
-    ideal real value fall on opposite sides of the test. Each unstable
-    flow is explored twice, once following the machine control flow
-    ("float" interpretation) and once following the ideal one ("real"
-    interpretation); merge_unstable pairs the two runs back into a
-    single state whose float fields come from the machine run and whose
-    real fields come from the ideal run.
+  * stable flows: machine and ideal executions take the same branch
+    (cast to the same integer), the float and the real interval of t
+    meeting the same region;
+  * unstable flows (user sections only): the machine float value and
+    the ideal real value fall on different sides, which needs an error
+    of t of the sign that machine region - ideal region allows. Each
+    unstable flow is explored twice, once following the machine control
+    flow ("float" interpretation) and once following the ideal one
+    ("real" interpretation); merge_unstable pairs the two runs back into
+    a single state whose float fields come from the machine run and
+    whose real fields come from the ideal run.
+
+The chosen flow constrains the float, real and error forms of t jointly
+and meets the operands; `assume` applies the stable true flow the same
+way, without a decision.
 
 After all paths of a section are explored the per-path states are
 folded with the interval-hull union. A section whose every path is
@@ -37,6 +49,9 @@ from ..zonotope import AffineForm, Origin, SymbolEnv, SymbolPool, sym_range
 from .explorer import PathExplorer
 
 ZERO = Fraction(0)
+_ONE = Fraction(1)
+_INT_ZERO = RInterval.point(ZERO)
+_ANY = (None, None)  # the whole line as a region
 _CAST_FAN_LIMIT = 64
 _LOOP_LIMIT = 1_000_000
 
@@ -187,29 +202,27 @@ class Interp:
                     x.refresh(self.env) if isinstance(x, AbstractFloat) else x
                     for x in v]
 
-    def _meet_var_float(self, e: S.Expr, region: RInterval) -> None:
-        """Directly narrow a variable's float interval (lvalue operand
-        compared against a thin bound)."""
-        if not isinstance(e, S.Var):
-            return
-        v = self.mem.vars.get(e.name)
-        if not isinstance(v, AbstractFloat):
-            return
-        m = v.float_iv.meet(region)
-        if m is None:
-            raise InfeasiblePath
-        self.mem.vars[e.name] = v.with_float_iv(m).refresh(self.env)
-
-    def _meet_var_int(self, e: S.Expr, region: RInterval) -> None:
-        if not isinstance(e, S.Var):
-            return
-        v = self.mem.vars.get(e.name)
-        if not isinstance(v, RInterval):
-            return
-        m = v.meet(region)
-        if m is None:
-            raise InfeasiblePath
-        self.mem.vars[e.name] = m
+    def _meet_operands(self, lhs: S.Expr, rhs: Optional[S.Expr], kind: type,
+                       a: RInterval, b: RInterval, reg) -> None:
+        """Under `lhs - rhs` in reg, meet each variable operand holding a
+        `kind` value (an int itself, a float its float interval) with
+        what the other operand allows: lhs with b + reg, rhs with
+        a - reg. An int operand always bounds the other, a float one
+        only when thin."""
+        lo, hi = reg
+        for e, own, other, flip in ((lhs, a, b, False), (rhs, b, a, True)):
+            if kind is AbstractFloat and not other.is_point():
+                continue
+            region = _bound(own, other, _neg(hi), _neg(lo)) if flip \
+                else _bound(own, other, lo, hi)
+            v = self.mem.vars.get(e.name) if isinstance(e, S.Var) else None
+            if not isinstance(v, kind):
+                continue
+            m = (v if kind is RInterval else v.float_iv).meet(region)
+            if m is None:
+                raise InfeasiblePath
+            self.mem.vars[e.name] = m if kind is RInterval \
+                else v.with_float_iv(m).refresh(self.env)
 
     # -- expression evaluation --------------------------------------------
 
@@ -368,236 +381,138 @@ class Interp:
         if isinstance(e, S.Binary) and e.op == "||":
             return self.decide(e.left) or self.decide(e.right)
         if isinstance(e, S.Binary) and e.op in S.COMPARISONS:
-            a = self.eval(e.left)
-            b = self.eval(e.right)
-            if isinstance(a, RInterval) and isinstance(b, RInterval):
-                return self._decide_int(e, a, b)
-            return self._decide_float(e, self._as_float(a), self._as_float(b))
+            return self._test(e.op, e.left, e.right, self.eval(e.left),
+                              self.eval(e.right), id(e), e.loc)
         # scalar truthiness: e != 0
         v = self.eval(e)
-        if isinstance(v, AbstractFloat):
-            cmp = S.Binary("!=", e, S.FloatLit("0.0", ZERO, e.loc), e.loc)
-            return self._decide_float(cmp, v, AbstractFloat.exact(0, self.fmt),
-                                      site=id(e))
-        if not v.contains(ZERO):
-            return True
-        if v.is_point():
-            return False
-        cmp = S.Binary("!=", e, S.IntLit(0, e.loc), e.loc)
-        return self._decide_int(cmp, v, RInterval.point(ZERO), site=id(e))
+        zero = _INT_ZERO if isinstance(v, RInterval) \
+            else AbstractFloat.from_literal(ZERO, self.fmt)
+        return self._test("!=", e, None, v, zero, id(e), e.loc)
 
-    # integer comparison --------------------------------------------------
+    def _test(self, op: str, lhs: S.Expr, rhs: Optional[S.Expr], a, b,
+              site: int, loc: S.Loc) -> bool:
+        """Truth of `lhs op rhs` with operand values a and b, splitting on
+        the regions of t = a - b; `!=` is decided as `==`, negated."""
+        neg = op == "!="
+        if isinstance(a, RInterval) and isinstance(b, RInterval):
+            true_reg, false_reg = _REGIONS[True]["==" if neg else op]
+            known = _settled(a, b, true_reg)
+            if known is not None:
+                return known != neg
+            take_true = self.ctx.explorer.choose(2) == 0
+            self.ctx.signature.append((site, "iT" if take_true else "iF"))
+            self._trace(f"decision {loc}: int"
+                        f" {'true' if take_true else 'false'}")
+            self._meet_operands(lhs, rhs, RInterval, a, b,
+                                true_reg if take_true != neg else false_reg)
+            return take_true
+        true_reg, false_reg = _REGIONS[False]["==" if neg else op]
+        return neg != self._flow(
+            loc, site, "test",
+            [("sT", True, true_reg, True, true_reg),
+             ("sF", False, false_reg, False, false_reg),
+             ("uT", True, true_reg, False, false_reg),
+             ("uF", False, false_reg, True, true_reg)],
+            lhs, rhs, self._as_float(a), self._as_float(b))
 
-    def _decide_int(self, e: S.Binary, a: RInterval, b: RInterval,
-                    site: Optional[int] = None) -> bool:
-        op = e.op
-        t = _int_cmp(op, a, b)
-        if t is not None:
-            return t
-        ex = self.ctx.explorer
-        choice = ex.choose(2)  # 0: true, 1: false
-        take_true = choice == 0
-        self.ctx.signature.append((site or id(e), "iT" if take_true else "iF"))
-        self._trace(f"decision {e.loc}: int {'true' if take_true else 'false'}")
-        ra, rb = _int_regions(op if take_true else _neg_op(op), a, b)
-        if ra is not None:
-            self._meet_var_int(e.left, ra)
-        if rb is not None:
-            self._meet_var_int(e.right, rb)
-        return take_true
+    def _flow(self, loc: S.Loc, site: int, noun: str, candidates,
+              lhs: Optional[S.Expr], rhs: Optional[S.Expr],
+              l: AbstractFloat, r: AbstractFloat):
+        """Choose one flow of a float test or cast on t = l - r, apply it
+        and return its control value.
 
-    # float comparison ----------------------------------------------------
-
-    def _decide_float(self, e: S.Binary, l: AbstractFloat,
-                      r: AbstractFloat, site: Optional[int] = None) -> bool:
-        op = e.op
-        site = site or id(e)
-        if op == "!=":
-            return not self._decide_float(
-                S.Binary("==", e.left, e.right, e.loc), l, r, site=site)
-
+        `candidates` are, in choice order, (tag, machine value, machine
+        region of t, ideal value, ideal region of t). One is offered when
+        the float and the real interval of t meet its two regions. When
+        its two values differ it is unstable: the error of t must take a
+        nonzero value of the sign that machine region - ideal region
+        allows, and outside a user section it only raises an alarm.
+        Inside one it is offered twice, its control value taken from the
+        machine ("float") or the ideal ("real") run.
+        """
+        env = self.env
         t_fiv = l.float_iv - r.float_iv
-        t_riv = l.real_refined(self.env) - r.real_refined(self.env)
+        t_riv = l.real_refined(env) - r.real_refined(env)
         err_form = l.err - r.err
-        t_eiv = err_form.concretize(self.env)
-        m = t_eiv.meet(l.err_refined(self.env) - r.err_refined(self.env))
+        t_eiv = err_form.concretize(env)
+        m = t_eiv.meet(l.err_refined(env) - r.err_refined(env))
         if m is not None:
             t_eiv = m
-
-        region_T, region_F = _float_regions(op)
-
-        def overlaps(iv: RInterval, reg) -> bool:
-            lo, hi = reg
-            if lo is not None and iv.hi < lo:
-                return False
-            if hi is not None and iv.lo > hi:
-                return False
-            return True
-
-        flows: List[Tuple[str, Optional[str]]] = []
-        if overlaps(t_fiv, region_T) and overlaps(t_riv, region_T):
-            flows.append(("sT", None))
-        if overlaps(t_fiv, region_F) and overlaps(t_riv, region_F):
-            flows.append(("sF", None))
-
-        in_user = self.ctx.is_user
         fixed = self.ctx.interp
-        unstable_possible = []
-        # uT: machine true, ideal false; uF the reverse. The error
-        # t_float - t_real must be able to take the sign that separates
-        # the two sides.
-        if op == "==":
-            # true region is a point: the complement is not an interval,
-            # so the real side of unstable flows is left unconstrained
-            err_T = err_F = not t_eiv.is_point()
-        elif op in ("<", "<="):
-            err_T, err_F = t_eiv.lo < 0, t_eiv.hi > 0
-        else:  # > or >=
-            err_T, err_F = t_eiv.hi > 0, t_eiv.lo < 0
-        uT_ok = err_T and overlaps(t_fiv, region_T) \
-            and overlaps(t_riv, region_F)
-        uF_ok = err_F and overlaps(t_fiv, region_F) \
-            and overlaps(t_riv, region_T)
-        if uT_ok:
-            unstable_possible.append("uT")
-        if uF_ok:
-            unstable_possible.append("uF")
-
-        if in_user:
-            for kind in unstable_possible:
-                for interp in ("float", "real"):
+        flows = []
+        gap = False
+        for tag, f_val, f_reg, r_val, r_reg in candidates:
+            stable = f_val == r_val
+            e_reg = _ANY if stable else _error_region(f_reg, r_reg, t_eiv)
+            if e_reg is None or not (_overlaps(t_fiv, f_reg)
+                                     and _overlaps(t_riv, r_reg)):
+                continue
+            if stable:
+                flows.append((tag, None, f_val, f_reg, r_reg, e_reg))
+            elif not self.ctx.is_user:
+                gap = True
+            else:
+                for interp, value in (("float", f_val), ("real", r_val)):
                     if fixed is None or fixed == interp:
-                        flows.append((kind, interp))
-        elif unstable_possible:
-            self._warn(f"{e.loc}: possibly unstable test outside any"
+                        flows.append((tag, interp, value, f_reg, r_reg,
+                                      e_reg))
+        if gap:
+            self._warn(f"{loc}: possibly unstable {noun} outside any"
                        f" split/merge section")
             self._alarm(AnalysisAlarm(
                 "instrumentation-gap",
-                f"{e.loc}: unstable test not covered by a section", e.loc))
-
+                f"{loc}: unstable {noun} not covered by a section", loc))
         if not flows:
             raise InfeasiblePath
-        kind, interp = flows[self.ctx.explorer.choose(len(flows))]
-        self.ctx.signature.append((site, kind))
-        if interp is not None and self.ctx.interp is None:
+        tag, interp, value, f_reg, r_reg, e_reg = \
+            flows[self.ctx.explorer.choose(len(flows))]
+        self.ctx.signature.append((site, tag))
+        if interp is not None and fixed is None:
             self.ctx.interp = interp
-        self._trace(f"decision {e.loc}: {kind}"
-                    + (f"/{interp}" if interp else ""))
+        self._trace(f"decision {loc}: {'cast ' if noun == 'cast' else ''}"
+                    f"{tag}" + (f"/{interp}" if interp else ""))
+        self._apply(lhs, rhs, l, r, f_reg, r_reg, e_reg, err_form)
+        return value
 
-        form_f = (l.real + l.err) - (r.real + r.err)
-        form_r = l.real - r.real
-        e_reg = (None, None)
-        if kind == "sT":
-            f_reg, r_reg = region_T, region_T
-        elif kind == "sF":
-            f_reg, r_reg = region_F, region_F
-        elif kind == "uT":
-            f_reg, r_reg = region_T, region_F if op != "==" else (None, None)
-            if op != "==":
-                e_reg = (None, ZERO) if op in ("<", "<=") else (ZERO, None)
-        else:  # uF
-            f_reg, r_reg = region_F, region_T
-            if op != "==":
-                e_reg = (ZERO, None) if op in ("<", "<=") else (None, ZERO)
-        self._constrain_joint([(form_f, *f_reg), (form_r, *r_reg),
+    def _apply(self, lhs: Optional[S.Expr], rhs: Optional[S.Expr],
+               l: AbstractFloat, r: AbstractFloat, f_reg, r_reg, e_reg,
+               err_form: AffineForm) -> None:
+        """Constrain t = l - r to a flow: its float form (real + error)
+        to f_reg, its real form to r_reg and its error form (`err_form`)
+        to e_reg; then meet the operands and refresh every value."""
+        self._constrain_joint([((l.real + l.err) - (r.real + r.err), *f_reg),
+                               (l.real - r.real, *r_reg),
                                (err_form, *e_reg)])
-        self._direct_meets(e, l, r, f_reg)
+        self._meet_operands(lhs, rhs, AbstractFloat, l.float_iv, r.float_iv,
+                            f_reg)
         self._refresh_all()
-
-        cf = kind in ("sT", "uT")
-        if interp == "real":
-            return not cf if kind in ("uT", "uF") else cf
-        return cf
-
-    def _direct_meets(self, e: S.Binary, l: AbstractFloat, r: AbstractFloat,
-                      f_reg) -> None:
-        lo, hi = f_reg
-        if r.float_iv.is_point():
-            c = r.float_iv.lo
-            nlo = c + lo if lo is not None else l.float_iv.lo - 1
-            nhi = c + hi if hi is not None else l.float_iv.hi + 1
-            if nlo > nhi:
-                raise InfeasiblePath
-            self._meet_var_float(e.left, RInterval(nlo, nhi))
-        if l.float_iv.is_point():
-            c = l.float_iv.lo
-            nlo = c - hi if hi is not None else r.float_iv.lo - 1
-            nhi = c - lo if lo is not None else r.float_iv.hi + 1
-            if nlo > nhi:
-                raise InfeasiblePath
-            self._meet_var_float(e.right, RInterval(nlo, nhi))
 
     # float-to-int cast ---------------------------------------------------
 
     def _cast_float_to_int(self, loc: S.Loc, site: int, v: AbstractFloat,
                            src: Optional[S.Expr] = None) -> RInterval:
+        """(int) v as a decision among the truncations k of the machine
+        value and kr in {k - 1, k, k + 1} of the ideal one."""
         klo = _c_trunc(v.float_iv.lo)
         khi = _c_trunc(v.float_iv.hi)
         if khi - klo + 1 > _CAST_FAN_LIMIT:
             self._warn(f"{loc}: cast range spans {khi - klo + 1} integers;"
                        f" not splitting")
+            self._alarm(AnalysisAlarm(
+                "analysis-incomplete",
+                f"{loc}: cast not split over {khi - klo + 1} integers; the"
+                f" ideal truncation may differ from the machine one", loc))
             return RInterval(Fraction(klo), Fraction(khi))
-        riv = v.real_refined(self.env)
-        eiv = v.err_refined(self.env)
-        in_user = self.ctx.is_user
-        fixed = self.ctx.interp
-
-        flows: List[Tuple[int, int, Optional[str]]] = []
+        candidates = []
         for k in range(klo, khi + 1):
             pre = _trunc_preimage(k)
-            if v.float_iv.meet(pre) is None:
-                continue
-            if riv.meet(pre) is not None:
-                flows.append((k, k, None))
-            unstable = []
+            candidates.append((f"c{k}", k, pre, k, pre))
             for kr in (k - 1, k + 1):
-                pr = _trunc_preimage(kr)
-                if riv.meet(pr) is None:
-                    continue
-                # machine truncates high while ideal is lower => err > 0
-                need_pos = kr < k
-                if need_pos and eiv.hi <= 0:
-                    continue
-                if not need_pos and eiv.lo >= 0:
-                    continue
-                unstable.append(kr)
-            if in_user:
-                for kr in unstable:
-                    for interp in ("float", "real"):
-                        if fixed is None or fixed == interp:
-                            flows.append((k, kr, interp))
-            elif unstable:
-                self._warn(f"{loc}: possibly unstable cast outside any"
-                           f" split/merge section")
-                self._alarm(AnalysisAlarm(
-                    "instrumentation-gap",
-                    f"{loc}: unstable cast not covered by a section",
-                    loc))
-        if not flows:
-            raise InfeasiblePath
-        k, kr, interp = flows[self.ctx.explorer.choose(len(flows))]
-        tag = f"c{k}" if k == kr else f"c{k}r{kr}"
-        self.ctx.signature.append((site, tag))
-        if interp is not None and self.ctx.interp is None:
-            self.ctx.interp = interp
-        self._trace(f"decision {loc}: cast {tag}"
-                    + (f"/{interp}" if interp else ""))
-
-        pre_f = _trunc_preimage(k)
-        pre_r = _trunc_preimage(kr)
-        e_reg = (None, None)
-        if kr < k:
-            e_reg = (ZERO, None)
-        elif kr > k:
-            e_reg = (None, ZERO)
-        self._constrain_joint([(v.real + v.err, pre_f.lo, pre_f.hi),
-                               (v.real, pre_r.lo, pre_r.hi),
-                               (v.err, *e_reg)])
-        if isinstance(src, S.Var):
-            self._meet_var_float(src, pre_f)
-        self._refresh_all()
-        control = kr if interp == "real" else k
-        return RInterval.point(Fraction(control))
+                candidates.append((f"c{k}r{kr}", k, pre, kr,
+                                   _trunc_preimage(kr)))
+        k = self._flow(loc, site, "cast", candidates, src, None, v,
+                       AbstractFloat.from_literal(ZERO, self.fmt))
+        return RInterval.point(Fraction(k))
 
     # -- statements -------------------------------------------------------
 
@@ -642,7 +557,7 @@ class Interp:
         elif isinstance(s, S.AssertStmt):
             self._exec_assert(s)
         elif isinstance(s, S.AssumeStmt):
-            self._exec_assume(s)
+            self._assume(s.cond)
         elif isinstance(s, S.Block):
             self.exec_stmts(s.stmts)
         elif isinstance(s, S.SectionStmt):
@@ -719,38 +634,33 @@ class Interp:
                 "assertion",
                 f"{s.loc}: assertion {res.verdict}", s.loc))
 
-    def _exec_assume(self, s: S.AssumeStmt) -> None:
-        e = s.cond
+    def _assume(self, e: S.Expr) -> None:
+        """Keep the paths where e holds: a comparison applies its stable
+        true flow, any other condition is decided."""
         if isinstance(e, S.Binary) and e.op == "&&":
-            self._exec_assume(S.AssumeStmt(e.left, s.loc))
-            self._exec_assume(S.AssumeStmt(e.right, s.loc))
+            self._assume(e.left)
+            self._assume(e.right)
             return
-        if isinstance(e, S.Binary) and e.op in S.COMPARISONS:
-            a = self.eval(e.left)
-            b = self.eval(e.right)
-            if isinstance(a, RInterval) and isinstance(b, RInterval):
-                t = _int_cmp(e.op, a, b)
-                if t is False:
-                    raise InfeasiblePath
-                if t is None:
-                    ra, rb = _int_regions(e.op, a, b)
-                    if ra is not None:
-                        self._meet_var_int(e.left, ra)
-                    if rb is not None:
-                        self._meet_var_int(e.right, rb)
-                return
-            l, r = self._as_float(a), self._as_float(b)
-            region_T, _ = _float_regions(e.op if e.op != "!=" else "==")
-            if e.op == "!=":
-                return  # complement of a point constrains nothing
-            self._constrain_joint([
-                ((l.real + l.err) - (r.real + r.err), *region_T),
-                (l.real - r.real, *region_T)])
-            self._direct_meets(e, l, r, region_T)
-            self._refresh_all()
+        if not (isinstance(e, S.Binary) and e.op in S.COMPARISONS):
+            if not self.decide(e):
+                raise InfeasiblePath
             return
-        if not self.decide(e):
-            raise InfeasiblePath
+        a = self.eval(e.left)
+        b = self.eval(e.right)
+        neg = e.op == "!="
+        integral = isinstance(a, RInterval) and isinstance(b, RInterval)
+        true_reg, false_reg = _REGIONS[integral]["==" if neg else e.op]
+        reg = false_reg if neg else true_reg
+        if integral:
+            known = _settled(a, b, true_reg)
+            if known is None:
+                self._meet_operands(e.left, e.right, RInterval, a, b, reg)
+            elif known == neg:
+                raise InfeasiblePath
+            return
+        l, r = self._as_float(a), self._as_float(b)
+        if reg != _ANY:  # the complement of a point bounds nothing
+            self._apply(e.left, e.right, l, r, reg, reg, _ANY, l.err - r.err)
 
     # -- sections ---------------------------------------------------------
 
@@ -862,6 +772,15 @@ class Interp:
                 mem[name] = self._combine_value(vf, vr, env_c)
             except InfeasiblePath:
                 return None
+        vf, vr = sf.mem.get("__return__"), sr.mem.get("__return__")
+        if self._call_depth and isinstance(vf, RInterval) \
+                and not (vf == vr and vf.is_point()):
+            # an int has no ideal value: the caller would take the
+            # machine result for exact
+            self._alarm(AnalysisAlarm(
+                "instrumentation-gap",
+                f"{self._fn.name}: int result of an unstable test returned"
+                f" to the caller"))
         return PathState(sf.signature, None, mem, env_c)
 
     def _combine_value(self, vf, vr, env_c: SymbolEnv):
@@ -988,78 +907,73 @@ def _trunc_div(a: RInterval, b: RInterval) -> RInterval:
     return RInterval(min(cs), max(cs))
 
 
-def _trunc_preimage(k: int) -> RInterval:
-    """Closed over-approximation of {x | (int) x == k}."""
+def _trunc_preimage(k: int):
+    """Closed over-approximation (lo, hi) of {x | (int) x == k}."""
     if k > 0:
-        return RInterval(Fraction(k), Fraction(k + 1))
+        return Fraction(k), Fraction(k + 1)
     if k < 0:
-        return RInterval(Fraction(k - 1), Fraction(k))
-    return RInterval(Fraction(-1), Fraction(1))
+        return Fraction(k - 1), Fraction(k)
+    return Fraction(-1), Fraction(1)
 
 
-def _int_cmp(op: str, a: RInterval, b: RInterval) -> Optional[bool]:
-    if op == "<":
-        if a.hi < b.lo:
-            return True
-        if a.lo >= b.hi:
-            return False
-        return None
-    if op == "<=":
-        if a.hi <= b.lo:
-            return True
-        if a.lo > b.hi:
-            return False
-        return None
-    if op == ">":
-        return _int_cmp("<", b, a)
-    if op == ">=":
-        return _int_cmp("<=", b, a)
-    if op == "==":
-        if a.is_point() and b.is_point():
-            return a.lo == b.lo
-        if a.hi < b.lo or b.hi < a.lo:
-            return False
-        return None
-    if op == "!=":
-        t = _int_cmp("==", a, b)
-        return None if t is None else not t
-    raise TypeErrorAt(f"unknown comparison {op!r}")
+def _region_table(one: Fraction):
+    """True and false region of `t op 0` for t = lhs - rhs, per operator
+    but `!=`, which is decided as `==` negated: (lo, hi) bounds, None
+    for unbounded. The regions are closed: over the reals (`one` = 0) a
+    strict and a non-strict test share them, on ints (`one` = 1) a
+    strict bound moves by 1. The complement of `==`, not an interval, is
+    taken as the whole line."""
+    return {"<": ((None, -one), (ZERO, None)),
+            "<=": ((None, ZERO), (one, None)),
+            ">": ((one, None), (None, ZERO)),
+            ">=": ((ZERO, None), (None, -one)),
+            "==": ((ZERO, ZERO), _ANY)}
 
 
-def _neg_op(op: str) -> str:
-    return {"<": ">=", "<=": ">", ">": "<=", ">=": "<",
-            "==": "!=", "!=": "=="}[op]
+#: the region table, on ints (True) and over the reals (False)
+_REGIONS = {False: _region_table(ZERO), True: _region_table(_ONE)}
 
 
-def _int_regions(op: str, a: RInterval, b: RInterval):
-    """Narrowed intervals for (a, b) assuming `a op b` holds; integral."""
-    one = Fraction(1)
-    if op == "<":
-        return (RInterval(a.lo, min(a.hi, b.hi - one)),
-                RInterval(max(b.lo, a.lo + one), b.hi)) \
-            if a.lo <= b.hi - one and b.hi >= a.lo + one else (None, None)
-    if op == "<=":
-        ra = RInterval(a.lo, min(a.hi, b.hi)) if a.lo <= b.hi else None
-        rb = RInterval(max(b.lo, a.lo), b.hi) if b.hi >= a.lo else None
-        return ra, rb
-    if op == ">":
-        rb, ra = _int_regions("<", b, a)
-        return ra, rb
-    if op == ">=":
-        rb, ra = _int_regions("<=", b, a)
-        return ra, rb
-    if op == "==":
-        m = a.meet(b)
-        return m, m
-    return None, None  # !=
+def _settled(a: RInterval, b: RInterval, reg) -> Optional[bool]:
+    """True when t = a - b lies inside region reg, False when it misses
+    it, None when it straddles its boundary."""
+    lo, hi = reg
+    if (lo is None or a.lo - b.hi >= lo) and (hi is None or a.hi - b.lo <= hi):
+        return True
+    if (lo is not None and a.hi - b.lo < lo) \
+            or (hi is not None and a.lo - b.hi > hi):
+        return False
+    return None
 
 
-def _float_regions(op: str):
-    """(lo, hi) true- and false-region bounds of `t op 0`, t = lhs - rhs."""
-    if op in ("<", "<="):
-        return (None, ZERO), (ZERO, None)
-    if op in (">", ">="):
-        return (ZERO, None), (None, ZERO)
-    if op == "==":
-        return (ZERO, ZERO), (None, None)
-    raise TypeErrorAt(f"unknown float comparison {op!r}")
+def _overlaps(iv: RInterval, reg) -> bool:
+    lo, hi = reg
+    return (lo is None or iv.hi >= lo) and (hi is None or iv.lo <= hi)
+
+
+def _error_region(f_reg, r_reg, e_iv: RInterval):
+    """The sign region of the error t_float - t_real of an unstable flow
+    with t_float in f_reg and t_real in r_reg: at most 0 when f_reg lies
+    at or below r_reg, at least 0 when at or above it, either sign
+    otherwise. None when e_iv has no nonzero value in it."""
+    if f_reg[1] is not None and r_reg[0] is not None \
+            and f_reg[1] <= r_reg[0]:
+        return (None, ZERO) if e_iv.lo < 0 else None
+    if f_reg[0] is not None and r_reg[1] is not None \
+            and f_reg[0] >= r_reg[1]:
+        return (ZERO, None) if e_iv.hi > 0 else None
+    return _ANY if e_iv.lo < 0 or e_iv.hi > 0 else None
+
+
+def _neg(x: Optional[Fraction]) -> Optional[Fraction]:
+    return None if x is None else -x
+
+
+def _bound(own: RInterval, base: RInterval, lo, hi) -> RInterval:
+    """base + [lo, hi], an unbounded end taken one past the end of own,
+    the interval of the operand this bounds."""
+    nlo = base.lo + lo if lo is not None else own.lo - 1
+    nhi = base.hi + hi if hi is not None else own.hi + 1
+    if nlo > nhi:
+        raise InfeasiblePath
+    return RInterval(nlo, nhi)

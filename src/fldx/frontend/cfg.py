@@ -126,13 +126,25 @@ class _Builder:
             split = self.node(s, tag="split")
             for p in preds:
                 self.edge(p, split)
-            inner = self.seq(s.body, [split])
+            # a return closing the body leaves through the merge, as the
+            # executor merges the section's paths before it returns
+            tail = s.body[-1] if s.body and isinstance(s.body[-1], S.Return) \
+                else None
+            inner = self.seq(s.body[:-1] if tail else s.body, [split])
+            if tail is not None:
+                ret = self.node(tail)
+                for p in inner:
+                    self.edge(p, ret)
+                inner = [ret]
             merge = self.node(None, tag="merge")
             self.stmt_of[merge] = None
             self.node_of[id(s)] = split
             self.merge_of[id(s)] = merge
             for p in inner:
                 self.edge(p, merge)
+            if tail is not None:
+                self.edge(merge, EXIT)
+                return []
             return [merge]
         n = self.node(s)
         for p in preds:

@@ -87,7 +87,6 @@ class Call:
 Expr = Union[IntLit, FloatLit, Var, Index, Unary, Binary, Ternary, Cast, Call]
 
 COMPARISONS = {"<", "<=", ">", ">=", "==", "!="}
-ARITH = {"+", "-", "*", "/", "%"}
 
 
 # -- annotation predicates and terms ----------------------------------------

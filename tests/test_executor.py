@@ -7,10 +7,11 @@ import pytest
 
 from fldx.config import AnalysisConfig
 from fldx.domain import AbstractFloat
-from fldx.errors import AnalysisAlarm
+from fldx.errors import AnalysisAlarm, InfeasiblePath
 from fldx.executor.explorer import PathExplorer
 from fldx.executor.interp import Interp, SectionCtx
 from fldx.frontend import parse_expr, parse_program
+from fldx.frontend import syntax as S
 from fldx.numerics import RInterval
 from fldx.pipeline import analyze
 from fldx.zonotope import AffineForm, Origin
@@ -292,3 +293,250 @@ def test_decide_float_offers_flows_per_operator(op, err_center, expected):
         n = ex.limits[0]
         offered.append((it.ctx.signature[-1][1], it.ctx.interp, taken))
     assert offered == expected
+
+
+# ---------------------------------------------------------------------------
+# Every flow a decision offers, in choice order: the decision is replayed
+# once per alternative of its `choose`. Intervals are shown as "[lo, hi]".
+# ---------------------------------------------------------------------------
+
+
+def show(iv):
+    return f"[{iv.lo}, {iv.hi}]"
+
+
+def offered_flows(setup, run):
+    """`run(it)` once per alternative of the first decision it meets,
+    on a fresh interpreter prepared by `setup(it)` inside a user
+    section; the list of its results."""
+    out, n = [], 1
+    while len(out) < n:
+        it = Interp(parse_program("int main() { return 0; }"),
+                    AnalysisConfig())
+        setup(it)
+        ex = PathExplorer()
+        ex.trace, ex.limits = [len(out)], [1]
+        it.stack.append(SectionCtx(1, True, ex))
+        out.append(run(it))
+        n = ex.limits[0]
+    return out
+
+
+def float_var(it, name, fiv, center, rad, err_center, err_rad=E7):
+    """A float variable with real center + rad*eps and error
+    err_center + err_rad*eps' on fresh symbols, machine value fiv."""
+    e0 = it.pool.fresh(Origin.INPUT)
+    e1 = it.pool.fresh(Origin.INPUT)
+    it.mem.store(name, AbstractFloat(
+        fiv, AffineForm(center, {e0: rad}),
+        RInterval(center - rad, center + rad),
+        AffineForm(err_center, {e1: err_rad}),
+        RInterval(err_center - err_rad, err_center + err_rad)))
+
+
+# (int) x: stable flows c<k>, unstable flows c<k>r<kr> with the machine
+# truncating to k and the ideal to kr, each under both interpretations.
+@pytest.mark.parametrize("fiv,center,rad,err_center,err_rad,expected", [
+    ((F(1, 2), F(3, 2)), F(1), F(1, 2), F(0), E7, [
+        ("c0", None, 0, "[1/2, 1]"),
+        ("c0r1", "float", 0, "[9999999/10000000, 1]"),
+        ("c0r1", "real", 1, "[9999999/10000000, 1]"),
+        ("c1", None, 1, "[1, 3/2]"),
+        ("c1r0", "float", 1, "[1, 10000001/10000000]"),
+        ("c1r0", "real", 0, "[1, 10000001/10000000]")]),
+    # float >= real: only k-1 as the ideal truncation
+    ((F(1, 2), F(3, 2)), F(1), F(1, 2), E7, E7, [
+        ("c0", None, 0, "[1/2, 1]"),
+        ("c1", None, 1, "[1, 3/2]"),
+        ("c1r0", "float", 1, "[1, 5000001/5000000]"),
+        ("c1r0", "real", 0, "[1, 5000001/5000000]")]),
+    # float <= real: only k+1
+    ((F(1, 2), F(3, 2)), F(1), F(1, 2), -E7, E7, [
+        ("c0", None, 0, "[1/2, 1]"),
+        ("c0r1", "float", 0, "[4999999/5000000, 1]"),
+        ("c0r1", "real", 1, "[4999999/5000000, 1]"),
+        ("c1", None, 1, "[1, 3/2]")]),
+    # negative range
+    ((F(-3, 2), F(-1, 2)), F(-1), F(1, 2), F(0), E7, [
+        ("c-1", None, -1, "[-3/2, -1]"),
+        ("c-1r0", "float", -1, "[-10000001/10000000, -1]"),
+        ("c-1r0", "real", 0, "[-10000001/10000000, -1]"),
+        ("c0", None, 0, "[-1, -1/2]"),
+        ("c0r-1", "float", 0, "[-1, -9999999/10000000]"),
+        ("c0r-1", "real", -1, "[-1, -9999999/10000000]")]),
+    # one machine truncation, ideal k-1, k and k+1
+    ((F(1), F(3, 2)), F(3, 2), F(1), F(-1, 4), F(5, 4), [
+        ("c1", None, 1, "[1, 3/2]"),
+        ("c1r0", "float", 1, "[1, 3/2]"),
+        ("c1r0", "real", 0, "[1, 3/2]"),
+        ("c1r2", "float", 1, "[1, 3/2]"),
+        ("c1r2", "real", 2, "[1, 3/2]")]),
+])
+def test_cast_offers_flows_per_truncation(fiv, center, rad, err_center,
+                                          err_rad, expected):
+    def run(it):
+        k = it.eval(parse_expr("(int) x"))
+        assert k.is_point()
+        return (it.ctx.signature[-1][1], it.ctx.interp, int(k.lo),
+                show(it.mem.vars["x"].float_iv))
+
+    got = offered_flows(
+        lambda it: float_var(it, "x", RInterval(*fiv), center, rad,
+                             err_center, err_rad), run)
+    assert got == expected
+
+
+def int_vars(it):
+    it.mem.store("a", RInterval(F(0), F(3)))
+    it.mem.store("b", RInterval(F(1), F(2)))
+
+
+# a in [0, 3], b in [1, 2]: the signature tags, the truth taken and both
+# narrowed operands, per choice. `a` alone is the test a != 0; `a < 1.5`
+# compares in float, which narrows no int operand.
+@pytest.mark.parametrize("cond,expected", [
+    ("a < b", [
+        (("iT",), True, "[0, 1]", "[1, 2]"),
+        (("iF",), False, "[1, 3]", "[1, 2]")]),
+    ("a <= b", [
+        (("iT",), True, "[0, 2]", "[1, 2]"),
+        (("iF",), False, "[2, 3]", "[1, 2]")]),
+    ("a > b", [
+        (("iT",), True, "[2, 3]", "[1, 2]"),
+        (("iF",), False, "[0, 2]", "[1, 2]")]),
+    ("a >= b", [
+        (("iT",), True, "[1, 3]", "[1, 2]"),
+        (("iF",), False, "[0, 1]", "[1, 2]")]),
+    ("a == b", [
+        (("iT",), True, "[1, 2]", "[1, 2]"),
+        (("iF",), False, "[0, 3]", "[1, 2]")]),
+    ("a != b", [
+        (("iT",), True, "[0, 3]", "[1, 2]"),
+        (("iF",), False, "[1, 2]", "[1, 2]")]),
+    ("a", [
+        (("iT",), True, "[0, 3]", "[1, 2]"),
+        (("iF",), False, "[0, 0]", "[1, 2]")]),
+    ("a < 4", [((), True, "[0, 3]", "[1, 2]")]),
+    ("a >= 4", [((), False, "[0, 3]", "[1, 2]")]),
+    ("a < 1.5", [
+        (("sT",), True, "[0, 3]", "[1, 2]"),
+        (("sF",), False, "[0, 3]", "[1, 2]")]),
+])
+def test_int_decision_per_operator(cond, expected):
+    def run(it):
+        taken = it.decide(parse_expr(cond))
+        return (tuple(t for _, t in it.ctx.signature), taken,
+                show(it.mem.vars["a"]), show(it.mem.vars["b"]))
+
+    assert offered_flows(int_vars, run) == expected
+
+
+def float_vars(it):
+    # x is not yet consistent: float [0, 1] leaves real in [-1e-7, 1+1e-7]
+    float_var(it, "x", RInterval(F(0), F(1)), F(0), F(1), F(0))
+    float_var(it, "y", RInterval(F(1, 4), F(3, 4)), F(1, 2), F(1, 4), F(0))
+
+
+def assumed(setup, cond, names):
+    """Run `assume (cond)`: 'infeasible', or the float and real
+    interval (ints: the interval) of each variable in `names`."""
+    def run(it):
+        try:
+            it.exec_stmt(S.AssumeStmt(parse_expr(cond)))
+        except InfeasiblePath:
+            return "infeasible"
+        return [show(v) if isinstance(v, RInterval)
+                else (show(v.float_iv), show(v.real_iv))
+                for v in map(it.mem.vars.get, names)]
+
+    got = offered_flows(setup, run)
+    assert len(got) == 1  # assume decides nothing
+    return got[0]
+
+
+@pytest.mark.parametrize("cond,expected", [
+    ("a < b", ["[0, 1]", "[1, 2]"]),
+    ("a <= b", ["[0, 2]", "[1, 2]"]),
+    ("a > b", ["[2, 3]", "[1, 2]"]),
+    ("a >= b", ["[1, 3]", "[1, 2]"]),
+    ("a == b", ["[1, 2]", "[1, 2]"]),
+    ("a != b", ["[0, 3]", "[1, 2]"]),
+    ("a > 3", "infeasible"),
+    ("a != 4", ["[0, 3]", "[1, 2]"]),
+])
+def test_assume_on_ints_per_operator(cond, expected):
+    assert assumed(int_vars, cond, ["a", "b"]) == expected
+
+
+@pytest.mark.parametrize("cond,expected", [
+    ("x < 0.5", [
+        ("[0, 1/2]", "[-1/10000000, 1/2]"),
+        ("[1/4, 3/4]", "[1/4, 3/4]")]),
+    ("x <= 0.5", [
+        ("[0, 1/2]", "[-1/10000000, 1/2]"),
+        ("[1/4, 3/4]", "[1/4, 3/4]")]),
+    ("x > 0.5", [("[1/2, 1]", "[1/2, 1]"), ("[1/4, 3/4]", "[1/4, 3/4]")]),
+    ("x >= 0.5", [("[1/2, 1]", "[1/2, 1]"), ("[1/4, 3/4]", "[1/4, 3/4]")]),
+    ("x == 0.5", [("[1/2, 1/2]", "[1/2, 1/2]"), ("[1/4, 3/4]", "[1/4, 3/4]")]),
+    ("x != 0.5", [("[0, 1]", "[-1, 1]"), ("[1/4, 3/4]", "[1/4, 3/4]")]),
+    ("x < y", [
+        ("[0, 7500001/10000000]", "[-1/10000000, 3/4]"),
+        ("[1/4, 3/4]", "[1/4, 3/4]")]),
+    ("x <= y", [
+        ("[0, 7500001/10000000]", "[-1/10000000, 3/4]"),
+        ("[1/4, 3/4]", "[1/4, 3/4]")]),
+    ("x > y", [
+        ("[2499999/10000000, 1]", "[1/4, 1]"),
+        ("[1/4, 3/4]", "[1/4, 3/4]")]),
+    ("x >= y", [
+        ("[2499999/10000000, 1]", "[1/4, 1]"),
+        ("[1/4, 3/4]", "[1/4, 3/4]")]),
+    ("x == y", [
+        ("[2499999/10000000, 7500001/10000000]", "[1/4, 3/4]"),
+        ("[1/4, 3/4]", "[1/4, 3/4]")]),
+    ("x != y", [("[0, 1]", "[-1, 1]"), ("[1/4, 3/4]", "[1/4, 3/4]")]),
+    ("x > 2.0", "infeasible"),
+])
+def test_assume_on_floats_per_operator(cond, expected):
+    assert assumed(float_vars, cond, ["x", "y"]) == expected
+
+
+def test_equality_under_a_nonzero_point_error_offers_unstable_flows():
+    # x = round(0.1) is equal to the literal 0.1 in the machine while the
+    # ideal x = 0.1 is not (and the ideal x = round(0.1) the reverse): the
+    # error of x - 0.1 is the point 0.1 - round(0.1), not zero.
+    src = """
+    int main() {
+      double x = read_double(0.0, 1.0, 0.0, 0.0);
+      double z = 0.0;
+      if (x == 0.1) { z = 10.0; } else { z = 1.0; }
+      /*@ assert dprint(z); */
+      return 0;
+    }
+    """
+    rep = analyze(src, AnalysisConfig())
+    z = [r for r in rep.prints if r.variable == "z"][0]
+    assert z.float_hull.contains(F(10)) and z.real_hull.contains(F(10))
+    sec = [s for s in rep.sections if s["id"] == 1][0]
+    assert sec["merged_pairs"] >= 1
+
+
+def test_int_result_of_an_unstable_test_returned_to_a_caller_alarms():
+    # the ideal run of g may return 0 where the machine run returns 1,
+    # which the int k cannot carry
+    src = """
+    int g(double x) {
+      if (x > 0.5) { return 1; }
+      return 0;
+    }
+    int main() {
+      double x = read_double(0.0, 1.0);
+      int k = g(x);
+      double z = k * 1.0;
+      /*@ assert dprint(z); */
+      return 0;
+    }
+    """
+    rep = analyze(src, AnalysisConfig())
+    assert [a["kind"] for a in rep.alarms] == ["instrumentation-gap"]
+    assert "g: int result of an unstable test" in rep.alarms[0]["message"]

@@ -129,3 +129,55 @@ def test_every_function_is_read():
     modules = {".".join(("fldx",) + p.relative_to(SRC).with_suffix("").parts):
                p.read_text() for p in sorted(SRC.rglob("*.py"))}
     assert unread_functions(modules, entry_points()) == []
+
+
+# ---------------------------------------------------------------------------
+# Module-level names nothing reads
+# ---------------------------------------------------------------------------
+
+
+def unread_globals(modules):
+    """(module, line, name) of every module-level assignment in `modules`
+    ({dotted name: source}) whose name no module reads, as a bare name,
+    an attribute, an imported name or inside a string annotation.
+    Dunders such as `__version__` are left out."""
+    read, defs = set(), []
+    for m, src in modules.items():
+        tree = ast.parse(src)
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target] if isinstance(node, ast.AnnAssign) else []
+            defs += [(m, t.lineno, t.id) for t in targets
+                     if isinstance(t, ast.Name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Constant) \
+                    and isinstance(node.value, str):
+                try:
+                    expr = ast.parse(node.value, mode="eval")
+                except SyntaxError:
+                    continue
+                read.update(n.id for n in ast.walk(expr)
+                            if isinstance(n, ast.Name))
+    return sorted((m, line, name) for m, line, name in defs
+                  if name not in read
+                  and not (name.startswith("__") and name.endswith("__")))
+
+
+def test_scan_finds_an_unread_global():
+    assert unread_globals({
+        "m": "from n import B\n__all__ = []\nA = 1\nC: int = 2\n"
+             "def f() -> 'D': return C\n",
+        "n": "B = 1\nD = int\nE = F = 3\nE\n"}) == [
+        ("m", 3, "A"), ("n", 3, "F")]
+
+
+def test_every_module_level_name_is_read():
+    modules = {".".join(("fldx",) + p.relative_to(SRC).with_suffix("").parts):
+               p.read_text() for p in sorted(SRC.rglob("*.py"))}
+    assert unread_globals(modules) == []

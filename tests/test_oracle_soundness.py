@@ -107,3 +107,34 @@ def test_sweep_touches_every_assertion_at_least_once(rng):
         shadow = ShadowRun(program, config.fmt, inputs=inputs)
         shadow.run(entry)
         assert shadow.records
+
+
+EARLY_RETURN = """
+double f(double x) {
+  if (x > 0.5) { return x * 2.0; }
+  return x + 1.0;
+}
+int main() {
+  double x = read_double(0.0, 1.0);
+  double y = f(x);
+  /*@ assert dprint(y); */
+  return 0;
+}
+"""
+
+
+def test_shadow_runs_through_an_early_return_stay_inside_reported_hulls(rng):
+    config = AnalysisConfig()
+    program, _ = prepare(EARLY_RETURN, config)
+    entry = pick_entry(program, config)
+    _, prints = analysis_hulls(program, config)
+    [(err_h, real_h)] = prints.values()
+    near = [Fraction(1, 2) + d for d in (0, Fraction(1, 2 ** 54),
+                                         -Fraction(1, 2 ** 55))]
+    for x in near + [rand_fraction(rng, Fraction(0), Fraction(1))
+                     for _ in range(200)]:
+        shadow = ShadowRun(program, config.fmt, inputs={"x": x})
+        shadow.run(entry)
+        [rec] = shadow.records
+        assert err_h.lo <= rec.err <= err_h.hi, x
+        assert real_h.lo <= rec.real_val <= real_h.hi, x

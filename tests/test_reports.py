@@ -292,6 +292,32 @@ def test_cli_deep_expression_is_an_execute_error(tmp_path):
     assert "nested too deeply" in res.output
 
 
+def test_cli_cast_over_the_fan_limit_raises_an_alarm(tmp_path):
+    # (int) x is not split over 1001 integers, so its ideal truncation
+    # may differ from the machine one by 1: the error of y is not known
+    src = tmp_path / "cast.c"
+    src.write_text("int main() { double x = read_double(0.0, 1000.0);"
+                   " int k = (int) x; double y = k * 1.0;"
+                   " /*@ assert dprint(y); */ return 0; }")
+    res = CliRunner().invoke(main, ["analyze", str(src)])
+    assert res.exit_code == 1, res.output
+    assert "[alarm] analysis-incomplete" in res.output
+    assert "cast not split over 1001 integers" in res.output
+
+
+@pytest.mark.parametrize("command", ["analyze", "instrument"])
+def test_cli_early_return_under_an_unstable_test(tmp_path, command):
+    # the section around the test ends in the normalized tail return
+    src = tmp_path / "early.c"
+    src.write_text("int main() { double x = read_double(0.0, 1.0);"
+                   " if (x > 0.5) { return 1; } return 0; }")
+    res = CliRunner().invoke(main, [command, str(src)])
+    assert res.exit_code == 0, res.output
+    if command == "instrument":
+        assert res.output.index("return __retval;") \
+            < res.output.index("merge(1")
+
+
 def test_cli_instrument_prints_sections():
     runner = CliRunner()
     res = runner.invoke(main, ["instrument", str(CORPUS / "comp_disc.c")])
