@@ -23,7 +23,8 @@ from operator import is_
 from typing import Dict, Optional
 
 from .errors import DivisionByZero, InfeasiblePath, OverflowAlarm
-from .numerics import (FloatFormat, RInterval, RationalLike, rat,
+from .numerics import (FloatFormat, RInterval, RationalLike, narrowed,
+                       over_lcm, products_over_lcm, rat,
                        representation_error_bound, round_directed,
                        round_nearest)
 from .zonotope import (UNIT, AffineForm, Origin, SymbolEnv, SymbolPool,
@@ -298,53 +299,60 @@ def project_onto_symbols(form: AffineForm, lo: Optional[Fraction],
 
     Returns the symbols whose range strictly shrinks. Raises
     InfeasiblePath when the constraint is unsatisfiable.
+
+    Runs on ints over one denominator D (the format of `numerics`): the
+    center, the bounds and the coefficients over their lcm, times the
+    lcm of the range endpoints. The contribution [clo, chi] of term c*eps
+    and the totals are ints over D. The bound lo tightens the term when
+    lo - (total_hi - chi) > clo, and that difference is then its new clo;
+    likewise hi - (total_lo - clo) < chi gives its new chi. A new
+    contribution is an int over D whatever range it stands for, so the
+    loop never leaves the ints; a Fraction is made only for a symbol
+    endpoint that moved, as the new contribution over c.
     """
     updates: Dict[int, RInterval] = {}
-    ranges = {i: sym_range(env, i) for i in form.terms}
-    contribs = {i: ranges[i].scale(c) for i, c in form.terms.items()}
+    c0, cs, dc = form.over_lcm()
+    given = [x for x in (lo, hi) if x is not None]
+    bounds, d = over_lcm(given, dc)
+    if d != dc:
+        k = d // dc
+        c0 *= k
+        cs = [c * k for c in cs]
+    ranges = [env.get(i, UNIT) for i in form.terms]
+    clos, chis, dr = products_over_lcm(cs, ranges)
     # the totals are the form's exact concretization
-    total_lo = form.center + sum(c.lo for c in contribs.values())
-    total_hi = form.center + sum(c.hi for c in contribs.values())
-    if lo is not None and total_hi < lo:
+    total_lo = c0 * dr + sum(clos)
+    total_hi = c0 * dr + sum(chis)
+    lo_n = None if lo is None else bounds[0] * dr
+    hi_n = None if hi is None else bounds[-1] * dr
+    if lo_n is not None and total_hi < lo_n:
         raise InfeasiblePath
-    if hi is not None and total_lo > hi:
+    if hi_n is not None and total_lo > hi_n:
         raise InfeasiblePath
-    if not form.terms:
-        return updates
-    for i, c in form.terms.items():
-        other_lo = total_lo - contribs[i].lo
-        other_hi = total_hi - contribs[i].hi
+    for i, c, r, clo, chi in zip(form.terms, cs, ranges, clos, chis):
         # need: lo <= other + c*eps <= hi for some achievable others
-        alo: Optional[Fraction] = None
-        ahi: Optional[Fraction] = None
-        if lo is not None:
-            # c*eps >= lo - other_hi
-            bound = lo - other_hi
-            if c > 0:
-                alo = bound / c
-            else:
-                ahi = bound / c
-        if hi is not None:
-            bound = hi - other_lo
-            if c > 0:
-                ahi2 = bound / c
-                ahi = ahi2 if ahi is None else min(ahi, ahi2)
-            else:
-                alo2 = bound / c
-                alo = alo2 if alo is None else max(alo, alo2)
-        r = ranges[i]
-        nlo = r.lo if alo is None else max(r.lo, alo)
-        nhi = r.hi if ahi is None else min(r.hi, ahi)
-        if nlo > nhi:
+        nlo = None if lo_n is None else lo_n - (total_hi - chi)
+        if nlo is not None and nlo <= clo:
+            nlo = None
+        nhi = None if hi_n is None else hi_n - (total_lo - clo)
+        if nhi is not None and nhi >= chi:
+            nhi = None
+        if nlo is None and nhi is None:
+            continue
+        new_lo = clo if nlo is None else nlo
+        new_hi = chi if nhi is None else nhi
+        if new_lo > new_hi:
             raise InfeasiblePath
-        if nlo != r.lo or nhi != r.hi:
-            nr = RInterval(nlo, nhi)
-            updates[i] = nr
-            ranges[i] = nr
-            new_contrib = nr.scale(c)
-            total_lo += new_contrib.lo - contribs[i].lo
-            total_hi += new_contrib.hi - contribs[i].hi
-            contribs[i] = new_contrib
+        # eps = contribution / c, and contribution / c over D is n / (c*dr)
+        den = c * dr
+        if c > 0:
+            nr = narrowed(r, nlo, nhi, den)
+        else:
+            nr = narrowed(r, None if nhi is None else -nhi,
+                          None if nlo is None else -nlo, -den)
+        updates[i] = nr
+        total_lo += new_lo - clo
+        total_hi += new_hi - chi
     return updates
 
 

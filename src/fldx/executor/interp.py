@@ -174,17 +174,29 @@ class Interp:
     def _constrain_joint(self, constraints) -> None:
         """Narrow symbol ranges under several simultaneous form
         constraints: iterate the projections to a fixpoint on a scratch
-        copy of the ranges, then adopt every narrowing at once."""
+        copy of the ranges, then adopt every narrowing at once.
+
+        A projection depends only on the ranges of its form's symbols, so
+        a constraint whose last projection changed nothing is skipped
+        (`quiet`) until another projection gives one of its symbols a new
+        range; projecting it again would change nothing either."""
         scratch = dict(self.env)
+        live = [c for c in constraints if c[1] is not None or c[2] is not None]
+        quiet = [False] * len(live)
         for _ in range(8):
             changed = False
-            for form, lo, hi in constraints:
-                if lo is None and hi is None:
+            for k, (form, lo, hi) in enumerate(live):
+                if quiet[k]:
                     continue
                 updates = project_onto_symbols(form, lo, hi, scratch)
-                if updates:
-                    changed = True
-                    scratch.update(updates)
+                if not updates:
+                    quiet[k] = True
+                    continue
+                changed = True
+                scratch.update(updates)
+                for j, (other, _, _) in enumerate(live):
+                    if quiet[j] and not other.terms.keys().isdisjoint(updates):
+                        quiet[j] = False
             if not changed:
                 break
         for sym in sorted(scratch):

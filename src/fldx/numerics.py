@@ -5,6 +5,19 @@ All arithmetic in the analysis is carried out over exact rationals
 (`fractions.Fraction`), so interval endpoints never need outward rounding
 and rounding of floats can be modeled exactly for any radix/precision.
 
+The hot loops of the decision step (`AffineForm.linear_part`,
+`project_onto_symbols`) run on plain ints instead, in one format that
+only this module converts to and from: a group of rationals is brought
+over D, the lcm of their denominators, as the ints x*D. Those ints are
+exact, sums of ints over D are ints over D, and the product of an int
+over D1 and one over D2 is an int over D1*D2, so the loops stay exact
+without ever rounding and without a float. Fractions appear only at the
+boundary: `over_lcm` and `products_over_lcm` convert in, `interval_over`
+and `narrowed` convert out. For dyadic inputs D is one power of two; for
+others (a decimal literal on the real side, a quotient) it is whatever
+the denominators need, through the same code. `RInterval.meet` orders
+endpoints by cross-multiplying numerators and denominators.
+
 Two module-private constructors skip the checks of the public ones, and
 only code of this module calls them:
   * `_iv(lo, hi)` builds an RInterval from two Fractions already known to
@@ -22,7 +35,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Optional, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from .errors import DivisionByZero, OverflowAlarm
 
@@ -123,8 +136,20 @@ class RInterval:
         return _iv(min(self.lo, other.lo), max(self.hi, other.hi))
 
     def meet(self, other: "RInterval") -> Optional["RInterval"]:
-        lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
-        return _iv(lo, hi) if lo <= hi else None
+        """The intersection, or None when empty. When it equals self or
+        other, that object itself is returned (intervals are frozen)."""
+        a, b, c, d = self.lo, other.lo, self.hi, other.hi
+        # the signs of self.lo - other.lo and self.hi - other.hi
+        dlo = a.numerator * b.denominator - b.numerator * a.denominator
+        dhi = c.numerator * d.denominator - d.numerator * c.denominator
+        if dlo >= 0 and dhi <= 0:
+            return self
+        if dlo <= 0 and dhi >= 0:
+            return other
+        lo, hi = (a, d) if dlo > 0 else (b, c)
+        if lo.numerator * hi.denominator > hi.numerator * lo.denominator:
+            return None
+        return _iv(lo, hi)
 
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
@@ -137,6 +162,52 @@ def _iv(lo: Fraction, hi: Fraction) -> RInterval:
     d["lo"] = lo
     d["hi"] = hi
     return iv
+
+
+# ---------------------------------------------------------------------------
+# Integers over a common denominator (see the module docstring)
+# ---------------------------------------------------------------------------
+
+
+def over_lcm(xs: Sequence[Fraction],
+             d: int = 1) -> Tuple[List[int], int]:
+    """(ns, D): D the lcm of d and the denominators of xs, ns[k] = xs[k]*D."""
+    d = math.lcm(d, *[x.denominator for x in xs])
+    return [x.numerator * (d // x.denominator) for x in xs], d
+
+
+def products_over_lcm(cs: Sequence[int], ivs: Sequence[RInterval]
+                      ) -> Tuple[List[int], List[int], int]:
+    """(los, his, D_r) for ints cs over some D: [los[k], his[k]] is
+    cs[k] * ivs[k] as ints over D * D_r, D_r the lcm of the denominators
+    of the endpoints of ivs."""
+    d = math.lcm(*[iv.lo.denominator for iv in ivs],
+                 *[iv.hi.denominator for iv in ivs])
+    los: List[int] = []
+    his: List[int] = []
+    for c, iv in zip(cs, ivs):
+        a = iv.lo.numerator * (d // iv.lo.denominator)
+        b = iv.hi.numerator * (d // iv.hi.denominator)
+        if c > 0:
+            los.append(c * a)
+            his.append(c * b)
+        else:
+            los.append(c * b)
+            his.append(c * a)
+    return los, his, d
+
+
+def interval_over(lo: int, hi: int, d: int) -> RInterval:
+    """[lo/d, hi/d] for ints lo <= hi over d > 0."""
+    return _iv(Fraction(lo, d), Fraction(hi, d))
+
+
+def narrowed(r: RInterval, lo: Optional[int], hi: Optional[int],
+             d: int) -> RInterval:
+    """r with each endpoint given as an int over d > 0 replaced by that
+    value; the caller knows the result is ordered."""
+    return _iv(r.lo if lo is None else Fraction(lo, d),
+               r.hi if hi is None else Fraction(hi, d))
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +335,32 @@ def _round(x: Fraction, fmt: FloatFormat,
         m = fmt.beta ** (fmt.p - 1)
         qn, qd = fmt._quantum_ratio(e)
     if e > fmt.e_max:
-        raise OverflowAlarm(f"{x} rounds beyond the largest finite value")
+        raise OverflowAlarm(f"{short(x)} rounds beyond the largest finite"
+                            f" value")
     return _fv(Fraction(s * m * qn, qd), fmt)
+
+
+def short(x: Fraction) -> str:
+    """x with six significant digits, as `%.6g` prints float(x). Past the
+    range of a double, where float(x) raises OverflowError, the digits
+    and the exponent come from the numerator and denominator instead."""
+    try:
+        return f"{float(x):.6g}"
+    except OverflowError:
+        pass
+    n, d = abs(x.numerator), x.denominator
+    # |x| >= 2**1024 here; 30103/100000 is log10(2) to five digits
+    e = (n.bit_length() - d.bit_length()) * 30103 // 100000
+    while n >= d * 10 ** (e + 1):
+        e += 1
+    while n < d * 10 ** e:
+        e -= 1
+    m = _round_half_even(n, d * 10 ** (e - 5))
+    if m == 10**6:
+        m, e = 10**5, e + 1
+    digits = str(m).rstrip("0")
+    mant = digits[0] + ("." + digits[1:] if len(digits) > 1 else "")
+    return f"{'-' if x < 0 else ''}{mant}e+{e}"
 
 
 def round_nearest(x: RationalLike, fmt: FloatFormat) -> FloatValue:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional
 
 from .annot.evaluate import AssertRecord
-from .numerics import RInterval
+from .numerics import RInterval, short
 
 SCHEMA_ID = "fldx-report/1"
 _MAX_DECIMAL_DIGITS = 40
@@ -171,7 +171,7 @@ class RunReport:
 def _ivs(iv: Optional[RInterval]) -> str:
     if iv is None:
         return "?"
-    return f"[{float(iv.lo):.6g}, {float(iv.hi):.6g}]"
+    return f"[{short(iv.lo)}, {short(iv.hi)}]"
 
 
 REPORT_SCHEMA: Dict[str, object] = {

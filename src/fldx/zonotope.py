@@ -15,6 +15,13 @@ keeps its last result keyed by those objects, compared with `is`: the
 key holds references, so no other object can take the id of one of them
 while the memo lives. An equal but distinct range misses the memo and
 recomputes the same exact interval.
+
+A miss is computed in the exact integer format of `numerics`: the center
+and coefficients of a form, over D_c the lcm of their denominators, are
+kept as ints once per form (`over_lcm`); the range endpoints are brought
+over their own lcm D_r on each miss. Every product of a coefficient and
+an endpoint is then an int over D_c * D_r, the sums are exact ints, and
+Fractions are made only for the two endpoints of each result.
 """
 from __future__ import annotations
 
@@ -22,9 +29,10 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import is_
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
-from .numerics import RInterval, rat, RationalLike
+from .numerics import (RInterval, interval_over, over_lcm,
+                       products_over_lcm, rat, RationalLike)
 
 UNIT = RInterval(Fraction(-1), Fraction(1))
 
@@ -68,12 +76,12 @@ class AffineForm:
     """center + sum of coeff * eps; zero coefficients are never stored.
 
     Center and terms are fixed at `__init__` (see the module docstring);
-    only the memo changes: `_key` holds the range objects the last
-    `linear_part` read, one per term, `_lin` its result and `_conc` that
-    result shifted by the center, or None.
+    only the caches change: `_ints` holds `over_lcm()` once computed,
+    `_key` the range objects the last `linear_part` read, one per term,
+    `_lin` its result and `_conc` that result shifted by the center.
     """
 
-    __slots__ = ("center", "terms", "_key", "_lin", "_conc")
+    __slots__ = ("center", "terms", "_ints", "_key", "_lin", "_conc")
 
     def __init__(self, center: RationalLike = 0,
                  terms: Optional[Dict[int, Fraction]] = None) -> None:
@@ -81,6 +89,7 @@ class AffineForm:
         self.terms: Dict[int, Fraction] = {
             i: c for i, c in (terms or {}).items() if c != 0
         }
+        self._ints: Optional[Tuple[int, List[int], int]] = None
         self._key: Optional[tuple] = None
         self._lin: Optional[RInterval] = None
         self._conc: Optional[RInterval] = None
@@ -131,29 +140,36 @@ class AffineForm:
     def shift(self, k: RationalLike) -> "AffineForm":
         return AffineForm(self.center + rat(k), dict(self.terms))
 
-    def linear_part(self, env: SymbolEnv) -> RInterval:
-        """Concretization of the noise terms alone (center excluded)."""
+    def over_lcm(self) -> Tuple[int, List[int], int]:
+        """(center, coefficients, D): the center and the coefficients, in
+        term order, as ints over D, the lcm of their denominators."""
+        ints = self._ints
+        if ints is None:
+            ns, d = over_lcm([self.center, *self.terms.values()])
+            ints = self._ints = (ns[0], ns[1:], d)
+        return ints
+
+    def _evaluate(self, env: SymbolEnv) -> None:
+        """Bring the memo up to date with the ranges env gives."""
         key = tuple([env.get(i, UNIT) for i in self.terms])
         old = self._key
         if old is not None and all(map(is_, key, old)):
-            return self._lin
-        lo = hi = Fraction(0)
-        for c, r in zip(self.terms.values(), key):
-            a, b = c * r.lo, c * r.hi
-            if a > b:
-                a, b = b, a
-            lo += a
-            hi += b
-        lin = RInterval(lo, hi)
-        self._key, self._lin, self._conc = key, lin, None
-        return lin
+            return
+        c0, cs, dc = self.over_lcm()
+        los, his, dr = products_over_lcm(cs, key)
+        lo, hi, d, c0 = sum(los), sum(his), dc * dr, c0 * dr
+        self._key = key
+        self._lin = interval_over(lo, hi, d)
+        self._conc = interval_over(lo + c0, hi + c0, d)
+
+    def linear_part(self, env: SymbolEnv) -> RInterval:
+        """Concretization of the noise terms alone (center excluded)."""
+        self._evaluate(env)
+        return self._lin
 
     def concretize(self, env: SymbolEnv) -> RInterval:
-        lin = self.linear_part(env)
-        conc = self._conc
-        if conc is None:
-            conc = self._conc = lin.shift(self.center)
-        return conc
+        self._evaluate(env)
+        return self._conc
 
     def width(self, env: SymbolEnv) -> Fraction:
         return self.linear_part(env).width

@@ -1,0 +1,369 @@
+"""The exact integer kernel of the decision step, checked against the
+Fraction code it replaced, kept here as the reference: the concretization
+of an affine form, the projection of a form constraint onto its symbols,
+the interval meet, and the projection fixpoint of `Interp._constrain_joint`
+that skips repeats.
+
+Values are drawn dyadic and not (1/3, 1/10, 0.1 rounded to binary32),
+with negative and mixed-sign coefficients, forms without terms, open
+bounds and bounds that sit exactly where a symbol starts to tighten or
+the constraint turns infeasible.
+"""
+from fractions import Fraction as F
+from typing import Dict, Optional
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fldx.config import AnalysisConfig
+from fldx.domain import project_onto_symbols
+from fldx.errors import InfeasiblePath
+from fldx.executor import interp as I
+from fldx.frontend import parse_program
+from fldx.numerics import BINARY32, RInterval, round_nearest
+from fldx.zonotope import UNIT, AffineForm, Origin, sym_range
+
+N_SYMS = 5
+
+# ---------------------------------------------------------------------------
+# Reference code: the Fraction loops of the kernel
+# ---------------------------------------------------------------------------
+
+
+def ref_linear(form, env):
+    lo = hi = F(0)
+    for i, c in form.terms.items():
+        r = env.get(i, UNIT)
+        a, b = c * r.lo, c * r.hi
+        if a > b:
+            a, b = b, a
+        lo += a
+        hi += b
+    return RInterval(lo, hi)
+
+
+def ref_meet(a: RInterval, b: RInterval) -> Optional[RInterval]:
+    lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
+    return RInterval(lo, hi) if lo <= hi else None
+
+
+def ref_project(form: AffineForm, lo: Optional[F], hi: Optional[F],
+                env) -> Dict[int, RInterval]:
+    updates: Dict[int, RInterval] = {}
+    ranges = {i: sym_range(env, i) for i in form.terms}
+    contribs = {i: ranges[i].scale(c) for i, c in form.terms.items()}
+    total_lo = form.center + sum(c.lo for c in contribs.values())
+    total_hi = form.center + sum(c.hi for c in contribs.values())
+    if lo is not None and total_hi < lo:
+        raise InfeasiblePath
+    if hi is not None and total_lo > hi:
+        raise InfeasiblePath
+    for i, c in form.terms.items():
+        other_lo = total_lo - contribs[i].lo
+        other_hi = total_hi - contribs[i].hi
+        alo: Optional[F] = None
+        ahi: Optional[F] = None
+        if lo is not None:
+            bound = lo - other_hi
+            if c > 0:
+                alo = bound / c
+            else:
+                ahi = bound / c
+        if hi is not None:
+            bound = hi - other_lo
+            if c > 0:
+                ahi2 = bound / c
+                ahi = ahi2 if ahi is None else min(ahi, ahi2)
+            else:
+                alo2 = bound / c
+                alo = alo2 if alo is None else max(alo, alo2)
+        r = ranges[i]
+        nlo = r.lo if alo is None else max(r.lo, alo)
+        nhi = r.hi if ahi is None else min(r.hi, ahi)
+        if nlo > nhi:
+            raise InfeasiblePath
+        if nlo != r.lo or nhi != r.hi:
+            nr = RInterval(nlo, nhi)
+            updates[i] = nr
+            ranges[i] = nr
+            new_contrib = nr.scale(c)
+            total_lo += new_contrib.lo - contribs[i].lo
+            total_hi += new_contrib.hi - contribs[i].hi
+            contribs[i] = new_contrib
+    return updates
+
+
+def ref_constrain_scratch(env, constraints):
+    """The fixpoint of `Interp._constrain_joint` without the skip: every
+    constraint projected in every round. Returns the scratch ranges and
+    the number of projections."""
+    scratch, calls = dict(env), 0
+    for _ in range(8):
+        changed = False
+        for form, lo, hi in constraints:
+            if lo is None and hi is None:
+                continue
+            calls += 1
+            updates = ref_project(form, lo, hi, scratch)
+            if updates:
+                changed = True
+                scratch.update(updates)
+        if not changed:
+            break
+    return scratch, calls
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InfeasiblePath:
+        return InfeasiblePath
+
+
+# ---------------------------------------------------------------------------
+# Strategies
+# ---------------------------------------------------------------------------
+
+TENTH_32 = round_nearest(F(1, 10), BINARY32).value
+SPECIAL = [F(1, 3), F(-1, 3), F(1, 10), F(-1, 10), TENTH_32, -TENTH_32,
+           F(1), F(-1), F(1, 2**60), F(-3, 7), F(2, 3)]
+
+dyadic = st.builds(lambda m, e: F(m, 2**e), st.integers(-2**12, 2**12),
+                   st.integers(0, 70))
+rationals = st.one_of(st.sampled_from(SPECIAL), dyadic,
+                      st.fractions(min_value=-4, max_value=4,
+                                   max_denominator=30))
+unit_points = st.one_of(
+    st.sampled_from([F(-1), F(0), F(1), F(1, 3), F(-1, 10), TENTH_32,
+                     F(-2, 3)]),
+    st.builds(lambda m, e: F(m, 2**e), st.integers(-2**8, 2**8),
+              st.integers(8, 8)),
+    st.fractions(min_value=-1, max_value=1, max_denominator=12))
+
+
+@st.composite
+def forms(draw):
+    syms = draw(st.lists(st.integers(0, N_SYMS - 1), max_size=N_SYMS,
+                         unique=True))
+    return AffineForm(draw(rationals), {i: draw(rationals) for i in syms})
+
+
+@st.composite
+def envs(draw):
+    env = {}
+    for i in draw(st.lists(st.integers(0, N_SYMS - 1), max_size=N_SYMS,
+                           unique=True)):
+        a, b = sorted((draw(unit_points), draw(unit_points)))
+        env[i] = RInterval(a, b)
+    return env
+
+
+@st.composite
+def bound_pairs(draw, form, env):
+    """lo and hi each None, a drawn value, or a critical value of the
+    form under env: an end of its concretization (in or out by a hair)
+    or the value at which one symbol starts to tighten."""
+    conc = ref_linear(form, env).shift(form.center)
+    critical = [conc.lo, conc.hi, conc.lo - F(1, 2**80), conc.hi + F(1, 3)]
+    for i, c in form.terms.items():
+        contrib = sym_range(env, i).scale(c)
+        critical.append(conc.hi - contrib.hi + contrib.lo)
+        critical.append(conc.lo - contrib.lo + contrib.hi)
+    value = st.one_of(st.none(), rationals, st.sampled_from(critical))
+    lo, hi = draw(value), draw(value)
+    if lo is not None and hi is not None and lo > hi \
+            and draw(st.booleans()):
+        lo, hi = hi, lo
+    return lo, hi
+
+
+intervals = st.builds(lambda a, b: RInterval(*sorted((a, b))), rationals,
+                      rationals)
+
+# ---------------------------------------------------------------------------
+# Concretization
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(forms(), envs(), envs())
+def test_linear_part_concretize_and_width_match_the_fraction_loop(
+        form, env, env2):
+    for e in (env, env2, env):
+        lin = ref_linear(form, e)
+        assert form.linear_part(e) == lin
+        assert form.concretize(e) == lin.shift(form.center)
+        assert form.width(e) == lin.width
+        for iv in (form.linear_part(e), form.concretize(e)):
+            assert type(iv.lo) is F and type(iv.hi) is F
+
+
+def test_coefficients_are_kept_as_integers_over_their_lcm():
+    form = AffineForm(F(1, 3), {0: F(1, 10), 1: F(-5, 4), 2: TENTH_32})
+    c0, cs, d = form.over_lcm()
+    assert d == 3 * 5 * 2**max(2, TENTH_32.denominator.bit_length() - 1)
+    assert [F(n, d) for n in [c0, *cs]] == [form.center,
+                                            *form.terms.values()]
+    assert form.over_lcm() is form.over_lcm()
+    assert AffineForm(F(7)).over_lcm() == (7, [], 1)
+
+
+# ---------------------------------------------------------------------------
+# Projection
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(forms(), envs(), st.data())
+def test_projection_matches_the_fraction_loop(form, env, data):
+    lo, hi = data.draw(bound_pairs(form, env))
+    expected = outcome(ref_project, form, lo, hi, env)
+    got = outcome(project_onto_symbols, form, lo, hi, env)
+    if expected is InfeasiblePath:
+        assert got is InfeasiblePath
+        return
+    assert got is not InfeasiblePath
+    assert list(got.items()) == list(expected.items())
+    for i, nr in got.items():
+        assert type(nr.lo) is F and type(nr.hi) is F
+        old = sym_range(env, i)
+        # an endpoint that did not move is the old object itself
+        assert nr.lo is old.lo or nr.lo != old.lo
+        assert nr.hi is old.hi or nr.hi != old.hi
+
+
+@pytest.mark.parametrize("c", [F(2), F(-2), F(1, 3), F(-1, 10)])
+def test_projection_tightens_only_strictly(c):
+    # c*e0 + e1 with both symbols in [-1, 1]. At lo = total_hi - 2|c| the
+    # term of e0 sits exactly at its tightening point and keeps its range;
+    # e1 tightens only when its term is the wider one. Likewise on the hi
+    # side at hi = -lo.
+    form = AffineForm(F(0), {0: c, 1: F(1)})
+    total_hi = abs(c) + 1
+    lo = total_hi - 2 * abs(c)
+    wider = abs(c) < 1
+    assert project_onto_symbols(form, -total_hi, total_hi, {}) == {}
+    assert project_onto_symbols(form, lo, None, {}) == (
+        {1: RInterval(1 - 2 * abs(c), F(1))} if wider else {})
+    assert project_onto_symbols(form, None, -lo, {}) == (
+        {1: RInterval(F(-1), 2 * abs(c) - 1)} if wider else {})
+    assert 0 in project_onto_symbols(form, lo + F(1, 2**70), None, {})
+    assert 0 in project_onto_symbols(form, None, -lo - F(1, 2**70), {})
+    end = F(1) if c > 0 else F(-1)
+    assert project_onto_symbols(form, total_hi, None, {}) == {
+        0: RInterval(end, end), 1: RInterval(F(1), F(1))}
+    with pytest.raises(InfeasiblePath):
+        project_onto_symbols(form, total_hi + F(1, 2**70), None, {})
+    with pytest.raises(InfeasiblePath):
+        project_onto_symbols(form, None, -total_hi - F(1, 3), {})
+
+
+def test_projection_of_a_form_without_terms():
+    form = AffineForm(F(1, 3))
+    assert project_onto_symbols(form, F(1, 3), F(1, 3), {}) == {}
+    assert project_onto_symbols(form, None, None, {}) == {}
+    with pytest.raises(InfeasiblePath):
+        project_onto_symbols(form, None, F(1, 10), {})
+
+
+# ---------------------------------------------------------------------------
+# Meet
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=400, deadline=None)
+@given(intervals, intervals)
+def test_meet_matches_max_min_and_returns_a_containing_operand(a, b):
+    expected = ref_meet(a, b)
+    got = a.meet(b)
+    assert got == expected
+    if got is None:
+        return
+    assert type(got.lo) is F and type(got.hi) is F
+    if a.lo >= b.lo and a.hi <= b.hi:
+        assert got is a
+    elif b.lo >= a.lo and b.hi <= a.hi:
+        assert got is b
+
+
+# ---------------------------------------------------------------------------
+# The projection fixpoint skips only repeats
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(forms(), st.data()), min_size=1, max_size=3),
+       envs())
+def test_constrain_joint_skips_only_projections_that_would_repeat(
+        drawn, env):
+    constraints = []
+    for form, data in drawn:
+        constraints.append((form, *data.draw(bound_pairs(form, env))))
+    expected = outcome(ref_constrain_scratch, env, constraints)
+    it = I.Interp(parse_program("int main() { return 0; }"),
+                  AnalysisConfig())
+    for _ in range(N_SYMS):
+        it.pool.fresh(Origin.INPUT)
+    it.env.update(env)
+    calls = []
+    real_project = I.project_onto_symbols
+
+    def counted(*args):
+        calls.append(args)
+        return real_project(*args)
+
+    I.project_onto_symbols = counted
+    try:
+        got = outcome(it._constrain_joint, constraints)
+    finally:
+        I.project_onto_symbols = real_project
+    if expected is InfeasiblePath:
+        assert got is InfeasiblePath
+        return
+    scratch, ref_calls = expected
+    assert got is None
+    assert len(calls) <= ref_calls
+    for sym in range(N_SYMS):
+        assert sym_range(it.env, sym) == sym_range(scratch, sym)
+
+
+def test_constrain_joint_skips_a_constraint_whose_symbols_did_not_move():
+    # the second constraint changes nothing in round one; only the first
+    # narrows, and not the second's symbol, so neither runs in round two
+    it = I.Interp(parse_program("int main() { return 0; }"),
+                  AnalysisConfig())
+    s0, s1 = it.pool.fresh(Origin.INPUT), it.pool.fresh(Origin.INPUT)
+    constraints = [(AffineForm(F(0), {s0: F(1)}), F(0), None),
+                   (AffineForm(F(0), {s1: F(1)}), F(-2), F(2))]
+    _, ref_calls = ref_constrain_scratch({}, constraints)
+    calls = []
+    real_project = I.project_onto_symbols
+
+    def counted(*args):
+        calls.append(args[0])
+        return real_project(*args)
+
+    I.project_onto_symbols = counted
+    try:
+        it._constrain_joint(constraints)
+    finally:
+        I.project_onto_symbols = real_project
+    assert ref_calls == 4
+    assert calls == [constraints[0][0], constraints[1][0],
+                     constraints[0][0]]
+    assert it.env[s0] == RInterval(F(0), F(1))
+
+
+def test_constrain_joint_projects_again_after_a_symbol_moves():
+    # x + y <= 0 changes nothing while x, y in [-1, 1]; then x >= 1/2
+    # moves x, and the first constraint, projected again, bounds y
+    it = I.Interp(parse_program("int main() { return 0; }"),
+                  AnalysisConfig())
+    x, y = it.pool.fresh(Origin.INPUT), it.pool.fresh(Origin.INPUT)
+    constraints = [(AffineForm(F(0), {x: F(1), y: F(1)}), None, F(0)),
+                   (AffineForm(F(0), {x: F(1)}), F(1, 2), None)]
+    scratch, _ = ref_constrain_scratch({}, constraints)
+    it._constrain_joint(constraints)
+    assert it.env[x] == scratch[x] == RInterval(F(1, 2), F(1))
+    assert it.env[y] == scratch[y] == RInterval(F(-1), F(-1, 2))

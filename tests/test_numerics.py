@@ -6,14 +6,16 @@ import math
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fldx.cli import main
 from fldx.errors import OverflowAlarm
 from fldx.numerics import (FORMATS, TOY, FloatFormat, FloatValue,
                            RInterval, _ilog, is_representable, rat,
                            representation_error_bound, round_directed,
-                           round_nearest)
+                           round_nearest, short)
 from fldx.report import rational_to_json
 
 # ---------------------------------------------------------------------------
@@ -102,6 +104,43 @@ def test_third_rounds_to_three_tenths():
 def test_round_overflow_raises():
     with pytest.raises(OverflowAlarm):
         round_nearest(Fraction(10000), TOY)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.fractions(), st.builds(
+    lambda m, e: Fraction(m) * Fraction(2) ** e,
+    st.integers(-2**53, 2**53), st.integers(-1100, 970))))
+def test_short_prints_as_percent_g_of_the_float(x):
+    assert short(x) == f"{float(x):.6g}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10**7), st.integers(1, 10**7), st.integers(303, 5000),
+       st.booleans())
+@example(9999995, 1, 303, False)  # rounds up to the next decade
+@example(10**5 * 10 + 5, 10, 309, True)  # a tie, to even
+def test_short_past_the_double_range(n, d, e, neg):
+    x = Fraction(n, d) * 10**e * (-1 if neg else 1)
+    if abs(x) < 2**1024:
+        return
+    s = short(x)
+    mant, exp = s.lstrip("-").split("e+")
+    assert s.startswith("-") == neg
+    assert 1 <= Fraction(mant) < 10 and len(mant.replace(".", "")) <= 6
+    assert not mant.endswith("0") and not mant.endswith(".")
+    # the six digits are x rounded to nearest
+    assert abs(Fraction(s) - x) <= Fraction(5, 10**6) * 10**int(exp)
+
+
+def test_cli_overflow_alarm_prints_the_value_short(tmp_path):
+    src = tmp_path / "ovf.c"
+    src.write_text("int main() { double x = read_double(1.0e300, 1.0e308);"
+                   " double y = x * 10.0; return 0; }")
+    res = CliRunner().invoke(main, ["analyze", str(src)])
+    assert res.exit_code == 1, res.output
+    line, = [ln for ln in res.output.splitlines() if "[alarm] overflow" in ln]
+    assert len(line) < 120
+    assert "1e+309 rounds beyond the largest finite value" in line
 
 
 def test_round_directed_brackets_nearest():
