@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple
 from ..domain import AbstractFloat
 from ..errors import AnalysisAlarm, TypeErrorAt
 from ..frontend import syntax as S
-from ..numerics import FloatFormat, RInterval, round_nearest
+from ..numerics import FloatFormat, RInterval, round_nearest, trunc_div
 from ..zonotope import SymbolEnv, SymbolPool
 from .kinds import INT_RANGE
 from .typecheck import (TypedBuiltin, TypedCmp, TypedLet, TypedNot, TypedPred,
@@ -141,17 +141,6 @@ def _math_value(v, mem: Memory) -> RInterval:
     return _as_interval(v)
 
 
-def _trunc_div_iv(a: RInterval, b: RInterval) -> RInterval:
-    """C truncating integer division on integer intervals; 0 not in b."""
-    def tdiv(x: Fraction, y: Fraction) -> Fraction:
-        q = x / y
-        n = q.numerator // q.denominator if q >= 0 \
-            else -((-q.numerator) // q.denominator)
-        return Fraction(n)
-    cs = [tdiv(x, y) for x in (a.lo, a.hi) for y in (b.lo, b.hi)]
-    return RInterval(min(cs), max(cs))
-
-
 def eval_term(tt: TypedTerm, mem: Memory, binders=None) -> RInterval:
     binders = binders or {}
     t = tt.term
@@ -170,7 +159,7 @@ def eval_term(tt: TypedTerm, mem: Memory, binders=None) -> RInterval:
             return a * b
         if t.op == "/":
             if tt.compute in INT_RANGE or tt.compute == "Z":
-                return _trunc_div_iv(a, b)
+                return trunc_div(a, b)
             return a.divide(b)
         raise TypeErrorAt(f"bad term operator {t.op!r}")
     if isinstance(t, S.TCall):
@@ -233,7 +222,7 @@ def eval_term_of(t: S.Term, mem: Memory, binders):
         a = _as_interval(eval_term_of(t.left, mem, binders))
         b = _as_interval(eval_term_of(t.right, mem, binders))
         return {"+": a + b, "-": a - b, "*": a * b}[t.op] \
-            if t.op != "/" else _trunc_div_iv(a, b)
+            if t.op != "/" else trunc_div(a, b)
     raise TypeErrorAt(f"unsupported index term {t!r}")
 
 

@@ -18,8 +18,8 @@ from .report import REPORT_SCHEMA
 _STAGE_EXIT = {stage: i + 2 for i, stage in enumerate(STAGES)}
 
 
-def _build_config(fmt, inputs, entry, max_noise, path_budget, subdiv,
-                  threshold, trace, no_instrument) -> AnalysisConfig:
+def _build_config(fmt, inputs, entry, max_noise, path_budget, threshold,
+                  trace, no_instrument) -> AnalysisConfig:
     cfg = AnalysisConfig(fmt=FORMATS[fmt])
     for spec in inputs:
         name, parsed = parse_input_spec(spec)
@@ -32,39 +32,14 @@ def _build_config(fmt, inputs, entry, max_noise, path_budget, subdiv,
     cfg.entry = entry
     cfg.max_syms = max_noise
     cfg.path_budget = path_budget
-    cfg.subdiv = subdiv
     cfg.threshold = Fraction(threshold).limit_denominator(10**9)
     cfg.collect_trace = trace
     cfg.auto_instrument = not no_instrument
     return cfg
 
 
-_shared = [
-    click.option("--format", "fmt", default="binary64",
-                 type=click.Choice(sorted(FORMATS)), show_default=True,
-                 help="Floating-point format of machine operations."),
-    click.option("--input", "inputs", multiple=True, metavar="NAME=SPEC",
-                 help="Bind an input: x=[lo,hi], x=[lo,hi]~[elo,ehi],"
-                      " n=3, or t={0.0,1.0,2.0}."),
-    click.option("--entry", default=None, help="Entry function."),
-    click.option("--max-noise", default=64, show_default=True,
-                 help="Noise symbols kept per affine form."),
-    click.option("--path-budget", default=256, show_default=True,
-                 help="Execution paths explored per section."),
-    click.option("--subdiv", default=1, show_default=True,
-                 help="Input subdivisions."),
-    click.option("--threshold", default="0.05", show_default=True,
-                 help="Minimal width improvement for constraint adoption."),
-    click.option("--trace", is_flag=True, help="Record a decision trace."),
-    click.option("--no-instrument", is_flag=True,
-                 help="Do not auto-place split/merge sections."),
-]
-
-
-def _with_shared(f):
-    for opt in reversed(_shared):
-        f = opt(f)
-    return f
+_no_instrument = click.option("--no-instrument", is_flag=True,
+                              help="Do not auto-place split/merge sections.")
 
 
 @click.group()
@@ -75,15 +50,29 @@ def main() -> None:
 
 @main.command()
 @click.argument("source", type=click.Path(exists=True, dir_okay=False))
-@_with_shared
+@click.option("--format", "fmt", default="binary64",
+              type=click.Choice(sorted(FORMATS)), show_default=True,
+              help="Floating-point format of machine operations.")
+@click.option("--input", "inputs", multiple=True, metavar="NAME=SPEC",
+              help="Bind an input: x=[lo,hi], x=[lo,hi]~[elo,ehi],"
+                   " n=3, or t={0.0,1.0,2.0}.")
+@click.option("--entry", default=None, help="Entry function.")
+@click.option("--max-noise", default=64, show_default=True,
+              help="Noise symbols kept per affine form.")
+@click.option("--path-budget", default=256, show_default=True,
+              help="Execution paths explored per section.")
+@click.option("--threshold", default="0.05", show_default=True,
+              help="Minimal width improvement for constraint adoption.")
+@click.option("--trace", is_flag=True, help="Record a decision trace.")
+@_no_instrument
 @click.option("--report", "report_fmt", default="text",
               type=click.Choice(["text", "json"]), show_default=True)
 @click.option("--output", "-o", type=click.Path(dir_okay=False),
               default=None, help="Write the report to a file.")
-def analyze_cmd(source, fmt, inputs, entry, max_noise, path_budget, subdiv,
+def analyze_cmd(source, fmt, inputs, entry, max_noise, path_budget,
                 threshold, trace, no_instrument, report_fmt, output):
     """Analyze SOURCE and report accuracy verdicts."""
-    cfg = _build_config(fmt, inputs, entry, max_noise, path_budget, subdiv,
+    cfg = _build_config(fmt, inputs, entry, max_noise, path_budget,
                         threshold, trace, no_instrument)
     try:
         rep = analyze(Path(source).read_text(), cfg, source_name=source)
@@ -106,14 +95,12 @@ main.add_command(analyze_cmd, name="analyze")
 
 @main.command()
 @click.argument("source", type=click.Path(exists=True, dir_okay=False))
-@_with_shared
+@_no_instrument
 @click.option("--output", "-o", type=click.Path(dir_okay=False),
               default=None, help="Write the instrumented source to a file.")
-def instrument(source, fmt, inputs, entry, max_noise, path_budget, subdiv,
-               threshold, trace, no_instrument, output):
+def instrument(source, no_instrument, output):
     """Print SOURCE with split/merge sections placed."""
-    cfg = _build_config(fmt, inputs, entry, max_noise, path_budget, subdiv,
-                        threshold, trace, no_instrument)
+    cfg = AnalysisConfig(auto_instrument=not no_instrument)
     try:
         text = instrumented_source(Path(source).read_text(), cfg)
     except StageError as exn:

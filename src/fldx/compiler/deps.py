@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Set, Tuple
 
-import networkx as nx
-
 from ..frontend import cfg as C
 from ..frontend import syntax as S
 
@@ -206,13 +204,10 @@ class DepSets:
 def compute_dep_sets(fn: S.FuncDef, graph: C.Cfg) -> DepSets:
     """Reaching definitions over fn's CFG, one bit per (variable, writer)
     definition; parameters are definitions at entry."""
-    g = graph.graph
     # sweep in reverse postorder from entry, then the unreachable nodes
-    nodes = list(nx.dfs_postorder_nodes(g, C.ENTRY))[::-1]
-    reached = set(nodes)
-    nodes += [n for n in g.nodes if n not in reached]
-    index = {n: i for i, n in enumerate(nodes)}
-    preds = [[index[p] for p in g.predecessors(n)] for n in nodes]
+    reached = set(graph.order)
+    nodes = graph.order + [n for n in range(len(graph.succ))
+                           if n not in reached]
 
     defs_of: Dict[str, int] = {}  # variable -> mask of its definitions
     def_site: List[Tuple[int, str]] = []  # bit -> (writer id, variable)
@@ -223,46 +218,48 @@ def compute_dep_sets(fn: S.FuncDef, graph: C.Cfg) -> DepSets:
         defs_of[v] = defs_of.get(v, 0) | bit
         return bit
 
+    # the lists below are indexed by node id
     stmt_by_id: Dict[int, S.Stmt] = {}
     gen = [0] * len(nodes)
     kill_vars: List[Set[str]] = [set()] * len(nodes)
     reads: List[Set[str]] = [set()] * len(nodes)
-    for i, n in enumerate(nodes):
+    for n in nodes:
         st = graph.stmt_of.get(n)
         if st is None:
             continue
         stmt_by_id[id(st)] = st
         for v in leaf_defs(st):
-            gen[i] |= define(v, id(st))
-        kill_vars[i] = leaf_must_defs(st)
-        reads[i] = leaf_reads(st)
+            gen[n] |= define(v, id(st))
+        kill_vars[n] = leaf_must_defs(st)
+        reads[n] = leaf_reads(st)
     params = 0
     for p in fn.params:
         params |= define(p.name, id(fn))
-    gen[index[C.ENTRY]] |= params
+    gen[C.ENTRY] |= params
     # masks of distinct variables are disjoint: their sum is their union
     keep = [~sum(defs_of.get(v, 0) for v in kv) for kv in kill_vars]
 
     # round-robin sweeps reach the same least fixed point as any worklist
+    pred = graph.pred
     inn = [0] * len(nodes)
     out = gen[:]
     changed = True
     while changed:
         changed = False
-        for i in range(len(nodes)):
+        for n in nodes:
             x = 0
-            for p in preds[i]:
+            for p in pred[n]:
                 x |= out[p]
-            inn[i] = x
-            o = gen[i] | (x & keep[i])
-            if o != out[i]:
-                out[i] = o
+            inn[n] = x
+            o = gen[n] | (x & keep[n])
+            if o != out[n]:
+                out[n] = o
                 changed = True
 
     readers: Dict[Tuple[int, str], Set[int]] = {}
-    for i, n in enumerate(nodes):
-        for v in reads[i]:
-            bits = inn[i] & defs_of.get(v, 0) & ~params
+    for n in nodes:
+        for v in reads[n]:
+            bits = inn[n] & defs_of.get(v, 0) & ~params
             while bits:
                 low = bits & -bits
                 bits ^= low

@@ -25,7 +25,6 @@ class AnalysisConfig:
     entry: Optional[str] = None
     max_syms: int = 64
     path_budget: int = 256
-    subdiv: int = 1
     #: minimum relative width improvement for adopting a constraint
     #: substitution on a form
     threshold: Fraction = Fraction(1, 20)

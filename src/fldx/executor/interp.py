@@ -31,6 +31,7 @@ infeasible propagates emptiness to the enclosing section.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Set, Tuple
@@ -44,7 +45,7 @@ from ..domain import (AbstractFloat, abs_neg, abs_op,
 from ..errors import (AnalysisAlarm, InfeasiblePath, SectionInfeasible,
                       TypeErrorAt)
 from ..frontend import syntax as S
-from ..numerics import RInterval, rat
+from ..numerics import RInterval, rat, trunc_div
 from ..zonotope import AffineForm, Origin, SymbolEnv, SymbolPool, sym_range
 from .explorer import PathExplorer
 
@@ -311,13 +312,13 @@ class Interp:
             if b.contains(ZERO):
                 raise AnalysisAlarm("division-by-zero",
                                     f"{loc}: integer division by zero", loc)
-            return _trunc_div(a, b)
+            return trunc_div(a, b)
         if op == "%":
             if b.contains(ZERO):
                 raise AnalysisAlarm("division-by-zero",
                                     f"{loc}: modulo by zero", loc)
             if a.is_point() and b.is_point():
-                q = _c_trunc(a.lo / b.lo)
+                q = math.trunc(a.lo / b.lo)
                 return RInterval.point(a.lo - q * b.lo)
             m = b.max_abs() - 1
             lo = -m if a.lo < 0 else ZERO
@@ -505,8 +506,8 @@ class Interp:
                            src: Optional[S.Expr] = None) -> RInterval:
         """(int) v as a decision among the truncations k of the machine
         value and kr in {k - 1, k, k + 1} of the ideal one."""
-        klo = _c_trunc(v.float_iv.lo)
-        khi = _c_trunc(v.float_iv.hi)
+        klo = math.trunc(v.float_iv.lo)
+        khi = math.trunc(v.float_iv.hi)
         if khi - klo + 1 > _CAST_FAN_LIMIT:
             self._warn(f"{loc}: cast range spans {khi - klo + 1} integers;"
                        f" not splitting")
@@ -905,18 +906,6 @@ def _bake(v: AbstractFloat, env: SymbolEnv, pool: SymbolPool) -> AbstractFloat:
 def _sig_str(sig, interp) -> str:
     tags = "/".join(t for _, t in sig) or "straight"
     return tags + (f"[{interp}]" if interp else "")
-
-
-def _c_trunc(x: Fraction) -> int:
-    n = x.numerator // x.denominator if x >= 0 \
-        else -((-x.numerator) // x.denominator)
-    return n
-
-
-def _trunc_div(a: RInterval, b: RInterval) -> RInterval:
-    cs = [Fraction(_c_trunc(x / y)) for x in (a.lo, a.hi)
-          for y in (b.lo, b.hi)]
-    return RInterval(min(cs), max(cs))
 
 
 def _trunc_preimage(k: int):

@@ -6,38 +6,102 @@ about section boundaries are direct.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Dict, List, Optional
 
-import networkx as nx
-
 from . import syntax as S
 
-ENTRY = "entry"
-EXIT = "exit"
+ENTRY = 0
+EXIT = 1
+
+
+def reverse_postorder(succ: List[List[int]], root: int) -> List[int]:
+    """The nodes reachable from root, in reverse postorder of one
+    depth-first search that takes successors in list order."""
+    post: List[int] = []
+    seen = {root}
+    stack = [(root, iter(succ[root]))]
+    while stack:
+        n, todo = stack[-1]
+        for m in todo:
+            if m not in seen:
+                seen.add(m)
+                stack.append((m, iter(succ[m])))
+                break
+        else:
+            stack.pop()
+            post.append(n)
+    post.reverse()
+    return post
+
+
+def immediate_dominators(pred: List[List[int]], order: List[int]
+                         ) -> Dict[int, int]:
+    """Immediate dominator of each node of order, a reverse postorder
+    from its root order[0], which maps to itself. The iterative algorithm
+    of Cooper, Harvey & Kennedy, "A Simple, Fast Dominance Algorithm"
+    (2001): a predecessor outside order is unreachable and ignored."""
+    root = order[0]
+    rank = {n: i for i, n in enumerate(order)}
+    idom = {root: root}
+    changed = True
+    while changed:
+        changed = False
+        for n in order[1:]:
+            new = None
+            for p in pred[n]:
+                if p not in idom:
+                    continue
+                if new is None:
+                    new = p
+                    continue
+                # walk both up the tree to their nearest common dominator
+                while p != new:
+                    while rank[p] > rank[new]:
+                        p = idom[p]
+                    while rank[new] > rank[p]:
+                        new = idom[new]
+            if idom.get(n) != new:
+                idom[n] = new
+                changed = True
+    return idom
 
 
 @dataclass
 class Cfg:
-    """A function's CFG. The graph must not change once built: the
-    immediate-(post-)dominator maps are computed on first use and kept."""
+    """A function's CFG over node ids 0..n-1. It must not change once
+    built: the orders and immediate-(post-)dominator maps are computed on
+    first use and kept."""
 
-    graph: nx.DiGraph
-    #: node id -> statement (None for entry/exit and synthetic nodes)
-    stmt_of: Dict[object, Optional[S.Stmt]] = field(default_factory=dict)
-    node_of: Dict[int, object] = field(default_factory=dict)
+    succ: List[List[int]]
+    pred: List[List[int]]
+    #: node id -> statement (None for entry/exit and merge nodes)
+    stmt_of: Dict[int, Optional[S.Stmt]]
+    #: id(statement) -> its node; a SectionStmt's node is its split
+    node_of: Dict[int, int]
     #: id(SectionStmt) -> synthetic merge node
-    merge_of: Dict[int, object] = field(default_factory=dict)
+    merge_of: Dict[int, int]
 
     @cached_property
-    def idom(self) -> Dict[object, object]:
-        return nx.immediate_dominators(self.graph, ENTRY)
+    def order(self) -> List[int]:
+        """Reverse postorder of the nodes reachable from ENTRY."""
+        return reverse_postorder(self.succ, ENTRY)
 
     @cached_property
-    def ipdom(self) -> Dict[object, object]:
-        return nx.immediate_dominators(self.graph.reverse(copy=False), EXIT)
+    def back_order(self) -> List[int]:
+        """Reverse postorder of the nodes that reach EXIT, searched from
+        EXIT along the predecessor lists."""
+        return reverse_postorder(self.pred, EXIT)
+
+    @cached_property
+    def idom(self) -> Dict[int, int]:
+        return immediate_dominators(self.pred, self.order)
+
+    @cached_property
+    def ipdom(self) -> Dict[int, int]:
+        return immediate_dominators(self.succ, self.back_order)
 
     def dominates(self, a, b) -> bool:
         return _dom_query(self.idom, a, b)
@@ -52,7 +116,7 @@ class Cfg:
         return a != b and self.post_dominates(a, b)
 
 
-def _dom_query(idom: Dict[object, object], a, b) -> bool:
+def _dom_query(idom: Dict[int, int], a, b) -> bool:
     """a dominates b under the immediate-dominator map."""
     n = b
     while True:
@@ -65,37 +129,42 @@ def _dom_query(idom: Dict[object, object], a, b) -> bool:
 
 class _Builder:
     def __init__(self) -> None:
-        self.g = nx.DiGraph()
-        self.stmt_of: Dict[object, Optional[S.Stmt]] = {}
-        self.node_of: Dict[int, object] = {}
-        self.merge_of: Dict[int, object] = {}
-        self._n = 0
+        self.succ: List[List[int]] = [[], []]
+        self.pred: List[List[int]] = [[], []]
+        self.stmt_of: Dict[int, Optional[S.Stmt]] = {ENTRY: None, EXIT: None}
+        self.node_of: Dict[int, int] = {}
+        self.merge_of: Dict[int, int] = {}
 
-    def node(self, stmt: Optional[S.Stmt], tag: str = "s") -> object:
-        nid = f"{tag}{self._n}"
-        self._n += 1
-        self.g.add_node(nid)
-        self.stmt_of[nid] = stmt
+    def node(self, stmt: Optional[S.Stmt], preds: List[int]) -> int:
+        """A new node for stmt, entered from each of preds."""
+        n = len(self.succ)
+        self.succ.append([])
+        self.pred.append([])
+        self.stmt_of[n] = stmt
         if stmt is not None:
-            self.node_of[id(stmt)] = nid
-        return nid
+            self.node_of[id(stmt)] = n
+        for p in preds:
+            self.edge(p, n)
+        return n
 
-    def edge(self, a, b) -> None:
-        self.g.add_edge(a, b)
+    def edge(self, a: int, b: int) -> None:
+        # one edge per pair: an `if` with an empty then-block wires its
+        # test to the next statement twice
+        if b not in self.succ[a]:
+            self.succ[a].append(b)
+            self.pred[b].append(a)
 
-    def seq(self, stmts: List[S.Stmt], preds: List[object]) -> List[object]:
+    def seq(self, stmts: List[S.Stmt], preds: List[int]) -> List[int]:
         """Wire a statement sequence; returns the fall-through predecessors."""
         for s in stmts:
             preds = self.stmt(s, preds)
         return preds
 
-    def stmt(self, s: S.Stmt, preds: List[object]) -> List[object]:
+    def stmt(self, s: S.Stmt, preds: List[int]) -> List[int]:
         if isinstance(s, S.Block):
             return self.seq(s.stmts, preds)
         if isinstance(s, S.If):
-            n = self.node(s)
-            for p in preds:
-                self.edge(p, n)
+            n = self.node(s, preds)
             out = self.seq(s.then.stmts, [n])
             if s.els is not None:
                 out = out + self.seq(s.els.stmts, [n])
@@ -103,72 +172,47 @@ class _Builder:
                 out = out + [n]
             return out
         if isinstance(s, S.While):
-            n = self.node(s)
-            for p in preds:
-                self.edge(p, n)
-            back = self.seq(s.body.stmts, [n])
-            for p in back:
+            n = self.node(s, preds)
+            for p in self.seq(s.body.stmts, [n]):
                 self.edge(p, n)
             return [n]
         if isinstance(s, S.DoWhile):
-            n = self.node(s)
-            first = self.seq(s.body.stmts, preds + [n])
-            for p in first:
+            n = self.node(s, [])
+            for p in self.seq(s.body.stmts, preds + [n]):
                 self.edge(p, n)
             return [n]
         if isinstance(s, S.Return):
-            n = self.node(s)
-            for p in preds:
-                self.edge(p, n)
-            self.edge(n, EXIT)
+            self.edge(self.node(s, preds), EXIT)
             return []
         if isinstance(s, S.SectionStmt):
-            split = self.node(s, tag="split")
-            for p in preds:
-                self.edge(p, split)
+            split = self.node(s, preds)
             # a return closing the body leaves through the merge, as the
             # executor merges the section's paths before it returns
             tail = s.body[-1] if s.body and isinstance(s.body[-1], S.Return) \
                 else None
             inner = self.seq(s.body[:-1] if tail else s.body, [split])
             if tail is not None:
-                ret = self.node(tail)
-                for p in inner:
-                    self.edge(p, ret)
-                inner = [ret]
-            merge = self.node(None, tag="merge")
-            self.stmt_of[merge] = None
-            self.node_of[id(s)] = split
+                inner = [self.node(tail, inner)]
+            merge = self.node(None, inner)
             self.merge_of[id(s)] = merge
-            for p in inner:
-                self.edge(p, merge)
             if tail is not None:
                 self.edge(merge, EXIT)
                 return []
             return [merge]
-        n = self.node(s)
-        for p in preds:
-            self.edge(p, n)
-        return [n]
+        return [self.node(s, preds)]
 
 
 def build_cfg(fn: S.FuncDef) -> Cfg:
     b = _Builder()
-    b.g.add_node(ENTRY)
-    b.g.add_node(EXIT)
-    b.stmt_of[ENTRY] = None
-    b.stmt_of[EXIT] = None
-    out = b.seq(fn.body.stmts, [ENTRY])
-    for p in out:
+    for p in b.seq(fn.body.stmts, [ENTRY]):
         b.edge(p, EXIT)
-    return Cfg(b.g, b.stmt_of, b.node_of, b.merge_of)
+    return Cfg(b.succ, b.pred, b.stmt_of, b.node_of, b.merge_of)
 
 
-def check_exit_reachable(cfg: Cfg) -> List[object]:
+def check_exit_reachable(cfg: Cfg) -> List[int]:
     """Nodes from which EXIT is unreachable (infinite loops)."""
-    can_reach = set(nx.descendants(cfg.graph.reverse(copy=False), EXIT))
-    can_reach.add(EXIT)
-    return [n for n in cfg.graph.nodes if n not in can_reach]
+    reach = set(cfg.back_order)
+    return [n for n in range(len(cfg.succ)) if n not in reach]
 
 
 # ---------------------------------------------------------------------------

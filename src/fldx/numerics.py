@@ -164,6 +164,13 @@ def _iv(lo: Fraction, hi: Fraction) -> RInterval:
     return iv
 
 
+def trunc_div(a: RInterval, b: RInterval) -> RInterval:
+    """C truncating division on integer intervals; 0 not in b."""
+    cs = [Fraction(math.trunc(x / y)) for x in (a.lo, a.hi)
+          for y in (b.lo, b.hi)]
+    return RInterval(min(cs), max(cs))
+
+
 # ---------------------------------------------------------------------------
 # Integers over a common denominator (see the module docstring)
 # ---------------------------------------------------------------------------

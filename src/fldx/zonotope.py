@@ -191,13 +191,6 @@ class AffineForm:
     __repr__ = __str__
 
 
-def _recenter(iv: RInterval, pool: SymbolPool) -> AffineForm:
-    """Express an interval as center + radius on a fresh nonlinear symbol."""
-    if iv.is_point():
-        return AffineForm(iv.lo)
-    return AffineForm(iv.mid, {pool.fresh(Origin.NONLINEAR): iv.rad})
-
-
 def af_mul(a: AffineForm, b: AffineForm, pool: SymbolPool,
            env: SymbolEnv) -> AffineForm:
     """Sound affine multiplication.
@@ -219,7 +212,7 @@ def af_mul(a: AffineForm, b: AffineForm, pool: SymbolPool,
         nl = la.square()
     else:
         nl = la * b.linear_part(env)
-    return linear + _recenter(nl, pool)
+    return linear + AffineForm.from_interval(nl, pool, Origin.NONLINEAR)
 
 
 def af_inverse(a: AffineForm, hint: RInterval, pool: SymbolPool,
@@ -275,4 +268,5 @@ def condense(a: AffineForm, max_syms: int, pool: SymbolPool,
     acc = RInterval.point(0)
     for i, c in folded:
         acc = acc + sym_range(env, i).scale(c)
-    return AffineForm(a.center, dict(kept)) + _recenter(acc, pool)
+    return AffineForm(a.center, dict(kept)) + AffineForm.from_interval(
+        acc, pool, Origin.NONLINEAR)

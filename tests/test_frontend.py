@@ -1,12 +1,15 @@
 """Parser, printer, and control-flow graph construction."""
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fldx.errors import SyntaxErrorAt, TypeErrorAt
 from fldx.frontend import parse_expr, parse_pred, parse_program, print_program
 from fldx.frontend import syntax as S
 from fldx.frontend.cfg import (ENTRY, EXIT, build_cfg, check_exit_reachable,
-                               normalize_returns)
+                               immediate_dominators, normalize_returns,
+                               reverse_postorder)
 from fldx.frontend.printer import print_expr, print_pred
 from tests.conftest import all_corpus_names, corpus_source
 
@@ -170,7 +173,9 @@ def test_dominators_match_brute_force(src):
     fn = next(iter(parse_program(src).functions.values()))
     normalize_returns(fn)
     cfg = build_cfg(fn)
-    g = cfg.graph
+    g = nx.DiGraph()
+    g.add_nodes_from(range(len(cfg.succ)))
+    g.add_edges_from((a, b) for a, succ in enumerate(cfg.succ) for b in succ)
     nodes = list(g.nodes)
     for a in nodes:
         for b in nodes:
@@ -178,6 +183,42 @@ def test_dominators_match_brute_force(src):
             assert cfg.dominates(a, b) == want, (a, b)
             want_pd = brute_dominates(g.reverse(copy=True), EXIT, a, b)
             assert cfg.post_dominates(a, b) == want_pd, (a, b)
+
+
+@st.composite
+def rooted_digraphs(draw):
+    """(node count, edge list, root): edges may repeat a pair or loop on
+    a node, and some nodes may be unreachable from the root."""
+    n = draw(st.integers(1, 12))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=3 * n))
+    return n, edges, draw(node)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rooted_digraphs())
+def test_orders_and_dominators_match_networkx(graph):
+    n, edges, root = graph
+    succ = [[] for _ in range(n)]
+    pred = [[] for _ in range(n)]
+    for a, b in edges:
+        succ[a].append(b)
+        pred[b].append(a)
+    g = nx.DiGraph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from(edges)
+    order = reverse_postorder(succ, root)
+    assert set(order) == {root} | nx.descendants(g, root)
+    # the same search as networkx's, which visits successors in the order
+    # their edges were first added
+    assert order == list(nx.dfs_postorder_nodes(g, root))[::-1]
+    idom = immediate_dominators(pred, order)
+    assert idom[root] == root
+    # networkx 3.6 leaves the root out of its map, earlier versions map it
+    # to itself
+    want = nx.immediate_dominators(g, root)
+    assert {k: v for k, v in idom.items() if k != root} \
+        == {k: v for k, v in want.items() if k != root}
 
 
 @pytest.mark.parametrize("name", all_corpus_names())

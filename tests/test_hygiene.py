@@ -1,11 +1,14 @@
 """Source hygiene: every module of the package uses each name it
-imports, and the package reads every function and method it defines.
+imports, the package reads every function and method it defines, and
+`pyproject.toml` lists exactly the third-party modules it imports.
 
 Package `__init__` modules are left out of the import check, since their
 imports are the package's public names; for the same reason a name they
 import counts as read.
 """
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -181,3 +184,38 @@ def test_every_module_level_name_is_read():
     modules = {".".join(("fldx",) + p.relative_to(SRC).with_suffix("").parts):
                p.read_text() for p in sorted(SRC.rglob("*.py"))}
     assert unread_globals(modules) == []
+
+
+# ---------------------------------------------------------------------------
+# Runtime dependencies
+# ---------------------------------------------------------------------------
+
+
+def imported_modules(source: str):
+    """Top-level names of the modules a source imports by absolute name."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+def test_scan_finds_imported_modules():
+    assert imported_modules("import os.path, click as c\n"
+                            "from networkx.algorithms import x\n"
+                            "from . import y\nfrom ..z import w\n") == {
+        "os", "click", "networkx"}
+
+
+def test_runtime_dependencies_are_the_third_party_imports():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads(PYPROJECT.read_text())["project"]
+    listed = {re.match(r"[A-Za-z0-9_.-]+", d).group().lower()
+              .replace("-", "_") for d in project["dependencies"]}
+    imported = set().union(*(imported_modules(p.read_text())
+                             for p in SRC.rglob("*.py")))
+    third_party = imported - set(sys.stdlib_module_names) - {"fldx"}
+    assert sorted(third_party - listed) == []
+    assert sorted(listed - imported) == []

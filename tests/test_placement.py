@@ -4,7 +4,9 @@ import re
 from collections import deque
 
 import pytest
+from click.testing import CliRunner
 
+from fldx.cli import main
 from fldx.compiler import deps as D
 from fldx.compiler.placement import instrument
 from fldx.compiler.validator import validate
@@ -149,8 +151,9 @@ def test_validator_flags_a_return_that_skips_the_merge(monkeypatch):
     }
     """
     program = parse_program(src)
-    built, dominator_runs = [], []
-    build_cfg, immediate_dominators = C.build_cfg, C.nx.immediate_dominators
+    built, dominator_runs, order_runs = [], [], []
+    build_cfg, immediate_dominators = C.build_cfg, C.immediate_dominators
+    reverse_postorder = C.reverse_postorder
 
     def counting_build(fn):
         built.append(fn)
@@ -160,14 +163,32 @@ def test_validator_flags_a_return_that_skips_the_merge(monkeypatch):
         dominator_runs.append(args)
         return immediate_dominators(*args, **kwargs)
 
+    def counting_orders(*args, **kwargs):
+        order_runs.append(args)
+        return reverse_postorder(*args, **kwargs)
+
     monkeypatch.setattr(C, "build_cfg", counting_build)
-    monkeypatch.setattr(C.nx, "immediate_dominators", counting_dominators)
+    monkeypatch.setattr(C, "immediate_dominators", counting_dominators)
+    monkeypatch.setattr(C, "reverse_postorder", counting_orders)
     assert validate(program) == [
         "main: section 1: merge does not strictly post-dominate split"]
     # one CFG for the one function, with dominators and post-dominators
-    # computed once each however many sections are checked
+    # computed once each however many sections are checked, from one
+    # depth-first search per direction
     assert len(built) == 1
     assert len(dominator_runs) <= 2
+    assert len(order_runs) <= 2 * len(built)
+
+
+@pytest.mark.parametrize("args", [["instrument", "--format", "binary32"],
+                                  ["analyze", "--subdiv", "2"]])
+def test_cli_rejects_options_nothing_reads(tmp_path, args):
+    # exit 2 is also the parse stage's code: the message tells them apart
+    src = tmp_path / "x.c"
+    src.write_text("int main() { return 0; }")
+    res = CliRunner().invoke(main, args[:1] + [str(src)] + args[1:])
+    assert res.exit_code == 2
+    assert "No such option" in res.output and args[1] in res.output
 
 
 def test_validator_accepts_complete_manual_section():
@@ -200,14 +221,14 @@ def brute_def_use(fn):
     successors reaches the reader without passing a node that must-define
     v. Parameters are not writers."""
     graph = C.build_cfg(fn)
-    g, stmt_of = graph.graph, graph.stmt_of
+    succ, stmt_of = graph.succ, graph.stmt_of
     out = set()
-    for w in g.nodes:
+    for w in range(len(succ)):
         if stmt_of.get(w) is None:
             continue
         for v in D.leaf_defs(stmt_of[w]):
             seen = set()
-            todo = deque(g.successors(w))
+            todo = deque(succ[w])
             while todo:
                 n = todo.popleft()
                 if n in seen:
@@ -218,7 +239,7 @@ def brute_def_use(fn):
                     out.add((id(stmt_of[w]), id(st), v))
                 if st is not None and v in D.leaf_must_defs(st):
                     continue
-                todo.extend(g.successors(n))
+                todo.extend(succ[n])
     return out
 
 
