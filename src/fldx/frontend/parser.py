@@ -3,6 +3,13 @@
 Annotation comments ``/*@ ... */`` carry accuracy assertions and
 split/merge section markers; they are lexed as single tokens and parsed
 with a dedicated sub-grammar.
+
+Position model: a token's position is two ints, its 1-based line and
+column, found from the offsets of the newlines before it; a syntax error
+reports those ints. An `S.Loc` is built only when the parser attaches a
+token's position to an AST node (`Token.loc`, at most once per token).
+Every token of an annotation carries the position of the annotation
+itself.
 """
 from __future__ import annotations
 
@@ -13,64 +20,82 @@ from typing import List, Optional, Tuple, Union
 from ..errors import SyntaxErrorAt
 from . import syntax as S
 
+#: Whitespace and comments have no group name: their matches are skipped
+#: without building a token. `open_annot`, `open_comment` and `bad` match
+#: only where no alternative above them does, and end the scan with an
+#: error; the first two come before `op`, which would take their `/`.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<line_comment>//[^\n]*)
+    \s+
+  | //[^\n]*
   | (?P<annot>/\*@.*?\*/)
-  | (?P<comment>/\*.*?\*/)
-  | (?P<num>(\d+\.\d*|\.\d+|\d+)([eE][-+]?\d+)?)
+  | /\*.*?\*/
+  | (?P<num>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?)
   | (?P<ident>[A-Za-z_]\w*)
+  | (?P<open_annot>/\*@)
+  | (?P<open_comment>/\*)
   | (?P<op><=|>=|==|!=|&&|\|\||[-+*/%<>=!?:;,(){}\[\]])
+  | (?P<bad>.)
     """,
     re.VERBOSE | re.DOTALL,
 )
+
+#: the message of each error group, formatted with the matched text
+_LEX_ERRORS = {"open_annot": "unterminated annotation",
+               "open_comment": "unterminated comment",
+               "bad": "unexpected character {!r}"}
 
 KEYWORDS = {"int", "float", "double", "void", "if", "else", "while", "do",
             "return", "assume"}
 
 
 class Token:
-    __slots__ = ("kind", "text", "loc")
+    __slots__ = ("kind", "text", "line", "col", "_loc")
 
-    def __init__(self, kind: str, text: str, loc: S.Loc) -> None:
+    def __init__(self, kind: str, text: str, line: int, col: int) -> None:
         self.kind = kind  # 'num', 'ident', 'op', 'kw', 'annot', 'eof'
         self.text = text
-        self.loc = loc
+        self.line = line
+        self.col = col
+        self._loc: Optional[S.Loc] = None
+
+    @property
+    def loc(self) -> S.Loc:
+        """The token's position as an `S.Loc`, built on first use, so the
+        nodes a token starts (a statement and its first operand) share it."""
+        if self._loc is None:
+            self._loc = S.Loc(self.line, self.col)
+        return self._loc
 
     def __repr__(self) -> str:
         return f"Token({self.kind}, {self.text!r})"
 
 
 def tokenize(src: str) -> List[Token]:
+    """The tokens of src, ending with an 'eof' token."""
     toks: List[Token] = []
-    pos = 0
-    line, col = 1, 1
-    n = len(src)
-    while pos < n:
-        m = _TOKEN_RE.match(src, pos)
-        if m is None:
-            raise SyntaxErrorAt(f"unexpected character {src[pos]!r}", line, col)
-        text = m.group(0)
+    append = toks.append
+    line, line_start = 1, 0
+    nl = src.find("\n")  # the first newline at or after line_start
+    for m in _TOKEN_RE.finditer(src):
         kind = m.lastgroup
-        loc = S.Loc(line, col)
-        if kind == "num":
-            toks.append(Token("num", text, loc))
-        elif kind == "ident":
-            toks.append(Token("kw" if text in KEYWORDS else "ident", text, loc))
-        elif kind == "op":
-            toks.append(Token("op", text, loc))
-        elif kind == "annot":
-            toks.append(Token("annot", text, loc))
-        # whitespace and plain comments are skipped
-        nl = text.count("\n")
-        if nl:
-            line += nl
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
-        pos = m.end()
-    toks.append(Token("eof", "", S.Loc(line, col)))
+        if kind is None:  # whitespace or a comment
+            continue
+        start = m.start()
+        while 0 <= nl < start:
+            line += 1
+            line_start = nl + 1
+            nl = src.find("\n", line_start)
+        col = start - line_start + 1
+        text = m.group()
+        if kind == "ident":
+            if text in KEYWORDS:
+                kind = "kw"
+        elif kind in _LEX_ERRORS:
+            raise SyntaxErrorAt(_LEX_ERRORS[kind].format(text), line, col)
+        append(Token(kind, text, line, col))
+    # eof sits just past the last character
+    append(Token("eof", "", src.count("\n") + 1, len(src) - src.rfind("\n")))
     return toks
 
 
@@ -84,25 +109,28 @@ def _is_float_literal(text: str) -> bool:
 
 
 class _Cursor:
+    """A position in a token list; `cur` is always `toks[i]`."""
+    __slots__ = ("toks", "i", "cur")
+
     def __init__(self, toks: List[Token]) -> None:
         self.toks = toks
         self.i = 0
-
-    @property
-    def cur(self) -> Token:
-        return self.toks[self.i]
+        self.cur = toks[0]
 
     def advance(self) -> Token:
-        t = self.toks[self.i]
+        t = self.cur
         if t.kind != "eof":
             self.i += 1
+            self.cur = self.toks[self.i]
         return t
 
     def at(self, text: str) -> bool:
-        return self.cur.text == text and self.cur.kind in ("op", "kw")
+        t = self.cur
+        return t.text == text and t.kind in ("op", "kw")
 
     def accept(self, text: str) -> bool:
-        if self.at(text):
+        t = self.cur
+        if t.text == text and t.kind in ("op", "kw"):
             self.advance()
             return True
         return False
@@ -111,19 +139,19 @@ class _Cursor:
         if not self.at(text):
             t = self.cur
             raise SyntaxErrorAt(f"expected {text!r}, found {t.text!r}",
-                                t.loc.line, t.loc.col)
+                                t.line, t.col)
         return self.advance()
 
     def expect_kind(self, kind: str) -> Token:
         if self.cur.kind != kind:
             t = self.cur
             raise SyntaxErrorAt(f"expected {kind}, found {t.text!r}",
-                                t.loc.line, t.loc.col)
+                                t.line, t.col)
         return self.advance()
 
     def error(self, msg: str):
         t = self.cur
-        raise SyntaxErrorAt(msg, t.loc.line, t.loc.col)
+        raise SyntaxErrorAt(msg, t.line, t.col)
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +196,9 @@ def _parse_binary(c: _Cursor, min_prec: int) -> S.Expr:
 
 def _parse_unary(c: _Cursor) -> S.Expr:
     t = c.cur
-    if c.accept("-"):
-        return S.Unary("-", _parse_unary(c), t.loc)
-    if c.accept("!"):
-        return S.Unary("!", _parse_unary(c), t.loc)
+    if t.kind == "op" and t.text in ("-", "!"):
+        c.advance()
+        return S.Unary(t.text, _parse_unary(c), t.loc)
     return _parse_primary(c)
 
 
@@ -220,36 +247,30 @@ def _parse_primary(c: _Cursor) -> S.Expr:
 
 _ANNOT_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<num>(\d+\.\d*|\.\d+|\d+)([eE][-+]?\d+)?)
+    \s+
+  | (?P<num>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?)
   | (?P<let>\\let)
   | (?P<ident>[A-Za-z_]\w*)
   | (?P<op>==>|<=|>=|==|!=|&&|\|\||[-+*/<>=!?:;,()\[\]])
+  | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
-def _tokenize_annot(body: str, loc: S.Loc) -> List[Token]:
+def _tokenize_annot(body: str, line: int, col: int) -> List[Token]:
+    """The tokens of an annotation body, each at the annotation's
+    position (line, col)."""
     toks: List[Token] = []
-    pos = 0
-    while pos < len(body):
-        m = _ANNOT_RE.match(body, pos)
-        if m is None:
-            raise SyntaxErrorAt(f"bad annotation character {body[pos]!r}",
-                                loc.line, loc.col)
+    for m in _ANNOT_RE.finditer(body):
         kind = m.lastgroup
-        text = m.group(0)
-        if kind == "num":
-            toks.append(Token("num", text, loc))
-        elif kind == "ident":
-            toks.append(Token("ident", text, loc))
-        elif kind == "let":
-            toks.append(Token("let", text, loc))
-        elif kind == "op":
-            toks.append(Token("op", text, loc))
-        pos = m.end()
-    toks.append(Token("eof", "", loc))
+        if kind is None:  # whitespace
+            continue
+        if kind == "bad":
+            raise SyntaxErrorAt(f"bad annotation character {m.group()!r}",
+                                line, col)
+        toks.append(Token(kind, m.group(), line, col))
+    toks.append(Token("eof", "", line, col))
     return toks
 
 
@@ -297,7 +318,7 @@ def _parse_term_primary(c: _Cursor) -> S.Term:
         if c.at("("):
             if t.text not in S.TERM_BUILTINS:
                 raise SyntaxErrorAt(f"unknown term function {t.text!r}",
-                                    t.loc.line, t.loc.col)
+                                    t.line, t.col)
             c.advance()
             args = [_parse_term(c)]
             while c.accept(","):
@@ -306,7 +327,7 @@ def _parse_term_primary(c: _Cursor) -> S.Term:
             if len(args) != S.TERM_BUILTINS[t.text]:
                 raise SyntaxErrorAt(f"{t.text} expects "
                                     f"{S.TERM_BUILTINS[t.text]} arguments",
-                                    t.loc.line, t.loc.col)
+                                    t.line, t.col)
             return S.TCall(t.text, args, t.loc)
         if c.accept("["):
             idx = _parse_term(c)
@@ -385,7 +406,7 @@ def _parse_pred_atom(c: _Cursor) -> S.Pred:
         if len(args) != S.PRED_BUILTINS[name_tok.text]:
             raise SyntaxErrorAt(
                 f"{name_tok.text} expects {S.PRED_BUILTINS[name_tok.text]}"
-                f" arguments", name_tok.loc.line, name_tok.loc.col)
+                f" arguments", name_tok.line, name_tok.col)
         return S.PBuiltin(name_tok.text, args, name_tok.loc)
     if c.at("("):
         # Could be a parenthesized predicate or the start of a term.
@@ -396,7 +417,7 @@ def _parse_pred_atom(c: _Cursor) -> S.Pred:
             c.expect(")")
             return p
         except SyntaxErrorAt:
-            c.i = mark
+            c.i, c.cur = mark, c.toks[mark]
         left = _parse_term(c)
         return _finish_cmp(c, left)
     left = _parse_term(c)
@@ -433,11 +454,11 @@ def parse_annotation(tok: Token):
         body = body[len("assert"):]
     if body.endswith(";"):
         body = body[:-1]
-    c = _Cursor(_tokenize_annot(body, tok.loc))
+    c = _Cursor(_tokenize_annot(body, tok.line, tok.col))
     pred = _parse_pred(c)
     if c.cur.kind != "eof":
         raise SyntaxErrorAt(f"trailing tokens in annotation: {c.cur.text!r}",
-                            tok.loc.line, tok.loc.col)
+                            tok.line, tok.col)
     return ("assert", pred)
 
 
@@ -465,7 +486,7 @@ def _parse_block(c: _Cursor) -> S.Block:
             else:  # merge
                 if not open_sections or open_sections[-1][0] != parsed[1]:
                     raise SyntaxErrorAt(f"unmatched merge({parsed[1]})",
-                                        tok.loc.line, tok.loc.col)
+                                        tok.line, tok.col)
                 sid, save, _, sloc, body = open_sections.pop()
                 sink().append(S.SectionStmt(sid, save, parsed[2], body, sloc))
             continue
@@ -499,7 +520,7 @@ def _parse_stmt(c: _Cursor) -> S.Stmt:
                 if len(init_list) != size:
                     raise SyntaxErrorAt(
                         f"array {name} initializer has {len(init_list)}"
-                        f" elements for size {size}", t.loc.line, t.loc.col)
+                        f" elements for size {size}", t.line, t.col)
             c.expect(";")
             return S.Decl(t.text, name, None, size, init_list, t.loc)
         init = None
@@ -507,44 +528,45 @@ def _parse_stmt(c: _Cursor) -> S.Stmt:
             init = _parse_expr(c)
         c.expect(";")
         return S.Decl(t.text, name, init, None, None, t.loc)
-    if c.accept("if"):
-        c.expect("(")
-        cond = _parse_expr(c)
-        c.expect(")")
-        then = _as_block(_parse_stmt(c))
-        els = None
-        if c.accept("else"):
-            els = _as_block(_parse_stmt(c))
-        return S.If(cond, then, els, t.loc)
-    if c.accept("while"):
-        c.expect("(")
-        cond = _parse_expr(c)
-        c.expect(")")
-        return S.While(cond, _as_block(_parse_stmt(c)), t.loc)
-    if c.accept("do"):
-        body = _as_block(_parse_stmt(c))
-        c.expect("while")
-        c.expect("(")
-        cond = _parse_expr(c)
-        c.expect(")")
-        c.expect(";")
-        return S.DoWhile(body, cond, t.loc)
-    if c.accept("return"):
-        e = None if c.at(";") else _parse_expr(c)
-        c.expect(";")
-        return S.Return(e, t.loc)
-    if c.accept("assume"):
-        c.expect("(")
-        cond = _parse_expr(c)
-        c.expect(")")
-        c.expect(";")
-        return S.AssumeStmt(cond, t.loc)
+    if t.kind == "kw":
+        if c.accept("if"):
+            c.expect("(")
+            cond = _parse_expr(c)
+            c.expect(")")
+            then = _as_block(_parse_stmt(c))
+            els = None
+            if c.accept("else"):
+                els = _as_block(_parse_stmt(c))
+            return S.If(cond, then, els, t.loc)
+        if c.accept("while"):
+            c.expect("(")
+            cond = _parse_expr(c)
+            c.expect(")")
+            return S.While(cond, _as_block(_parse_stmt(c)), t.loc)
+        if c.accept("do"):
+            body = _as_block(_parse_stmt(c))
+            c.expect("while")
+            c.expect("(")
+            cond = _parse_expr(c)
+            c.expect(")")
+            c.expect(";")
+            return S.DoWhile(body, cond, t.loc)
+        if c.accept("return"):
+            e = None if c.at(";") else _parse_expr(c)
+            c.expect(";")
+            return S.Return(e, t.loc)
+        if c.accept("assume"):
+            c.expect("(")
+            cond = _parse_expr(c)
+            c.expect(")")
+            c.expect(";")
+            return S.AssumeStmt(cond, t.loc)
     # assignment or expression statement
     e = _parse_expr(c)
     if c.accept("="):
         if not isinstance(e, (S.Var, S.Index)):
             raise SyntaxErrorAt("assignment target must be a variable or"
-                                " array element", t.loc.line, t.loc.col)
+                                " array element", t.line, t.col)
         rhs = _parse_expr(c)
         c.expect(";")
         return S.Assign(e, rhs, t.loc)
@@ -603,7 +625,8 @@ def parse_program(src: str) -> S.Program:
                                 fn.loc.line, fn.loc.col)
         funcs[fn.name] = fn
     prog = S.Program(funcs)
-    S.resolve(prog)
+    for fn in funcs.values():
+        S.resolve(fn, prog)
     return prog
 
 
@@ -618,7 +641,7 @@ def parse_expr(src: str) -> S.Expr:
 
 def parse_pred(src: str) -> S.Pred:
     """Parse a standalone annotation predicate (test helper)."""
-    c = _Cursor(_tokenize_annot(src, S.NOLOC))
+    c = _Cursor(_tokenize_annot(src, 0, 0))
     p = _parse_pred(c)
     if c.cur.kind != "eof":
         c.error("trailing tokens after predicate")

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 
 @dataclass(frozen=True)
@@ -312,50 +312,59 @@ class Program:
 # -- helpers -----------------------------------------------------------------
 
 
-def stmt_children(s: Stmt) -> List[Stmt]:
+def stmt_children(s: Stmt) -> Sequence[Stmt]:
     if isinstance(s, Block):
-        return list(s.stmts)
+        return s.stmts
     if isinstance(s, If):
-        out: List[Stmt] = [s.then]
-        if s.els is not None:
-            out.append(s.els)
-        return out
-    if isinstance(s, (While,)):
-        return [s.body]
-    if isinstance(s, DoWhile):
-        return [s.body]
+        return (s.then,) if s.els is None else (s.then, s.els)
+    if isinstance(s, (While, DoWhile)):
+        return (s.body,)
     if isinstance(s, SectionStmt):
-        return list(s.body)
-    return []
+        return s.body
+    return ()
 
 
-def walk_stmts(s: Stmt):
-    """Yield s and all its sub-statements, depth first."""
-    yield s
-    for c in stmt_children(s):
-        yield from walk_stmts(c)
+def walk_stmts(s: Stmt) -> Iterator[Stmt]:
+    """Yield s and all its sub-statements, depth first, in source order.
+
+    One generator and an explicit stack, however deep the nesting: the
+    children of a statement are read when the walk resumes after yielding
+    it, as a recursive walk would."""
+    stack = [s]
+    while stack:
+        s = stack.pop()
+        yield s
+        kids = stmt_children(s)
+        if kids:
+            stack.extend(reversed(kids))
 
 
-def expr_children(e: Expr) -> List[Expr]:
-    if isinstance(e, Unary):
-        return [e.expr]
+def expr_children(e: Expr) -> Sequence[Expr]:
+    if isinstance(e, (Var, IntLit, FloatLit)):  # most nodes: test them first
+        return ()
     if isinstance(e, Binary):
-        return [e.left, e.right]
+        return (e.left, e.right)
+    if isinstance(e, (Unary, Cast)):
+        return (e.expr,)
     if isinstance(e, Ternary):
-        return [e.cond, e.then, e.els]
-    if isinstance(e, Cast):
-        return [e.expr]
+        return (e.cond, e.then, e.els)
     if isinstance(e, Call):
-        return list(e.args)
+        return e.args
     if isinstance(e, Index):
-        return [e.index]
-    return []
+        return (e.index,)
+    return ()
 
 
-def walk_exprs(e: Expr):
-    yield e
-    for c in expr_children(e):
-        yield from walk_exprs(c)
+def walk_exprs(e: Expr) -> Iterator[Expr]:
+    """Yield e and all its sub-expressions, depth first, left to right,
+    with an explicit stack as `walk_stmts` does."""
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        yield e
+        kids = expr_children(e)
+        if kids:
+            stack.extend(reversed(kids))
 
 
 def stmt_exprs(s: Stmt) -> List[Expr]:
@@ -384,44 +393,42 @@ def stmt_exprs(s: Stmt) -> List[Expr]:
 def vars_read(e: Expr) -> set:
     out = set()
     for n in walk_exprs(e):
-        if isinstance(n, Var):
-            out.add(n.name)
-        elif isinstance(n, Index):
+        if isinstance(n, (Var, Index)):
             out.add(n.name)
     return out
 
 
-def resolve(program: Program) -> None:
-    """Check declare-before-use and record variable types per function."""
+def resolve(fn: FuncDef, program: Program) -> None:
+    """Check declare-before-use in fn, whose calls may name any function of
+    program, and record its variable types in `fn.var_types`."""
     from ..errors import TypeErrorAt
 
-    for fn in program.functions.values():
-        types: Dict[str, Tuple[str, bool]] = {}
-        for p in fn.params:
-            types[p.name] = (p.ctype, p.is_array)
+    types: Dict[str, Tuple[str, bool]] = {}
+    for p in fn.params:
+        types[p.name] = (p.ctype, p.is_array)
 
-        def check_expr(e: Expr) -> None:
-            for n in walk_exprs(e):
-                if isinstance(n, (Var, Index)) and n.name not in types:
-                    raise TypeErrorAt(
-                        f"{n.loc}: use of undeclared variable {n.name!r}")
-                if isinstance(n, Call) and n.name != "read_double" \
-                        and n.name not in program.functions:
-                    raise TypeErrorAt(f"{n.loc}: unknown function {n.name!r}")
+    def check_expr(e: Expr) -> None:
+        for n in walk_exprs(e):
+            if isinstance(n, (Var, Index)) and n.name not in types:
+                raise TypeErrorAt(
+                    f"{n.loc}: use of undeclared variable {n.name!r}")
+            if isinstance(n, Call) and n.name != "read_double" \
+                    and n.name not in program.functions:
+                raise TypeErrorAt(f"{n.loc}: unknown function {n.name!r}")
 
-        def check_stmt(s: Stmt) -> None:
-            if isinstance(s, Decl):
-                for e in stmt_exprs(s):
-                    check_expr(e)
-                types[s.name] = (s.ctype, s.array_size is not None)
-                return
+    def check_stmt(s: Stmt) -> None:
+        if isinstance(s, Decl):
             for e in stmt_exprs(s):
                 check_expr(e)
-            for c in stmt_children(s):
-                check_stmt(c)
+            types[s.name] = (s.ctype, s.array_size is not None)
+            return
+        for e in stmt_exprs(s):
+            check_expr(e)
+        for c in stmt_children(s):
+            check_stmt(c)
 
-        check_stmt(fn.body)
-        fn.var_types = types
+    check_stmt(fn.body)
+    fn.var_types = types
 
 
 def expr_ctype(e: Expr, var_types: Dict[str, Tuple[str, bool]],

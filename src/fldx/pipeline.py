@@ -66,8 +66,10 @@ def prepare(source: str, config: AnalysisConfig
     with _stage("normalize", FldxError):
         for name, fn in list(program.functions.items()):
             check_exit_reachable(build_cfg(fn))
-            program.functions[name] = normalize_returns(fn)
-        S.resolve(program)
+            normal = normalize_returns(fn)
+            if normal is not fn:  # parse_program resolved fn itself
+                program.functions[name] = normal
+                S.resolve(normal, program)
     if config.auto_instrument and not _has_sections(program):
         with _stage("instrument", PlacementError):
             program, w = instrument(program)

@@ -4,13 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fldx.config import AnalysisConfig
 from fldx.errors import SyntaxErrorAt, TypeErrorAt
 from fldx.frontend import parse_expr, parse_pred, parse_program, print_program
 from fldx.frontend import syntax as S
-from fldx.frontend.cfg import (ENTRY, EXIT, build_cfg, check_exit_reachable,
-                               immediate_dominators, normalize_returns,
-                               reverse_postorder)
+from fldx.frontend.cfg import (ENTRY, EXIT, RETFLAG, RETVAL, build_cfg,
+                               check_exit_reachable, immediate_dominators,
+                               normalize_returns, reverse_postorder)
 from fldx.frontend.printer import print_expr, print_pred
+from fldx.pipeline import prepare
 from tests.conftest import all_corpus_names, corpus_source
 
 
@@ -252,3 +254,26 @@ def test_single_tail_return_left_alone():
     fn2 = normalize_returns(fn)
     after = print_program(S.Program({fn2.name: fn2}))
     assert before == after
+
+
+def test_prepare_resolves_only_the_rewritten_functions(monkeypatch):
+    src = """
+    int sign(double x) { if (x < 0.0) { return -1; } return 1; }
+    int main() { double y = read_double(-1.0, 1.0); int s = sign(y);
+                 return s; }
+    """
+    resolved = []
+    real = S.resolve
+
+    def counting(fn, program):
+        resolved.append(fn.name)
+        real(fn, program)
+
+    monkeypatch.setattr(S, "resolve", counting)
+    program, _ = prepare(src, AnalysisConfig())
+    # parse_program resolves both; only sign is rewritten, and resolved again
+    assert sorted(resolved) == ["main", "sign", "sign"]
+    sign = program.functions["sign"]
+    assert sign.var_types[RETVAL] == ("int", False)
+    assert sign.var_types[RETFLAG] == ("int", False)
+    assert RETVAL not in program.functions["main"].var_types

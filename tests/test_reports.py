@@ -259,6 +259,21 @@ def test_cli_parse_error_exit_code(tmp_path):
     assert res.exit_code == 2  # first pipeline stage
 
 
+@pytest.mark.parametrize("opening,message", [
+    ("/* unterminated", "3:3: unterminated comment"),
+    ("/*@ assert accuracy_assert_derr(x, -1.0, 1.0);",
+     "3:3: unterminated annotation"),
+])
+def test_cli_unterminated_comment_is_a_parse_error(tmp_path, opening,
+                                                   message):
+    src = tmp_path / "open.c"
+    src.write_text("int main() {\n  double x = 1.0;\n  " + opening
+                   + "\n  return 0;\n}\n")
+    res = CliRunner().invoke(main, ["analyze", str(src)])
+    assert res.exit_code == 2, res.output
+    assert f"parse: {message}" in res.output
+
+
 @pytest.mark.parametrize("command", ["analyze", "instrument"])
 def test_cli_deep_nesting_is_a_parse_error(tmp_path, command):
     src = tmp_path / "deep.c"
