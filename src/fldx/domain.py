@@ -19,14 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import lcm
 from operator import is_
 from typing import Dict, Optional
 
 from .errors import DivisionByZero, InfeasiblePath, OverflowAlarm
 from .numerics import (FloatFormat, RInterval, RationalLike, narrowed,
-                       over_lcm, products_over_lcm, rat,
-                       representation_error_bound, round_directed,
-                       round_nearest)
+                       products_over_lcm, rat, representation_error_bound,
+                       round_directed, round_nearest)
 from .zonotope import (UNIT, AffineForm, Origin, SymbolEnv, SymbolPool,
                        condense, af_div, af_mul, sym_range)
 
@@ -116,8 +116,8 @@ class AbstractFloat:
 
     def _ranges(self, env: SymbolEnv) -> tuple:
         """The range objects of the symbols of real, then of err."""
-        return tuple([env.get(i, UNIT) for i in self.real.terms]
-                     + [env.get(i, UNIT) for i in self.err.terms])
+        return tuple([env.get(i, UNIT) for i in self.real.ns]
+                     + [env.get(i, UNIT) for i in self.err.ns])
 
     def refresh(self, env: SymbolEnv) -> "AbstractFloat":
         """Re-meet the interval refinements against form concretizations
@@ -301,35 +301,35 @@ def project_onto_symbols(form: AffineForm, lo: Optional[Fraction],
     InfeasiblePath when the constraint is unsatisfiable.
 
     Runs on ints over one denominator D (the format of `numerics`): the
-    center, the bounds and the coefficients over their lcm, times the
-    lcm of the range endpoints. The contribution [clo, chi] of term c*eps
-    and the totals are ints over D. The bound lo tightens the term when
-    lo - (total_hi - chi) > clo, and that difference is then its new clo;
-    likewise hi - (total_lo - clo) < chi gives its new chi. A new
-    contribution is an int over D whatever range it stands for, so the
-    loop never leaves the ints; a Fraction is made only for a symbol
-    endpoint that moved, as the new contribution over c.
+    form's center and coefficients and the bounds over the lcm of their
+    denominators, times the lcm of the range denominators. The
+    contribution [clo, chi] of term c*eps and the totals are ints over D.
+    The bound lo tightens the term when lo - (total_hi - chi) > clo, and
+    that difference is then its new clo; likewise hi - (total_lo - clo)
+    < chi gives its new chi. A new contribution is an int over D whatever
+    range it stands for, so the loop never leaves the ints; a symbol
+    range that moved is built from the new contribution over c.
     """
     updates: Dict[int, RInterval] = {}
-    c0, cs, dc = form.over_lcm()
-    given = [x for x in (lo, hi) if x is not None]
-    bounds, d = over_lcm(given, dc)
+    c0, dc = form.n0, form.den
+    cs = list(form.ns.values())
+    d = lcm(dc, *[x.denominator for x in (lo, hi) if x is not None])
     if d != dc:
         k = d // dc
         c0 *= k
         cs = [c * k for c in cs]
-    ranges = [env.get(i, UNIT) for i in form.terms]
+    ranges = [env.get(i, UNIT) for i in form.ns]
     clos, chis, dr = products_over_lcm(cs, ranges)
     # the totals are the form's exact concretization
     total_lo = c0 * dr + sum(clos)
     total_hi = c0 * dr + sum(chis)
-    lo_n = None if lo is None else bounds[0] * dr
-    hi_n = None if hi is None else bounds[-1] * dr
+    lo_n = None if lo is None else lo.numerator * (d // lo.denominator) * dr
+    hi_n = None if hi is None else hi.numerator * (d // hi.denominator) * dr
     if lo_n is not None and total_hi < lo_n:
         raise InfeasiblePath
     if hi_n is not None and total_lo > hi_n:
         raise InfeasiblePath
-    for i, c, r, clo, chi in zip(form.terms, cs, ranges, clos, chis):
+    for i, c, r, clo, chi in zip(form.ns, cs, ranges, clos, chis):
         # need: lo <= other + c*eps <= hi for some achievable others
         nlo = None if lo_n is None else lo_n - (total_hi - chi)
         if nlo is not None and nlo <= clo:
@@ -378,11 +378,11 @@ def make_substitution(sym: int, new_range: RInterval, pool: SymbolPool,
     if nr == cur:
         return None
     if nr.is_point():
-        repl = AffineForm.constant(nr.lo)
+        repl = AffineForm.from_interval(nr, pool)
         derived = None
     else:
         derived = pool.fresh(Origin.CONSTRAINT)
-        repl = AffineForm(nr.mid, {derived: nr.rad})
+        repl = AffineForm.around(nr, derived)
     env[sym] = nr
     return Substitution(sym, nr, repl, derived)
 
@@ -396,13 +396,18 @@ def apply_substitution(form: AffineForm, sub: Substitution,
     narrowed; the recorded range shrinks either way, the rewrite only
     changes which symbols carry the correlation.
     """
-    if sub.sym not in form.terms:
+    if sub.sym not in form.ns:
         return form
     candidate = form.substitute(sub.sym, sub.replacement)
-    if old_width <= 0:
+    p, q = old_width.numerator, old_width.denominator
+    if p <= 0:
         return candidate
-    new_width = candidate.width(env)
-    if (old_width - new_width) >= threshold * old_width:
+    # old - new >= threshold * old, times the denominators of old, new
+    # and threshold
+    lin = candidate.linear_part(env)
+    w, d = lin.hi_n - lin.lo_n, lin.den
+    t, u = threshold.numerator, threshold.denominator
+    if (p * d - w * q) * u >= t * p * d:
         return candidate
     return form
 

@@ -50,9 +50,9 @@ from ..zonotope import AffineForm, Origin, SymbolEnv, SymbolPool, sym_range
 from .explorer import PathExplorer
 
 ZERO = Fraction(0)
-_ONE = Fraction(1)
 _INT_ZERO = RInterval.point(ZERO)
 _ANY = (None, None)  # the whole line as a region
+_ARITH = frozenset("+-*/%")
 _CAST_FAN_LIMIT = 64
 _LOOP_LIMIT = 1_000_000
 
@@ -158,7 +158,7 @@ class Interp:
         affected: List[Tuple[str, AbstractFloat, Fraction, Fraction]] = []
         for name, v in self.mem.vars.items():
             if isinstance(v, AbstractFloat) \
-                    and (sym in v.real.terms or sym in v.err.terms):
+                    and (sym in v.real.ns or sym in v.err.ns):
                 affected.append((name, v, v.real.width(self.env),
                                  v.err.width(self.env)))
         sub = make_substitution(sym, nr, self.pool, self.env)
@@ -196,7 +196,7 @@ class Interp:
                 changed = True
                 scratch.update(updates)
                 for j, (other, _, _) in enumerate(live):
-                    if quiet[j] and not other.terms.keys().isdisjoint(updates):
+                    if quiet[j] and not other.ns.keys().isdisjoint(updates):
                         quiet[j] = False
             if not changed:
                 break
@@ -291,14 +291,24 @@ class Interp:
         return out
 
     def _eval_arith(self, e: S.Binary):
-        a = self.eval(e.left)
-        b = self.eval(e.right)
-        if isinstance(a, RInterval) and isinstance(b, RInterval):
-            return self._int_arith(e.op, a, b, e.loc)
-        if e.op == "%":
-            raise TypeErrorAt(f"{e.loc}: % requires integer operands")
-        return abs_op(e.op, self._as_float(a), self._as_float(b), self.fmt,
-                      self.pool, self.env, self.cfg.max_syms)
+        """An arithmetic operation, left operand first. The left spine of
+        a chain such as a + b + c is walked with a loop, not a call per
+        operand, and evaluated in the same order."""
+        spine = []
+        while isinstance(e, S.Binary) and e.op in _ARITH:
+            spine.append(e)
+            e = e.left
+        a = self.eval(e)
+        for e in reversed(spine):
+            b = self.eval(e.right)
+            if isinstance(a, RInterval) and isinstance(b, RInterval):
+                a = self._int_arith(e.op, a, b, e.loc)
+                continue
+            if e.op == "%":
+                raise TypeErrorAt(f"{e.loc}: % requires integer operands")
+            a = abs_op(e.op, self._as_float(a), self._as_float(b), self.fmt,
+                       self.pool, self.env, self.cfg.max_syms)
+        return a
 
     def _int_arith(self, op: str, a: RInterval, b: RInterval,
                    loc: S.Loc) -> RInterval:
@@ -457,8 +467,8 @@ class Interp:
         for tag, f_val, f_reg, r_val, r_reg in candidates:
             stable = f_val == r_val
             e_reg = _ANY if stable else _error_region(f_reg, r_reg, t_eiv)
-            if e_reg is None or not (_overlaps(t_fiv, f_reg)
-                                     and _overlaps(t_riv, r_reg)):
+            if e_reg is None or not (t_fiv.meets(*f_reg)
+                                     and t_riv.meets(*r_reg)):
                 continue
             if stable:
                 flows.append((tag, None, f_val, f_reg, r_reg, e_reg))
@@ -911,45 +921,37 @@ def _sig_str(sig, interp) -> str:
 def _trunc_preimage(k: int):
     """Closed over-approximation (lo, hi) of {x | (int) x == k}."""
     if k > 0:
-        return Fraction(k), Fraction(k + 1)
+        return k, k + 1
     if k < 0:
-        return Fraction(k - 1), Fraction(k)
-    return Fraction(-1), Fraction(1)
+        return k - 1, k
+    return -1, 1
 
 
-def _region_table(one: Fraction):
+def _region_table(one: int):
     """True and false region of `t op 0` for t = lhs - rhs, per operator
-    but `!=`, which is decided as `==` negated: (lo, hi) bounds, None
-    for unbounded. The regions are closed: over the reals (`one` = 0) a
-    strict and a non-strict test share them, on ints (`one` = 1) a
+    but `!=`, which is decided as `==` negated: (lo, hi) int bounds,
+    None for unbounded. The regions are closed: over the reals (`one` =
+    0) a strict and a non-strict test share them, on ints (`one` = 1) a
     strict bound moves by 1. The complement of `==`, not an interval, is
     taken as the whole line."""
-    return {"<": ((None, -one), (ZERO, None)),
-            "<=": ((None, ZERO), (one, None)),
-            ">": ((one, None), (None, ZERO)),
-            ">=": ((ZERO, None), (None, -one)),
-            "==": ((ZERO, ZERO), _ANY)}
+    return {"<": ((None, -one), (0, None)),
+            "<=": ((None, 0), (one, None)),
+            ">": ((one, None), (None, 0)),
+            ">=": ((0, None), (None, -one)),
+            "==": ((0, 0), _ANY)}
 
 
 #: the region table, on ints (True) and over the reals (False)
-_REGIONS = {False: _region_table(ZERO), True: _region_table(_ONE)}
+_REGIONS = {False: _region_table(0), True: _region_table(1)}
 
 
 def _settled(a: RInterval, b: RInterval, reg) -> Optional[bool]:
     """True when t = a - b lies inside region reg, False when it misses
     it, None when it straddles its boundary."""
-    lo, hi = reg
-    if (lo is None or a.lo - b.hi >= lo) and (hi is None or a.hi - b.lo <= hi):
+    t = a - b
+    if t.within(*reg):
         return True
-    if (lo is not None and a.hi - b.lo < lo) \
-            or (hi is not None and a.lo - b.hi > hi):
-        return False
-    return None
-
-
-def _overlaps(iv: RInterval, reg) -> bool:
-    lo, hi = reg
-    return (lo is None or iv.hi >= lo) and (hi is None or iv.lo <= hi)
+    return None if t.meets(*reg) else False
 
 
 def _error_region(f_reg, r_reg, e_iv: RInterval):
@@ -957,16 +959,18 @@ def _error_region(f_reg, r_reg, e_iv: RInterval):
     with t_float in f_reg and t_real in r_reg: at most 0 when f_reg lies
     at or below r_reg, at least 0 when at or above it, either sign
     otherwise. None when e_iv has no nonzero value in it."""
+    negative = not e_iv.within(0, None)
+    positive = not e_iv.within(None, 0)
     if f_reg[1] is not None and r_reg[0] is not None \
             and f_reg[1] <= r_reg[0]:
-        return (None, ZERO) if e_iv.lo < 0 else None
+        return (None, 0) if negative else None
     if f_reg[0] is not None and r_reg[1] is not None \
             and f_reg[0] >= r_reg[1]:
-        return (ZERO, None) if e_iv.hi > 0 else None
-    return _ANY if e_iv.lo < 0 or e_iv.hi > 0 else None
+        return (0, None) if positive else None
+    return _ANY if negative or positive else None
 
 
-def _neg(x: Optional[Fraction]) -> Optional[Fraction]:
+def _neg(x: Optional[int]) -> Optional[int]:
     return None if x is None else -x
 
 

@@ -27,9 +27,7 @@ def print_expr(e: S.Expr, prec: int = 0) -> str:
         s = f"{e.op}{print_expr(e.expr, 8)}"
         return s
     if isinstance(e, S.Binary):
-        p = _PREC[e.op]
-        s = f"{print_expr(e.left, p)} {e.op} {print_expr(e.right, p + 1)}"
-        return f"({s})" if p < prec else s
+        return _print_chain(e, prec, S.Binary, print_expr)
     if isinstance(e, S.Ternary):
         s = (f"{print_expr(e.cond, 1)} ? {print_expr(e.then)}"
              f" : {print_expr(e.els)}")
@@ -41,6 +39,27 @@ def print_expr(e: S.Expr, prec: int = 0) -> str:
     raise TypeError(f"unknown expression {e!r}")
 
 
+def _print_chain(e, prec: int, kind: type, show) -> str:
+    """A binary node of class `kind` printed by `show` in a context of
+    precedence prec: each left operand at its node's precedence, each
+    right one a level above, a node parenthesized when below its
+    context. The left spine of a chain such as a + b + c is walked with
+    a loop, not a call per operand."""
+    spine = []
+    while type(e.left) is kind:
+        spine.append(e)
+        e = e.left
+    p = _PREC[e.op]
+    s = f"{show(e.left, p)} {e.op} {show(e.right, p + 1)}"
+    while spine:
+        e = spine.pop()
+        if p < _PREC[e.op]:
+            s = f"({s})"
+        p = _PREC[e.op]
+        s = f"{s} {e.op} {show(e.right, p + 1)}"
+    return f"({s})" if p < prec else s
+
+
 def print_term(t: S.Term, prec: int = 0) -> str:
     if isinstance(t, S.TConst):
         return t.text
@@ -49,9 +68,7 @@ def print_term(t: S.Term, prec: int = 0) -> str:
     if isinstance(t, S.TIndex):
         return f"{t.name}[{print_term(t.index)}]"
     if isinstance(t, S.TBin):
-        p = _PREC[t.op]
-        s = f"{print_term(t.left, p)} {t.op} {print_term(t.right, p + 1)}"
-        return f"({s})" if p < prec else s
+        return _print_chain(t, prec, S.TBin, print_term)
     if isinstance(t, S.TCall):
         return f"{t.name}({', '.join(print_term(a) for a in t.args)})"
     raise TypeError(f"unknown term {t!r}")

@@ -1,29 +1,35 @@
 """Exact rational arithmetic, rational intervals and a parameterizable
 floating-point rounding model.
 
-All arithmetic in the analysis is carried out over exact rationals
-(`fractions.Fraction`), so interval endpoints never need outward rounding
-and rounding of floats can be modeled exactly for any radix/precision.
+All arithmetic in the analysis is exact: interval endpoints never need
+outward rounding, and rounding of floats is modeled exactly for any
+radix and precision.
 
-The hot loops of the decision step (`AffineForm.linear_part`,
-`project_onto_symbols`) run on plain ints instead, in one format that
-only this module converts to and from: a group of rationals is brought
-over D, the lcm of their denominators, as the ints x*D. Those ints are
-exact, sums of ints over D are ints over D, and the product of an int
-over D1 and one over D2 is an int over D1*D2, so the loops stay exact
-without ever rounding and without a float. Fractions appear only at the
-boundary: `over_lcm` and `products_over_lcm` convert in, `interval_over`
-and `narrowed` convert out. For dyadic inputs D is one power of two; for
-others (a decimal literal on the real side, a quotient) it is whatever
-the denominators need, through the same code. `RInterval.meet` orders
-endpoints by cross-multiplying numerators and denominators.
+Intervals and affine forms (`zonotope.AffineForm`) share one exact
+format: a group of rationals is held as ints over one common
+denominator D > 0. An `RInterval` is [lo_n/den, hi_n/den] in canonical
+form, den > 0 and gcd(lo_n, hi_n, den) == 1, so two intervals are equal
+exactly when their three ints are, and their hash is that of the ints.
+Sums of ints over D are ints over D, the product of an int over D1 and
+one over D2 is an int over D1*D2, and two groups over D1 and D2 meet
+over lcm(D1, D2); every operation works on the ints and reduces its
+result by one gcd. Endpoints are compared by cross-multiplying. For
+dyadic values D is one power of two; for others (a decimal literal on
+the real side, a quotient) it is whatever the denominators need,
+through the same code.
+
+`fractions.Fraction` appears only at the boundary: `RInterval(lo, hi)`
+and `RInterval.point` take rationals in, and `lo`/`hi` (built on first
+read and kept), `width` and `max_abs` give them out, for the
+annotations, the float side of rounding and the report.
 
 Two module-private constructors skip the checks of the public ones, and
 only code of this module calls them:
-  * `_iv(lo, hi)` builds an RInterval from two Fractions already known to
-    satisfy lo <= hi, as the results of the interval operations below do.
-    Every value that comes from outside (ints, strings, endpoints of
-    unknown order) goes through `RInterval(...)`, which coerces and checks.
+  * `_iv(lo_n, hi_n, den)` builds an RInterval from ints already in
+    canonical form and ordered; `interval_over` reduces ordered ints
+    that may share a factor first. Every value that comes from outside
+    (ints, strings, endpoints of unknown order) goes through
+    `RInterval(...)`, which coerces and checks.
   * `_fv(value, fmt)` builds the FloatValue a rounding function computed,
     which is representable by construction. `FloatValue(...)` called
     directly still checks `is_representable`.
@@ -35,6 +41,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from .errors import DivisionByZero, OverflowAlarm
@@ -58,110 +65,213 @@ def rat(x: RationalLike) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class RInterval:
-    """Closed interval with exact rational endpoints, lo <= hi."""
+    """Closed interval [lo_n/den, hi_n/den], lo_n <= hi_n, in canonical
+    form (see the module docstring). Immutable: no operation changes an
+    interval, each builds a new one or returns an operand."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("lo_n", "hi_n", "den", "_lo", "_hi")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lo", rat(self.lo))
-        object.__setattr__(self, "hi", rat(self.hi))
-        if self.lo > self.hi:
-            raise ValueError(f"invalid interval [{self.lo}, {self.hi}]")
+    def __init__(self, lo: RationalLike, hi: RationalLike) -> None:
+        self._lo = lo
+        self._hi = hi
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Coerce the endpoints given and check their order. Two reduced
+        fractions over the lcm of their denominators are canonical.
+        (The name is the one the checking step had when RInterval was a
+        dataclass; the benchmark's tracer counts calls to it.)"""
+        lo, hi = rat(self._lo), rat(self._hi)
+        p, q = lo.denominator, hi.denominator
+        d = lcm(p, q)
+        self.lo_n = lo.numerator * (d // p)
+        self.hi_n = hi.numerator * (d // q)
+        self.den = d
+        if self.lo_n > self.hi_n:
+            raise ValueError(f"invalid interval [{lo}, {hi}]")
+        self._lo = lo
+        self._hi = hi
 
     @staticmethod
     def point(x: RationalLike) -> "RInterval":
         x = rat(x)
-        return _iv(x, x)
+        iv = _iv(x.numerator, x.numerator, x.denominator)
+        iv._lo = iv._hi = x
+        return iv
+
+    @property
+    def lo(self) -> Fraction:
+        x = self._lo
+        if x is None:
+            x = self._lo = Fraction(self.lo_n, self.den)
+        return x
+
+    @property
+    def hi(self) -> Fraction:
+        x = self._hi
+        if x is None:
+            x = self._hi = Fraction(self.hi_n, self.den)
+        return x
 
     @property
     def width(self) -> Fraction:
-        return self.hi - self.lo
+        return Fraction(self.hi_n - self.lo_n, self.den)
 
-    @property
-    def mid(self) -> Fraction:
-        return (self.lo + self.hi) / 2
+    def __eq__(self, other) -> bool:
+        if type(other) is not RInterval:
+            return NotImplemented
+        return (self.lo_n == other.lo_n and self.hi_n == other.hi_n
+                and self.den == other.den)
 
-    @property
-    def rad(self) -> Fraction:
-        return (self.hi - self.lo) / 2
+    def __hash__(self) -> int:
+        return hash((self.lo_n, self.hi_n, self.den))
+
+    def __repr__(self) -> str:
+        return f"RInterval(lo={self.lo!r}, hi={self.hi!r})"
 
     def is_point(self) -> bool:
-        return self.lo == self.hi
+        return self.lo_n == self.hi_n
 
-    def contains(self, x: Fraction) -> bool:
-        return self.lo <= x <= self.hi
+    def contains(self, x: Union[Fraction, int]) -> bool:
+        return self.meets(x, x)
+
+    def within(self, lo: Optional[Union[Fraction, int]],
+               hi: Optional[Union[Fraction, int]]) -> bool:
+        """Whether the interval lies inside [lo, hi]; None is unbounded."""
+        d = self.den
+        return ((lo is None or self.lo_n * lo.denominator >= lo.numerator * d)
+                and (hi is None
+                     or self.hi_n * hi.denominator <= hi.numerator * d))
+
+    def meets(self, lo: Optional[Union[Fraction, int]],
+              hi: Optional[Union[Fraction, int]]) -> bool:
+        """Whether the interval meets [lo, hi]; None is unbounded."""
+        d = self.den
+        return ((lo is None or self.hi_n * lo.denominator >= lo.numerator * d)
+                and (hi is None
+                     or self.lo_n * hi.denominator <= hi.numerator * d))
 
     def max_abs(self) -> Fraction:
-        return max(abs(self.lo), abs(self.hi))
+        return Fraction(max(-self.lo_n, self.hi_n), self.den)
 
     def __add__(self, other: "RInterval") -> "RInterval":
-        return _iv(self.lo + other.lo, self.hi + other.hi)
+        d1, d2 = self.den, other.den
+        g = gcd(d1, d2)
+        f1, f2 = d2 // g, d1 // g
+        return interval_over(self.lo_n * f1 + other.lo_n * f2,
+                             self.hi_n * f1 + other.hi_n * f2, d1 * f1)
 
     def __sub__(self, other: "RInterval") -> "RInterval":
-        return _iv(self.lo - other.hi, self.hi - other.lo)
+        d1, d2 = self.den, other.den
+        g = gcd(d1, d2)
+        f1, f2 = d2 // g, d1 // g
+        return interval_over(self.lo_n * f1 - other.hi_n * f2,
+                             self.hi_n * f1 - other.lo_n * f2, d1 * f1)
 
     def __neg__(self) -> "RInterval":
-        return _iv(-self.hi, -self.lo)
+        return _iv(-self.hi_n, -self.lo_n, self.den)
 
     def __mul__(self, other: "RInterval") -> "RInterval":
-        ps = (self.lo * other.lo, self.lo * other.hi,
-              self.hi * other.lo, self.hi * other.hi)
-        return _iv(min(ps), max(ps))
+        a, b, c, d = self.lo_n, self.hi_n, other.lo_n, other.hi_n
+        ps = (a * c, a * d, b * c, b * d)
+        return interval_over(min(ps), max(ps), self.den * other.den)
 
-    def scale(self, k: Fraction) -> "RInterval":
-        a, b = k * self.lo, k * self.hi
-        return _iv(a, b) if a <= b else _iv(b, a)
+    def scale(self, k: Union[Fraction, int]) -> "RInterval":
+        p, q = k.numerator, k.denominator
+        if p >= 0:
+            return interval_over(self.lo_n * p, self.hi_n * p,
+                                 self.den * q)
+        return interval_over(self.hi_n * p, self.lo_n * p, self.den * q)
 
-    def shift(self, k: Fraction) -> "RInterval":
-        return _iv(self.lo + k, self.hi + k)
+    def shift(self, k: Union[Fraction, int]) -> "RInterval":
+        p, q = k.numerator, k.denominator
+        d = self.den
+        g = gcd(d, q)
+        f1, f2 = q // g, d // g
+        p *= f2
+        return interval_over(self.lo_n * f1 + p, self.hi_n * f1 + p, d * f1)
 
     def divide(self, other: "RInterval") -> "RInterval":
         if other.contains(ZERO):
             raise DivisionByZero("interval division by zero-containing interval")
-        inv = _iv(1 / other.hi, 1 / other.lo)
+        # 1/[c, d] = [1/d, 1/c] for c, d of one sign
+        inv = RInterval(Fraction(other.den, other.hi_n),
+                        Fraction(other.den, other.lo_n))
         return self * inv
 
     def square(self) -> "RInterval":
-        if self.lo >= 0:
-            return _iv(self.lo * self.lo, self.hi * self.hi)
-        if self.hi <= 0:
-            return _iv(self.hi * self.hi, self.lo * self.lo)
-        m = max(self.lo * self.lo, self.hi * self.hi)
-        return _iv(ZERO, m)
+        a, b = self.lo_n, self.hi_n
+        d = self.den * self.den
+        if a >= 0:
+            return interval_over(a * a, b * b, d)
+        if b <= 0:
+            return interval_over(b * b, a * a, d)
+        return interval_over(0, max(a * a, b * b), d)
 
     def join(self, other: "RInterval") -> "RInterval":
-        return _iv(min(self.lo, other.lo), max(self.hi, other.hi))
+        """The hull; self or other itself when it contains the other."""
+        a, c, d1 = self.lo_n, self.hi_n, self.den
+        b, d, d2 = other.lo_n, other.hi_n, other.den
+        # the signs of self.lo - other.lo and self.hi - other.hi
+        dlo = a * d2 - b * d1
+        dhi = c * d2 - d * d1
+        if dlo <= 0 and dhi >= 0:
+            return self
+        if dlo >= 0 and dhi <= 0:
+            return other
+        if dlo < 0:
+            return _pair(a, d1, d, d2)
+        return _pair(b, d2, c, d1)
 
     def meet(self, other: "RInterval") -> Optional["RInterval"]:
         """The intersection, or None when empty. When it equals self or
-        other, that object itself is returned (intervals are frozen)."""
-        a, b, c, d = self.lo, other.lo, self.hi, other.hi
+        other, that object itself is returned."""
+        a, c, d1 = self.lo_n, self.hi_n, self.den
+        b, d, d2 = other.lo_n, other.hi_n, other.den
         # the signs of self.lo - other.lo and self.hi - other.hi
-        dlo = a.numerator * b.denominator - b.numerator * a.denominator
-        dhi = c.numerator * d.denominator - d.numerator * c.denominator
+        dlo = a * d2 - b * d1
+        dhi = c * d2 - d * d1
         if dlo >= 0 and dhi <= 0:
             return self
         if dlo <= 0 and dhi >= 0:
             return other
-        lo, hi = (a, d) if dlo > 0 else (b, c)
-        if lo.numerator * hi.denominator > hi.numerator * lo.denominator:
+        if dlo > 0:
+            if a * d2 > d * d1:
+                return None
+            return _pair(a, d1, d, d2)
+        if b * d1 > c * d2:
             return None
-        return _iv(lo, hi)
+        return _pair(b, d2, c, d1)
 
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
 
 
-def _iv(lo: Fraction, hi: Fraction) -> RInterval:
-    """Trusted RInterval constructor: lo and hi are Fractions, lo <= hi."""
+def _iv(lo_n: int, hi_n: int, den: int) -> RInterval:
+    """Trusted RInterval constructor: ints in canonical form, ordered."""
     iv = object.__new__(RInterval)
-    d = iv.__dict__
-    d["lo"] = lo
-    d["hi"] = hi
+    iv.lo_n = lo_n
+    iv.hi_n = hi_n
+    iv.den = den
+    iv._lo = iv._hi = None
     return iv
+
+
+def interval_over(lo_n: int, hi_n: int, den: int) -> RInterval:
+    """[lo_n/den, hi_n/den] for ordered ints over den > 0, reduced by
+    their common factor to canonical form."""
+    g = gcd(den, lo_n, hi_n)
+    if g == 1:
+        return _iv(lo_n, hi_n, den)
+    return _iv(lo_n // g, hi_n // g, den // g)
+
+
+def _pair(lo_n: int, lo_d: int, hi_n: int, hi_d: int) -> RInterval:
+    """[lo_n/lo_d, hi_n/hi_d] for ordered endpoints over their lcm."""
+    g = gcd(lo_d, hi_d)
+    return interval_over(lo_n * (hi_d // g), hi_n * (lo_d // g),
+                         lo_d // g * hi_d)
 
 
 def trunc_div(a: RInterval, b: RInterval) -> RInterval:
@@ -171,50 +281,34 @@ def trunc_div(a: RInterval, b: RInterval) -> RInterval:
     return RInterval(min(cs), max(cs))
 
 
-# ---------------------------------------------------------------------------
-# Integers over a common denominator (see the module docstring)
-# ---------------------------------------------------------------------------
-
-
-def over_lcm(xs: Sequence[Fraction],
-             d: int = 1) -> Tuple[List[int], int]:
-    """(ns, D): D the lcm of d and the denominators of xs, ns[k] = xs[k]*D."""
-    d = math.lcm(d, *[x.denominator for x in xs])
-    return [x.numerator * (d // x.denominator) for x in xs], d
-
-
 def products_over_lcm(cs: Sequence[int], ivs: Sequence[RInterval]
                       ) -> Tuple[List[int], List[int], int]:
-    """(los, his, D_r) for ints cs over some D: [los[k], his[k]] is
-    cs[k] * ivs[k] as ints over D * D_r, D_r the lcm of the denominators
-    of the endpoints of ivs."""
-    d = math.lcm(*[iv.lo.denominator for iv in ivs],
-                 *[iv.hi.denominator for iv in ivs])
+    """(los, his, E) for ints cs over some D: [los[k], his[k]] is
+    cs[k] * ivs[k] as ints over D * E, E the lcm of the denominators
+    of ivs."""
+    e = lcm(*[iv.den for iv in ivs])
     los: List[int] = []
     his: List[int] = []
     for c, iv in zip(cs, ivs):
-        a = iv.lo.numerator * (d // iv.lo.denominator)
-        b = iv.hi.numerator * (d // iv.hi.denominator)
+        k = e // iv.den
         if c > 0:
-            los.append(c * a)
-            his.append(c * b)
+            los.append(c * k * iv.lo_n)
+            his.append(c * k * iv.hi_n)
         else:
-            los.append(c * b)
-            his.append(c * a)
-    return los, his, d
-
-
-def interval_over(lo: int, hi: int, d: int) -> RInterval:
-    """[lo/d, hi/d] for ints lo <= hi over d > 0."""
-    return _iv(Fraction(lo, d), Fraction(hi, d))
+            los.append(c * k * iv.hi_n)
+            his.append(c * k * iv.lo_n)
+    return los, his, e
 
 
 def narrowed(r: RInterval, lo: Optional[int], hi: Optional[int],
              d: int) -> RInterval:
     """r with each endpoint given as an int over d > 0 replaced by that
     value; the caller knows the result is ordered."""
-    return _iv(r.lo if lo is None else Fraction(lo, d),
-               r.hi if hi is None else Fraction(hi, d))
+    if lo is None:
+        return _pair(r.lo_n, r.den, hi, d)
+    if hi is None:
+        return _pair(lo, d, r.hi_n, r.den)
+    return interval_over(lo, hi, d)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,17 @@
-"""The exact integer kernel of the decision step, checked against the
-Fraction code it replaced, kept here as the reference: the concretization
-of an affine form, the projection of a form constraint onto its symbols,
-the interval meet, and the projection fixpoint of `Interp._constrain_joint`
-that skips repeats.
+"""The exact integer kernel, checked against the Fraction code it
+replaced, kept here as the reference: the interval operations, the
+affine-form operations, the concretization of an affine form, the
+projection of a form constraint onto its symbols, the interval meet,
+and the projection fixpoint of `Interp._constrain_joint` that skips
+repeats. Every interval and form the kernel builds is checked for the
+canonical form that its equality relies on.
 
 Values are drawn dyadic and not (1/3, 1/10, 0.1 rounded to binary32),
-with negative and mixed-sign coefficients, forms without terms, open
-bounds and bounds that sit exactly where a symbol starts to tighten or
-the constraint turns infeasible.
+with negative and mixed-sign coefficients, points, forms without terms,
+open bounds and bounds that sit exactly where a symbol starts to tighten
+or the constraint turns infeasible.
 """
+import math
 from fractions import Fraction as F
 from typing import Dict, Optional
 
@@ -22,7 +25,7 @@ from fldx.errors import InfeasiblePath
 from fldx.executor import interp as I
 from fldx.frontend import parse_program
 from fldx.numerics import BINARY32, RInterval, round_nearest
-from fldx.zonotope import UNIT, AffineForm, Origin, sym_range
+from fldx.zonotope import UNIT, AffineForm, Origin, SymbolPool, sym_range
 
 N_SYMS = 5
 
@@ -46,6 +49,76 @@ def ref_linear(form, env):
 def ref_meet(a: RInterval, b: RInterval) -> Optional[RInterval]:
     lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
     return RInterval(lo, hi) if lo <= hi else None
+
+
+def ref_join(a: RInterval, b: RInterval) -> RInterval:
+    return RInterval(min(a.lo, b.lo), max(a.hi, b.hi))
+
+
+def ref_interval_ops(a: RInterval, b: RInterval, k: F):
+    """The Fraction bodies of the interval operations, by name."""
+    ps = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
+    ka, kb = k * a.lo, k * a.hi
+    if a.lo >= 0:
+        sq = (a.lo * a.lo, a.hi * a.hi)
+    elif a.hi <= 0:
+        sq = (a.hi * a.hi, a.lo * a.lo)
+    else:
+        sq = (F(0), max(a.lo * a.lo, a.hi * a.hi))
+    return {"+": (a.lo + b.lo, a.hi + b.hi),
+            "-": (a.lo - b.hi, a.hi - b.lo),
+            "neg": (-a.hi, -a.lo),
+            "*": (min(ps), max(ps)),
+            "scale": (min(ka, kb), max(ka, kb)),
+            "shift": (a.lo + k, a.hi + k),
+            "square": sq,
+            "join": (min(a.lo, b.lo), max(a.hi, b.hi))}
+
+
+def ref_form_add(a: AffineForm, b: AffineForm, sign: int):
+    """(center, terms) of a + sign*b: a's terms, then b's new ones."""
+    terms = dict(a.terms)
+    for i, c in b.terms.items():
+        terms[i] = terms.get(i, F(0)) + sign * c
+    return (a.center + sign * b.center,
+            {i: c for i, c in terms.items() if c != 0})
+
+
+def ref_form_scale(a: AffineForm, k: F):
+    if k == 0:
+        return F(0), {}
+    return a.center * k, {i: c * k for i, c in a.terms.items()}
+
+
+def ref_form_substitute(a: AffineForm, sym: int, repl: AffineForm):
+    if sym not in a.terms:
+        return a.center, dict(a.terms)
+    c = a.terms[sym]
+    rest = AffineForm(a.center, {i: k for i, k in a.terms.items()
+                                 if i != sym})
+    return ref_form_add(rest, AffineForm(*ref_form_scale(repl, c)), 1)
+
+
+def assert_canonical_interval(iv: RInterval):
+    assert iv.den > 0 and iv.lo_n <= iv.hi_n
+    assert math.gcd(iv.den, iv.lo_n, iv.hi_n) == 1
+    assert (iv.lo, iv.hi) == (F(iv.lo_n, iv.den), F(iv.hi_n, iv.den))
+    assert type(iv.lo) is F and type(iv.hi) is F
+
+
+def assert_canonical_form(form: AffineForm):
+    assert form.den > 0 and 0 not in form.ns.values()
+    assert math.gcd(form.den, form.n0, *form.ns.values()) == 1
+
+
+def assert_form_is(form: AffineForm, expected):
+    """form has the center and the terms, in order, of expected."""
+    center, terms = expected
+    assert_canonical_form(form)
+    assert form.center == center
+    assert list(form.terms.items()) == list(terms.items())
+    assert form == AffineForm(center, terms)
+    assert hash(form) == hash(AffineForm(center, terms))
 
 
 def ref_project(form: AffineForm, lo: Optional[F], hi: Optional[F],
@@ -178,8 +251,78 @@ def bound_pairs(draw, form, env):
     return lo, hi
 
 
-intervals = st.builds(lambda a, b: RInterval(*sorted((a, b))), rationals,
-                      rationals)
+intervals = st.one_of(
+    st.builds(lambda a, b: RInterval(*sorted((a, b))), rationals, rationals),
+    st.builds(RInterval.point, rationals))
+
+# ---------------------------------------------------------------------------
+# Interval and form operations
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(intervals, intervals, rationals, rationals)
+def test_interval_operations_match_the_fraction_bodies(a, b, k, x):
+    for iv in (a, b):
+        assert_canonical_interval(iv)
+    expected = ref_interval_ops(a, b, k)
+    got = {"+": a + b, "-": a - b, "neg": -a, "*": a * b,
+           "scale": a.scale(k), "shift": a.shift(k), "square": a.square(),
+           "join": a.join(b)}
+    for name, iv in got.items():
+        assert_canonical_interval(iv)
+        assert (iv.lo, iv.hi) == expected[name], name
+        assert iv == RInterval(*expected[name])
+        assert hash(iv) == hash(RInterval(*expected[name]))
+    assert a.contains(x) == (a.lo <= x <= a.hi)
+    for lo, hi in ((None, x), (x, None), (min(x, k), max(x, k)),
+                   (None, None), (0, None), (None, 0), (-1, 1)):
+        assert a.within(lo, hi) == ((lo is None or a.lo >= lo)
+                                    and (hi is None or a.hi <= hi))
+        assert a.meets(lo, hi) == ((lo is None or a.hi >= lo)
+                                   and (hi is None or a.lo <= hi))
+    assert a.is_point() == (a.lo == a.hi)
+    assert a.max_abs() == max(abs(a.lo), abs(a.hi))
+    assert a.width == a.hi - a.lo
+    assert (a == b) == ((a.lo, a.hi) == (b.lo, b.hi))
+    j = a.join(b)
+    if a.lo <= b.lo and a.hi >= b.hi:
+        assert j is a
+    elif b.lo <= a.lo and b.hi >= a.hi:
+        assert j is b
+
+
+@settings(max_examples=300, deadline=None)
+@given(forms(), forms(), rationals, st.integers(0, N_SYMS - 1))
+def test_form_operations_match_the_fraction_bodies(a, b, k, sym):
+    for form in (a, b):
+        assert_canonical_form(form)
+    assert_form_is(a + b, ref_form_add(a, b, 1))
+    assert_form_is(a - b, ref_form_add(a, b, -1))
+    assert_form_is(a - a, (F(0), {}))
+    assert_form_is(-a, (-a.center, {i: -c for i, c in a.terms.items()}))
+    assert_form_is(a.scale(k), ref_form_scale(a, k))
+    assert_form_is(a.shift(k), (a.center + k, dict(a.terms)))
+    repl = AffineForm(b.center, {i + N_SYMS: c for i, c in b.terms.items()})
+    assert_form_is(a.substitute(sym, repl), ref_form_substitute(a, sym, repl))
+    if k != 0:
+        assert_form_is(a.substitute(sym, AffineForm(k)),
+                       ref_form_substitute(a, sym, AffineForm(k)))
+    assert (a == b) == ((a.center, a.terms) == (b.center, b.terms))
+
+
+@settings(max_examples=100, deadline=None)
+@given(intervals)
+def test_form_of_an_interval_is_its_midpoint_and_radius(iv):
+    pool = SymbolPool()
+    form = AffineForm.from_interval(iv, pool)
+    assert_canonical_form(form)
+    if iv.is_point():
+        assert_form_is(form, (iv.lo, {}))
+    else:
+        assert_form_is(form, ((iv.lo + iv.hi) / 2, {0: (iv.hi - iv.lo) / 2}))
+    assert form.concretize({}) == iv
+
 
 # ---------------------------------------------------------------------------
 # Concretization
@@ -196,17 +339,25 @@ def test_linear_part_concretize_and_width_match_the_fraction_loop(
         assert form.concretize(e) == lin.shift(form.center)
         assert form.width(e) == lin.width
         for iv in (form.linear_part(e), form.concretize(e)):
-            assert type(iv.lo) is F and type(iv.hi) is F
+            assert_canonical_interval(iv)
 
 
 def test_coefficients_are_kept_as_integers_over_their_lcm():
     form = AffineForm(F(1, 3), {0: F(1, 10), 1: F(-5, 4), 2: TENTH_32})
-    c0, cs, d = form.over_lcm()
+    d = form.den
     assert d == 3 * 5 * 2**max(2, TENTH_32.denominator.bit_length() - 1)
-    assert [F(n, d) for n in [c0, *cs]] == [form.center,
-                                            *form.terms.values()]
-    assert form.over_lcm() is form.over_lcm()
-    assert AffineForm(F(7)).over_lcm() == (7, [], 1)
+    assert [F(n, d) for n in [form.n0, *form.ns.values()]] == [
+        form.center, *form.terms.values()]
+    assert (AffineForm(F(7)).n0, AffineForm(F(7)).ns,
+            AffineForm(F(7)).den) == (7, {}, 1)
+    # the ints are the form: nothing converts it again, and evaluating
+    # or projecting it builds no Fraction of its terms
+    form = AffineForm(F(1, 3), {0: F(1, 10), 1: F(-5, 4)})
+    ns = form.ns
+    form.concretize({0: RInterval(F(-1, 3), F(1, 2))})
+    project_onto_symbols(form, F(0), None, {})
+    assert form.ns is ns and form._terms is None
+    assert not hasattr(form, "_ints") and "_ints" not in AffineForm.__slots__
 
 
 # ---------------------------------------------------------------------------
@@ -226,11 +377,12 @@ def test_projection_matches_the_fraction_loop(form, env, data):
     assert got is not InfeasiblePath
     assert list(got.items()) == list(expected.items())
     for i, nr in got.items():
-        assert type(nr.lo) is F and type(nr.hi) is F
+        assert_canonical_interval(nr)
         old = sym_range(env, i)
-        # an endpoint that did not move is the old object itself
-        assert nr.lo is old.lo or nr.lo != old.lo
-        assert nr.hi is old.hi or nr.hi != old.hi
+        # a range only narrows; an endpoint that did not move keeps its
+        # value exactly
+        assert nr.lo > old.lo or nr.lo == old.lo
+        assert nr.hi < old.hi or nr.hi == old.hi
 
 
 @pytest.mark.parametrize("c", [F(2), F(-2), F(1, 3), F(-1, 10)])
@@ -280,7 +432,7 @@ def test_meet_matches_max_min_and_returns_a_containing_operand(a, b):
     assert got == expected
     if got is None:
         return
-    assert type(got.lo) is F and type(got.hi) is F
+    assert_canonical_interval(got)
     if a.lo >= b.lo and a.hi <= b.hi:
         assert got is a
     elif b.lo >= a.lo and b.hi <= a.hi:

@@ -1,6 +1,7 @@
 """Source hygiene: every module of the package uses each name it
-imports, the package reads every function and method it defines, and
-`pyproject.toml` lists exactly the third-party modules it imports.
+imports and imports no private name of another fldx module, the package
+reads every function and method it defines, and `pyproject.toml` lists
+exactly the third-party modules it imports.
 
 Package `__init__` modules are left out of the import check, since their
 imports are the package's public names; for the same reason a name they
@@ -55,6 +56,43 @@ def test_scan_finds_an_unused_import():
                          ids=[str(p.relative_to(SRC)) for p in MODULES])
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+# ---------------------------------------------------------------------------
+# Private names stay in their module
+# ---------------------------------------------------------------------------
+
+
+def private_imports(source: str):
+    """(line, name) of every `_`-prefixed name (dunders aside) the module
+    imports from an fldx module, by relative or absolute import. Such
+    names are private to their module: the trusted constructors of
+    `numerics` and `zonotope`, for instance, skip the reduction to the
+    canonical form that interval and form equality relies on."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "fldx"):
+            out += [(node.lineno, alias.name) for alias in node.names
+                    if alias.name.startswith("_")
+                    and not alias.name.endswith("__")]
+    return out
+
+
+def test_scan_finds_a_private_import():
+    assert private_imports(
+        "from .numerics import RInterval, _iv\n"
+        "from fldx.zonotope import _form as f\n"
+        "from ..domain import __doc__\n"
+        "from os import _exit\n"
+        "import fldx.numerics\n") == [(1, "_iv"), (2, "_form")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")),
+                         ids=[str(p.relative_to(SRC))
+                              for p in sorted(SRC.rglob("*.py"))])
+def test_module_imports_no_private_name(path):
+    assert private_imports(path.read_text()) == []
 
 
 # ---------------------------------------------------------------------------

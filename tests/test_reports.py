@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from fldx.annot.evaluate import AssertRecord
 from fldx.cli import main
 from fldx.config import AnalysisConfig
+from fldx.frontend import parse_program, print_program
+from fldx.frontend.syntax import Binary, FloatLit
 from fldx.numerics import FORMATS, RInterval
 from fldx.pipeline import analyze
 from fldx.report import (REPORT_SCHEMA, rational_to_json,
@@ -294,17 +296,36 @@ def test_cli_150_nested_parentheses_analyze(tmp_path):
     assert res.exit_code == 0, res.output
 
 
-def test_cli_deep_expression_is_an_execute_error(tmp_path):
-    # 700 chained additions parse and instrument, but evaluating the
-    # left-deep sum recurses about twice per level, past the interpreter's
-    # default stack depth of 1000
+LONG_SUM = ("int main() { double x = 1.0" + " + 1.0" * 2999
+            + "; /*@ assert accuracy_assert_derr(x, 0, 0); */ return 0; }")
+
+
+def test_cli_3000_term_sum_instruments(tmp_path):
+    # the printer walks the left spine of the sum with a loop
     src = tmp_path / "long.c"
-    src.write_text("int main() { double x = 1.0" + " + 1.0" * 700
-                   + "; return 0; }")
-    res = CliRunner().invoke(main, ["analyze", str(src)])
-    assert res.exit_code == 6, res.output
-    assert type(res.exception) is SystemExit
-    assert "nested too deeply" in res.output
+    src.write_text(LONG_SUM)
+    res = CliRunner().invoke(main, ["instrument", str(src)])
+    assert res.exit_code == 0, res.output[-500:]
+    again = parse_program(res.output)
+    assert print_program(again) == res.output
+    e = again.functions["main"].body.stmts[0].init
+    terms = 1
+    while isinstance(e, Binary):
+        assert e.op == "+" and isinstance(e.right, FloatLit)
+        terms, e = terms + 1, e.left
+    assert terms == 3000
+
+
+def test_cli_3000_term_sum_analyzes(tmp_path):
+    # the executor walks the left spine of the sum with a loop
+    src = tmp_path / "long.c"
+    src.write_text(LONG_SUM)
+    res = CliRunner().invoke(main, ["analyze", "--report", "json",
+                                    str(src)])
+    assert res.exit_code == 0, res.output[-500:]
+    (rec,) = json.loads(res.output)["assertions"]
+    assert [from_json(v) for v in rec["real"]] == [3000, 3000]
+    assert [from_json(v) for v in rec["err"]] == [0, 0]
 
 
 def test_cli_cast_over_the_fan_limit_raises_an_alarm(tmp_path):
