@@ -13,27 +13,39 @@ and derives from err_iv and real_iv, on first read,
 
 The true triple always satisfies: real in concretize(real) /\\ real_iv,
 (float - real) in concretize(err) /\\ err_iv, float in float_iv.
+
+A value is *exact* when its float interval is a point f and its real
+form is a constant r, with no noise terms: literals, and every operation
+on two exact operands. Such a value has one shape: float_iv = [f, f],
+real = r, real_iv = [r, r], err = f - r, err_iv = [f - r, f - r], built
+by `_exact` from the ints of f and r. `abs_op` computes an operation on
+two exact operands on the ints of their floats and reals: the real
+result r, the float result f = round(fa op fb) and the error f - r. It
+makes the checks of the general path in the same order (each operand's
+real in its real_iv, the float and then the real divisor of `/` nonzero,
+the operator known, the rounding in range), and the value it returns
+equals the one the general path computes, since constant forms add,
+multiply and divide as their centers and `condense` keeps them as they
+are; no affine arithmetic, concretization or fresh symbol is involved.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from math import lcm
+from functools import cached_property
+from math import gcd, lcm
 from operator import is_
 from typing import Dict, Optional
 
 from .errors import DivisionByZero, InfeasiblePath, OverflowAlarm
-from .numerics import (FloatFormat, RInterval, RationalLike, narrowed,
-                       products_over_lcm, rat, representation_error_bound,
-                       round_directed, round_nearest)
+from .numerics import (FloatFormat, RInterval, RationalLike, interval_over,
+                       narrowed, products_over_lcm, rat,
+                       representation_error_bound, round_directed,
+                       round_nearest)
 from .zonotope import (UNIT, AffineForm, Origin, SymbolEnv, SymbolPool,
                        condense, af_div, af_mul, sym_range)
 
 ZERO = Fraction(0)
-
-#: distinct (literal, format) pairs kept by the literal cache
-_LITERAL_CACHE_SIZE = 4096
 
 
 def _snap_in(iv: RInterval, fmt: FloatFormat) -> RInterval:
@@ -85,20 +97,10 @@ class AbstractFloat:
 
     @staticmethod
     def from_literal(x: RationalLike, fmt: FloatFormat) -> "AbstractFloat":
-        """Source literal: ideal value x, machine value round(x). Values
-        are immutable, so one instance per (x, format) is shared."""
-        return _literal(rat(x), fmt)
-
-    @staticmethod
-    def exact(x: RationalLike, fmt: FloatFormat) -> "AbstractFloat":
-        """A value known exactly and representable (e.g. an int cast)."""
+        """Source literal: ideal value x, machine value round(x)."""
         x = rat(x)
         f = round_nearest(x, fmt).value
-        if f != x:
-            return AbstractFloat.from_literal(x, fmt)
-        return AbstractFloat(RInterval.point(x), AffineForm.constant(x),
-                             RInterval.point(x), AffineForm.constant(0),
-                             RInterval.point(0))
+        return _exact(f.numerator, f.denominator, x.numerator, x.denominator)
 
     # -- refined views ----------------------------------------------------
 
@@ -155,13 +157,18 @@ class AbstractFloat:
         return replace(self, float_iv=fiv)
 
 
-@lru_cache(maxsize=_LITERAL_CACHE_SIZE)
-def _literal(x: Fraction, fmt: FloatFormat) -> AbstractFloat:
-    f = round_nearest(x, fmt).value
-    e = f - x
-    return AbstractFloat(RInterval.point(f), AffineForm.constant(x),
-                         RInterval.point(x), AffineForm.constant(e),
-                         RInterval.point(e))
+def _exact(fn: int, fd: int, rn: int, rd: int) -> AbstractFloat:
+    """The exact value of float fn/fd and real rn/rd (fd, rd > 0): point
+    float, constant real form and its point, constant error form f - r
+    and its point."""
+    fiv = interval_over(fn, fn, fd)
+    riv = interval_over(rn, rn, rd)
+    fd, rd = fiv.den, riv.den
+    g = gcd(fd, rd)
+    en = fiv.lo_n * (rd // g) - riv.lo_n * (fd // g)
+    eiv = interval_over(en, en, fd // g * rd)
+    return AbstractFloat(fiv, AffineForm.of_point(riv), riv,
+                         AffineForm.of_point(eiv), eiv)
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +202,9 @@ def abs_op(op: str, a: AbstractFloat, b: AbstractFloat, fmt: FloatFormat,
            pool: SymbolPool, env: SymbolEnv,
            max_syms: int = 64) -> AbstractFloat:
     """One abstract floating-point operation with rounding-error injection."""
+    if a.float_iv.is_point() and b.float_iv.is_point() \
+            and not a.real.ns and not b.real.ns:
+        return _exact_op(op, a, b, fmt)
     a_riv = a.real_refined(env)
     b_riv = b.real_refined(env)
 
@@ -225,11 +235,9 @@ def abs_op(op: str, a: AbstractFloat, b: AbstractFloat, fmt: FloatFormat,
 
     # float side: thin operands are executed exactly
     if a.float_iv.is_point() and b.float_iv.is_point():
-        fa, fb = a.float_iv.lo, b.float_iv.lo
-        if op == "/" and fb == 0:
-            raise DivisionByZero("float division by zero")
-        z = rat_op(op, fa, fb)
-        f = round_nearest(z, fmt).value
+        fa, fb = a.float_iv, b.float_iv
+        f = round_nearest(Fraction(*_ratio_op(op, fa.lo_n, fa.den, fb.lo_n,
+                                              fb.den)), fmt).value
         float_iv = RInterval.point(f)
         err = AffineForm.constant(f) - real
         err = condense(err, max_syms, pool, env)
@@ -270,16 +278,37 @@ def abs_op(op: str, a: AbstractFloat, b: AbstractFloat, fmt: FloatFormat,
     return AbstractFloat(fiv, real, real_iv, err, err_iv)
 
 
-def rat_op(op: str, x: Fraction, y: Fraction) -> Fraction:
-    if op == "+":
-        return x + y
-    if op == "-":
-        return x - y
-    if op == "*":
-        return x * y
+def _exact_op(op: str, a: AbstractFloat, b: AbstractFloat,
+              fmt: FloatFormat) -> AbstractFloat:
+    """`abs_op` on two exact operands (see the module docstring)."""
+    ra, rb = a.real, b.real
+    if not a.real_iv.contains_over(ra.n0, ra.den) \
+            or not b.real_iv.contains_over(rb.n0, rb.den):
+        raise InfeasiblePath
+    fa, fb = a.float_iv, b.float_iv
     if op == "/":
-        return x / y
-    raise ValueError(op)
+        if fb.lo_n == 0:
+            raise DivisionByZero("abstract division by zero-containing float")
+        if rb.n0 == 0:
+            raise DivisionByZero("abstract division: real divisor may be zero")
+    rn, rd = _ratio_op(op, ra.n0, ra.den, rb.n0, rb.den)
+    f = round_nearest(Fraction(*_ratio_op(op, fa.lo_n, fa.den, fb.lo_n,
+                                          fb.den)), fmt).value
+    return _exact(f.numerator, f.denominator, rn, rd)
+
+
+def _ratio_op(op: str, an: int, ad: int, bn: int, bd: int):
+    """(n, d) with n/d = an/ad op bn/bd and d > 0, for ad, bd > 0 and a
+    nonzero divisor; not reduced."""
+    if op == "+":
+        return an * bd + bn * ad, ad * bd
+    if op == "-":
+        return an * bd - bn * ad, ad * bd
+    if op == "*":
+        return an * bn, ad * bd
+    if op == "/":
+        return (an * bd, ad * bn) if bn > 0 else (-an * bd, -ad * bn)
+    raise ValueError(f"unknown operator {op!r}")
 
 
 def abs_neg(a: AbstractFloat) -> AbstractFloat:
@@ -388,22 +417,22 @@ def make_substitution(sym: int, new_range: RInterval, pool: SymbolPool,
 
 
 def apply_substitution(form: AffineForm, sub: Substitution,
-                       old_width, env: SymbolEnv,
+                       old: RInterval, env: SymbolEnv,
                        threshold: Fraction) -> AffineForm:
     """Adopt the rewrite on one form if it shrinks its width enough.
 
-    old_width must be the form's width before the symbol's range was
+    old must be the form's linear part before the symbol's range was
     narrowed; the recorded range shrinks either way, the rewrite only
     changes which symbols carry the correlation.
     """
     if sub.sym not in form.ns:
         return form
     candidate = form.substitute(sub.sym, sub.replacement)
-    p, q = old_width.numerator, old_width.denominator
+    p, q = old.hi_n - old.lo_n, old.den
     if p <= 0:
         return candidate
-    # old - new >= threshold * old, times the denominators of old, new
-    # and threshold
+    # old - new >= threshold * old for the widths p/q and w/d, times q,
+    # d and the denominator of threshold
     lin = candidate.linear_part(env)
     w, d = lin.hi_n - lin.lo_n, lin.den
     t, u = threshold.numerator, threshold.denominator

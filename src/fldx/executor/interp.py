@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..annot.evaluate import AssertRecord, Memory, eval_pred
@@ -45,7 +46,7 @@ from ..domain import (AbstractFloat, abs_neg, abs_op,
 from ..errors import (AnalysisAlarm, InfeasiblePath, SectionInfeasible,
                       TypeErrorAt)
 from ..frontend import syntax as S
-from ..numerics import RInterval, rat, trunc_div
+from ..numerics import RInterval, pair_over, rat, trunc_div
 from ..zonotope import AffineForm, Origin, SymbolEnv, SymbolPool, sym_range
 from .explorer import PathExplorer
 
@@ -108,6 +109,8 @@ class Interp:
         self.trace: List[str] = []
         self.section_reports: List[SectionReport] = []
         self._typed: Dict[int, TypedPred] = {}
+        #: the value of each IntLit and FloatLit node, by id
+        self._literals: Dict[int, object] = {}
         self._fn: Optional[S.FuncDef] = None
         self._call_depth = 0
 
@@ -130,6 +133,12 @@ class Interp:
     @property
     def ctx(self) -> SectionCtx:
         return self.stack[-1]
+
+    @cached_property
+    def _float_zero(self) -> AbstractFloat:
+        """The float constant 0, compared against by truthiness tests and
+        float-to-int casts and stored by zero-initialized arrays."""
+        return AbstractFloat.from_literal(ZERO, self.fmt)
 
     def _promote_int(self, iv: RInterval) -> AbstractFloat:
         """Exact int-to-float promotion (widened if not representable)."""
@@ -155,19 +164,19 @@ class Interp:
         """Narrow sym to nr and offer the rewrite to every variable whose
         forms contain sym; `apply_substitution` returns any other form
         unchanged, so the others are not visited."""
-        affected: List[Tuple[str, AbstractFloat, Fraction, Fraction]] = []
+        affected: List[Tuple[str, AbstractFloat, RInterval, RInterval]] = []
         for name, v in self.mem.vars.items():
             if isinstance(v, AbstractFloat) \
                     and (sym in v.real.ns or sym in v.err.ns):
-                affected.append((name, v, v.real.width(self.env),
-                                 v.err.width(self.env)))
+                affected.append((name, v, v.real.linear_part(self.env),
+                                 v.err.linear_part(self.env)))
         sub = make_substitution(sym, nr, self.pool, self.env)
         if sub is None:
             return
         thr = self.cfg.threshold
-        for name, v, w_real, w_err in affected:
-            real = apply_substitution(v.real, sub, w_real, self.env, thr)
-            err = apply_substitution(v.err, sub, w_err, self.env, thr)
+        for name, v, lin_real, lin_err in affected:
+            real = apply_substitution(v.real, sub, lin_real, self.env, thr)
+            err = apply_substitution(v.err, sub, lin_err, self.env, thr)
             if real is not v.real or err is not v.err:
                 self.mem.vars[name] = AbstractFloat(
                     v.float_iv, real, v.real_iv, err, v.err_iv)
@@ -240,10 +249,13 @@ class Interp:
     # -- expression evaluation --------------------------------------------
 
     def eval(self, e: S.Expr, target: Optional[str] = None):
-        if isinstance(e, S.IntLit):
-            return RInterval.point(Fraction(e.value))
-        if isinstance(e, S.FloatLit):
-            return AbstractFloat.from_literal(e.value, self.fmt)
+        if isinstance(e, (S.IntLit, S.FloatLit)):
+            v = self._literals.get(id(e))
+            if v is None:
+                v = self._literals[id(e)] = (
+                    RInterval.point(e.value) if isinstance(e, S.IntLit)
+                    else AbstractFloat.from_literal(e.value, self.fmt))
+            return v
         if isinstance(e, S.Var):
             return self.mem.load(e.name)
         if isinstance(e, S.Index):
@@ -408,8 +420,7 @@ class Interp:
                               self.eval(e.right), id(e), e.loc)
         # scalar truthiness: e != 0
         v = self.eval(e)
-        zero = _INT_ZERO if isinstance(v, RInterval) \
-            else AbstractFloat.from_literal(ZERO, self.fmt)
+        zero = _INT_ZERO if isinstance(v, RInterval) else self._float_zero
         return self._test("!=", e, None, v, zero, id(e), e.loc)
 
     def _test(self, op: str, lhs: S.Expr, rhs: Optional[S.Expr], a, b,
@@ -534,7 +545,7 @@ class Interp:
                 candidates.append((f"c{k}r{kr}", k, pre, kr,
                                    _trunc_preimage(kr)))
         k = self._flow(loc, site, "cast", candidates, src, None, v,
-                       AbstractFloat.from_literal(ZERO, self.fmt))
+                       self._float_zero)
         return RInterval.point(Fraction(k))
 
     # -- statements -------------------------------------------------------
@@ -604,8 +615,8 @@ class Interp:
                                                    s.loc, id(e)))
             else:
                 for _ in range(s.array_size):
-                    vals.append(RInterval.point(ZERO) if s.ctype == "int"
-                                else AbstractFloat.exact(0, self.fmt))
+                    vals.append(_INT_ZERO if s.ctype == "int"
+                                else self._float_zero)
             self.mem.store(s.name, vals)
             return
         if s.init is None:
@@ -975,10 +986,14 @@ def _neg(x: Optional[int]) -> Optional[int]:
 
 
 def _bound(own: RInterval, base: RInterval, lo, hi) -> RInterval:
-    """base + [lo, hi], an unbounded end taken one past the end of own,
-    the interval of the operand this bounds."""
-    nlo = base.lo + lo if lo is not None else own.lo - 1
-    nhi = base.hi + hi if hi is not None else own.hi + 1
-    if nlo > nhi:
+    """base + [lo, hi] for int region bounds, an unbounded end taken one
+    past the end of own, the interval of the operand this bounds; each
+    end an int over the denominator of the interval it comes from."""
+    d, e = base.den, own.den
+    lo_n, lo_d = (base.lo_n + lo * d, d) if lo is not None \
+        else (own.lo_n - e, e)
+    hi_n, hi_d = (base.hi_n + hi * d, d) if hi is not None \
+        else (own.hi_n + e, e)
+    if lo_n * hi_d > hi_n * lo_d:
         raise InfeasiblePath
-    return RInterval(nlo, nhi)
+    return pair_over(lo_n, lo_d, hi_n, hi_d)

@@ -20,14 +20,15 @@ through the same code.
 
 `fractions.Fraction` appears only at the boundary: `RInterval(lo, hi)`
 and `RInterval.point` take rationals in, and `lo`/`hi` (built on first
-read and kept), `width` and `max_abs` give them out, for the
-annotations, the float side of rounding and the report.
+read and kept) and `max_abs` give them out, for the annotations, the
+float side of rounding and the report.
 
 Two module-private constructors skip the checks of the public ones, and
 only code of this module calls them:
   * `_iv(lo_n, hi_n, den)` builds an RInterval from ints already in
     canonical form and ordered; `interval_over` reduces ordered ints
-    that may share a factor first. Every value that comes from outside
+    that may share a factor first, and `pair_over` ordered endpoints
+    over two denominators. Every value that comes from outside
     (ints, strings, endpoints of unknown order) goes through
     `RInterval(...)`, which coerces and checks.
   * `_fv(value, fmt)` builds the FloatValue a rounding function computed,
@@ -114,10 +115,6 @@ class RInterval:
             x = self._hi = Fraction(self.hi_n, self.den)
         return x
 
-    @property
-    def width(self) -> Fraction:
-        return Fraction(self.hi_n - self.lo_n, self.den)
-
     def __eq__(self, other) -> bool:
         if type(other) is not RInterval:
             return NotImplemented
@@ -135,6 +132,10 @@ class RInterval:
 
     def contains(self, x: Union[Fraction, int]) -> bool:
         return self.meets(x, x)
+
+    def contains_over(self, n: int, d: int) -> bool:
+        """Whether n/d, d > 0, lies in the interval."""
+        return self.lo_n * d <= n * self.den <= self.hi_n * d
 
     def within(self, lo: Optional[Union[Fraction, int]],
                hi: Optional[Union[Fraction, int]]) -> bool:
@@ -221,8 +222,8 @@ class RInterval:
         if dlo >= 0 and dhi <= 0:
             return other
         if dlo < 0:
-            return _pair(a, d1, d, d2)
-        return _pair(b, d2, c, d1)
+            return pair_over(a, d1, d, d2)
+        return pair_over(b, d2, c, d1)
 
     def meet(self, other: "RInterval") -> Optional["RInterval"]:
         """The intersection, or None when empty. When it equals self or
@@ -239,10 +240,10 @@ class RInterval:
         if dlo > 0:
             if a * d2 > d * d1:
                 return None
-            return _pair(a, d1, d, d2)
+            return pair_over(a, d1, d, d2)
         if b * d1 > c * d2:
             return None
-        return _pair(b, d2, c, d1)
+        return pair_over(b, d2, c, d1)
 
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
@@ -267,7 +268,7 @@ def interval_over(lo_n: int, hi_n: int, den: int) -> RInterval:
     return _iv(lo_n // g, hi_n // g, den // g)
 
 
-def _pair(lo_n: int, lo_d: int, hi_n: int, hi_d: int) -> RInterval:
+def pair_over(lo_n: int, lo_d: int, hi_n: int, hi_d: int) -> RInterval:
     """[lo_n/lo_d, hi_n/hi_d] for ordered endpoints over their lcm."""
     g = gcd(lo_d, hi_d)
     return interval_over(lo_n * (hi_d // g), hi_n * (lo_d // g),
@@ -305,9 +306,9 @@ def narrowed(r: RInterval, lo: Optional[int], hi: Optional[int],
     """r with each endpoint given as an int over d > 0 replaced by that
     value; the caller knows the result is ordered."""
     if lo is None:
-        return _pair(r.lo_n, r.den, hi, d)
+        return pair_over(r.lo_n, r.den, hi, d)
     if hi is None:
-        return _pair(lo, d, r.hi_n, r.den)
+        return pair_over(lo, d, r.hi_n, r.den)
     return interval_over(lo, hi, d)
 
 

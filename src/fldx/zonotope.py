@@ -127,10 +127,15 @@ class AffineForm:
         return _form(x.numerator, {}, x.denominator)
 
     @staticmethod
+    def of_point(iv: RInterval) -> "AffineForm":
+        """The constant form of a point interval, over its ints."""
+        return _form(iv.lo_n, {}, iv.den)
+
+    @staticmethod
     def from_interval(iv: RInterval, pool: SymbolPool,
                       origin: Origin = Origin.INPUT) -> "AffineForm":
         if iv.is_point():
-            return _form(iv.lo_n, {}, iv.den)
+            return AffineForm.of_point(iv)
         return AffineForm.around(iv, pool.fresh(origin))
 
     @staticmethod
@@ -199,9 +204,6 @@ class AffineForm:
     def concretize(self, env: SymbolEnv) -> RInterval:
         self._evaluate(env)
         return self._conc
-
-    def width(self, env: SymbolEnv) -> Fraction:
-        return self.linear_part(env).width
 
     def substitute(self, sym: int, repl: "AffineForm") -> "AffineForm":
         """Replace eps_sym by the given affine form: the other terms in

@@ -151,12 +151,12 @@ def test_substitution_rewrites_through_derived_symbol():
 def constrain_forms(forms, sym, new_range, pool, env, threshold):
     """Narrow one symbol across a set of forms, as the interpreter's
     `_narrow_symbol` does across the variables of a path."""
-    old_widths = [f.width(env) for f in forms]
+    olds = [f.linear_part(env) for f in forms]
     sub = make_substitution(sym, new_range, pool, env)
     if sub is None:
         return forms, None
-    return [apply_substitution(f, sub, w, env, threshold)
-            for f, w in zip(forms, old_widths)], sub
+    return [apply_substitution(f, sub, old, env, threshold)
+            for f, old in zip(forms, olds)], sub
 
 
 def test_constrain_forms_adopts_only_when_width_improves():

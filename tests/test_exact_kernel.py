@@ -2,8 +2,9 @@
 replaced, kept here as the reference: the interval operations, the
 affine-form operations, the concretization of an affine form, the
 projection of a form constraint onto its symbols, the interval meet,
-and the projection fixpoint of `Interp._constrain_joint` that skips
-repeats. Every interval and form the kernel builds is checked for the
+the projection fixpoint of `Interp._constrain_joint` that skips
+repeats, and `abs_op` and `AbstractFloat.from_literal` on exact
+operands. Every interval and form the kernel builds is checked for the
 canonical form that its equality relies on.
 
 Values are drawn dyadic and not (1/3, 1/10, 0.1 rounded to binary32),
@@ -20,12 +21,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fldx.config import AnalysisConfig
-from fldx.domain import project_onto_symbols
-from fldx.errors import InfeasiblePath
+from fldx.domain import AbstractFloat, abs_op, project_onto_symbols
+from fldx.errors import AnalysisAlarm, DivisionByZero, InfeasiblePath
 from fldx.executor import interp as I
 from fldx.frontend import parse_program
-from fldx.numerics import BINARY32, RInterval, round_nearest
-from fldx.zonotope import UNIT, AffineForm, Origin, SymbolPool, sym_range
+from fldx.numerics import BINARY32, BINARY64, RInterval, round_nearest
+from fldx.zonotope import (UNIT, AffineForm, Origin, SymbolPool, af_div,
+                           af_mul, condense, sym_range)
 
 N_SYMS = 5
 
@@ -283,7 +285,6 @@ def test_interval_operations_match_the_fraction_bodies(a, b, k, x):
                                    and (hi is None or a.lo <= hi))
     assert a.is_point() == (a.lo == a.hi)
     assert a.max_abs() == max(abs(a.lo), abs(a.hi))
-    assert a.width == a.hi - a.lo
     assert (a == b) == ((a.lo, a.hi) == (b.lo, b.hi))
     j = a.join(b)
     if a.lo <= b.lo and a.hi >= b.hi:
@@ -337,7 +338,6 @@ def test_linear_part_concretize_and_width_match_the_fraction_loop(
         lin = ref_linear(form, e)
         assert form.linear_part(e) == lin
         assert form.concretize(e) == lin.shift(form.center)
-        assert form.width(e) == lin.width
         for iv in (form.linear_part(e), form.concretize(e)):
             assert_canonical_interval(iv)
 
@@ -519,3 +519,181 @@ def test_constrain_joint_projects_again_after_a_symbol_moves():
     it._constrain_joint(constraints)
     assert it.env[x] == scratch[x] == RInterval(F(1, 2), F(1))
     assert it.env[y] == scratch[y] == RInterval(F(-1), F(-1, 2))
+
+
+# ---------------------------------------------------------------------------
+# abs_op on exact operands
+# ---------------------------------------------------------------------------
+
+
+def ref_rat_op(op, x, y):
+    if op == "+":
+        return x + y
+    if op == "-":
+        return x - y
+    if op == "*":
+        return x * y
+    return x / y
+
+
+def ref_abs_op(op, a, b, fmt, pool, env, max_syms=64):
+    """The general body of `abs_op`, as far as operands whose float
+    intervals are points reach it: the real side in affine arithmetic,
+    then the float side executed exactly on the points."""
+    a_riv = a.real_refined(env)
+    b_riv = b.real_refined(env)
+
+    if op == "+":
+        real = a.real + b.real
+        riv_op = a_riv + b_riv
+    elif op == "-":
+        real = a.real - b.real
+        riv_op = a_riv - b_riv
+    elif op == "*":
+        real = af_mul(a.real, b.real, pool, env)
+        riv_op = a_riv * b_riv
+    elif op == "/":
+        if b.float_iv.contains(F(0)):
+            raise DivisionByZero("abstract division by zero-containing float")
+        hint_r = b_riv
+        if hint_r.contains(F(0)):
+            raise DivisionByZero("abstract division: real divisor may be zero")
+        real = af_div(a.real, b.real, hint_r, pool, env)
+        riv_op = a_riv.divide(b_riv)
+    else:
+        raise ValueError(f"unknown operator {op!r}")
+
+    real = condense(real, max_syms, pool, env)
+    real_iv = real.concretize(env).meet(riv_op)
+    if real_iv is None:
+        raise InfeasiblePath
+
+    assert a.float_iv.is_point() and b.float_iv.is_point()
+    fa, fb = a.float_iv.lo, b.float_iv.lo
+    if op == "/" and fb == 0:
+        raise DivisionByZero("float division by zero")
+    z = ref_rat_op(op, fa, fb)
+    f = round_nearest(z, fmt).value
+    float_iv = RInterval.point(f)
+    err = AffineForm.constant(f) - real
+    err = condense(err, max_syms, pool, env)
+    err_iv0 = err.concretize(env).meet(float_iv - real_iv)
+    if err_iv0 is None:
+        raise InfeasiblePath
+    return AbstractFloat(float_iv, real, real_iv, err, err_iv0)
+
+
+def ref_literal(x, fmt):
+    f = round_nearest(x, fmt).value
+    e = f - x
+    return AbstractFloat(RInterval.point(f), AffineForm.constant(x),
+                         RInterval.point(x), AffineForm.constant(e),
+                         RInterval.point(e))
+
+
+def result_of(fn, *args):
+    """The value fn returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except (InfeasiblePath, AnalysisAlarm, ValueError) as exn:
+        return type(exn), str(exn)
+
+
+FORMATS = [BINARY32, BINARY64]
+decimal = st.builds(lambda m, k: F(m, 10**k), st.integers(-10**7, 10**7),
+                    st.integers(0, 12))
+reals = st.one_of(st.sampled_from(SPECIAL + [F(0)]), dyadic, decimal)
+
+
+@st.composite
+def thin_values(draw, fmt, exact=True):
+    """A value whose float interval is a point: a literal, a float that
+    differs from its real by a drawn error, a zero float or a zero real,
+    or a value at the end of the format (so that sums and products
+    overflow). Its real interval is the point, wider, or misses the real
+    center. Unless exact, its real form has a noise term."""
+    kind = draw(st.sampled_from(
+        ["literal", "error", "zero_float", "zero_real", "largest"]))
+    r = draw(reals)
+    if kind == "largest":
+        r = draw(st.sampled_from([1, -1, F(1, 2)])) * fmt.max_finite
+    if kind == "zero_real":
+        r = F(0)
+    f = round_nearest(r, fmt).value
+    if kind == "error":
+        f = round_nearest(r + draw(rationals), fmt).value
+    elif kind == "zero_float":
+        f = F(0)
+    elif kind == "zero_real":
+        f = round_nearest(draw(rationals), fmt).value
+    c = F(0) if exact else draw(rationals.filter(lambda x: x != 0))
+    real = AffineForm(r, {0: c})
+    riv = real.concretize({})
+    w = draw(st.sampled_from([F(0), F(0), F(1, 3), F(2)]))
+    if draw(st.integers(0, 9)) == 0:  # the real center outside real_iv
+        real_iv = riv.shift(riv.hi - riv.lo + 1)
+    else:
+        real_iv = RInterval(riv.lo - w, riv.hi + w)
+    return AbstractFloat(RInterval.point(f), real, real_iv,
+                         AffineForm.constant(f - r), RInterval.point(f - r))
+
+
+def fresh_pool():
+    """A pool whose next symbol is past those the drawn forms use."""
+    pool = SymbolPool()
+    for _ in range(N_SYMS):
+        pool.fresh(Origin.INPUT)
+    return pool
+
+
+@st.composite
+def thin_cases(draw, exact):
+    fmt = draw(st.sampled_from(FORMATS))
+    op = draw(st.sampled_from(["+", "-", "*", "/", "/", "%"]))
+    a = draw(thin_values(fmt, exact))
+    b = draw(thin_values(fmt, exact))
+    env = {} if exact else draw(envs())
+    return op, a, b, fmt, env
+
+
+def assert_same_as_the_general_path(op, a, b, fmt, env):
+    pool, ref_pool = fresh_pool(), fresh_pool()
+    got = result_of(abs_op, op, a, b, fmt, pool, env)
+    want = result_of(ref_abs_op, op, a, b, fmt, ref_pool, env)
+    assert got == want
+    assert pool.symbols == ref_pool.symbols
+    if isinstance(got, AbstractFloat):
+        for iv in (got.float_iv, got.real_iv, got.err_iv):
+            assert_canonical_interval(iv)
+        for form in (got.real, got.err):
+            assert_canonical_form(form)
+    return got
+
+
+@settings(max_examples=500, deadline=None)
+@given(thin_cases(exact=True))
+def test_abs_op_on_exact_operands_matches_the_general_path(case):
+    got = assert_same_as_the_general_path(*case)
+    if isinstance(got, AbstractFloat):
+        assert got.float_iv.is_point() and got.real.is_constant()
+
+
+@settings(max_examples=100, deadline=None)
+@given(thin_cases(exact=False))
+def test_abs_op_on_point_floats_with_noisy_reals_matches_the_general_path(
+        case):
+    assert_same_as_the_general_path(*case)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(reals, st.sampled_from([BINARY32.max_finite * 2,
+                                         -BINARY64.max_finite * 2])),
+       st.sampled_from(FORMATS))
+def test_literal_matches_the_rounded_point_and_its_error(x, fmt):
+    got = result_of(AbstractFloat.from_literal, x, fmt)
+    assert got == result_of(ref_literal, x, fmt)
+    if isinstance(got, AbstractFloat):
+        for iv in (got.float_iv, got.real_iv, got.err_iv):
+            assert_canonical_interval(iv)
+        for form in (got.real, got.err):
+            assert_canonical_form(form)

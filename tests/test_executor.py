@@ -12,8 +12,8 @@ from fldx.executor.explorer import PathExplorer
 from fldx.executor.interp import Interp, SectionCtx
 from fldx.frontend import parse_expr, parse_program
 from fldx.frontend import syntax as S
-from fldx.numerics import RInterval
-from fldx.pipeline import analyze
+from fldx.numerics import BINARY32, RInterval
+from fldx.pipeline import analyze, prepare
 from fldx.zonotope import AffineForm, Origin
 from tests.conftest import corpus_source
 
@@ -540,3 +540,23 @@ def test_int_result_of_an_unstable_test_returned_to_a_caller_alarms():
     rep = analyze(src, AnalysisConfig())
     assert [a["kind"] for a in rep.alarms] == ["instrumentation-gap"]
     assert "g: int result of an unstable test" in rep.alarms[0]["message"]
+
+
+def test_each_float_literal_node_is_built_once(monkeypatch):
+    # patriot.c evaluates the literal 0.1 a thousand times in its loop
+    source, config = corpus_source("patriot.c"), AnalysisConfig(fmt=BINARY32)
+    program, _ = prepare(source, config)
+    nodes = [e for fn in program.functions.values()
+             for s in S.walk_stmts(fn.body) for top in S.stmt_exprs(s)
+             for e in S.walk_exprs(top) if isinstance(e, S.FloatLit)]
+    calls = []
+    built = AbstractFloat.from_literal
+
+    def counted(x, fmt):
+        calls.append(x)
+        return built(x, fmt)
+
+    monkeypatch.setattr(AbstractFloat, "from_literal", staticmethod(counted))
+    analyze(source, config)
+    assert F(1, 10) in calls
+    assert len(calls) <= len(nodes)

@@ -354,6 +354,39 @@ def test_cli_early_return_under_an_unstable_test(tmp_path, command):
             < res.output.index("merge(1")
 
 
+#: programs whose operations all have exact operands, with the exit
+#: code, the alarm and the SHA-256 of the binary64 report each gives
+EXACT_OPERAND_ALARMS = {
+    "overflow": (
+        "int main() { double a = 1e308; double y = a * 10.0; return 0; }",
+        "[alarm] overflow: 1e+309 rounds beyond the largest finite value",
+        "97737dba1ab7476837fa0a8b2faf742bb1d5faf00a170f73b5ca7b4f7d45beee"),
+    "zero_divisor": (
+        "int main() { double a = 1.0; double y = a / 0.0; return 0; }",
+        "[alarm] division-by-zero: abstract division by zero-containing"
+        " float",
+        "da22009189215fcdcdca4b2f45c983aa72e65c7acc776dbd200f5005ecd957a6"),
+    "real_zero_divisor": (
+        "int main() { double y = 1.0 / ((0.1 + 0.2) - 0.3); return 0; }",
+        "[alarm] division-by-zero: abstract division: real divisor may be"
+        " zero",
+        "01323d29df2dfdc374b474a4231921e9e25f6588e8599b992839afbb6c922fff"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_OPERAND_ALARMS))
+def test_cli_alarm_on_exact_operands(tmp_path, name):
+    source, alarm, digest = EXACT_OPERAND_ALARMS[name]
+    src = tmp_path / (name + ".c")
+    src.write_text(source + "\n")
+    res = CliRunner().invoke(main, ["analyze", str(src)])
+    assert res.exit_code == 1, res.output
+    assert alarm in res.output.splitlines()[1]
+    text = analyze(source + "\n", AnalysisConfig(),
+                   source_name=name + ".c").to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_cli_instrument_prints_sections():
     runner = CliRunner()
     res = runner.invoke(main, ["instrument", str(CORPUS / "comp_disc.c")])
