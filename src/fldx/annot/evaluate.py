@@ -14,7 +14,8 @@ from typing import Dict, List, Optional, Tuple
 from ..domain import AbstractFloat
 from ..errors import AnalysisAlarm, TypeErrorAt
 from ..frontend import syntax as S
-from ..numerics import FloatFormat, RInterval, round_nearest, trunc_div
+from ..numerics import (FloatFormat, RInterval, interval_over,
+                        round_nearest, trunc_div)
 from ..zonotope import SymbolEnv, SymbolPool
 from .kinds import INT_RANGE
 from .typecheck import (TypedBuiltin, TypedCmp, TypedLet, TypedNot, TypedPred,
@@ -385,7 +386,9 @@ def _eval_pred_tv(p: TypedPred, mem: Memory, binders,
 def _machine_side(tt: TypedTerm, mem: Memory, binders) -> RInterval:
     t = tt.term
     if isinstance(t, S.TConst):
-        return RInterval.point(round_nearest(t.value, mem.fmt).value)
+        x = t.value
+        n, d = round_nearest(x.numerator, x.denominator, mem.fmt)
+        return interval_over(n, n, d)
     return eval_term(tt, mem, binders)
 
 

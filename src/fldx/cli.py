@@ -18,23 +18,37 @@ from .report import REPORT_SCHEMA
 _STAGE_EXIT = {stage: i + 2 for i, stage in enumerate(STAGES)}
 
 
+def _parsed(parse):
+    """A click callback that parses a value; ValueError is a usage error."""
+    def callback(ctx, param, value):
+        try:
+            return parse(value)
+        except ValueError as exn:
+            raise click.BadParameter(str(exn)) from None
+    return callback
+
+
+def _read_source(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exn:
+        raise StageError("parse", FldxError(
+            f"source is not UTF-8 text ({exn.reason} at byte {exn.start})"))
+
+
 def _build_config(fmt, inputs, entry, max_noise, path_budget, threshold,
                   trace, no_instrument) -> AnalysisConfig:
-    cfg = AnalysisConfig(fmt=FORMATS[fmt])
-    for spec in inputs:
-        name, parsed = parse_input_spec(spec)
+    cfg = AnalysisConfig(fmt=FORMATS[fmt], entry=entry, max_syms=max_noise,
+                         path_budget=path_budget, threshold=threshold,
+                         collect_trace=trace,
+                         auto_instrument=not no_instrument)
+    for name, parsed in inputs:
         if isinstance(parsed, InputSpec):
             cfg.inputs[name] = parsed
         elif isinstance(parsed, tuple):
             cfg.array_inputs[name] = parsed
         else:
             cfg.int_inputs[name] = parsed
-    cfg.entry = entry
-    cfg.max_syms = max_noise
-    cfg.path_budget = path_budget
-    cfg.threshold = Fraction(threshold).limit_denominator(10**9)
-    cfg.collect_trace = trace
-    cfg.auto_instrument = not no_instrument
     return cfg
 
 
@@ -54,14 +68,19 @@ def main() -> None:
               type=click.Choice(sorted(FORMATS)), show_default=True,
               help="Floating-point format of machine operations.")
 @click.option("--input", "inputs", multiple=True, metavar="NAME=SPEC",
+              callback=_parsed(lambda specs: [parse_input_spec(s)
+                                              for s in specs]),
               help="Bind an input: x=[lo,hi], x=[lo,hi]~[elo,ehi],"
                    " n=3, or t={0.0,1.0,2.0}.")
 @click.option("--entry", default=None, help="Entry function.")
 @click.option("--max-noise", default=64, show_default=True,
+              type=click.IntRange(min=1),
               help="Noise symbols kept per affine form.")
 @click.option("--path-budget", default=256, show_default=True,
               help="Execution paths explored per section.")
 @click.option("--threshold", default="0.05", show_default=True,
+              callback=_parsed(
+                  lambda t: Fraction(t).limit_denominator(10**9)),
               help="Minimal width improvement for constraint adoption.")
 @click.option("--trace", is_flag=True, help="Record a decision trace.")
 @_no_instrument
@@ -75,7 +94,7 @@ def analyze_cmd(source, fmt, inputs, entry, max_noise, path_budget,
     cfg = _build_config(fmt, inputs, entry, max_noise, path_budget,
                         threshold, trace, no_instrument)
     try:
-        rep = analyze(Path(source).read_text(), cfg, source_name=source)
+        rep = analyze(_read_source(source), cfg, source_name=source)
     except StageError as exn:
         click.echo(f"error: {exn}", err=True)
         sys.exit(_STAGE_EXIT[exn.stage])
@@ -102,7 +121,7 @@ def instrument(source, no_instrument, output):
     """Print SOURCE with split/merge sections placed."""
     cfg = AnalysisConfig(auto_instrument=not no_instrument)
     try:
-        text = instrumented_source(Path(source).read_text(), cfg)
+        text = instrumented_source(_read_source(source), cfg)
     except StageError as exn:
         click.echo(f"error: {exn}", err=True)
         sys.exit(_STAGE_EXIT[exn.stage])

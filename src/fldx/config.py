@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
-from .numerics import FORMATS, FloatFormat, RInterval
+from .numerics import FORMATS, FloatFormat, RInterval, rat
 
 
 @dataclass
@@ -21,7 +21,7 @@ class AnalysisConfig:
     fmt: FloatFormat = FORMATS["binary64"]
     inputs: Dict[str, InputSpec] = field(default_factory=dict)
     int_inputs: Dict[str, int] = field(default_factory=dict)
-    array_inputs: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
+    array_inputs: Dict[str, Tuple[Fraction, ...]] = field(default_factory=dict)
     entry: Optional[str] = None
     max_syms: int = 64
     path_budget: int = 256
@@ -33,29 +33,30 @@ class AnalysisConfig:
 
 
 def parse_input_spec(text: str) -> Tuple[str, object]:
-    """Parse one --input binding.
+    """Parse one --input binding; ValueError when it is malformed.
 
     Forms: name=[lo,hi]            float input, representation error
            name=[lo,hi]~[elo,ehi]  float input with error interval
            name=5                  int input
-           name={v1,v2,...}        array of representable float literals
+           name={v1,v2,...}        array of float literals
     """
-    from .numerics import rat
-
     name, _, rhs = text.partition("=")
     name = name.strip()
     rhs = rhs.strip()
     if not name or not rhs:
         raise ValueError(f"bad input spec {text!r}")
     if rhs.startswith("{"):
-        vals = tuple(v.strip() for v in rhs.strip("{}").split(","))
-        return name, vals
+        return name, tuple(map(rat, rhs.strip("{}").split(",")))
     if rhs.startswith("["):
         main, _, errpart = rhs.partition("~")
-        lo, hi = (rat(x.strip()) for x in main.strip("[]").split(","))
-        err = None
-        if errpart:
-            elo, ehi = (rat(x.strip()) for x in errpart.strip().strip("[]").split(","))
-            err = RInterval(elo, ehi)
-        return name, InputSpec(RInterval(lo, hi), err)
+        err = _interval(errpart) if errpart else None
+        return name, InputSpec(_interval(main), err)
     return name, int(rhs)
+
+
+def _interval(text: str) -> RInterval:
+    """[lo,hi] with lo <= hi."""
+    ends = text.strip().strip("[]").split(",")
+    if len(ends) != 2:
+        raise ValueError(f"bad interval {text.strip()!r}")
+    return RInterval(*map(rat, ends))

@@ -20,13 +20,15 @@ on two exact operands. Such a value has one shape: float_iv = [f, f],
 real = r, real_iv = [r, r], err = f - r, err_iv = [f - r, f - r], built
 by `_exact` from the ints of f and r. `abs_op` computes an operation on
 two exact operands on the ints of their floats and reals: the real
-result r, the float result f = round(fa op fb) and the error f - r. It
-makes the checks of the general path in the same order (each operand's
-real in its real_iv, the float and then the real divisor of `/` nonzero,
-the operator known, the rounding in range), and the value it returns
-equals the one the general path computes, since constant forms add,
-multiply and divide as their centers and `condense` keeps them as they
-are; no affine arithmetic, concretization or fresh symbol is involved.
+result r, the float result f = round(fa op fb), rounded from the ints of
+fa op fb, and the error f - r. It makes the checks of the general path
+in the same order (each operand's real in its real_iv, the float and
+then the real divisor of `/` nonzero, the operator known, the rounding
+in range), and the value it returns equals the one the general path
+computes, since constant forms add, multiply and divide as their centers
+and `condense` keeps them as they are; no affine arithmetic,
+concretization or fresh symbol is involved. Every rounding, here and in
+the general path, hands its ints to `round_nearest` or `round_directed`.
 """
 from __future__ import annotations
 
@@ -39,26 +41,23 @@ from typing import Dict, Optional
 
 from .errors import DivisionByZero, InfeasiblePath, OverflowAlarm
 from .numerics import (FloatFormat, RInterval, RationalLike, interval_over,
-                       narrowed, products_over_lcm, rat,
+                       narrowed, pair_over, products_over_lcm, rat,
                        representation_error_bound, round_directed,
                        round_nearest)
 from .zonotope import (UNIT, AffineForm, Origin, SymbolEnv, SymbolPool,
                        condense, af_div, af_mul, sym_range)
-
-ZERO = Fraction(0)
-
 
 def _snap_in(iv: RInterval, fmt: FloatFormat) -> RInterval:
     """Tighten an enclosure of a representable value to representable
     endpoints. Falls back to the original interval when no representable
     value lies inside (the caller will detect infeasibility elsewhere)."""
     try:
-        lo = round_directed(iv.lo, fmt, up=True).value
-        hi = round_directed(iv.hi, fmt, up=False).value
+        lo_n, lo_d = round_directed(iv.lo_n, iv.den, fmt, up=True)
+        hi_n, hi_d = round_directed(iv.hi_n, iv.den, fmt, up=False)
     except OverflowAlarm:
         return iv
-    if lo <= hi:
-        return RInterval(lo, hi)
+    if lo_n * hi_d <= hi_n * lo_d:
+        return pair_over(lo_n, lo_d, hi_n, hi_d)
     return iv
 
 
@@ -73,7 +72,7 @@ class AbstractFloat:
     @cached_property
     def rel(self) -> Optional[RInterval]:
         """Relative error err/real, or None when the real value may be 0."""
-        if self.real_iv.contains(ZERO):
+        if self.real_iv.contains(0):
             return None
         return self.err_iv.divide(self.real_iv)
 
@@ -99,8 +98,8 @@ class AbstractFloat:
     def from_literal(x: RationalLike, fmt: FloatFormat) -> "AbstractFloat":
         """Source literal: ideal value x, machine value round(x)."""
         x = rat(x)
-        f = round_nearest(x, fmt).value
-        return _exact(f.numerator, f.denominator, x.numerator, x.denominator)
+        rn, rd = x.numerator, x.denominator
+        return _exact(*round_nearest(rn, rd, fmt), rn, rd)
 
     # -- refined views ----------------------------------------------------
 
@@ -191,7 +190,7 @@ def _err_pre(op: str, a: AbstractFloat, b: AbstractFloat,
     if op == "/":
         denom = b.real + b.err
         hint = denom.concretize(env).meet(b.float_iv)
-        if hint is None or hint.contains(ZERO):
+        if hint is None or hint.contains(0):
             raise DivisionByZero("abstract division by possibly-zero float")
         numer = a.err - af_mul(quotient, b.err, pool, env)
         return af_div(numer, denom, hint, pool, env)
@@ -218,10 +217,10 @@ def abs_op(op: str, a: AbstractFloat, b: AbstractFloat, fmt: FloatFormat,
         real = af_mul(a.real, b.real, pool, env)
         riv_op = a_riv * b_riv
     elif op == "/":
-        if b.float_iv.contains(ZERO):
+        if b.float_iv.contains(0):
             raise DivisionByZero("abstract division by zero-containing float")
         hint_r = b_riv
-        if hint_r.contains(ZERO):
+        if hint_r.contains(0):
             raise DivisionByZero("abstract division: real divisor may be zero")
         real = af_div(a.real, b.real, hint_r, pool, env)
         riv_op = a_riv.divide(b_riv)
@@ -236,10 +235,10 @@ def abs_op(op: str, a: AbstractFloat, b: AbstractFloat, fmt: FloatFormat,
     # float side: thin operands are executed exactly
     if a.float_iv.is_point() and b.float_iv.is_point():
         fa, fb = a.float_iv, b.float_iv
-        f = round_nearest(Fraction(*_ratio_op(op, fa.lo_n, fa.den, fb.lo_n,
-                                              fb.den)), fmt).value
-        float_iv = RInterval.point(f)
-        err = AffineForm.constant(f) - real
+        fn, fd = round_nearest(*_ratio_op(op, fa.lo_n, fa.den, fb.lo_n,
+                                          fb.den), fmt)
+        float_iv = interval_over(fn, fn, fd)
+        err = AffineForm.of_point(float_iv) - real
         err = condense(err, max_syms, pool, env)
         err_iv0 = err.concretize(env).meet(float_iv - real_iv)
         if err_iv0 is None:
@@ -255,8 +254,8 @@ def abs_op(op: str, a: AbstractFloat, b: AbstractFloat, fmt: FloatFormat,
     else:
         z_iv = a.float_iv * b.float_iv
     # rounding is monotone, so rounding the exact endpoints is sound
-    float_iv = RInterval(round_nearest(z_iv.lo, fmt).value,
-                         round_nearest(z_iv.hi, fmt).value)
+    float_iv = pair_over(*round_nearest(z_iv.lo_n, z_iv.den, fmt),
+                         *round_nearest(z_iv.hi_n, z_iv.den, fmt))
 
     err = _err_pre(op, a, b, pool, env,
                    quotient=real if op == "/" else None)
@@ -264,8 +263,8 @@ def abs_op(op: str, a: AbstractFloat, b: AbstractFloat, fmt: FloatFormat,
     if delta != 0 and not z_iv.is_point():
         err = err + AffineForm(0, {pool.fresh(Origin.ROUNDING): delta})
     elif z_iv.is_point():
-        f = round_nearest(z_iv.lo, fmt).value
-        err = err.shift(f - z_iv.lo)
+        fn, fd = round_nearest(z_iv.lo_n, z_iv.den, fmt)
+        err = err + AffineForm.of_point(interval_over(fn, fn, fd) - z_iv)
     err = condense(err, max_syms, pool, env)
 
     err_iv = err.concretize(env).meet(float_iv - real_iv)
@@ -292,9 +291,9 @@ def _exact_op(op: str, a: AbstractFloat, b: AbstractFloat,
         if rb.n0 == 0:
             raise DivisionByZero("abstract division: real divisor may be zero")
     rn, rd = _ratio_op(op, ra.n0, ra.den, rb.n0, rb.den)
-    f = round_nearest(Fraction(*_ratio_op(op, fa.lo_n, fa.den, fb.lo_n,
-                                          fb.den)), fmt).value
-    return _exact(f.numerator, f.denominator, rn, rd)
+    fn, fd = round_nearest(*_ratio_op(op, fa.lo_n, fa.den, fb.lo_n, fb.den),
+                           fmt)
+    return _exact(fn, fd, rn, rd)
 
 
 def _ratio_op(op: str, an: int, ad: int, bn: int, bd: int):

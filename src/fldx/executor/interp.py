@@ -28,12 +28,14 @@ way, without a decision.
 After all paths of a section are explored the per-path states are
 folded with the interval-hull union. A section whose every path is
 infeasible propagates emptiness to the enclosing section.
+
+An int value is an RInterval over denominator 1, built so by literals,
+inputs, truth values and casts and kept so by the int operations; its
+bounds are read as the ints `lo_n` and `hi_n`.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -46,12 +48,13 @@ from ..domain import (AbstractFloat, abs_neg, abs_op,
 from ..errors import (AnalysisAlarm, InfeasiblePath, SectionInfeasible,
                       TypeErrorAt)
 from ..frontend import syntax as S
-from ..numerics import RInterval, pair_over, rat, trunc_div
+from ..numerics import (RationalLike, RInterval, interval_over, pair_over,
+                        trunc_div, trunc_quotient)
 from ..zonotope import AffineForm, Origin, SymbolEnv, SymbolPool, sym_range
 from .explorer import PathExplorer
 
-ZERO = Fraction(0)
-_INT_ZERO = RInterval.point(ZERO)
+_INT_ZERO = interval_over(0, 0, 1)
+_INT_ONE = interval_over(1, 1, 1)
 _ANY = (None, None)  # the whole line as a region
 _ARITH = frozenset("+-*/%")
 _CAST_FAN_LIMIT = 64
@@ -138,13 +141,13 @@ class Interp:
     def _float_zero(self) -> AbstractFloat:
         """The float constant 0, compared against by truthiness tests and
         float-to-int casts and stored by zero-initialized arrays."""
-        return AbstractFloat.from_literal(ZERO, self.fmt)
+        return AbstractFloat.from_literal(0, self.fmt)
 
     def _promote_int(self, iv: RInterval) -> AbstractFloat:
         """Exact int-to-float promotion (widened if not representable)."""
         real = AffineForm.from_interval(iv, self.pool, Origin.INPUT)
-        return AbstractFloat(iv, real, iv, AffineForm.constant(0),
-                             RInterval.point(0))
+        return AbstractFloat(iv, real, iv, AffineForm.of_point(_INT_ZERO),
+                             _INT_ZERO)
 
     def _as_float(self, v) -> AbstractFloat:
         if isinstance(v, AbstractFloat):
@@ -253,7 +256,8 @@ class Interp:
             v = self._literals.get(id(e))
             if v is None:
                 v = self._literals[id(e)] = (
-                    RInterval.point(e.value) if isinstance(e, S.IntLit)
+                    interval_over(e.value, e.value, 1)
+                    if isinstance(e, S.IntLit)
                     else AbstractFloat.from_literal(e.value, self.fmt))
             return v
         if isinstance(e, S.Var):
@@ -265,12 +269,10 @@ class Interp:
                 v = self.eval(e.expr)
                 return abs_neg(v) if isinstance(v, AbstractFloat) else -v
             # logical not
-            b = self.decide(e.expr)
-            return RInterval.point(Fraction(0 if b else 1))
+            return _INT_ZERO if self.decide(e.expr) else _INT_ONE
         if isinstance(e, S.Binary):
             if e.op in S.COMPARISONS or e.op in ("&&", "||"):
-                b = self.decide(e)
-                return RInterval.point(Fraction(1 if b else 0))
+                return _INT_ONE if self.decide(e) else _INT_ZERO
             return self._eval_arith(e)
         if isinstance(e, S.Ternary):
             return self.eval(e.then) if self.decide(e.cond) else self.eval(e.els)
@@ -283,8 +285,7 @@ class Interp:
     def _load_index(self, e: S.Index):
         arr = self.mem.load(e.name)
         iv = self._as_int(self.eval(e.index))
-        lo = int(iv.lo)
-        hi = int(iv.hi)
+        lo, hi = iv.lo_n, iv.hi_n
         if lo < 0 or hi >= len(arr):
             raise AnalysisAlarm("out-of-bounds",
                                 f"{e.loc}: index of {e.name} in [{lo}, {hi}]"
@@ -331,21 +332,20 @@ class Interp:
         if op == "*":
             return a * b
         if op == "/":
-            if b.contains(ZERO):
+            if b.contains(0):
                 raise AnalysisAlarm("division-by-zero",
                                     f"{loc}: integer division by zero", loc)
             return trunc_div(a, b)
         if op == "%":
-            if b.contains(ZERO):
+            if b.contains(0):
                 raise AnalysisAlarm("division-by-zero",
                                     f"{loc}: modulo by zero", loc)
             if a.is_point() and b.is_point():
-                q = math.trunc(a.lo / b.lo)
-                return RInterval.point(a.lo - q * b.lo)
-            m = b.max_abs() - 1
-            lo = -m if a.lo < 0 else ZERO
-            hi = m if a.hi > 0 else ZERO
-            return RInterval(lo, hi)
+                r = a.lo_n - trunc_quotient(a.lo_n, b.lo_n) * b.lo_n
+                return interval_over(r, r, 1)
+            m = max(-b.lo_n, b.hi_n) - 1
+            return interval_over(-m if a.lo_n < 0 else 0,
+                                 m if a.hi_n > 0 else 0, 1)
         raise TypeErrorAt(f"unknown integer operator {op!r}")
 
     def _eval_cast(self, e: S.Cast):
@@ -392,13 +392,13 @@ class Interp:
         if target is not None and target in self.cfg.inputs:
             spec = self.cfg.inputs[target]
         elif len(e.args) >= 2:
-            lo = _literal_value(e.args[0])
-            hi = _literal_value(e.args[1])
-            err = None
-            if len(e.args) == 4:
-                err = RInterval(_literal_value(e.args[2]),
-                                _literal_value(e.args[3]))
-            spec = InputSpec(RInterval(lo, hi), err)
+            ends = [_literal_value(a)
+                    for a in e.args[:4 if len(e.args) == 4 else 2]]
+            try:
+                spec = InputSpec(RInterval(*ends[:2]),
+                                 RInterval(*ends[2:]) if ends[2:] else None)
+            except ValueError as exn:
+                raise TypeErrorAt(f"{e.loc}: read_double: {exn}") from None
         if spec is None:
             raise TypeErrorAt(f"{e.loc}: read_double needs bounds or an"
                               f" input binding")
@@ -527,8 +527,9 @@ class Interp:
                            src: Optional[S.Expr] = None) -> RInterval:
         """(int) v as a decision among the truncations k of the machine
         value and kr in {k - 1, k, k + 1} of the ideal one."""
-        klo = math.trunc(v.float_iv.lo)
-        khi = math.trunc(v.float_iv.hi)
+        fiv = v.float_iv
+        klo = trunc_quotient(fiv.lo_n, fiv.den)
+        khi = trunc_quotient(fiv.hi_n, fiv.den)
         if khi - klo + 1 > _CAST_FAN_LIMIT:
             self._warn(f"{loc}: cast range spans {khi - klo + 1} integers;"
                        f" not splitting")
@@ -536,7 +537,7 @@ class Interp:
                 "analysis-incomplete",
                 f"{loc}: cast not split over {khi - klo + 1} integers; the"
                 f" ideal truncation may differ from the machine one", loc))
-            return RInterval(Fraction(klo), Fraction(khi))
+            return interval_over(klo, khi, 1)
         candidates = []
         for k in range(klo, khi + 1):
             pre = _trunc_preimage(k)
@@ -546,7 +547,7 @@ class Interp:
                                    _trunc_preimage(kr)))
         k = self._flow(loc, site, "cast", candidates, src, None, v,
                        self._float_zero)
-        return RInterval.point(Fraction(k))
+        return interval_over(k, k, 1)
 
     # -- statements -------------------------------------------------------
 
@@ -635,7 +636,7 @@ class Interp:
             return
         arr = self.mem.load(name)
         iv = self._as_int(self.eval(s.target.index))
-        lo, hi = int(iv.lo), int(iv.hi)
+        lo, hi = iv.lo_n, iv.hi_n
         if lo < 0 or hi >= len(arr):
             raise AnalysisAlarm("out-of-bounds",
                                 f"{s.loc}: write index of {name} in"
@@ -693,8 +694,7 @@ class Interp:
                 raise InfeasiblePath
             return
         l, r = self._as_float(a), self._as_float(b)
-        if reg != _ANY:  # the complement of a point bounds nothing
-            self._apply(e.left, e.right, l, r, reg, reg, _ANY, l.err - r.err)
+        self._apply(e.left, e.right, l, r, reg, reg, _ANY, l.err - r.err)
 
     # -- sections ---------------------------------------------------------
 
@@ -875,15 +875,15 @@ class Interp:
                 if p.name not in self.cfg.array_inputs:
                     raise TypeErrorAt(f"missing input binding for array"
                                       f" parameter {p.name!r}")
-                vals = [AbstractFloat.from_literal(rat(x), self.fmt)
+                vals = [AbstractFloat.from_literal(x, self.fmt)
                         for x in self.cfg.array_inputs[p.name]]
                 self.mem.store(p.name, vals)
             elif p.ctype == "int":
                 if p.name not in self.cfg.int_inputs:
                     raise TypeErrorAt(f"missing input binding for int"
                                       f" parameter {p.name!r}")
-                self.mem.store(p.name,
-                               RInterval.point(self.cfg.int_inputs[p.name]))
+                k = self.cfg.int_inputs[p.name]
+                self.mem.store(p.name, interval_over(k, k, 1))
             else:
                 if p.name not in self.cfg.inputs:
                     raise TypeErrorAt(f"missing input binding for parameter"
@@ -902,11 +902,9 @@ class Interp:
             pass
 
 
-def _literal_value(e: S.Expr) -> Fraction:
-    if isinstance(e, S.FloatLit):
+def _literal_value(e: S.Expr) -> RationalLike:
+    if isinstance(e, (S.FloatLit, S.IntLit)):
         return e.value
-    if isinstance(e, S.IntLit):
-        return Fraction(e.value)
     if isinstance(e, S.Unary) and e.op == "-":
         return -_literal_value(e.expr)
     raise TypeErrorAt(f"{e.loc}: read_double bounds must be literals")

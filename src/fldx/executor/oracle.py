@@ -73,7 +73,7 @@ class ShadowRun:
     # -- rounding ----------------------------------------------------------
 
     def _round(self, x: Fraction) -> Fraction:
-        return round_nearest(x, self.fmt).value
+        return Fraction(*round_nearest(x.numerator, x.denominator, self.fmt))
 
     def _input_value(self, x: Fraction) -> CVal:
         return CVal(self._round(x), x)

@@ -18,22 +18,23 @@ dyadic values D is one power of two; for others (a decimal literal on
 the real side, a quotient) it is whatever the denominators need,
 through the same code.
 
+Rounding stays inside the format: `round_nearest(n, d, fmt)` and
+`round_directed(n, d, fmt, up)` round n/d, d > 0, and give the result
+as ints (n', d'), d' > 0, which a caller turns into an interval with
+`interval_over` or `pair_over`.
+
 `fractions.Fraction` appears only at the boundary: `RInterval(lo, hi)`
 and `RInterval.point` take rationals in, and `lo`/`hi` (built on first
-read and kept) and `max_abs` give them out, for the annotations, the
-float side of rounding and the report.
+read and kept) and `max_abs` give them out, for the annotations and the
+report.
 
-Two module-private constructors skip the checks of the public ones, and
-only code of this module calls them:
-  * `_iv(lo_n, hi_n, den)` builds an RInterval from ints already in
-    canonical form and ordered; `interval_over` reduces ordered ints
-    that may share a factor first, and `pair_over` ordered endpoints
-    over two denominators. Every value that comes from outside
-    (ints, strings, endpoints of unknown order) goes through
-    `RInterval(...)`, which coerces and checks.
-  * `_fv(value, fmt)` builds the FloatValue a rounding function computed,
-    which is representable by construction. `FloatValue(...)` called
-    directly still checks `is_representable`.
+A module-private constructor skips the checks of the public one, and
+only code of this module calls it: `_iv(lo_n, hi_n, den)` builds an
+RInterval from ints already in canonical form and ordered;
+`interval_over` reduces ordered ints that may share a factor first, and
+`pair_over` ordered endpoints over two denominators. Every value that
+comes from outside (ints, strings, endpoints of unknown order) goes
+through `RInterval(...)`, which coerces and checks.
 """
 from __future__ import annotations
 
@@ -48,8 +49,6 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 from .errors import DivisionByZero, OverflowAlarm
 
 RationalLike = Union[Fraction, int, str]
-
-ZERO = Fraction(0)
 
 
 def rat(x: RationalLike) -> Fraction:
@@ -194,7 +193,7 @@ class RInterval:
         return interval_over(self.lo_n * f1 + p, self.hi_n * f1 + p, d * f1)
 
     def divide(self, other: "RInterval") -> "RInterval":
-        if other.contains(ZERO):
+        if other.contains(0):
             raise DivisionByZero("interval division by zero-containing interval")
         # 1/[c, d] = [1/d, 1/c] for c, d of one sign
         inv = RInterval(Fraction(other.den, other.hi_n),
@@ -277,9 +276,15 @@ def pair_over(lo_n: int, lo_d: int, hi_n: int, hi_d: int) -> RInterval:
 
 def trunc_div(a: RInterval, b: RInterval) -> RInterval:
     """C truncating division on integer intervals; 0 not in b."""
-    cs = [Fraction(math.trunc(x / y)) for x in (a.lo, a.hi)
-          for y in (b.lo, b.hi)]
-    return RInterval(min(cs), max(cs))
+    cs = [trunc_quotient(x * b.den, y * a.den) for x in (a.lo_n, a.hi_n)
+          for y in (b.lo_n, b.hi_n)]
+    return _iv(min(cs), max(cs), 1)
+
+
+def trunc_quotient(n: int, d: int) -> int:
+    """n/d rounded toward zero, as C truncates, for d != 0."""
+    q = abs(n) // abs(d)
+    return q if (n < 0) == (d < 0) else -q
 
 
 def products_over_lcm(cs: Sequence[int], ivs: Sequence[RInterval]
@@ -365,43 +370,21 @@ TOY = FloatFormat(beta=10, p=2, e_min=0, e_max=2)
 FORMATS = {"binary32": BINARY32, "binary64": BINARY64, "toy": TOY}
 
 
-@dataclass(frozen=True)
-class FloatValue:
-    """A rational known to be exactly representable in a format."""
-
-    value: Fraction
-    fmt: FloatFormat
-
-    def __post_init__(self):
-        if not is_representable(self.value, self.fmt):
-            raise ValueError(f"{self.value} is not representable in {self.fmt}")
-
-
-def _fv(value: Fraction, fmt: FloatFormat) -> FloatValue:
-    """Trusted FloatValue constructor for a value a rounding function
-    built, representable by construction."""
-    fv = object.__new__(FloatValue)
-    d = fv.__dict__
-    d["value"] = value
-    d["fmt"] = fmt
-    return fv
-
-
-def _ilog(x: Fraction, beta: int) -> int:
-    """Largest e with beta^e <= x, for x > 0."""
-    n, d = x.numerator, x.denominator
+def _ilog(n: int, d: int, beta: int) -> int:
+    """Largest e with beta^e <= n/d, for n, d > 0."""
     if beta == 2:
         # n/d lies in [2^(e-1), 2^(e+1)) for this e
         e = n.bit_length() - d.bit_length()
         if (d << e if e >= 0 else d) > (n if e >= 0 else n << -e):
             e -= 1
         return e
-    approx = (math.log2(n) - math.log2(d)) / math.log2(beta)
-    e = math.floor(approx)
-    b = Fraction(beta)
-    while b**e > x:
+
+    def at_most(k):  # beta^k <= n/d
+        return d * beta ** max(k, 0) <= n * beta ** max(-k, 0)
+    e = math.floor((math.log2(n) - math.log2(d)) / math.log2(beta))
+    while not at_most(e):
         e -= 1
-    while b ** (e + 1) <= x:
+    while at_most(e + 1):
         e += 1
     return e
 
@@ -421,25 +404,24 @@ def _ceil_div(n: int, d: int) -> int:
     return -(-n // d)
 
 
-def _round(x: Fraction, fmt: FloatFormat,
-           to_int: Callable[[int, int], int]) -> FloatValue:
-    """Round x into fmt; to_int(n, d) rounds the scaled significand n/d of
-    |x| to an integer."""
-    n, d = x.numerator, x.denominator
+def _round(n: int, d: int, fmt: FloatFormat,
+           to_int: Callable[[int, int], int]) -> Tuple[int, int]:
+    """n/d (d > 0) rounded into fmt as ints (n', d'), d' > 0; to_int(a, b)
+    rounds the scaled significand a/b of |n/d| to an integer."""
     if n == 0:
-        return _fv(ZERO, fmt)
-    s = -1 if n < 0 else 1
-    e = max(_ilog(abs(x), fmt.beta), fmt.e_min)
+        return 0, 1
+    a = abs(n)
+    e = max(_ilog(a, d, fmt.beta), fmt.e_min)
     qn, qd = fmt._quantum_ratio(e)
-    m = to_int(s * n * qd, d * qn)
+    m = to_int(a * qd, d * qn)
     if m >= fmt.beta**fmt.p:
         e += 1
         m = fmt.beta ** (fmt.p - 1)
         qn, qd = fmt._quantum_ratio(e)
     if e > fmt.e_max:
-        raise OverflowAlarm(f"{short(x)} rounds beyond the largest finite"
-                            f" value")
-    return _fv(Fraction(s * m * qn, qd), fmt)
+        raise OverflowAlarm(f"{short(Fraction(n, d))} rounds beyond the"
+                            f" largest finite value")
+    return (-m * qn if n < 0 else m * qn), qd
 
 
 def short(x: Fraction) -> str:
@@ -465,35 +447,37 @@ def short(x: Fraction) -> str:
     return f"{'-' if x < 0 else ''}{mant}e+{e}"
 
 
-def round_nearest(x: RationalLike, fmt: FloatFormat) -> FloatValue:
-    """Round to nearest representable value, ties to even significand."""
-    return _round(rat(x), fmt, _round_half_even)
+def round_nearest(n: int, d: int, fmt: FloatFormat) -> Tuple[int, int]:
+    """n/d (d > 0) rounded to the nearest value of fmt, ties to even
+    significand, as (n', d') with d' > 0."""
+    return _round(n, d, fmt, _round_half_even)
 
 
-def round_directed(x: RationalLike, fmt: FloatFormat, up: bool) -> FloatValue:
-    """Round toward +inf (up) or -inf; used to snap interval endpoints."""
-    x = rat(x)
-    outward = up == (x.numerator > 0)
-    return _round(x, fmt, _ceil_div if outward else operator.floordiv)
+def round_directed(n: int, d: int, fmt: FloatFormat,
+                   up: bool) -> Tuple[int, int]:
+    """n/d (d > 0) rounded toward +inf (up) or -inf, as (n', d') with
+    d' > 0; used to snap interval endpoints."""
+    outward = up == (n > 0)
+    return _round(n, d, fmt, _ceil_div if outward else operator.floordiv)
 
 
 def is_representable(x: RationalLike, fmt: FloatFormat) -> bool:
-    x = rat(x)
-    if x == 0:
+    x = abs(rat(x))
+    n, d = x.numerator, x.denominator
+    if n == 0:
         return True
-    a = abs(x)
-    if a > fmt.max_finite:
+    if x > fmt.max_finite:
         return False
-    e = max(_ilog(a, fmt.beta), fmt.e_min)
+    e = max(_ilog(n, d, fmt.beta), fmt.e_min)
     qn, qd = fmt._quantum_ratio(e)
-    return (a.numerator * qd) % (a.denominator * qn) == 0
+    return (n * qd) % (d * qn) == 0
 
 
 def representation_error_bound(iv: RInterval, fmt: FloatFormat) -> RInterval:
     """Sound symmetric bound on x - round(x) for any x in iv."""
-    m = iv.max_abs()
+    m = max(-iv.lo_n, iv.hi_n)
     if m == 0:
-        return RInterval.point(0)
-    e = max(_ilog(m, fmt.beta), fmt.e_min)
-    half_ulp = fmt.quantum(e) / 2
-    return RInterval(-half_ulp, half_ulp)
+        return _iv(0, 0, 1)
+    e = max(_ilog(m, iv.den, fmt.beta), fmt.e_min)
+    qn, qd = fmt._quantum_ratio(e)
+    return interval_over(-qn, qn, 2 * qd)

@@ -122,11 +122,6 @@ class AffineForm:
         return t
 
     @staticmethod
-    def constant(x: RationalLike) -> "AffineForm":
-        x = rat(x)
-        return _form(x.numerator, {}, x.denominator)
-
-    @staticmethod
     def of_point(iv: RInterval) -> "AffineForm":
         """The constant form of a point interval, over its ints."""
         return _form(iv.lo_n, {}, iv.den)

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 
+from fldx.numerics import rat, round_directed, round_nearest
+
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "fldx" / "corpus"
 
 
@@ -29,3 +31,12 @@ def rand_fraction(rng: random.Random, lo: Fraction, hi: Fraction,
     """A random rational in [lo, hi] with a moderate denominator."""
     span = hi - lo
     return lo + span * Fraction(rng.randint(0, denom), denom)
+
+
+def rounded(x, fmt, up=None) -> Fraction:
+    """x rounded into fmt, to nearest or, when up is given, up or down."""
+    x = rat(x)
+    n, d = x.numerator, x.denominator
+    if up is None:
+        return Fraction(*round_nearest(n, d, fmt))
+    return Fraction(*round_directed(n, d, fmt, up))

@@ -8,10 +8,10 @@ from fldx.config import AnalysisConfig, InputSpec
 from fldx.domain import AbstractFloat
 from fldx.executor.oracle import ShadowRun
 from fldx.frontend import parse_pred, parse_program
-from fldx.numerics import FORMATS, TOY, RInterval, rat, round_nearest
+from fldx.numerics import FORMATS, TOY, RInterval, rat
 from fldx.pipeline import analyze, instrumented_source, pick_entry, prepare
 from fldx.zonotope import AffineForm, Origin, SymbolPool, af_mul
-from tests.conftest import corpus_source, rand_fraction
+from tests.conftest import corpus_source, rand_fraction, rounded
 from tests.test_executor import EMPTY_INNER, run_flow, stable_program
 from tests.test_numerics import SORTED_VALS, TABLE, brute_round
 from tests.test_oracle_soundness import (WITH_INPUTS, analysis_hulls,
@@ -204,16 +204,16 @@ def test_criterion_7_protocol_conformance():
 
 
 def test_criterion_8_exhaustive_toy_rounding():
-    ok = all(round_nearest(v, TOY).value == v for v in SORTED_VALS)
+    ok = all(rounded(v, TOY) == v for v in SORTED_VALS)
     for a, b in zip(SORTED_VALS, SORTED_VALS[1:]):
         mid = (a + b) / 2
         if mid in TABLE:
             continue
-        if round_nearest(mid, TOY).value != brute_round(mid, TABLE):
+        if rounded(mid, TOY) != brute_round(mid, TABLE):
             ok = False
             break
     import math
     ten_pi = F(10) * F(math.pi).limit_denominator(10 ** 12)
-    ok = (ok and round_nearest(ten_pi, TOY).value == 31
-          and round_nearest(F(1, 3), TOY).value == F(3, 10))
+    ok = (ok and rounded(ten_pi, TOY) == 31
+          and rounded(F(1, 3), TOY) == F(3, 10))
     assert report_line(8, "exhaustive small-format rounding", ok)

@@ -8,9 +8,9 @@ import pytest
 from fldx.domain import (AbstractFloat, abs_neg, abs_op, apply_substitution,
                          make_substitution, project_onto_symbols, union)
 from fldx.errors import DivisionByZero, InfeasiblePath
-from fldx.numerics import BINARY64, RInterval, rat, round_nearest
+from fldx.numerics import BINARY64, RInterval, rat
 from fldx.zonotope import AffineForm, Origin, SymbolPool, af_mul
-from tests.conftest import rand_fraction
+from tests.conftest import rand_fraction, rounded
 
 F = Fraction
 
@@ -58,8 +58,8 @@ def test_abs_op_encloses_concrete_rounding(op, rng):
     for _ in range(300):
         xr = rand_fraction(rng, rat("0.5"), rat("2.5"))
         yr = rand_fraction(rng, rat("1.0"), rat("3.0"))
-        xf = round_nearest(xr, BINARY64).value
-        yf = round_nearest(yr, BINARY64).value
+        xf = rounded(xr, BINARY64)
+        yf = rounded(yr, BINARY64)
         if op == "+":
             zr, ze = xr + yr, xf + yf
         elif op == "-":
@@ -68,7 +68,7 @@ def test_abs_op_encloses_concrete_rounding(op, rng):
             zr, ze = xr * yr, xf * yf
         else:
             zr, ze = xr / yr, xf / yf
-        zf = round_nearest(ze, BINARY64).value
+        zf = rounded(ze, BINARY64)
         assert r.float_iv.lo <= zf <= r.float_iv.hi
         assert real_iv.lo <= zr <= real_iv.hi
         assert err_iv.lo <= zf - zr <= err_iv.hi
@@ -80,8 +80,8 @@ def test_point_operands_give_exact_error():
     a = AbstractFloat.from_literal(rat("0.5"), BINARY64)
     b = AbstractFloat.from_literal(rat("0.1"), BINARY64)
     r = abs_op("+", a, b, BINARY64, pool, env)
-    f01 = round_nearest(rat("0.1"), BINARY64).value
-    f = round_nearest(F(1, 2) + f01, BINARY64).value
+    f01 = rounded(rat("0.1"), BINARY64)
+    f = rounded(F(1, 2) + f01, BINARY64)
     assert r.float_iv == RInterval(f, f)
     assert r.err_iv == RInterval(f - rat("0.6"), f - rat("0.6"))
 

@@ -3,9 +3,10 @@ replaced, kept here as the reference: the interval operations, the
 affine-form operations, the concretization of an affine form, the
 projection of a form constraint onto its symbols, the interval meet,
 the projection fixpoint of `Interp._constrain_joint` that skips
-repeats, and `abs_op` and `AbstractFloat.from_literal` on exact
-operands. Every interval and form the kernel builds is checked for the
-canonical form that its equality relies on.
+repeats, `abs_op` and `AbstractFloat.from_literal` on exact operands,
+and rounding, which now takes and gives ints. Every interval and form
+the kernel builds is checked for the canonical form that its equality
+relies on, and an analysis is checked to build no Fraction per rounding.
 
 Values are drawn dyadic and not (1/3, 1/10, 0.1 rounded to binary32),
 with negative and mixed-sign coefficients, points, forms without terms,
@@ -22,12 +23,16 @@ from hypothesis import strategies as st
 
 from fldx.config import AnalysisConfig
 from fldx.domain import AbstractFloat, abs_op, project_onto_symbols
-from fldx.errors import AnalysisAlarm, DivisionByZero, InfeasiblePath
+from fldx.errors import (AnalysisAlarm, DivisionByZero, InfeasiblePath,
+                         OverflowAlarm)
 from fldx.executor import interp as I
 from fldx.frontend import parse_program
-from fldx.numerics import BINARY32, BINARY64, RInterval, round_nearest
+from fldx.numerics import (BINARY32, BINARY64, TOY, RInterval,
+                           round_directed, round_nearest, short)
+from fldx.pipeline import analyze
 from fldx.zonotope import (UNIT, AffineForm, Origin, SymbolPool, af_div,
                            af_mul, condense, sym_range)
+from tests.conftest import corpus_source, rounded
 
 N_SYMS = 5
 
@@ -200,7 +205,7 @@ def outcome(fn, *args):
 # Strategies
 # ---------------------------------------------------------------------------
 
-TENTH_32 = round_nearest(F(1, 10), BINARY32).value
+TENTH_32 = rounded(F(1, 10), BINARY32)
 SPECIAL = [F(1, 3), F(-1, 3), F(1, 10), F(-1, 10), TENTH_32, -TENTH_32,
            F(1), F(-1), F(1, 2**60), F(-3, 7), F(2, 3)]
 
@@ -573,9 +578,9 @@ def ref_abs_op(op, a, b, fmt, pool, env, max_syms=64):
     if op == "/" and fb == 0:
         raise DivisionByZero("float division by zero")
     z = ref_rat_op(op, fa, fb)
-    f = round_nearest(z, fmt).value
+    f = rounded(z, fmt)
     float_iv = RInterval.point(f)
-    err = AffineForm.constant(f) - real
+    err = AffineForm(f) - real
     err = condense(err, max_syms, pool, env)
     err_iv0 = err.concretize(env).meet(float_iv - real_iv)
     if err_iv0 is None:
@@ -584,10 +589,10 @@ def ref_abs_op(op, a, b, fmt, pool, env, max_syms=64):
 
 
 def ref_literal(x, fmt):
-    f = round_nearest(x, fmt).value
+    f = rounded(x, fmt)
     e = f - x
-    return AbstractFloat(RInterval.point(f), AffineForm.constant(x),
-                         RInterval.point(x), AffineForm.constant(e),
+    return AbstractFloat(RInterval.point(f), AffineForm(x),
+                         RInterval.point(x), AffineForm(e),
                          RInterval.point(e))
 
 
@@ -619,13 +624,13 @@ def thin_values(draw, fmt, exact=True):
         r = draw(st.sampled_from([1, -1, F(1, 2)])) * fmt.max_finite
     if kind == "zero_real":
         r = F(0)
-    f = round_nearest(r, fmt).value
+    f = rounded(r, fmt)
     if kind == "error":
-        f = round_nearest(r + draw(rationals), fmt).value
+        f = rounded(r + draw(rationals), fmt)
     elif kind == "zero_float":
         f = F(0)
     elif kind == "zero_real":
-        f = round_nearest(draw(rationals), fmt).value
+        f = rounded(draw(rationals), fmt)
     c = F(0) if exact else draw(rationals.filter(lambda x: x != 0))
     real = AffineForm(r, {0: c})
     riv = real.concretize({})
@@ -635,7 +640,7 @@ def thin_values(draw, fmt, exact=True):
     else:
         real_iv = RInterval(riv.lo - w, riv.hi + w)
     return AbstractFloat(RInterval.point(f), real, real_iv,
-                         AffineForm.constant(f - r), RInterval.point(f - r))
+                         AffineForm(f - r), RInterval.point(f - r))
 
 
 def fresh_pool():
@@ -697,3 +702,126 @@ def test_literal_matches_the_rounded_point_and_its_error(x, fmt):
             assert_canonical_interval(iv)
         for form in (got.real, got.err):
             assert_canonical_form(form)
+
+
+# ---------------------------------------------------------------------------
+# Rounding on ints against the Fraction body it replaced
+# ---------------------------------------------------------------------------
+
+
+def ref_ilog(x: F, beta: int) -> int:
+    """Largest e with beta^e <= x, for x > 0 (the replaced `_ilog`)."""
+    n, d = x.numerator, x.denominator
+    if beta == 2:
+        e = n.bit_length() - d.bit_length()
+        if (d << e if e >= 0 else d) > (n if e >= 0 else n << -e):
+            e -= 1
+        return e
+    e = math.floor((math.log2(n) - math.log2(d)) / math.log2(beta))
+    b = F(beta)
+    while b**e > x:
+        e -= 1
+    while b ** (e + 1) <= x:
+        e += 1
+    return e
+
+
+def ref_round(x: F, fmt, mode: str) -> F:
+    """The replaced Fraction `_round`: x rounded into fmt to "nearest"
+    (ties to even), "up" or "down"."""
+    n, d = x.numerator, x.denominator
+    if n == 0:
+        return F(0)
+    s = -1 if n < 0 else 1
+    e = max(ref_ilog(abs(x), fmt.beta), fmt.e_min)
+    qn, qd = fmt._quantum_ratio(e)
+    a, b = s * n * qd, d * qn
+    if mode == "nearest":
+        m = round(F(a, b))  # half to even
+    elif (mode == "up") == (n > 0):
+        m = -(-a // b)
+    else:
+        m = a // b
+    if m >= fmt.beta**fmt.p:
+        e += 1
+        m = fmt.beta ** (fmt.p - 1)
+        qn, qd = fmt._quantum_ratio(e)
+    if e > fmt.e_max:
+        raise OverflowAlarm(f"{short(x)} rounds beyond the largest finite"
+                            f" value")
+    return F(s * m * qn, qd)
+
+
+@st.composite
+def rounding_inputs(draw, fmt):
+    """Rationals where rounding has cases: ties between neighbours,
+    subnormals, values around the largest finite one and beyond it,
+    exact values, zero and non-dyadic values at every scale; either
+    sign."""
+    b, p = F(fmt.beta), fmt.p
+    kind = draw(st.sampled_from(
+        ["tie", "subnormal", "top", "exact", "scaled", "zero"]))
+    if kind == "tie":
+        x = (draw(st.integers(0, fmt.beta**p - 1)) + F(1, 2)) \
+            * b ** (draw(st.integers(fmt.e_min, fmt.e_max)) - p + 1)
+    elif kind == "subnormal":
+        x = F(draw(st.integers(0, 3 * fmt.beta**(p - 1))),
+              draw(st.integers(1, 7))) * fmt.subnormal_step
+    elif kind == "top":
+        x = fmt.max_finite + draw(st.sampled_from(
+            [-1, F(-1, 2), F(-1, 3), 0, F(1, 3), F(1, 2), 1, 2, 10**3])) \
+            * fmt.quantum(fmt.e_max)
+    elif kind == "exact":
+        x = draw(st.integers(1, fmt.beta**p - 1)) \
+            * b ** (draw(st.integers(fmt.e_min, fmt.e_max)) - p + 1)
+    elif kind == "scaled":
+        x = draw(st.fractions(min_value=F(1, 10**6), max_value=10**6,
+                              max_denominator=10**9)) \
+            * b ** draw(st.integers(fmt.e_min - p, fmt.e_max))
+    else:
+        x = F(0)
+    return -x if draw(st.booleans()) else x
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.sampled_from([BINARY32, BINARY64, TOY]).flatmap(
+    lambda fmt: st.tuples(st.just(fmt), rounding_inputs(fmt))),
+       st.sampled_from(["nearest", "up", "down"]))
+def test_rounding_on_ints_matches_the_fraction_round(case, mode):
+    fmt, x = case
+    n, d = x.numerator, x.denominator
+    try:
+        want = ref_round(x, fmt, mode)
+    except OverflowAlarm as exn:
+        want = OverflowAlarm, str(exn)
+    try:
+        got = round_nearest(n, d, fmt) if mode == "nearest" \
+            else round_directed(n, d, fmt, mode == "up")
+    except OverflowAlarm as exn:
+        assert want == (OverflowAlarm, str(exn))
+        return
+    gn, gd = got
+    assert type(gn) is int and type(gd) is int and gd > 0
+    assert F(gn, gd) == want
+
+
+def test_analysis_builds_no_fraction_per_rounding(monkeypatch):
+    # patriot.c rounds t + 0.1 once per tick: 1000 roundings
+    config = AnalysisConfig(fmt=BINARY32)
+    source = corpus_source("patriot.c")
+    made = []
+    new = F.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(cls)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", staticmethod(counted))
+    counts = []
+    for ticks in ("1000", "100"):
+        made.clear()
+        analyze(source.replace("1000", ticks), config)
+        counts.append(len(made))
+    assert source.count("1000") == 1
+    assert counts[0] <= 32
+    assert abs(counts[0] - counts[1]) <= 4

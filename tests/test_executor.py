@@ -468,6 +468,24 @@ def test_assume_on_ints_per_operator(cond, expected):
     assert assumed(int_vars, cond, ["a", "b"]) == expected
 
 
+# C truncates a quotient toward zero, and a remainder takes the sign of
+# the dividend; a in [0, 3]
+@pytest.mark.parametrize("expr,expected", [
+    ("-7 / 2", "[-3, -3]"),
+    ("7 / -2", "[-3, -3]"),
+    ("-7 % 2", "[-1, -1]"),
+    ("7 % -2", "[1, 1]"),
+    ("-7 % -2", "[-1, -1]"),
+    ("a / 2", "[0, 1]"),
+    ("-a % 2", "[-1, 0]"),
+    ("a % -3", "[0, 2]"),
+])
+def test_int_division_and_modulo_truncate_toward_zero(expr, expected):
+    it = Interp(parse_program("int main() { return 0; }"), AnalysisConfig())
+    int_vars(it)
+    assert show(it.eval(parse_expr(expr))) == expected
+
+
 @pytest.mark.parametrize("cond,expected", [
     ("x < 0.5", [
         ("[0, 1/2]", "[-1/10000000, 1/2]"),
@@ -478,7 +496,9 @@ def test_assume_on_ints_per_operator(cond, expected):
     ("x > 0.5", [("[1/2, 1]", "[1/2, 1]"), ("[1/4, 3/4]", "[1/4, 3/4]")]),
     ("x >= 0.5", [("[1/2, 1]", "[1/2, 1]"), ("[1/4, 3/4]", "[1/4, 3/4]")]),
     ("x == 0.5", [("[1/2, 1/2]", "[1/2, 1/2]"), ("[1/4, 3/4]", "[1/4, 3/4]")]),
-    ("x != 0.5", [("[0, 1]", "[-1, 1]"), ("[1/4, 3/4]", "[1/4, 3/4]")]),
+    ("x != 0.5", [
+        ("[0, 1]", "[-1/10000000, 1]"),
+        ("[1/4, 3/4]", "[1/4, 3/4]")]),
     ("x < y", [
         ("[0, 7500001/10000000]", "[-1/10000000, 3/4]"),
         ("[1/4, 3/4]", "[1/4, 3/4]")]),
@@ -494,7 +514,9 @@ def test_assume_on_ints_per_operator(cond, expected):
     ("x == y", [
         ("[2499999/10000000, 7500001/10000000]", "[1/4, 3/4]"),
         ("[1/4, 3/4]", "[1/4, 3/4]")]),
-    ("x != y", [("[0, 1]", "[-1, 1]"), ("[1/4, 3/4]", "[1/4, 3/4]")]),
+    ("x != y", [
+        ("[0, 1]", "[-1/10000000, 1]"),
+        ("[1/4, 3/4]", "[1/4, 3/4]")]),
     ("x > 2.0", "infeasible"),
 ])
 def test_assume_on_floats_per_operator(cond, expected):

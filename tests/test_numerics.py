@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 
 from fldx.cli import main
 from fldx.errors import OverflowAlarm
-from fldx.numerics import (FORMATS, TOY, FloatFormat, FloatValue,
-                           RInterval, _ilog, is_representable, rat,
-                           representation_error_bound, round_directed,
-                           round_nearest, short)
+from fldx.numerics import (FORMATS, TOY, FloatFormat, RInterval, _ilog,
+                           is_representable, rat, representation_error_bound,
+                           short)
 from fldx.report import rational_to_json
+from tests.conftest import rounded
 
 # ---------------------------------------------------------------------------
 # Brute-force model of the toy format (base 10, two digits), built from
@@ -74,7 +74,7 @@ def test_enumerate_floats_matches_brute_force_set():
 
 def test_round_identity_on_representables():
     for v in SORTED_VALS:
-        assert round_nearest(v, TOY).value == v
+        assert rounded(v, TOY) == v
 
 
 def test_round_every_midpoint_ties_to_even():
@@ -83,27 +83,27 @@ def test_round_every_midpoint_ties_to_even():
         if mid in TABLE:
             continue  # not a tie, mid itself representable
         expected = brute_round(mid, TABLE)
-        assert round_nearest(mid, TOY).value == expected, (a, b)
+        assert rounded(mid, TOY) == expected, (a, b)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.fractions(min_value=Fraction(-990), max_value=Fraction(990)))
 def test_round_matches_brute_force_everywhere(x):
-    assert round_nearest(x, TOY).value == brute_round(x, TABLE)
+    assert rounded(x, TOY) == brute_round(x, TABLE)
 
 
 def test_ten_pi_rounds_to_31():
     ten_pi = Fraction(10) * Fraction(math.pi).limit_denominator(10 ** 12)
-    assert round_nearest(ten_pi, TOY).value == 31
+    assert rounded(ten_pi, TOY) == 31
 
 
 def test_third_rounds_to_three_tenths():
-    assert round_nearest(Fraction(1, 3), TOY).value == Fraction(3, 10)
+    assert rounded(Fraction(1, 3), TOY) == Fraction(3, 10)
 
 
 def test_round_overflow_raises():
     with pytest.raises(OverflowAlarm):
-        round_nearest(Fraction(10000), TOY)
+        rounded(Fraction(10000), TOY)
 
 
 @settings(max_examples=300, deadline=None)
@@ -146,8 +146,8 @@ def test_cli_overflow_alarm_prints_the_value_short(tmp_path):
 def test_round_directed_brackets_nearest():
     for a, b in zip(SORTED_VALS, SORTED_VALS[1:]):
         x = a + (b - a) / 3
-        assert round_directed(x, TOY, up=False).value == a
-        assert round_directed(x, TOY, up=True).value == b
+        assert rounded(x, TOY, up=False) == a
+        assert rounded(x, TOY, up=True) == b
 
 
 def test_unit_roundoff():
@@ -162,7 +162,7 @@ def test_relative_error_bounded_by_unit_roundoff():
         x = v + Fraction(1, 7)
         if abs(x) > TOY.max_finite:
             continue
-        r = round_nearest(x, TOY).value
+        r = rounded(x, TOY)
         if abs(x) >= smallest_normal:
             assert abs(r - x) <= u * abs(x)
 
@@ -172,7 +172,7 @@ def test_representation_error_bound_is_sound(rng):
     bound = representation_error_bound(iv, TOY)
     for _ in range(200):
         x = rat("0.5") + Fraction(rng.randint(0, 9 * 10 ** 6), 10 ** 6)
-        r = round_nearest(x, TOY).value
+        r = rounded(x, TOY)
         assert bound.lo <= r - x <= bound.hi
 
 
@@ -327,7 +327,7 @@ def ties(fmt: FloatFormat):
 @example(Fraction(2**1100))
 @example(Fraction(2**1100 - 1))
 def test_ilog_base_2_matches_power_loop(x):
-    assert _ilog(x, 2) == ilog_reference(x, 2)
+    assert _ilog(x.numerator, x.denominator, 2) == ilog_reference(x, 2)
 
 
 @settings(max_examples=200, deadline=None)
@@ -335,7 +335,7 @@ def test_ilog_base_2_matches_power_loop(x):
 @example(Fraction(1, 10**331))
 @example(Fraction(10**331))
 def test_ilog_base_10_matches_power_loop(x):
-    assert _ilog(x, 10) == ilog_reference(x, 10)
+    assert _ilog(x.numerator, x.denominator, 10) == ilog_reference(x, 10)
 
 
 FORMAT_CASES = [FORMATS["binary32"], FORMATS["binary64"], TOY]
@@ -347,28 +347,20 @@ def test_rounding_gives_representable_reference_values(fmt, data):
     x = data.draw(st.one_of(signed(wide_positive(fmt.beta)),
                             signed(ties(fmt)),
                             st.fractions(max_denominator=10**6)))
-    for mode, rounded in (("nearest", lambda: round_nearest(x, fmt)),
-                          ("up", lambda: round_directed(x, fmt, up=True)),
-                          ("down", lambda: round_directed(x, fmt, up=False))):
+    for mode, up in (("nearest", None), ("up", True), ("down", False)):
         try:
             want = round_reference(x, fmt, mode)
         except OverflowAlarm:
             with pytest.raises(OverflowAlarm):
-                rounded()
+                rounded(x, fmt, up)
             continue
-        got = rounded()
-        assert got.value == want
-        assert type(got.value) is Fraction
-        assert is_representable(got.value, fmt)
+        got = rounded(x, fmt, up)
+        assert got == want
+        assert is_representable(got, fmt)
         if mode == "up":
-            assert got.value >= x
+            assert got >= x
         elif mode == "down":
-            assert got.value <= x
-
-
-def test_float_value_constructor_still_checks_representability():
-    with pytest.raises(ValueError):
-        FloatValue(Fraction(1, 3), TOY)
+            assert got <= x
 
 
 @pytest.mark.parametrize("fmt", FORMAT_CASES)

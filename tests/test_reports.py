@@ -419,3 +419,63 @@ int main() {
     rep = json.loads(res.output)
     ys = [p for p in rep["prints"] if p["variable"] == "y"]
     assert ys and from_json(ys[0]["float"][0]) >= 3
+
+
+READ_X = ("int main() {\n  double x = read_double(%s);\n"
+          "  double y = x * 2.0;\n  return 0;\n}\n")
+ARRAY_PARAM = ("double g(double t[3]) { double y = t[1];"
+               " /*@ assert dprint(y); */ return y; }\n")
+
+
+@pytest.mark.parametrize("command,source,args,code,message", [
+    ("analyze", READ_X % "0.0, 1.0", ["--input", "x=[1,0]"], 2,
+     "Invalid value for '--input': invalid interval [1, 0]"),
+    ("analyze", READ_X % "0.0, 1.0", ["--input", "x=abc"], 2,
+     "Invalid value for '--input'"),
+    ("analyze", READ_X % "0.0, 1.0", ["--input", "x=[1]"], 2,
+     "Invalid value for '--input': bad interval '[1]'"),
+    ("analyze", READ_X % "0.0, 1.0", ["--input", "x=[a,b]"], 2,
+     "Invalid value for '--input'"),
+    ("analyze", READ_X % "0.0, 1.0", ["--input", "x=[0,1]~[1]"], 2,
+     "Invalid value for '--input': bad interval '[1]'"),
+    ("analyze", ARRAY_PARAM, ["--input", "t={0.1,abc,2}"], 2,
+     "Invalid value for '--input'"),
+    ("analyze", READ_X % "0.0, 1.0", ["--threshold", "abc"], 2,
+     "Invalid value for '--threshold'"),
+    ("analyze", READ_X % "0.0, 1.0", ["--max-noise", "0"], 2,
+     "Invalid value for '--max-noise'"),
+    ("analyze", READ_X % "1.0, 0.0", [], 6,
+     "execute: 2:14: read_double: invalid interval [1, 0]"),
+    ("analyze", READ_X % "0.0, 1.0, 1e-3, -1e-3", [], 6,
+     "execute: 2:14: read_double: invalid interval [1/1000, -1/1000]"),
+    ("analyze", b"int main() { /* \xff */ return 0; }\n", [], 2,
+     "error: parse: source is not UTF-8 text"),
+    ("instrument", b"int main() { /* \xff */ return 0; }\n", [], 2,
+     "error: parse: source is not UTF-8 text"),
+], ids=["input-reversed", "input-not-a-number", "input-one-end",
+        "input-ends-not-numbers", "input-error-one-end", "input-array-element",
+        "threshold", "max-noise", "read-double-reversed",
+        "read-double-error-reversed", "analyze-not-utf8",
+        "instrument-not-utf8"])
+def test_cli_bad_input_ends_in_its_exit_code(tmp_path, command, source, args,
+                                             code, message):
+    src = tmp_path / "p.c"
+    if isinstance(source, bytes):
+        src.write_bytes(source)
+    else:
+        src.write_text(source)
+    res = CliRunner().invoke(main, [command, *args, str(src)])
+    assert res.exit_code == code, res.output
+    assert type(res.exception) is SystemExit
+    assert message in res.output
+    assert "Traceback" not in res.output
+
+
+def test_cli_array_input_elements_are_parsed_before_the_run(tmp_path):
+    src = tmp_path / "p.c"
+    src.write_text(ARRAY_PARAM)
+    res = CliRunner().invoke(main, ["analyze", "--input", "t={0.5,0.25,2}",
+                                    "--report", "json", str(src)])
+    assert res.exit_code == 0, res.output
+    y, = [p for p in json.loads(res.output)["prints"] if p["variable"] == "y"]
+    assert [from_json(v) for v in y["float"]] == [F(1, 4), F(1, 4)]
