@@ -77,6 +77,7 @@ def main() -> None:
               type=click.IntRange(min=1),
               help="Noise symbols kept per affine form.")
 @click.option("--path-budget", default=256, show_default=True,
+              type=click.IntRange(min=1),
               help="Execution paths explored per section.")
 @click.option("--threshold", default="0.05", show_default=True,
               callback=_parsed(

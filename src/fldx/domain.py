@@ -262,9 +262,8 @@ def abs_op(op: str, a: AbstractFloat, b: AbstractFloat, fmt: FloatFormat,
     delta = fmt.unit_roundoff * z_iv.max_abs() + fmt.subnormal_step / 2
     if delta != 0 and not z_iv.is_point():
         err = err + AffineForm(0, {pool.fresh(Origin.ROUNDING): delta})
-    elif z_iv.is_point():
-        fn, fd = round_nearest(z_iv.lo_n, z_iv.den, fmt)
-        err = err + AffineForm.of_point(interval_over(fn, fn, fd) - z_iv)
+    elif z_iv.is_point():  # float_iv is the one rounding [f, f]
+        err = err + AffineForm.of_point(float_iv - z_iv)
     err = condense(err, max_syms, pool, env)
 
     err_iv = err.concretize(env).meet(float_iv - real_iv)

@@ -4,6 +4,13 @@ A path is a sequence of choices, one per decision point met while
 re-executing the section body. The explorer replays the recorded prefix
 and extends it with first alternatives; next_path() advances the last
 non-exhausted decision, giving plain DFS over the decision tree.
+
+Next to its trace of choices the explorer keeps one saved state per
+branch point of the current path (`saved`, aligned with `trace`, None
+where nothing was saved): what the first visit of that decision left.
+`next_path` drops every entry from the position it advances, so an entry
+is read back (`resume`) only on a replay of the prefix that made it, and
+at most one state per decision of the current path is held.
 """
 from __future__ import annotations
 
@@ -14,6 +21,7 @@ class PathExplorer:
     def __init__(self, budget: int = 256) -> None:
         self.trace: List[int] = []
         self.limits: List[int] = []
+        self.saved: List[object] = []
         self.pos = 0
         self.budget = budget
         self.paths_started = 1
@@ -34,6 +42,20 @@ class PathExplorer:
         self.pos += 1
         return i
 
+    def save(self, state: object) -> None:
+        """Keep state as what the decision just chosen left."""
+        at = self.pos - 1
+        self.saved.extend([None] * (at + 1 - len(self.saved)))
+        self.saved[at] = state
+
+    def resume(self) -> object:
+        """The state saved at the current decision point, its recorded
+        choice consumed; None, consuming nothing, when there is none."""
+        state = self.saved[self.pos] if self.pos < len(self.saved) else None
+        if state is not None:
+            self.choose(self.limits[self.pos])
+        return state
+
     def next_path(self) -> bool:
         """Advance to the next path; False when the tree is exhausted or
         the budget is spent."""
@@ -47,6 +69,7 @@ class PathExplorer:
             self.budget_hit = True
             return False
         self.trace[-1] += 1
+        del self.saved[len(self.trace) - 1:]
         self.pos = 0
         self.paths_started += 1
         return True

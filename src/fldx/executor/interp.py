@@ -25,6 +25,18 @@ The chosen flow constrains the float, real and error forms of t jointly
 and meets the operands; `assume` applies the stable true flow the same
 way, without a decision.
 
+Each path re-executes the section body from its checkpoint, replaying
+the explorer's recorded choices. A float test that chose among several
+flows saves what it left (signature item, interpretation, control
+value, trace lines, mem and env) in the explorer, and a replay of it
+restores that state instead of computing the flow again. The rule for
+restoring is one: only a test of an if, while or do condition (through
+`!`, `&&`, `||`) at the section's own call depth, where nothing but mem
+and env is live. A test inside an expression or a callee, a cast and an
+int test are computed on every visit, since a Python local there may
+hold a value built on the replay's own symbols. The explorer holds at
+most one state per decision of the current path.
+
 After all paths of a section are explored the per-path states are
 folded with the interval-hull union. A section whose every path is
 infeasible propagates emptiness to the enclosing section.
@@ -79,6 +91,7 @@ class SectionCtx:
     section_id: int
     is_user: bool
     explorer: PathExplorer
+    depth: int = 0  # the call depth the section body runs at
     signature: List = field(default_factory=list)
     interp: Optional[str] = None
 
@@ -407,24 +420,26 @@ class Interp:
 
     # -- decisions --------------------------------------------------------
 
-    def decide(self, e: S.Expr) -> bool:
-        """Truth of a condition on the current path, splitting as needed."""
+    def decide(self, e: S.Expr, branch: bool = False) -> bool:
+        """Truth of a condition on the current path, splitting as needed.
+        `branch` marks the condition of an if, while or do statement,
+        whose float tests may resume a saved state (see `_flow`)."""
         if isinstance(e, S.Unary) and e.op == "!":
-            return not self.decide(e.expr)
+            return not self.decide(e.expr, branch)
         if isinstance(e, S.Binary) and e.op == "&&":
-            return self.decide(e.left) and self.decide(e.right)
+            return self.decide(e.left, branch) and self.decide(e.right, branch)
         if isinstance(e, S.Binary) and e.op == "||":
-            return self.decide(e.left) or self.decide(e.right)
+            return self.decide(e.left, branch) or self.decide(e.right, branch)
         if isinstance(e, S.Binary) and e.op in S.COMPARISONS:
             return self._test(e.op, e.left, e.right, self.eval(e.left),
-                              self.eval(e.right), id(e), e.loc)
+                              self.eval(e.right), id(e), e.loc, branch)
         # scalar truthiness: e != 0
         v = self.eval(e)
         zero = _INT_ZERO if isinstance(v, RInterval) else self._float_zero
-        return self._test("!=", e, None, v, zero, id(e), e.loc)
+        return self._test("!=", e, None, v, zero, id(e), e.loc, branch)
 
     def _test(self, op: str, lhs: S.Expr, rhs: Optional[S.Expr], a, b,
-              site: int, loc: S.Loc) -> bool:
+              site: int, loc: S.Loc, branch: bool = False) -> bool:
         """Truth of `lhs op rhs` with operand values a and b, splitting on
         the regions of t = a - b; `!=` is decided as `==`, negated."""
         neg = op == "!="
@@ -447,11 +462,11 @@ class Interp:
              ("sF", False, false_reg, False, false_reg),
              ("uT", True, true_reg, False, false_reg),
              ("uF", False, false_reg, True, true_reg)],
-            lhs, rhs, self._as_float(a), self._as_float(b))
+            lhs, rhs, self._as_float(a), self._as_float(b), branch)
 
     def _flow(self, loc: S.Loc, site: int, noun: str, candidates,
               lhs: Optional[S.Expr], rhs: Optional[S.Expr],
-              l: AbstractFloat, r: AbstractFloat):
+              l: AbstractFloat, r: AbstractFloat, branch: bool = False):
         """Choose one flow of a float test or cast on t = l - r, apply it
         and return its control value.
 
@@ -463,7 +478,21 @@ class Interp:
         allows, and outside a user section it only raises an alarm.
         Inside one it is offered twice, its control value taken from the
         machine ("float") or the ideal ("real") run.
+
+        A test of a `branch` condition at the section's own call depth
+        saves what it left and restores it on a replay (module docstring).
         """
+        ctx = self.ctx
+        keep = branch and self._call_depth == ctx.depth
+        saved = ctx.explorer.resume() if keep else None
+        if saved is not None:
+            item, ctx.interp, value, lines, mem, env = saved
+            ctx.signature.append(item)
+            self.trace.extend(lines)
+            self.mem.restore(mem)
+            self.env.clear()
+            self.env.update(env)
+            return value
         env = self.env
         t_fiv = l.float_iv - r.float_iv
         t_riv = l.real_refined(env) - r.real_refined(env)
@@ -472,7 +501,7 @@ class Interp:
         m = t_eiv.meet(l.err_refined(env) - r.err_refined(env))
         if m is not None:
             t_eiv = m
-        fixed = self.ctx.interp
+        fixed = ctx.interp
         flows = []
         gap = False
         for tag, f_val, f_reg, r_val, r_reg in candidates:
@@ -483,7 +512,7 @@ class Interp:
                 continue
             if stable:
                 flows.append((tag, None, f_val, f_reg, r_reg, e_reg))
-            elif not self.ctx.is_user:
+            elif not ctx.is_user:
                 gap = True
             else:
                 for interp, value in (("float", f_val), ("real", r_val)):
@@ -499,13 +528,18 @@ class Interp:
         if not flows:
             raise InfeasiblePath
         tag, interp, value, f_reg, r_reg, e_reg = \
-            flows[self.ctx.explorer.choose(len(flows))]
-        self.ctx.signature.append((site, tag))
+            flows[ctx.explorer.choose(len(flows))]
+        ctx.signature.append((site, tag))
         if interp is not None and fixed is None:
-            self.ctx.interp = interp
+            ctx.interp = interp
+        first_line = len(self.trace)
         self._trace(f"decision {loc}: {'cast ' if noun == 'cast' else ''}"
                     f"{tag}" + (f"/{interp}" if interp else ""))
         self._apply(lhs, rhs, l, r, f_reg, r_reg, e_reg, err_form)
+        if keep and len(flows) > 1:
+            ctx.explorer.save(((site, tag), ctx.interp, value,
+                               self.trace[first_line:], self.mem.snapshot(),
+                               dict(self.env)))
         return value
 
     def _apply(self, lhs: Optional[S.Expr], rhs: Optional[S.Expr],
@@ -561,13 +595,13 @@ class Interp:
         elif isinstance(s, S.Assign):
             self._exec_assign(s)
         elif isinstance(s, S.If):
-            if self.decide(s.cond):
+            if self.decide(s.cond, True):
                 self.exec_stmts(s.then.stmts)
             elif s.els is not None:
                 self.exec_stmts(s.els.stmts)
         elif isinstance(s, S.While):
             n = 0
-            while self.decide(s.cond):
+            while self.decide(s.cond, True):
                 self.exec_stmts(s.body.stmts)
                 n += 1
                 if n > _LOOP_LIMIT:
@@ -583,7 +617,7 @@ class Interp:
                     raise AnalysisAlarm("loop-limit",
                                         f"{s.loc}: loop iteration limit"
                                         f" exceeded", s.loc)
-                if not self.decide(s.cond):
+                if not self.decide(s.cond, True):
                     break
         elif isinstance(s, S.Return):
             raise _Return(self.eval(s.expr) if s.expr is not None else None)
@@ -704,7 +738,8 @@ class Interp:
         checkpoint_mem = self.mem.snapshot()
         checkpoint_env = dict(self.env)
         ex = PathExplorer(self.cfg.path_budget)
-        ctx = SectionCtx(sec.section_id, sec.section_id != 0, ex)
+        ctx = SectionCtx(sec.section_id, sec.section_id != 0, ex,
+                         self._call_depth)
         self.stack.append(ctx)
         finished: List[PathState] = []
         self._trace(f"section {sec.section_id}: enter")

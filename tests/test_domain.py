@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from fldx import domain
 from fldx.domain import (AbstractFloat, abs_neg, abs_op, apply_substitution,
                          make_substitution, project_onto_symbols, union)
 from fldx.errors import DivisionByZero, InfeasiblePath
@@ -84,6 +85,29 @@ def test_point_operands_give_exact_error():
     f = rounded(F(1, 2) + f01, BINARY64)
     assert r.float_iv == RInterval(f, f)
     assert r.err_iv == RInterval(f - rat("0.6"), f - rat("0.6"))
+
+
+@pytest.mark.parametrize("op", ["*", "/"])
+def test_a_point_float_result_is_rounded_once_per_endpoint(op, monkeypatch):
+    """0 * x and 0 / x with x not a point make the float result the point
+    0: its two endpoint roundings give float_iv, and the error shift
+    reads float_iv - z_iv instead of rounding the point again."""
+    pool = SymbolPool()
+    env = {}
+    x = _fresh_input("1.0", "2.0", pool, env)
+    zero = AbstractFloat.from_literal(0, BINARY64)
+    rounded_at = []
+    round_nearest = domain.round_nearest
+
+    def counted(n, d, fmt):
+        rounded_at.append((n, d))
+        return round_nearest(n, d, fmt)
+
+    monkeypatch.setattr(domain, "round_nearest", counted)
+    r = abs_op(op, zero, x, BINARY64, pool, env)
+    assert rounded_at == [(0, 1), (0, 1)]
+    assert r.float_iv == RInterval(F(0), F(0))
+    assert r.err_iv.contains(0)
 
 
 def test_division_by_zero_straddling_interval_raises():

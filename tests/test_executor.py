@@ -1,6 +1,7 @@
 """Abstract execution: the six evaluation flows of an unstable test with
 their exact constrained states, path enumeration within sections, and
 emptiness propagation across nested sections."""
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -116,6 +117,36 @@ def test_n_stable_decisions_explore_exactly_2_to_n_paths(n):
     assert sec[0]["started_paths"] == 2 ** n
     assert sec[0]["merged_pairs"] == 0
     assert not rep.has_alarms
+
+
+#: SHA-256 of `analyze(stable_program(6), AnalysisConfig()).to_json()`,
+#: as computed when every replayed decision was computed again
+STABLE_6_SHA256 = \
+    "3703611f8d48c21048e97fc450ff8686e5416f2ccbfb59e8355ba7fa15ba31cb"
+
+
+def test_replay_visits_every_decision_but_does_not_recompute_it(monkeypatch):
+    """Each of the 2**6 paths replays its prefix and meets all 6 decisions,
+    but only the first visit of each of the 2**7 - 2 nodes of the
+    decision tree applies a flow; a replayed one restores the state that
+    visit saved."""
+    calls = {"choose": 0, "apply": 0}
+    choose, apply = PathExplorer.choose, Interp._apply
+
+    def counted_choose(self, n):
+        calls["choose"] += 1
+        return choose(self, n)
+
+    def counted_apply(self, *args):
+        calls["apply"] += 1
+        return apply(self, *args)
+
+    monkeypatch.setattr(PathExplorer, "choose", counted_choose)
+    monkeypatch.setattr(Interp, "_apply", counted_apply)
+    text = analyze(stable_program(6), AnalysisConfig()).to_json()
+    assert calls["choose"] == 6 * 2 ** 6
+    assert calls["apply"] <= 2 ** 7
+    assert hashlib.sha256(text.encode()).hexdigest() == STABLE_6_SHA256
 
 
 def test_path_budget_warns_and_stops():

@@ -68,7 +68,7 @@ REPORT_SHA256 = {
     "comp_disc.c":
         "53af40bac4d6dcbe8586055f2e0156134af8676fc9f62f2da899df9d6da1a185",
     "comp_disc_nested.c":
-        "e6ec47aaab038bbe4b74b83663954343aa8beb6d464ea9fc303daa2f3b6b6369",
+        "3d0af74025b9030213f5bc2954c9d10e398c383b5a537c2043f34359be718643",
     "division.c":
         "eaff243d3df9e67aef1bdf020a25c3f5ddbfe5e5f6eec7c1d292e1ee50873e82",
     "filter.c":
@@ -103,6 +103,24 @@ def test_corpus_report_bytes_are_unchanged(name):
 
 def test_report_table_covers_the_corpus():
     assert sorted(REPORT_SHA256) == all_corpus_names()
+
+
+def test_comp_disc_nested_error_is_the_jump_plus_roundings():
+    """z is x + y + 0.1 or x + y, with x within 1e-7 of 0.5 and y in
+    [0, 1]. Machine and ideal take different arms only when x is within a
+    representation error of 0.5, and the arms then differ by the 0.1
+    added. Beside that jump, the error of z is that of the inputs x and
+    y, of the literal 0.1 and of the two additions: five errors, each at
+    most half an ulp of a value below 2, 2**-53 in binary64. So |err| <=
+    0.1 + 5 * 2**-53 < 0.1 + 2**-50, and the bound leaves the hull 2**-48
+    for its own slack. An unstable pair whose float and real runs hold
+    unrelated narrowed copies of x would add the 2e-7 width of x's range.
+    """
+    name = "comp_disc_nested.c"
+    hull, = [a.err_hull for a in analyze(corpus_source(name),
+                                         AnalysisConfig()).assertions]
+    bound = F(1, 10) + F(1, 2 ** 48)
+    assert -bound <= hull.lo and hull.hi <= bound
 
 
 #: section-heavy sources beyond the corpus, with the SHA-256 of their
@@ -149,6 +167,71 @@ int main() {
 }
 """
 
+#: a float test in a ternary operand after a single-flow test, replayed
+#: once the later test on z advances; y is built on x, whose range the
+#: operand's test narrows
+TERNARY_OPERAND = """\
+int main() {
+  double s = 0.0;
+  /*@ split(1, s); */
+  double x = read_double(0.0, 1.0);
+  double y = x * 3.0;
+  if (y < 4.0) { s = 1.0; }
+  s = y + (x < 0.5 ? 1.0 : 2.0);
+  double z = read_double(0.0, 1.0);
+  if (z < 0.5) { s = s + 1.0; } else { s = s - 1.0; }
+  /*@ merge(1, s); */
+  /*@ accuracy_assert_derr(s, -1e-9, 1e-9); */
+  /*@ dprint(s); */
+  return 0;
+}
+"""
+
+#: a float test inside a function the section calls
+CALLEE_TEST = """\
+double step(double v) {
+  double r = v - 1.0;
+  if (v < 0.5) { r = v + 1.0; }
+  return r;
+}
+int main() {
+  double s = 0.0;
+  /*@ split(1, s); */
+  double x = read_double(0.0, 1.0);
+  double y = x * 3.0;
+  s = y + step(x);
+  double z = read_double(0.0, 1.0);
+  if (z < 0.5) { s = s + 1.0; } else { s = s - 1.0; }
+  /*@ merge(1, s); */
+  /*@ accuracy_assert_derr(s, -1e-9, 1e-9); */
+  /*@ dprint(s); */
+  return 0;
+}
+"""
+
+#: array elements updated in place after each decision, each update
+#: reading what the one before it wrote; with three decisions, the state
+#: a decision saved is restored more than once
+ARRAY_WRITE = """\
+int main() {
+  double a[2];
+  double s = 0.0;
+  /*@ split(1, s, a); */
+  double x = read_double(0.0, 1.0, 0.0, 0.0);
+  a[0] = x;
+  if (x < 0.5) { a[0] = a[0] + 1.0; } else { a[1] = a[1] + 2.0; }
+  double z = read_double(0.0, 1.0, 0.0, 0.0);
+  if (z < 0.5) { a[0] = a[0] + z; } else { a[1] = a[1] + 1.0; }
+  double w = read_double(0.0, 1.0, 0.0, 0.0);
+  if (w < 0.5) { a[1] = a[1] + w; } else { a[0] = a[0] + 4.0; }
+  s = a[0] + a[1];
+  /*@ merge(1, s, a); */
+  /*@ accuracy_assert_derr(s, -1e-9, 1e-9); */
+  /*@ dprint(s); */
+  return 0;
+}
+"""
+
 SECTION_REPORT_SHA256 = {
     "nested_then_unstable": (
         NESTED_THEN_UNSTABLE,
@@ -156,6 +239,15 @@ SECTION_REPORT_SHA256 = {
     "cast_decision": (
         CAST_DECISION,
         "451a20f509818ec747239d5246c624ef5e85ab4a4da19cfe318e09ec135432bc"),
+    "ternary_operand": (
+        TERNARY_OPERAND,
+        "f32e5898240d75b8985b0524fd456d5a2c0275405d35044856e1778c35cc7dcb"),
+    "callee_test": (
+        CALLEE_TEST,
+        "2a779cf327a57f12f0cd14ce922364b88a76c6f0f9da96d6951d3500f665ad57"),
+    "array_write": (
+        ARRAY_WRITE,
+        "714d534fb6ad15291741548955bd94e1018379ac6a1bada40d3d7f3c28b9713a"),
 }
 
 
@@ -444,6 +536,10 @@ ARRAY_PARAM = ("double g(double t[3]) { double y = t[1];"
      "Invalid value for '--threshold'"),
     ("analyze", READ_X % "0.0, 1.0", ["--max-noise", "0"], 2,
      "Invalid value for '--max-noise'"),
+    ("analyze", READ_X % "0.0, 1.0", ["--path-budget", "0"], 2,
+     "Invalid value for '--path-budget'"),
+    ("analyze", READ_X % "0.0, 1.0", ["--path-budget", "-1"], 2,
+     "Invalid value for '--path-budget'"),
     ("analyze", READ_X % "1.0, 0.0", [], 6,
      "execute: 2:14: read_double: invalid interval [1, 0]"),
     ("analyze", READ_X % "0.0, 1.0, 1e-3, -1e-3", [], 6,
@@ -454,7 +550,8 @@ ARRAY_PARAM = ("double g(double t[3]) { double y = t[1];"
      "error: parse: source is not UTF-8 text"),
 ], ids=["input-reversed", "input-not-a-number", "input-one-end",
         "input-ends-not-numbers", "input-error-one-end", "input-array-element",
-        "threshold", "max-noise", "read-double-reversed",
+        "threshold", "max-noise", "path-budget-zero", "path-budget-negative",
+        "read-double-reversed",
         "read-double-error-reversed", "analyze-not-utf8",
         "instrument-not-utf8"])
 def test_cli_bad_input_ends_in_its_exit_code(tmp_path, command, source, args,
