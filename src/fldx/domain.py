@@ -39,7 +39,7 @@ from math import gcd, lcm
 from operator import is_
 from typing import Dict, Optional
 
-from .errors import DivisionByZero, InfeasiblePath, OverflowAlarm
+from .errors import DivisionByZero, InfeasiblePath
 from .numerics import (FloatFormat, RInterval, RationalLike, interval_over,
                        narrowed, pair_over, products_over_lcm, rat,
                        representation_error_bound, round_directed,
@@ -50,12 +50,10 @@ from .zonotope import (UNIT, AffineForm, Origin, SymbolEnv, SymbolPool,
 def _snap_in(iv: RInterval, fmt: FloatFormat) -> RInterval:
     """Tighten an enclosure of a representable value to representable
     endpoints. Falls back to the original interval when no representable
-    value lies inside (the caller will detect infeasibility elsewhere)."""
-    try:
-        lo_n, lo_d = round_directed(iv.lo_n, iv.den, fmt, up=True)
-        hi_n, hi_d = round_directed(iv.hi_n, iv.den, fmt, up=False)
-    except OverflowAlarm:
-        return iv
+    value lies inside (the caller will detect infeasibility elsewhere).
+    An endpoint past the largest finite value raises OverflowAlarm."""
+    lo_n, lo_d = round_directed(iv.lo_n, iv.den, fmt, up=True)
+    hi_n, hi_d = round_directed(iv.hi_n, iv.den, fmt, up=False)
     if lo_n * hi_d <= hi_n * lo_d:
         return pair_over(lo_n, lo_d, hi_n, hi_d)
     return iv

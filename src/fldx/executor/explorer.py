@@ -1,27 +1,35 @@
 """Depth-first enumeration of the feasible flows of a section.
 
-A path is a sequence of choices, one per decision point met while
-re-executing the section body. The explorer replays the recorded prefix
-and extends it with first alternatives; next_path() advances the last
-non-exhausted decision, giving plain DFS over the decision tree.
+A path is a sequence of choices, one per decision point met while walking
+the section body. The explorer replays the recorded prefix and extends it
+with first alternatives; next_path() advances the last non-exhausted
+decision, giving plain DFS over the decision tree.
 
 Next to its trace of choices the explorer keeps one saved state per
 branch point of the current path (`saved`, aligned with `trace`, None
-where nothing was saved): what the first visit of that decision left.
-`next_path` drops every entry from the position it advances, so an entry
-is read back (`resume`) only on a replay of the prefix that made it, and
-at most one state per decision of the current path is held.
+where nothing was saved): what the first visit of that decision left,
+and whether the stretch of the walk that led to it, from the choice
+before it or from the path start, was plain. A stretch is plain when it
+ran no assert, assume, dprint or nested section, called no user function
+and settled no int test without a choice; the interpreter clears `plain`
+on each of these, and every choice sets it again. `next_path` drops
+every entry from the position it advances, so an entry is read back
+(`resume`) only on a replay of the prefix that made it, and at most one
+state per decision of the current path is held. While the decision at
+the cursor saved a state after a plain stretch (`skips`), a replay runs
+nothing up to it.
 """
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional, Tuple
 
 
 class PathExplorer:
     def __init__(self, budget: int = 256) -> None:
         self.trace: List[int] = []
         self.limits: List[int] = []
-        self.saved: List[object] = []
+        self.saved: List[Optional[Tuple[object, bool]]] = []
+        self.plain = True
         self.pos = 0
         self.budget = budget
         self.paths_started = 1
@@ -40,21 +48,33 @@ class PathExplorer:
             self.limits.append(n)
             i = 0
         self.pos += 1
+        self.plain = True
         return i
 
-    def save(self, state: object) -> None:
-        """Keep state as what the decision just chosen left."""
+    def save(self, state: object, plain: bool) -> None:
+        """Keep state as what the decision just chosen left, after a
+        stretch that was plain or not."""
         at = self.pos - 1
         self.saved.extend([None] * (at + 1 - len(self.saved)))
-        self.saved[at] = state
+        self.saved[at] = (state, plain)
+
+    def _entry(self) -> Optional[Tuple[object, bool]]:
+        return self.saved[self.pos] if self.pos < len(self.saved) else None
 
     def resume(self) -> object:
         """The state saved at the current decision point, its recorded
         choice consumed; None, consuming nothing, when there is none."""
-        state = self.saved[self.pos] if self.pos < len(self.saved) else None
-        if state is not None:
-            self.choose(self.limits[self.pos])
-        return state
+        entry = self._entry()
+        if entry is None:
+            return None
+        self.choose(self.limits[self.pos])
+        return entry[0]
+
+    def skips(self) -> bool:
+        """True when the decision at the cursor saved a state after a
+        plain stretch, which a replay may then skip."""
+        entry = self._entry()
+        return entry is not None and entry[1]
 
     def next_path(self) -> bool:
         """Advance to the next path; False when the tree is exhausted or
@@ -71,5 +91,6 @@ class PathExplorer:
         self.trace[-1] += 1
         del self.saved[len(self.trace) - 1:]
         self.pos = 0
+        self.plain = True
         self.paths_started += 1
         return True

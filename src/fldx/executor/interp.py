@@ -25,17 +25,30 @@ The chosen flow constrains the float, real and error forms of t jointly
 and meets the operands; `assume` applies the stable true flow the same
 way, without a decision.
 
-Each path re-executes the section body from its checkpoint, replaying
-the explorer's recorded choices. A float test that chose among several
+Each path walks the section body from its checkpoint, replaying the
+explorer's recorded choices. A float test that chose among several
 flows saves what it left (signature item, interpretation, control
 value, trace lines, mem and env) in the explorer, and a replay of it
-restores that state instead of computing the flow again. The rule for
-restoring is one: only a test of an if, while or do condition (through
-`!`, `&&`, `||`) at the section's own call depth, where nothing but mem
-and env is live. A test inside an expression or a callee, a cast and an
-int test are computed on every visit, since a Python local there may
-hold a value built on the replay's own symbols. The explorer holds at
-most one state per decision of the current path.
+takes that state up instead of computing the flow again. Only a test of
+an if, while or do condition (through `!`, `&&`, `||`) at the section's
+own call depth saves, where nothing but mem and env is live. A test
+inside an expression or a callee, a cast and an int test are computed on
+every visit, since a Python local there may hold a value built on the
+replay's own symbols. The explorer holds at most one state per decision
+of the current path.
+
+With each saved state the explorer records whether the stretch of the
+walk that led to it, from the choice before it, was plain: it ran no
+assert, assume, dprint or nested section, called no user function and
+settled no int test without a choice. Such a stretch changes nothing
+but mem and env, which the saved state holds, and takes no branch of
+its own. So while the next decision of a replay saved a state after a
+plain stretch, the walk skips (`_skip`): declarations, assignments and
+expression statements return at once, and a condition takes up the
+saved decision (`_resume`) without evaluating its operands. Mem and env
+are restored once, at the last decision of such a chain, and the walk
+runs from there. Every other decision is a choice with no saved state,
+and it ends the chain.
 
 After all paths of a section are explored the per-path states are
 folded with the interval-hull union. A section whose every path is
@@ -127,8 +140,11 @@ class Interp:
         self._typed: Dict[int, TypedPred] = {}
         #: the value of each IntLit and FloatLit node, by id
         self._literals: Dict[int, object] = {}
+        #: the InputSpec of each read_double with literal bounds, by id
+        self._inputs: Dict[int, InputSpec] = {}
         self._fn: Optional[S.FuncDef] = None
         self._call_depth = 0
+        self._skip = False
 
     # -- helpers ----------------------------------------------------------
 
@@ -149,6 +165,9 @@ class Interp:
     @property
     def ctx(self) -> SectionCtx:
         return self.stack[-1]
+
+    def _not_plain(self) -> None:
+        self.ctx.explorer.plain = False
 
     @cached_property
     def _float_zero(self) -> AbstractFloat:
@@ -398,23 +417,25 @@ class Interp:
             self._call_depth -= 1
             self._fn = saved_fn
             self.mem.vars = saved_vars
+        self._not_plain()
         return result
 
     def _read_input(self, e: S.Call, target: Optional[str]) -> AbstractFloat:
-        spec: Optional[InputSpec] = None
         if target is not None and target in self.cfg.inputs:
             spec = self.cfg.inputs[target]
-        elif len(e.args) >= 2:
-            ends = [_literal_value(a)
-                    for a in e.args[:4 if len(e.args) == 4 else 2]]
-            try:
-                spec = InputSpec(RInterval(*ends[:2]),
-                                 RInterval(*ends[2:]) if ends[2:] else None)
-            except ValueError as exn:
-                raise TypeErrorAt(f"{e.loc}: read_double: {exn}") from None
-        if spec is None:
+        elif not e.args:
             raise TypeErrorAt(f"{e.loc}: read_double needs bounds or an"
                               f" input binding")
+        else:
+            spec = self._inputs.get(id(e))
+            if spec is None:
+                ends = [_literal_value(a) for a in e.args]
+                try:
+                    value = RInterval(*ends[:2])
+                    err = RInterval(*ends[2:]) if ends[2:] else None
+                except ValueError as exn:
+                    raise TypeErrorAt(f"{e.loc}: read_double: {exn}") from None
+                spec = self._inputs[id(e)] = InputSpec(value, err)
         return AbstractFloat.from_input(spec.value, spec.err, self.fmt,
                                         self.pool, self.env)
 
@@ -423,14 +444,20 @@ class Interp:
     def decide(self, e: S.Expr, branch: bool = False) -> bool:
         """Truth of a condition on the current path, splitting as needed.
         `branch` marks the condition of an if, while or do statement,
-        whose float tests may resume a saved state (see `_flow`)."""
+        whose float tests may resume a saved state (see `_flow`). While
+        the walk skips, a test takes up the next saved decision, negated
+        as `_test` negates `!=` and truthiness."""
         if isinstance(e, S.Unary) and e.op == "!":
             return not self.decide(e.expr, branch)
         if isinstance(e, S.Binary) and e.op == "&&":
             return self.decide(e.left, branch) and self.decide(e.right, branch)
         if isinstance(e, S.Binary) and e.op == "||":
             return self.decide(e.left, branch) or self.decide(e.right, branch)
-        if isinstance(e, S.Binary) and e.op in S.COMPARISONS:
+        compare = isinstance(e, S.Binary) and e.op in S.COMPARISONS
+        if self._skip:
+            neg = not compare or e.op == "!="
+            return neg != self._resume(self.ctx.explorer.resume())
+        if compare:
             return self._test(e.op, e.left, e.right, self.eval(e.left),
                               self.eval(e.right), id(e), e.loc, branch)
         # scalar truthiness: e != 0
@@ -447,6 +474,7 @@ class Interp:
             true_reg, false_reg = _REGIONS[True]["==" if neg else op]
             known = _settled(a, b, true_reg)
             if known is not None:
+                self._not_plain()
                 return known != neg
             take_true = self.ctx.explorer.choose(2) == 0
             self.ctx.signature.append((site, "iT" if take_true else "iF"))
@@ -486,13 +514,7 @@ class Interp:
         keep = branch and self._call_depth == ctx.depth
         saved = ctx.explorer.resume() if keep else None
         if saved is not None:
-            item, ctx.interp, value, lines, mem, env = saved
-            ctx.signature.append(item)
-            self.trace.extend(lines)
-            self.mem.restore(mem)
-            self.env.clear()
-            self.env.update(env)
-            return value
+            return self._resume(saved)
         env = self.env
         t_fiv = l.float_iv - r.float_iv
         t_riv = l.real_refined(env) - r.real_refined(env)
@@ -527,6 +549,7 @@ class Interp:
                 f"{loc}: unstable {noun} not covered by a section", loc))
         if not flows:
             raise InfeasiblePath
+        plain = ctx.explorer.plain
         tag, interp, value, f_reg, r_reg, e_reg = \
             flows[ctx.explorer.choose(len(flows))]
         ctx.signature.append((site, tag))
@@ -539,7 +562,23 @@ class Interp:
         if keep and len(flows) > 1:
             ctx.explorer.save(((site, tag), ctx.interp, value,
                                self.trace[first_line:], self.mem.snapshot(),
-                               dict(self.env)))
+                               dict(self.env)), plain)
+        return value
+
+    def _resume(self, saved):
+        """Take up a saved decision: its signature item, interpretation
+        and trace lines, and its control value, returned. The walk skips
+        on while the next decision saved a state after a plain stretch;
+        otherwise mem and env are restored here."""
+        ctx = self.ctx
+        item, ctx.interp, value, lines, mem, env = saved
+        ctx.signature.append(item)
+        self.trace.extend(lines)
+        self._skip = ctx.explorer.skips()
+        if not self._skip:
+            self.mem.restore(mem)
+            self.env.clear()
+            self.env.update(env)
         return value
 
     def _apply(self, lhs: Optional[S.Expr], rhs: Optional[S.Expr],
@@ -590,6 +629,8 @@ class Interp:
             self.exec_stmt(s)
 
     def exec_stmt(self, s: S.Stmt) -> None:
+        if self._skip and isinstance(s, (S.Decl, S.Assign, S.ExprStmt)):
+            return
         if isinstance(s, S.Decl):
             self._exec_decl(s)
         elif isinstance(s, S.Assign):
@@ -627,6 +668,7 @@ class Interp:
             self._exec_assert(s)
         elif isinstance(s, S.AssumeStmt):
             self._assume(s.cond)
+            self._not_plain()
         elif isinstance(s, S.Block):
             self.exec_stmts(s.stmts)
         elif isinstance(s, S.SectionStmt):
@@ -694,6 +736,7 @@ class Interp:
         if key not in self._typed:
             vt = self._fn.var_types if self._fn else {}
             self._typed[key] = type_pred(s.pred, vt)
+        self._not_plain()
         res = eval_pred(self._typed[key], self.mem)
         for rec in res.records:
             rec.loc = s.loc if rec.loc is S.NOLOC else rec.loc
@@ -733,6 +776,8 @@ class Interp:
     # -- sections ---------------------------------------------------------
 
     def exec_section(self, sec: S.SectionStmt) -> None:
+        if self.stack:
+            self._not_plain()
         report = SectionReport(sec.section_id)
         self.section_reports.append(report)
         checkpoint_mem = self.mem.snapshot()
@@ -749,6 +794,7 @@ class Interp:
                 self.env.clear()
                 self.env.update(checkpoint_env)
                 ctx.reset()
+                self._skip = ex.skips()
                 try:
                     try:
                         self.exec_stmts(sec.body)

@@ -398,6 +398,25 @@ def vars_read(e: Expr) -> set:
     return out
 
 
+def _check_call(n: Call, program: Program) -> None:
+    """Reject a call of an unknown function or with the wrong number of
+    arguments: read_double takes 0, 2 or 4, a function its parameters."""
+    from ..errors import TypeErrorAt
+
+    if n.name == "read_double":
+        if len(n.args) not in (0, 2, 4):
+            raise TypeErrorAt(f"{n.loc}: read_double takes 0, 2 or 4"
+                              f" arguments, not {len(n.args)}")
+        return
+    callee = program.functions.get(n.name)
+    if callee is None:
+        raise TypeErrorAt(f"{n.loc}: unknown function {n.name!r}")
+    k = len(callee.params)
+    if len(n.args) != k:
+        raise TypeErrorAt(f"{n.loc}: {n.name} takes {k} argument"
+                          f"{'' if k == 1 else 's'}, not {len(n.args)}")
+
+
 def resolve(fn: FuncDef, program: Program) -> None:
     """Check declare-before-use in fn, whose calls may name any function of
     program, and record its variable types in `fn.var_types`."""
@@ -412,9 +431,8 @@ def resolve(fn: FuncDef, program: Program) -> None:
             if isinstance(n, (Var, Index)) and n.name not in types:
                 raise TypeErrorAt(
                     f"{n.loc}: use of undeclared variable {n.name!r}")
-            if isinstance(n, Call) and n.name != "read_double" \
-                    and n.name not in program.functions:
-                raise TypeErrorAt(f"{n.loc}: unknown function {n.name!r}")
+            if isinstance(n, Call):
+                _check_call(n, program)
 
     def check_stmt(s: Stmt) -> None:
         if isinstance(s, Decl):

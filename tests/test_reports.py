@@ -232,6 +232,45 @@ int main() {
 }
 """
 
+#: a dprint and an assert between float tests, so that a replay walks
+#: the stretches after them and skips the ones before
+PREFIX_ANNOTATIONS = """\
+int main() {
+  double s = 0.0;
+  /*@ split(1, s); */
+  double x = read_double(0.0, 1.0);
+  if (x < 0.5) { s = s + x; } else { s = s - 1.0; }
+  /*@ dprint(s); */
+  /*@ accuracy_assert_derr(s, -1e-9, 1e-9); */
+  double z = read_double(0.0, 1.0);
+  double y = z * 3.0 + s;
+  if (z < 0.25) { s = s + y; } else { s = s * 2.0; }
+  double w = read_double(0.0, 1.0, 0.0, 0.0);
+  if (w >= 0.5) { s = s - w; } else { s = s + y * w; }
+  /*@ merge(1, s); */
+  /*@ accuracy_assert_derr(s, -1e-6, 1e-6); */
+  /*@ dprint(s); */
+  return 0;
+}
+"""
+
+#: a loop whose condition is a float test, met once per iteration
+FLOAT_LOOP = """\
+int main() {
+  double s = 0.0;
+  /*@ split(1, s); */
+  double x = read_double(0.0, 1.0, 0.0, 0.0);
+  double y = x + 0.25;
+  while (y < 2.0) { y = y * 2.0 + 0.125; s = s + 1.0; }
+  double z = read_double(0.0, 1.0);
+  if (z < 0.5) { s = s + y; } else { s = s - z; }
+  /*@ merge(1, s); */
+  /*@ accuracy_assert_derr(s, -1e-9, 1e-9); */
+  /*@ dprint(s); */
+  return 0;
+}
+"""
+
 SECTION_REPORT_SHA256 = {
     "nested_then_unstable": (
         NESTED_THEN_UNSTABLE,
@@ -248,6 +287,12 @@ SECTION_REPORT_SHA256 = {
     "array_write": (
         ARRAY_WRITE,
         "714d534fb6ad15291741548955bd94e1018379ac6a1bada40d3d7f3c28b9713a"),
+    "prefix_annotations": (
+        PREFIX_ANNOTATIONS,
+        "f3484940a9637863b15a9e443d66470fa3b6ac8a4d023344ab23316d217cb9c6"),
+    "float_loop": (
+        FLOAT_LOOP,
+        "49158a2db80be4a5c6f46738a935ae86e49d1da6584919f315771e674509f54c"),
 }
 
 
@@ -517,6 +562,8 @@ READ_X = ("int main() {\n  double x = read_double(%s);\n"
           "  double y = x * 2.0;\n  return 0;\n}\n")
 ARRAY_PARAM = ("double g(double t[3]) { double y = t[1];"
                " /*@ assert dprint(y); */ return y; }\n")
+CALL_G = ("double g(double v) { return v * 2.0; }\nint main() {\n"
+          "  double y = g(%s);\n  return 0;\n}\n")
 
 
 @pytest.mark.parametrize("command,source,args,code,message", [
@@ -544,6 +591,13 @@ ARRAY_PARAM = ("double g(double t[3]) { double y = t[1];"
      "execute: 2:14: read_double: invalid interval [1, 0]"),
     ("analyze", READ_X % "0.0, 1.0, 1e-3, -1e-3", [], 6,
      "execute: 2:14: read_double: invalid interval [1/1000, -1/1000]"),
+    ("analyze", READ_X % "0.0, 1.0, 0.5", [], 6,
+     "error: 2:14: read_double takes 0, 2 or 4 arguments, not 3"),
+    ("analyze", READ_X % "0.0, 1.0, 0.0, 0.0, 1.0", [], 6,
+     "error: 2:14: read_double takes 0, 2 or 4 arguments, not 5"),
+    ("analyze", CALL_G % "1.0, 2.0", [], 6,
+     "error: 3:14: g takes 1 argument, not 2"),
+    ("analyze", CALL_G % "", [], 6, "error: 3:14: g takes 1 argument, not 0"),
     ("analyze", b"int main() { /* \xff */ return 0; }\n", [], 2,
      "error: parse: source is not UTF-8 text"),
     ("instrument", b"int main() { /* \xff */ return 0; }\n", [], 2,
@@ -552,7 +606,9 @@ ARRAY_PARAM = ("double g(double t[3]) { double y = t[1];"
         "input-ends-not-numbers", "input-error-one-end", "input-array-element",
         "threshold", "max-noise", "path-budget-zero", "path-budget-negative",
         "read-double-reversed",
-        "read-double-error-reversed", "analyze-not-utf8",
+        "read-double-error-reversed", "read-double-three-arguments",
+        "read-double-five-arguments", "call-extra-argument",
+        "call-missing-argument", "analyze-not-utf8",
         "instrument-not-utf8"])
 def test_cli_bad_input_ends_in_its_exit_code(tmp_path, command, source, args,
                                              code, message):
@@ -566,6 +622,32 @@ def test_cli_bad_input_ends_in_its_exit_code(tmp_path, command, source, args,
     assert type(res.exception) is SystemExit
     assert message in res.output
     assert "Traceback" not in res.output
+
+
+HALVE_X = ("int main() {\n  double x = read_double(%s);\n"
+           "  double y = x * 0.5;\n  /*@ dprint(y); */\n  return 0;\n}\n")
+
+
+@pytest.mark.parametrize("bounds,code,message", [
+    ("1e400, 2e400", 1,
+     "[alarm] overflow: 1e+400 rounds beyond the largest finite value"),
+    # the input's lower end, widened by its representation error
+    ("0.0, 1e400", 1,
+     "[alarm] overflow: -6.50496e+383 rounds beyond the largest finite"
+     " value"),
+    ("0.0, 1.7976931348623157e308", 0, "[print] 4:3 y: float=[-4.9896e+291,"
+     " 8.98847e+307]"),
+], ids=["both-ends-past-the-range", "upper-end-past-the-range", "dbl-max"])
+def test_cli_input_past_the_double_range_raises_overflow(tmp_path, bounds,
+                                                         code, message):
+    """An input bound no double can hold alarms where the input is read,
+    as a literal does; DBL_MAX with its representation error does not."""
+    src = tmp_path / "p.c"
+    src.write_text(HALVE_X % bounds)
+    res = CliRunner().invoke(main, ["analyze", str(src)])
+    assert res.exit_code == code, res.output
+    assert message in res.output
+    assert ("overflow" in res.output) == (code == 1)
 
 
 def test_cli_array_input_elements_are_parsed_before_the_run(tmp_path):
