@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from typing import Dict, List, Optional, Tuple
 
 from ..domain import AbstractFloat
@@ -97,25 +98,17 @@ def _tv_not(a):
     return None if a is None else (not a)
 
 
-def _as_interval(v) -> RInterval:
-    if isinstance(v, RInterval):
-        return v
-    if isinstance(v, Fraction):
-        return RInterval.point(v)
-    if isinstance(v, int):
-        return RInterval.point(Fraction(v))
-    raise TypeError(f"not interval-coercible: {v!r}")
-
-
-def _load_lvalue(t: S.Term, mem: Memory, binders):
+def _load_lvalue(tt: TypedTerm, mem: Memory, binders):
+    """The value a name or an array cell holds; an index range gives the
+    list of the cells in it."""
+    t = tt.term
     if isinstance(t, S.TName):
         if t.name in binders:
             return binders[t.name]
         return mem.load(t.name)
     if isinstance(t, S.TIndex):
         arr = mem.load(t.name)
-        idx = eval_term_of(t.index, mem, binders)
-        iv = _as_interval(idx)
+        iv = eval_term(tt.children[0], mem, binders)
         if iv.is_point() and iv.lo.denominator == 1:
             i = int(iv.lo)
             if not (0 <= i < len(arr)):
@@ -130,16 +123,13 @@ def _load_lvalue(t: S.Term, mem: Memory, binders):
     raise TypeErrorAt(f"not an lvalue: {t!r}")
 
 
-def _math_value(v, mem: Memory) -> RInterval:
+def _math_value(v) -> RInterval:
     """Coerce a loaded value to its mathematical (machine) value."""
     if isinstance(v, AbstractFloat):
         return v.float_iv
     if isinstance(v, list):
-        out = _math_value(v[0], mem)
-        for x in v[1:]:
-            out = out.join(_math_value(x, mem))
-        return out
-    return _as_interval(v)
+        return reduce(RInterval.join, map(_math_value, v))
+    return v
 
 
 def eval_term(tt: TypedTerm, mem: Memory, binders=None) -> RInterval:
@@ -148,7 +138,7 @@ def eval_term(tt: TypedTerm, mem: Memory, binders=None) -> RInterval:
     if isinstance(t, S.TConst):
         return RInterval.point(t.value)
     if isinstance(t, (S.TName, S.TIndex)):
-        return _math_value(_load_lvalue(t, mem, binders), mem)
+        return _math_value(_load_lvalue(tt, mem, binders))
     if isinstance(t, S.TBin):
         a = eval_term(tt.children[0], mem, binders)
         b = eval_term(tt.children[1], mem, binders)
@@ -174,12 +164,7 @@ def eval_term(tt: TypedTerm, mem: Memory, binders=None) -> RInterval:
             return RInterval(max(args[0].lo, args[1].lo),
                              max(args[0].hi, args[1].hi))
         if t.name == "abs":
-            a = args[0]
-            if a.lo >= 0:
-                return a
-            if a.hi <= 0:
-                return -a
-            return RInterval(Fraction(0), a.max_abs())
+            return _abs(args[0])
         raise TypeErrorAt(f"unknown term builtin {t.name!r}")
     raise TypeErrorAt(f"unknown term {t!r}")
 
@@ -202,29 +187,17 @@ def _max_distance(t: S.TCall, tt: TypedTerm, mem: Memory,
                           f" {len(arr)}")
     out = RInterval.point(Fraction(0))
     for i in range(n - 1):
-        d = _math_value(arr[i + 1], mem) - _math_value(arr[i], mem)
-        if d.lo >= 0:
-            m = d
-        elif d.hi <= 0:
-            m = -d
-        else:
-            m = RInterval(Fraction(0), d.max_abs())
+        m = _abs(_math_value(arr[i + 1]) - _math_value(arr[i]))
         out = RInterval(max(out.lo, m.lo), max(out.hi, m.hi))
     return out
 
 
-def eval_term_of(t: S.Term, mem: Memory, binders):
-    """Untyped index evaluation (indices are machine ints)."""
-    if isinstance(t, S.TConst):
-        return RInterval.point(t.value)
-    if isinstance(t, (S.TName, S.TIndex)):
-        return _math_value(_load_lvalue(t, mem, binders), mem)
-    if isinstance(t, S.TBin):
-        a = _as_interval(eval_term_of(t.left, mem, binders))
-        b = _as_interval(eval_term_of(t.right, mem, binders))
-        return {"+": a + b, "-": a - b, "*": a * b}[t.op] \
-            if t.op != "/" else trunc_div(a, b)
-    raise TypeErrorAt(f"unsupported index term {t!r}")
+def _abs(a: RInterval) -> RInterval:
+    if a.lo >= 0:
+        return a
+    if a.hi <= 0:
+        return -a
+    return RInterval(Fraction(0), a.max_abs())
 
 
 def _cmp_iv(op: str, a: RInterval, b: RInterval):
@@ -265,10 +238,24 @@ def _first_lvalue_name(tt: TypedTerm) -> Optional[str]:
 
 
 def _abstract_arg(tt: TypedTerm, mem: Memory, binders) -> AbstractFloat:
-    v = _load_lvalue(tt.term, mem, binders)
+    v = _load_lvalue(tt, mem, binders)
     if isinstance(v, AbstractFloat):
         return v
     raise TypeErrorAt(f"{tt.term.loc}: expected a floating-point variable")
+
+
+def _hull(x: AbstractFloat, name: str, var: Optional[str], mem: Memory,
+          loc: S.Loc) -> RInterval:
+    """The hull of x that builtin `name` reads: its relative error, real
+    value or error."""
+    if "relerr" in name:
+        if x.rel is None:
+            raise AnalysisAlarm(
+                "relerr-undefined", f"relative error of {var} undefined:"
+                f" real interval contains zero", loc)
+        return x.rel
+    return x.real_refined(mem.env) if "real" in name \
+        else x.err_refined(mem.env)
 
 
 def eval_builtin(b: TypedBuiltin, mem: Memory, binders,
@@ -291,7 +278,7 @@ def eval_builtin(b: TypedBuiltin, mem: Memory, binders,
         val = x.real_refined(mem.env).join(RInterval(vlo, vhi))
         err = x.err_refined(mem.env).join(RInterval(elo, ehi))
         y = AbstractFloat.from_input(val, err, mem.fmt, mem.pool, mem.env)
-        _store_lvalue(b.args[0].term, y, mem, binders)
+        _store_lvalue(b.args[0], y, mem, binders)
         records.append(AssertRecord("enlarge", name, var, None,
                                     err_hull=err, real_hull=val, loc=b.loc))
         return True
@@ -299,15 +286,7 @@ def eval_builtin(b: TypedBuiltin, mem: Memory, binders,
         x = _abstract_arg(b.args[0], mem, binders)
         lo_iv = eval_term(b.args[1], mem, binders)
         hi_iv = eval_term(b.args[2], mem, binders)
-        if "relerr" in name:
-            target = x.rel
-            if target is None:
-                raise AnalysisAlarm(
-                    "relerr-undefined",
-                    f"relative error of {var} undefined: real interval"
-                    f" contains zero", b.loc)
-        else:
-            target = x.err_refined(mem.env)
+        target = _hull(x, name, var, mem, b.loc)
         if lo_iv.hi <= target.lo and target.hi <= hi_iv.lo:
             verdict = True
         elif target.hi < lo_iv.lo or hi_iv.hi < target.lo:
@@ -323,13 +302,14 @@ def eval_builtin(b: TypedBuiltin, mem: Memory, binders,
     raise TypeErrorAt(f"unknown builtin {name!r}")
 
 
-def _store_lvalue(t: S.Term, value, mem: Memory, binders) -> None:
+def _store_lvalue(tt: TypedTerm, value, mem: Memory, binders) -> None:
+    t = tt.term
     if isinstance(t, S.TName) and t.name not in binders:
         mem.store(t.name, value)
         return
     if isinstance(t, S.TIndex):
         arr = mem.load(t.name)
-        iv = _as_interval(eval_term_of(t.index, mem, binders))
+        iv = eval_term(tt.children[0], mem, binders)
         if iv.is_point() and iv.lo.denominator == 1:
             arr[int(iv.lo)] = value
             return
@@ -360,19 +340,9 @@ def _eval_pred_tv(p: TypedPred, mem: Memory, binders,
     if isinstance(p, TypedLet):
         b2 = dict(binders)
         if isinstance(p.value, TypedBuiltin):
-            x = _abstract_arg(p.value.args[0], mem, binders)
-            name = p.value.name
-            if "relerr" in name:
-                pair = x.rel
-                if pair is None:
-                    raise AnalysisAlarm(
-                        "relerr-undefined",
-                        "relative error undefined: real interval contains"
-                        " zero", p.value.loc)
-            elif "real" in name:
-                pair = x.real_refined(mem.env)
-            else:
-                pair = x.err_refined(mem.env)
+            arg = p.value.args[0]
+            pair = _hull(_abstract_arg(arg, mem, binders), p.value.name,
+                         _first_lvalue_name(arg), mem, p.value.loc)
             b2[p.names[0]] = RInterval.point(pair.lo)
             b2[p.names[1]] = RInterval.point(pair.hi)
         else:

@@ -33,7 +33,6 @@ class PathExplorer:
         self.pos = 0
         self.budget = budget
         self.paths_started = 1
-        self.exhausted = False
         self.budget_hit = False
 
     def choose(self, n: int) -> int:
@@ -83,7 +82,6 @@ class PathExplorer:
             self.trace.pop()
             self.limits.pop()
         if not self.trace:
-            self.exhausted = True
             return False
         if self.paths_started >= self.budget:
             self.budget_hit = True

@@ -3,7 +3,9 @@
 The whole entry function runs as an implicit root section. Inside a
 section, every undecided test and every float-to-int cast is one
 decision step on t = lhs - rhs (for a cast, the cast value), enumerated
-by the section's path explorer. `_REGIONS` is the one region table: a
+by the section's path explorer. One body, `decide`, tests every
+condition: a comparison, or the truthiness e != 0 of any other scalar.
+It and `_assume` read the one region table through `_regions`: a
 comparison maps to a true and a false region of t, and `!=` is decided
 as `==` negated. An int test chooses a side only when t straddles the
 boundary. A float test or a cast offers, in order, the candidates of
@@ -23,7 +25,10 @@ boundary. A float test or a cast offers, in order, the candidates of
 
 The chosen flow constrains the float, real and error forms of t jointly
 and meets the operands; `assume` applies the stable true flow the same
-way, without a decision.
+way, without a decision. One coercion, `_coerce`, converts a value to a
+C type for a cast and for a store alike: a float to int is a cast
+decision, an int to float an exact promotion, and anything else (an
+array, the result of a void function) an error at the operand.
 
 Each path walks the section body from its checkpoint, replaying the
 explorer's recorded choices. A float test that chose among several
@@ -61,7 +66,7 @@ bounds are read as the ints `lo_n` and `hi_n`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..annot.evaluate import AssertRecord, Memory, eval_pred
@@ -70,8 +75,8 @@ from ..config import AnalysisConfig, InputSpec
 from ..domain import (AbstractFloat, abs_neg, abs_op,
                       apply_substitution, make_substitution,
                       project_onto_symbols, union)
-from ..errors import (AnalysisAlarm, InfeasiblePath, SectionInfeasible,
-                      TypeErrorAt)
+from ..errors import (AnalysisAlarm, InfeasiblePath, OverflowAlarm,
+                      SectionInfeasible, TypeErrorAt)
 from ..frontend import syntax as S
 from ..numerics import (RationalLike, RInterval, interval_over, pair_over,
                         trunc_div, trunc_quotient)
@@ -181,17 +186,46 @@ class Interp:
         return AbstractFloat(iv, real, iv, AffineForm.of_point(_INT_ZERO),
                              _INT_ZERO)
 
-    def _as_float(self, v) -> AbstractFloat:
+    def _as_float(self, v, loc: S.Loc) -> AbstractFloat:
+        """v, an operand at loc, as a float; an int promotes exactly."""
         if isinstance(v, AbstractFloat):
             return v
         if isinstance(v, RInterval):
             return self._promote_int(v)
-        raise TypeErrorAt(f"not a numeric value: {v!r}")
+        raise TypeErrorAt(f"{loc}: expected a number, got {_kind(v)}")
 
-    def _as_int(self, v) -> RInterval:
+    def _as_int(self, v, loc: S.Loc) -> RInterval:
+        """v, an operand at loc, as an int."""
         if isinstance(v, RInterval):
             return v
-        raise TypeErrorAt(f"expected an integer value, got {v!r}")
+        raise TypeErrorAt(f"{loc}: expected an integer, got {_kind(v)}")
+
+    def _coerce(self, ctype: str, v, loc: S.Loc, site: int,
+                src: Optional[S.Expr] = None):
+        """v converted to ctype, by a cast at loc or by a store there: a
+        float to int is a cast decision (on the variable `src`, if any), an
+        int to float an exact promotion."""
+        at = loc if src is None else src.loc
+        if ctype != "int":
+            return self._as_float(v, at)
+        if isinstance(v, AbstractFloat):
+            return self._cast_float_to_int(loc, site, v, src)
+        return self._as_int(v, at)
+
+    def _join(self, a, b):
+        """The hull of two values: the join of two ints, else the
+        interval-hull union of two floats, an int promoted (an int array
+        parameter holds floats)."""
+        if isinstance(a, RInterval) and isinstance(b, RInterval):
+            return a.join(b)
+        return union(self._as_float(a, S.NOLOC), self._as_float(b, S.NOLOC),
+                     self.pool, self.env)
+
+    def _restore(self, mem: Dict[str, object], env: SymbolEnv) -> None:
+        """Put back a saved mem and env."""
+        self.mem.restore(mem)
+        self.env.clear()
+        self.env.update(env)
 
     # -- constraint machinery ---------------------------------------------
 
@@ -295,11 +329,13 @@ class Interp:
         if isinstance(e, S.Var):
             return self.mem.load(e.name)
         if isinstance(e, S.Index):
-            return self._load_index(e)
+            arr, lo, hi = self._cells(e, e.loc, "index")
+            return reduce(self._join, arr[lo:hi + 1])
         if isinstance(e, S.Unary):
             if e.op == "-":
                 v = self.eval(e.expr)
-                return abs_neg(v) if isinstance(v, AbstractFloat) else -v
+                return abs_neg(v) if isinstance(v, AbstractFloat) \
+                    else -self._as_int(v, e.expr.loc)
             # logical not
             return _INT_ZERO if self.decide(e.expr) else _INT_ONE
         if isinstance(e, S.Binary):
@@ -309,31 +345,25 @@ class Interp:
         if isinstance(e, S.Ternary):
             return self.eval(e.then) if self.decide(e.cond) else self.eval(e.els)
         if isinstance(e, S.Cast):
-            return self._eval_cast(e)
+            return self._coerce(e.ctype, self.eval(e.expr), e.loc, id(e),
+                                e.expr)
         if isinstance(e, S.Call):
             return self._eval_call(e, target)
         raise TypeErrorAt(f"unknown expression {e!r}")
 
-    def _load_index(self, e: S.Index):
+    def _cells(self, e: S.Index, loc: S.Loc, what: str):
+        """The array e names and the bounds lo, hi of its index, an
+        interval; an index past either end raises an alarm at loc."""
         arr = self.mem.load(e.name)
-        iv = self._as_int(self.eval(e.index))
+        if not isinstance(arr, list):
+            raise TypeErrorAt(f"{e.loc}: {e.name} is not an array")
+        iv = self._as_int(self.eval(e.index), e.index.loc)
         lo, hi = iv.lo_n, iv.hi_n
         if lo < 0 or hi >= len(arr):
             raise AnalysisAlarm("out-of-bounds",
-                                f"{e.loc}: index of {e.name} in [{lo}, {hi}]"
-                                f" outside [0, {len(arr) - 1}]", e.loc)
-        if lo == hi:
-            return arr[lo]
-        vals = arr[lo:hi + 1]
-        if all(isinstance(x, AbstractFloat) for x in vals):
-            out = vals[0]
-            for x in vals[1:]:
-                out = union(out, x, self.pool, self.env)
-            return out
-        out = vals[0]
-        for x in vals[1:]:
-            out = out.join(x)
-        return out
+                                f"{loc}: {what} of {e.name} in [{lo}, {hi}]"
+                                f" outside [0, {len(arr) - 1}]", loc)
+        return arr, lo, hi
 
     def _eval_arith(self, e: S.Binary):
         """An arithmetic operation, left operand first. The left spine of
@@ -351,8 +381,9 @@ class Interp:
                 continue
             if e.op == "%":
                 raise TypeErrorAt(f"{e.loc}: % requires integer operands")
-            a = abs_op(e.op, self._as_float(a), self._as_float(b), self.fmt,
-                       self.pool, self.env, self.cfg.max_syms)
+            a = abs_op(e.op, self._as_float(a, e.left.loc),
+                       self._as_float(b, e.right.loc), self.fmt, self.pool,
+                       self.env, self.cfg.max_syms)
         return a
 
     def _int_arith(self, op: str, a: RInterval, b: RInterval,
@@ -380,17 +411,6 @@ class Interp:
                                  m if a.hi_n > 0 else 0, 1)
         raise TypeErrorAt(f"unknown integer operator {op!r}")
 
-    def _eval_cast(self, e: S.Cast):
-        v = self.eval(e.expr)
-        if e.ctype in ("float", "double"):
-            if isinstance(v, RInterval):
-                return self._promote_int(v)
-            return v
-        # float-to-int (or int-to-int, a no-op here)
-        if isinstance(v, RInterval):
-            return v
-        return self._cast_float_to_int(e.loc, id(e), v, e.expr)
-
     def _eval_call(self, e: S.Call, target: Optional[str]):
         if e.name == "read_double":
             return self._read_input(e, target)
@@ -403,9 +423,7 @@ class Interp:
         args = [self.eval(a) for a in e.args]
         saved_vars = self.mem.vars
         saved_fn = self._fn
-        self.mem.vars = {}
-        for p, v in zip(fn.params, args):
-            self.mem.vars[p.name] = v
+        self.mem.vars = {p.name: v for p, v in zip(fn.params, args)}
         self._call_depth += 1
         self._fn = fn
         try:
@@ -436,61 +454,60 @@ class Interp:
                 except ValueError as exn:
                     raise TypeErrorAt(f"{e.loc}: read_double: {exn}") from None
                 spec = self._inputs[id(e)] = InputSpec(value, err)
-        return AbstractFloat.from_input(spec.value, spec.err, self.fmt,
-                                        self.pool, self.env)
+        try:
+            return AbstractFloat.from_input(spec.value, spec.err, self.fmt,
+                                            self.pool, self.env)
+        except OverflowAlarm as exn:
+            raise OverflowAlarm(f"{e.loc}: {exn}", e.loc) from None
 
     # -- decisions --------------------------------------------------------
 
     def decide(self, e: S.Expr, branch: bool = False) -> bool:
-        """Truth of a condition on the current path, splitting as needed.
+        """Truth of a condition on the current path, splitting as needed
+        on the regions of t = lhs - rhs: a comparison, or the truthiness
+        e != 0 of any other scalar; `!=` is decided as `==`, negated.
         `branch` marks the condition of an if, while or do statement,
         whose float tests may resume a saved state (see `_flow`). While
-        the walk skips, a test takes up the next saved decision, negated
-        as `_test` negates `!=` and truthiness."""
+        the walk skips, a test takes up the next saved decision."""
         if isinstance(e, S.Unary) and e.op == "!":
             return not self.decide(e.expr, branch)
         if isinstance(e, S.Binary) and e.op == "&&":
             return self.decide(e.left, branch) and self.decide(e.right, branch)
         if isinstance(e, S.Binary) and e.op == "||":
             return self.decide(e.left, branch) or self.decide(e.right, branch)
-        compare = isinstance(e, S.Binary) and e.op in S.COMPARISONS
-        if self._skip:
-            neg = not compare or e.op == "!="
-            return neg != self._resume(self.ctx.explorer.resume())
-        if compare:
-            return self._test(e.op, e.left, e.right, self.eval(e.left),
-                              self.eval(e.right), id(e), e.loc, branch)
-        # scalar truthiness: e != 0
-        v = self.eval(e)
-        zero = _INT_ZERO if isinstance(v, RInterval) else self._float_zero
-        return self._test("!=", e, None, v, zero, id(e), e.loc, branch)
-
-    def _test(self, op: str, lhs: S.Expr, rhs: Optional[S.Expr], a, b,
-              site: int, loc: S.Loc, branch: bool = False) -> bool:
-        """Truth of `lhs op rhs` with operand values a and b, splitting on
-        the regions of t = a - b; `!=` is decided as `==`, negated."""
+        if isinstance(e, S.Binary) and e.op in S.COMPARISONS:
+            op, lhs, rhs = e.op, e.left, e.right
+        else:
+            op, lhs, rhs = "!=", e, None
         neg = op == "!="
-        if isinstance(a, RInterval) and isinstance(b, RInterval):
-            true_reg, false_reg = _REGIONS[True]["==" if neg else op]
+        if self._skip:
+            return neg != self._resume(self.ctx.explorer.resume())
+        a = self.eval(lhs)
+        if rhs is not None:
+            b = self.eval(rhs)
+        else:
+            b = _INT_ZERO if isinstance(a, RInterval) else self._float_zero
+        integral, true_reg, false_reg = _regions(op, a, b)
+        if integral:
             known = _settled(a, b, true_reg)
             if known is not None:
                 self._not_plain()
                 return known != neg
             take_true = self.ctx.explorer.choose(2) == 0
-            self.ctx.signature.append((site, "iT" if take_true else "iF"))
-            self._trace(f"decision {loc}: int"
+            self.ctx.signature.append((id(e), "iT" if take_true else "iF"))
+            self._trace(f"decision {e.loc}: int"
                         f" {'true' if take_true else 'false'}")
             self._meet_operands(lhs, rhs, RInterval, a, b,
                                 true_reg if take_true != neg else false_reg)
             return take_true
-        true_reg, false_reg = _REGIONS[False]["==" if neg else op]
         return neg != self._flow(
-            loc, site, "test",
+            e.loc, id(e), "test",
             [("sT", True, true_reg, True, true_reg),
              ("sF", False, false_reg, False, false_reg),
              ("uT", True, true_reg, False, false_reg),
              ("uF", False, false_reg, True, true_reg)],
-            lhs, rhs, self._as_float(a), self._as_float(b), branch)
+            lhs, rhs, self._as_float(a, lhs.loc),
+            self._as_float(b, (rhs or lhs).loc), branch)
 
     def _flow(self, loc: S.Loc, site: int, noun: str, candidates,
               lhs: Optional[S.Expr], rhs: Optional[S.Expr],
@@ -576,9 +593,7 @@ class Interp:
         self.trace.extend(lines)
         self._skip = ctx.explorer.skips()
         if not self._skip:
-            self.mem.restore(mem)
-            self.env.clear()
-            self.env.update(env)
+            self._restore(mem, env)
         return value
 
     def _apply(self, lhs: Optional[S.Expr], rhs: Optional[S.Expr],
@@ -640,26 +655,17 @@ class Interp:
                 self.exec_stmts(s.then.stmts)
             elif s.els is not None:
                 self.exec_stmts(s.els.stmts)
-        elif isinstance(s, S.While):
+        elif isinstance(s, (S.While, S.DoWhile)):
+            # a do-while runs its body once before the first test
             n = 0
-            while self.decide(s.cond, True):
+            while n == 0 and isinstance(s, S.DoWhile) \
+                    or self.decide(s.cond, True):
                 self.exec_stmts(s.body.stmts)
                 n += 1
                 if n > _LOOP_LIMIT:
                     raise AnalysisAlarm("loop-limit",
                                         f"{s.loc}: loop iteration limit"
                                         f" exceeded", s.loc)
-        elif isinstance(s, S.DoWhile):
-            n = 0
-            while True:
-                self.exec_stmts(s.body.stmts)
-                n += 1
-                if n > _LOOP_LIMIT:
-                    raise AnalysisAlarm("loop-limit",
-                                        f"{s.loc}: loop iteration limit"
-                                        f" exceeded", s.loc)
-                if not self.decide(s.cond, True):
-                    break
         elif isinstance(s, S.Return):
             raise _Return(self.eval(s.expr) if s.expr is not None else None)
         elif isinstance(s, S.ExprStmt):
@@ -676,60 +682,36 @@ class Interp:
         else:
             raise TypeErrorAt(f"unknown statement {s!r}")
 
-    def _coerce_store(self, ctype: str, value, loc: S.Loc, site: int):
-        if ctype == "int":
-            if isinstance(value, AbstractFloat):
-                return self._cast_float_to_int(loc, site, value)
-            return self._as_int(value)
-        return self._as_float(value)
-
     def _exec_decl(self, s: S.Decl) -> None:
+        if s.array_init is not None:
+            self.mem.store(s.name, [self._coerce(s.ctype, self.eval(e), s.loc,
+                                                 id(e)) for e in s.array_init])
+            return
         if s.array_size is not None:
-            vals = []
-            if s.array_init is not None:
-                for e in s.array_init:
-                    vals.append(self._coerce_store(s.ctype, self.eval(e),
-                                                   s.loc, id(e)))
-            else:
-                for _ in range(s.array_size):
-                    vals.append(_INT_ZERO if s.ctype == "int"
-                                else self._float_zero)
-            self.mem.store(s.name, vals)
+            self.mem.store(s.name, [_INT_ZERO if s.ctype == "int"
+                                    else self._float_zero] * s.array_size)
             return
         if s.init is None:
             return
         v = self.eval(s.init, target=s.name)
-        self.mem.store(s.name, self._coerce_store(s.ctype, v, s.loc, id(s)))
+        self.mem.store(s.name, self._coerce(s.ctype, v, s.loc, id(s)))
 
     def _exec_assign(self, s: S.Assign) -> None:
         name = s.target.name
         ctype = (self._fn.var_types.get(name, ("double", False))[0]
                  if self._fn else "double")
         v = self.eval(s.expr, target=name)
-        v = self._coerce_store(ctype, v, s.loc, id(s))
+        v = self._coerce(ctype, v, s.loc, id(s))
         if isinstance(s.target, S.Var):
             self.mem.store(name, v)
             return
-        arr = self.mem.load(name)
-        iv = self._as_int(self.eval(s.target.index))
-        lo, hi = iv.lo_n, iv.hi_n
-        if lo < 0 or hi >= len(arr):
-            raise AnalysisAlarm("out-of-bounds",
-                                f"{s.loc}: write index of {name} in"
-                                f" [{lo}, {hi}] out of bounds", s.loc)
+        arr, lo, hi = self._cells(s.target, s.loc, "write index")
         if lo == hi:
             arr[lo] = v
         else:
             self._warn(f"{s.loc}: weak update of {name}[{lo}..{hi}]")
             for i in range(lo, hi + 1):
-                old = arr[i]
-                if isinstance(old, AbstractFloat) \
-                        and isinstance(v, AbstractFloat):
-                    arr[i] = union(old, v, self.pool, self.env)
-                elif isinstance(old, RInterval) and isinstance(v, RInterval):
-                    arr[i] = old.join(v)
-                else:
-                    arr[i] = v
+                arr[i] = self._join(arr[i], v)
 
     def _exec_assert(self, s: S.AssertStmt) -> None:
         key = id(s)
@@ -760,8 +742,7 @@ class Interp:
         a = self.eval(e.left)
         b = self.eval(e.right)
         neg = e.op == "!="
-        integral = isinstance(a, RInterval) and isinstance(b, RInterval)
-        true_reg, false_reg = _REGIONS[integral]["==" if neg else e.op]
+        integral, true_reg, false_reg = _regions(e.op, a, b)
         reg = false_reg if neg else true_reg
         if integral:
             known = _settled(a, b, true_reg)
@@ -770,7 +751,8 @@ class Interp:
             elif known == neg:
                 raise InfeasiblePath
             return
-        l, r = self._as_float(a), self._as_float(b)
+        l = self._as_float(a, e.left.loc)
+        r = self._as_float(b, e.right.loc)
         self._apply(e.left, e.right, l, r, reg, reg, _ANY, l.err - r.err)
 
     # -- sections ---------------------------------------------------------
@@ -790,9 +772,7 @@ class Interp:
         self._trace(f"section {sec.section_id}: enter")
         try:
             while True:
-                self.mem.restore(checkpoint_mem)
-                self.env.clear()
-                self.env.update(checkpoint_env)
+                self._restore(checkpoint_mem, checkpoint_env)
                 ctx.reset()
                 self._skip = ex.skips()
                 try:
@@ -832,16 +812,12 @@ class Interp:
         report.merged_pairs = pairs
         if not states:
             report.infeasible = True
-            self.mem.restore(checkpoint_mem)
-            self.env.clear()
-            self.env.update(checkpoint_env)
+            self._restore(checkpoint_mem, checkpoint_env)
             self._trace(f"section {sec.section_id}: no feasible path,"
                         f" propagating emptiness")
             raise SectionInfeasible(sec.section_id)
         merged = self._merge_states(states)
-        self.mem.vars = merged
-        self.env.clear()
-        self.env.update(checkpoint_env)
+        self._restore(merged, checkpoint_env)
         self._trace(f"section {sec.section_id}: merged"
                     f" {len(states)} states")
         if "__return__" in merged and all("__return__" in st.mem
@@ -929,21 +905,13 @@ class Interp:
         first = vals[0][0]
         if all(v == first for v, _ in vals[1:]):
             return first
-        if isinstance(first, AbstractFloat):
-            acc = None
-            for v, env in vals:
-                cur = _bake(v, env, self.pool)
-                acc = cur if acc is None else union(acc, cur, self.pool,
-                                                    self.env)
-            return acc
-        if isinstance(first, RInterval):
-            acc = first
-            for v, _ in vals[1:]:
-                acc = acc.join(v)
-            return acc
         if isinstance(first, list):
             return [self._merge_values([(v[i], env) for v, env in vals])
                     for i in range(len(first))]
+        if isinstance(first, (AbstractFloat, RInterval)):
+            return reduce(self._join, (
+                _bake(v, env, self.pool) if isinstance(v, AbstractFloat)
+                else v for v, env in vals))
         return first
 
     # -- entry ------------------------------------------------------------
@@ -991,6 +959,13 @@ def _literal_value(e: S.Expr) -> RationalLike:
     raise TypeErrorAt(f"{e.loc}: read_double bounds must be literals")
 
 
+def _kind(v) -> str:
+    """What a value that is not the number an operand needs is."""
+    if v is None:
+        return "the result of a void function"
+    return "an array" if isinstance(v, list) else "a floating-point value"
+
+
 def _bake(v: AbstractFloat, env: SymbolEnv, pool: SymbolPool) -> AbstractFloat:
     """Collapse a value's forms to their per-path interval hulls."""
     riv = v.real.concretize(env).meet(v.real_iv)
@@ -1033,6 +1008,14 @@ def _region_table(one: int):
 
 #: the region table, on ints (True) and over the reals (False)
 _REGIONS = {False: _region_table(0), True: _region_table(1)}
+
+
+def _regions(op: str, a, b):
+    """(integral, true region, false region) of `a op b` on t = a - b:
+    integral when both operands are ints; `!=` gets the regions of `==`,
+    which its caller negates."""
+    integral = isinstance(a, RInterval) and isinstance(b, RInterval)
+    return (integral, *_REGIONS[integral]["==" if op == "!=" else op])
 
 
 def _settled(a: RInterval, b: RInterval, reg) -> Optional[bool]:

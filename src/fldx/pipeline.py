@@ -24,7 +24,6 @@ class StageError(FldxError):
     def __init__(self, stage: str, cause: Exception) -> None:
         super().__init__(f"{stage}: {cause}")
         self.stage = stage
-        self.cause = cause
 
 
 def _has_sections(program: S.Program) -> bool:

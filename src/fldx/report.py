@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from pathlib import Path
 from typing import Dict, List, Optional
 
 from .annot.evaluate import AssertRecord
@@ -174,77 +175,6 @@ def _ivs(iv: Optional[RInterval]) -> str:
     return f"[{short(iv.lo)}, {short(iv.hi)}]"
 
 
-REPORT_SCHEMA: Dict[str, object] = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "title": SCHEMA_ID,
-    "type": "object",
-    "required": ["schema", "entry", "format", "assertions", "alarms",
-                 "warnings", "sections"],
-    "properties": {
-        "schema": {"const": SCHEMA_ID},
-        "source": {"type": "string"},
-        "entry": {"type": "string"},
-        "format": {"type": "string"},
-        "assertions": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["location", "verdict"],
-                "properties": {
-                    "location": {"type": "string"},
-                    "builtin": {"type": ["string", "null"]},
-                    "variable": {"type": ["string", "null"]},
-                    "verdict": {"enum": ["valid", "violated",
-                                         "indeterminate"]},
-                    "err": {"$ref": "#/definitions/interval"},
-                    "real": {"$ref": "#/definitions/interval"},
-                    "rel": {"$ref": "#/definitions/interval"},
-                    "float": {"$ref": "#/definitions/interval"},
-                    "evaluations": {"type": "integer"},
-                },
-            },
-        },
-        "prints": {"type": "array"},
-        "alarms": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["kind", "message"],
-                "properties": {
-                    "kind": {"type": "string"},
-                    "message": {"type": "string"},
-                },
-            },
-        },
-        "warnings": {"type": "array", "items": {"type": "string"}},
-        "sections": {"type": "array"},
-        "placements": {"type": "array", "items": {"type": "string"}},
-        "trace": {"type": "array", "items": {"type": "string"}},
-    },
-    "definitions": {
-        "rational": {
-            "oneOf": [
-                {"type": "string"},
-                {
-                    "type": "object",
-                    "required": ["num", "den"],
-                    "properties": {
-                        "num": {"type": "string"},
-                        "den": {"type": "string"},
-                    },
-                },
-            ]
-        },
-        "interval": {
-            "oneOf": [
-                {"type": "null"},
-                {
-                    "type": "array",
-                    "minItems": 2,
-                    "maxItems": 2,
-                    "items": {"$ref": "#/definitions/rational"},
-                },
-            ]
-        },
-    },
-}
+#: the JSON schema of a report, packaged next to this module
+REPORT_SCHEMA: Dict[str, object] = json.loads(
+    Path(__file__).with_name("report_schema.json").read_text())

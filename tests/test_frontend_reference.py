@@ -175,6 +175,11 @@ def streams(draw):
     parts = []
     for piece, sep in draw(st.lists(st.tuples(pieces, seps), max_size=30)):
         parts.append(piece)
+        # a line comment ends its line: a block comment run into it opens
+        # inside it, and the rest of that comment after a newline is lexed
+        # as code (`// /*\n/*/` ends in an unterminated comment)
+        if piece.startswith("//") and "\n" not in sep:
+            sep += "\n"
         # a `/` run into a following `*` would open a comment the stream
         # never closes, which the reference lexes as operators
         parts.append(sep or (" " if piece.endswith("/") else ""))

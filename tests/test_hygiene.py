@@ -1,7 +1,7 @@
 """Source hygiene: every module of the package uses each name it
 imports and imports no private name of another fldx module, the package
-reads every function and method it defines, and `pyproject.toml` lists
-exactly the third-party modules it imports.
+reads every function, method and instance attribute it defines, and
+`pyproject.toml` lists exactly the third-party modules it imports.
 
 Package `__init__` modules are left out of the import check, since their
 imports are the package's public names; for the same reason a name they
@@ -222,6 +222,51 @@ def test_every_module_level_name_is_read():
     modules = {".".join(("fldx",) + p.relative_to(SRC).with_suffix("").parts):
                p.read_text() for p in sorted(SRC.rglob("*.py"))}
     assert unread_globals(modules) == []
+
+
+# ---------------------------------------------------------------------------
+# Instance attributes nothing reads
+# ---------------------------------------------------------------------------
+
+
+def unread_attributes(modules):
+    """(module, line, name) of every `self.name = ...` in `modules`
+    ({dotted name: source}) whose name no module reads, as an attribute
+    or as a string constant (`getattr(obj, "name")`). An augmented
+    assignment such as `self.n += 1` writes, it does not count as a
+    read."""
+    read, defs = set(), []
+    for m, src in modules.items():
+        for node in ast.walk(ast.parse(src)):
+            if isinstance(node, ast.Attribute):
+                if isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+                elif isinstance(node.value, ast.Name) \
+                        and node.value.id == "self":
+                    defs.append((m, node.lineno, node.attr))
+            elif isinstance(node, ast.Constant) \
+                    and isinstance(node.value, str):
+                read.add(node.value)
+    return sorted(d for d in defs if d[2] not in read)
+
+
+def test_scan_finds_an_unread_attribute():
+    assert unread_attributes({
+        "m": "class A:\n"
+             "    def __init__(self):\n"
+             "        self.a = self.b = self.c = self.d = 0\n"
+             "        self.e = 1\n"
+             "    def f(self):\n"
+             "        self.e += 1\n"
+             "        return getattr(self, 'c') + self.b\n",
+        "n": "def g(x): return x.d\n"}) == [
+        ("m", 3, "a"), ("m", 4, "e"), ("m", 6, "e")]
+
+
+def test_every_instance_attribute_is_read():
+    modules = {".".join(("fldx",) + p.relative_to(SRC).with_suffix("").parts):
+               p.read_text() for p in sorted(SRC.rglob("*.py"))}
+    assert unread_attributes(modules) == []
 
 
 # ---------------------------------------------------------------------------

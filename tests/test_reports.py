@@ -17,7 +17,7 @@ from fldx.frontend import parse_program, print_program
 from fldx.frontend.syntax import Binary, FloatLit
 from fldx.numerics import FORMATS, RInterval
 from fldx.pipeline import analyze
-from fldx.report import (REPORT_SCHEMA, rational_to_json,
+from fldx.report import (REPORT_SCHEMA, SCHEMA_ID, rational_to_json,
                          summarize_assertions)
 from tests.conftest import CORPUS, all_corpus_names, corpus_source
 
@@ -350,9 +350,10 @@ def test_report_dict_validates_against_the_schema(name):
 
 
 def test_packaged_schema_file_matches_the_code():
-    packaged = json.loads(
-        (CORPUS.parent / "report_schema.json").read_text())
-    assert packaged == REPORT_SCHEMA
+    """The code loads its schema from the packaged file; the file names
+    the schema id that reports carry."""
+    assert REPORT_SCHEMA["title"] == SCHEMA_ID
+    assert REPORT_SCHEMA["properties"]["schema"]["const"] == SCHEMA_ID
 
 
 def test_text_report_mentions_verdicts_and_sections():
@@ -564,6 +565,8 @@ ARRAY_PARAM = ("double g(double t[3]) { double y = t[1];"
                " /*@ assert dprint(y); */ return y; }\n")
 CALL_G = ("double g(double v) { return v * 2.0; }\nint main() {\n"
           "  double y = g(%s);\n  return 0;\n}\n")
+VOID_F = "void f() { return; }\nint main() {\n  %s;\n  return 0;\n}\n"
+ARRAY_A = "int main() {\n  double a[2];\n  %s;\n  return 0;\n}\n"
 
 
 @pytest.mark.parametrize("command,source,args,code,message", [
@@ -598,6 +601,18 @@ CALL_G = ("double g(double v) { return v * 2.0; }\nint main() {\n"
     ("analyze", CALL_G % "1.0, 2.0", [], 6,
      "error: 3:14: g takes 1 argument, not 2"),
     ("analyze", CALL_G % "", [], 6, "error: 3:14: g takes 1 argument, not 0"),
+    ("analyze", VOID_F % "int k = (int) f()", [], 6,
+     "error: execute: 3:17: expected an integer, got the result of a void"
+     " function"),
+    ("analyze", VOID_F % "double y = -f()", [], 6,
+     "error: execute: 3:15: expected an integer, got the result of a void"
+     " function"),
+    ("analyze", ARRAY_A % "double y = -a", [], 6,
+     "error: execute: 3:15: expected an integer, got an array"),
+    ("analyze", ARRAY_A % "int k = (int) a", [], 6,
+     "error: execute: 3:17: expected an integer, got an array"),
+    ("analyze", ARRAY_A % "double x = 1.0; x[0] = a[1]", [], 6,
+     "error: execute: 3:19: x is not an array"),
     ("analyze", b"int main() { /* \xff */ return 0; }\n", [], 2,
      "error: parse: source is not UTF-8 text"),
     ("instrument", b"int main() { /* \xff */ return 0; }\n", [], 2,
@@ -608,7 +623,8 @@ CALL_G = ("double g(double v) { return v * 2.0; }\nint main() {\n"
         "read-double-reversed",
         "read-double-error-reversed", "read-double-three-arguments",
         "read-double-five-arguments", "call-extra-argument",
-        "call-missing-argument", "analyze-not-utf8",
+        "call-missing-argument", "void-result-cast", "void-result-negated",
+        "array-negated", "array-cast", "scalar-indexed", "analyze-not-utf8",
         "instrument-not-utf8"])
 def test_cli_bad_input_ends_in_its_exit_code(tmp_path, command, source, args,
                                              code, message):
@@ -630,10 +646,11 @@ HALVE_X = ("int main() {\n  double x = read_double(%s);\n"
 
 @pytest.mark.parametrize("bounds,code,message", [
     ("1e400, 2e400", 1,
-     "[alarm] overflow: 1e+400 rounds beyond the largest finite value"),
-    # the input's lower end, widened by its representation error
+     "[alarm] overflow: 2:14: 1e+400 rounds beyond the largest finite"
+     " value"),
+    # the bound as written, before its representation error widens it
     ("0.0, 1e400", 1,
-     "[alarm] overflow: -6.50496e+383 rounds beyond the largest finite"
+     "[alarm] overflow: 2:14: 1e+400 rounds beyond the largest finite"
      " value"),
     ("0.0, 1.7976931348623157e308", 0, "[print] 4:3 y: float=[-4.9896e+291,"
      " 8.98847e+307]"),
