@@ -9,8 +9,8 @@ from pathlib import Path
 import click
 
 from .config import AnalysisConfig, InputSpec, parse_input_spec
-from .errors import FldxError
-from .numerics import FORMATS
+from .errors import FldxError, OverflowAlarm
+from .numerics import FORMATS, check_finite
 from .pipeline import STAGES, StageError, analyze, instrumented_source
 from .report import REPORT_SCHEMA
 
@@ -44,6 +44,11 @@ def _build_config(fmt, inputs, entry, max_noise, path_budget, threshold,
                          auto_instrument=not no_instrument)
     for name, parsed in inputs:
         if isinstance(parsed, InputSpec):
+            try:
+                check_finite(parsed.value, cfg.fmt)
+            except OverflowAlarm as exn:
+                raise click.BadParameter(f"{name}: {exn}",
+                                         param_hint="'--input'") from None
             cfg.inputs[name] = parsed
         elif isinstance(parsed, tuple):
             cfg.array_inputs[name] = parsed

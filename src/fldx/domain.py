@@ -83,12 +83,8 @@ class AbstractFloat:
         """Program input: real value in value_iv, error in err_iv.
 
         When err_iv is omitted it defaults to the representation error
-        bound of the value interval in the chosen format. A value bound
-        that rounds past the largest finite value raises OverflowAlarm
-        for that bound, before any error widens it.
+        bound of the value interval in the chosen format.
         """
-        for n in (value_iv.lo_n, value_iv.hi_n):
-            round_nearest(n, value_iv.den, fmt)
         if err_iv is None:
             err_iv = representation_error_bound(value_iv, fmt)
         real = AffineForm.from_interval(value_iv, pool, Origin.INPUT)

@@ -78,8 +78,8 @@ from ..domain import (AbstractFloat, abs_neg, abs_op,
 from ..errors import (AnalysisAlarm, InfeasiblePath, OverflowAlarm,
                       SectionInfeasible, TypeErrorAt)
 from ..frontend import syntax as S
-from ..numerics import (RationalLike, RInterval, interval_over, pair_over,
-                        trunc_div, trunc_quotient)
+from ..numerics import (RationalLike, RInterval, check_finite, interval_over,
+                        pair_over, trunc_div, trunc_quotient)
 from ..zonotope import AffineForm, Origin, SymbolEnv, SymbolPool, sym_range
 from .explorer import PathExplorer
 
@@ -200,6 +200,12 @@ class Interp:
             return v
         raise TypeErrorAt(f"{loc}: expected an integer, got {_kind(v)}")
 
+    def _number(self, v, loc: S.Loc):
+        """v, an operand at loc that may be an int or a float."""
+        if isinstance(v, (AbstractFloat, RInterval)):
+            return v
+        raise TypeErrorAt(f"{loc}: expected a number, got {_kind(v)}")
+
     def _coerce(self, ctype: str, v, loc: S.Loc, site: int,
                 src: Optional[S.Expr] = None):
         """v converted to ctype, by a cast at loc or by a store there: a
@@ -210,7 +216,7 @@ class Interp:
             return self._as_float(v, at)
         if isinstance(v, AbstractFloat):
             return self._cast_float_to_int(loc, site, v, src)
-        return self._as_int(v, at)
+        return self._number(v, at)
 
     def _join(self, a, b):
         """The hull of two values: the join of two ints, else the
@@ -218,8 +224,9 @@ class Interp:
         parameter holds floats)."""
         if isinstance(a, RInterval) and isinstance(b, RInterval):
             return a.join(b)
-        return union(self._as_float(a, S.NOLOC), self._as_float(b, S.NOLOC),
-                     self.pool, self.env)
+        a, b = (self._promote_int(v) if isinstance(v, RInterval) else v
+                for v in (a, b))
+        return union(a, b, self.pool, self.env)
 
     def _restore(self, mem: Dict[str, object], env: SymbolEnv) -> None:
         """Put back a saved mem and env."""
@@ -333,9 +340,8 @@ class Interp:
             return reduce(self._join, arr[lo:hi + 1])
         if isinstance(e, S.Unary):
             if e.op == "-":
-                v = self.eval(e.expr)
-                return abs_neg(v) if isinstance(v, AbstractFloat) \
-                    else -self._as_int(v, e.expr.loc)
+                v = self._number(self.eval(e.expr), e.expr.loc)
+                return abs_neg(v) if isinstance(v, AbstractFloat) else -v
             # logical not
             return _INT_ZERO if self.decide(e.expr) else _INT_ONE
         if isinstance(e, S.Binary):
@@ -453,12 +459,13 @@ class Interp:
                     err = RInterval(*ends[2:]) if ends[2:] else None
                 except ValueError as exn:
                     raise TypeErrorAt(f"{e.loc}: read_double: {exn}") from None
+                try:
+                    check_finite(value, self.fmt)
+                except OverflowAlarm as exn:
+                    raise OverflowAlarm(f"{e.loc}: {exn}", e.loc) from None
                 spec = self._inputs[id(e)] = InputSpec(value, err)
-        try:
-            return AbstractFloat.from_input(spec.value, spec.err, self.fmt,
-                                            self.pool, self.env)
-        except OverflowAlarm as exn:
-            raise OverflowAlarm(f"{e.loc}: {exn}", e.loc) from None
+        return AbstractFloat.from_input(spec.value, spec.err, self.fmt,
+                                        self.pool, self.env)
 
     # -- decisions --------------------------------------------------------
 

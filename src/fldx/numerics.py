@@ -461,6 +461,13 @@ def round_directed(n: int, d: int, fmt: FloatFormat,
     return _round(n, d, fmt, _ceil_div if outward else operator.floordiv)
 
 
+def check_finite(iv: RInterval, fmt: FloatFormat) -> None:
+    """Raise OverflowAlarm, naming the endpoint as written, when an
+    endpoint of iv rounds past the largest finite value of fmt."""
+    round_nearest(iv.lo_n, iv.den, fmt)
+    round_nearest(iv.hi_n, iv.den, fmt)
+
+
 def is_representable(x: RationalLike, fmt: FloatFormat) -> bool:
     x = abs(rat(x))
     n, d = x.numerator, x.denominator

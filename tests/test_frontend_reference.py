@@ -12,7 +12,7 @@ import re
 from typing import List, Tuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fldx.config import AnalysisConfig
@@ -175,18 +175,43 @@ def streams(draw):
     parts = []
     for piece, sep in draw(st.lists(st.tuples(pieces, seps), max_size=30)):
         parts.append(piece)
-        # a line comment ends its line: a block comment run into it opens
-        # inside it, and the rest of that comment after a newline is lexed
-        # as code (`// /*\n/*/` ends in an unterminated comment)
-        if piece.startswith("//") and "\n" not in sep:
-            sep += "\n"
         # a `/` run into a following `*` would open a comment the stream
         # never closes, which the reference lexes as operators
         parts.append(sep or (" " if piece.endswith("/") else ""))
     if draw(st.booleans()):
         parts.insert(draw(st.integers(0, len(parts))),
                      draw(st.sampled_from(BAD)))
-    return "".join(parts)
+    src = "".join(parts)
+    # pieces can still open a comment that never closes: the tail of a
+    # block comment swallowed by a line comment is code (`// /*\n/*/`)
+    assume(not leaves_a_comment_open(src))
+    return src
+
+
+COMMENT_OPENER = re.compile(r"//|/\*")
+
+
+def leaves_a_comment_open(src):
+    """Whether src, read as C, opens a block comment it never closes."""
+    pos = 0
+    while (m := COMMENT_OPENER.search(src, pos)) is not None:
+        if m.group() == "//":
+            pos = src.find("\n", m.end())
+            if pos < 0:
+                return False
+        else:
+            pos = src.find("*/", m.end())
+            if pos < 0:
+                return True
+            pos += 2
+    return False
+
+
+@pytest.mark.parametrize("src,open_", [
+    ("// /*\n/*/ ", True), ("/* a */ /*", True), ("// /*\nb*/ ", False),
+    ("/*/ */", False), ("a // /* b", False)])
+def test_comment_scan_finds_an_open_comment(src, open_):
+    assert leaves_a_comment_open(src) == open_
 
 
 def lexed(tokenize_fn, *args):

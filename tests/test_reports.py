@@ -582,6 +582,13 @@ ARRAY_A = "int main() {\n  double a[2];\n  %s;\n  return 0;\n}\n"
      "Invalid value for '--input': bad interval '[1]'"),
     ("analyze", ARRAY_PARAM, ["--input", "t={0.1,abc,2}"], 2,
      "Invalid value for '--input'"),
+    ("analyze", READ_X % "", ["--input", "x=[0,1e400]"], 2,
+     "Invalid value for '--input': x: 1e+400 rounds beyond the largest"
+     " finite value"),
+    ("analyze", READ_X % "", ["--format", "binary32", "--input",
+                              "x=[-1e39,0]"], 2,
+     "Invalid value for '--input': x: -1e+39 rounds beyond the largest"
+     " finite value"),
     ("analyze", READ_X % "0.0, 1.0", ["--threshold", "abc"], 2,
      "Invalid value for '--threshold'"),
     ("analyze", READ_X % "0.0, 1.0", ["--max-noise", "0"], 2,
@@ -602,15 +609,15 @@ ARRAY_A = "int main() {\n  double a[2];\n  %s;\n  return 0;\n}\n"
      "error: 3:14: g takes 1 argument, not 2"),
     ("analyze", CALL_G % "", [], 6, "error: 3:14: g takes 1 argument, not 0"),
     ("analyze", VOID_F % "int k = (int) f()", [], 6,
-     "error: execute: 3:17: expected an integer, got the result of a void"
+     "error: execute: 3:17: expected a number, got the result of a void"
      " function"),
     ("analyze", VOID_F % "double y = -f()", [], 6,
-     "error: execute: 3:15: expected an integer, got the result of a void"
+     "error: execute: 3:15: expected a number, got the result of a void"
      " function"),
     ("analyze", ARRAY_A % "double y = -a", [], 6,
-     "error: execute: 3:15: expected an integer, got an array"),
+     "error: execute: 3:15: expected a number, got an array"),
     ("analyze", ARRAY_A % "int k = (int) a", [], 6,
-     "error: execute: 3:17: expected an integer, got an array"),
+     "error: execute: 3:17: expected a number, got an array"),
     ("analyze", ARRAY_A % "double x = 1.0; x[0] = a[1]", [], 6,
      "error: execute: 3:19: x is not an array"),
     ("analyze", b"int main() { /* \xff */ return 0; }\n", [], 2,
@@ -619,6 +626,7 @@ ARRAY_A = "int main() {\n  double a[2];\n  %s;\n  return 0;\n}\n"
      "error: parse: source is not UTF-8 text"),
 ], ids=["input-reversed", "input-not-a-number", "input-one-end",
         "input-ends-not-numbers", "input-error-one-end", "input-array-element",
+        "input-past-the-double-range", "input-past-the-binary32-range",
         "threshold", "max-noise", "path-budget-zero", "path-budget-negative",
         "read-double-reversed",
         "read-double-error-reversed", "read-double-three-arguments",
