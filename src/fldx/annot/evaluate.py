@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..domain import AbstractFloat
 from ..errors import AnalysisAlarm, TypeErrorAt
@@ -40,7 +40,6 @@ class AssertRecord:
     real_hull: Optional[RInterval] = None
     rel_hull: Optional[RInterval] = None
     float_hull: Optional[RInterval] = None
-    bounds: Optional[Tuple[RInterval, RInterval]] = None
     loc: S.Loc = S.NOLOC
 
 
@@ -296,8 +295,7 @@ def eval_builtin(b: TypedBuiltin, mem: Memory, binders,
         records.append(AssertRecord(
             "assert", name, var, _TRUTH[verdict],
             err_hull=x.err_refined(mem.env), real_hull=x.real_refined(mem.env),
-            rel_hull=x.rel, float_hull=x.float_iv,
-            bounds=(lo_iv, hi_iv), loc=b.loc))
+            rel_hull=x.rel, float_hull=x.float_iv, loc=b.loc))
         return verdict
     raise TypeErrorAt(f"unknown builtin {name!r}")
 

@@ -31,8 +31,6 @@ class TypedTerm:
     carry: str
     compute: str
     children: List["TypedTerm"] = field(default_factory=list)
-    #: 'const' | 'lvalue' | 'binder' | 'op' | 'call'
-    role: str = "op"
 
 
 @dataclass
@@ -84,74 +82,69 @@ def const_kind(t: S.TConst) -> Kind:
     return Q
 
 
-def _term_kind(t: S.Term, var_types, gamma: Gamma) -> Kind:
-    if isinstance(t, S.TConst):
-        return const_kind(t)
+def _lvalue_kind(t: Union[S.TName, S.TIndex], var_types,
+                 gamma: Gamma) -> Kind:
+    """The kind of a name, a binder's or its C type's, or of an array
+    element, its array's C type's."""
     if isinstance(t, S.TName):
         if t.name in gamma:
             return gamma[t.name]
         if t.name in var_types:
             return CTYPE_KIND[var_types[t.name][0]]
         raise TypeErrorAt(f"{t.loc}: unknown name {t.name!r} in annotation")
-    if isinstance(t, S.TIndex):
-        if t.name not in var_types:
-            raise TypeErrorAt(f"{t.loc}: unknown array {t.name!r}")
-        return CTYPE_KIND[var_types[t.name][0]]
-    if isinstance(t, S.TBin):
-        kl = _term_kind(t.left, var_types, gamma)
-        kr = _term_kind(t.right, var_types, gamma)
-        if isinstance(kl, ZKind) and isinstance(kr, ZKind):
-            return ZKind(int_interval_arith(t.op, kl.iv, kr.iv))
-        # any non-integer operation is mathematical, hence rational
-        return Q
-    if isinstance(t, S.TCall):
-        kinds = [_term_kind(a, var_types, gamma) for a in t.args]
-        if t.name in ("min", "max"):
-            return kind_join(kinds[0], kinds[1])
-        if t.name == "abs":
-            k = kinds[0]
-            if isinstance(k, ZKind) and k.iv.is_bounded():
-                m = max(abs(k.iv.lo), abs(k.iv.hi))
-                return ZKind(IntInterval(0, m))
-            return k if isinstance(k, FKind) else Q
-        return Q  # max_distance
-    raise TypeErrorAt(f"unknown term {t!r}")
+    if t.name not in var_types:
+        raise TypeErrorAt(f"{t.loc}: unknown array {t.name!r}")
+    return CTYPE_KIND[var_types[t.name][0]]
+
+
+def _call_kind(name: str, kinds: List[Kind]) -> Kind:
+    """The kind of a call of a term builtin from its arguments' kinds."""
+    if name in ("min", "max"):
+        return kind_join(kinds[0], kinds[1])
+    if name == "abs":
+        k = kinds[0]
+        if isinstance(k, ZKind) and k.iv.is_bounded():
+            m = max(abs(k.iv.lo), abs(k.iv.hi))
+            return ZKind(IntInterval(0, m))
+        return k if isinstance(k, FKind) else Q
+    return Q  # max_distance
 
 
 def type_term(t: S.Term, var_types, gamma: Optional[Gamma] = None) -> TypedTerm:
+    """Type t bottom-up: each node's kind comes from its children's."""
     gamma = gamma or {}
     if isinstance(t, S.TConst):
         k = const_kind(t)
         tau = theta(k)
-        return TypedTerm(t, k, tau, tau, role="const")
+        return TypedTerm(t, k, tau, tau)
     if isinstance(t, (S.TName, S.TIndex)):
-        k = _term_kind(t, var_types, gamma)
+        k = _lvalue_kind(t, var_types, gamma)
         tau = theta(k)
-        role = "binder" if isinstance(t, S.TName) and t.name in gamma else "lvalue"
         kids = []
         if isinstance(t, S.TIndex):
             kids = [type_term(t.index, var_types, gamma)]
-        return TypedTerm(t, k, tau, tau, kids, role=role)
+        return TypedTerm(t, k, tau, tau, kids)
     if isinstance(t, S.TBin):
-        tl = type_term(t.left, var_types, gamma)
-        tr = type_term(t.right, var_types, gamma)
-        k = _term_kind(t, var_types, gamma)
-        compute = theta(kind_join(kind_join(tl.kind, tr.kind), k))
-        carry = theta(k)
-        if not type_le(carry, compute):
-            carry = compute
-        return TypedTerm(t, k, carry, compute, [tl, tr], role="op")
-    if isinstance(t, S.TCall):
+        kids = [type_term(t.left, var_types, gamma),
+                type_term(t.right, var_types, gamma)]
+        kl, kr = kids[0].kind, kids[1].kind
+        if isinstance(kl, ZKind) and isinstance(kr, ZKind):
+            k = ZKind(int_interval_arith(t.op, kl.iv, kr.iv))
+        else:
+            k = Q  # any non-integer operation is mathematical, hence rational
+        compute = theta(kind_join(kind_join(kl, kr), k))
+    elif isinstance(t, S.TCall):
         kids = [type_term(a, var_types, gamma) for a in t.args]
-        k = _term_kind(t, var_types, gamma)
+        k = _call_kind(t.name, [kid.kind for kid in kids])
         compute = theta(k)
         for kid in kids:
             compute = type_join(compute, kid.carry)
-        carry = theta(k)
-        if not type_le(carry, compute):
-            carry = compute
-        return TypedTerm(t, k, carry, compute, kids, role="call")
-    raise TypeErrorAt(f"unknown term {t!r}")
+    else:
+        raise TypeErrorAt(f"unknown term {t!r}")
+    carry = theta(k)
+    if not type_le(carry, compute):
+        carry = compute
+    return TypedTerm(t, k, carry, compute, kids)
 
 
 def type_cmp(op: str, left: S.Term, right: S.Term, var_types,

@@ -191,7 +191,6 @@ def may_ref_seq(stmts: List[S.Stmt]) -> Set[Tuple[str, int]]:
 
 @dataclass
 class DepSets:
-    fn: S.FuncDef
     #: (writer stmt id, variable) -> ids of the statements its value reaches
     readers: Dict[Tuple[int, str], Set[int]] = field(default_factory=dict)
     stmt_by_id: Dict[int, S.Stmt] = field(default_factory=dict)
@@ -265,7 +264,7 @@ def compute_dep_sets(fn: S.FuncDef, graph: C.Cfg) -> DepSets:
                 bits ^= low
                 key = def_site[low.bit_length() - 1]
                 readers.setdefault(key, set()).add(id(graph.stmt_of[n]))
-    return DepSets(fn, readers, stmt_by_id)
+    return DepSets(readers, stmt_by_id)
 
 
 def region_descendant_ids(stmts: List[S.Stmt]) -> Set[int]:

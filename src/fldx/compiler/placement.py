@@ -2,7 +2,9 @@
 candidates.
 
 A candidate is a statement whose evaluation contains a floating-point
-comparison or a float-to-int cast. Sections start as the candidate
+comparison or a float-to-int conversion: an explicit cast, or an
+implicit one where a float is stored into an int, passed to an int
+parameter or returned by an int function. Sections start as the candidate
 statement alone and are expanded (merge first, hoisting to the enclosing
 block when needed) until:
   1. the split strictly dominates the merge and the merge strictly
@@ -42,21 +44,52 @@ class PlacementResult:
     warnings: List[str] = field(default_factory=list)
 
 
-def _expr_has_unstable(e: S.Expr, var_types, program) -> bool:
+_FLOATS = ("float", "double")
+
+
+def _expr_has_unstable(e: S.Expr, var_types, program: S.Program) -> bool:
+    """Whether e holds a float comparison or a float-to-int conversion,
+    by a cast or by an argument to an int parameter: a node whose
+    `operands` include a float."""
     for sub in S.walk_exprs(e):
-        if isinstance(sub, S.Binary) and sub.op in S.COMPARISONS:
-            lt = S.expr_ctype(sub.left, var_types, program)
-            rt = S.expr_ctype(sub.right, var_types, program)
-            if lt in ("float", "double") or rt in ("float", "double"):
-                return True
-        if isinstance(sub, S.Cast) and sub.ctype == "int":
-            if S.expr_ctype(sub.expr, var_types, program) in ("float", "double"):
-                return True
+        kind = type(sub)
+        if kind is S.Binary and sub.op in S.COMPARISONS:
+            operands = [sub.left, sub.right]
+        elif kind is S.Cast and sub.ctype == "int":
+            operands = [sub.expr]
+        elif kind is S.Call and sub.name in program.functions:
+            operands = [a for p, a in zip(program.functions[sub.name].params,
+                                          sub.args)
+                        if p.ctype == "int" and not p.is_array]
+        else:
+            continue
+        if any(S.expr_ctype(x, var_types, program) in _FLOATS
+               for x in operands):
+            return True
     return False
 
 
-def find_candidates(fn: S.FuncDef,
-                    program: Optional[S.Program] = None) -> List[S.Stmt]:
+def _stores_float_in_int(s: S.Stmt, fn: S.FuncDef, program: S.Program
+                         ) -> bool:
+    """Whether s stores a float into an int: a declaration or an
+    assignment of an int, or the return of an int function. The stored
+    value's type is looked up only when the target is an int."""
+    kind = type(s)
+    if kind is S.Decl and s.ctype == "int":
+        values = s.array_init or [s.init]
+    elif kind is S.Assign and fn.var_types.get(
+            s.target.name, ("double", False))[0] == "int":
+        values = [s.expr]
+    elif kind is S.Return and fn.ret_type == "int":
+        values = [s.expr]
+    else:
+        return False
+    return any(v is not None
+               and S.expr_ctype(v, fn.var_types, program) in _FLOATS
+               for v in values)
+
+
+def find_candidates(fn: S.FuncDef, program: S.Program) -> List[S.Stmt]:
     """Innermost statements containing an unstable-test candidate.
 
     Statements already covered by a section keep their existing markers
@@ -70,8 +103,9 @@ def find_candidates(fn: S.FuncDef,
     for s in S.walk_stmts(fn.body):
         if isinstance(s, (S.Block, S.SectionStmt)) or id(s) in covered:
             continue
-        if any(_expr_has_unstable(e, fn.var_types, program)
-               for e in S.stmt_exprs(s)):
+        if _stores_float_in_int(s, fn, program) \
+                or any(_expr_has_unstable(e, fn.var_types, program)
+                       for e in S.stmt_exprs(s)):
             out.append(s)
     return out
 
@@ -94,9 +128,7 @@ def _parent_maps(fn: S.FuncDef):
             return [s.stmts]
         if isinstance(s, S.If):
             return [s.then.stmts] + ([s.els.stmts] if s.els else [])
-        if isinstance(s, (S.While,)):
-            return [s.body.stmts]
-        if isinstance(s, S.DoWhile):
+        if isinstance(s, (S.While, S.DoWhile)):
             return [s.body.stmts]
         if isinstance(s, S.SectionStmt):
             return [s.body]
@@ -166,7 +198,7 @@ def _grow(fn: S.FuncDef, cand: S.Stmt, deps: D.DepSets, owner, block_owner,
 
 
 def place_sections(fn: S.FuncDef, deps: D.DepSets,
-                   program: Optional[S.Program] = None) -> PlacementResult:
+                   program: S.Program) -> PlacementResult:
     warnings: List[str] = []
     owner, block_owner = _parent_maps(fn)
     placements: List[Placement] = []

@@ -384,7 +384,6 @@ def project_onto_symbols(form: AffineForm, lo: Optional[Fraction],
 @dataclass
 class Substitution:
     sym: int
-    new_range: RInterval
     replacement: AffineForm
     derived_sym: Optional[int]
 
@@ -409,7 +408,7 @@ def make_substitution(sym: int, new_range: RInterval, pool: SymbolPool,
         derived = pool.fresh(Origin.CONSTRAINT)
         repl = AffineForm.around(nr, derived)
     env[sym] = nr
-    return Substitution(sym, nr, repl, derived)
+    return Substitution(sym, repl, derived)
 
 
 def apply_substitution(form: AffineForm, sub: Substitution,

@@ -26,9 +26,18 @@ boundary. A float test or a cast offers, in order, the candidates of
 The chosen flow constrains the float, real and error forms of t jointly
 and meets the operands; `assume` applies the stable true flow the same
 way, without a decision. One coercion, `_coerce`, converts a value to a
-C type for a cast and for a store alike: a float to int is a cast
-decision, an int to float an exact promotion, and anything else (an
-array, the result of a void function) an error at the operand.
+C type for a cast, a store, an argument and a result alike: a float to
+int is a cast decision, an int to float an exact promotion, and anything
+else (an array, the result of a void function) an error at the operand.
+So every value in a frame has its declared type.
+
+A return is a store. Programs come from `pipeline.prepare`, whose
+`normalize_returns` leaves a function's only `return` as the last
+statement it runs; `return e` converts e to the function's return type
+and writes it to the frame's `__return__` slot, which a section merges
+like any other variable and a call reads once the callee's body has run.
+Each argument is bound to its parameter through `_coerce`; an array
+passes by reference.
 
 Each path walks the section body from its checkpoint, replaying the
 explorer's recorded choices. A float test that chose among several
@@ -89,11 +98,6 @@ _ANY = (None, None)  # the whole line as a region
 _ARITH = frozenset("+-*/%")
 _CAST_FAN_LIMIT = 64
 _LOOP_LIMIT = 1_000_000
-
-
-class _Return(Exception):
-    def __init__(self, value):
-        self.value = value
 
 
 @dataclass
@@ -208,9 +212,9 @@ class Interp:
 
     def _coerce(self, ctype: str, v, loc: S.Loc, site: int,
                 src: Optional[S.Expr] = None):
-        """v converted to ctype, by a cast at loc or by a store there: a
-        float to int is a cast decision (on the variable `src`, if any), an
-        int to float an exact promotion."""
+        """v converted to ctype, by a cast at loc or by a store, an
+        argument or a result there: a float to int is a cast decision (on
+        the variable `src`, if any), an int to float an exact promotion."""
         at = loc if src is None else src.loc
         if ctype != "int":
             return self._as_float(v, at)
@@ -219,13 +223,10 @@ class Interp:
         return self._number(v, at)
 
     def _join(self, a, b):
-        """The hull of two values: the join of two ints, else the
-        interval-hull union of two floats, an int promoted (an int array
-        parameter holds floats)."""
-        if isinstance(a, RInterval) and isinstance(b, RInterval):
+        """The hull of two values of one type: the join of two ints, the
+        interval-hull union of two floats."""
+        if isinstance(a, RInterval):
             return a.join(b)
-        a, b = (self._promote_int(v) if isinstance(v, RInterval) else v
-                for v in (a, b))
         return union(a, b, self.pool, self.env)
 
     def _restore(self, mem: Dict[str, object], env: SymbolEnv) -> None:
@@ -426,21 +427,18 @@ class Interp:
         if self._call_depth > 16:
             raise TypeErrorAt(f"{e.loc}: call depth exceeded (recursion is"
                               f" not supported)")
-        args = [self.eval(a) for a in e.args]
-        saved_vars = self.mem.vars
-        saved_fn = self._fn
-        self.mem.vars = {p.name: v for p, v in zip(fn.params, args)}
+        frame = {p.name: self.eval(a) if p.is_array
+                 else self._coerce(p.ctype, self.eval(a), a.loc, id(a))
+                 for p, a in zip(fn.params, e.args)}
+        saved_vars, saved_fn = self.mem.vars, self._fn
+        self.mem.vars, self._fn = frame, fn
         self._call_depth += 1
-        self._fn = fn
         try:
             self.exec_stmts(fn.body.stmts)
-            result = None
-        except _Return as r:
-            result = r.value
+            result = self.mem.vars.get("__return__")
         finally:
             self._call_depth -= 1
-            self._fn = saved_fn
-            self.mem.vars = saved_vars
+            self.mem.vars, self._fn = saved_vars, saved_fn
         self._not_plain()
         return result
 
@@ -674,7 +672,9 @@ class Interp:
                                         f"{s.loc}: loop iteration limit"
                                         f" exceeded", s.loc)
         elif isinstance(s, S.Return):
-            raise _Return(self.eval(s.expr) if s.expr is not None else None)
+            if s.expr is not None:
+                self.mem.store("__return__", self._coerce(
+                    self._fn.ret_type, self.eval(s.expr), s.loc, id(s)))
         elif isinstance(s, S.ExprStmt):
             self.eval(s.expr)
         elif isinstance(s, S.AssertStmt):
@@ -783,10 +783,7 @@ class Interp:
                 ctx.reset()
                 self._skip = ex.skips()
                 try:
-                    try:
-                        self.exec_stmts(sec.body)
-                    except _Return as r:
-                        self.mem.store("__return__", r.value)
+                    self.exec_stmts(sec.body)
                     finished.append(PathState(tuple(ctx.signature), ctx.interp,
                                               self.mem.snapshot(),
                                               dict(self.env)))
@@ -827,9 +824,6 @@ class Interp:
         self._restore(merged, checkpoint_env)
         self._trace(f"section {sec.section_id}: merged"
                     f" {len(states)} states")
-        if "__return__" in merged and all("__return__" in st.mem
-                                          for st in states):
-            raise _Return(merged["__return__"])
 
     def _merge_unstable(self, finished: List[PathState]):
         by_sig: Dict[Tuple, Dict[Optional[str], PathState]] = {}
@@ -928,25 +922,27 @@ class Interp:
         self._fn = fn
         for p in fn.params:
             if p.is_array:
-                if p.name not in self.cfg.array_inputs:
-                    raise TypeErrorAt(f"missing input binding for array"
-                                      f" parameter {p.name!r}")
-                vals = [AbstractFloat.from_literal(x, self.fmt)
-                        for x in self.cfg.array_inputs[p.name]]
-                self.mem.store(p.name, vals)
+                kind, inputs = "array ", self.cfg.array_inputs
             elif p.ctype == "int":
-                if p.name not in self.cfg.int_inputs:
-                    raise TypeErrorAt(f"missing input binding for int"
-                                      f" parameter {p.name!r}")
-                k = self.cfg.int_inputs[p.name]
-                self.mem.store(p.name, interval_over(k, k, 1))
+                kind, inputs = "int ", self.cfg.int_inputs
             else:
-                if p.name not in self.cfg.inputs:
-                    raise TypeErrorAt(f"missing input binding for parameter"
-                                      f" {p.name!r}")
-                spec = self.cfg.inputs[p.name]
-                self.mem.store(p.name, AbstractFloat.from_input(
-                    spec.value, spec.err, self.fmt, self.pool, self.env))
+                kind, inputs = "", self.cfg.inputs
+            if p.name not in inputs:
+                raise TypeErrorAt(f"missing input binding for {kind}parameter"
+                                  f" {p.name!r}")
+            x = inputs[p.name]
+            if not p.is_array:
+                v = interval_over(x, x, 1) if p.ctype == "int" else \
+                    AbstractFloat.from_input(x.value, x.err, self.fmt,
+                                             self.pool, self.env)
+            elif p.ctype != "int":
+                v = [AbstractFloat.from_literal(c, self.fmt) for c in x]
+            elif all(c.denominator == 1 for c in x):
+                v = [interval_over(c, c, 1) for c in map(int, x)]
+            else:
+                raise TypeErrorAt(f"int array parameter {p.name!r} bound to"
+                                  f" a non-integer cell")
+            self.mem.store(p.name, v)
         root = S.SectionStmt(0, [], [], list(fn.body.stmts), fn.body.loc)
         try:
             self.exec_section(root)
@@ -954,8 +950,6 @@ class Interp:
             self._alarm(AnalysisAlarm(
                 "no-feasible-path",
                 f"no feasible execution path in {entry}"))
-        except _Return:
-            pass
 
 
 def _literal_value(e: S.Expr) -> RationalLike:

@@ -8,15 +8,22 @@ the machine values, exactly like hardware would. At every assertion
 point the pair (float value, real value) of the asserted variable is
 recorded; the difference is the true round-off error of this run.
 
+Programs come from `pipeline.prepare`, so a function's only `return` is
+the last statement it runs. A return is a store: `return e` converts e
+to the function's return type and writes it to the frame's
+`__return__` slot, which the call reads. One conversion, `_coerce`,
+serves a cast, a store, an argument and a result.
+
 This is deliberately independent from the abstract interpreter: it
 shares only the AST and the rounding function, so it can serve as an
 oracle for the analyzer's error enclosures.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 from ..errors import DivisionByZero, FldxError, TypeErrorAt
 from ..frontend import syntax as S
@@ -41,15 +48,9 @@ class ShadowRecord:
     loc: S.Loc
     builtin: str
     variable: Optional[str]
-    float_val: Fraction
     real_val: Fraction
     err: Fraction
     holds: Optional[bool]  # None for prints
-
-
-class _Return(Exception):
-    def __init__(self, value):
-        self.value = value
 
 
 class ShadowRun:
@@ -106,14 +107,7 @@ class ShadowRun:
             return self.eval(e.then) if self.truth(e.cond) \
                 else self.eval(e.els)
         if isinstance(e, S.Cast):
-            v = self.eval(e.expr)
-            if e.ctype in ("float", "double"):
-                if isinstance(v, CVal):
-                    return v
-                return CVal(self._round(Fraction(v)), Fraction(v))
-            if isinstance(v, CVal):
-                return _trunc(v.f)
-            return v
+            return self._coerce(e.ctype, self.eval(e.expr), e.loc)
         if isinstance(e, S.Call):
             return self._call(e, target)
         raise TypeErrorAt(f"unknown expression {e!r}")
@@ -152,10 +146,12 @@ class ShadowRun:
         return CVal(self._round(f), r)
 
     def _as_cval(self, v) -> CVal:
+        """v as a float: an int promotes to the nearest machine float,
+        its real value exact."""
         if isinstance(v, CVal):
             return v
         x = Fraction(v)
-        return CVal(x, x)  # int-to-float promotion of small ints is exact
+        return CVal(self._round(x), x)
 
     def _as_int(self, v, loc: S.Loc) -> int:
         if isinstance(v, int):
@@ -178,20 +174,18 @@ class ShadowRun:
             raise TypeErrorAt(f"{e.loc}: unknown function {e.name!r}")
         if self._depth > 64:
             raise FldxError(f"{e.loc}: call depth exceeded")
-        args = [self.eval(a) for a in e.args]
+        frame = {p.name: self.eval(a) if p.is_array
+                 else self._coerce(p.ctype, self.eval(a), a.loc)
+                 for p, a in zip(fn.params, e.args)}
         saved, saved_fn = self.vars, self._fn
-        self.vars = dict(zip((p.name for p in fn.params), args))
-        self._fn = fn
+        self.vars, self._fn = frame, fn
         self._depth += 1
         try:
             self.exec_stmts(fn.body.stmts)
-            out = None
-        except _Return as r:
-            out = r.value
+            return self.vars.get("__return__")
         finally:
             self._depth -= 1
             self.vars, self._fn = saved, saved_fn
-        return out
 
     # -- control -----------------------------------------------------------
 
@@ -203,15 +197,9 @@ class ShadowRun:
         if isinstance(e, S.Binary) and e.op == "||":
             return self.truth(e.left) or self.truth(e.right)
         if isinstance(e, S.Binary) and e.op in S.COMPARISONS:
-            a = self.eval(e.left)
-            b = self.eval(e.right)
-            x = a.f if isinstance(a, CVal) else a
-            y = b.f if isinstance(b, CVal) else b
-            if isinstance(a, CVal) or isinstance(b, CVal):
-                x, y = Fraction(x), Fraction(y)
-            return _cmp(e.op, x, y)
-        v = self.eval(e)
-        return (v.f if isinstance(v, CVal) else v) != 0
+            return _CMP[e.op](_machine(self.eval(e.left)),
+                              _machine(self.eval(e.right)))
+        return _machine(self.eval(e)) != 0
 
     # -- statements --------------------------------------------------------
 
@@ -238,7 +226,9 @@ class ShadowRun:
                 if not self.truth(s.cond):
                     break
         elif isinstance(s, S.Return):
-            raise _Return(self.eval(s.expr) if s.expr is not None else None)
+            if s.expr is not None:
+                self.vars["__return__"] = self._coerce(
+                    self._fn.ret_type, self.eval(s.expr), s.loc)
         elif isinstance(s, S.ExprStmt):
             self.eval(s.expr)
         elif isinstance(s, S.AssertStmt):
@@ -253,6 +243,8 @@ class ShadowRun:
             raise TypeErrorAt(f"unknown statement {s!r}")
 
     def _coerce(self, ctype: str, v, loc: S.Loc):
+        """v converted to ctype by a cast, a store, an argument or a
+        result: a float to int truncates its machine value."""
         if ctype == "int":
             if isinstance(v, CVal):
                 return _trunc(v.f)
@@ -265,8 +257,7 @@ class ShadowRun:
                 self.vars[s.name] = [self._coerce(s.ctype, self.eval(x), s.loc)
                                      for x in s.array_init]
             elif s.name in self.array_inputs:
-                self.vars[s.name] = [self._input_value(x)
-                                     for x in self.array_inputs[s.name]]
+                self.vars[s.name] = self._input_cells(s.ctype, s.name)
             else:
                 zero = 0 if s.ctype == "int" else CVal(ZERO, ZERO)
                 self.vars[s.name] = [zero] * s.array_size
@@ -312,19 +303,14 @@ class ShadowRun:
             a = self._pred(p.pred, binders, loc)
             return None if a is None else not a
         if isinstance(p, S.PCmp):
-            return _cmp(p.op, self._term(p.left, binders, loc),
-                        self._term(p.right, binders, loc))
+            return _CMP[p.op](self._term(p.left, binders, loc),
+                              self._term(p.right, binders, loc))
         if isinstance(p, S.PLet):
-            if isinstance(p.value, S.PBuiltin):
-                lo, hi = self._pair_builtin(p.value, binders, loc)
-                nb = dict(binders)
-                nb[p.names[0]] = lo
-                if len(p.names) > 1:
-                    nb[p.names[1]] = hi
-            else:
-                nb = dict(binders)
-                nb[p.names[0]] = self._term(p.value, binders, loc)
-            return self._pred(p.body, nb, loc)
+            values = [self._quantity(p.value, loc)] * 2 \
+                if isinstance(p.value, S.PBuiltin) \
+                else [self._term(p.value, binders, loc)]
+            return self._pred(p.body, {**binders, **dict(zip(p.names, values))},
+                              loc)
         if isinstance(p, S.PBuiltin):
             return self._builtin(p, binders, loc)
         raise TypeErrorAt(f"unknown predicate {p!r}")
@@ -340,24 +326,23 @@ class ShadowRun:
             raise TypeErrorAt(f"{loc}: built-in needs an lvalue")
         return self._as_cval(v)
 
-    def _pair_builtin(self, b: S.PBuiltin, binders, loc):
+    def _quantity(self, b: S.PBuiltin, loc: S.Loc) -> Fraction:
+        """What builtin b reads of its variable, as `evaluate` does: its
+        relative error, its real value or its error."""
         v = self._lvalue_cval(b.args[0], loc)
-        if b.name.endswith("_real"):
-            return v.r, v.r
-        if b.name.endswith("_relerr"):
+        if "relerr" in b.name:
             if v.r == 0:
                 raise FldxError(f"{loc}: relative error undefined (real"
                                 f" value is 0)")
-            rel = v.err / abs(v.r)
-            return rel, rel
-        return v.err, v.err
+            return v.err / abs(v.r)
+        return v.r if "real" in b.name else v.err
 
     def _builtin(self, b: S.PBuiltin, binders, loc) -> Optional[bool]:
         name = b.name
         if name in ("fprint", "dprint"):
             v = self._lvalue_cval(b.args[0], loc)
             self.records.append(ShadowRecord(loc, name, _lv_name(b.args[0]),
-                                             v.f, v.r, v.err, None))
+                                             v.r, v.err, None))
             return True
         if name.startswith("accuracy_enlarge"):
             # the concrete run keeps its exact value; widening only
@@ -367,32 +352,26 @@ class ShadowRun:
             v = self._lvalue_cval(b.args[0], loc)
             lo = self._term(b.args[1], binders, loc)
             hi = self._term(b.args[2], binders, loc)
-            if name.endswith("relerr"):
-                if v.r == 0:
-                    raise FldxError(f"{loc}: relative error undefined")
-                quantity = v.err / abs(v.r)
-            else:
-                quantity = v.err
-            holds = lo <= quantity <= hi
+            holds = lo <= self._quantity(b, loc) <= hi
             self.records.append(ShadowRecord(loc, name, _lv_name(b.args[0]),
-                                             v.f, v.r, v.err, holds))
+                                             v.r, v.err, holds))
             return holds
         raise TypeErrorAt(f"unknown builtin {name!r}")
 
-    def _term(self, t: S.Term, binders: Dict[str, Fraction],
-              loc: S.Loc) -> Fraction:
+    def _term(self, t: S.Term, binders: Dict[str, Union[int, Fraction]],
+              loc: S.Loc) -> Union[int, Fraction]:
+        """The value of t: an int where `typecheck` gives t an integer
+        kind (an integer literal, an int variable or binder, and the
+        +, -, *, / and calls of ints), a Fraction otherwise."""
         if isinstance(t, S.TConst):
-            return Fraction(t.value)
+            return int(t.value) if t.is_integer else Fraction(t.value)
         if isinstance(t, S.TName):
             if t.name in binders:
                 return binders[t.name]
-            v = self._load(t.name, loc)
-            return Fraction(v) if isinstance(v, int) else v.f
+            return _machine(self._load(t.name, loc))
         if isinstance(t, S.TIndex):
             arr = self._load(t.name, loc)
-            i = int(self._term(t.index, binders, loc))
-            v = arr[i]
-            return Fraction(v) if isinstance(v, int) else v.f
+            return _machine(arr[int(self._term(t.index, binders, loc))])
         if isinstance(t, S.TBin):
             a = self._term(t.left, binders, loc)
             b = self._term(t.right, binders, loc)
@@ -404,20 +383,20 @@ class ShadowRun:
                 return a * b
             if b == 0:
                 raise DivisionByZero(f"{loc}: division by zero in term")
-            if a.denominator == 1 and b.denominator == 1:
-                return Fraction(_trunc(a / b))
-            return a / b
+            if isinstance(a, int) and isinstance(b, int):
+                return _trunc(Fraction(a, b))
+            return Fraction(a) / b
         if isinstance(t, S.TCall):
             if t.name == "max_distance":
                 return self._max_distance(t, binders, loc)
             args = [self._term(x, binders, loc) for x in t.args]
-            if t.name == "min":
-                return min(args)
-            if t.name == "max":
-                return max(args)
             if t.name == "abs":
                 return abs(args[0])
-            raise TypeErrorAt(f"unknown term builtin {t.name!r}")
+            if t.name not in ("min", "max"):
+                raise TypeErrorAt(f"unknown term builtin {t.name!r}")
+            v = min(args) if t.name == "min" else max(args)
+            return v if all(isinstance(x, int) for x in args) \
+                else Fraction(v)
         raise TypeErrorAt(f"unknown term {t!r}")
 
     def _max_distance(self, t: S.TCall, binders, loc) -> Fraction:
@@ -434,15 +413,14 @@ class ShadowRun:
 
     # -- entry -------------------------------------------------------------
 
-    def run(self, entry: str):
+    def run(self, entry: str) -> None:
         fn = self.program.functions[entry]
         self._fn = fn
         for p in fn.params:
             if p.is_array:
                 if p.name not in self.array_inputs:
                     raise FldxError(f"no concrete array input for {p.name!r}")
-                self.vars[p.name] = [self._input_value(x)
-                                     for x in self.array_inputs[p.name]]
+                self.vars[p.name] = self._input_cells(p.ctype, p.name)
             elif p.ctype == "int":
                 if p.name not in self.int_inputs:
                     raise FldxError(f"no concrete int input for {p.name!r}")
@@ -451,11 +429,16 @@ class ShadowRun:
                 if p.name not in self.inputs:
                     raise FldxError(f"no concrete input for {p.name!r}")
                 self.vars[p.name] = self._input_value(self.inputs[p.name])
-        try:
-            self.exec_stmts(fn.body.stmts)
-        except _Return as r:
-            return r.value
-        return None
+        self.exec_stmts(fn.body.stmts)
+
+    def _input_cells(self, ctype: str, name: str) -> list:
+        """The cells of the array `name` bound to the concrete input, as
+        its element type."""
+        cells = self.array_inputs[name]
+        if ctype == "int" and any(Fraction(x).denominator != 1 for x in cells):
+            raise FldxError(f"int array {name!r} bound to a non-integer cell")
+        return [int(x) if ctype == "int" else self._input_value(x)
+                for x in cells]
 
 
 def _trunc(x: Fraction) -> int:
@@ -463,20 +446,13 @@ def _trunc(x: Fraction) -> int:
         else -((-x.numerator) // x.denominator)
 
 
-def _cmp(op: str, a: Fraction, b: Fraction) -> bool:
-    if op == "<":
-        return a < b
-    if op == "<=":
-        return a <= b
-    if op == ">":
-        return a > b
-    if op == ">=":
-        return a >= b
-    if op == "==":
-        return a == b
-    if op == "!=":
-        return a != b
-    raise TypeErrorAt(f"unknown comparison {op!r}")
+_CMP = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+        ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
+
+
+def _machine(v):
+    """The machine value of an int or a float."""
+    return v.f if isinstance(v, CVal) else v
 
 
 def _lv_name(t: S.Term) -> Optional[str]:

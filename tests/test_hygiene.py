@@ -1,6 +1,7 @@
 """Source hygiene: every module of the package uses each name it
 imports and imports no private name of another fldx module, the package
-reads every function, method and instance attribute it defines, and
+reads every function, method and instance attribute it defines, some
+module of the repository reads every dataclass field, and
 `pyproject.toml` lists exactly the third-party modules it imports.
 
 Package `__init__` modules are left out of the import check, since their
@@ -267,6 +268,77 @@ def test_every_instance_attribute_is_read():
     modules = {".".join(("fldx",) + p.relative_to(SRC).with_suffix("").parts):
                p.read_text() for p in sorted(SRC.rglob("*.py"))}
     assert unread_attributes(modules) == []
+
+
+# ---------------------------------------------------------------------------
+# Dataclass fields nothing reads
+# ---------------------------------------------------------------------------
+
+#: fields kept although nothing reads them yet, each with its reason
+UNREAD_FIELD_EXEMPT = {
+    # the origin of each noise symbol is what ROADMAP open item 6 reports
+    "NoiseSymbol.origin",
+}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for d in node.decorator_list:
+        d = d.func if isinstance(d, ast.Call) else d
+        if (d.attr if isinstance(d, ast.Attribute)
+                else getattr(d, "id", None)) == "dataclass":
+            return True
+    return False
+
+
+def unread_fields(modules, exempt=frozenset()):
+    """(module, line, "Class.field") of every field of a dataclass in
+    `modules` ({dotted name: source}) whose name no module reads, as an
+    attribute or as a string constant (`getattr(obj, "name")`). Passing
+    a value to the constructor writes the field; it is not a read. The
+    `exempt` "Class.field" names are left out."""
+    read, defs = set(), []
+    for m, src in modules.items():
+        for node in ast.walk(ast.parse(src)):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                defs += [(m, f.lineno, f"{node.name}.{f.target.id}")
+                         for f in node.body if isinstance(f, ast.AnnAssign)
+                         and isinstance(f.target, ast.Name)]
+            elif isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) \
+                    and isinstance(node.value, str):
+                read.add(node.value)
+    return sorted(d for d in defs
+                  if d[2].split(".")[1] not in read and d[2] not in exempt)
+
+
+def test_scan_finds_an_unread_field():
+    assert unread_fields({
+        "m": "import dataclasses\n"
+             "from dataclasses import dataclass\n"
+             "@dataclass\n"
+             "class A:\n"
+             "    a: int\n"
+             "    b: int = 0\n"
+             "    c: int = 0\n"
+             "@dataclasses.dataclass(frozen=True)\n"
+             "class B:\n"
+             "    d: int\n"
+             "    e: int\n"
+             "class C:\n"
+             "    f: int\n",
+        "n": "def g(x): return A(a=1, b=2).b + getattr(x, 'c') + B(1, 2).e\n"},
+        {"B.d"}) == [("m", 5, "A.a")]
+
+
+def test_every_dataclass_field_is_read():
+    root = SRC.parent.parent
+    files = [p for d in (SRC, root / "tests", root / "perfbench")
+             for p in sorted(d.rglob("*.py"))]
+    modules = {".".join(p.relative_to(root).with_suffix("").parts):
+               p.read_text() for p in files}
+    assert unread_fields(modules, UNREAD_FIELD_EXEMPT) == []
 
 
 # ---------------------------------------------------------------------------

@@ -138,3 +138,23 @@ def test_shadow_runs_through_an_early_return_stay_inside_reported_hulls(rng):
         [rec] = shadow.records
         assert err_h.lo <= rec.err <= err_h.hi, x
         assert real_h.lo <= rec.real_val <= real_h.hi, x
+
+
+def test_the_oracle_reads_a_real_value_as_the_analyzer_does():
+    """accuracy_get_dreal binds the real value, 4.5 at x = 1.5, so the
+    upper bound lo - 4.0 is 0.5 and the exact y = 4.5 meets it."""
+    source = """
+int main() {
+  double x = read_double(1.0, 2.0);
+  double y = x * 3.0;
+  /*@ assert \\let (lo, hi) = accuracy_get_dreal(y);
+        accuracy_assert_derr(y, hi - lo, lo - 4.0); */
+  return 0;
+}
+"""
+    config = AnalysisConfig()
+    program, _ = prepare(source, config)
+    shadow = ShadowRun(program, config.fmt, inputs={"x": Fraction(3, 2)})
+    shadow.run("main")
+    [rec] = shadow.records
+    assert (rec.real_val, rec.err, rec.holds) == (Fraction(9, 2), 0, True)

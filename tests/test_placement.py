@@ -70,6 +70,34 @@ def test_stable_only_program_gets_no_sections():
     assert "split(" not in text and "merge(" not in text
 
 
+#: a function, if any, and statements of main after `double x` and
+#: `int k`, with the number of sections they get: a float converted to
+#: int, by a cast or implicitly, gets one; an int converted to float, or
+#: no conversion, none
+CONVERSIONS = {
+    "cast": ("", "k = (int) x;", 1),
+    "declaration": ("", "int m = x;", 1),
+    "assignment": ("", "k = x;", 1),
+    "array_initializer": ("", "int a[2] = {k, x};", 1),
+    "argument": ("int id(int n) { return n; }", "int m = id(x);", 1),
+    "result": ("int trunc(double v) { return v; }", "int m = trunc(x);", 1),
+    "int_to_float": ("", "double y = k;", 0),
+    "int_argument": ("int id(int n) { return n; }", "int m = id(k);", 0),
+    "array_argument": ("int first(int a[2]) { return a[0]; }",
+                       "int a[2] = {k, k}; int m = first(a);", 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONVERSIONS))
+def test_a_float_to_int_conversion_is_a_candidate(name):
+    fn, stmts, expected = CONVERSIONS[name]
+    source = (f"{fn}\nint main() {{\n"
+              f"  double x = read_double(0.0, 3.0);\n"
+              f"  int k = 1;\n  {stmts}\n  return 0;\n}}\n")
+    program, _ = prepare(source, AnalysisConfig())
+    assert len(sections_of(program)) == expected
+
+
 # ---------------------------------------------------------------------------
 # Invariants over the whole corpus
 # ---------------------------------------------------------------------------
