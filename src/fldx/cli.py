@@ -57,6 +57,19 @@ def _build_config(fmt, inputs, entry, max_noise, path_budget, threshold,
     return cfg
 
 
+def _or_exit(run):
+    """run(), or an exit with the code of the stage it fails in; an
+    error no stage claims, such as an undeclared name, is execute's."""
+    try:
+        return run()
+    except StageError as exn:
+        click.echo(f"error: {exn}", err=True)
+        sys.exit(_STAGE_EXIT[exn.stage])
+    except FldxError as exn:
+        click.echo(f"error: {exn}", err=True)
+        sys.exit(_STAGE_EXIT["execute"])
+
+
 _no_instrument = click.option("--no-instrument", is_flag=True,
                               help="Do not auto-place split/merge sections.")
 
@@ -99,14 +112,8 @@ def analyze_cmd(source, fmt, inputs, entry, max_noise, path_budget,
     """Analyze SOURCE and report accuracy verdicts."""
     cfg = _build_config(fmt, inputs, entry, max_noise, path_budget,
                         threshold, trace, no_instrument)
-    try:
-        rep = analyze(_read_source(source), cfg, source_name=source)
-    except StageError as exn:
-        click.echo(f"error: {exn}", err=True)
-        sys.exit(_STAGE_EXIT[exn.stage])
-    except FldxError as exn:
-        click.echo(f"error: {exn}", err=True)
-        sys.exit(_STAGE_EXIT["execute"])
+    rep = _or_exit(lambda: analyze(_read_source(source), cfg,
+                                   source_name=source))
     text = rep.to_json() if report_fmt == "json" else rep.to_text()
     if output:
         Path(output).write_text(text + "\n")
@@ -126,11 +133,7 @@ main.add_command(analyze_cmd, name="analyze")
 def instrument(source, no_instrument, output):
     """Print SOURCE with split/merge sections placed."""
     cfg = AnalysisConfig(auto_instrument=not no_instrument)
-    try:
-        text = instrumented_source(_read_source(source), cfg)
-    except StageError as exn:
-        click.echo(f"error: {exn}", err=True)
-        sys.exit(_STAGE_EXIT[exn.stage])
+    text = _or_exit(lambda: instrumented_source(_read_source(source), cfg))
     if output:
         Path(output).write_text(text)
     else:

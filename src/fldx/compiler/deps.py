@@ -1,22 +1,30 @@
-"""Data-dependency analysis backing split/merge placement.
+"""Data dependencies of a region, for split/merge placement and its
+validator.
 
-For a statement (or statement sequence) p:
-  * mustdef(p): variables necessarily written by p,
-  * maydef(p): (variable, writing leaf statement) pairs possibly written,
-  * mayref(p): (variable, reading leaf statement) pairs read before being
-    written when executing p (sequences kill later reads of variables
-    already assigned),
-  * readers(F): for each (writer, variable) definition of the function,
-    the statements it reaches, computed by reaching definitions on the
-    CFG.
+A region is a consecutive run of statements of one block, nested
+statements included. Placement and the validator ask two questions of
+one, each on its own CFG and its own `readers` map:
+  * escaping(stmts, readers): each variable written in the region whose
+    value reaches a statement outside it, with the ids of those
+    statements. A section grows until no int variable escapes, and the
+    variables that escape are its merge list.
+  * save_list(stmts): the variables the region writes and may read
+    before writing them, its upward-exposed reads. Each path through a
+    section starts from their values at the split.
+
+`compute_dep_sets` gives the `readers` map: reaching definitions on the
+function's CFG, from each (writer, variable) definition to the
+statements its value reaches.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Set, Tuple
 
 from ..frontend import cfg as C
 from ..frontend import syntax as S
+
+#: (writer stmt id, variable) -> ids of the statements its value reaches
+Readers = Dict[Tuple[int, str], Set[int]]
 
 
 def _enlarge_targets(p: S.Pred) -> Set[str]:
@@ -39,49 +47,6 @@ def _enlarge_targets(p: S.Pred) -> Set[str]:
     return out
 
 
-def _pred_reads(p: S.Pred) -> Set[str]:
-    out: Set[str] = set()
-    bound: Set[str] = set()
-
-    def term(t: S.Term) -> None:
-        if isinstance(t, S.TName):
-            if t.name not in bound:
-                out.add(t.name)
-        elif isinstance(t, S.TIndex):
-            out.add(t.name)
-            term(t.index)
-        elif isinstance(t, S.TBin):
-            term(t.left)
-            term(t.right)
-        elif isinstance(t, S.TCall):
-            for a in t.args:
-                term(a)
-
-    def pred(q: S.Pred) -> None:
-        if isinstance(q, S.PRel):
-            pred(q.left)
-            pred(q.right)
-        elif isinstance(q, S.PNot):
-            pred(q.pred)
-        elif isinstance(q, S.PCmp):
-            term(q.left)
-            term(q.right)
-        elif isinstance(q, S.PLet):
-            if isinstance(q.value, S.PBuiltin):
-                for a in q.value.args:
-                    term(a)
-            else:
-                term(q.value)
-            bound.update(q.names)
-            pred(q.body)
-        elif isinstance(q, S.PBuiltin):
-            for a in q.args:
-                term(a)
-
-    pred(p)
-    return out
-
-
 def leaf_defs(s: S.Stmt) -> Set[str]:
     """Variables a leaf statement may write."""
     if isinstance(s, S.Assign):
@@ -96,17 +61,11 @@ def leaf_defs(s: S.Stmt) -> Set[str]:
 
 
 def leaf_must_defs(s: S.Stmt) -> Set[str]:
-    """Variables a leaf statement certainly and fully overwrites."""
-    if isinstance(s, S.Assign):
-        # an array-cell write leaves the other cells live
-        return {s.target.name} if isinstance(s.target, S.Var) else set()
-    if isinstance(s, S.Decl):
-        if s.init is not None or s.array_init is not None:
-            return {s.name}
+    """Variables a leaf statement certainly and fully overwrites: all it
+    writes, unless it writes an array cell, which leaves the others live."""
+    if isinstance(s, S.Assign) and isinstance(s.target, S.Index):
         return set()
-    if isinstance(s, S.AssertStmt):
-        return _enlarge_targets(s.pred)
-    return set()
+    return leaf_defs(s)
 
 
 def leaf_reads(s: S.Stmt) -> Set[str]:
@@ -114,93 +73,11 @@ def leaf_reads(s: S.Stmt) -> Set[str]:
     for e in S.stmt_exprs(s):
         out |= S.vars_read(e)
     if isinstance(s, S.AssertStmt):
-        out |= _pred_reads(s.pred)
+        out |= {t.name for t in S.pred_names(s.pred)}
     return out
 
 
-def must_def(s: S.Stmt) -> Set[str]:
-    if isinstance(s, S.Block):
-        return must_def_seq(s.stmts)
-    if isinstance(s, S.SectionStmt):
-        return must_def_seq(s.body)
-    if isinstance(s, S.If):
-        t = must_def(s.then)
-        e = must_def(s.els) if s.els is not None else set()
-        return t & e
-    if isinstance(s, S.While):
-        return set()
-    if isinstance(s, S.DoWhile):
-        return must_def(s.body)
-    return leaf_must_defs(s)
-
-
-def must_def_seq(stmts: List[S.Stmt]) -> Set[str]:
-    out: Set[str] = set()
-    for s in stmts:
-        out |= must_def(s)
-    return out
-
-
-def may_def(s: S.Stmt) -> Set[Tuple[str, int]]:
-    """(variable, id of writing leaf statement) pairs."""
-    out: Set[Tuple[str, int]] = set()
-    for sub in S.walk_stmts(s):
-        for v in leaf_defs(sub):
-            out.add((v, id(sub)))
-    return out
-
-
-def may_def_seq(stmts: List[S.Stmt]) -> Set[Tuple[str, int]]:
-    out: Set[Tuple[str, int]] = set()
-    for s in stmts:
-        out |= may_def(s)
-    return out
-
-
-def may_ref(s: S.Stmt) -> Set[Tuple[str, int]]:
-    if isinstance(s, S.Block):
-        return may_ref_seq(s.stmts)
-    if isinstance(s, S.SectionStmt):
-        return may_ref_seq(s.body)
-    if isinstance(s, S.If):
-        out = {(v, id(s)) for v in leaf_reads(s)}
-        out |= may_ref(s.then)
-        if s.els is not None:
-            out |= may_ref(s.els)
-        return out
-    if isinstance(s, (S.While, S.DoWhile)):
-        return {(v, id(s)) for v in leaf_reads(s)} | may_ref(s.body)
-    return {(v, id(s)) for v in leaf_reads(s)}
-
-
-def may_ref_seq(stmts: List[S.Stmt]) -> Set[Tuple[str, int]]:
-    """Sequence rule: a variable certainly assigned earlier in the
-    sequence is no longer an upward-exposed read."""
-    out: Set[Tuple[str, int]] = set()
-    killed: Set[str] = set()
-    for s in stmts:
-        out |= {(v, i) for v, i in may_ref(s) if v not in killed}
-        killed |= must_def(s)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Reaching definitions
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class DepSets:
-    #: (writer stmt id, variable) -> ids of the statements its value reaches
-    readers: Dict[Tuple[int, str], Set[int]] = field(default_factory=dict)
-    stmt_by_id: Dict[int, S.Stmt] = field(default_factory=dict)
-
-    def escapes(self, writer: int, v: str, inside: Set[int]) -> bool:
-        """Whether v as written by writer reaches a reader not in inside."""
-        return any(r not in inside for r in self.readers.get((writer, v), ()))
-
-
-def compute_dep_sets(fn: S.FuncDef, graph: C.Cfg) -> DepSets:
+def compute_dep_sets(fn: S.FuncDef, graph: C.Cfg) -> Readers:
     """Reaching definitions over fn's CFG, one bit per (variable, writer)
     definition; parameters are definitions at entry."""
     # sweep in reverse postorder from entry, then the unreachable nodes
@@ -218,7 +95,6 @@ def compute_dep_sets(fn: S.FuncDef, graph: C.Cfg) -> DepSets:
         return bit
 
     # the lists below are indexed by node id
-    stmt_by_id: Dict[int, S.Stmt] = {}
     gen = [0] * len(nodes)
     kill_vars: List[Set[str]] = [set()] * len(nodes)
     reads: List[Set[str]] = [set()] * len(nodes)
@@ -226,7 +102,6 @@ def compute_dep_sets(fn: S.FuncDef, graph: C.Cfg) -> DepSets:
         st = graph.stmt_of.get(n)
         if st is None:
             continue
-        stmt_by_id[id(st)] = st
         for v in leaf_defs(st):
             gen[n] |= define(v, id(st))
         kill_vars[n] = leaf_must_defs(st)
@@ -255,7 +130,7 @@ def compute_dep_sets(fn: S.FuncDef, graph: C.Cfg) -> DepSets:
                 out[n] = o
                 changed = True
 
-    readers: Dict[Tuple[int, str], Set[int]] = {}
+    readers: Readers = {}
     for n in nodes:
         for v in reads[n]:
             bits = inn[n] & defs_of.get(v, 0) & ~params
@@ -264,24 +139,47 @@ def compute_dep_sets(fn: S.FuncDef, graph: C.Cfg) -> DepSets:
                 bits ^= low
                 key = def_site[low.bit_length() - 1]
                 readers.setdefault(key, set()).add(id(graph.stmt_of[n]))
-    return DepSets(readers, stmt_by_id)
+    return readers
 
 
-def region_descendant_ids(stmts: List[S.Stmt]) -> Set[int]:
-    out: Set[int] = set()
-    for s in stmts:
-        for sub in S.walk_stmts(s):
-            out.add(id(sub))
+def escaping(stmts: List[S.Stmt], readers: Readers) -> Dict[str, Set[int]]:
+    """Each variable written in the region whose value reaches a statement
+    outside it, with the ids of those statements."""
+    subs = [sub for s in stmts for sub in S.walk_stmts(s)]
+    inside = {id(sub) for sub in subs}
+    out: Dict[str, Set[int]] = {}
+    for sub in subs:
+        for v in leaf_defs(sub):
+            outside = readers.get((id(sub), v), set()) - inside
+            if outside:
+                out.setdefault(v, set()).update(outside)
     return out
 
 
+def _exposed(s: S.Stmt) -> Tuple[Set[str], Set[str]]:
+    """The variables s may read before writing them, and those it
+    certainly writes. A loop's condition counts as read first; a `while`
+    body may not run, a `do` body runs at least once."""
+    if isinstance(s, (S.Block, S.SectionStmt)):
+        reads: Set[str] = set()
+        writes: Set[str] = set()
+        for sub in S.stmt_children(s):
+            r, w = _exposed(sub)
+            reads |= r - writes
+            writes |= w
+        return reads, writes
+    if isinstance(s, S.If):
+        r, w = _exposed(s.then)
+        er, ew = _exposed(s.els) if s.els is not None else (set(), set())
+        return leaf_reads(s) | r | er, w & ew
+    if isinstance(s, (S.While, S.DoWhile)):
+        r, w = _exposed(s.body)
+        return leaf_reads(s) | r, w if isinstance(s, S.DoWhile) else set()
+    return leaf_reads(s), leaf_must_defs(s)
+
+
 def save_list(stmts: List[S.Stmt]) -> Set[str]:
-    defs = {v for v, _ in may_def_seq(stmts)}
-    refs = {v for v, _ in may_ref_seq(stmts)}
-    return defs & refs
-
-
-def merge_list(stmts: List[S.Stmt], deps: DepSets) -> Set[str]:
-    inside = region_descendant_ids(stmts)
-    return {v for v, writer in may_def_seq(stmts)
-            if deps.escapes(writer, v, inside)}
+    """The variables the region writes and may read before writing them."""
+    written = {v for s in stmts for sub in S.walk_stmts(s)
+               for v in leaf_defs(sub)}
+    return written & _exposed(S.Block(stmts))[0]

@@ -77,8 +77,7 @@ def _stores_float_in_int(s: S.Stmt, fn: S.FuncDef, program: S.Program
     kind = type(s)
     if kind is S.Decl and s.ctype == "int":
         values = s.array_init or [s.init]
-    elif kind is S.Assign and fn.var_types.get(
-            s.target.name, ("double", False))[0] == "int":
+    elif kind is S.Assign and fn.var_types[s.target.name][0] == "int":
         values = [s.expr]
     elif kind is S.Return and fn.ret_type == "int":
         values = [s.expr]
@@ -138,94 +137,72 @@ def _parent_maps(fn: S.FuncDef):
     return owner, block_owner
 
 
-def _escaping_int_readers(stmts: List[S.Stmt], deps: D.DepSets,
-                          var_types) -> List[S.Stmt]:
-    """Readers outside the region of int variables written inside it."""
-    inside = D.region_descendant_ids(stmts)
-    readers: List[S.Stmt] = []
-    for v, writer in D.may_def_seq(stmts):
-        if var_types.get(v, ("int", False))[0] != "int":
-            continue
-        readers.extend(deps.stmt_by_id[r]
-                       for r in deps.readers.get((writer, v), ())
-                       if r not in inside)
-    return readers
+def _index_in(sid: int, block: List[S.Stmt], owner, block_owner
+              ) -> Optional[int]:
+    """The index in block of the statement with id sid, or of the
+    ancestor of it that block holds; None if block holds neither."""
+    while sid in owner:
+        blk, i = owner[sid]
+        if blk is block:
+            return i
+        owning = block_owner[id(blk)]
+        if owning is None:
+            return None
+        sid = id(owning)
+    return None
 
 
-def _grow(fn: S.FuncDef, cand: S.Stmt, deps: D.DepSets, owner, block_owner,
-          warnings: List[str]) -> Placement:
+def _grow(fn: S.FuncDef, cand: S.Stmt, readers: D.Readers, owner,
+          block_owner, warnings: List[str]) -> Placement:
+    """Widen the span of cand's block until no int variable written in it
+    is read after it, hoisting to the enclosing statement whenever such a
+    read lies outside the block. Each turn widens or hoists, so it ends."""
     block, idx = owner[id(cand)]
     start = end = idx
-    for _ in range(10000):
-        stmts = block[start:end + 1]
-        readers = _escaping_int_readers(stmts, deps, fn.var_types)
-        if not readers:
+    while True:
+        escaped = D.escaping(block[start:end + 1], readers)
+        ks = [_index_in(r, block, owner, block_owner)
+              for v, rs in escaped.items() if fn.var_types[v][0] == "int"
+              for r in rs]
+        if not ks:
             break
-        changed = False
-        for r in readers:
-            anc = r
-            while id(anc) in owner and owner[id(anc)][0] is not block:
-                owning = block_owner[id(owner[id(anc)][0])]
-                if owning is None:
-                    break
-                anc = owning
-            if id(anc) in owner and owner[id(anc)][0] is block:
-                k = owner[id(anc)][1]
-                if k > end:
-                    end = k
-                    changed = True
-                elif k < start:
-                    start = k
-                    changed = True
-            else:
-                # reader lives outside this block: hoist to the statement
-                # enclosing the current block
-                enclosing = block_owner[id(block)]
-                if enclosing is None:
-                    raise PlacementError(
-                        f"cannot satisfy integer-escape criterion for"
-                        f" candidate at {cand.loc}")
-                block, idx = owner[id(enclosing)]
-                start = end = idx
-                changed = True
-                break
-        if not changed:
-            break
+        if None in ks:
+            enclosing = block_owner[id(block)]
+            if enclosing is None:
+                raise PlacementError(
+                    f"cannot satisfy integer-escape criterion for"
+                    f" candidate at {cand.loc}")
+            block, idx = owner[id(enclosing)]
+            start = end = idx
+        else:
+            start, end = min(start, *ks), max(end, *ks)
     if start == 0 and end == len(fn.body.stmts) - 1 and block is fn.body.stmts:
         warnings.append(f"section for candidate at {cand.loc} spans the"
                         f" whole function body")
     return Placement(block, start, end)
 
 
-def place_sections(fn: S.FuncDef, deps: D.DepSets,
+def place_sections(fn: S.FuncDef, readers: D.Readers,
                    program: S.Program) -> PlacementResult:
     warnings: List[str] = []
     owner, block_owner = _parent_maps(fn)
-    placements: List[Placement] = []
-    for cand in find_candidates(fn, program):
-        placements.append(_grow(fn, cand, deps, owner, block_owner, warnings))
+    placements = [_grow(fn, cand, readers, owner, block_owner, warnings)
+                  for cand in find_candidates(fn, program)]
 
     # fuse overlaps within a block; drop sections nested inside another
     placements = _fuse(placements, owner, block_owner)
 
-    sid = 1
-    for p in placements:
+    for sid, p in enumerate(placements, 1):
         p.section_id = sid
-        sid += 1
         p.save_list = sorted(D.save_list(p.stmts))
-        raw_merge = D.merge_list(p.stmts, deps)
-        ints = {v for v in raw_merge
-                if fn.var_types.get(v, ("double", False))[0] == "int"}
+        p.merge_list = sorted(D.escaping(p.stmts, readers))
+        ints = [v for v in p.merge_list if fn.var_types[v][0] == "int"]
         if ints:
             raise PlacementError(
-                f"integer variables {sorted(ints)} would escape section"
-                f" {p.section_id}")
-        for v in raw_merge:
-            if fn.var_types.get(v, (None, False))[1]:
-                warnings.append(
-                    f"section {p.section_id}: whole array {v!r} merged"
-                    f" (element-level tracking not attempted)")
-        p.merge_list = sorted(raw_merge)
+                f"integer variables {ints} would escape section {sid}")
+        warnings.extend(f"section {sid}: whole array {v!r} merged"
+                        f" (element-level tracking not attempted)"
+                        for v in p.merge_list if fn.var_types[v][1])
     return PlacementResult(placements, warnings)
 
 
@@ -235,14 +212,8 @@ def _fuse(placements: List[Placement], owner, block_owner) -> List[Placement]:
         if p.block is outer.block:
             return outer.start <= p.start and p.end <= outer.end \
                 and (outer.start, outer.end) != (p.start, p.end)
-        blk = p.block
-        while True:
-            owning = block_owner.get(id(blk))
-            if owning is None:
-                return False
-            blk, i = owner[id(owning)]
-            if blk is outer.block:
-                return outer.start <= i <= outer.end
+        i = _index_in(id(p.stmts[0]), outer.block, owner, block_owner)
+        return i is not None and outer.start <= i <= outer.end
 
     # merge same-block overlaps first
     changed = True
@@ -289,8 +260,8 @@ def instrument(program: S.Program) -> Tuple[S.Program, List[str]]:
     """Place and insert sections in every function; returns warnings."""
     warnings: List[str] = []
     for fn in program.functions.values():
-        deps = D.compute_dep_sets(fn, build_cfg(fn))
-        res = place_sections(fn, deps, program)
+        readers = D.compute_dep_sets(fn, build_cfg(fn))
+        res = place_sections(fn, readers, program)
         warnings.extend(res.warnings)
         instrument_function(fn, res)
     return program, warnings

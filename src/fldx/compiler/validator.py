@@ -17,7 +17,7 @@ def validate_function(fn: S.FuncDef) -> List[str]:
     """Returns a list of criterion violations (empty means valid)."""
     problems: List[str] = []
     graph = C.build_cfg(fn)
-    deps = D.compute_dep_sets(fn, graph)
+    readers = D.compute_dep_sets(fn, graph)
 
     sections = [s for s in S.walk_stmts(fn.body)
                 if isinstance(s, S.SectionStmt)]
@@ -40,16 +40,13 @@ def validate_function(fn: S.FuncDef) -> List[str]:
         # only an empty body is degenerate
         if not sec.body:
             problems.append(f"{tag}: empty section body")
-        # criterion 3: no integer variable written inside is read outside
-        inside = D.region_descendant_ids(sec.body)
-        for v, writer in D.may_def_seq(sec.body):
-            if fn.var_types.get(v, ("double", False))[0] == "int" \
-                    and deps.escapes(writer, v, inside):
-                problems.append(f"{tag}: int variable {v!r} written"
-                                f" inside is read after the merge")
-        # merge_list must cover every escaping defined variable
-        needed = D.merge_list(sec.body, deps)
-        missing = needed - set(sec.merge_list)
+        # criterion 3: no integer variable written inside is read outside;
+        # every variable written inside and read outside is merged
+        escaped = D.escaping(sec.body, readers)
+        problems.extend(f"{tag}: int variable {v!r} written inside is read"
+                        f" after the merge"
+                        for v in sorted(escaped) if fn.var_types[v][0] == "int")
+        missing = escaped.keys() - set(sec.merge_list)
         if missing:
             problems.append(f"{tag}: merge_list misses {sorted(missing)}")
         # save_list must cover upward-exposed reads of written variables

@@ -27,7 +27,8 @@ The chosen flow constrains the float, real and error forms of t jointly
 and meets the operands; `assume` applies the stable true flow the same
 way, without a decision. One coercion, `_coerce`, converts a value to a
 C type for a cast, a store, an argument and a result alike: a float to
-int is a cast decision, an int to float an exact promotion, and anything
+int is a cast decision, an int to float a promotion rounded to the
+format (exact when the format holds every int of the range), and anything
 else (an array, the result of a void function) an error at the operand.
 So every value in a frame has its declared type.
 
@@ -185,17 +186,29 @@ class Interp:
         return AbstractFloat.from_literal(0, self.fmt)
 
     def _promote_int(self, iv: RInterval) -> AbstractFloat:
-        """Exact int-to-float promotion (widened if not representable)."""
-        real = AffineForm.from_interval(iv, self.pool, Origin.INPUT)
-        return AbstractFloat(iv, real, iv, AffineForm.of_point(_INT_ZERO),
-                             _INT_ZERO)
+        """Int-to-float promotion, rounded to the format as C rounds it:
+        exact when the format holds every int of iv; otherwise a point
+        rounds as a literal does, an interval as an input does, with its
+        representation error."""
+        if max(-iv.lo_n, iv.hi_n) <= self.fmt.beta ** self.fmt.p * iv.den:
+            real = AffineForm.from_interval(iv, self.pool, Origin.INPUT)
+            return AbstractFloat(iv, real, iv, AffineForm.of_point(_INT_ZERO),
+                                 _INT_ZERO)
+        if iv.lo_n == iv.hi_n:
+            return AbstractFloat.from_literal(iv.lo, self.fmt)
+        return AbstractFloat.from_input(iv, None, self.fmt, self.pool,
+                                        self.env)
 
     def _as_float(self, v, loc: S.Loc) -> AbstractFloat:
-        """v, an operand at loc, as a float; an int promotes exactly."""
+        """v, an operand at loc, as a float; an int is promoted, and
+        one past the format's range raises OverflowAlarm there."""
         if isinstance(v, AbstractFloat):
             return v
         if isinstance(v, RInterval):
-            return self._promote_int(v)
+            try:
+                return self._promote_int(v)
+            except OverflowAlarm as exn:
+                raise OverflowAlarm(f"{loc}: {exn}", loc) from None
         raise TypeErrorAt(f"{loc}: expected a number, got {_kind(v)}")
 
     def _as_int(self, v, loc: S.Loc) -> RInterval:
@@ -214,7 +227,7 @@ class Interp:
                 src: Optional[S.Expr] = None):
         """v converted to ctype, by a cast at loc or by a store, an
         argument or a result there: a float to int is a cast decision (on
-        the variable `src`, if any), an int to float an exact promotion."""
+        the variable `src`, if any), an int to float a promotion."""
         at = loc if src is None else src.loc
         if ctype != "int":
             return self._as_float(v, at)

@@ -398,6 +398,48 @@ def vars_read(e: Expr) -> set:
     return out
 
 
+def pred_names(p: Pred) -> List[Union[TName, TIndex]]:
+    """The names of p that denote program variables, left to right: every
+    array element, and every name outside the scope of a \\let binding it."""
+    out: List[Union[TName, TIndex]] = []
+
+    def term(t: Term, bound: frozenset) -> None:
+        if isinstance(t, TName):
+            if t.name not in bound:
+                out.append(t)
+        elif isinstance(t, TIndex):
+            out.append(t)
+            term(t.index, bound)
+        elif isinstance(t, TBin):
+            term(t.left, bound)
+            term(t.right, bound)
+        elif isinstance(t, TCall):
+            for a in t.args:
+                term(a, bound)
+
+    def pred(q: Pred, bound: frozenset) -> None:
+        if isinstance(q, PRel):
+            pred(q.left, bound)
+            pred(q.right, bound)
+        elif isinstance(q, PNot):
+            pred(q.pred, bound)
+        elif isinstance(q, PCmp):
+            term(q.left, bound)
+            term(q.right, bound)
+        elif isinstance(q, PLet):
+            if isinstance(q.value, PBuiltin):
+                pred(q.value, bound)
+            else:
+                term(q.value, bound)
+            pred(q.body, bound | set(q.names))
+        elif isinstance(q, PBuiltin):
+            for a in q.args:
+                term(a, bound)
+
+    pred(p, frozenset())
+    return out
+
+
 def _check_call(n: Call, program: Program) -> None:
     """Reject a call of an unknown function or with the wrong number of
     arguments: read_double takes 0, 2 or 4, a function its parameters."""
@@ -426,11 +468,15 @@ def resolve(fn: FuncDef, program: Program) -> None:
     for p in fn.params:
         types[p.name] = (p.ctype, p.is_array)
 
+    def check_name(n: Union[Var, Index, TName, TIndex]) -> None:
+        if n.name not in types:
+            raise TypeErrorAt(
+                f"{n.loc}: use of undeclared variable {n.name!r}")
+
     def check_expr(e: Expr) -> None:
         for n in walk_exprs(e):
-            if isinstance(n, (Var, Index)) and n.name not in types:
-                raise TypeErrorAt(
-                    f"{n.loc}: use of undeclared variable {n.name!r}")
+            if isinstance(n, (Var, Index)):
+                check_name(n)
             if isinstance(n, Call):
                 _check_call(n, program)
 
@@ -440,6 +486,11 @@ def resolve(fn: FuncDef, program: Program) -> None:
                 check_expr(e)
             types[s.name] = (s.ctype, s.array_size is not None)
             return
+        if isinstance(s, Assign):
+            check_name(s.target)
+        elif isinstance(s, AssertStmt):
+            for n in pred_names(s.pred):
+                check_name(n)
         for e in stmt_exprs(s):
             check_expr(e)
         for c in stmt_children(s):

@@ -11,6 +11,7 @@ from fldx.config import AnalysisConfig
 from fldx.executor.interp import Interp, _literal_value
 from fldx.executor.oracle import ShadowRun
 from fldx.frontend import syntax as S
+from fldx.numerics import FORMATS
 from fldx.pipeline import pick_entry, prepare
 from fldx.report import summarize_assertions
 from tests.conftest import all_corpus_names, corpus_source, rand_fraction
@@ -158,3 +159,23 @@ int main() {
     shadow.run("main")
     [rec] = shadow.records
     assert (rec.real_val, rec.err, rec.holds) == (Fraction(9, 2), 0, True)
+
+
+@pytest.mark.parametrize("fmt,k", [("binary64", 2 ** 53 + 1),
+                                   ("binary32", 2 ** 24 + 1)])
+def test_a_promoted_int_rounds_to_the_format(fmt, k):
+    """2**p + 1 is not a value of a p-bit format: C rounds it when it
+    converts it to a float, so the oracle's error is -1, and the reported
+    error hull must hold it."""
+    source = (f"int main() {{ int k = {k}; double y = k;"
+              f" /*@ assert dprint(y); */ return 0; }}")
+    config = AnalysisConfig(fmt=FORMATS[fmt])
+    program, _ = prepare(source, config)
+    _, prints = analysis_hulls(program, config)
+    [(err_h, real_h)] = prints.values()
+    shadow = ShadowRun(program, config.fmt)
+    shadow.run("main")
+    [rec] = shadow.records
+    assert rec.err == -1
+    assert err_h.lo <= rec.err <= err_h.hi
+    assert real_h.lo <= rec.real_val <= real_h.hi

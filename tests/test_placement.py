@@ -219,6 +219,23 @@ def test_cli_rejects_options_nothing_reads(tmp_path, args):
     assert "No such option" in res.output and args[1] in res.output
 
 
+def test_validator_flags_missing_save_variable():
+    src = """
+    int main() {
+      double x = read_double(0.0, 1.0);
+      double z = 0.0;
+      /*@ split(1); */
+      if (x < 0.5) { z = x; }
+      z = z + 1.0;
+      /*@ merge(1, z); */
+      /*@ assert dprint(z); */
+      return 0;
+    }
+    """
+    assert validate(parse_program(src)) == [
+        "main: section 1: save_list misses ['z']"]
+
+
 def test_validator_accepts_complete_manual_section():
     src = """
     int main() {
@@ -307,9 +324,9 @@ DEF_USE_PROGRAMS = [
 ]
 
 
-def def_use_triples(deps):
+def def_use_triples(readers):
     """(writer stmt id, reader stmt id, variable) over the whole body."""
-    return {(w, r, v) for (w, v), rs in deps.readers.items() for r in rs}
+    return {(w, r, v) for (w, v), rs in readers.items() for r in rs}
 
 
 @pytest.mark.parametrize("src", DEF_USE_PROGRAMS)
@@ -328,3 +345,57 @@ def test_array_cell_write_does_not_kill_earlier_writes():
     # parameter a is read without a writer inside the function
     assert (id(fn.body.stmts[0]), id(ret), "t") in data
     assert not any(w == id(fn) for w, _, _ in data)
+
+
+@pytest.mark.parametrize("src", DEF_USE_PROGRAMS)
+def test_escaping_matches_brute_force_on_every_region(src):
+    """For every contiguous run of every block: the variables written in
+    the run whose values reach a statement outside it, with those
+    statements."""
+    program = parse_program(src)
+    for fn in program.functions.values():
+        readers = D.compute_dep_sets(fn, C.build_cfg(fn))
+        triples = brute_def_use(fn)
+        blocks = [b.stmts for b in S.walk_stmts(fn.body)
+                  if isinstance(b, S.Block)]
+        for block in blocks:
+            for i in range(len(block)):
+                for j in range(i + 1, len(block) + 1):
+                    inside = {id(sub) for s in block[i:j]
+                              for sub in S.walk_stmts(s)}
+                    want = {}
+                    for w, r, v in triples:
+                        if w in inside and r not in inside:
+                            want.setdefault(v, set()).add(r)
+                    assert D.escaping(block[i:j], readers) == want
+
+
+# ---------------------------------------------------------------------------
+# Save lists
+# ---------------------------------------------------------------------------
+
+
+#: statements of a region after `double v`, `double t[2]` and `int k`,
+#: and whether the region saves v (t for the array-cell write): a value
+#: it may read before writing it
+SAVES = {
+    "while_body_write_then_read":
+        ("while (k < 2) { v = 1.0; k = k + 1; } t[0] = v;", "v", True),
+    "do_body_write_then_read":
+        ("do { v = 1.0; k = k + 1; } while (k < 2); t[0] = v;", "v", False),
+    "if_without_else":
+        ("if (k > 0) { v = 1.0; } t[0] = v;", "v", True),
+    "both_arms_write":
+        ("if (k > 0) { v = 1.0; } else { v = 2.0; } t[0] = v;", "v", False),
+    "array_cell_write":
+        ("t[0] = 1.0; v = t[1];", "t", True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAVES))
+def test_a_region_saves_what_it_may_read_before_writing(name):
+    stmts, var, saved = SAVES[name]
+    fn = parse_program(f"int main() {{ double v = 0.0; double t[2];"
+                       f" int k = 0; {stmts} return 0; }}").functions["main"]
+    region = fn.body.stmts[3:-1]
+    assert (var in D.save_list(region)) == saved

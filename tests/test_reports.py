@@ -567,6 +567,8 @@ CALL_G = ("double g(double v) { return v * 2.0; }\nint main() {\n"
           "  double y = g(%s);\n  return 0;\n}\n")
 VOID_F = "void f() { return; }\nint main() {\n  %s;\n  return 0;\n}\n"
 ARRAY_A = "int main() {\n  double a[2];\n  %s;\n  return 0;\n}\n"
+IF_X = ("int main() {\n  double x = read_double(0.0, 1.0);\n"
+        "  if (x > 2.0) { %s }\n  return 0;\n}\n")
 
 
 @pytest.mark.parametrize("command,source,args,code,message", [
@@ -620,6 +622,13 @@ ARRAY_A = "int main() {\n  double a[2];\n  %s;\n  return 0;\n}\n"
      "error: execute: 3:17: expected a number, got an array"),
     ("analyze", ARRAY_A % "double x = 1.0; x[0] = a[1]", [], 6,
      "error: execute: 3:19: x is not an array"),
+    ("analyze", IF_X % "/*@ assert accuracy_assert_derr(zz, -1.0, 1.0); */",
+     [], 6, "error: 3:18: use of undeclared variable 'zz'"),
+    ("instrument", IF_X % "x = x + 1.0; /*@ assert"
+     " accuracy_enlarge_dval_err(zz, 0.0, 1.0, -1.0, 1.0); */", [], 6,
+     "error: 3:31: use of undeclared variable 'zz'"),
+    ("analyze", IF_X % "zz = x;", [], 6,
+     "error: 3:18: use of undeclared variable 'zz'"),
     ("analyze", b"int main() { /* \xff */ return 0; }\n", [], 2,
      "error: parse: source is not UTF-8 text"),
     ("instrument", b"int main() { /* \xff */ return 0; }\n", [], 2,
@@ -632,7 +641,9 @@ ARRAY_A = "int main() {\n  double a[2];\n  %s;\n  return 0;\n}\n"
         "read-double-error-reversed", "read-double-three-arguments",
         "read-double-five-arguments", "call-extra-argument",
         "call-missing-argument", "void-result-cast", "void-result-negated",
-        "array-negated", "array-cast", "scalar-indexed", "analyze-not-utf8",
+        "array-negated", "array-cast", "scalar-indexed",
+        "assert-name-on-a-dead-path", "enlarge-target-in-an-if",
+        "assignment-target", "analyze-not-utf8",
         "instrument-not-utf8"])
 def test_cli_bad_input_ends_in_its_exit_code(tmp_path, command, source, args,
                                              code, message):
@@ -673,6 +684,18 @@ def test_cli_input_past_the_double_range_raises_overflow(tmp_path, bounds,
     assert res.exit_code == code, res.output
     assert message in res.output
     assert ("overflow" in res.output) == (code == 1)
+
+
+def test_cli_int_past_the_float_range_raises_overflow(tmp_path):
+    """An int no float of the format can hold alarms where it converts."""
+    src = tmp_path / "p.c"
+    src.write_text(f"int main() {{\n  int k = {10 ** 39};\n  double y = k;\n"
+                   f"  return 0;\n}}\n")
+    res = CliRunner().invoke(main, ["analyze", "--format", "binary32",
+                                    str(src)])
+    assert res.exit_code == 1, res.output
+    assert ("[alarm] overflow: 3:3: 1e+39 rounds beyond the largest finite"
+            " value") in res.output
 
 
 def test_cli_array_input_elements_are_parsed_before_the_run(tmp_path):
