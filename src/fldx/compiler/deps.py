@@ -1,24 +1,32 @@
-"""Data dependencies of a region, for split/merge placement and its
-validator.
+"""Per-statement facts and the data dependencies of a region, for
+split/merge placement and its validator.
 
-A region is a consecutive run of statements of one block, nested
-statements included. Placement and the validator ask two questions of
-one, each on its own CFG and its own `readers` map:
-  * escaping(stmts, readers): each variable written in the region whose
-    value reaches a statement outside it, with the ids of those
-    statements. A section grows until no int variable escapes, and the
-    variables that escape are its merge list.
-  * save_list(stmts): the variables the region writes and may read
-    before writing them, its upward-exposed reads. Each path through a
-    section starts from their values at the split.
+`fact_table` walks a function once and gives each statement's own facts,
+its sub-statements aside: the variables it may write, those it certainly
+and fully overwrites, those it reads, and whether it holds an unstable
+test, a placement candidate: a comparison of a float, a float tested for
+truth (a condition of if, while, do, assume or `?:`, an operand of `!`,
+`&&` or `||`), or a float converted to int (a cast, a store into an int,
+an int parameter, the result of an int function). Facts are a pure
+function of the node and placement wraps the same leaves in sections, so
+placement and the validator share one table; a block or a section does
+nothing itself.
 
-`compute_dep_sets` gives the `readers` map: reaching definitions on the
-function's CFG, from each (writer, variable) definition to the
-statements its value reaches.
+A region is a consecutive run of statements of one block, nested ones
+included. Placement and the validator each build their own CFG and
+`readers` map (`compute_dep_sets`: reaching definitions, from each
+(writer, variable) definition to the statements its value reaches), and
+ask two questions of a region:
+  * escaping: each variable written inside whose value reaches a
+    statement outside, with those statements' ids. A section grows until
+    no int variable escapes; the variables that escape are its merge list.
+  * save_list: the variables it writes and may read before writing them.
+    Each path through a section starts from their values at the split.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import (Dict, FrozenSet, List, NamedTuple, Sequence, Set,
+                    Tuple)
 
 from ..frontend import cfg as C
 from ..frontend import syntax as S
@@ -26,8 +34,26 @@ from ..frontend import syntax as S
 #: (writer stmt id, variable) -> ids of the statements its value reaches
 Readers = Dict[Tuple[int, str], Set[int]]
 
+EMPTY: FrozenSet[str] = frozenset()
 
-def _enlarge_targets(p: S.Pred) -> Set[str]:
+
+class Facts(NamedTuple):
+    """What one statement does itself, its sub-statements aside."""
+    writes: FrozenSet[str]   # variables it may write
+    certain: FrozenSet[str]  # those it certainly and fully overwrites
+    reads: FrozenSet[str]
+    candidate: bool          # it holds an unstable test
+
+
+NOTHING = Facts(EMPTY, EMPTY, EMPTY, False)
+
+#: id(statement) -> its facts, for every statement of one function
+Table = Dict[int, Facts]
+
+_FLOATS = ("float", "double")
+
+
+def _enlarge_targets(p: S.Pred) -> FrozenSet[str]:
     """Variables updated by enlarge built-ins inside an assertion."""
     out: Set[str] = set()
     stack = [p]
@@ -35,55 +61,107 @@ def _enlarge_targets(p: S.Pred) -> Set[str]:
         q = stack.pop()
         if isinstance(q, S.PRel):
             stack += [q.left, q.right]
-        elif isinstance(q, S.PNot):
-            stack.append(q.pred)
-        elif isinstance(q, S.PLet):
-            stack.append(q.body)
-        elif isinstance(q, S.PBuiltin):
-            if q.name.startswith("accuracy_enlarge") and q.args:
-                a = q.args[0]
-                if isinstance(a, (S.TName, S.TIndex)):
-                    out.add(a.name)
-    return out
+        elif isinstance(q, (S.PNot, S.PLet)):
+            stack.append(q.pred if isinstance(q, S.PNot) else q.body)
+        elif isinstance(q, S.PBuiltin) and q.args \
+                and q.name.startswith("accuracy_enlarge") \
+                and isinstance(q.args[0], (S.TName, S.TIndex)):
+            out.add(q.args[0].name)
+    return frozenset(out) if out else EMPTY
 
 
-def leaf_defs(s: S.Stmt) -> Set[str]:
-    """Variables a leaf statement may write."""
-    if isinstance(s, S.Assign):
-        return {s.target.name}
-    if isinstance(s, S.Decl):
+def _any_float(exprs: Sequence[S.Expr], fn: S.FuncDef,
+               program: S.Program) -> bool:
+    return any(S.expr_ctype(x, fn.var_types, program) in _FLOATS
+               for x in exprs)
+
+
+def _read(e: S.Expr, reads: Set[str], fn: S.FuncDef,
+          program: S.Program) -> bool:
+    """Add the variables e reads to reads, and tell whether e holds an
+    unstable test: a node that tests or converts to int an operand that
+    may be a float."""
+    unstable = False
+    for sub in S.walk_exprs(e):
+        kind = type(sub)
+        if kind is S.Var or kind is S.Index:
+            reads.add(sub.name)
+        elif unstable:
+            continue
+        elif kind is S.Binary:
+            if sub.op in S.COMPARISONS or sub.op in ("&&", "||"):
+                unstable = _any_float((sub.left, sub.right), fn, program)
+        elif kind is S.Unary:
+            unstable = sub.op == "!" and _any_float((sub.expr,), fn, program)
+        elif kind is S.Ternary:
+            unstable = _any_float((sub.cond,), fn, program)
+        elif kind is S.Cast:
+            unstable = sub.ctype == "int" \
+                and _any_float((sub.expr,), fn, program)
+        elif kind is S.Call and sub.name in program.functions:
+            unstable = _any_float(
+                [a for p, a in zip(program.functions[sub.name].params,
+                                   sub.args)
+                 if p.ctype == "int" and not p.is_array], fn, program)
+    return unstable
+
+
+def stmt_facts(s: S.Stmt, fn: S.FuncDef, program: S.Program) -> Facts:
+    """The facts of one statement of fn, from one walk of each expression
+    it evaluates itself."""
+    kind = type(s)
+    if kind is S.Block or kind is S.SectionStmt:
+        return NOTHING
+    exprs = S.stmt_exprs(s)
+    writes = certain = EMPTY
+    # the values s itself tests for truth or converts to int
+    operands: Sequence[S.Expr] = ()
+    if kind is S.Decl:
         if s.init is not None or s.array_init is not None:
-            return {s.name}
-        return set()
-    if isinstance(s, S.AssertStmt):
-        return _enlarge_targets(s.pred)
-    return set()
+            writes = certain = frozenset((s.name,))
+        operands = exprs if s.ctype == "int" else ()
+    elif kind is S.Assign:
+        writes = frozenset((s.target.name,))
+        # an array cell write leaves the other cells live
+        certain = EMPTY if type(s.target) is S.Index else writes
+        operands = exprs[:1] if fn.var_types[s.target.name][0] == "int" \
+            else ()
+    elif kind is S.Return:
+        operands = exprs if fn.ret_type == "int" else ()
+    elif kind is not S.ExprStmt:  # a condition, or an assertion
+        operands = exprs
+    reads: Set[str] = set()
+    tests = [_read(e, reads, fn, program) for e in exprs]  # reads them all
+    if kind is S.AssertStmt:
+        reads.update(t.name for t in S.pred_names(s.pred))
+        writes = certain = _enlarge_targets(s.pred)
+    return Facts(writes, certain, frozenset(reads) if reads else EMPTY,
+                 any(tests) or _any_float(operands, fn, program))
 
 
-def leaf_must_defs(s: S.Stmt) -> Set[str]:
-    """Variables a leaf statement certainly and fully overwrites: all it
-    writes, unless it writes an array cell, which leaves the others live."""
-    if isinstance(s, S.Assign) and isinstance(s.target, S.Index):
-        return set()
-    return leaf_defs(s)
+def fact_table(fn: S.FuncDef, program: S.Program) -> Table:
+    """The facts of every statement of fn, in one walk. Statements with
+    equal facts share one Facts object, so that a table costs little more
+    than its keys."""
+    shared: Dict[Facts, Facts] = {}
+    return {id(s): shared.setdefault(f, f) for s in S.walk_stmts(fn.body)
+            for f in (stmt_facts(s, fn, program),)}
 
 
-def leaf_reads(s: S.Stmt) -> Set[str]:
-    out: Set[str] = set()
-    for e in S.stmt_exprs(s):
-        out |= S.vars_read(e)
-    if isinstance(s, S.AssertStmt):
-        out |= {t.name for t in S.pred_names(s.pred)}
-    return out
+def table_of(fn: S.FuncDef, program: S.Program,
+             tables: Dict[str, Table]) -> Table:
+    """fn's fact table from tables, built and kept there on first use."""
+    if fn.name not in tables:
+        tables[fn.name] = fact_table(fn, program)
+    return tables[fn.name]
 
 
-def compute_dep_sets(fn: S.FuncDef, graph: C.Cfg) -> Readers:
+def compute_dep_sets(fn: S.FuncDef, graph: C.Cfg, table: Table) -> Readers:
     """Reaching definitions over fn's CFG, one bit per (variable, writer)
     definition; parameters are definitions at entry."""
-    # sweep in reverse postorder from entry, then the unreachable nodes
-    reached = set(graph.order)
-    nodes = graph.order + [n for n in range(len(graph.succ))
-                           if n not in reached]
+    n_nodes = len(graph.succ)
+    facts = [NOTHING if st is None else table[id(st)]
+             for st in map(graph.stmt_of.get, range(n_nodes))]
 
     defs_of: Dict[str, int] = {}  # variable -> mask of its definitions
     def_site: List[Tuple[int, str]] = []  # bit -> (writer id, variable)
@@ -94,28 +172,22 @@ def compute_dep_sets(fn: S.FuncDef, graph: C.Cfg) -> Readers:
         defs_of[v] = defs_of.get(v, 0) | bit
         return bit
 
-    # the lists below are indexed by node id
-    gen = [0] * len(nodes)
-    kill_vars: List[Set[str]] = [set()] * len(nodes)
-    reads: List[Set[str]] = [set()] * len(nodes)
-    for n in nodes:
-        st = graph.stmt_of.get(n)
-        if st is None:
-            continue
-        for v in leaf_defs(st):
-            gen[n] |= define(v, id(st))
-        kill_vars[n] = leaf_must_defs(st)
-        reads[n] = leaf_reads(st)
+    gen = [0] * n_nodes
+    for n, f in enumerate(facts):
+        for v in f.writes:
+            gen[n] |= define(v, id(graph.stmt_of[n]))
     params = 0
     for p in fn.params:
         params |= define(p.name, id(fn))
     gen[C.ENTRY] |= params
     # masks of distinct variables are disjoint: their sum is their union
-    keep = [~sum(defs_of.get(v, 0) for v in kv) for kv in kill_vars]
+    keep = [~sum(map(defs_of.__getitem__, f.certain)) for f in facts]
 
+    # sweep in reverse postorder from entry, then the unreachable nodes:
     # round-robin sweeps reach the same least fixed point as any worklist
+    nodes = graph.order + sorted(set(range(n_nodes)) - set(graph.order))
     pred = graph.pred
-    inn = [0] * len(nodes)
+    inn = [0] * n_nodes
     out = gen[:]
     changed = True
     while changed:
@@ -131,8 +203,8 @@ def compute_dep_sets(fn: S.FuncDef, graph: C.Cfg) -> Readers:
                 changed = True
 
     readers: Readers = {}
-    for n in nodes:
-        for v in reads[n]:
+    for n, f in enumerate(facts):
+        for v in f.reads:
             bits = inn[n] & defs_of.get(v, 0) & ~params
             while bits:
                 low = bits & -bits
@@ -142,21 +214,22 @@ def compute_dep_sets(fn: S.FuncDef, graph: C.Cfg) -> Readers:
     return readers
 
 
-def escaping(stmts: List[S.Stmt], readers: Readers) -> Dict[str, Set[int]]:
+def escaping(stmts: List[S.Stmt], readers: Readers, table: Table
+             ) -> Dict[str, Set[int]]:
     """Each variable written in the region whose value reaches a statement
     outside it, with the ids of those statements."""
-    subs = [sub for s in stmts for sub in S.walk_stmts(s)]
-    inside = {id(sub) for sub in subs}
+    subs = [id(sub) for s in stmts for sub in S.walk_stmts(s)]
+    inside = set(subs)
     out: Dict[str, Set[int]] = {}
-    for sub in subs:
-        for v in leaf_defs(sub):
-            outside = readers.get((id(sub), v), set()) - inside
+    for sid in subs:
+        for v in table[sid].writes:
+            outside = readers.get((sid, v), set()) - inside
             if outside:
                 out.setdefault(v, set()).update(outside)
     return out
 
 
-def _exposed(s: S.Stmt) -> Tuple[Set[str], Set[str]]:
+def _exposed(s: S.Stmt, table: Table) -> Tuple[Set[str], Set[str]]:
     """The variables s may read before writing them, and those it
     certainly writes. A loop's condition counts as read first; a `while`
     body may not run, a `do` body runs at least once."""
@@ -164,22 +237,24 @@ def _exposed(s: S.Stmt) -> Tuple[Set[str], Set[str]]:
         reads: Set[str] = set()
         writes: Set[str] = set()
         for sub in S.stmt_children(s):
-            r, w = _exposed(sub)
+            r, w = _exposed(sub, table)
             reads |= r - writes
             writes |= w
         return reads, writes
+    own = table[id(s)]
     if isinstance(s, S.If):
-        r, w = _exposed(s.then)
-        er, ew = _exposed(s.els) if s.els is not None else (set(), set())
-        return leaf_reads(s) | r | er, w & ew
+        r, w = _exposed(s.then, table)
+        er, ew = _exposed(s.els, table) if s.els is not None \
+            else (EMPTY, EMPTY)
+        return own.reads | r | er, w & ew
     if isinstance(s, (S.While, S.DoWhile)):
-        r, w = _exposed(s.body)
-        return leaf_reads(s) | r, w if isinstance(s, S.DoWhile) else set()
-    return leaf_reads(s), leaf_must_defs(s)
+        r, w = _exposed(s.body, table)
+        return own.reads | r, w if isinstance(s, S.DoWhile) else EMPTY
+    return own.reads, own.certain
 
 
-def save_list(stmts: List[S.Stmt]) -> Set[str]:
+def save_list(stmts: List[S.Stmt], table: Table) -> Set[str]:
     """The variables the region writes and may read before writing them."""
     written = {v for s in stmts for sub in S.walk_stmts(s)
-               for v in leaf_defs(sub)}
-    return written & _exposed(S.Block(stmts))[0]
+               for v in table[id(sub)].writes}
+    return written & _exposed(S.Block(stmts), table)[0]

@@ -1,10 +1,9 @@
 """Greedy placement of split/merge sections around unstable-test
 candidates.
 
-A candidate is a statement whose evaluation contains a floating-point
-comparison or a float-to-int conversion: an explicit cast, or an
-implicit one where a float is stored into an int, passed to an int
-parameter or returned by an int function. Sections start as the candidate
+A candidate is a statement that holds an unstable test: a float that
+control flow tests, by a comparison or for truth, or that is converted
+to int; `deps.fact_table` marks them. Sections start as the candidate
 statement alone and are expanded (merge first, hoisting to the enclosing
 block when needed) until:
   1. the split strictly dominates the merge and the merge strictly
@@ -19,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..errors import PlacementError
 from ..frontend import syntax as S
-from ..frontend.cfg import build_cfg
+from ..frontend.cfg import Cfg, build_cfg
 from . import deps as D
 
 
@@ -44,69 +43,9 @@ class PlacementResult:
     warnings: List[str] = field(default_factory=list)
 
 
-_FLOATS = ("float", "double")
-
-
-def _expr_has_unstable(e: S.Expr, var_types, program: S.Program) -> bool:
-    """Whether e holds a float comparison or a float-to-int conversion,
-    by a cast or by an argument to an int parameter: a node whose
-    `operands` include a float."""
-    for sub in S.walk_exprs(e):
-        kind = type(sub)
-        if kind is S.Binary and sub.op in S.COMPARISONS:
-            operands = [sub.left, sub.right]
-        elif kind is S.Cast and sub.ctype == "int":
-            operands = [sub.expr]
-        elif kind is S.Call and sub.name in program.functions:
-            operands = [a for p, a in zip(program.functions[sub.name].params,
-                                          sub.args)
-                        if p.ctype == "int" and not p.is_array]
-        else:
-            continue
-        if any(S.expr_ctype(x, var_types, program) in _FLOATS
-               for x in operands):
-            return True
-    return False
-
-
-def _stores_float_in_int(s: S.Stmt, fn: S.FuncDef, program: S.Program
-                         ) -> bool:
-    """Whether s stores a float into an int: a declaration or an
-    assignment of an int, or the return of an int function. The stored
-    value's type is looked up only when the target is an int."""
-    kind = type(s)
-    if kind is S.Decl and s.ctype == "int":
-        values = s.array_init or [s.init]
-    elif kind is S.Assign and fn.var_types[s.target.name][0] == "int":
-        values = [s.expr]
-    elif kind is S.Return and fn.ret_type == "int":
-        values = [s.expr]
-    else:
-        return False
-    return any(v is not None
-               and S.expr_ctype(v, fn.var_types, program) in _FLOATS
-               for v in values)
-
-
-def find_candidates(fn: S.FuncDef, program: S.Program) -> List[S.Stmt]:
-    """Innermost statements containing an unstable-test candidate.
-
-    Statements already covered by a section keep their existing markers
-    and are not candidates again.
-    """
-    covered = {id(s)
-               for sec in S.walk_stmts(fn.body)
-               if isinstance(sec, S.SectionStmt)
-               for s in S.walk_stmts(S.Block(sec.body))}
-    out: List[S.Stmt] = []
-    for s in S.walk_stmts(fn.body):
-        if isinstance(s, (S.Block, S.SectionStmt)) or id(s) in covered:
-            continue
-        if _stores_float_in_int(s, fn, program) \
-                or any(_expr_has_unstable(e, fn.var_types, program)
-                       for e in S.stmt_exprs(s)):
-            out.append(s)
-    return out
+def find_candidates(fn: S.FuncDef, table: D.Table) -> List[S.Stmt]:
+    """Statements that hold an unstable test, in source order."""
+    return [s for s in S.walk_stmts(fn.body) if table[id(s)].candidate]
 
 
 def _parent_maps(fn: S.FuncDef):
@@ -119,19 +58,10 @@ def _parent_maps(fn: S.FuncDef):
         block_owner[id(stmts)] = owning
         for i, s in enumerate(stmts):
             owner[id(s)] = (stmts, i)
-            for child in _child_lists(s):
+            kids = S.stmt_children(s)  # statements, or the blocks they own
+            for child in [kids] if isinstance(s, (S.Block, S.SectionStmt)) \
+                    else [b.stmts for b in kids]:
                 visit_list(child, s)
-
-    def _child_lists(s: S.Stmt) -> List[List[S.Stmt]]:
-        if isinstance(s, S.Block):
-            return [s.stmts]
-        if isinstance(s, S.If):
-            return [s.then.stmts] + ([s.els.stmts] if s.els else [])
-        if isinstance(s, (S.While, S.DoWhile)):
-            return [s.body.stmts]
-        if isinstance(s, S.SectionStmt):
-            return [s.body]
-        return []
 
     visit_list(fn.body.stmts, None)
     return owner, block_owner
@@ -152,15 +82,15 @@ def _index_in(sid: int, block: List[S.Stmt], owner, block_owner
     return None
 
 
-def _grow(fn: S.FuncDef, cand: S.Stmt, readers: D.Readers, owner,
-          block_owner, warnings: List[str]) -> Placement:
+def _grow(fn: S.FuncDef, cand: S.Stmt, readers: D.Readers, table: D.Table,
+          owner, block_owner, warnings: List[str]) -> Placement:
     """Widen the span of cand's block until no int variable written in it
     is read after it, hoisting to the enclosing statement whenever such a
     read lies outside the block. Each turn widens or hoists, so it ends."""
     block, idx = owner[id(cand)]
     start = end = idx
     while True:
-        escaped = D.escaping(block[start:end + 1], readers)
+        escaped = D.escaping(block[start:end + 1], readers, table)
         ks = [_index_in(r, block, owner, block_owner)
               for v, rs in escaped.items() if fn.var_types[v][0] == "int"
               for r in rs]
@@ -183,19 +113,18 @@ def _grow(fn: S.FuncDef, cand: S.Stmt, readers: D.Readers, owner,
 
 
 def place_sections(fn: S.FuncDef, readers: D.Readers,
-                   program: S.Program) -> PlacementResult:
+                   table: D.Table) -> PlacementResult:
     warnings: List[str] = []
     owner, block_owner = _parent_maps(fn)
-    placements = [_grow(fn, cand, readers, owner, block_owner, warnings)
-                  for cand in find_candidates(fn, program)]
+    placements = [_grow(fn, cand, readers, table, owner, block_owner,
+                        warnings)
+                  for cand in find_candidates(fn, table)]
 
-    # fuse overlaps within a block; drop sections nested inside another
     placements = _fuse(placements, owner, block_owner)
-
     for sid, p in enumerate(placements, 1):
         p.section_id = sid
-        p.save_list = sorted(D.save_list(p.stmts))
-        p.merge_list = sorted(D.escaping(p.stmts, readers))
+        p.save_list = sorted(D.save_list(p.stmts, table))
+        p.merge_list = sorted(D.escaping(p.stmts, readers, table))
         ints = [v for v in p.merge_list if fn.var_types[v][0] == "int"]
         if ints:
             raise PlacementError(
@@ -207,6 +136,21 @@ def place_sections(fn: S.FuncDef, readers: D.Readers,
 
 
 def _fuse(placements: List[Placement], owner, block_owner) -> List[Placement]:
+    """Fuse the overlapping spans of each block, then drop every span that
+    lies within another."""
+    # a fused span overlaps no span before it, since neither part did
+    i = 0
+    while i < len(placements):
+        a = placements[i]
+        for j in range(i + 1, len(placements)):
+            b = placements[j]
+            if a.block is b.block and a.start <= b.end and b.start <= a.end:
+                a.start, a.end = min(a.start, b.start), max(a.end, b.end)
+                del placements[j]
+                break
+        else:
+            i += 1
+
     def covers(outer: Placement, p: Placement) -> bool:
         """p's whole span lies (possibly nested) within outer's span."""
         if p.block is outer.block:
@@ -215,33 +159,14 @@ def _fuse(placements: List[Placement], owner, block_owner) -> List[Placement]:
         i = _index_in(id(p.stmts[0]), outer.block, owner, block_owner)
         return i is not None and outer.start <= i <= outer.end
 
-    # merge same-block overlaps first
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(placements)):
-            for j in range(i + 1, len(placements)):
-                a, b = placements[i], placements[j]
-                if a.block is b.block and not (a.end < b.start - 0 or
-                                               b.end < a.start - 0):
-                    a.start = min(a.start, b.start)
-                    a.end = max(a.end, b.end)
-                    del placements[j]
-                    changed = True
-                    break
-            if changed:
-                break
-    # drop nested sections
-    out: List[Placement] = []
-    for p in placements:
-        if any(q is not p and covers(q, p) for q in placements):
-            continue
-        out.append(p)
-    return out
+    return [p for p in placements
+            if not any(q is not p and covers(q, p) for q in placements)]
 
 
-def instrument_function(fn: S.FuncDef, result: PlacementResult) -> None:
-    """Rewrite blocks in place, wrapping placed spans in SectionStmt."""
+def instrument_function(fn: S.FuncDef, result: PlacementResult,
+                        table: D.Table) -> None:
+    """Rewrite blocks in place, wrapping placed spans in SectionStmt, each
+    entered in fn's fact table as a statement that does nothing itself."""
     by_block: Dict[int, List[Placement]] = {}
     for p in result.placements:
         by_block.setdefault(id(p.block), []).append(p)
@@ -253,15 +178,28 @@ def instrument_function(fn: S.FuncDef, result: PlacementResult) -> None:
             sec = S.SectionStmt(p.section_id, list(p.save_list),
                                 list(p.merge_list), body,
                                 body[0].loc if body else S.NOLOC)
+            table[id(sec)] = D.NOTHING
             block[p.start:p.end + 1] = [sec]
 
 
-def instrument(program: S.Program) -> Tuple[S.Program, List[str]]:
-    """Place and insert sections in every function; returns warnings."""
+def instrument(program: S.Program, cfgs: Optional[Dict[str, Cfg]] = None,
+               tables: Optional[Dict[str, D.Table]] = None
+               ) -> Tuple[S.Program, List[str]]:
+    """Place and insert sections in every function and return warnings; a
+    program with sections, whose CFGs have merge nodes, is left as it is.
+    `cfgs` maps function names to CFGs, built here if not given, and is
+    emptied as placement goes; fact tables come from `tables` or are
+    built and kept there."""
+    if cfgs is None:
+        cfgs = {name: build_cfg(fn) for name, fn in program.functions.items()}
+    if any(graph.merge_of for graph in cfgs.values()):
+        return program, []
+    tables = {} if tables is None else tables
     warnings: List[str] = []
     for fn in program.functions.values():
-        readers = D.compute_dep_sets(fn, build_cfg(fn))
-        res = place_sections(fn, readers, program)
+        table = D.table_of(fn, program, tables)
+        readers = D.compute_dep_sets(fn, cfgs.pop(fn.name), table)
+        res = place_sections(fn, readers, table)
         warnings.extend(res.warnings)
-        instrument_function(fn, res)
+        instrument_function(fn, res, table)
     return program, warnings

@@ -1,23 +1,24 @@
 """Independent checker for instrumented programs.
 
-Re-derives dominance from the CFG and the escape sets from a fresh
-dependency analysis; does not trust anything the placement pass stored
-beyond the section boundaries themselves.
+Shares with placement only the per-statement facts of `deps.fact_table`,
+a pure function of each node. Re-derives the rest: its own CFG of the
+instrumented function, reaching definitions, dominators and the escape
+and save sets; trusts nothing placement stored but the section bounds.
 """
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List, Optional
 
 from ..frontend import cfg as C
 from ..frontend import syntax as S
 from . import deps as D
 
 
-def validate_function(fn: S.FuncDef) -> List[str]:
+def validate_function(fn: S.FuncDef, table: D.Table) -> List[str]:
     """Returns a list of criterion violations (empty means valid)."""
     problems: List[str] = []
     graph = C.build_cfg(fn)
-    readers = D.compute_dep_sets(fn, graph)
+    readers = D.compute_dep_sets(fn, graph, table)
 
     sections = [s for s in S.walk_stmts(fn.body)
                 if isinstance(s, S.SectionStmt)]
@@ -42,23 +43,27 @@ def validate_function(fn: S.FuncDef) -> List[str]:
             problems.append(f"{tag}: empty section body")
         # criterion 3: no integer variable written inside is read outside;
         # every variable written inside and read outside is merged
-        escaped = D.escaping(sec.body, readers)
+        escaped = D.escaping(sec.body, readers, table)
         problems.extend(f"{tag}: int variable {v!r} written inside is read"
                         f" after the merge"
                         for v in sorted(escaped) if fn.var_types[v][0] == "int")
-        missing = escaped.keys() - set(sec.merge_list)
-        if missing:
-            problems.append(f"{tag}: merge_list misses {sorted(missing)}")
-        # save_list must cover upward-exposed reads of written variables
-        want_save = D.save_list(sec.body)
-        missing_s = want_save - set(sec.save_list)
-        if missing_s:
-            problems.append(f"{tag}: save_list misses {sorted(missing_s)}")
+        # and save_list covers upward-exposed reads of written variables
+        for name, want, have in (
+                ("merge_list", escaped.keys(), sec.merge_list),
+                ("save_list", D.save_list(sec.body, table), sec.save_list)):
+            missing = sorted(want - set(have))
+            if missing:
+                problems.append(f"{tag}: {name} misses {missing}")
     return problems
 
 
-def validate(program: S.Program) -> List[str]:
+def validate(program: S.Program,
+             tables: Optional[Dict[str, D.Table]] = None) -> List[str]:
+    """Criterion violations of every function; each function's fact table
+    is taken from `tables`, or built and kept there."""
+    tables = {} if tables is None else tables
     out: List[str] = []
     for fn in program.functions.values():
-        out.extend(f"{fn.name}: {p}" for p in validate_function(fn))
+        out.extend(f"{fn.name}: {p}" for p in validate_function(
+            fn, D.table_of(fn, program, tables)))
     return out

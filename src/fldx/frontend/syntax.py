@@ -390,14 +390,6 @@ def stmt_exprs(s: Stmt) -> List[Expr]:
     return []
 
 
-def vars_read(e: Expr) -> set:
-    out = set()
-    for n in walk_exprs(e):
-        if isinstance(n, (Var, Index)):
-            out.add(n.name)
-    return out
-
-
 def pred_names(p: Pred) -> List[Union[TName, TIndex]]:
     """The names of p that denote program variables, left to right: every
     array element, and every name outside the scope of a \\let binding it."""
@@ -511,22 +503,13 @@ def expr_ctype(e: Expr, var_types: Dict[str, Tuple[str, bool]],
         return var_types[e.name][0]
     if isinstance(e, Unary):
         return "int" if e.op == "!" else expr_ctype(e.expr, var_types, program)
-    if isinstance(e, Binary):
-        if e.op in COMPARISONS or e.op in ("&&", "||"):
-            return "int"
-        lt = expr_ctype(e.left, var_types, program)
-        rt = expr_ctype(e.right, var_types, program)
-        for t in ("double", "float"):
-            if lt == t or rt == t:
-                return t
+    if isinstance(e, Binary) and (e.op in COMPARISONS or e.op in ("&&", "||")):
         return "int"
-    if isinstance(e, Ternary):
-        lt = expr_ctype(e.then, var_types, program)
-        rt = expr_ctype(e.els, var_types, program)
-        for t in ("double", "float"):
-            if lt == t or rt == t:
-                return t
-        return "int"
+    if isinstance(e, (Binary, Ternary)):
+        sides = (e.left, e.right) if isinstance(e, Binary) else (e.then, e.els)
+        types = [expr_ctype(x, var_types, program) for x in sides]
+        return "double" if "double" in types \
+            else "float" if "float" in types else "int"
     if isinstance(e, Cast):
         return e.ctype
     if isinstance(e, Call):

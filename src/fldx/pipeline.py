@@ -26,12 +26,6 @@ class StageError(FldxError):
         self.stage = stage
 
 
-def _has_sections(program: S.Program) -> bool:
-    return any(isinstance(s, S.SectionStmt)
-               for fn in program.functions.values()
-               for s in S.walk_stmts(fn.body))
-
-
 def pick_entry(program: S.Program, config: AnalysisConfig) -> str:
     if config.entry:
         if config.entry not in program.functions:
@@ -58,23 +52,28 @@ def _stage(stage: str, *errors: Type[Exception]) -> Iterator[None]:
 
 def prepare(source: str, config: AnalysisConfig
             ) -> Tuple[S.Program, List[str]]:
-    """Parse and instrument a program, returning it analysis-ready."""
+    """Parse and instrument a program, returning it analysis-ready. The
+    normalize stage builds the CFGs placement uses; the fact tables that
+    placement and the validator share live only during this call."""
     warnings: List[str] = []
     with _stage("parse", SyntaxErrorAt):
         program = parse_program(source)
+    cfgs = {}
     with _stage("normalize", FldxError):
         for name, fn in list(program.functions.items()):
-            check_exit_reachable(build_cfg(fn))
             normal = normalize_returns(fn)
             if normal is not fn:  # parse_program resolved fn itself
                 program.functions[name] = normal
                 S.resolve(normal, program)
-    if config.auto_instrument and not _has_sections(program):
+            cfgs[name] = build_cfg(normal)
+            check_exit_reachable(cfgs[name])
+    tables = {}
+    if config.auto_instrument:
         with _stage("instrument", PlacementError):
-            program, w = instrument(program)
+            program, w = instrument(program, cfgs, tables)
             warnings.extend(w)
     with _stage("validate"):
-        problems = validate(program)
+        problems = validate(program, tables)
     if problems:
         raise StageError("validate",
                          FldxError("; ".join(problems)))

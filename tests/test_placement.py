@@ -1,20 +1,26 @@
 """Automatic split/merge placement around unstable floating-point tests,
 and the independent validator that re-checks every placed section."""
+import json
 import re
-from collections import deque
+from collections import Counter, deque
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
+from fldx import pipeline
 from fldx.cli import main
 from fldx.compiler import deps as D
-from fldx.compiler.placement import instrument
+from fldx.compiler import placement as P
+from fldx.compiler.placement import find_candidates, instrument
 from fldx.compiler.validator import validate
 from fldx.config import AnalysisConfig
+from fldx.executor.oracle import ShadowRun
 from fldx.frontend import parse_program, print_program
 from fldx.frontend import cfg as C
 from fldx.frontend import syntax as S
 from fldx.pipeline import instrumented_source, prepare
+from perfbench import workloads as W
 from tests.conftest import all_corpus_names, corpus_source
 
 
@@ -96,6 +102,55 @@ def test_a_float_to_int_conversion_is_a_candidate(name):
               f"  int k = 1;\n  {stmts}\n  return 0;\n}}\n")
     program, _ = prepare(source, AnalysisConfig())
     assert len(sections_of(program)) == expected
+
+
+#: statements of main after `double x`, `double y` (both in [0, 1]) and
+#: `double z = 0.0`, each testing a float for truth, that is x != 0
+TRUTH_TESTS = {
+    "if": "if (x) { z = 1.0; }",
+    "while": "while (x) { z = z + 1.0; x = 0.0; }",
+    "not": "z = !x;",
+    "ternary": "z = x ? 1.0 : 2.0;",
+    "and": "if (x && y) { z = 1.0; }",
+    "or": "if (x || y) { z = 1.0; }",
+}
+
+#: inputs of the shadow runs: 0, a real whose float is 0, the ends and
+#: points between
+TRUTH_INPUTS = [Fraction(0), Fraction(1, 2 ** 1100), Fraction(1, 3),
+                Fraction(1, 2), Fraction(1)]
+
+
+@pytest.mark.parametrize("name", sorted(TRUTH_TESTS))
+def test_cli_a_float_tested_for_truth_is_a_candidate(tmp_path, name):
+    """The executor tests a float for truth as x != 0, an unstable test:
+    placement puts a section around it, so no gap is reported, and every
+    shadow run lies inside the reported hulls."""
+    source = ("int main() {\n"
+              "  double x = read_double(0.0, 1.0);\n"
+              "  double y = read_double(0.0, 1.0);\n"
+              f"  double z = 0.0;\n  {TRUTH_TESTS[name]}\n"
+              "  /*@ assert dprint(z); */\n  return 0;\n}\n")
+    src = tmp_path / "truth.c"
+    src.write_text(source)
+    res = CliRunner().invoke(main, ["analyze", "--report", "json", str(src)])
+    assert res.exit_code == 0, res.output[-500:]
+    rep = json.loads(res.output)
+    assert not any(a["kind"] == "instrumentation-gap" for a in rep["alarms"])
+    assert len(rep["placements"]) == 1
+    [hull] = rep["prints"]
+    err, real = ([Fraction(int(v["num"]), int(v["den"]))
+                  if isinstance(v, dict) else Fraction(v) for v in hull[k]]
+                 for k in ("err", "real"))
+    program, _ = prepare(source, AnalysisConfig())
+    for x in TRUTH_INPUTS:
+        for y in TRUTH_INPUTS:
+            shadow = ShadowRun(program, AnalysisConfig().fmt,
+                               inputs={"x": x, "y": y})
+            shadow.run("main")
+            [rec] = shadow.records
+            assert err[0] <= rec.err <= err[1], (x, y)
+            assert real[0] <= rec.real_val <= real[1], (x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +312,182 @@ def test_section_round_trips_through_the_printer():
 
 
 # ---------------------------------------------------------------------------
+# The fact table against per-statement reference definitions
+# ---------------------------------------------------------------------------
+
+
+def ref_writes(s):
+    """Variables s itself may write: an assignment's target, an
+    initialized declaration, the variables an assertion enlarges."""
+    if isinstance(s, S.Assign):
+        return {s.target.name}
+    if isinstance(s, S.Decl):
+        if s.init is not None or s.array_init is not None:
+            return {s.name}
+        return set()
+    if isinstance(s, S.AssertStmt):
+        return ref_enlarged(s.pred)
+    return set()
+
+
+def ref_enlarged(p):
+    if isinstance(p, S.PRel):
+        return ref_enlarged(p.left) | ref_enlarged(p.right)
+    if isinstance(p, S.PNot):
+        return ref_enlarged(p.pred)
+    if isinstance(p, S.PLet):
+        return ref_enlarged(p.body)
+    if isinstance(p, S.PBuiltin) and p.name.startswith("accuracy_enlarge") \
+            and p.args and isinstance(p.args[0], (S.TName, S.TIndex)):
+        return {p.args[0].name}
+    return set()
+
+
+def ref_certain(s):
+    """What s certainly and fully overwrites: not an array cell."""
+    if isinstance(s, S.Assign) and isinstance(s.target, S.Index):
+        return set()
+    return ref_writes(s)
+
+
+def ref_reads(s):
+    out = {n.name for e in S.stmt_exprs(s) for n in S.walk_exprs(e)
+           if isinstance(n, (S.Var, S.Index))}
+    if isinstance(s, S.AssertStmt):
+        out |= {t.name for t in S.pred_names(s.pred)}
+    return out
+
+
+def ref_candidate(s, fn, program):
+    """Brute force: list every value that s tests for truth, compares or
+    converts to int, by descent from its statement-level context, and ask
+    whether one of them is a float."""
+    tested = []
+
+    def visit(e, truth):
+        if truth:
+            tested.append(e)
+        if isinstance(e, S.Binary):
+            logical = e.op in ("&&", "||")
+            if e.op in S.COMPARISONS:
+                tested.extend([e.left, e.right])
+            visit(e.left, logical)
+            visit(e.right, logical)
+        elif isinstance(e, S.Unary):
+            visit(e.expr, e.op == "!")
+        elif isinstance(e, S.Ternary):
+            visit(e.cond, True)
+            visit(e.then, False)
+            visit(e.els, False)
+        elif isinstance(e, S.Cast):
+            if e.ctype == "int":
+                tested.append(e.expr)
+            visit(e.expr, False)
+        elif isinstance(e, S.Call):
+            callee = program.functions.get(e.name)
+            for i, a in enumerate(e.args):
+                if callee is not None and callee.params[i].ctype == "int" \
+                        and not callee.params[i].is_array:
+                    tested.append(a)
+                visit(a, False)
+        elif isinstance(e, S.Index):
+            visit(e.index, False)
+
+    if isinstance(s, (S.If, S.While, S.DoWhile, S.AssumeStmt)):
+        visit(s.cond, True)
+    else:
+        into_int = (isinstance(s, S.Decl) and s.ctype == "int"
+                    or isinstance(s, S.Assign)
+                    and fn.var_types[s.target.name][0] == "int"
+                    or isinstance(s, S.Return) and fn.ret_type == "int")
+        for e in S.stmt_exprs(s):
+            is_value = not (isinstance(s, S.Assign) and e is not s.expr)
+            if into_int and is_value:
+                tested.append(e)
+            visit(e, False)
+    return any(S.expr_ctype(e, fn.var_types, program) in ("float", "double")
+               for e in tested)
+
+
+def fact_programs():
+    """The corpus and wide_instrument seeds 1 and 5, normalized."""
+    sources = [corpus_source(n) for n in all_corpus_names()]
+    sources += [p.source for seed in (1, 5) for p in W.wide_instrument(seed)]
+    config = AnalysisConfig(auto_instrument=False)
+    return [prepare(src, config)[0] for src in sources]
+
+
+def test_fact_table_matches_the_reference_on_every_statement():
+    checked = candidates = 0
+    for program in fact_programs():
+        for fn in program.functions.values():
+            table = D.fact_table(fn, program)
+            stmts = list(S.walk_stmts(fn.body))
+            assert set(table) == {id(s) for s in stmts}
+            for s in stmts:
+                f = table[id(s)]
+                assert (set(f.writes), set(f.certain), set(f.reads)) == (
+                    ref_writes(s), ref_certain(s), ref_reads(s)), s.loc
+                checked += 1
+            want = [s for s in stmts
+                    if not isinstance(s, (S.Block, S.SectionStmt))
+                    and ref_candidate(s, fn, program)]
+            assert find_candidates(fn, table) == want
+            candidates += len(want)
+    # a guard that the programs were read: 37685 statements, 945
+    # candidates when this test was written
+    assert checked > 30_000 and candidates > 500
+
+
+def test_truth_tests_are_candidates_by_the_reference_too():
+    program = parse_program(
+        "int main() { double x = read_double(0.0, 1.0);"
+        " double y = read_double(0.0, 1.0); double z = 0.0;"
+        + "".join(TRUTH_TESTS.values()) + " assume (x); return 0; }")
+    fn = program.functions["main"]
+    table = D.fact_table(fn, program)
+    # all six forms and the assume; the declarations are not
+    want = [s for s in S.walk_stmts(fn.body)
+            if not isinstance(s, (S.Block, S.SectionStmt))
+            and ref_candidate(s, fn, program)]
+    assert len(want) == len(TRUTH_TESTS) + 1
+    assert find_candidates(fn, table) == want
+
+
+def test_each_statement_is_walked_once_and_each_cfg_built_twice(
+        monkeypatch):
+    """During prepare, each statement's facts are computed once, shared by
+    placement and the validator, and each function's CFG is built twice:
+    once by the normalize stage for placement, once by the validator."""
+    facts, built = Counter(), Counter()
+    stmt_facts, build_cfg = D.stmt_facts, C.build_cfg
+
+    def counting_facts(s, fn, program):
+        facts[id(s)] += 1
+        return stmt_facts(s, fn, program)
+
+    def counting_build(fn):
+        built[fn.name] += 1
+        return build_cfg(fn)
+
+    monkeypatch.setattr(D, "stmt_facts", counting_facts)
+    for module in (C, P, pipeline):
+        monkeypatch.setattr(module, "build_cfg", counting_build)
+    wide = W.wide_instrument(1)[0].source
+    for source in (corpus_source("inter_loop.c"), wide):
+        facts.clear()
+        built.clear()
+        program, _ = prepare(source, AnalysisConfig())
+        assert sections_of(program)
+        stmts = {id(s) for fn in program.functions.values()
+                 for s in S.walk_stmts(fn.body)}
+        placed = {id(s) for s in sections_of(program)}
+        assert set(facts) == stmts - placed
+        assert set(facts.values()) == {1}
+        assert built == {name: 2 for name in program.functions}
+
+
+# ---------------------------------------------------------------------------
 # Def-use triples against a reachability oracle
 # ---------------------------------------------------------------------------
 
@@ -264,14 +495,14 @@ def test_section_round_trips_through_the_printer():
 def brute_def_use(fn):
     """(writer, reader, v) where a breadth-first search from the writer's
     successors reaches the reader without passing a node that must-define
-    v. Parameters are not writers."""
+    v, by the reference definitions. Parameters are not writers."""
     graph = C.build_cfg(fn)
     succ, stmt_of = graph.succ, graph.stmt_of
     out = set()
     for w in range(len(succ)):
         if stmt_of.get(w) is None:
             continue
-        for v in D.leaf_defs(stmt_of[w]):
+        for v in ref_writes(stmt_of[w]):
             seen = set()
             todo = deque(succ[w])
             while todo:
@@ -280,9 +511,9 @@ def brute_def_use(fn):
                     continue
                 seen.add(n)
                 st = stmt_of.get(n)
-                if st is not None and v in D.leaf_reads(st):
+                if st is not None and v in ref_reads(st):
                     out.add((id(stmt_of[w]), id(st), v))
-                if st is not None and v in D.leaf_must_defs(st):
+                if st is not None and v in ref_certain(st):
                     continue
                 todo.extend(succ[n])
     return out
@@ -333,13 +564,16 @@ def def_use_triples(readers):
 def test_def_use_triples_match_brute_force(src):
     program = parse_program(src)
     for fn in program.functions.values():
-        deps = D.compute_dep_sets(fn, C.build_cfg(fn))
+        table = D.fact_table(fn, program)
+        deps = D.compute_dep_sets(fn, C.build_cfg(fn), table)
         assert def_use_triples(deps) == brute_def_use(fn)
 
 
 def test_array_cell_write_does_not_kill_earlier_writes():
-    fn = parse_program(DEF_USE_PROGRAMS[0]).functions["f"]
-    data = def_use_triples(D.compute_dep_sets(fn, C.build_cfg(fn)))
+    program = parse_program(DEF_USE_PROGRAMS[0])
+    fn = program.functions["f"]
+    data = def_use_triples(D.compute_dep_sets(
+        fn, C.build_cfg(fn), D.fact_table(fn, program)))
     ret = fn.body.stmts[-1]
     # the declaration's cells reach the return past `t[1] = a`, and the
     # parameter a is read without a writer inside the function
@@ -354,7 +588,8 @@ def test_escaping_matches_brute_force_on_every_region(src):
     statements."""
     program = parse_program(src)
     for fn in program.functions.values():
-        readers = D.compute_dep_sets(fn, C.build_cfg(fn))
+        table = D.fact_table(fn, program)
+        readers = D.compute_dep_sets(fn, C.build_cfg(fn), table)
         triples = brute_def_use(fn)
         blocks = [b.stmts for b in S.walk_stmts(fn.body)
                   if isinstance(b, S.Block)]
@@ -367,7 +602,7 @@ def test_escaping_matches_brute_force_on_every_region(src):
                     for w, r, v in triples:
                         if w in inside and r not in inside:
                             want.setdefault(v, set()).add(r)
-                    assert D.escaping(block[i:j], readers) == want
+                    assert D.escaping(block[i:j], readers, table) == want
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +630,8 @@ SAVES = {
 @pytest.mark.parametrize("name", sorted(SAVES))
 def test_a_region_saves_what_it_may_read_before_writing(name):
     stmts, var, saved = SAVES[name]
-    fn = parse_program(f"int main() {{ double v = 0.0; double t[2];"
-                       f" int k = 0; {stmts} return 0; }}").functions["main"]
+    program = parse_program(f"int main() {{ double v = 0.0; double t[2];"
+                            f" int k = 0; {stmts} return 0; }}")
+    fn = program.functions["main"]
     region = fn.body.stmts[3:-1]
-    assert (var in D.save_list(region)) == saved
+    assert (var in D.save_list(region, D.fact_table(fn, program))) == saved
