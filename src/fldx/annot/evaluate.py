@@ -99,7 +99,8 @@ def _tv_not(a):
 
 def _load_lvalue(tt: TypedTerm, mem: Memory, binders):
     """The value a name or an array cell holds; an index range gives the
-    list of the cells in it."""
+    list of the cells in it. An index that can leave the array raises an
+    alarm, as a program read does."""
     t = tt.term
     if isinstance(t, S.TName):
         if t.name in binders:
@@ -108,16 +109,13 @@ def _load_lvalue(tt: TypedTerm, mem: Memory, binders):
     if isinstance(t, S.TIndex):
         arr = mem.load(t.name)
         iv = eval_term(tt.children[0], mem, binders)
+        lo, hi = int(iv.lo), int(iv.hi)
+        if lo < 0 or hi >= len(arr):
+            raise AnalysisAlarm("out-of-bounds",
+                                f"{t.loc}: index of {t.name} in [{lo}, {hi}]"
+                                f" outside [0, {len(arr) - 1}]", t.loc)
         if iv.is_point() and iv.lo.denominator == 1:
-            i = int(iv.lo)
-            if not (0 <= i < len(arr)):
-                raise AnalysisAlarm("out-of-bounds",
-                                    f"{t.name}[{i}] out of bounds")
-            return arr[i]
-        lo = max(0, int(iv.lo))
-        hi = min(len(arr) - 1, int(iv.hi))
-        if lo > hi:
-            raise AnalysisAlarm("out-of-bounds", f"{t.name} index empty")
+            return arr[lo]
         return [arr[i] for i in range(lo, hi + 1)]
     raise TypeErrorAt(f"not an lvalue: {t!r}")
 

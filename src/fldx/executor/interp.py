@@ -718,8 +718,7 @@ class Interp:
 
     def _exec_assign(self, s: S.Assign) -> None:
         name = s.target.name
-        ctype = (self._fn.var_types.get(name, ("double", False))[0]
-                 if self._fn else "double")
+        ctype = self._fn.var_types[name][0]
         v = self.eval(s.expr, target=name)
         v = self._coerce(ctype, v, s.loc, id(s))
         if isinstance(s.target, S.Var):
@@ -736,8 +735,7 @@ class Interp:
     def _exec_assert(self, s: S.AssertStmt) -> None:
         key = id(s)
         if key not in self._typed:
-            vt = self._fn.var_types if self._fn else {}
-            self._typed[key] = type_pred(s.pred, vt)
+            self._typed[key] = type_pred(s.pred, self._fn.var_types)
         self._not_plain()
         res = eval_pred(self._typed[key], self.mem)
         for rec in res.records:

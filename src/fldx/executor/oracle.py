@@ -268,8 +268,7 @@ class ShadowRun:
 
     def _assign(self, s: S.Assign) -> None:
         name = s.target.name
-        ctype = (self._fn.var_types.get(name, ("double", False))[0]
-                 if self._fn else "double")
+        ctype = self._fn.var_types[name][0]
         v = self._coerce(ctype, self.eval(s.expr, target=name), s.loc)
         if isinstance(s.target, S.Var):
             self.vars[name] = v

@@ -4,6 +4,19 @@ Annotation comments ``/*@ ... */`` carry accuracy assertions and
 split/merge section markers; they are lexed as single tokens and parsed
 with a dedicated sub-grammar.
 
+Both grammars are read by three shared readers:
+
+- `_climber` builds a precedence climber from an operand reader, a node
+  constructor and operator levels, loosest first. C expressions climb
+  `||`, `&&`, `== !=`, `< <= > >=`, `+ -`, `* / %`; annotation terms
+  `+ -`, `* /`; predicates `==>`, `||`, `&&`. Every operator folds to
+  the left except `==>`, which folds to the right.
+- `_items` reads a comma-separated list and its closing token: call
+  arguments, array initializers, parameters, `\\let` names and built-in
+  arguments.
+- `_builtin` reads a call of an annotation built-in and checks its
+  argument count against the built-in's table in `syntax`.
+
 Position model: a token's position is two ints, its 1-based line and
 column, found from the offsets of the newlines before it; a syntax error
 reports those ints. An `S.Loc` is built only when the parser attaches a
@@ -15,7 +28,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import SyntaxErrorAt
 from . import syntax as S
@@ -99,15 +112,6 @@ def tokenize(src: str) -> List[Token]:
     return toks
 
 
-def _number_value(text: str) -> Fraction:
-    return Fraction(text) if ("." in text or "e" in text or "E" in text) \
-        else Fraction(int(text))
-
-
-def _is_float_literal(text: str) -> bool:
-    return "." in text or "e" in text or "E" in text
-
-
 class _Cursor:
     """A position in a token list; `cur` is always `toks[i]`."""
     __slots__ = ("toks", "i", "cur")
@@ -155,43 +159,72 @@ class _Cursor:
 
 
 # ---------------------------------------------------------------------------
-# Expressions (precedence climbing)
+# The shared readers
 # ---------------------------------------------------------------------------
 
-#: binary operators by precedence, loosest first; all left-associative
-_BIN_PREC = {op: prec for prec, ops in enumerate([
-    ["||"],
-    ["&&"],
-    ["==", "!="],
-    ["<", "<=", ">", ">="],
-    ["+", "-"],
-    ["*", "/", "%"],
-]) for op in ops}
+
+def _climber(operand: Callable, make: Callable, *levels: str,
+             right: Tuple[str, ...] = ()) -> Callable:
+    """A reader of operands joined by binary operators: `operand` reads an
+    operand, `make(op, left, right, loc)` builds a node, and `levels`
+    lists the operators by precedence, loosest first, blank-separated.
+    A right operand takes only the operators binding tighter than its
+    own, so equal precedence folds to the left; an operator of `right`
+    lets its right operand take itself too, and folds to the right."""
+    #: operator -> (its precedence, the least its right operand takes)
+    binds = {op: (prec, prec if op in right else prec + 1)
+             for prec, level in enumerate(levels) for op in level.split()}
+
+    def climb(c: _Cursor, min_prec: int = 0):
+        left = operand(c)
+        while True:
+            op = c.cur.text  # no other kind of token spells an operator
+            bind = binds.get(op)
+            if bind is None or bind[0] < min_prec:
+                return left
+            c.advance()
+            left = make(op, left, climb(c, bind[1]), left.loc)
+    return climb
+
+
+def _items(c: _Cursor, item: Callable, close: str,
+           empty: bool = True) -> list:
+    """What `item` reads, separated by commas, up to the `close` token,
+    which is consumed; an empty list only where `empty` allows it."""
+    items = []
+    if not (empty and c.accept(close)):
+        items.append(item(c))
+        while c.accept(","):
+            items.append(item(c))
+        c.expect(close)
+    return items
+
+
+def _builtin(c: _Cursor, arities: Dict[str, int], make: Callable):
+    """The call of a built-in of `arities` at the cursor, its argument
+    count checked: `make(name, args, loc)`."""
+    t = c.advance()
+    c.advance()  # (
+    args = _items(c, _term, ")")
+    if len(args) != arities[t.text]:
+        raise SyntaxErrorAt(f"{t.text} expects {arities[t.text]} arguments",
+                            t.line, t.col)
+    return make(t.text, args, t.loc)
+
+
+# ---------------------------------------------------------------------------
+# Expressions
+# ---------------------------------------------------------------------------
 
 
 def _parse_expr(c: _Cursor) -> S.Expr:
     """A ternary, or a binary expression; `?:` is right-associative."""
-    cond = _parse_binary(c, 0)
+    cond = _binary(c)
     if c.accept("?"):
         then = _parse_expr(c)
         c.expect(":")
         return S.Ternary(cond, then, _parse_expr(c), cond.loc)
     return cond
-
-
-def _parse_binary(c: _Cursor, min_prec: int) -> S.Expr:
-    """Operators binding at least as tight as min_prec, in one loop: a
-    right operand takes only the operators binding tighter than its own,
-    so equal precedence folds to the left."""
-    left = _parse_unary(c)
-    while c.cur.kind == "op":
-        op = c.cur.text
-        prec = _BIN_PREC.get(op)
-        if prec is None or prec < min_prec:
-            break
-        c.advance()
-        left = S.Binary(op, left, _parse_binary(c, prec + 1), left.loc)
-    return left
 
 
 def _parse_unary(c: _Cursor) -> S.Expr:
@@ -206,9 +239,9 @@ def _parse_primary(c: _Cursor) -> S.Expr:
     t = c.cur
     if t.kind == "num":
         c.advance()
-        if _is_float_literal(t.text):
-            return S.FloatLit(t.text, _number_value(t.text), t.loc)
-        return S.IntLit(int(t.text), t.loc)
+        if t.text.isdigit():
+            return S.IntLit(int(t.text), t.loc)
+        return S.FloatLit(t.text, Fraction(t.text), t.loc)
     if c.at("("):
         # cast or parenthesized expression
         nxt = c.toks[c.i + 1]
@@ -224,21 +257,18 @@ def _parse_primary(c: _Cursor) -> S.Expr:
         return e
     if t.kind == "ident":
         c.advance()
-        if c.at("("):
-            c.advance()
-            args: List[S.Expr] = []
-            if not c.at(")"):
-                args.append(_parse_expr(c))
-                while c.accept(","):
-                    args.append(_parse_expr(c))
-            c.expect(")")
-            return S.Call(t.text, args, t.loc)
+        if c.accept("("):
+            return S.Call(t.text, _items(c, _parse_expr, ")"), t.loc)
         if c.accept("["):
             idx = _parse_expr(c)
             c.expect("]")
             return S.Index(t.text, idx, t.loc)
         return S.Var(t.text, t.loc)
     c.error(f"unexpected token {t.text!r} in expression")
+
+
+_binary = _climber(_parse_unary, S.Binary, "||", "&&", "== !=",
+                   "< <= > >=", "+ -", "* / %")
 
 
 # ---------------------------------------------------------------------------
@@ -274,169 +304,88 @@ def _tokenize_annot(body: str, line: int, col: int) -> List[Token]:
     return toks
 
 
-def _parse_term(c: _Cursor) -> S.Term:
-    return _parse_term_add(c)
-
-
-def _parse_term_add(c: _Cursor) -> S.Term:
-    left = _parse_term_mul(c)
-    while c.cur.text in ("+", "-") and c.cur.kind == "op":
-        op = c.advance().text
-        left = S.TBin(op, left, _parse_term_mul(c), left.loc)
-    return left
-
-
-def _parse_term_mul(c: _Cursor) -> S.Term:
-    left = _parse_term_unary(c)
-    while c.cur.text in ("*", "/") and c.cur.kind == "op":
-        op = c.advance().text
-        left = S.TBin(op, left, _parse_term_unary(c), left.loc)
-    return left
-
-
-def _parse_term_unary(c: _Cursor) -> S.Term:
-    t = c.cur
-    if c.accept("-"):
-        inner = _parse_term_unary(c)
-        if isinstance(inner, S.TConst):
-            return S.TConst(-inner.value, "-" + inner.text, t.loc)
-        return S.TBin("-", S.TConst(Fraction(0), "0", t.loc), inner, t.loc)
-    return _parse_term_primary(c)
-
-
-def _parse_term_primary(c: _Cursor) -> S.Term:
+def _parse_term_operand(c: _Cursor) -> S.Term:
+    """A number, a negation, a parenthesized term, a built-in call, an
+    array cell or a name. The negation of a number is a number."""
     t = c.cur
     if t.kind == "num":
         c.advance()
-        return S.TConst(_number_value(t.text), t.text, t.loc)
+        return S.TConst(Fraction(t.text), t.text, t.loc)
+    if c.accept("-"):
+        inner = _parse_term_operand(c)
+        if isinstance(inner, S.TConst):
+            return S.TConst(-inner.value, "-" + inner.text, t.loc)
+        return S.TBin("-", S.TConst(Fraction(0), "0", t.loc), inner, t.loc)
     if c.accept("("):
-        e = _parse_term(c)
+        e = _term(c)
         c.expect(")")
         return e
     if t.kind == "ident":
-        c.advance()
-        if c.at("("):
+        if c.toks[c.i + 1].text == "(":
             if t.text not in S.TERM_BUILTINS:
                 raise SyntaxErrorAt(f"unknown term function {t.text!r}",
                                     t.line, t.col)
-            c.advance()
-            args = [_parse_term(c)]
-            while c.accept(","):
-                args.append(_parse_term(c))
-            c.expect(")")
-            if len(args) != S.TERM_BUILTINS[t.text]:
-                raise SyntaxErrorAt(f"{t.text} expects "
-                                    f"{S.TERM_BUILTINS[t.text]} arguments",
-                                    t.line, t.col)
-            return S.TCall(t.text, args, t.loc)
+            return _builtin(c, S.TERM_BUILTINS, S.TCall)
+        c.advance()
         if c.accept("["):
-            idx = _parse_term(c)
+            idx = _term(c)
             c.expect("]")
             return S.TIndex(t.text, idx, t.loc)
         return S.TName(t.text, t.loc)
     c.error(f"unexpected token {t.text!r} in annotation term")
 
 
+_term = _climber(_parse_term_operand, S.TBin, "+ -", "* /")
+
 _CMP_OPS = ("<=", ">=", "==", "!=", "<", ">")
 
 
-def _parse_pred(c: _Cursor) -> S.Pred:
-    return _parse_pred_impl(c)
-
-
-def _parse_pred_impl(c: _Cursor) -> S.Pred:
-    left = _parse_pred_or(c)
-    if c.accept("==>"):
-        return S.PRel("==>", left, _parse_pred_impl(c), left.loc)
-    return left
-
-
-def _parse_pred_or(c: _Cursor) -> S.Pred:
-    left = _parse_pred_and(c)
-    while c.accept("||"):
-        left = S.PRel("||", left, _parse_pred_and(c), left.loc)
-    return left
-
-
-def _parse_pred_and(c: _Cursor) -> S.Pred:
-    left = _parse_pred_atom(c)
-    while c.accept("&&"):
-        left = S.PRel("&&", left, _parse_pred_atom(c), left.loc)
-    return left
-
-
 def _parse_pred_atom(c: _Cursor) -> S.Pred:
+    """A negation, a `\\let`, a predicate built-in, a parenthesized
+    predicate, or a comparison; a chain `a <= b <= c` is read as
+    `a <= b && b <= c`."""
     t = c.cur
     if c.accept("!"):
         return S.PNot(_parse_pred_atom(c), t.loc)
-    if c.cur.kind == "let":
+    if t.kind == "let":
         c.advance()
-        parens = bool(c.accept("("))
-        names = [c.expect_kind("ident").text]
-        while c.accept(","):
-            names.append(c.expect_kind("ident").text)
+        parens = c.accept("(")
+        names = _items(c, lambda c: c.expect_kind("ident").text,
+                       ")" if parens else "=", empty=False)
         if parens:
-            c.expect(")")
-        c.expect("=")
-        value: Union[S.Term, S.PBuiltin]
-        if c.cur.kind == "ident" and c.cur.text in S.PAIR_BUILTINS \
-                and c.toks[c.i + 1].text == "(":
-            name_tok = c.advance()
-            c.advance()
-            args = [_parse_term(c)]
-            while c.accept(","):
-                args.append(_parse_term(c))
-            c.expect(")")
-            value = S.PBuiltin(name_tok.text, args, name_tok.loc)
-        else:
-            value = _parse_term(c)
+            c.expect("=")
+        value = (_builtin(c, S.PAIR_BUILTINS, S.PBuiltin)
+                 if c.cur.text in S.PAIR_BUILTINS
+                 and c.toks[c.i + 1].text == "(" else _term(c))
         c.expect(";")
-        body = _parse_pred(c)
-        return S.PLet(names, value, body, t.loc)
-    if c.cur.kind == "ident" and c.cur.text in S.PRED_BUILTINS \
-            and c.toks[c.i + 1].text == "(":
-        name_tok = c.advance()
-        c.advance()
-        args: List[S.Term] = []
-        if not c.at(")"):
-            args.append(_parse_term(c))
-            while c.accept(","):
-                args.append(_parse_term(c))
-        c.expect(")")
-        if len(args) != S.PRED_BUILTINS[name_tok.text]:
-            raise SyntaxErrorAt(
-                f"{name_tok.text} expects {S.PRED_BUILTINS[name_tok.text]}"
-                f" arguments", name_tok.line, name_tok.col)
-        return S.PBuiltin(name_tok.text, args, name_tok.loc)
-    if c.at("("):
-        # Could be a parenthesized predicate or the start of a term.
+        return S.PLet(names, value, _pred(c), t.loc)
+    if t.text in S.PRED_BUILTINS and c.toks[c.i + 1].text == "(":
+        return _builtin(c, S.PRED_BUILTINS, S.PBuiltin)
+    if t.text == "(":
+        # a parenthesized predicate, or else the start of a term
         mark = c.i
         try:
             c.advance()
-            p = _parse_pred(c)
+            p = _pred(c)
             c.expect(")")
             return p
         except SyntaxErrorAt:
-            c.i, c.cur = mark, c.toks[mark]
-        left = _parse_term(c)
-        return _finish_cmp(c, left)
-    left = _parse_term(c)
-    return _finish_cmp(c, left)
-
-
-def _finish_cmp(c: _Cursor, left: S.Term) -> S.Pred:
-    if c.cur.kind == "op" and c.cur.text in _CMP_OPS:
+            c.i, c.cur = mark, t
+    left = _term(c)
+    p = None
+    while c.cur.text in _CMP_OPS:
         op = c.advance().text
-        right = _parse_term(c)
-        p: S.Pred = S.PCmp(op, left, right, left.loc)
-        # allow chained comparisons a <= b <= c
-        while c.cur.kind == "op" and c.cur.text in _CMP_OPS:
-            op2 = c.advance().text
-            mid = right
-            right = _parse_term(c)
-            p = S.PRel("&&", p, S.PCmp(op2, mid, right, mid.loc), left.loc)
-        return p
-    c.error("expected a comparison in annotation")
+        right = _term(c)
+        cmp = S.PCmp(op, left, right, left.loc)
+        p = cmp if p is None else S.PRel("&&", p, cmp, p.loc)
+        left = right
+    if p is None:
+        c.error("expected a comparison in annotation")
+    return p
+
+
+_pred = _climber(_parse_pred_atom, S.PRel, "==>", "||", "&&",
+                 right=("==>",))
 
 
 _MARKER_RE = re.compile(r"^\s*(split|merge)\s*\(\s*(\d+)\s*((?:,\s*[A-Za-z_]\w*\s*)*)\)\s*;?\s*$")
@@ -455,11 +404,7 @@ def parse_annotation(tok: Token):
     if body.endswith(";"):
         body = body[:-1]
     c = _Cursor(_tokenize_annot(body, tok.line, tok.col))
-    pred = _parse_pred(c)
-    if c.cur.kind != "eof":
-        raise SyntaxErrorAt(f"trailing tokens in annotation: {c.cur.text!r}",
-                            tok.line, tok.col)
-    return ("assert", pred)
+    return ("assert", _whole(c, _pred, "annotation"))
 
 
 # ---------------------------------------------------------------------------
@@ -470,10 +415,10 @@ def parse_annotation(tok: Token):
 def _parse_block(c: _Cursor) -> S.Block:
     loc = c.expect("{").loc
     stmts: List[S.Stmt] = []
-    open_sections: List[Tuple[int, List[str], List[S.Stmt], S.Loc, List[S.Stmt]]] = []
+    open_sections: List[Tuple[int, List[str], S.Loc, List[S.Stmt]]] = []
 
     def sink() -> List[S.Stmt]:
-        return open_sections[-1][4] if open_sections else stmts
+        return open_sections[-1][3] if open_sections else stmts
 
     while not c.at("}"):
         if c.cur.kind == "annot":
@@ -482,17 +427,17 @@ def _parse_block(c: _Cursor) -> S.Block:
             if parsed[0] == "assert":
                 sink().append(S.AssertStmt(parsed[1], tok.loc))
             elif parsed[0] == "split":
-                open_sections.append((parsed[1], parsed[2], [], tok.loc, []))
+                open_sections.append((parsed[1], parsed[2], tok.loc, []))
             else:  # merge
                 if not open_sections or open_sections[-1][0] != parsed[1]:
                     raise SyntaxErrorAt(f"unmatched merge({parsed[1]})",
                                         tok.line, tok.col)
-                sid, save, _, sloc, body = open_sections.pop()
+                sid, save, sloc, body = open_sections.pop()
                 sink().append(S.SectionStmt(sid, save, parsed[2], body, sloc))
             continue
         sink().append(_parse_stmt(c))
     if open_sections:
-        sid, _, _, sloc, _ = open_sections[-1]
+        sid, _, sloc, _ = open_sections[-1]
         raise SyntaxErrorAt(f"split({sid}) without matching merge",
                             sloc.line, sloc.col)
     c.expect("}")
@@ -513,10 +458,7 @@ def _parse_stmt(c: _Cursor) -> S.Stmt:
             init_list: Optional[List[S.Expr]] = None
             if c.accept("="):
                 c.expect("{")
-                init_list = [_parse_expr(c)]
-                while c.accept(","):
-                    init_list.append(_parse_expr(c))
-                c.expect("}")
+                init_list = _items(c, _parse_expr, "}", empty=False)
                 if len(init_list) != size:
                     raise SyntaxErrorAt(
                         f"array {name} initializer has {len(init_list)}"
@@ -585,15 +527,9 @@ def _parse_function(c: _Cursor) -> S.FuncDef:
     ret = c.advance().text
     name = c.expect_kind("ident").text
     c.expect("(")
-    params: List[S.Param] = []
-    if not c.at(")"):
-        if c.at("void") and c.toks[c.i + 1].text == ")":
-            c.advance()
-        else:
-            params.append(_parse_param(c))
-            while c.accept(","):
-                params.append(_parse_param(c))
-    c.expect(")")
+    if c.at("void") and c.toks[c.i + 1].text == ")":
+        c.advance()
+    params = _items(c, _parse_param, ")")
     body = _parse_block(c)
     return S.FuncDef(ret, name, params, body, t.loc)
 
@@ -603,9 +539,7 @@ def _parse_param(c: _Cursor) -> S.Param:
     if not (t.kind == "kw" and t.text in ("int", "float", "double")):
         c.error(f"expected a parameter type, found {t.text!r}")
     ctype = c.advance().text
-    is_array = False
-    if c.accept("*"):
-        is_array = True
+    is_array = c.accept("*")
     name = c.expect_kind("ident").text
     if c.accept("["):
         if c.cur.kind == "num":
@@ -630,19 +564,19 @@ def parse_program(src: str) -> S.Program:
     return prog
 
 
+def _whole(c: _Cursor, read: Callable, what: str):
+    """What `read` reads, which must take every token up to eof."""
+    x = read(c)
+    if c.cur.kind != "eof":
+        c.error(f"trailing tokens in {what}: {c.cur.text!r}")
+    return x
+
+
 def parse_expr(src: str) -> S.Expr:
     """Parse a standalone expression (test helper)."""
-    c = _Cursor(tokenize(src))
-    e = _parse_expr(c)
-    if c.cur.kind != "eof":
-        c.error("trailing tokens after expression")
-    return e
+    return _whole(_Cursor(tokenize(src)), _parse_expr, "expression")
 
 
 def parse_pred(src: str) -> S.Pred:
     """Parse a standalone annotation predicate (test helper)."""
-    c = _Cursor(_tokenize_annot(src, 0, 0))
-    p = _parse_pred(c)
-    if c.cur.kind != "eof":
-        c.error("trailing tokens after predicate")
-    return p
+    return _whole(_Cursor(_tokenize_annot(src, 0, 0)), _pred, "annotation")

@@ -494,7 +494,9 @@ def resolve(fn: FuncDef, program: Program) -> None:
 
 def expr_ctype(e: Expr, var_types: Dict[str, Tuple[str, bool]],
                program: Optional[Program] = None) -> str:
-    """Static C type of an expression: 'int', 'float' or 'double'."""
+    """Static C type of an expression: 'int', 'float' or 'double'. The
+    left spine of an arithmetic chain such as a + b + c is walked with a
+    loop, not a call per operand."""
     if isinstance(e, IntLit):
         return "int"
     if isinstance(e, FloatLit):
@@ -505,11 +507,6 @@ def expr_ctype(e: Expr, var_types: Dict[str, Tuple[str, bool]],
         return "int" if e.op == "!" else expr_ctype(e.expr, var_types, program)
     if isinstance(e, Binary) and (e.op in COMPARISONS or e.op in ("&&", "||")):
         return "int"
-    if isinstance(e, (Binary, Ternary)):
-        sides = (e.left, e.right) if isinstance(e, Binary) else (e.then, e.els)
-        types = [expr_ctype(x, var_types, program) for x in sides]
-        return "double" if "double" in types \
-            else "float" if "float" in types else "int"
     if isinstance(e, Cast):
         return e.ctype
     if isinstance(e, Call):
@@ -518,4 +515,16 @@ def expr_ctype(e: Expr, var_types: Dict[str, Tuple[str, bool]],
         if program is not None and e.name in program.functions:
             return program.functions[e.name].ret_type
         return "double"
-    raise TypeError(f"unknown expression {e!r}")
+    if isinstance(e, Ternary):
+        sides = [e.then, e.els]
+    elif isinstance(e, Binary):
+        sides = []
+        while isinstance(e, Binary) and e.op in ("+", "-", "*", "/", "%"):
+            sides.append(e.right)
+            e = e.left
+        sides.append(e)
+    else:
+        raise TypeError(f"unknown expression {e!r}")
+    types = {expr_ctype(x, var_types, program) for x in sides}
+    return "double" if "double" in types \
+        else "float" if "float" in types else "int"

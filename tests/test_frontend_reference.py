@@ -1,6 +1,9 @@
 """The lexer and the AST walkers, checked against the code they replaced,
 kept here as the reference: a `match` loop that builds a position for
 every lexeme, and walks that recurse through one generator per level.
+The parser is checked against pins of the trees, and of the rejections,
+of the parser it replaced, which had one hand-written ladder of
+functions per grammar level.
 
 Token streams mix identifiers, keywords, numbers, operators, `\\n`, `\\t`
 and `\\r`, line comments, multi-line block comments, multi-line
@@ -8,20 +11,24 @@ annotations and stray characters, with and without blanks between them.
 Walk orders are compared on every corpus function after instrumentation,
 so sections and the rewritten returns are walked too.
 """
+import hashlib
 import re
 from typing import List, Tuple
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fldx.cli import main
 from fldx.compiler import deps as D
 from fldx.config import AnalysisConfig
 from fldx.errors import SyntaxErrorAt
-from fldx.frontend import parse_expr
+from fldx.frontend import parse_expr, parse_pred, parse_program
 from fldx.frontend import syntax as S
 from fldx.frontend.parser import KEYWORDS, _tokenize_annot, tokenize
 from fldx.pipeline import prepare
+from perfbench import workloads as W
 from tests.conftest import all_corpus_names, corpus_source
 
 # ---------------------------------------------------------------------------
@@ -300,3 +307,308 @@ def test_walkers_do_not_recurse_on_deep_trees():
     assert len(blocks) == 3001
     assert all(outer.stmts == [inner]
                for outer, inner in zip(blocks, blocks[1:]))
+
+
+# ---------------------------------------------------------------------------
+# Parser
+# ---------------------------------------------------------------------------
+
+#: SHA-256 of `repr(parse_program(source))` for the workload programs,
+#: keyed workload/seed/program
+AST_SHA256 = {
+    "corpus/0/absorption.c":
+        "061414414ba69bb00412529be4f93c46da261fb9390304e11a9f195ccd14ee14",
+    "corpus/0/associativity.c":
+        "2e112ad2a54eed461888d8bf12e0bd8e81005c8adc82ac5195aab5eb84518ba9",
+    "corpus/0/comp_abs.c":
+        "58dd6966e17a0b4866414699fc4dac40222a088db995dfbe32eb143eb19f7501",
+    "corpus/0/comp_cont.c":
+        "b8ba342ae5bd840aa192c810b9319fcf9da72ce093ab97633d3e20bba4543816",
+    "corpus/0/comp_disc.c":
+        "9876df0a376f027d0e78cad7b422ae5a13ca9d326762502262126a0a9d0af82a",
+    "corpus/0/comp_disc_nested.c":
+        "b6540ea16e763b16df376bb991a71c534055ab5894e5a68d5fb7fdc0ff478d9b",
+    "corpus/0/division.c":
+        "c099c649c190e717fafe03d44310ce6ae61b562b9f0dac9be6a3327db5fb0009",
+    "corpus/0/filter.c":
+        "c9090560f326db12dfcd96e5ed92d4833ba378c36bd16941f789e1478d3695e1",
+    "corpus/0/inter_loop.c":
+        "cde88870f80b233b0fd8bd4bc52900afe23809bb364c264c085d7186dd0ec423",
+    "corpus/0/motiv_example.c":
+        "fe565840beb077e90628ecf0bce77a162f59bc93f6b6458d8fe6972eac307576",
+    "corpus/0/newton_sqrt.c":
+        "6ed92535c94bbac48a2753b07f418178a45404f95edef05143dcc5c2e44e58a3",
+    "corpus/0/patriot.c":
+        "4fda24ca03a0ea5a59c33da0fda942b560b8676fc93985c4ba2a885f39928019",
+    "corpus/0/polynome.c":
+        "7b921bd7aa36b82d47badfd418de54b448289d1985adfe121bcee65d7e599749",
+    "corpus/0/relative.c":
+        "b639fdce04d06ff7647bddd1cb638e9fc2eb704fa6260f445e829dca17d626ae",
+    "corpus/0/scanf.c":
+        "bdbee6db14921c30b6605c1d2639f5d115044fb6252c5ccdb6e52cd8736c1ccb",
+    "branch_fanout/11/fanout_n4":
+        "583ab25a8d557904c96b96dc769f10e5678c200e37ee286ae79df93660d91d79",
+    "branch_fanout/11/fanout_n5":
+        "a3e60b0c1d2f30f78a19399c035cd6a0c8ed114210849d63b2bb2ac8768c70fa",
+    "branch_fanout/11/fanout_n6":
+        "5b6a544dc602df1a37883ae7a28d9020fd4b444975ae312beb7bd3fdfd91104d",
+    "branch_fanout/11/fanout_n7":
+        "3960e21bcdbcefc50f2d1505e3d548a27380965c116cc0b1d4767e00a78c579e",
+    "branch_fanout/11/fanout_n8":
+        "283a7de12bdfcf41aef35dd7d518becf2349cc07c75f45a141bc1b9a35163686",
+    "branch_fanout/11/fanout_n9":
+        "36c86afa9686a71ae19e5246a01a0d47910ca848061f16dd85c22ae449521510",
+    "wide_instrument/1/wide_10kb":
+        "0eb5ca51650667d7825ffbcc58fff529c96d81f81c2fa4e3ac487e01d64b840d",
+    "wide_instrument/1/wide_14kb":
+        "916c4adc309accff1ec8d099cc0389916a003d3a81eae7a7186cedf60e32f85c",
+    "wide_instrument/1/wide_20kb":
+        "3cb37638bb6f670bf8a2027ea7afeec43ba0d27caf360caed03d57e1c88556f0",
+    "wide_instrument/1/wide_28kb":
+        "4382d1f11db128765d75d8437546cc0d9a77f6517e3471136f0d5d58b27e35e1",
+    "wide_instrument/1/wide_40kb":
+        "6b40274b1b264c82bc86a3ce07f86aef405a3159dffcc96921e8a3e0c13d3d98",
+    "wide_instrument/1/wide_56kb":
+        "204702c550326b3db8fdc83639ddc252935eb843f56a64b5a37f3a085f0681e7",
+    "wide_instrument/1/wide_70kb":
+        "c5ac95dc0a2b08bcf71cff1075656aaaeb97f5d28e34b3a401612e593fb508f8",
+    "wide_instrument/5/wide_10kb":
+        "2a88d123b6146295f2ad713eeb53a05aa3fc0649561aee79a8156a20fa028f68",
+    "wide_instrument/5/wide_14kb":
+        "caa0c056074232981b0d1df718a2cd354fe5351af61e7e718641c69084e09474",
+    "wide_instrument/5/wide_20kb":
+        "0570433800411e98c30c7a9765f2e5d8fc84029285b83043b8f97c81da6bc4d9",
+    "wide_instrument/5/wide_28kb":
+        "c58d2a84f6b76ee71a28712c03b8dfdd88a729760e1973daf8a737e4b1f07c3a",
+    "wide_instrument/5/wide_40kb":
+        "4f982958a3d57103508b1cbce7862256667d93e117ae75314eec0d261cb1b559",
+    "wide_instrument/5/wide_56kb":
+        "27836ac89a649d672dd7dde55d43ccd9f463a06386b4ff911160fe7791efc95c",
+    "wide_instrument/5/wide_70kb":
+        "c59e7100b1f9425e70d8f06deb068cb6806c413e1c2f5fd09c8ef3861e85cc89",
+    "wide_instrument/11/wide_10kb":
+        "8aeb3eff37efb144583c71bff48a4a20d6589ee6bd06b909104f7cc18d5a9735",
+    "wide_instrument/11/wide_14kb":
+        "4f7191ad7fb449035e0646f3b3c972b7211abb059bf45883fbaeb19caccf5700",
+    "wide_instrument/11/wide_20kb":
+        "dc9aa60f686cd22d67e5faffd5243eb678397d5fc0dee02f32e8f4d21f775e47",
+    "wide_instrument/11/wide_28kb":
+        "84bbfbb1db19ed32d7c3a7d2c761d0e027e7e28f6bb95f4184ff8619d8291345",
+    "wide_instrument/11/wide_40kb":
+        "60fd62de1597d8b26e22dccef39af19509966ec196e1d265fb70097f513bff58",
+    "wide_instrument/11/wide_56kb":
+        "86864ae3b8c9610e3731e9fb4bbc226f6389004536e1d9385d2e52f391d2521a",
+    "wide_instrument/11/wide_70kb":
+        "54e487f86ea5d152d5813bcad4dec9954475dea4f95d6f7bbd21e9c807339d1d",
+}
+
+#: annotation predicates and the repr of their trees; every token of an
+#: annotation carries the annotation's position, 0:0 here, so the
+#: positions are left out
+PRED_TREES = [
+    ('a <= 1 ==> b <= 2 ==> c <= 3',
+     "PRel(op='==>', left=PCmp(op='<=', left=TName(name='a'), "
+     "right=TConst(value=Fraction(1, 1), text='1')), right=PRel(op='==>', "
+     "left=PCmp(op='<=', left=TName(name='b'), "
+     "right=TConst(value=Fraction(2, 1), text='2')), right=PCmp(op='<=', "
+     "left=TName(name='c'), right=TConst(value=Fraction(3, 1), text='3'))))"),
+    ('(a <= 1 ==> b <= 2) ==> c <= 3',
+     "PRel(op='==>', left=PRel(op='==>', left=PCmp(op='<=', "
+     "left=TName(name='a'), right=TConst(value=Fraction(1, 1), text='1')), "
+     "right=PCmp(op='<=', left=TName(name='b'), "
+     "right=TConst(value=Fraction(2, 1), text='2'))), right=PCmp(op='<=', "
+     "left=TName(name='c'), right=TConst(value=Fraction(3, 1), text='3')))"),
+    ('a <= 1 || b <= 2 && c <= 3',
+     "PRel(op='||', left=PCmp(op='<=', left=TName(name='a'), "
+     "right=TConst(value=Fraction(1, 1), text='1')), right=PRel(op='&&', "
+     "left=PCmp(op='<=', left=TName(name='b'), "
+     "right=TConst(value=Fraction(2, 1), text='2')), right=PCmp(op='<=', "
+     "left=TName(name='c'), right=TConst(value=Fraction(3, 1), text='3'))))"),
+    ('a <= 1 && b <= 2 || c <= 3 ==> d <= 4',
+     "PRel(op='==>', left=PRel(op='||', left=PRel(op='&&', "
+     "left=PCmp(op='<=', left=TName(name='a'), "
+     "right=TConst(value=Fraction(1, 1), text='1')), right=PCmp(op='<=', "
+     "left=TName(name='b'), right=TConst(value=Fraction(2, 1), "
+     "text='2'))), right=PCmp(op='<=', left=TName(name='c'), "
+     "right=TConst(value=Fraction(3, 1), text='3'))), right=PCmp(op='<=', "
+     "left=TName(name='d'), right=TConst(value=Fraction(4, 1), text='4')))"),
+    ('!a <= 1 && b != 2',
+     "PRel(op='&&', left=PNot(pred=PCmp(op='<=', left=TName(name='a'), "
+     "right=TConst(value=Fraction(1, 1), text='1'))), right=PCmp(op='!=', "
+     "left=TName(name='b'), right=TConst(value=Fraction(2, 1), text='2')))"),
+    ('!(a < 1 || b > 2)',
+     "PNot(pred=PRel(op='||', left=PCmp(op='<', left=TName(name='a'), "
+     "right=TConst(value=Fraction(1, 1), text='1')), right=PCmp(op='>', "
+     "left=TName(name='b'), right=TConst(value=Fraction(2, 1), text='2'))))"),
+    ('\\let e = x - y; e <= 1 ==> e >= 0',
+     "PLet(names=['e'], value=TBin(op='-', left=TName(name='x'), "
+     "right=TName(name='y')), body=PRel(op='==>', left=PCmp(op='<=', "
+     "left=TName(name='e'), right=TConst(value=Fraction(1, 1), text='1')), "
+     "right=PCmp(op='>=', left=TName(name='e'), "
+     "right=TConst(value=Fraction(0, 1), text='0'))))"),
+    ('\\let (lo, hi) = accuracy_get_derr(y); lo <= hi',
+     "PLet(names=['lo', 'hi'], value=PBuiltin(name='accuracy_get_derr', "
+     "args=[TName(name='y')]), body=PCmp(op='<=', left=TName(name='lo'), "
+     "right=TName(name='hi')))"),
+    ('\\let lo, hi = accuracy_get_dreal(y); lo == hi',
+     "PLet(names=['lo', 'hi'], value=PBuiltin(name='accuracy_get_dreal', "
+     "args=[TName(name='y')]), body=PCmp(op='==', left=TName(name='lo'), "
+     "right=TName(name='hi')))"),
+    ('0 <= x <= 1',
+     "PRel(op='&&', left=PCmp(op='<=', left=TConst(value=Fraction(0, 1), "
+     "text='0'), right=TName(name='x')), right=PCmp(op='<=', "
+     "left=TName(name='x'), right=TConst(value=Fraction(1, 1), text='1')))"),
+    ('0 <= x < y <= 1',
+     "PRel(op='&&', left=PRel(op='&&', left=PCmp(op='<=', "
+     "left=TConst(value=Fraction(0, 1), text='0'), right=TName(name='x')), "
+     "right=PCmp(op='<', left=TName(name='x'), right=TName(name='y'))), "
+     "right=PCmp(op='<=', left=TName(name='y'), "
+     "right=TConst(value=Fraction(1, 1), text='1')))"),
+    ('(x + 1) * 2 <= (y)',
+     "PCmp(op='<=', left=TBin(op='*', left=TBin(op='+', "
+     "left=TName(name='x'), right=TConst(value=Fraction(1, 1), text='1')), "
+     "right=TConst(value=Fraction(2, 1), text='2')), right=TName(name='y'))"),
+    ('(x <= 1) && (x + 1) * 2 <= (y - 1) / 2',
+     "PRel(op='&&', left=PCmp(op='<=', left=TName(name='x'), "
+     "right=TConst(value=Fraction(1, 1), text='1')), right=PCmp(op='<=', "
+     "left=TBin(op='*', left=TBin(op='+', left=TName(name='x'), "
+     "right=TConst(value=Fraction(1, 1), text='1')), "
+     "right=TConst(value=Fraction(2, 1), text='2')), right=TBin(op='/', "
+     "left=TBin(op='-', left=TName(name='y'), "
+     "right=TConst(value=Fraction(1, 1), text='1')), "
+     "right=TConst(value=Fraction(2, 1), text='2'))))"),
+    ('- 3 <= -x',
+     "PCmp(op='<=', left=TConst(value=Fraction(-3, 1), text='-3'), "
+     "right=TBin(op='-', left=TConst(value=Fraction(0, 1), text='0'), "
+     "right=TName(name='x')))"),
+    ('-(2 * x) <= - (3)',
+     "PCmp(op='<=', left=TBin(op='-', left=TConst(value=Fraction(0, 1), "
+     "text='0'), right=TBin(op='*', left=TConst(value=Fraction(2, 1), "
+     "text='2'), right=TName(name='x'))), right=TConst(value=Fraction(-3, "
+     "1), text='-3'))"),
+    ('min(x, 1) <= max(y, 2.5e-1)',
+     "PCmp(op='<=', left=TCall(name='min', args=[TName(name='x'), "
+     "TConst(value=Fraction(1, 1), text='1')]), right=TCall(name='max', "
+     "args=[TName(name='y'), TConst(value=Fraction(1, 4), text='2.5e-1')]))"),
+    ('abs(x - y) <= max_distance(a, 3)',
+     "PCmp(op='<=', left=TCall(name='abs', args=[TBin(op='-', "
+     "left=TName(name='x'), right=TName(name='y'))]), "
+     "right=TCall(name='max_distance', args=[TName(name='a'), "
+     "TConst(value=Fraction(3, 1), text='3')]))"),
+    ('a[i + 1] - a[i] <= 1e-3',
+     "PCmp(op='<=', left=TBin(op='-', left=TIndex(name='a', "
+     "index=TBin(op='+', left=TName(name='i'), "
+     "right=TConst(value=Fraction(1, 1), text='1'))), "
+     "right=TIndex(name='a', index=TName(name='i'))), "
+     "right=TConst(value=Fraction(1, 1000), text='1e-3'))"),
+    ('accuracy_assert_derr(y, -1, 1) && dprint(y)',
+     "PRel(op='&&', left=PBuiltin(name='accuracy_assert_derr', "
+     "args=[TName(name='y'), TConst(value=Fraction(-1, 1), text='-1'), "
+     "TConst(value=Fraction(1, 1), text='1')]), "
+     "right=PBuiltin(name='dprint', args=[TName(name='y')]))"),
+    ('x - y - z / 2 / w == 0',
+     "PCmp(op='==', left=TBin(op='-', left=TBin(op='-', "
+     "left=TName(name='x'), right=TName(name='y')), right=TBin(op='/', "
+     "left=TBin(op='/', left=TName(name='z'), "
+     "right=TConst(value=Fraction(2, 1), text='2')), "
+     "right=TName(name='w'))), right=TConst(value=Fraction(0, 1), "
+     "text='0'))"),
+]
+
+
+@pytest.mark.parametrize("workload,seed", [
+    ("corpus", 0), ("branch_fanout", 11), ("wide_instrument", 1),
+    ("wide_instrument", 5), ("wide_instrument", 11)])
+def test_program_trees_match_the_pins(workload, seed):
+    key = f"{workload}/{seed}/"
+    got = {key + p.name: hashlib.sha256(
+        repr(parse_program(p.source)).encode()).hexdigest()
+        for p in W.WORKLOADS[workload](seed)}
+    assert got == {k: v for k, v in AST_SHA256.items() if k.startswith(key)}
+
+
+@pytest.mark.parametrize("src,tree", PRED_TREES)
+def test_predicate_trees_match_the_pins(src, tree):
+    assert repr(parse_pred(src)).replace(", loc=Loc(line=0, col=0)", "") \
+        == tree
+
+
+MAIN = ("int main() {\n  double x = read_double(0.0, 1.0);\n"
+        "  double y = x * 2.0;\n  %s\n  return 0;\n}\n")
+ANNOT = MAIN % "/*@ assert %s; */"
+G2 = "double g(double v, double w) { return v; }\n"
+
+#: sources the parser rejects, each with the message it gives; the
+#: parser with a ladder per level gave the same messages, except that
+#: `min()` and `accuracy_get_derr()` failed at their `)` instead of on
+#: their argument count
+REJECTED = {
+    "min-no-arguments": (ANNOT % "min() <= 1", "4:3: min expects 2 arguments"),
+    "abs-two-arguments": (ANNOT % "abs(x, y) <= 1",
+                          "4:3: abs expects 1 arguments"),
+    "unknown-term-function": (ANNOT % "foo(x) <= 1",
+                              "4:3: unknown term function 'foo'"),
+    "pair-outside-let": (ANNOT % "accuracy_get_derr(y) <= 1",
+                         "4:3: unknown term function 'accuracy_get_derr'"),
+    "missing-comparison": (ANNOT % "x + 1",
+                           "4:3: expected a comparison in annotation"),
+    "trailing-tokens": (ANNOT % "x <= 1 y",
+                        "4:3: trailing tokens in annotation: 'y'"),
+    "dangling-implication": (ANNOT % "x <= 1 ==>",
+                             "4:3: unexpected token '' in annotation term"),
+    "dangling-and": (ANNOT % "x <= 1 &&",
+                     "4:3: unexpected token '' in annotation term"),
+    "unclosed-parenthesis": (ANNOT % "(x <= 1", "4:3: expected ')', found"
+                             " '<='"),
+    "missing-operand": (ANNOT % "1 + <= 2",
+                        "4:3: unexpected token '<=' in annotation term"),
+    "pred-built-in-no-arguments": (ANNOT % "dprint()",
+                                   "4:3: dprint expects 1 arguments"),
+    "pred-built-in-arity": (ANNOT % "accuracy_assert_derr(y, 1)",
+                            "4:3: accuracy_assert_derr expects 3 arguments"),
+    "built-in-trailing-comma": (ANNOT % "dprint(y,)", "4:3: unexpected"
+                                " token ')' in annotation term"),
+    "let-no-names": (ANNOT % "\\let () = accuracy_get_derr(y); 0 <= 1",
+                     "4:3: expected ident, found ')'"),
+    "let-names-without-comma": (
+        ANNOT % "\\let (lo hi) = accuracy_get_derr(y); lo <= hi",
+        "4:3: expected ')', found 'hi'"),
+    "let-pair-no-arguments": (
+        ANNOT % "\\let (lo, hi) = accuracy_get_derr(); lo <= hi",
+        "4:3: accuracy_get_derr expects 1 arguments"),
+    "let-missing-semicolon": (ANNOT % "\\let e = x - y e <= 1",
+                              "4:3: expected ';', found 'e'"),
+    "empty-array-initializer": (
+        "int main() {\n  int a[0] = {};\n  return 0;\n}\n",
+        "2:15: unexpected token '}' in expression"),
+    "initializer-trailing-comma": (
+        "int main() {\n  double a[2] = {1.0, };\n  return 0;\n}\n",
+        "2:23: unexpected token '}' in expression"),
+    "initializer-size": (
+        "int main() {\n  double a[2] = {1.0};\n  return 0;\n}\n",
+        "2:3: array a initializer has 1 elements for size 2"),
+    "call-trailing-comma": (G2 + MAIN % "y = g(x,);",
+                            "5:11: unexpected token ')' in expression"),
+    "call-missing-comma": (G2 + MAIN % "y = g(x y);",
+                           "5:11: expected ')', found 'y'"),
+    "parameter-trailing-comma": (
+        "double g(double v,) { return v; }\n" + MAIN % "",
+        "1:19: expected a parameter type, found ')'"),
+    "parameter-without-type": (
+        "double g(v) { return v; }\n" + MAIN % "",
+        "1:10: expected a parameter type, found 'v'"),
+    "dangling-operator": (MAIN % "y = x +;",
+                          "4:10: unexpected token ';' in expression"),
+    "missing-operand-in-c": (MAIN % "y = * x;",
+                             "4:7: unexpected token '*' in expression"),
+}
+
+
+@pytest.mark.parametrize("name", REJECTED)
+def test_rejected_sources_end_in_a_parse_error(tmp_path, name):
+    source, message = REJECTED[name]
+    src = tmp_path / "p.c"
+    src.write_text(source)
+    res = CliRunner().invoke(main, ["analyze", str(src)])
+    assert res.exit_code == 2, res.output
+    assert f"error: parse: {message}" in res.output

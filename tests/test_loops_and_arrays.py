@@ -112,6 +112,31 @@ def test_shadow_runs_stay_inside_reported_hulls(name, rng):
     assert seen == 2 * (len(edges) + 300)
 
 
+#: k ranges over [0, 100] and i over [0, 2], an index range each
+INDEXED = """\
+int main() {
+  double a[3] = {1.0, 2.0, 3.0};
+  double x = read_double(0.0, 100.0);
+  int k = (int) x;
+  int i = k % 3;
+  STMT
+  return 0;
+}
+"""
+
+
+@pytest.mark.parametrize("stmt,alarm", [
+    ("/*@ assert a[k] <= 5.0; */",
+     "6:3: index of a in [0, 100] outside [0, 2]"),
+    ("double y = a[k];", "6:14: index of a in [0, 100] outside [0, 2]"),
+    ("/*@ assert a[i] <= 5.0; */", None),
+], ids=["annotation-past-the-end", "read-past-the-end", "annotation-inside"])
+def test_an_annotation_index_range_is_bounds_checked_as_a_read(stmt, alarm):
+    rep = analyze(INDEXED.replace("STMT", stmt), AnalysisConfig())
+    found = [a["message"] for a in rep.alarms if a["kind"] == "out-of-bounds"]
+    assert found == ([alarm] if alarm else [])
+
+
 def test_the_do_while_body_runs_before_the_first_test():
     """With x in [2, 3], y = x + 0.5 already fails the test; the body
     still runs once, giving y = 1.5 (x + 0.5) and n = 1."""

@@ -466,6 +466,24 @@ def test_cli_3000_term_sum_analyzes(tmp_path):
     assert [from_json(v) for v in rec["err"]] == [0, 0]
 
 
+LONG_TERMS = " + ".join(["1.0"] * 2999)
+
+
+@pytest.mark.parametrize("stmt", [
+    f"int r = 0; if (x + {LONG_TERMS} > 2.0) {{ r = 1; }}",
+    f"int k = x + {LONG_TERMS};"], ids=["comparison", "int-conversion"])
+def test_cli_3000_term_sum_is_typed_without_recursion(tmp_path, stmt):
+    # placement types the sum walking its left spine with a loop
+    src = tmp_path / "long.c"
+    src.write_text("int main() { double x = read_double(0.0, 1.0); "
+                   + stmt + " return 0; }")
+    res = CliRunner().invoke(main, ["instrument", str(src)])
+    assert res.exit_code == 0, res.output[-500:]
+    assert res.output.count("split(") == 1
+    res = CliRunner().invoke(main, ["analyze", str(src)])
+    assert res.exit_code == 0, res.output[-500:]
+
+
 def test_cli_cast_over_the_fan_limit_raises_an_alarm(tmp_path):
     # (int) x is not split over 1001 integers, so its ideal truncation
     # may differ from the machine one by 1: the error of y is not known
@@ -569,6 +587,8 @@ VOID_F = "void f() { return; }\nint main() {\n  %s;\n  return 0;\n}\n"
 ARRAY_A = "int main() {\n  double a[2];\n  %s;\n  return 0;\n}\n"
 IF_X = ("int main() {\n  double x = read_double(0.0, 1.0);\n"
         "  if (x > 2.0) { %s }\n  return 0;\n}\n")
+ASSERT_Y = ("int main() {\n  double x = read_double(0.0, 1.0);\n"
+            "  double y = x * 2.0;\n  /*@ assert %s; */\n  return 0;\n}\n")
 
 
 @pytest.mark.parametrize("command,source,args,code,message", [
@@ -633,6 +653,9 @@ IF_X = ("int main() {\n  double x = read_double(0.0, 1.0);\n"
      "error: parse: source is not UTF-8 text"),
     ("instrument", b"int main() { /* \xff */ return 0; }\n", [], 2,
      "error: parse: source is not UTF-8 text"),
+    ("analyze", ASSERT_Y % "\\let (lo, hi) = accuracy_get_derr(y, x);"
+     " lo <= hi", [], 2,
+     "error: parse: 4:3: accuracy_get_derr expects 1 arguments"),
 ], ids=["input-reversed", "input-not-a-number", "input-one-end",
         "input-ends-not-numbers", "input-error-one-end", "input-array-element",
         "input-past-the-double-range", "input-past-the-binary32-range",
@@ -644,7 +667,7 @@ IF_X = ("int main() {\n  double x = read_double(0.0, 1.0);\n"
         "array-negated", "array-cast", "scalar-indexed",
         "assert-name-on-a-dead-path", "enlarge-target-in-an-if",
         "assignment-target", "analyze-not-utf8",
-        "instrument-not-utf8"])
+        "instrument-not-utf8", "pair-built-in-arity"])
 def test_cli_bad_input_ends_in_its_exit_code(tmp_path, command, source, args,
                                              code, message):
     src = tmp_path / "p.c"
