@@ -114,7 +114,7 @@ def _load_lvalue(tt: TypedTerm, mem: Memory, binders):
             raise AnalysisAlarm("out-of-bounds",
                                 f"{t.loc}: index of {t.name} in [{lo}, {hi}]"
                                 f" outside [0, {len(arr) - 1}]", t.loc)
-        if iv.is_point() and iv.lo.denominator == 1:
+        if lo == hi:
             return arr[lo]
         return [arr[i] for i in range(lo, hi + 1)]
     raise TypeErrorAt(f"not an lvalue: {t!r}")

@@ -123,6 +123,9 @@ def type_term(t: S.Term, var_types, gamma: Optional[Gamma] = None) -> TypedTerm:
         kids = []
         if isinstance(t, S.TIndex):
             kids = [type_term(t.index, var_types, gamma)]
+            if not isinstance(kids[0].kind, ZKind):
+                raise TypeErrorAt(f"{t.loc}: index of {t.name} is not an"
+                                  f" integer")
         return TypedTerm(t, k, tau, tau, kids)
     if isinstance(t, S.TBin):
         kids = [type_term(t.left, var_types, gamma),

@@ -34,10 +34,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from math import gcd, lcm
 from operator import is_
-from typing import Dict, Optional
+from typing import Dict, Iterable, Optional, Tuple
 
 from .errors import DivisionByZero, InfeasiblePath
 from .numerics import (FloatFormat, RInterval, RationalLike, interval_over,
@@ -441,13 +441,18 @@ def apply_substitution(form: AffineForm, sub: Substitution,
 # ---------------------------------------------------------------------------
 
 
-def union(a: AbstractFloat, b: AbstractFloat, pool: SymbolPool,
-          env: SymbolEnv) -> AbstractFloat:
-    """Join two abstract floats: interval hulls, linear relationships
-    dropped (forms are collapsed onto fresh symbols)."""
-    fiv = a.float_iv.join(b.float_iv)
-    riv = a.real_refined(env).join(b.real_refined(env))
-    eiv = a.err_refined(env).join(b.err_refined(env))
+def union(items: Iterable[Tuple[AbstractFloat, SymbolEnv]],
+          pool: SymbolPool) -> AbstractFloat:
+    """Join one or more abstract floats, each given with the env it is
+    read under (at a section merge, the env of the path it ends). The
+    result holds the hull of their float intervals and of their real and
+    error intervals refined under their own envs, on one fresh pair of
+    symbols (none for a point hull): linear relationships are dropped, so
+    k values cost two symbols however large k is. A value whose
+    refinement is empty under its env raises InfeasiblePath."""
+    fiv, riv, eiv = (reduce(RInterval.join, ivs) for ivs in zip(*[
+        (v.float_iv, v.real_refined(env), v.err_refined(env))
+        for v, env in items]))
     real = AffineForm.from_interval(riv, pool, Origin.NONLINEAR)
     err = AffineForm.from_interval(eiv, pool, Origin.NONLINEAR)
     return AbstractFloat(fiv, real, riv, err, eiv)

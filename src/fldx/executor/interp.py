@@ -65,9 +65,17 @@ are restored once, at the last decision of such a chain, and the walk
 runs from there. Every other decision is a choice with no saved state,
 and it ends the chain.
 
-After all paths of a section are explored the per-path states are
-folded with the interval-hull union. A section whose every path is
-infeasible propagates emptiness to the enclosing section.
+A finished path leaves its mem and env, grouped by signature and
+interpretation; `_merge_unstable` pairs the float and the real run of
+each signature into one. The merge then walks the variables that every
+path holds, in the order the first path stored them, so fresh symbols
+are allocated, and reports come out, the same under any hash seed. A
+variable equal on every path keeps its value, an array merges cell by
+cell, ints join, and floats join through one `union` of every path's
+value, each refined under its own path's env, onto one fresh pair of
+symbols. An index range read and a weak update join their cells through
+the same `union`. A section whose every path is infeasible propagates
+emptiness to the enclosing section.
 
 An int value is an RInterval over denominator 1, built so by literals,
 inputs, truth values and casts and kept so by the int operations; its
@@ -101,12 +109,8 @@ _CAST_FAN_LIMIT = 64
 _LOOP_LIMIT = 1_000_000
 
 
-@dataclass
-class PathState:
-    signature: Tuple
-    interp: Optional[str]  # None | 'float' | 'real'
-    mem: Dict[str, object]
-    env: SymbolEnv
+#: the mem and env a path of a section ends with
+PathEnd = Tuple[Dict[str, object], SymbolEnv]
 
 
 @dataclass
@@ -235,12 +239,15 @@ class Interp:
             return self._cast_float_to_int(loc, site, v, src)
         return self._number(v, at)
 
-    def _join(self, a, b):
-        """The hull of two values of one type: the join of two ints, the
-        interval-hull union of two floats."""
-        if isinstance(a, RInterval):
-            return a.join(b)
-        return union(a, b, self.pool, self.env)
+    def _hull(self, items):
+        """The hull of one or more values of one type, each given with the
+        env it is read under: one value is its own hull, ints join, and
+        floats join through one `union`."""
+        if len(items) == 1:
+            return items[0][0]
+        if isinstance(items[0][0], RInterval):
+            return reduce(RInterval.join, [v for v, _ in items])
+        return union(items, self.pool)
 
     def _restore(self, mem: Dict[str, object], env: SymbolEnv) -> None:
         """Put back a saved mem and env."""
@@ -351,7 +358,7 @@ class Interp:
             return self.mem.load(e.name)
         if isinstance(e, S.Index):
             arr, lo, hi = self._cells(e, e.loc, "index")
-            return reduce(self._join, arr[lo:hi + 1])
+            return self._hull([(v, self.env) for v in arr[lo:hi + 1]])
         if isinstance(e, S.Unary):
             if e.op == "-":
                 v = self._number(self.eval(e.expr), e.expr.loc)
@@ -730,7 +737,7 @@ class Interp:
         else:
             self._warn(f"{s.loc}: weak update of {name}[{lo}..{hi}]")
             for i in range(lo, hi + 1):
-                arr[i] = self._join(arr[i], v)
+                arr[i] = self._hull([(arr[i], self.env), (v, self.env)])
 
     def _exec_assert(self, s: S.AssertStmt) -> None:
         key = id(s)
@@ -786,7 +793,8 @@ class Interp:
         ctx = SectionCtx(sec.section_id, sec.section_id != 0, ex,
                          self._call_depth)
         self.stack.append(ctx)
-        finished: List[PathState] = []
+        #: each finished path's end, by signature and interpretation
+        finished: Dict[Tuple, Dict[Optional[str], PathEnd]] = {}
         self._trace(f"section {sec.section_id}: enter")
         try:
             while True:
@@ -795,9 +803,8 @@ class Interp:
                 self._skip = ex.skips()
                 try:
                     self.exec_stmts(sec.body)
-                    finished.append(PathState(tuple(ctx.signature), ctx.interp,
-                                              self.mem.snapshot(),
-                                              dict(self.env)))
+                    finished.setdefault(tuple(ctx.signature), {})[
+                        ctx.interp] = (self.mem.snapshot(), dict(self.env))
                     report.feasible_paths += 1
                     self._trace(f"section {sec.section_id}: path"
                                 f" {_sig_str(ctx.signature, ctx.interp)}"
@@ -836,46 +843,43 @@ class Interp:
         self._trace(f"section {sec.section_id}: merged"
                     f" {len(states)} states")
 
-    def _merge_unstable(self, finished: List[PathState]):
-        by_sig: Dict[Tuple, Dict[Optional[str], PathState]] = {}
-        for st in finished:
-            by_sig.setdefault(st.signature, {})[st.interp] = st
-        out: List[PathState] = []
+    def _merge_unstable(self, finished):
+        """The ends to merge and the number of pairs combined, from the
+        path ends of `finished`, grouped by signature, then interpretation:
+        a lone end is kept as it is, and the float and the real run of one
+        signature combine into one end, dropped when they do not meet."""
+        out: List[PathEnd] = []
         pairs = 0
-        for sig, group in by_sig.items():
-            if None in group:
-                out.append(group[None])
+        for sig, group in finished.items():
+            if len(group) == 1:
+                out.extend(group.values())
                 continue
-            sf = group.get("float")
-            sr = group.get("real")
-            if sf is not None and sr is not None:
-                combined = self._combine_pair(sf, sr)
-                if combined is not None:
-                    out.append(combined)
-                    pairs += 1
-                    self._trace(f"merge_unstable: paired {_sig_str(sig, None)}")
-                continue
-            if sf is not None:
-                out.append(sf)
-            if sr is not None:
-                out.append(sr)
+            combined = self._combine_pair(*group["float"], *group["real"])
+            if combined is not None:
+                out.append(combined)
+                pairs += 1
+                self._trace(f"merge_unstable: paired {_sig_str(sig, None)}")
         return out, pairs
 
-    def _combine_pair(self, sf: PathState, sr: PathState) -> Optional[PathState]:
+    def _combine_pair(self, mem_f, env_f: SymbolEnv, mem_r,
+                      env_r: SymbolEnv) -> Optional[PathEnd]:
+        """The float fields of the machine run's end (mem_f, env_f) with
+        the real fields of the ideal run's, under the meet of their envs;
+        None when that is empty."""
         env_c: SymbolEnv = {}
-        for sym in set(sf.env) | set(sr.env):
-            m = sym_range(sf.env, sym).meet(sym_range(sr.env, sym))
+        for sym in env_f.keys() | env_r.keys():
+            m = sym_range(env_f, sym).meet(sym_range(env_r, sym))
             if m is None:
                 return None
             env_c[sym] = m
         mem: Dict[str, object] = {}
-        for name in set(sf.mem) & set(sr.mem):
-            vf, vr = sf.mem[name], sr.mem[name]
-            try:
-                mem[name] = self._combine_value(vf, vr, env_c)
-            except InfeasiblePath:
-                return None
-        vf, vr = sf.mem.get("__return__"), sr.mem.get("__return__")
+        for name, vf in mem_f.items():
+            if name in mem_r:
+                try:
+                    mem[name] = self._combine_value(vf, mem_r[name], env_c)
+                except InfeasiblePath:
+                    return None
+        vf, vr = mem_f.get("__return__"), mem_r.get("__return__")
         if self._call_depth and isinstance(vf, RInterval) \
                 and not (vf == vr and vf.is_point()):
             # an int has no ideal value: the caller would take the
@@ -884,7 +888,7 @@ class Interp:
                 "instrumentation-gap",
                 f"{self._fn.name}: int result of an unstable test returned"
                 f" to the caller"))
-        return PathState(sf.signature, None, mem, env_c)
+        return mem, env_c
 
     def _combine_value(self, vf, vr, env_c: SymbolEnv):
         if isinstance(vf, AbstractFloat) and isinstance(vr, AbstractFloat):
@@ -903,15 +907,14 @@ class Interp:
             return [self._combine_value(a, b, env_c) for a, b in zip(vf, vr)]
         return vf  # machine value for ints
 
-    def _merge_states(self, states: List[PathState]) -> Dict[str, object]:
-        keys = set(states[0].mem)
-        for st in states[1:]:
-            keys &= set(st.mem)
-        out: Dict[str, object] = {}
-        for name in keys:
-            vals = [(st.mem[name], st.env) for st in states]
-            out[name] = self._merge_values(vals)
-        return out
+    def _merge_states(self, states: List[PathEnd]) -> Dict[str, object]:
+        """Every variable that all states hold, in the first state's
+        order, joined over them."""
+        first, _ = states[0]
+        return {name: self._merge_values([(mem[name], env)
+                                          for mem, env in states])
+                for name in first
+                if all(name in mem for mem, _ in states)}
 
     def _merge_values(self, vals):
         first = vals[0][0]
@@ -921,9 +924,7 @@ class Interp:
             return [self._merge_values([(v[i], env) for v, env in vals])
                     for i in range(len(first))]
         if isinstance(first, (AbstractFloat, RInterval)):
-            return reduce(self._join, (
-                _bake(v, env, self.pool) if isinstance(v, AbstractFloat)
-                else v for v, env in vals))
+            return self._hull(vals)
         return first
 
     # -- entry ------------------------------------------------------------
@@ -976,18 +977,6 @@ def _kind(v) -> str:
     if v is None:
         return "the result of a void function"
     return "an array" if isinstance(v, list) else "a floating-point value"
-
-
-def _bake(v: AbstractFloat, env: SymbolEnv, pool: SymbolPool) -> AbstractFloat:
-    """Collapse a value's forms to their per-path interval hulls."""
-    riv = v.real.concretize(env).meet(v.real_iv)
-    eiv = v.err.concretize(env).meet(v.err_iv)
-    if riv is None or eiv is None:
-        raise InfeasiblePath
-    return AbstractFloat(
-        v.float_iv,
-        AffineForm.from_interval(riv, pool, Origin.NONLINEAR), riv,
-        AffineForm.from_interval(eiv, pool, Origin.NONLINEAR), eiv)
 
 
 def _sig_str(sig, interp) -> str:

@@ -452,8 +452,7 @@ def _parse_stmt(c: _Cursor) -> S.Stmt:
         c.advance()
         name = c.expect_kind("ident").text
         if c.accept("["):
-            size_tok = c.expect_kind("num")
-            size = int(size_tok.text)
+            size = _array_size(c)
             c.expect("]")
             init_list: Optional[List[S.Expr]] = None
             if c.accept("="):
@@ -543,10 +542,17 @@ def _parse_param(c: _Cursor) -> S.Param:
     name = c.expect_kind("ident").text
     if c.accept("["):
         if c.cur.kind == "num":
-            c.advance()
+            _array_size(c)
         is_array = True
         c.expect("]")
     return S.Param(ctype, name, is_array)
+
+
+def _array_size(c: _Cursor) -> int:
+    """An array size: a decimal integer literal."""
+    if not c.cur.text.isdigit():
+        c.error(f"array size must be an integer, found {c.cur.text!r}")
+    return int(c.advance().text)
 
 
 def parse_program(src: str) -> S.Program:

@@ -204,7 +204,7 @@ def test_union_contains_both_operands():
     env = {}
     a = _fresh_input("0.0", "1.0", pool, env)
     b = _fresh_input("2.0", "3.0", pool, env)
-    u = union(a, b, pool, env)
+    u = union([(a, env), (b, env)], pool)
     for v in (a, b):
         assert u.float_iv.lo <= v.float_iv.lo and v.float_iv.hi <= u.float_iv.hi
         assert u.real_iv.lo <= v.real_iv.lo and v.real_iv.hi <= u.real_iv.hi

@@ -2,7 +2,7 @@
 replaced, kept here as the reference: the interval operations, the
 affine-form operations, the concretization of an affine form, the
 projection of a form constraint onto its symbols, the interval meet,
-the projection fixpoint of `Interp._constrain_joint` that skips
+the n-ary `union` of abstract floats, the projection fixpoint of `Interp._constrain_joint` that skips
 repeats, `abs_op` and `AbstractFloat.from_literal` on exact operands,
 and rounding, which now takes and gives ints. Every interval and form
 the kernel builds is checked for the canonical form that its equality
@@ -15,6 +15,7 @@ or the constraint turns infeasible.
 """
 import math
 from fractions import Fraction as F
+from functools import reduce
 from typing import Dict, Optional
 
 import pytest
@@ -447,6 +448,56 @@ def test_meet_matches_max_min_and_returns_a_containing_operand(a, b):
 # ---------------------------------------------------------------------------
 # The projection fixpoint skips only repeats
 # ---------------------------------------------------------------------------
+
+
+# ---------------------------------------------------------------------------
+# Union
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def joinable(draw):
+    """An abstract float and the env it is read under. Its real and error
+    intervals are the concretizations of their forms under that env, a
+    hull of one with a drawn interval, or a drawn interval, which may
+    miss it."""
+    env = draw(envs())
+
+    def refinement(form):
+        conc = ref_linear(form, env).shift(form.center)
+        iv = draw(intervals)
+        return draw(st.sampled_from([conc, ref_join(conc, iv), iv]))
+
+    real, err = draw(forms()), draw(forms())
+    return AbstractFloat(draw(intervals), real, refinement(real), err,
+                         refinement(err)), env
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(joinable(), min_size=1, max_size=4))
+def test_union_joins_the_refined_intervals_onto_two_fresh_symbols(items):
+    pool = SymbolPool()
+    for _ in range(N_SYMS):
+        pool.fresh(Origin.INPUT)
+    refined = [(v.float_iv,
+                ref_meet(ref_linear(v.real, env).shift(v.real.center),
+                         v.real_iv),
+                ref_meet(ref_linear(v.err, env).shift(v.err.center),
+                         v.err_iv))
+               for v, env in items]
+    got = outcome(I.union, items, pool)
+    if any(None in r for r in refined):
+        assert got is InfeasiblePath
+        assert len(pool.symbols) == N_SYMS
+        return
+    fiv, riv, eiv = (reduce(ref_join, col) for col in zip(*refined))
+    assert (got.float_iv, got.real_iv, got.err_iv) == (fiv, riv, eiv)
+    fresh = set(range(N_SYMS, len(pool.symbols)))
+    assert len(fresh) == (not riv.is_point()) + (not eiv.is_point())
+    for form, iv in ((got.real, riv), (got.err, eiv)):
+        assert form.concretize({}) == iv
+        assert set(form.ns) <= fresh
+    assert not set(got.real.ns) & set(got.err.ns)
 
 
 @settings(max_examples=100, deadline=None)

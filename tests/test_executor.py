@@ -1,8 +1,14 @@
 """Abstract execution: the six evaluation flows of an unstable test with
-their exact constrained states, path enumeration within sections, and
-emptiness propagation across nested sections."""
+their exact constrained states, path enumeration within sections,
+emptiness propagation across nested sections, and what a merge costs in
+fresh symbols and the order it joins in."""
 import hashlib
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -13,10 +19,10 @@ from fldx.executor.explorer import PathExplorer
 from fldx.executor.interp import Interp, SectionCtx
 from fldx.frontend import parse_expr, parse_program
 from fldx.frontend import syntax as S
-from fldx.numerics import BINARY32, RInterval
+from fldx.numerics import BINARY32, RInterval, interval_over
 from fldx.pipeline import analyze, prepare
 from fldx.zonotope import AffineForm, Origin
-from tests.conftest import corpus_source
+from tests.conftest import all_corpus_names, corpus_source
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +248,95 @@ def test_unstable_cast_enumerates_and_merges():
     assert sec["merged_pairs"] == 2
     out = [r for r in rep.prints if r.variable == "out"]
     assert out, "dprint record missing"
+
+
+# ---------------------------------------------------------------------------
+# A merge joins every path's value at once, in a fixed order
+# ---------------------------------------------------------------------------
+
+
+def _fanout_section(k: int):
+    """A section of k paths, chosen by int tests on i in [0, k - 1],
+    that store x or -x in y by turns: nothing but the merge of y makes a
+    symbol. Returns the function f and the section."""
+    arms = [f"if (i == {j}) {{ y = {'-' if j % 2 else ''}x; }} else "
+            for j in range(k - 1)]
+    last = f"{{ y = {'-' if (k - 1) % 2 else ''}x; }}"
+    fn = parse_program(f"void f(double x, int i) {{ double y;"
+                       f" {''.join(arms)}{last} }}").functions["f"]
+    return fn, S.SectionStmt(1, [], [], fn.body.stmts[1:])
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_a_merge_of_k_paths_makes_two_symbols_for_a_differing_float(k):
+    fn, sec = _fanout_section(k)
+    it = Interp(S.Program({"f": fn}), AnalysisConfig())
+    it._fn = fn
+    x = AbstractFloat.from_input(RInterval(F(0), F(1)), None, it.fmt,
+                                 it.pool, it.env)
+    it.mem.store("x", x)
+    it.mem.store("i", interval_over(0, k - 1, 1))
+    before = len(it.pool.symbols)
+    it.exec_section(sec)
+    assert it.section_reports[-1].feasible_paths == k
+    y = it.mem.vars["y"]
+    assert len(it.pool.symbols) - before == 2
+    assert set(y.real.ns) | set(y.err.ns) == set(range(before, before + 2))
+    assert y.float_iv == x.float_iv.join(-x.float_iv)
+    assert it.mem.vars["x"] is x
+
+
+#: a, b and c are merged onto fresh symbols; with at most two noise
+#: symbols kept per value, the order of their ids decides which ones
+#: `condense` folds and so z's real hull: a merge that followed the hash
+#: order of the names printed [1, 5] or [2, 4] by the seed
+ORDER_PROBE = """\
+int main() {
+  double x = read_double(0.0, 1.0);
+  double a;
+  double b;
+  double c;
+  if (x < 0.5) {
+    a = 1.0;
+    b = 1.0;
+    c = 1.0;
+  } else {
+    a = 2.0;
+    b = 2.0;
+    c = 2.0;
+  }
+  double y = a + b + c;
+  double z = y - a;
+  /*@ dprint(z); */
+  return 0;
+}
+"""
+
+_REPORTS = """\
+import json, sys
+from fldx.config import AnalysisConfig
+from fldx.pipeline import analyze
+print(json.dumps([analyze(source, AnalysisConfig(max_syms=max_syms),
+                          source_name=name).to_json()
+                  for name, source, max_syms in json.load(sys.stdin)]))
+"""
+
+
+def test_reports_do_not_depend_on_the_hash_seed():
+    jobs = [("order_probe.c", ORDER_PROBE, 2)] + [
+        (name, corpus_source(name), 64) for name in all_corpus_names()]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outs = []
+    for seed in ("0", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        res = subprocess.run([sys.executable, "-c", _REPORTS],
+                             input=json.dumps(jobs), env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=300)
+        outs.append(json.loads(res.stdout))
+    assert len(outs[0]) == len(jobs)
+    for job, a, b in zip(jobs, *outs):
+        assert a == b, job[0]
 
 
 def test_unstable_test_outside_sections_raises_instrumentation_gap():

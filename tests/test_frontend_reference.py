@@ -541,7 +541,8 @@ G2 = "double g(double v, double w) { return v; }\n"
 #: sources the parser rejects, each with the message it gives; the
 #: parser with a ladder per level gave the same messages, except that
 #: `min()` and `accuracy_get_derr()` failed at their `)` instead of on
-#: their argument count
+#: their argument count. A non-integer array size used to end in a
+#: ValueError traceback in a declaration and be skipped in a parameter.
 REJECTED = {
     "min-no-arguments": (ANNOT % "min() <= 1", "4:3: min expects 2 arguments"),
     "abs-two-arguments": (ANNOT % "abs(x, y) <= 1",
@@ -587,6 +588,12 @@ REJECTED = {
     "initializer-size": (
         "int main() {\n  double a[2] = {1.0};\n  return 0;\n}\n",
         "2:3: array a initializer has 1 elements for size 2"),
+    "array-size-not-an-integer": (
+        "int main() {\n  int a[1.5];\n  return 0;\n}\n",
+        "2:9: array size must be an integer, found '1.5'"),
+    "parameter-size-not-an-integer": (
+        "double g(double t[2.5]) { return t[0]; }\n" + MAIN % "",
+        "1:19: array size must be an integer, found '2.5'"),
     "call-trailing-comma": (G2 + MAIN % "y = g(x,);",
                             "5:11: unexpected token ')' in expression"),
     "call-missing-comma": (G2 + MAIN % "y = g(x y);",

@@ -12,7 +12,9 @@ import hashlib
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 
+from fldx.cli import main
 from fldx.config import AnalysisConfig, InputSpec
 from fldx.executor.oracle import ShadowRun
 from fldx.numerics import RInterval
@@ -135,6 +137,18 @@ def test_an_annotation_index_range_is_bounds_checked_as_a_read(stmt, alarm):
     rep = analyze(INDEXED.replace("STMT", stmt), AnalysisConfig())
     found = [a["message"] for a in rep.alarms if a["kind"] == "out-of-bounds"]
     assert found == ([alarm] if alarm else [])
+
+
+def test_an_annotation_index_that_is_not_an_int_is_a_type_error(tmp_path):
+    """An annotation indexes an array with an int, as a program read
+    does: a float index is an execute error (exit 6), not truncated to
+    the cell of its integer part."""
+    src = tmp_path / "p.c"
+    src.write_text(INDEXED.replace("(0.0, 100.0)", "(-0.9, 0.5)")
+                   .replace("STMT", "/*@ assert a[x] <= 5.0; */"))
+    res = CliRunner().invoke(main, ["analyze", str(src)])
+    assert res.exit_code == 6, res.output
+    assert "error: execute: 6:3: index of a is not an integer" in res.output
 
 
 def test_the_do_while_body_runs_before_the_first_test():
