@@ -4,18 +4,25 @@ Verdicts are three-valued: an assertion is valid, violated, or
 indeterminate (the abstract value straddles the bound). Both violated
 and indeterminate surface as alarms; the indeterminate flag is kept so
 reports can distinguish a proof of failure from a loss of precision.
+
+Every term is evaluated exactly, as a rational interval. The checker
+asks each question the executor also asks the way the executor does: a
+comparison reads the region table of `numerics` (`compare`), an
+integer division is `numerics.trunc_div` with its zero check, an array
+cell is read through `Memory.cells` with its bounds check, and what a
+built-in does and reads comes from its declaration in `syntax.BUILTINS`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..domain import AbstractFloat
 from ..errors import AnalysisAlarm, TypeErrorAt
 from ..frontend import syntax as S
-from ..numerics import (FloatFormat, RInterval, interval_over,
+from ..numerics import (FloatFormat, RInterval, compare, interval_over,
                         round_nearest, trunc_div)
 from ..zonotope import SymbolEnv, SymbolPool
 from .kinds import INT_RANGE
@@ -32,7 +39,7 @@ _TRUTH = {True: VALID, False: VIOLATED, None: INDETERMINATE}
 @dataclass
 class AssertRecord:
     """One assertion-evaluation event, kept for the analysis report."""
-    kind: str  # 'assert' | 'print' | 'enlarge'
+    kind: str  # 'assert' | 'print'
     builtin: Optional[str]
     variable: Optional[str]
     verdict: Optional[str]
@@ -64,6 +71,21 @@ class Memory:
         if name not in self.vars:
             raise AnalysisAlarm("out-of-bounds", f"read of unset variable {name}")
         return self.vars[name]
+
+    def cells(self, name: str, iv: RInterval, loc: S.Loc,
+              what: str = "index") -> Tuple[list, int, int]:
+        """The array `name` and the bounds lo, hi of an index in the int
+        interval iv: an error at loc when `name` holds no array, an
+        out-of-bounds alarm there when iv reaches past either end."""
+        arr = self.load(name)
+        if not isinstance(arr, list):
+            raise TypeErrorAt(f"{loc}: {name} is not an array")
+        lo, hi = iv.lo_n, iv.hi_n
+        if lo < 0 or hi >= len(arr):
+            raise AnalysisAlarm("out-of-bounds",
+                                f"{loc}: {what} of {name} in [{lo}, {hi}]"
+                                f" outside [0, {len(arr) - 1}]", loc)
+        return arr, lo, hi
 
     def store(self, name: str, value) -> None:
         self.vars[name] = value
@@ -106,18 +128,9 @@ def _load_lvalue(tt: TypedTerm, mem: Memory, binders):
         if t.name in binders:
             return binders[t.name]
         return mem.load(t.name)
-    if isinstance(t, S.TIndex):
-        arr = mem.load(t.name)
-        iv = eval_term(tt.children[0], mem, binders)
-        lo, hi = int(iv.lo), int(iv.hi)
-        if lo < 0 or hi >= len(arr):
-            raise AnalysisAlarm("out-of-bounds",
-                                f"{t.loc}: index of {t.name} in [{lo}, {hi}]"
-                                f" outside [0, {len(arr) - 1}]", t.loc)
-        if lo == hi:
-            return arr[lo]
-        return [arr[i] for i in range(lo, hi + 1)]
-    raise TypeErrorAt(f"not an lvalue: {t!r}")
+    arr, lo, hi = mem.cells(t.name, eval_term(tt.children[0], mem, binders),
+                            t.loc)
+    return arr[lo] if lo == hi else arr[lo:hi + 1]
 
 
 def _math_value(v) -> RInterval:
@@ -147,8 +160,8 @@ def eval_term(tt: TypedTerm, mem: Memory, binders=None) -> RInterval:
             return a * b
         if t.op == "/":
             if tt.compute in INT_RANGE or tt.compute == "Z":
-                return trunc_div(a, b)
-            return a.divide(b)
+                return trunc_div(a, b, t.loc)
+            return a.divide(b, t.loc)
         raise TypeErrorAt(f"bad term operator {t.op!r}")
     if isinstance(t, S.TCall):
         if t.name == "max_distance":
@@ -168,20 +181,20 @@ def eval_term(tt: TypedTerm, mem: Memory, binders=None) -> RInterval:
 
 def _max_distance(t: S.TCall, tt: TypedTerm, mem: Memory,
                   binders) -> RInterval:
-    """max_distance(a, n) = max over i < n-1 of |a[i+1] - a[i]|."""
+    """max_distance(a, n) = max over i < n-1 of |a[i+1] - a[i]|, over
+    the cells a[0..n-1] that `Memory.cells` reads."""
     a0 = t.args[0]
     if not isinstance(a0, S.TName):
-        raise TypeErrorAt("max_distance needs an array name")
-    arr = mem.vars.get(a0.name)
-    if not isinstance(arr, list):
-        raise TypeErrorAt(f"max_distance: {a0.name!r} is not an array")
+        raise TypeErrorAt(f"{t.loc}: max_distance needs an array name")
     n_iv = eval_term(tt.children[1], mem, binders)
-    if not n_iv.is_point():
-        raise TypeErrorAt("max_distance needs a definite element count")
-    n = int(n_iv.lo)
-    if n < 2 or n > len(arr):
-        raise TypeErrorAt(f"max_distance: bad count {n} for array of"
-                          f" {len(arr)}")
+    if not (n_iv.is_point() and n_iv.den == 1):
+        raise TypeErrorAt(f"{t.loc}: max_distance needs a definite integer"
+                          f" element count")
+    n = n_iv.lo_n
+    if n < 2:
+        raise TypeErrorAt(f"{t.loc}: max_distance needs at least 2"
+                          f" elements, not {n}")
+    arr, _, _ = mem.cells(a0.name, interval_over(0, n - 1, 1), t.loc)
     out = RInterval.point(Fraction(0))
     for i in range(n - 1):
         m = _abs(_math_value(arr[i + 1]) - _math_value(arr[i]))
@@ -197,119 +210,64 @@ def _abs(a: RInterval) -> RInterval:
     return RInterval(Fraction(0), a.max_abs())
 
 
-def _cmp_iv(op: str, a: RInterval, b: RInterval):
-    if op == "<":
-        if a.hi < b.lo:
-            return True
-        if a.lo >= b.hi:
-            return False
-        return None
-    if op == "<=":
-        if a.hi <= b.lo:
-            return True
-        if a.lo > b.hi:
-            return False
-        return None
-    if op == ">":
-        return _cmp_iv("<", b, a)
-    if op == ">=":
-        return _cmp_iv("<=", b, a)
-    if op == "==":
-        if a.is_point() and b.is_point() and a.lo == b.lo:
-            return True
-        if a.hi < b.lo or b.hi < a.lo:
-            return False
-        return None
-    if op == "!=":
-        return _tv_not(_cmp_iv("==", a, b))
-    raise TypeErrorAt(f"bad comparison {op!r}")
-
-
-def _first_lvalue_name(tt: TypedTerm) -> Optional[str]:
-    t = tt.term
-    if isinstance(t, S.TName):
-        return t.name
-    if isinstance(t, S.TIndex):
-        return t.name
-    return None
-
-
-def _abstract_arg(tt: TypedTerm, mem: Memory, binders) -> AbstractFloat:
-    v = _load_lvalue(tt, mem, binders)
-    if isinstance(v, AbstractFloat):
-        return v
-    raise TypeErrorAt(f"{tt.term.loc}: expected a floating-point variable")
-
-
-def _hull(x: AbstractFloat, name: str, var: Optional[str], mem: Memory,
-          loc: S.Loc) -> RInterval:
-    """The hull of x that builtin `name` reads: its relative error, real
-    value or error."""
-    if "relerr" in name:
-        if x.rel is None:
-            raise AnalysisAlarm(
-                "relerr-undefined", f"relative error of {var} undefined:"
-                f" real interval contains zero", loc)
-        return x.rel
-    return x.real_refined(mem.env) if "real" in name \
-        else x.err_refined(mem.env)
-
-
 def eval_builtin(b: TypedBuiltin, mem: Memory, binders,
                  records: List[AssertRecord]):
-    name = b.name
-    var = _first_lvalue_name(b.args[0]) if b.args else None
-    if name in ("fprint", "dprint"):
-        x = _abstract_arg(b.args[0], mem, binders)
-        records.append(AssertRecord(
-            "print", name, var, None,
-            err_hull=x.err_refined(mem.env), real_hull=x.real_refined(mem.env),
-            rel_hull=x.rel, float_hull=x.float_iv, loc=b.loc))
+    """Built-in b on its variable, as its declaration says: an enlarge
+    widens the variable and holds; a print records the variable's hulls
+    and holds; an assert records them with its verdict, whether the
+    quantity it reads lies between its bounds, and returns that verdict;
+    a get returns the hull of the quantity it reads."""
+    spec = S.BUILTINS[b.name]
+    arg = b.args[0]
+    x = _load_lvalue(arg, mem, binders)
+    if not isinstance(x, AbstractFloat):
+        raise TypeErrorAt(f"{b.loc}: expected a floating-point variable")
+    bounds = [eval_term(t, mem, binders) for t in b.args[1:]]
+    env = mem.env
+    if spec.action == "enlarge":
+        vlo, vhi, elo, ehi = bounds
+        try:
+            val = x.real_refined(env).join(RInterval(vlo.lo, vhi.hi))
+            err = x.err_refined(env).join(RInterval(elo.lo, ehi.hi))
+        except ValueError as exn:
+            raise TypeErrorAt(f"{b.loc}: {b.name}: {exn}") from None
+        y = AbstractFloat.from_input(val, err, mem.fmt, mem.pool, env)
+        _store_lvalue(arg, y, mem, binders)
         return True
-    if name.startswith("accuracy_enlarge"):
-        x = _abstract_arg(b.args[0], mem, binders)
-        vlo = eval_term(b.args[1], mem, binders).lo
-        vhi = eval_term(b.args[2], mem, binders).hi
-        elo = eval_term(b.args[3], mem, binders).lo
-        ehi = eval_term(b.args[4], mem, binders).hi
-        val = x.real_refined(mem.env).join(RInterval(vlo, vhi))
-        err = x.err_refined(mem.env).join(RInterval(elo, ehi))
-        y = AbstractFloat.from_input(val, err, mem.fmt, mem.pool, mem.env)
-        _store_lvalue(b.args[0], y, mem, binders)
-        records.append(AssertRecord("enlarge", name, var, None,
-                                    err_hull=err, real_hull=val, loc=b.loc))
-        return True
-    if name.startswith("accuracy_assert"):
-        x = _abstract_arg(b.args[0], mem, binders)
-        lo_iv = eval_term(b.args[1], mem, binders)
-        hi_iv = eval_term(b.args[2], mem, binders)
-        target = _hull(x, name, var, mem, b.loc)
-        if lo_iv.hi <= target.lo and target.hi <= hi_iv.lo:
-            verdict = True
-        elif target.hi < lo_iv.lo or hi_iv.hi < target.lo:
-            verdict = False  # the whole enclosure misses the bound window
+    verdict = True
+    if spec.action != "print":
+        if spec.quantity == "relerr":
+            if x.rel is None:
+                raise AnalysisAlarm(
+                    "relerr-undefined", f"{b.loc}: relative error of"
+                    f" {arg.term.name} undefined: real interval contains"
+                    f" zero", b.loc)
+            quantity = x.rel
+        elif spec.quantity == "real":
+            quantity = x.real_refined(env)
         else:
-            verdict = None
-        records.append(AssertRecord(
-            "assert", name, var, _TRUTH[verdict],
-            err_hull=x.err_refined(mem.env), real_hull=x.real_refined(mem.env),
-            rel_hull=x.rel, float_hull=x.float_iv, loc=b.loc))
-        return verdict
-    raise TypeErrorAt(f"unknown builtin {name!r}")
+            quantity = x.err_refined(env)
+        if spec.action == "get":
+            return quantity
+        lo, hi = bounds
+        verdict = _tv_and(compare("<=", lo, quantity),
+                          compare("<=", quantity, hi))
+    records.append(AssertRecord(
+        spec.action, b.name, arg.term.name,
+        _TRUTH[verdict] if spec.action == "assert" else None,
+        err_hull=x.err_refined(env), real_hull=x.real_refined(env),
+        rel_hull=x.rel, float_hull=x.float_iv, loc=b.loc))
+    return verdict
 
 
 def _store_lvalue(tt: TypedTerm, value, mem: Memory, binders) -> None:
+    """Store value in the variable or the one array cell that
+    `_load_lvalue` read a float from."""
     t = tt.term
-    if isinstance(t, S.TName) and t.name not in binders:
+    if isinstance(t, S.TName):
         mem.store(t.name, value)
-        return
-    if isinstance(t, S.TIndex):
-        arr = mem.load(t.name)
-        iv = eval_term(tt.children[0], mem, binders)
-        if iv.is_point() and iv.lo.denominator == 1:
-            arr[int(iv.lo)] = value
-            return
-    raise TypeErrorAt(f"cannot update {t!r}")
+    else:
+        mem.load(t.name)[eval_term(tt.children[0], mem, binders).lo_n] = value
 
 
 def _eval_pred_tv(p: TypedPred, mem: Memory, binders,
@@ -332,13 +290,11 @@ def _eval_pred_tv(p: TypedPred, mem: Memory, binders,
         else:
             a = eval_term(p.left, mem, binders)
             b = eval_term(p.right, mem, binders)
-        return _cmp_iv(p.op, a, b)
+        return compare(p.op, a, b)
     if isinstance(p, TypedLet):
         b2 = dict(binders)
         if isinstance(p.value, TypedBuiltin):
-            arg = p.value.args[0]
-            pair = _hull(_abstract_arg(arg, mem, binders), p.value.name,
-                         _first_lvalue_name(arg), mem, p.value.loc)
+            pair = eval_builtin(p.value, mem, binders, records)
             b2[p.names[0]] = RInterval.point(pair.lo)
             b2[p.names[1]] = RInterval.point(pair.hi)
         else:

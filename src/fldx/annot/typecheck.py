@@ -3,8 +3,15 @@
 Every term receives a judgement carry ~> compute: the operation is
 evaluated at the compute type (machine int, big int, machine float, or
 exact rationals) and its result fits in the carry type, which may be
-smaller (downcast rule). The carry/compute pair decides where exact
-rational arithmetic is actually needed.
+smaller (downcast rule).
+
+The checker (`evaluate`) computes every term exactly, as a rational
+interval, whatever its judgement. Typing decides three things there: a
+division at an integer compute type truncates, and any other divides
+exactly; a comparison decided at a float type rounds a bare literal to
+the analysis format; and a built-in accepts as its first argument only
+a program variable of its declared float type (`syntax.BUILTINS`) or of
+one that converts to it.
 """
 from __future__ import annotations
 
@@ -158,27 +165,21 @@ def type_cmp(op: str, left: S.Term, right: S.Term, var_types,
     return TypedCmp(op, tl, tr, tau)
 
 
-_FLOAT_ARG_BUILTINS = set(S.PRED_BUILTINS) | set(S.PAIR_BUILTINS)
-
-
 def _type_builtin(b: S.PBuiltin, var_types, gamma: Gamma) -> TypedBuiltin:
-    if b.args and b.name in _FLOAT_ARG_BUILTINS \
-            and b.name not in ("fprint", "dprint"):
-        first = b.args[0]
-        if not isinstance(first, (S.TName, S.TIndex)):
-            raise TypeErrorAt(
-                f"{b.loc}: first argument of {b.name} must be a program"
-                f" variable")
+    """Type a predicate or pair built-in, whose first argument must be a
+    variable of its declared float type or of one it converts to."""
+    if not isinstance(b.args[0], (S.TName, S.TIndex)):
+        raise TypeErrorAt(f"{b.loc}: first argument of {b.name} must be a"
+                          f" program variable")
     args = [type_term(a, var_types, gamma) for a in b.args]
-    if args:
-        k0 = args[0].kind
-        want = "float" if ("_f" in b.name or b.name == "fprint") else "double"
-        if not isinstance(k0, FKind):
-            raise TypeErrorAt(f"{b.loc}: {b.name} expects a floating-point"
-                              f" variable, got {args[0].carry}")
-        if isinstance(k0, FKind) and not type_le(k0.tau, want):
-            raise TypeErrorAt(f"{b.loc}: {b.name} expects a {want} variable,"
-                              f" got {k0.tau}")
+    k0 = args[0].kind
+    want = S.BUILTINS[b.name].ctype
+    if not isinstance(k0, FKind):
+        raise TypeErrorAt(f"{b.loc}: {b.name} expects a floating-point"
+                          f" variable, got {args[0].carry}")
+    if not type_le(k0.tau, want):
+        raise TypeErrorAt(f"{b.loc}: {b.name} expects a {want} variable,"
+                          f" got {k0.tau}")
     return TypedBuiltin(b.name, args, b.loc)
 
 
@@ -193,9 +194,6 @@ def type_pred(p: S.Pred, var_types, gamma: Optional[Gamma] = None) -> TypedPred:
         return type_cmp(p.op, p.left, p.right, var_types, gamma)
     if isinstance(p, S.PLet):
         if isinstance(p.value, S.PBuiltin):
-            if p.value.name not in S.PAIR_BUILTINS:
-                raise TypeErrorAt(f"{p.loc}: {p.value.name} cannot be bound"
-                                  f" by \\let")
             if len(p.names) != 2:
                 raise TypeErrorAt(f"{p.loc}: {p.value.name} returns a pair;"
                                   f" bind two names")
@@ -212,8 +210,5 @@ def type_pred(p: S.Pred, var_types, gamma: Optional[Gamma] = None) -> TypedPred:
             g2[p.names[0]] = tv.kind
         return TypedLet(p.names, tv, type_pred(p.body, var_types, g2))
     if isinstance(p, S.PBuiltin):
-        if p.name in S.PAIR_BUILTINS:
-            raise TypeErrorAt(f"{p.loc}: {p.name} returns a pair and is only"
-                              f" meaningful under \\let")
         return _type_builtin(p, var_types, gamma)
     raise TypeErrorAt(f"unknown predicate {p!r}")

@@ -64,7 +64,7 @@ def _enlarge_targets(p: S.Pred) -> FrozenSet[str]:
         elif isinstance(q, (S.PNot, S.PLet)):
             stack.append(q.pred if isinstance(q, S.PNot) else q.body)
         elif isinstance(q, S.PBuiltin) and q.args \
-                and q.name.startswith("accuracy_enlarge") \
+                and S.BUILTINS[q.name].action == "enlarge" \
                 and isinstance(q.args[0], (S.TName, S.TIndex)):
             out.add(q.args[0].name)
     return frozenset(out) if out else EMPTY

@@ -5,11 +5,12 @@ section, every undecided test and every float-to-int cast is one
 decision step on t = lhs - rhs (for a cast, the cast value), enumerated
 by the section's path explorer. One body, `decide`, tests every
 condition: a comparison, or the truthiness e != 0 of any other scalar.
-It and `_assume` read the one region table through `_regions`: a
-comparison maps to a true and a false region of t, and `!=` is decided
-as `==` negated. An int test chooses a side only when t straddles the
-boundary. A float test or a cast offers, in order, the candidates of
-`_flow`, each a machine region and an ideal region of t:
+It and `_assume` read the region table of `numerics`, which annotation
+comparisons read too, through `_regions`: a comparison maps to a true
+and a false region of t, and `!=` is decided as `==` negated. An int
+test chooses a side only when t straddles the boundary. A float test or
+a cast offers, in order, the candidates of `_flow`, each a machine
+region and an ideal region of t:
 
   * stable flows: machine and ideal executions take the same branch
     (cast to the same integer), the float and the real interval of t
@@ -18,8 +19,8 @@ boundary. A float test or a cast offers, in order, the candidates of
     the ideal real value fall on different sides, which needs an error
     of t of the sign that machine region - ideal region allows. Each
     unstable flow is explored twice, once following the machine control
-    flow ("float" interpretation) and once following the ideal one
-    ("real" interpretation); merge_unstable pairs the two runs back into
+    flow (interpretation "float") and once following the ideal one
+    (interpretation "real"); merge_unstable pairs the two runs back into
     a single state whose float fields come from the machine run and
     whose real fields come from the ideal run.
 
@@ -96,14 +97,14 @@ from ..domain import (AbstractFloat, abs_neg, abs_op,
 from ..errors import (AnalysisAlarm, InfeasiblePath, OverflowAlarm,
                       SectionInfeasible, TypeErrorAt)
 from ..frontend import syntax as S
-from ..numerics import (RationalLike, RInterval, check_finite, interval_over,
-                        pair_over, trunc_div, trunc_quotient)
+from ..numerics import (ANY, REGIONS, RationalLike, RInterval, check_finite,
+                        interval_over, pair_over, settled, trunc_div,
+                        trunc_quotient)
 from ..zonotope import AffineForm, Origin, SymbolEnv, SymbolPool, sym_range
 from .explorer import PathExplorer
 
 _INT_ZERO = interval_over(0, 0, 1)
 _INT_ONE = interval_over(1, 1, 1)
-_ANY = (None, None)  # the whole line as a region
 _ARITH = frozenset("+-*/%")
 _CAST_FAN_LIMIT = 64
 _LOOP_LIMIT = 1_000_000
@@ -379,18 +380,10 @@ class Interp:
         raise TypeErrorAt(f"unknown expression {e!r}")
 
     def _cells(self, e: S.Index, loc: S.Loc, what: str):
-        """The array e names and the bounds lo, hi of its index, an
-        interval; an index past either end raises an alarm at loc."""
-        arr = self.mem.load(e.name)
-        if not isinstance(arr, list):
-            raise TypeErrorAt(f"{e.loc}: {e.name} is not an array")
+        """The array e names and the bounds lo, hi of its index, read
+        through `Memory.cells` at loc."""
         iv = self._as_int(self.eval(e.index), e.index.loc)
-        lo, hi = iv.lo_n, iv.hi_n
-        if lo < 0 or hi >= len(arr):
-            raise AnalysisAlarm("out-of-bounds",
-                                f"{loc}: {what} of {e.name} in [{lo}, {hi}]"
-                                f" outside [0, {len(arr) - 1}]", loc)
-        return arr, lo, hi
+        return self.mem.cells(e.name, iv, loc, what)
 
     def _eval_arith(self, e: S.Binary):
         """An arithmetic operation, left operand first. The left spine of
@@ -422,10 +415,7 @@ class Interp:
         if op == "*":
             return a * b
         if op == "/":
-            if b.contains(0):
-                raise AnalysisAlarm("division-by-zero",
-                                    f"{loc}: integer division by zero", loc)
-            return trunc_div(a, b)
+            return trunc_div(a, b, loc)
         if op == "%":
             if b.contains(0):
                 raise AnalysisAlarm("division-by-zero",
@@ -514,7 +504,7 @@ class Interp:
             b = _INT_ZERO if isinstance(a, RInterval) else self._float_zero
         integral, true_reg, false_reg = _regions(op, a, b)
         if integral:
-            known = _settled(a, b, true_reg)
+            known = settled(a, b, true_reg)
             if known is not None:
                 self._not_plain()
                 return known != neg
@@ -570,7 +560,7 @@ class Interp:
         gap = False
         for tag, f_val, f_reg, r_val, r_reg in candidates:
             stable = f_val == r_val
-            e_reg = _ANY if stable else _error_region(f_reg, r_reg, t_eiv)
+            e_reg = ANY if stable else _error_region(f_reg, r_reg, t_eiv)
             if e_reg is None or not (t_fiv.meets(*f_reg)
                                      and t_riv.meets(*r_reg)):
                 continue
@@ -745,9 +735,7 @@ class Interp:
             self._typed[key] = type_pred(s.pred, self._fn.var_types)
         self._not_plain()
         res = eval_pred(self._typed[key], self.mem)
-        for rec in res.records:
-            rec.loc = s.loc if rec.loc is S.NOLOC else rec.loc
-            self.records.append(rec)
+        self.records.extend(res.records)
         if res.verdict != "valid":
             self._alarm(AnalysisAlarm(
                 "assertion",
@@ -770,7 +758,7 @@ class Interp:
         integral, true_reg, false_reg = _regions(e.op, a, b)
         reg = false_reg if neg else true_reg
         if integral:
-            known = _settled(a, b, true_reg)
+            known = settled(a, b, true_reg)
             if known is None:
                 self._meet_operands(e.left, e.right, RInterval, a, b, reg)
             elif known == neg:
@@ -778,7 +766,7 @@ class Interp:
             return
         l = self._as_float(a, e.left.loc)
         r = self._as_float(b, e.right.loc)
-        self._apply(e.left, e.right, l, r, reg, reg, _ANY, l.err - r.err)
+        self._apply(e.left, e.right, l, r, reg, reg, ANY, l.err - r.err)
 
     # -- sections ---------------------------------------------------------
 
@@ -993,39 +981,12 @@ def _trunc_preimage(k: int):
     return -1, 1
 
 
-def _region_table(one: int):
-    """True and false region of `t op 0` for t = lhs - rhs, per operator
-    but `!=`, which is decided as `==` negated: (lo, hi) int bounds,
-    None for unbounded. The regions are closed: over the reals (`one` =
-    0) a strict and a non-strict test share them, on ints (`one` = 1) a
-    strict bound moves by 1. The complement of `==`, not an interval, is
-    taken as the whole line."""
-    return {"<": ((None, -one), (0, None)),
-            "<=": ((None, 0), (one, None)),
-            ">": ((one, None), (None, 0)),
-            ">=": ((0, None), (None, -one)),
-            "==": ((0, 0), _ANY)}
-
-
-#: the region table, on ints (True) and over the reals (False)
-_REGIONS = {False: _region_table(0), True: _region_table(1)}
-
-
 def _regions(op: str, a, b):
     """(integral, true region, false region) of `a op b` on t = a - b:
     integral when both operands are ints; `!=` gets the regions of `==`,
     which its caller negates."""
     integral = isinstance(a, RInterval) and isinstance(b, RInterval)
-    return (integral, *_REGIONS[integral]["==" if op == "!=" else op])
-
-
-def _settled(a: RInterval, b: RInterval, reg) -> Optional[bool]:
-    """True when t = a - b lies inside region reg, False when it misses
-    it, None when it straddles its boundary."""
-    t = a - b
-    if t.within(*reg):
-        return True
-    return None if t.meets(*reg) else False
+    return (integral, *REGIONS[integral]["==" if op == "!=" else op])
 
 
 def _error_region(f_reg, r_reg, e_iv: RInterval):
@@ -1041,7 +1002,7 @@ def _error_region(f_reg, r_reg, e_iv: RInterval):
     if f_reg[0] is not None and r_reg[1] is not None \
             and f_reg[0] >= r_reg[1]:
         return (0, None) if positive else None
-    return _ANY if negative or positive else None
+    return ANY if negative or positive else None
 
 
 def _neg(x: Optional[int]) -> Optional[int]:

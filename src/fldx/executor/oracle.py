@@ -326,36 +326,33 @@ class ShadowRun:
         return self._as_cval(v)
 
     def _quantity(self, b: S.PBuiltin, loc: S.Loc) -> Fraction:
-        """What builtin b reads of its variable, as `evaluate` does: its
-        relative error, its real value or its error."""
+        """What builtin b reads of its variable, as its declaration says:
+        its relative error, its real value or its error."""
         v = self._lvalue_cval(b.args[0], loc)
-        if "relerr" in b.name:
+        quantity = S.BUILTINS[b.name].quantity
+        if quantity == "relerr":
             if v.r == 0:
                 raise FldxError(f"{loc}: relative error undefined (real"
                                 f" value is 0)")
             return v.err / abs(v.r)
-        return v.r if "real" in b.name else v.err
+        return v.r if quantity == "real" else v.err
 
     def _builtin(self, b: S.PBuiltin, binders, loc) -> Optional[bool]:
-        name = b.name
-        if name in ("fprint", "dprint"):
-            v = self._lvalue_cval(b.args[0], loc)
-            self.records.append(ShadowRecord(loc, name, _lv_name(b.args[0]),
-                                             v.r, v.err, None))
-            return True
-        if name.startswith("accuracy_enlarge"):
+        action = S.BUILTINS[b.name].action
+        if action == "enlarge":
             # the concrete run keeps its exact value; widening only
             # affects the abstract analysis
             return True
-        if name.startswith("accuracy_assert"):
-            v = self._lvalue_cval(b.args[0], loc)
+        v = self._lvalue_cval(b.args[0], loc)
+        holds = True
+        if action == "assert":
             lo = self._term(b.args[1], binders, loc)
             hi = self._term(b.args[2], binders, loc)
             holds = lo <= self._quantity(b, loc) <= hi
-            self.records.append(ShadowRecord(loc, name, _lv_name(b.args[0]),
-                                             v.r, v.err, holds))
-            return holds
-        raise TypeErrorAt(f"unknown builtin {name!r}")
+        self.records.append(ShadowRecord(
+            loc, b.name, b.args[0].name, v.r, v.err,
+            holds if action == "assert" else None))
+        return holds
 
     def _term(self, t: S.Term, binders: Dict[str, Union[int, Fraction]],
               loc: S.Loc) -> Union[int, Fraction]:
@@ -452,7 +449,3 @@ _CMP = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
 def _machine(v):
     """The machine value of an int or a float."""
     return v.f if isinstance(v, CVal) else v
-
-
-def _lv_name(t: S.Term) -> Optional[str]:
-    return t.name if isinstance(t, (S.TName, S.TIndex)) else None

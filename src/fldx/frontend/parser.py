@@ -7,15 +7,17 @@ with a dedicated sub-grammar.
 Both grammars are read by three shared readers:
 
 - `_climber` builds a precedence climber from an operand reader, a node
-  constructor and operator levels, loosest first. C expressions climb
-  `||`, `&&`, `== !=`, `< <= > >=`, `+ -`, `* / %`; annotation terms
-  `+ -`, `* /`; predicates `==>`, `||`, `&&`. Every operator folds to
-  the left except `==>`, which folds to the right.
+  constructor and a table of operator precedences from `syntax`, which
+  the printer reads too: `EXPR_PREC` for C expressions, `TERM_PREC` for
+  annotation terms and `PRED_PREC` for predicates. Every operator folds
+  to the left except those of `syntax.RIGHT_ASSOC` (`==>`).
 - `_items` reads a comma-separated list and its closing token: call
   arguments, array initializers, parameters, `\\let` names and built-in
   arguments.
 - `_builtin` reads a call of an annotation built-in and checks its
-  argument count against the built-in's table in `syntax`.
+  argument count against the built-in's declaration in `syntax`;
+  `_at_builtin` tells whether a call of a built-in of given actions
+  starts at the cursor.
 
 Position model: a token's position is two ints, its 1-based line and
 column, found from the offsets of the newlines before it; a syntax error
@@ -163,17 +165,17 @@ class _Cursor:
 # ---------------------------------------------------------------------------
 
 
-def _climber(operand: Callable, make: Callable, *levels: str,
-             right: Tuple[str, ...] = ()) -> Callable:
+def _climber(operand: Callable, make: Callable,
+             precs: Dict[str, int]) -> Callable:
     """A reader of operands joined by binary operators: `operand` reads an
-    operand, `make(op, left, right, loc)` builds a node, and `levels`
-    lists the operators by precedence, loosest first, blank-separated.
-    A right operand takes only the operators binding tighter than its
-    own, so equal precedence folds to the left; an operator of `right`
-    lets its right operand take itself too, and folds to the right."""
+    operand, `make(op, left, right, loc)` builds a node, and `precs`
+    gives each operator its precedence, 1 the loosest. A right operand
+    takes only the operators binding tighter than its own, so equal
+    precedence folds to the left; an operator of `S.RIGHT_ASSOC` lets
+    its right operand take itself too, and folds to the right."""
     #: operator -> (its precedence, the least its right operand takes)
-    binds = {op: (prec, prec if op in right else prec + 1)
-             for prec, level in enumerate(levels) for op in level.split()}
+    binds = {op: (prec, prec if op in S.RIGHT_ASSOC else prec + 1)
+             for op, prec in precs.items()}
 
     def climb(c: _Cursor, min_prec: int = 0):
         left = operand(c)
@@ -200,14 +202,23 @@ def _items(c: _Cursor, item: Callable, close: str,
     return items
 
 
-def _builtin(c: _Cursor, arities: Dict[str, int], make: Callable):
-    """The call of a built-in of `arities` at the cursor, its argument
-    count checked: `make(name, args, loc)`."""
+def _at_builtin(c: _Cursor, *actions: str) -> bool:
+    """Whether a call of a built-in doing one of `actions` starts at the
+    cursor."""
+    b = S.BUILTINS.get(c.cur.text)
+    return b is not None and b.action in actions \
+        and c.toks[c.i + 1].text == "("
+
+
+def _builtin(c: _Cursor, make: Callable):
+    """The call of the built-in at the cursor, its argument count checked
+    against its declaration: `make(name, args, loc)`."""
     t = c.advance()
     c.advance()  # (
     args = _items(c, _term, ")")
-    if len(args) != arities[t.text]:
-        raise SyntaxErrorAt(f"{t.text} expects {arities[t.text]} arguments",
+    arity = S.BUILTINS[t.text].arity
+    if len(args) != arity:
+        raise SyntaxErrorAt(f"{t.text} expects {arity} arguments",
                             t.line, t.col)
     return make(t.text, args, t.loc)
 
@@ -267,8 +278,7 @@ def _parse_primary(c: _Cursor) -> S.Expr:
     c.error(f"unexpected token {t.text!r} in expression")
 
 
-_binary = _climber(_parse_unary, S.Binary, "||", "&&", "== !=",
-                   "< <= > >=", "+ -", "* / %")
+_binary = _climber(_parse_unary, S.Binary, S.EXPR_PREC)
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +332,10 @@ def _parse_term_operand(c: _Cursor) -> S.Term:
         return e
     if t.kind == "ident":
         if c.toks[c.i + 1].text == "(":
-            if t.text not in S.TERM_BUILTINS:
+            if not _at_builtin(c, "term"):
                 raise SyntaxErrorAt(f"unknown term function {t.text!r}",
                                     t.line, t.col)
-            return _builtin(c, S.TERM_BUILTINS, S.TCall)
+            return _builtin(c, S.TCall)
         c.advance()
         if c.accept("["):
             idx = _term(c)
@@ -335,9 +345,7 @@ def _parse_term_operand(c: _Cursor) -> S.Term:
     c.error(f"unexpected token {t.text!r} in annotation term")
 
 
-_term = _climber(_parse_term_operand, S.TBin, "+ -", "* /")
-
-_CMP_OPS = ("<=", ">=", "==", "!=", "<", ">")
+_term = _climber(_parse_term_operand, S.TBin, S.TERM_PREC)
 
 
 def _parse_pred_atom(c: _Cursor) -> S.Pred:
@@ -354,13 +362,12 @@ def _parse_pred_atom(c: _Cursor) -> S.Pred:
                        ")" if parens else "=", empty=False)
         if parens:
             c.expect("=")
-        value = (_builtin(c, S.PAIR_BUILTINS, S.PBuiltin)
-                 if c.cur.text in S.PAIR_BUILTINS
-                 and c.toks[c.i + 1].text == "(" else _term(c))
+        value = (_builtin(c, S.PBuiltin) if _at_builtin(c, "get")
+                 else _term(c))
         c.expect(";")
         return S.PLet(names, value, _pred(c), t.loc)
-    if t.text in S.PRED_BUILTINS and c.toks[c.i + 1].text == "(":
-        return _builtin(c, S.PRED_BUILTINS, S.PBuiltin)
+    if _at_builtin(c, "assert", "enlarge", "print"):
+        return _builtin(c, S.PBuiltin)
     if t.text == "(":
         # a parenthesized predicate, or else the start of a term
         mark = c.i
@@ -373,7 +380,7 @@ def _parse_pred_atom(c: _Cursor) -> S.Pred:
             c.i, c.cur = mark, t
     left = _term(c)
     p = None
-    while c.cur.text in _CMP_OPS:
+    while c.cur.text in S.COMPARISONS:
         op = c.advance().text
         right = _term(c)
         cmp = S.PCmp(op, left, right, left.loc)
@@ -384,8 +391,7 @@ def _parse_pred_atom(c: _Cursor) -> S.Pred:
     return p
 
 
-_pred = _climber(_parse_pred_atom, S.PRel, "==>", "||", "&&",
-                 right=("==>",))
+_pred = _climber(_parse_pred_atom, S.PRel, S.PRED_PREC)
 
 
 _MARKER_RE = re.compile(r"^\s*(split|merge)\s*\(\s*(\d+)\s*((?:,\s*[A-Za-z_]\w*\s*)*)\)\s*;?\s*$")

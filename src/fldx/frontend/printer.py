@@ -5,14 +5,6 @@ from typing import List
 
 from . import syntax as S
 
-_PREC = {
-    "||": 1, "&&": 2,
-    "==": 3, "!=": 3,
-    "<": 4, "<=": 4, ">": 4, ">=": 4,
-    "+": 5, "-": 5,
-    "*": 6, "/": 6, "%": 6,
-}
-
 
 def print_expr(e: S.Expr, prec: int = 0) -> str:
     if isinstance(e, S.IntLit):
@@ -27,7 +19,7 @@ def print_expr(e: S.Expr, prec: int = 0) -> str:
         s = f"{e.op}{print_expr(e.expr, 8)}"
         return s
     if isinstance(e, S.Binary):
-        return _print_chain(e, prec, S.Binary, print_expr)
+        return _print_chain(e, prec, S.Binary, print_expr, S.EXPR_PREC)
     if isinstance(e, S.Ternary):
         s = (f"{print_expr(e.cond, 1)} ? {print_expr(e.then)}"
              f" : {print_expr(e.els)}")
@@ -39,23 +31,23 @@ def print_expr(e: S.Expr, prec: int = 0) -> str:
     raise TypeError(f"unknown expression {e!r}")
 
 
-def _print_chain(e, prec: int, kind: type, show) -> str:
+def _print_chain(e, prec: int, kind: type, show, precs) -> str:
     """A binary node of class `kind` printed by `show` in a context of
-    precedence prec: each left operand at its node's precedence, each
-    right one a level above, a node parenthesized when below its
-    context. The left spine of a chain such as a + b + c is walked with
-    a loop, not a call per operand."""
+    precedence prec, its operators ranked by `precs`: each left operand
+    at its node's precedence, each right one a level above, a node
+    parenthesized when below its context. The left spine of a chain such
+    as a + b + c is walked with a loop, not a call per operand."""
     spine = []
     while type(e.left) is kind:
         spine.append(e)
         e = e.left
-    p = _PREC[e.op]
+    p = precs[e.op]
     s = f"{show(e.left, p)} {e.op} {show(e.right, p + 1)}"
     while spine:
         e = spine.pop()
-        if p < _PREC[e.op]:
+        if p < precs[e.op]:
             s = f"({s})"
-        p = _PREC[e.op]
+        p = precs[e.op]
         s = f"{s} {e.op} {show(e.right, p + 1)}"
     return f"({s})" if p < prec else s
 
@@ -68,7 +60,7 @@ def print_term(t: S.Term, prec: int = 0) -> str:
     if isinstance(t, S.TIndex):
         return f"{t.name}[{print_term(t.index)}]"
     if isinstance(t, S.TBin):
-        return _print_chain(t, prec, S.TBin, print_term)
+        return _print_chain(t, prec, S.TBin, print_term, S.TERM_PREC)
     if isinstance(t, S.TCall):
         return f"{t.name}({', '.join(print_term(a) for a in t.args)})"
     raise TypeError(f"unknown term {t!r}")
@@ -76,11 +68,10 @@ def print_term(t: S.Term, prec: int = 0) -> str:
 
 def print_pred(p: S.Pred, prec: int = 0) -> str:
     if isinstance(p, S.PRel):
-        level = {"==>": 1, "||": 2, "&&": 3}[p.op]
-        if p.op == "==>":  # right-associative
-            s = f"{print_pred(p.left, level + 1)} ==> {print_pred(p.right, level)}"
-        else:
-            s = f"{print_pred(p.left, level)} {p.op} {print_pred(p.right, level + 1)}"
+        level = S.PRED_PREC[p.op]
+        lp, rp = (level + 1, level) if p.op in S.RIGHT_ASSOC \
+            else (level, level + 1)
+        s = f"{print_pred(p.left, lp)} {p.op} {print_pred(p.right, rp)}"
         return f"({s})" if level < prec else s
     if isinstance(p, S.PNot):
         return f"!({print_pred(p.pred)})"

@@ -89,6 +89,22 @@ Expr = Union[IntLit, FloatLit, Var, Index, Unary, Binary, Ternary, Cast, Call]
 COMPARISONS = {"<", "<=", ">", ">=", "==", "!="}
 
 
+def precedences(*levels: str) -> Dict[str, int]:
+    """Each operator of `levels`, listed by precedence, loosest first,
+    blank-separated, mapped to its precedence, counted from 1."""
+    return {op: prec for prec, level in enumerate(levels, 1)
+            for op in level.split()}
+
+
+#: the binary operators of C expressions, of annotation terms and of
+#: annotation predicates, by precedence. An operator folds to the left,
+#: but those of RIGHT_ASSOC, which fold to the right.
+EXPR_PREC = precedences("||", "&&", "== !=", "< <= > >=", "+ -", "* / %")
+TERM_PREC = precedences("+ -", "* /")
+PRED_PREC = precedences("==>", "||", "&&")
+RIGHT_ASSOC = frozenset({"==>"})
+
+
 # -- annotation predicates and terms ----------------------------------------
 
 
@@ -175,29 +191,41 @@ class PBuiltin:
 
 Pred = Union[PRel, PNot, PCmp, PLet, PBuiltin]
 
-#: Predicate built-ins and arities (the 𝔽 argument first).
-PRED_BUILTINS = {
-    "accuracy_enlarge_fval_err": 5,
-    "accuracy_enlarge_dval_err": 5,
-    "accuracy_assert_ferr": 3,
-    "accuracy_assert_derr": 3,
-    "accuracy_assert_frelerr": 3,
-    "accuracy_assert_drelerr": 3,
-    "fprint": 1,
-    "dprint": 1,
-}
 
-#: Built-ins returning a pair of rationals; only usable under \let.
-PAIR_BUILTINS = {
-    "accuracy_get_ferr": 1,
-    "accuracy_get_derr": 1,
-    "accuracy_get_frelerr": 1,
-    "accuracy_get_drelerr": 1,
-    "accuracy_get_freal": 1,
-    "accuracy_get_dreal": 1,
-}
+@dataclass(frozen=True)
+class Builtin:
+    """An annotation built-in: its arity; its action, which is `assert`,
+    `enlarge`, `print` (predicates), `get` (a pair, bound by \\let) or
+    `term`; the float type of its variable, its first argument (None for
+    a term); and the quantity of the variable it reads: `err`, `real` or
+    `relerr` (None for an enlarge, a print or a term)."""
+    arity: int
+    action: str
+    ctype: Optional[str] = None
+    quantity: Optional[str] = None
 
-TERM_BUILTINS = {"min": 2, "max": 2, "abs": 1, "max_distance": 2}
+
+#: every annotation built-in, by name
+BUILTINS = {
+    "accuracy_enlarge_fval_err": Builtin(5, "enlarge", "float"),
+    "accuracy_enlarge_dval_err": Builtin(5, "enlarge", "double"),
+    "accuracy_assert_ferr": Builtin(3, "assert", "float", "err"),
+    "accuracy_assert_derr": Builtin(3, "assert", "double", "err"),
+    "accuracy_assert_frelerr": Builtin(3, "assert", "float", "relerr"),
+    "accuracy_assert_drelerr": Builtin(3, "assert", "double", "relerr"),
+    "fprint": Builtin(1, "print", "float"),
+    "dprint": Builtin(1, "print", "double"),
+    "accuracy_get_ferr": Builtin(1, "get", "float", "err"),
+    "accuracy_get_derr": Builtin(1, "get", "double", "err"),
+    "accuracy_get_frelerr": Builtin(1, "get", "float", "relerr"),
+    "accuracy_get_drelerr": Builtin(1, "get", "double", "relerr"),
+    "accuracy_get_freal": Builtin(1, "get", "float", "real"),
+    "accuracy_get_dreal": Builtin(1, "get", "double", "real"),
+    "min": Builtin(2, "term"),
+    "max": Builtin(2, "term"),
+    "abs": Builtin(1, "term"),
+    "max_distance": Builtin(2, "term"),
+}
 
 
 # -- statements --------------------------------------------------------------

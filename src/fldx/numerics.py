@@ -35,6 +35,14 @@ RInterval from ints already in canonical form and ordered;
 `pair_over` ordered endpoints over two denominators. Every value that
 comes from outside (ints, strings, endpoints of unknown order) goes
 through `RInterval(...)`, which coerces and checks.
+
+The executor and the annotation checker share two rules here. The
+region table (`REGIONS`) gives the true and false region of each
+comparison on t = lhs - rhs, on ints and over the reals; `settled`
+decides t against a region, and `compare` is the three-valued
+comparison of the checker. `trunc_div`, C's truncating division, and
+`RInterval.divide` raise the division-by-zero alarm at the location
+their caller gives.
 """
 from __future__ import annotations
 
@@ -192,9 +200,15 @@ class RInterval:
         p *= f2
         return interval_over(self.lo_n * f1 + p, self.hi_n * f1 + p, d * f1)
 
-    def divide(self, other: "RInterval") -> "RInterval":
+    def divide(self, other: "RInterval", loc=None) -> "RInterval":
+        """self / other; a divisor that may be 0 raises the
+        division-by-zero alarm at loc. Only an annotation term reaches
+        that check, and it gives its location: `abs_op`,
+        `AbstractFloat.rel` and `af_inverse` each test their divisor
+        first."""
         if other.contains(0):
-            raise DivisionByZero("interval division by zero-containing interval")
+            raise DivisionByZero(f"{loc}: interval division by"
+                                 f" zero-containing interval", loc)
         # 1/[c, d] = [1/d, 1/c] for c, d of one sign
         inv = RInterval(Fraction(other.den, other.hi_n),
                         Fraction(other.den, other.lo_n))
@@ -274,8 +288,11 @@ def pair_over(lo_n: int, lo_d: int, hi_n: int, hi_d: int) -> RInterval:
                          lo_d // g * hi_d)
 
 
-def trunc_div(a: RInterval, b: RInterval) -> RInterval:
-    """C truncating division on integer intervals; 0 not in b."""
+def trunc_div(a: RInterval, b: RInterval, loc) -> RInterval:
+    """C truncating division on integer intervals; a divisor that may be
+    0 raises the division-by-zero alarm at loc."""
+    if b.contains(0):
+        raise DivisionByZero(f"{loc}: integer division by zero", loc)
     cs = [trunc_quotient(x * b.den, y * a.den) for x in (a.lo_n, a.hi_n)
           for y in (b.lo_n, b.hi_n)]
     return _iv(min(cs), max(cs), 1)
@@ -285,6 +302,52 @@ def trunc_quotient(n: int, d: int) -> int:
     """n/d rounded toward zero, as C truncates, for d != 0."""
     q = abs(n) // abs(d)
     return q if (n < 0) == (d < 0) else -q
+
+
+# ---------------------------------------------------------------------------
+# Comparison regions
+# ---------------------------------------------------------------------------
+
+ANY = (None, None)  # the whole line as a region
+
+
+def _region_table(one: int):
+    """True and false region of `t op 0` for t = lhs - rhs, per operator
+    but `!=`, which is decided as `==` negated: (lo, hi) int bounds,
+    None for unbounded. The regions are closed: over the reals (`one` =
+    0) a strict and a non-strict test share them, on ints (`one` = 1) a
+    strict bound moves by 1. The complement of `==`, not an interval, is
+    taken as the whole line."""
+    return {"<": ((None, -one), (0, None)),
+            "<=": ((None, 0), (one, None)),
+            ">": ((one, None), (None, 0)),
+            ">=": ((0, None), (None, -one)),
+            "==": ((0, 0), ANY)}
+
+
+#: the region table, on ints (True) and over the reals (False)
+REGIONS = {False: _region_table(0), True: _region_table(1)}
+
+#: the operators read as the negation of another over the reals
+_NEGATION = {"<": ">=", ">": "<=", "!=": "=="}
+
+
+def settled(a: RInterval, b: RInterval, reg) -> Optional[bool]:
+    """True when t = a - b lies inside region reg, False when it misses
+    it, None when it straddles its boundary."""
+    t = a - b
+    if t.within(*reg):
+        return True
+    return None if t.meets(*reg) else False
+
+
+def compare(op: str, a: RInterval, b: RInterval) -> Optional[bool]:
+    """The three-valued truth of `a op b` over the reals: whether t = a - b
+    is settled in the true region of `<=`, `>=` or `==`; `<`, `>` and
+    `!=` are the negations of `>=`, `<=` and `==`."""
+    base = _NEGATION.get(op)
+    known = settled(a, b, REGIONS[False][base or op][0])
+    return known if base is None or known is None else not known
 
 
 def products_over_lcm(cs: Sequence[int], ivs: Sequence[RInterval]
