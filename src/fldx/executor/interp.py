@@ -94,8 +94,8 @@ from ..config import AnalysisConfig, InputSpec
 from ..domain import (AbstractFloat, abs_neg, abs_op,
                       apply_substitution, make_substitution,
                       project_onto_symbols, union)
-from ..errors import (AnalysisAlarm, InfeasiblePath, OverflowAlarm,
-                      SectionInfeasible, TypeErrorAt)
+from ..errors import (AnalysisAlarm, DivisionByZero, InfeasiblePath,
+                      OverflowAlarm, SectionInfeasible, TypeErrorAt)
 from ..frontend import syntax as S
 from ..numerics import (ANY, REGIONS, RationalLike, RInterval, check_finite,
                         interval_over, pair_over, settled, trunc_div,
@@ -401,9 +401,13 @@ class Interp:
                 continue
             if e.op == "%":
                 raise TypeErrorAt(f"{e.loc}: % requires integer operands")
-            a = abs_op(e.op, self._as_float(a, e.left.loc),
-                       self._as_float(b, e.right.loc), self.fmt, self.pool,
-                       self.env, self.cfg.max_syms)
+            try:
+                a = abs_op(e.op, self._as_float(a, e.left.loc),
+                           self._as_float(b, e.right.loc), self.fmt,
+                           self.pool, self.env, self.cfg.max_syms)
+            except DivisionByZero as exn:
+                raise DivisionByZero(f"{e.right.loc}: {exn}",
+                                     e.right.loc) from None
         return a
 
     def _int_arith(self, op: str, a: RInterval, b: RInterval,

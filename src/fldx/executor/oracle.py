@@ -89,11 +89,8 @@ class ShadowRun:
         if isinstance(e, S.Var):
             return self._load(e.name, e.loc)
         if isinstance(e, S.Index):
-            arr = self._load(e.name, e.loc)
-            i = self._as_int(self.eval(e.index), e.loc)
-            if not isinstance(arr, list) or not 0 <= i < len(arr):
-                raise FldxError(f"{e.loc}: bad index {i} into {e.name}")
-            return arr[i]
+            return self._cell(e.name, self._as_int(self.eval(e.index), e.loc),
+                              e.loc)
         if isinstance(e, S.Unary):
             if e.op == "-":
                 v = self.eval(e.expr)
@@ -162,6 +159,16 @@ class ShadowRun:
         if name not in self.vars:
             raise FldxError(f"{loc}: read of unset variable {name!r}")
         return self.vars[name]
+
+    def _cell(self, name: str, i, loc: S.Loc):
+        """Cell i of the array name, read in the code or in an annotation;
+        a name holding no array, or an i that is not an int inside it, is
+        an error at loc."""
+        arr = self._load(name, loc)
+        if not (isinstance(arr, list) and isinstance(i, int)
+                and 0 <= i < len(arr)):
+            raise FldxError(f"{loc}: bad index {i} into {name}")
+        return arr[i]
 
     def _call(self, e: S.Call, target: Optional[str]):
         if e.name == "read_double":
@@ -318,9 +325,7 @@ class ShadowRun:
         if isinstance(t, S.TName):
             v = self._load(t.name, loc)
         elif isinstance(t, S.TIndex):
-            arr = self._load(t.name, loc)
-            i = int(self._term(t.index, {}, loc))
-            v = arr[i]
+            v = self._cell(t.name, self._term(t.index, {}, loc), loc)
         else:
             raise TypeErrorAt(f"{loc}: built-in needs an lvalue")
         return self._as_cval(v)
@@ -366,8 +371,8 @@ class ShadowRun:
                 return binders[t.name]
             return _machine(self._load(t.name, loc))
         if isinstance(t, S.TIndex):
-            arr = self._load(t.name, loc)
-            return _machine(arr[int(self._term(t.index, binders, loc))])
+            return _machine(self._cell(t.name,
+                                       self._term(t.index, binders, loc), loc))
         if isinstance(t, S.TBin):
             a = self._term(t.left, binders, loc)
             b = self._term(t.right, binders, loc)
@@ -399,13 +404,9 @@ class ShadowRun:
         a0 = t.args[0]
         if not isinstance(a0, S.TName):
             raise TypeErrorAt(f"{loc}: max_distance needs an array name")
-        arr = self._load(a0.name, loc)
         n = int(self._term(t.args[1], binders, loc))
-        best = ZERO
-        for i in range(n - 1):
-            d = abs(self._as_cval(arr[i + 1]).f - self._as_cval(arr[i]).f)
-            best = max(best, d)
-        return best
+        fs = [self._as_cval(self._cell(a0.name, i, loc)).f for i in range(n)]
+        return max((abs(b - a) for a, b in zip(fs, fs[1:])), default=ZERO)
 
     # -- entry -------------------------------------------------------------
 

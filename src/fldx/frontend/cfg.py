@@ -234,7 +234,8 @@ def normalize_returns(fn: S.FuncDef) -> S.FuncDef:
     flag; statements that may follow a conditional return are guarded by
     the flag, and loops containing returns get the flag added to their
     condition. Functions already in single-tail-return shape are
-    returned unchanged.
+    returned unchanged. The rewrite's variables are fn's and the two it
+    adds.
     """
     body = fn.body.stmts
     returns = [x for x in S.walk_stmts(fn.body) if isinstance(x, S.Return)]
@@ -285,14 +286,16 @@ def normalize_returns(fn: S.FuncDef) -> S.FuncDef:
         return s
 
     new_body: List[S.Stmt] = []
+    var_types = dict(fn.var_types)
     if fn.ret_type != "void":
         new_body.append(S.Decl(fn.ret_type, RETVAL,
                                S.IntLit(0) if fn.ret_type == "int"
                                else S.FloatLit("0.0", Fraction(0))))
+        var_types[RETVAL] = (fn.ret_type, False)
     new_body.append(S.Decl("int", RETFLAG, S.IntLit(0)))
+    var_types[RETFLAG] = ("int", False)
     new_body.extend(rw_block(body))
     if fn.ret_type != "void":
         new_body.append(S.Return(S.Var(RETVAL)))
-    fn2 = S.FuncDef(fn.ret_type, fn.name, fn.params, S.Block(new_body),
-                    fn.loc)
-    return fn2
+    return S.FuncDef(fn.ret_type, fn.name, fn.params, S.Block(new_body),
+                     fn.loc, var_types)

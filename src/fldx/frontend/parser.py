@@ -19,6 +19,18 @@ Both grammars are read by three shared readers:
   `_at_builtin` tells whether a call of a built-in of given actions
   starts at the cursor.
 
+Names are resolved as they are read. `_Cursor.names` starts from a
+function's parameters and takes each declaration once its initializer
+is read; it becomes `FuncDef.var_types`, one type per name per function,
+so a declaration giving a name another type or array-ness is an error.
+A variable of the code is checked as it is read, an annotation's names
+on its parsed predicate with `S.pred_names`, which leaves out `\\let`
+binders (`_parse_pred_atom` may read a term twice). A call may name a
+later function. Name errors and calls wait in `_Cursor.pending`, in
+source order, a call before its arguments; the first error is raised
+once the whole source has parsed, so any syntax error comes first.
+`parse_expr` and `parse_pred` check no names.
+
 Position model: a token's position is two ints, its 1-based line and
 column, found from the offsets of the newlines before it; a syntax error
 reports those ints. An `S.Loc` is built only when the parser attaches a
@@ -32,7 +44,7 @@ import re
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..errors import SyntaxErrorAt
+from ..errors import SyntaxErrorAt, TypeErrorAt
 from . import syntax as S
 
 #: Whitespace and comments have no group name: their matches are skipped
@@ -115,13 +127,17 @@ def tokenize(src: str) -> List[Token]:
 
 
 class _Cursor:
-    """A position in a token list; `cur` is always `toks[i]`."""
-    __slots__ = ("toks", "i", "cur")
+    """A position in a token list; `cur` is always `toks[i]`. `names` is
+    the current function's variables as declared so far, and `pending`
+    the calls and name errors met so far, in source order."""
+    __slots__ = ("toks", "i", "cur", "names", "pending")
 
     def __init__(self, toks: List[Token]) -> None:
         self.toks = toks
         self.i = 0
         self.cur = toks[0]
+        self.names: Dict[str, Tuple[str, bool]] = {}
+        self.pending: list = []
 
     def advance(self) -> Token:
         t = self.cur
@@ -158,6 +174,18 @@ class _Cursor:
     def error(self, msg: str):
         t = self.cur
         raise SyntaxErrorAt(msg, t.line, t.col)
+
+    def use(self, name: str, loc: S.Loc) -> None:
+        """Note a read or a write of the variable name at loc."""
+        if name not in self.names:
+            self.pending.append(TypeErrorAt(
+                f"{loc}: use of undeclared variable {name!r}"))
+
+    def declare(self, name: str, kind: Tuple[str, bool], loc: S.Loc) -> None:
+        """Declare name at loc as kind: (its type, whether an array)."""
+        if self.names.setdefault(name, kind) != kind:
+            self.pending.append(TypeErrorAt(
+                f"{loc}: {name} redeclared with another type"))
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +297,11 @@ def _parse_primary(c: _Cursor) -> S.Expr:
     if t.kind == "ident":
         c.advance()
         if c.accept("("):
-            return S.Call(t.text, _items(c, _parse_expr, ")"), t.loc)
+            call = S.Call(t.text, [], t.loc)
+            c.pending.append(call)  # checked before its arguments
+            call.args = _items(c, _parse_expr, ")")
+            return call
+        c.use(t.text, t.loc)
         if c.accept("["):
             idx = _parse_expr(c)
             c.expect("]")
@@ -431,6 +463,8 @@ def _parse_block(c: _Cursor) -> S.Block:
             tok = c.advance()
             parsed = parse_annotation(tok)
             if parsed[0] == "assert":
+                for n in S.pred_names(parsed[1]):
+                    c.use(n.name, n.loc)
                 sink().append(S.AssertStmt(parsed[1], tok.loc))
             elif parsed[0] == "split":
                 open_sections.append((parsed[1], parsed[2], tok.loc, []))
@@ -469,11 +503,13 @@ def _parse_stmt(c: _Cursor) -> S.Stmt:
                         f"array {name} initializer has {len(init_list)}"
                         f" elements for size {size}", t.line, t.col)
             c.expect(";")
+            c.declare(name, (t.text, True), t.loc)
             return S.Decl(t.text, name, None, size, init_list, t.loc)
         init = None
         if c.accept("="):
             init = _parse_expr(c)
         c.expect(";")
+        c.declare(name, (t.text, False), t.loc)
         return S.Decl(t.text, name, init, None, None, t.loc)
     if t.kind == "kw":
         if c.accept("if"):
@@ -535,8 +571,9 @@ def _parse_function(c: _Cursor) -> S.FuncDef:
     if c.at("void") and c.toks[c.i + 1].text == ")":
         c.advance()
     params = _items(c, _parse_param, ")")
+    c.names = {p.name: (p.ctype, p.is_array) for p in params}
     body = _parse_block(c)
-    return S.FuncDef(ret, name, params, body, t.loc)
+    return S.FuncDef(ret, name, params, body, t.loc, c.names)
 
 
 def _parse_param(c: _Cursor) -> S.Param:
@@ -570,10 +607,22 @@ def parse_program(src: str) -> S.Program:
             raise SyntaxErrorAt(f"duplicate function {fn.name!r}",
                                 fn.loc.line, fn.loc.col)
         funcs[fn.name] = fn
-    prog = S.Program(funcs)
-    for fn in funcs.values():
-        S.resolve(fn, prog)
-    return prog
+    for x in c.pending:
+        if not isinstance(x, S.Call):
+            raise x
+        if x.name == "read_double":
+            if len(x.args) not in (0, 2, 4):
+                raise TypeErrorAt(f"{x.loc}: read_double takes 0, 2 or 4"
+                                  f" arguments, not {len(x.args)}")
+            continue
+        callee = funcs.get(x.name)
+        if callee is None:
+            raise TypeErrorAt(f"{x.loc}: unknown function {x.name!r}")
+        k = len(callee.params)
+        if len(x.args) != k:
+            raise TypeErrorAt(f"{x.loc}: {x.name} takes {k} argument"
+                              f"{'' if k == 1 else 's'}, not {len(x.args)}")
+    return S.Program(funcs)
 
 
 def _whole(c: _Cursor, read: Callable, what: str):

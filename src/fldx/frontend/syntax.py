@@ -328,7 +328,8 @@ class FuncDef:
     params: List[Param]
     body: Block
     loc: Loc = NOLOC
-    #: var name -> ('int'|'float'|'double', is_array); filled by resolve()
+    #: var name -> ('int'|'float'|'double', is_array): the parameters, then
+    #: the declarations in source order, filled by the parser
     var_types: Dict[str, Tuple[str, bool]] = field(default_factory=dict)
 
 
@@ -458,66 +459,6 @@ def pred_names(p: Pred) -> List[Union[TName, TIndex]]:
 
     pred(p, frozenset())
     return out
-
-
-def _check_call(n: Call, program: Program) -> None:
-    """Reject a call of an unknown function or with the wrong number of
-    arguments: read_double takes 0, 2 or 4, a function its parameters."""
-    from ..errors import TypeErrorAt
-
-    if n.name == "read_double":
-        if len(n.args) not in (0, 2, 4):
-            raise TypeErrorAt(f"{n.loc}: read_double takes 0, 2 or 4"
-                              f" arguments, not {len(n.args)}")
-        return
-    callee = program.functions.get(n.name)
-    if callee is None:
-        raise TypeErrorAt(f"{n.loc}: unknown function {n.name!r}")
-    k = len(callee.params)
-    if len(n.args) != k:
-        raise TypeErrorAt(f"{n.loc}: {n.name} takes {k} argument"
-                          f"{'' if k == 1 else 's'}, not {len(n.args)}")
-
-
-def resolve(fn: FuncDef, program: Program) -> None:
-    """Check declare-before-use in fn, whose calls may name any function of
-    program, and record its variable types in `fn.var_types`."""
-    from ..errors import TypeErrorAt
-
-    types: Dict[str, Tuple[str, bool]] = {}
-    for p in fn.params:
-        types[p.name] = (p.ctype, p.is_array)
-
-    def check_name(n: Union[Var, Index, TName, TIndex]) -> None:
-        if n.name not in types:
-            raise TypeErrorAt(
-                f"{n.loc}: use of undeclared variable {n.name!r}")
-
-    def check_expr(e: Expr) -> None:
-        for n in walk_exprs(e):
-            if isinstance(n, (Var, Index)):
-                check_name(n)
-            if isinstance(n, Call):
-                _check_call(n, program)
-
-    def check_stmt(s: Stmt) -> None:
-        if isinstance(s, Decl):
-            for e in stmt_exprs(s):
-                check_expr(e)
-            types[s.name] = (s.ctype, s.array_size is not None)
-            return
-        if isinstance(s, Assign):
-            check_name(s.target)
-        elif isinstance(s, AssertStmt):
-            for n in pred_names(s.pred):
-                check_name(n)
-        for e in stmt_exprs(s):
-            check_expr(e)
-        for c in stmt_children(s):
-            check_stmt(c)
-
-    check_stmt(fn.body)
-    fn.var_types = types
 
 
 def expr_ctype(e: Expr, var_types: Dict[str, Tuple[str, bool]],

@@ -60,11 +60,8 @@ def prepare(source: str, config: AnalysisConfig
         program = parse_program(source)
     cfgs = {}
     with _stage("normalize", FldxError):
-        for name, fn in list(program.functions.items()):
-            normal = normalize_returns(fn)
-            if normal is not fn:  # parse_program resolved fn itself
-                program.functions[name] = normal
-                S.resolve(normal, program)
+        for name, fn in program.functions.items():
+            program.functions[name] = normal = normalize_returns(fn)
             cfgs[name] = build_cfg(normal)
             check_exit_reachable(cfgs[name])
     tables = {}

@@ -127,6 +127,13 @@ def test_use_before_declaration_rejected():
         parse_program("int main() { double y = x + 1.0; return 0; }")
 
 
+def test_a_do_while_condition_reads_what_its_body_declared():
+    # blocks open no scope, and the body runs before the condition
+    fn = parse_program("int main() { do { int k = 1; } while (k < 0);"
+                       " return 0; }").functions["main"]
+    assert fn.var_types == {"k": ("int", False)}
+
+
 def test_duplicate_function_rejected():
     with pytest.raises((SyntaxErrorAt, TypeErrorAt)):
         parse_program("int f() { return 0; } int f() { return 1; }")
@@ -256,24 +263,17 @@ def test_single_tail_return_left_alone():
     assert before == after
 
 
-def test_prepare_resolves_only_the_rewritten_functions(monkeypatch):
+def test_prepare_types_the_variables_normalization_adds():
     src = """
     int sign(double x) { if (x < 0.0) { return -1; } return 1; }
     int main() { double y = read_double(-1.0, 1.0); int s = sign(y);
                  return s; }
     """
-    resolved = []
-    real = S.resolve
-
-    def counting(fn, program):
-        resolved.append(fn.name)
-        real(fn, program)
-
-    monkeypatch.setattr(S, "resolve", counting)
     program, _ = prepare(src, AnalysisConfig())
-    # parse_program resolves both; only sign is rewritten, and resolved again
-    assert sorted(resolved) == ["main", "sign", "sign"]
-    sign = program.functions["sign"]
-    assert sign.var_types[RETVAL] == ("int", False)
-    assert sign.var_types[RETFLAG] == ("int", False)
-    assert RETVAL not in program.functions["main"].var_types
+    # only sign is rewritten; its variables are the parser's and the two
+    # the rewrite adds
+    assert program.functions["sign"].var_types == {
+        "x": ("double", False), RETVAL: ("int", False),
+        RETFLAG: ("int", False)}
+    assert program.functions["main"].var_types == {
+        "y": ("double", False), "s": ("int", False)}

@@ -8,8 +8,10 @@ from fractions import Fraction
 import pytest
 
 from fldx.config import AnalysisConfig
+from fldx.errors import FldxError
 from fldx.executor.interp import Interp, _literal_value
 from fldx.executor.oracle import ShadowRun
+from fldx.frontend import parse_program
 from fldx.frontend import syntax as S
 from fldx.numerics import FORMATS
 from fldx.pipeline import pick_entry, prepare
@@ -179,3 +181,21 @@ def test_a_promoted_int_rounds_to_the_format(fmt, k):
     assert rec.err == -1
     assert err_h.lo <= rec.err <= err_h.hi
     assert real_h.lo <= rec.real_val <= real_h.hi
+
+
+CELL_PROBE = ("int main() {\n  double x = 0.5;\n"
+              "  double a[2] = {1.0, 2.0};\n  /*@ assert %s; */\n"
+              "  return 0;\n}\n")
+
+
+@pytest.mark.parametrize("pred,message", [
+    ("x[0] <= 1.0", "4:3: bad index 0 into x"),
+    ("a[5] <= 1.0", "4:3: bad index 5 into a"),
+    ("max_distance(a, 5) <= 1.0", "4:3: bad index 2 into a"),
+    ("a[-1] <= 1.0", "4:3: bad index -1 into a"),
+], ids=["scalar-indexed", "index-past-the-end", "max-distance-past-the-end",
+        "negative-index"])
+def test_the_oracle_reads_only_the_cells_of_an_array(pred, message):
+    shadow = ShadowRun(parse_program(CELL_PROBE % pred), FORMATS["binary64"])
+    with pytest.raises(FldxError, match=message):
+        shadow.run("main")

@@ -519,14 +519,14 @@ EXACT_OPERAND_ALARMS = {
         "97737dba1ab7476837fa0a8b2faf742bb1d5faf00a170f73b5ca7b4f7d45beee"),
     "zero_divisor": (
         "int main() { double a = 1.0; double y = a / 0.0; return 0; }",
-        "[alarm] division-by-zero: abstract division by zero-containing"
-        " float",
-        "da22009189215fcdcdca4b2f45c983aa72e65c7acc776dbd200f5005ecd957a6"),
+        "[alarm] division-by-zero: 1:45: abstract division by"
+        " zero-containing float",
+        "e523365a6b63d5ec542f80f0cca06ebe32a8a493d2ce2454c94771d3fd18bc27"),
     "real_zero_divisor": (
         "int main() { double y = 1.0 / ((0.1 + 0.2) - 0.3); return 0; }",
-        "[alarm] division-by-zero: abstract division: real divisor may be"
-        " zero",
-        "01323d29df2dfdc374b474a4231921e9e25f6588e8599b992839afbb6c922fff"),
+        "[alarm] division-by-zero: 1:33: abstract division: real divisor"
+        " may be zero",
+        "fce6199f7d69f51b799b42890fc931d331b32a7b306e5f1f06df7399634cae8a"),
 }
 
 
@@ -589,6 +589,13 @@ IF_X = ("int main() {\n  double x = read_double(0.0, 1.0);\n"
         "  if (x > 2.0) { %s }\n  return 0;\n}\n")
 ASSERT_Y = ("int main() {\n  double x = read_double(0.0, 1.0);\n"
             "  double y = x * 2.0;\n  /*@ assert %s; */\n  return 0;\n}\n")
+#: t is an int in one branch and a double in the other; with one type per
+#: name per function, y = t would read 1.5 where C reads 1
+REDECLARED_T = ("int main() {\n  double x = read_double(0.0, 1.0);\n"
+                "  double y = 0.0;\n  if (x > 0.5) {\n    int t = 0;\n"
+                "    t = 1.5;\n    y = t;\n  } else {\n"
+                "    double t = 0.0;\n  }\n  /*@ assert dprint(y); */\n"
+                "  return 0;\n}\n")
 
 
 @pytest.mark.parametrize("command,source,args,code,message", [
@@ -656,6 +663,23 @@ ASSERT_Y = ("int main() {\n  double x = read_double(0.0, 1.0);\n"
     ("analyze", ASSERT_Y % "\\let (lo, hi) = accuracy_get_derr(y, x);"
      " lo <= hi", [], 2,
      "error: parse: 4:3: accuracy_get_derr expects 1 arguments"),
+    ("analyze", "int main() {\n  zz = 1.0;\n  return 0;\n}\n"
+     "int g( {\n}\n", [], 2,
+     "error: parse: 5:8: expected a parameter type, found '{'"),
+    ("analyze", "int main() {\n  double y = g(1.0, 2.0);\n  return 0;\n}\n"
+     "double g(double v) { return v; }\n", [], 6,
+     "error: 2:14: g takes 1 argument, not 2"),
+    ("analyze", ASSERT_Y % "\\let zz = 1.0; zz[0] <= 2.0", [], 6,
+     "error: 4:3: use of undeclared variable 'zz'"),
+    ("analyze", "int main() {\n  double x = x + 1.0;\n  return 0;\n}\n",
+     [], 6, "error: 2:14: use of undeclared variable 'x'"),
+    ("analyze", REDECLARED_T, [], 6,
+     "error: 9:5: t redeclared with another type"),
+    ("analyze", "int main() {\n  double x = read_double(1.0, 2.0);\n"
+     "  double y = read_double(-1.0, 1.0);\n  double z = x / y;\n"
+     "  return 0;\n}\n", [], 1,
+     "[alarm] division-by-zero: 4:18: abstract division by zero-containing"
+     " float"),
 ], ids=["input-reversed", "input-not-a-number", "input-one-end",
         "input-ends-not-numbers", "input-error-one-end", "input-array-element",
         "input-past-the-double-range", "input-past-the-binary32-range",
@@ -667,7 +691,10 @@ ASSERT_Y = ("int main() {\n  double x = read_double(0.0, 1.0);\n"
         "array-negated", "array-cast", "scalar-indexed",
         "assert-name-on-a-dead-path", "enlarge-target-in-an-if",
         "assignment-target", "analyze-not-utf8",
-        "instrument-not-utf8", "pair-built-in-arity"])
+        "instrument-not-utf8", "pair-built-in-arity",
+        "syntax-error-after-an-undeclared-name", "call-of-a-later-function",
+        "let-binder-indexed", "declaration-reads-itself",
+        "redeclared-with-another-type", "abstract-division-located"])
 def test_cli_bad_input_ends_in_its_exit_code(tmp_path, command, source, args,
                                              code, message):
     src = tmp_path / "p.c"
@@ -680,6 +707,13 @@ def test_cli_bad_input_ends_in_its_exit_code(tmp_path, command, source, args,
     assert type(res.exception) is SystemExit
     assert message in res.output
     assert "Traceback" not in res.output
+
+
+def test_cli_a_let_binder_needs_no_program_variable(tmp_path):
+    src = tmp_path / "p.c"
+    src.write_text(ASSERT_Y % "\\let zz = 1.0; zz <= 2.0")
+    res = CliRunner().invoke(main, ["analyze", str(src)])
+    assert res.exit_code == 0, res.output
 
 
 HALVE_X = ("int main() {\n  double x = read_double(%s);\n"
