@@ -22,6 +22,11 @@ ask two questions of a region:
     no int variable escapes; the variables that escape are its merge list.
   * save_list: the variables it writes and may read before writing them.
     Each path through a section starts from their values at the split.
+
+The reaching-definitions solve holds one mask of definitions per CFG
+node, its out-set. A node's in-set is built only after the fixed point,
+and only where the node reads; nodes that certainly write the same
+variables share one kill mask.
 """
 from __future__ import annotations
 
@@ -141,11 +146,18 @@ def stmt_facts(s: S.Stmt, fn: S.FuncDef, program: S.Program) -> Facts:
 
 def fact_table(fn: S.FuncDef, program: S.Program) -> Table:
     """The facts of every statement of fn, in one walk. Statements with
-    equal facts share one Facts object, so that a table costs little more
-    than its keys."""
+    equal facts share one Facts object, and facts one object per equal
+    set of names, so that a table costs little more than its keys."""
     shared: Dict[Facts, Facts] = {}
-    return {id(s): shared.setdefault(f, f) for s in S.walk_stmts(fn.body)
-            for f in (stmt_facts(s, fn, program),)}
+    sets: Dict[FrozenSet[str], FrozenSet[str]] = {}
+    table: Table = {}
+    for s in S.walk_stmts(fn.body):
+        f = stmt_facts(s, fn, program)
+        if f not in shared:
+            shared[f] = Facts(*[sets.setdefault(x, x) for x in f[:3]],
+                              f.candidate)
+        table[id(s)] = shared[f]
+    return table
 
 
 def table_of(fn: S.FuncDef, program: S.Program,
@@ -180,14 +192,18 @@ def compute_dep_sets(fn: S.FuncDef, graph: C.Cfg, table: Table) -> Readers:
     for p in fn.params:
         params |= define(p.name, id(fn))
     gen[C.ENTRY] |= params
-    # masks of distinct variables are disjoint: their sum is their union
-    keep = [~sum(map(defs_of.__getitem__, f.certain)) for f in facts]
+    # one kill mask per distinct certain set; masks of distinct variables
+    # are disjoint, so their sum is their union
+    kills: Dict[FrozenSet[str], int] = {}
+    for f in facts:
+        if f.certain not in kills:
+            kills[f.certain] = ~sum(map(defs_of.__getitem__, f.certain))
+    keep = [kills[f.certain] for f in facts]
 
     # sweep in reverse postorder from entry, then the unreachable nodes:
     # round-robin sweeps reach the same least fixed point as any worklist
     nodes = graph.order + sorted(set(range(n_nodes)) - set(graph.order))
     pred = graph.pred
-    inn = [0] * n_nodes
     out = gen[:]
     changed = True
     while changed:
@@ -196,7 +212,6 @@ def compute_dep_sets(fn: S.FuncDef, graph: C.Cfg, table: Table) -> Readers:
             x = 0
             for p in pred[n]:
                 x |= out[p]
-            inn[n] = x
             o = gen[n] | (x & keep[n])
             if o != out[n]:
                 out[n] = o
@@ -204,8 +219,13 @@ def compute_dep_sets(fn: S.FuncDef, graph: C.Cfg, table: Table) -> Readers:
 
     readers: Readers = {}
     for n, f in enumerate(facts):
+        if not f.reads:
+            continue
+        inn = 0  # the union of the out-masks of n's predecessors
+        for p in pred[n]:
+            inn |= out[p]
         for v in f.reads:
-            bits = inn[n] & defs_of.get(v, 0) & ~params
+            bits = inn & defs_of.get(v, 0) & ~params
             while bits:
                 low = bits & -bits
                 bits ^= low

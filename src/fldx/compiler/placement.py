@@ -54,16 +54,16 @@ def _parent_maps(fn: S.FuncDef):
     owner: Dict[int, Tuple[List[S.Stmt], int]] = {}
     block_owner: Dict[int, Optional[S.Stmt]] = {}
 
-    def visit_list(stmts: List[S.Stmt], owning: Optional[S.Stmt]) -> None:
+    todo: List[Tuple[List[S.Stmt], Optional[S.Stmt]]] = [
+        (fn.body.stmts, None)]
+    while todo:
+        stmts, owning = todo.pop()
         block_owner[id(stmts)] = owning
         for i, s in enumerate(stmts):
             owner[id(s)] = (stmts, i)
             kids = S.stmt_children(s)  # statements, or the blocks they own
-            for child in [kids] if isinstance(s, (S.Block, S.SectionStmt)) \
-                    else [b.stmts for b in kids]:
-                visit_list(child, s)
-
-    visit_list(fn.body.stmts, None)
+            todo += [(kids, s)] if isinstance(s, (S.Block, S.SectionStmt)) \
+                else [(b.stmts, s) for b in kids]
     return owner, block_owner
 
 

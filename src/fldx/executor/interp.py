@@ -401,13 +401,16 @@ class Interp:
                 continue
             if e.op == "%":
                 raise TypeErrorAt(f"{e.loc}: % requires integer operands")
+            x = self._as_float(a, e.left.loc)
+            y = self._as_float(b, e.right.loc)
             try:
-                a = abs_op(e.op, self._as_float(a, e.left.loc),
-                           self._as_float(b, e.right.loc), self.fmt,
-                           self.pool, self.env, self.cfg.max_syms)
+                a = abs_op(e.op, x, y, self.fmt, self.pool, self.env,
+                           self.cfg.max_syms)
             except DivisionByZero as exn:
                 raise DivisionByZero(f"{e.right.loc}: {exn}",
                                      e.right.loc) from None
+            except OverflowAlarm as exn:
+                raise OverflowAlarm(f"{e.loc}: {exn}", e.loc) from None
         return a
 
     def _int_arith(self, op: str, a: RInterval, b: RInterval,
@@ -435,9 +438,7 @@ class Interp:
     def _eval_call(self, e: S.Call, target: Optional[str]):
         if e.name == "read_double":
             return self._read_input(e, target)
-        fn = self.program.functions.get(e.name)
-        if fn is None:
-            raise TypeErrorAt(f"{e.loc}: unknown function {e.name!r}")
+        fn = self.program.functions[e.name]
         if self._call_depth > 16:
             raise TypeErrorAt(f"{e.loc}: call depth exceeded (recursion is"
                               f" not supported)")

@@ -176,9 +176,7 @@ class ShadowRun:
                 return self._input_value(self.inputs[target])
             raise FldxError(f"{e.loc}: no concrete input bound for"
                             f" read_double result")
-        fn = self.program.functions.get(e.name)
-        if fn is None:
-            raise TypeErrorAt(f"{e.loc}: unknown function {e.name!r}")
+        fn = self.program.functions[e.name]
         if self._depth > 64:
             raise FldxError(f"{e.loc}: call depth exceeded")
         frame = {p.name: self.eval(a) if p.is_array

@@ -227,6 +227,43 @@ def _contains_return(s: S.Stmt) -> bool:
     return any(isinstance(x, S.Return) for x in S.walk_stmts(s))
 
 
+def _rw_block(stmts: List[S.Stmt], not_done: S.Expr) -> List[S.Stmt]:
+    """stmts rewritten by `normalize_returns`; not_done tests the flag."""
+    out: List[S.Stmt] = []
+    for i, s in enumerate(stmts):
+        out.append(_rw_stmt(s, not_done))
+        if _contains_return(s):
+            rest = _rw_block(stmts[i + 1:], not_done)
+            if rest:
+                out.append(S.If(not_done, S.Block(rest), None, s.loc))
+            return out
+    return out
+
+
+def _rw_stmt(s: S.Stmt, not_done: S.Expr) -> S.Stmt:
+    if isinstance(s, S.Return):
+        assigns: List[S.Stmt] = []
+        if s.expr is not None:
+            assigns.append(S.Assign(S.Var(RETVAL), s.expr, s.loc))
+        assigns.append(S.Assign(S.Var(RETFLAG), S.IntLit(1), s.loc))
+        return S.Block(assigns, s.loc)
+    if isinstance(s, S.Block):
+        return S.Block(_rw_block(s.stmts, not_done), s.loc)
+    if isinstance(s, S.If):
+        return S.If(s.cond, _rw_stmt(s.then, not_done),
+                    _rw_stmt(s.els, not_done) if s.els is not None else None,
+                    s.loc)
+    if isinstance(s, (S.While, S.DoWhile)) and _contains_return(s):
+        cond = S.Binary("&&", not_done, s.cond, s.loc)
+        body = _rw_stmt(s.body, not_done)
+        return S.While(cond, body, s.loc) if isinstance(s, S.While) \
+            else S.DoWhile(body, cond, s.loc)
+    if isinstance(s, S.SectionStmt):
+        return S.SectionStmt(s.section_id, s.save_list, s.merge_list,
+                             _rw_block(s.body, not_done), s.loc)
+    return s
+
+
 def normalize_returns(fn: S.FuncDef) -> S.FuncDef:
     """Rewrite to a single fall-through exit.
 
@@ -245,46 +282,6 @@ def normalize_returns(fn: S.FuncDef) -> S.FuncDef:
         return fn
 
     not_done = S.Binary("==", S.Var(RETFLAG), S.IntLit(0))
-
-    def rw_block(stmts: List[S.Stmt]) -> List[S.Stmt]:
-        out: List[S.Stmt] = []
-        for i, s in enumerate(stmts):
-            s2 = rw_stmt(s)
-            out.append(s2)
-            if _contains_return(s):
-                rest = rw_block(stmts[i + 1:])
-                if rest:
-                    out.append(S.If(not_done, S.Block(rest), None, s.loc))
-                return out
-        return out
-
-    def rw_stmt(s: S.Stmt) -> S.Stmt:
-        if isinstance(s, S.Return):
-            assigns: List[S.Stmt] = []
-            if s.expr is not None:
-                assigns.append(S.Assign(S.Var(RETVAL), s.expr, s.loc))
-            assigns.append(S.Assign(S.Var(RETFLAG), S.IntLit(1), s.loc))
-            return S.Block(assigns, s.loc)
-        if isinstance(s, S.Block):
-            return S.Block(rw_block(s.stmts), s.loc)
-        if isinstance(s, S.If):
-            return S.If(s.cond, rw_stmt(s.then),
-                        rw_stmt(s.els) if s.els is not None else None, s.loc)
-        if isinstance(s, S.While):
-            if _contains_return(s):
-                cond = S.Binary("&&", not_done, s.cond, s.loc)
-                return S.While(cond, rw_stmt(s.body), s.loc)
-            return s
-        if isinstance(s, S.DoWhile):
-            if _contains_return(s):
-                cond = S.Binary("&&", not_done, s.cond, s.loc)
-                return S.DoWhile(rw_stmt(s.body), cond, s.loc)
-            return s
-        if isinstance(s, S.SectionStmt):
-            return S.SectionStmt(s.section_id, s.save_list, s.merge_list,
-                                 rw_block(s.body), s.loc)
-        return s
-
     new_body: List[S.Stmt] = []
     var_types = dict(fn.var_types)
     if fn.ret_type != "void":
@@ -294,7 +291,7 @@ def normalize_returns(fn: S.FuncDef) -> S.FuncDef:
         var_types[RETVAL] = (fn.ret_type, False)
     new_body.append(S.Decl("int", RETFLAG, S.IntLit(0)))
     var_types[RETFLAG] = ("int", False)
-    new_body.extend(rw_block(body))
+    new_body.extend(_rw_block(body, not_done))
     if fn.ret_type != "void":
         new_body.append(S.Return(S.Var(RETVAL)))
     return S.FuncDef(fn.ret_type, fn.name, fn.params, S.Block(new_body),

@@ -1,4 +1,9 @@
-"""AST for the analyzed mini-C subset and its assertion annotations."""
+"""AST for the analyzed mini-C subset and its assertion annotations.
+
+Every node class is slotted, so a node has no `__dict__` and nothing may
+add an attribute to it; a cache of per-node data keys by `id(node)`, as
+`Interp._literals` and `Interp._typed` do.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -6,7 +11,7 @@ from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Loc:
     line: int
     col: int
@@ -21,40 +26,40 @@ NOLOC = Loc(0, 0)
 # -- expressions -------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class IntLit:
     value: int
     loc: Loc = NOLOC
 
 
-@dataclass
+@dataclass(slots=True)
 class FloatLit:
     text: str
     value: Fraction
     loc: Loc = NOLOC
 
 
-@dataclass
+@dataclass(slots=True)
 class Var:
     name: str
     loc: Loc = NOLOC
 
 
-@dataclass
+@dataclass(slots=True)
 class Index:
     name: str
     index: "Expr"
     loc: Loc = NOLOC
 
 
-@dataclass
+@dataclass(slots=True)
 class Unary:
     op: str  # '-' or '!'
     expr: "Expr"
     loc: Loc = NOLOC
 
 
-@dataclass
+@dataclass(slots=True)
 class Binary:
     op: str  # + - * / % < <= > >= == != && ||
     left: "Expr"
@@ -62,7 +67,7 @@ class Binary:
     loc: Loc = NOLOC
 
 
-@dataclass
+@dataclass(slots=True)
 class Ternary:
     cond: "Expr"
     then: "Expr"
@@ -70,14 +75,14 @@ class Ternary:
     loc: Loc = NOLOC
 
 
-@dataclass
+@dataclass(slots=True)
 class Cast:
     ctype: str  # 'int', 'float', 'double'
     expr: "Expr"
     loc: Loc = NOLOC
 
 
-@dataclass
+@dataclass(slots=True)
 class Call:
     name: str
     args: List["Expr"]
@@ -108,7 +113,7 @@ RIGHT_ASSOC = frozenset({"==>"})
 # -- annotation predicates and terms ----------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class TConst:
     value: Fraction
     text: str
@@ -119,21 +124,21 @@ class TConst:
         return "." not in self.text and "e" not in self.text.lower()
 
 
-@dataclass
+@dataclass(slots=True)
 class TName:
     """A binder or a program left-value; resolved during typing."""
     name: str
     loc: Loc = NOLOC
 
 
-@dataclass
+@dataclass(slots=True)
 class TIndex:
     name: str
     index: "Term"
     loc: Loc = NOLOC
 
 
-@dataclass
+@dataclass(slots=True)
 class TBin:
     op: str  # + - * /
     left: "Term"
@@ -141,7 +146,7 @@ class TBin:
     loc: Loc = NOLOC
 
 
-@dataclass
+@dataclass(slots=True)
 class TCall:
     """Term-level built-in: min, max, abs, max_distance."""
     name: str
@@ -152,7 +157,7 @@ class TCall:
 Term = Union[TConst, TName, TIndex, TBin, TCall]
 
 
-@dataclass
+@dataclass(slots=True)
 class PRel:
     op: str  # && || ==>
     left: "Pred"
@@ -160,13 +165,13 @@ class PRel:
     loc: Loc = NOLOC
 
 
-@dataclass
+@dataclass(slots=True)
 class PNot:
     pred: "Pred"
     loc: Loc = NOLOC
 
 
-@dataclass
+@dataclass(slots=True)
 class PCmp:
     op: str  # < <= == > >= !=
     left: Term
@@ -174,7 +179,7 @@ class PCmp:
     loc: Loc = NOLOC
 
 
-@dataclass
+@dataclass(slots=True)
 class PLet:
     names: List[str]  # one name, or two for pair-returning built-ins
     value: Union[Term, "PBuiltin"]
@@ -182,7 +187,7 @@ class PLet:
     loc: Loc = NOLOC
 
 
-@dataclass
+@dataclass(slots=True)
 class PBuiltin:
     name: str
     args: List[Term]
@@ -192,7 +197,7 @@ class PBuiltin:
 Pred = Union[PRel, PNot, PCmp, PLet, PBuiltin]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Builtin:
     """An annotation built-in: its arity; its action, which is `assert`,
     `enlarge`, `print` (predicates), `get` (a pair, bound by \\let) or
@@ -231,7 +236,7 @@ BUILTINS = {
 # -- statements --------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class Decl:
     ctype: str  # 'int', 'float', 'double'
     name: str
@@ -241,14 +246,14 @@ class Decl:
     loc: Loc = NOLOC
 
 
-@dataclass
+@dataclass(slots=True)
 class Assign:
     target: Union[Var, Index]
     expr: Expr
     loc: Loc = NOLOC
 
 
-@dataclass
+@dataclass(slots=True)
 class If:
     cond: Expr
     then: "Block"
@@ -256,51 +261,51 @@ class If:
     loc: Loc = NOLOC
 
 
-@dataclass
+@dataclass(slots=True)
 class While:
     cond: Expr
     body: "Block"
     loc: Loc = NOLOC
 
 
-@dataclass
+@dataclass(slots=True)
 class DoWhile:
     body: "Block"
     cond: Expr
     loc: Loc = NOLOC
 
 
-@dataclass
+@dataclass(slots=True)
 class Return:
     expr: Optional[Expr] = None
     loc: Loc = NOLOC
 
 
-@dataclass
+@dataclass(slots=True)
 class ExprStmt:
     expr: Expr
     loc: Loc = NOLOC
 
 
-@dataclass
+@dataclass(slots=True)
 class AssertStmt:
     pred: Pred
     loc: Loc = NOLOC
 
 
-@dataclass
+@dataclass(slots=True)
 class AssumeStmt:
     cond: Expr
     loc: Loc = NOLOC
 
 
-@dataclass
+@dataclass(slots=True)
 class Block:
     stmts: List["Stmt"]
     loc: Loc = NOLOC
 
 
-@dataclass
+@dataclass(slots=True)
 class SectionStmt:
     """A split-merge section: body re-executed once per feasible path."""
     section_id: int
@@ -314,14 +319,14 @@ Stmt = Union[Decl, Assign, If, While, DoWhile, Return, ExprStmt, AssertStmt,
              AssumeStmt, Block, SectionStmt]
 
 
-@dataclass
+@dataclass(slots=True)
 class Param:
     ctype: str
     name: str
     is_array: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class FuncDef:
     ret_type: str  # 'int', 'float', 'double', 'void'
     name: str
@@ -333,7 +338,7 @@ class FuncDef:
     var_types: Dict[str, Tuple[str, bool]] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(slots=True)
 class Program:
     functions: Dict[str, FuncDef]
 
@@ -423,41 +428,24 @@ def pred_names(p: Pred) -> List[Union[TName, TIndex]]:
     """The names of p that denote program variables, left to right: every
     array element, and every name outside the scope of a \\let binding it."""
     out: List[Union[TName, TIndex]] = []
-
-    def term(t: Term, bound: frozenset) -> None:
-        if isinstance(t, TName):
-            if t.name not in bound:
-                out.append(t)
-        elif isinstance(t, TIndex):
-            out.append(t)
-            term(t.index, bound)
-        elif isinstance(t, TBin):
-            term(t.left, bound)
-            term(t.right, bound)
-        elif isinstance(t, TCall):
-            for a in t.args:
-                term(a, bound)
-
-    def pred(q: Pred, bound: frozenset) -> None:
-        if isinstance(q, PRel):
-            pred(q.left, bound)
-            pred(q.right, bound)
-        elif isinstance(q, PNot):
-            pred(q.pred, bound)
-        elif isinstance(q, PCmp):
-            term(q.left, bound)
-            term(q.right, bound)
+    # (term or predicate, the \let names bound there), next one on top
+    todo: List[Tuple[Union[Term, Pred], frozenset]] = [(p, frozenset())]
+    while todo:
+        q, bound = todo.pop()
+        if isinstance(q, TName):
+            if q.name not in bound:
+                out.append(q)
+        elif isinstance(q, TIndex):
+            out.append(q)
+            todo.append((q.index, bound))
         elif isinstance(q, PLet):
-            if isinstance(q.value, PBuiltin):
-                pred(q.value, bound)
-            else:
-                term(q.value, bound)
-            pred(q.body, bound | set(q.names))
-        elif isinstance(q, PBuiltin):
-            for a in q.args:
-                term(a, bound)
-
-    pred(p, frozenset())
+            todo += [(q.body, bound | set(q.names)), (q.value, bound)]
+        elif isinstance(q, (TBin, PRel, PCmp)):
+            todo += [(q.right, bound), (q.left, bound)]
+        elif isinstance(q, PNot):
+            todo.append((q.pred, bound))
+        elif isinstance(q, (TCall, PBuiltin)):
+            todo += [(a, bound) for a in reversed(q.args)]
     return out
 
 

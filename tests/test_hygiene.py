@@ -2,13 +2,16 @@
 imports and imports no private name of another fldx module, the package
 reads every function, method and instance attribute it defines, some
 module of the repository reads every dataclass field, and
-`pyproject.toml` lists exactly the third-party modules it imports.
+`pyproject.toml` lists exactly the third-party modules it imports. No
+nested function names itself or a sibling, which would keep all it
+closes over in a reference cycle, and every syntax node is slotted.
 
 Package `__init__` modules are left out of the import check, since their
 imports are the package's public names; for the same reason a name they
 import counts as read.
 """
 import ast
+import dataclasses
 import re
 import sys
 from pathlib import Path
@@ -339,6 +342,85 @@ def test_every_dataclass_field_is_read():
     modules = {".".join(p.relative_to(root).with_suffix("").parts):
                p.read_text() for p in files}
     assert unread_fields(modules, UNREAD_FIELD_EXEMPT) == []
+
+
+# ---------------------------------------------------------------------------
+# Syntax trees are not cyclic garbage
+# ---------------------------------------------------------------------------
+
+
+def _local_defs(fn: ast.AST):
+    """The functions defined in fn's own body, not in a function or a
+    class nested in it."""
+    out, todo = [], list(fn.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out.append(node)
+        elif not isinstance(node, (ast.ClassDef, ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def self_referring_closures(source: str, exempt=frozenset()):
+    """(line, "outer.inner") of every nested function that names itself
+    or a function nested beside it. Its closure cell keeps it, and all it
+    closes over, in a reference cycle that only the cyclic collector
+    frees. The `exempt` "outer.inner" names are left out."""
+    out = []
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            kids = _local_defs(fn)
+            names = {k.name for k in kids}
+            out += [(k.lineno, f"{fn.name}.{k.name}") for k in kids
+                    if f"{fn.name}.{k.name}" not in exempt
+                    and any(isinstance(n, ast.Name) and n.id in names
+                            for n in ast.walk(k))]
+    return sorted(out)
+
+
+def test_scan_finds_a_self_referring_closure():
+    src = ("def f():\n"
+           "    def walk(n): return walk(n - 1)\n"
+           "    def a(): return b()\n"
+           "    def b(): return 1\n"
+           "    if a:\n"
+           "        def c(): return b\n"
+           "    def ok(): return g()\n"
+           "    return walk, a, ok\n"
+           "def g():\n"
+           "    def h(): return g()\n"
+           "    class C:\n"
+           "        def m(self): return self.m()\n"
+           "    return h, C\n")
+    assert self_referring_closures(src) == [
+        (2, "f.walk"), (3, "f.a"), (6, "f.c")]
+    assert self_referring_closures(src, {"f.walk"}) == [(3, "f.a"),
+                                                        (6, "f.c")]
+
+
+#: nested functions allowed to name themselves: the parser's three
+#: precedence climbers, built once at import
+CLOSURE_EXEMPT = {"frontend/parser.py": {"_climber.climb"}}
+
+
+def test_no_nested_function_names_itself_or_a_sibling():
+    found = {str(p.relative_to(SRC)): self_referring_closures(
+        p.read_text(), CLOSURE_EXEMPT.get(str(p.relative_to(SRC)), ()))
+        for p in MODULES}
+    assert {m: f for m, f in found.items() if f} == {}
+
+
+def test_every_syntax_node_is_slotted():
+    """A parsed source holds a node per token or so: none of them carries
+    a `__dict__`."""
+    from fldx.frontend import syntax as S
+    classes = [c for c in vars(S).values() if isinstance(c, type)
+               and dataclasses.is_dataclass(c) and c.__module__ == S.__name__]
+    assert {S.Loc, S.Var, S.PLet, S.Block, S.FuncDef} <= set(classes)
+    assert [c.__name__ for c in classes
+            if "__slots__" not in vars(c) or c.__dictoffset__] == []
+    assert not hasattr(S.Var("x"), "__dict__")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Automatic split/merge placement around unstable floating-point tests,
 and the independent validator that re-checks every placed section."""
+import gc
 import json
 import re
 from collections import Counter, deque
@@ -485,6 +486,20 @@ def test_each_statement_is_walked_once_and_each_cfg_built_twice(
         assert set(facts) == stmts - placed
         assert set(facts.values()) == {1}
         assert built == {name: 2 for name in program.functions}
+
+
+def test_instrumenting_leaves_no_cyclic_garbage():
+    """Each instrumented tree is freed by reference counts once dropped,
+    without waiting for a cyclic collection."""
+    source = W.wide_instrument(3)[0].source
+    instrumented_source(source, AnalysisConfig())
+    gc.collect()
+    gc.disable()
+    try:
+        instrumented_source(source, AnalysisConfig())
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

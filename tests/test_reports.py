@@ -515,8 +515,16 @@ def test_cli_early_return_under_an_unstable_test(tmp_path, command):
 EXACT_OPERAND_ALARMS = {
     "overflow": (
         "int main() { double a = 1e308; double y = a * 10.0; return 0; }",
-        "[alarm] overflow: 1e+309 rounds beyond the largest finite value",
-        "97737dba1ab7476837fa0a8b2faf742bb1d5faf00a170f73b5ca7b4f7d45beee"),
+        "[alarm] overflow: 1:43: 1e+309 rounds beyond the largest finite"
+        " value",
+        "8cd7ff1267db408958996d843eaa154e3a824335597ffa47c361b1151369dd14"),
+    # the operand's promotion overflows: located once, at the operand
+    "promoted_operand": (
+        "int main() { int k = 1" + "0" * 309 + "; double y = k * 1.0;"
+        " return 0; }",
+        "[alarm] overflow: 1:345: 1e+309 rounds beyond the largest finite"
+        " value",
+        "2d3fd50ace689a5a2ab8f50691ef8ef75c5d7fb32aad5582880aaf1da24927cc"),
     "zero_divisor": (
         "int main() { double a = 1.0; double y = a / 0.0; return 0; }",
         "[alarm] division-by-zero: 1:45: abstract division by"
