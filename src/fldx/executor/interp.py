@@ -350,10 +350,13 @@ class Interp:
         if isinstance(e, (S.IntLit, S.FloatLit)):
             v = self._literals.get(id(e))
             if v is None:
-                v = self._literals[id(e)] = (
-                    interval_over(e.value, e.value, 1)
-                    if isinstance(e, S.IntLit)
-                    else AbstractFloat.from_literal(e.value, self.fmt))
+                try:
+                    v = self._literals[id(e)] = (
+                        interval_over(e.value, e.value, 1)
+                        if isinstance(e, S.IntLit) else
+                        AbstractFloat.from_literal(e.value, self.fmt))
+                except OverflowAlarm as exn:
+                    raise OverflowAlarm(f"{e.loc}: {exn}", e.loc) from None
             return v
         if isinstance(e, S.Var):
             return self.mem.load(e.name)

@@ -31,149 +31,155 @@ source order, a call before its arguments; the first error is raised
 once the whole source has parsed, so any syntax error comes first.
 `parse_expr` and `parse_pred` check no names.
 
-Position model: a token's position is two ints, its 1-based line and
-column, found from the offsets of the newlines before it; a syntax error
-reports those ints. An `S.Loc` is built only when the parser attaches a
-token's position to an AST node (`Token.loc`, at most once per token).
-Every token of an annotation carries the position of the annotation
-itself.
+Position model: tokens are rows (`Tokens`), a kind, a text and a start
+offset each, so no token is an object. Line and column come from the
+offset, by bisecting the offsets at which the source's lines start, only
+when a node or an error asks for them. A token gets at most one `S.Loc`,
+shared by every node the token starts (a statement and its first
+operand), and the `S.Loc`s of one line share one line number. All the
+tokens of an annotation share one `S.Loc`: the annotation's position.
 """
 from __future__ import annotations
 
 import re
+from array import array
+from bisect import bisect_right
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import SyntaxErrorAt, TypeErrorAt
 from . import syntax as S
 
-#: Whitespace and comments have no group name: their matches are skipped
-#: without building a token. `open_annot`, `open_comment` and `bad` match
-#: only where no alternative above them does, and end the scan with an
-#: error; the first two come before `op`, which would take their `/`.
-_TOKEN_RE = re.compile(
+KEYWORDS = {"int", "float", "double", "void", "if", "else", "while", "do",
+            "return", "assume"}
+
+#: One match per token, the blanks and comments before it included; only
+#: a match at the end of the source takes no group. `open_annot`,
+#: `open_comment` and `bad` are errors: their matches take the rest of
+#: the source, so an error is the last token.
+_LEX_RE = re.compile(
     r"""
-    \s+
-  | //[^\n]*
-  | (?P<annot>/\*@.*?\*/)
-  | /\*.*?\*/
-  | (?P<num>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?)
-  | (?P<ident>[A-Za-z_]\w*)
-  | (?P<open_annot>/\*@)
-  | (?P<open_comment>/\*)
-  | (?P<op><=|>=|==|!=|&&|\|\||[-+*/%<>=!?:;,(){}\[\]])
-  | (?P<bad>.)
-    """,
+    (?:\s+|//[^\n]*|/\*(?!@).*?\*/)*
+    (?:(?P<kw>(?:%s)(?!\w))
+      |(?P<ident>[A-Za-z_]\w*)
+      |(?P<op><=|>=|==|!=|&&|\|\||/(?!\*)|[-+*%%<>=!?:;,(){}\[\]])
+      |(?P<num>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?)
+      |(?P<annot>/\*@.*?\*/)
+      |(?P<open_annot>/\*@).*
+      |(?P<open_comment>/\*).*
+      |\Z
+      |(?P<bad>.).*)
+    """ % "|".join(sorted(KEYWORDS)),
     re.VERBOSE | re.DOTALL,
 )
 
-#: the message of each error group, formatted with the matched text
+#: the message of each error kind, formatted with the token's text
 _LEX_ERRORS = {"open_annot": "unterminated annotation",
                "open_comment": "unterminated comment",
                "bad": "unexpected character {!r}"}
 
-KEYWORDS = {"int", "float", "double", "void", "if", "else", "while", "do",
-            "return", "assume"}
+
+class Tokens:
+    """Token i is of kind `kinds[i]` ('num', 'ident', 'op', 'kw', 'annot'
+    or 'eof', which comes last), spelled `texts[i]`, at offset
+    `offsets[i]` of `src`, and `loc(i)` is its position; `len()` counts
+    the tokens. An annotation's tokens have no offsets: all are at `at`."""
+    __slots__ = ("kinds", "texts", "offsets", "src", "_starts", "_lines",
+                 "_locs")
+
+    def __init__(self, kinds, texts, offsets, src, at=None) -> None:
+        self.kinds, self.texts, self.offsets, self.src = \
+            kinds, texts, offsets, src
+        self._starts, self._lines = None, []  # each line's offset, number
+        self._locs = [at] * len(kinds)
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def loc(self, i: int) -> S.Loc:
+        loc = self._locs[i]
+        if loc is None:
+            starts = self._starts
+            if starts is None:
+                starts = self._starts = array("i", [0])
+                starts.extend(m.end() for m in re.finditer("\n", self.src))
+                self._lines = [None] * (len(starts) + 1)
+            off = self.offsets[i]
+            k = bisect_right(starts, off)
+            line = self._lines[k]
+            if line is None:
+                line = self._lines[k] = k
+            loc = self._locs[i] = S.Loc(line, off - starts[k - 1] + 1)
+        return loc
 
 
-class Token:
-    __slots__ = ("kind", "text", "line", "col", "_loc")
-
-    def __init__(self, kind: str, text: str, line: int, col: int) -> None:
-        self.kind = kind  # 'num', 'ident', 'op', 'kw', 'annot', 'eof'
-        self.text = text
-        self.line = line
-        self.col = col
-        self._loc: Optional[S.Loc] = None
-
-    @property
-    def loc(self) -> S.Loc:
-        """The token's position as an `S.Loc`, built on first use, so the
-        nodes a token starts (a statement and its first operand) share it."""
-        if self._loc is None:
-            self._loc = S.Loc(self.line, self.col)
-        return self._loc
-
-    def __repr__(self) -> str:
-        return f"Token({self.kind}, {self.text!r})"
-
-
-def tokenize(src: str) -> List[Token]:
-    """The tokens of src, ending with an 'eof' token."""
-    toks: List[Token] = []
-    append = toks.append
-    line, line_start = 1, 0
-    nl = src.find("\n")  # the first newline at or after line_start
-    for m in _TOKEN_RE.finditer(src):
-        kind = m.lastgroup
-        if kind is None:  # whitespace or a comment
-            continue
-        start = m.start()
-        while 0 <= nl < start:
-            line += 1
-            line_start = nl + 1
-            nl = src.find("\n", line_start)
-        col = start - line_start + 1
-        text = m.group()
-        if kind == "ident":
-            if text in KEYWORDS:
-                kind = "kw"
-        elif kind in _LEX_ERRORS:
-            raise SyntaxErrorAt(_LEX_ERRORS[kind].format(text), line, col)
-        append(Token(kind, text, line, col))
-    # eof sits just past the last character
-    append(Token("eof", "", src.count("\n") + 1, len(src) - src.rfind("\n")))
+def tokenize(src: str) -> Tokens:
+    """The tokens of src; eof sits just past its last character."""
+    kinds, texts, offsets = [], [], array("i")
+    for m in _LEX_RE.finditer(src):
+        g = m.lastindex
+        if g is not None:
+            kinds.append(m.lastgroup)
+            texts.append(m[g])
+            offsets.append(m.start(g))
+    error = _LEX_ERRORS.get(kinds[-1]) if kinds else None
+    kinds.append("eof")
+    texts.append("")
+    offsets.append(len(src))
+    toks = Tokens(kinds, texts, offsets, src)
+    if error:
+        _Cursor(toks).error(error.format(texts[-2]), len(kinds) - 2)
     return toks
 
 
 class _Cursor:
-    """A position in a token list; `cur` is always `toks[i]`. `names` is
-    the current function's variables as declared so far, and `pending`
-    the calls and name errors met so far, in source order."""
-    __slots__ = ("toks", "i", "cur", "names", "pending")
+    """A position in `Tokens`: token `i`, of kind `kind` and text `text`.
+    `names` is the current function's variables as declared so far, and
+    `pending` the calls and name errors met so far, in source order."""
+    __slots__ = ("kinds", "texts", "loc", "i", "kind", "text", "names",
+                 "pending")
 
-    def __init__(self, toks: List[Token]) -> None:
-        self.toks = toks
-        self.i = 0
-        self.cur = toks[0]
+    def __init__(self, toks: Tokens) -> None:
+        self.kinds, self.texts, self.loc = toks.kinds, toks.texts, toks.loc
+        self.seek(0)
         self.names: Dict[str, Tuple[str, bool]] = {}
         self.pending: list = []
 
-    def advance(self) -> Token:
-        t = self.cur
-        if t.kind != "eof":
-            self.i += 1
-            self.cur = self.toks[self.i]
-        return t
+    def seek(self, i: int) -> None:
+        self.i, self.kind, self.text = i, self.kinds[i], self.texts[i]
+
+    def advance(self) -> int:
+        """Move past the current token, unless it is eof; its index."""
+        i = self.i
+        if self.kind != "eof":
+            self.i = j = i + 1
+            self.kind = self.kinds[j]
+            self.text = self.texts[j]
+        return i
 
     def at(self, text: str) -> bool:
-        t = self.cur
-        return t.text == text and t.kind in ("op", "kw")
+        return self.text == text and self.kind in ("op", "kw")
 
     def accept(self, text: str) -> bool:
-        t = self.cur
-        if t.text == text and t.kind in ("op", "kw"):
+        if self.text == text and self.kind in ("op", "kw"):
             self.advance()
             return True
         return False
 
-    def expect(self, text: str) -> Token:
+    def expect(self, text: str) -> int:
         if not self.at(text):
-            t = self.cur
-            raise SyntaxErrorAt(f"expected {text!r}, found {t.text!r}",
-                                t.line, t.col)
+            self.error(f"expected {text!r}, found {self.text!r}")
         return self.advance()
 
-    def expect_kind(self, kind: str) -> Token:
-        if self.cur.kind != kind:
-            t = self.cur
-            raise SyntaxErrorAt(f"expected {kind}, found {t.text!r}",
-                                t.line, t.col)
-        return self.advance()
+    def expect_ident(self) -> str:
+        if self.kind != "ident":
+            self.error(f"expected ident, found {self.text!r}")
+        return self.texts[self.advance()]
 
-    def error(self, msg: str):
-        t = self.cur
-        raise SyntaxErrorAt(msg, t.line, t.col)
+    def error(self, msg: str, i: Optional[int] = None):
+        """Raise msg at token i, the current one by default."""
+        loc = self.loc(self.i if i is None else i)
+        raise SyntaxErrorAt(msg, loc.line, loc.col)
 
     def use(self, name: str, loc: S.Loc) -> None:
         """Note a read or a write of the variable name at loc."""
@@ -208,7 +214,7 @@ def _climber(operand: Callable, make: Callable,
     def climb(c: _Cursor, min_prec: int = 0):
         left = operand(c)
         while True:
-            op = c.cur.text  # no other kind of token spells an operator
+            op = c.text  # no other kind of token spells an operator
             bind = binds.get(op)
             if bind is None or bind[0] < min_prec:
                 return left
@@ -233,22 +239,21 @@ def _items(c: _Cursor, item: Callable, close: str,
 def _at_builtin(c: _Cursor, *actions: str) -> bool:
     """Whether a call of a built-in doing one of `actions` starts at the
     cursor."""
-    b = S.BUILTINS.get(c.cur.text)
-    return b is not None and b.action in actions \
-        and c.toks[c.i + 1].text == "("
+    b = S.BUILTINS.get(c.text)
+    return b is not None and b.action in actions and c.texts[c.i + 1] == "("
 
 
 def _builtin(c: _Cursor, make: Callable):
     """The call of the built-in at the cursor, its argument count checked
     against its declaration: `make(name, args, loc)`."""
+    name = c.text
     t = c.advance()
     c.advance()  # (
     args = _items(c, _term, ")")
-    arity = S.BUILTINS[t.text].arity
+    arity = S.BUILTINS[name].arity
     if len(args) != arity:
-        raise SyntaxErrorAt(f"{t.text} expects {arity} arguments",
-                            t.line, t.col)
-    return make(t.text, args, t.loc)
+        c.error(f"{name} expects {arity} arguments", t)
+    return make(name, args, c.loc(t))
 
 
 # ---------------------------------------------------------------------------
@@ -267,47 +272,46 @@ def _parse_expr(c: _Cursor) -> S.Expr:
 
 
 def _parse_unary(c: _Cursor) -> S.Expr:
-    t = c.cur
-    if t.kind == "op" and t.text in ("-", "!"):
-        c.advance()
-        return S.Unary(t.text, _parse_unary(c), t.loc)
+    op = c.text
+    if c.kind == "op" and op in ("-", "!"):
+        t = c.advance()
+        return S.Unary(op, _parse_unary(c), c.loc(t))
     return _parse_primary(c)
 
 
 def _parse_primary(c: _Cursor) -> S.Expr:
-    t = c.cur
-    if t.kind == "num":
-        c.advance()
-        if t.text.isdigit():
-            return S.IntLit(int(t.text), t.loc)
-        return S.FloatLit(t.text, Fraction(t.text), t.loc)
-    if c.at("("):
-        # cast or parenthesized expression
-        nxt = c.toks[c.i + 1]
-        if nxt.kind == "kw" and nxt.text in ("int", "float", "double") \
-                and c.toks[c.i + 2].text == ")":
-            c.advance()
-            ctype = c.advance().text
-            c.advance()
-            return S.Cast(ctype, _parse_unary(c), t.loc)
-        c.advance()
-        e = _parse_expr(c)
-        c.expect(")")
-        return e
-    if t.kind == "ident":
-        c.advance()
+    kind, text = c.kind, c.text
+    if kind == "num":
+        t = c.advance()
+        if text.isdigit():
+            return S.IntLit(int(text), c.loc(t))
+        return S.FloatLit(text, Fraction(text), c.loc(t))
+    if kind == "ident":
+        t = c.advance()
         if c.accept("("):
-            call = S.Call(t.text, [], t.loc)
+            call = S.Call(text, [], c.loc(t))
             c.pending.append(call)  # checked before its arguments
             call.args = _items(c, _parse_expr, ")")
             return call
-        c.use(t.text, t.loc)
+        loc = c.loc(t)
+        c.use(text, loc)
         if c.accept("["):
             idx = _parse_expr(c)
             c.expect("]")
-            return S.Index(t.text, idx, t.loc)
-        return S.Var(t.text, t.loc)
-    c.error(f"unexpected token {t.text!r} in expression")
+            return S.Index(text, idx, loc)
+        return S.Var(text, loc)
+    if c.at("("):
+        # cast or parenthesized expression
+        t = c.advance()
+        if c.kind == "kw" and c.text in ("int", "float", "double") \
+                and c.texts[c.i + 1] == ")":
+            ctype = c.texts[c.advance()]
+            c.advance()
+            return S.Cast(ctype, _parse_unary(c), c.loc(t))
+        e = _parse_expr(c)
+        c.expect(")")
+        return e
+    c.error(f"unexpected token {text!r} in expression")
 
 
 _binary = _climber(_parse_unary, S.Binary, S.EXPR_PREC)
@@ -330,51 +334,46 @@ _ANNOT_RE = re.compile(
 )
 
 
-def _tokenize_annot(body: str, line: int, col: int) -> List[Token]:
-    """The tokens of an annotation body, each at the annotation's
+def _tokenize_annot(body: str, line: int, col: int) -> Tokens:
+    """The tokens of an annotation body, all at the annotation's
     position (line, col)."""
-    toks: List[Token] = []
-    for m in _ANNOT_RE.finditer(body):
-        kind = m.lastgroup
-        if kind is None:  # whitespace
-            continue
-        if kind == "bad":
-            raise SyntaxErrorAt(f"bad annotation character {m.group()!r}",
-                                line, col)
-        toks.append(Token(kind, m.group(), line, col))
-    toks.append(Token("eof", "", line, col))
-    return toks
+    ms = [m for m in _ANNOT_RE.finditer(body) if m.lastgroup is not None]
+    bad = [m[0] for m in ms if m.lastgroup == "bad"]
+    if bad:
+        raise SyntaxErrorAt(f"bad annotation character {bad[0]!r}", line, col)
+    return Tokens([m.lastgroup for m in ms] + ["eof"],
+                  [m[0] for m in ms] + [""], None, body, S.Loc(line, col))
 
 
 def _parse_term_operand(c: _Cursor) -> S.Term:
     """A number, a negation, a parenthesized term, a built-in call, an
     array cell or a name. The negation of a number is a number."""
-    t = c.cur
-    if t.kind == "num":
+    kind, text, t = c.kind, c.text, c.i
+    if kind == "num":
         c.advance()
-        return S.TConst(Fraction(t.text), t.text, t.loc)
+        return S.TConst(Fraction(text), text, c.loc(t))
     if c.accept("-"):
         inner = _parse_term_operand(c)
         if isinstance(inner, S.TConst):
-            return S.TConst(-inner.value, "-" + inner.text, t.loc)
-        return S.TBin("-", S.TConst(Fraction(0), "0", t.loc), inner, t.loc)
+            return S.TConst(-inner.value, "-" + inner.text, c.loc(t))
+        return S.TBin("-", S.TConst(Fraction(0), "0", c.loc(t)), inner,
+                      c.loc(t))
     if c.accept("("):
         e = _term(c)
         c.expect(")")
         return e
-    if t.kind == "ident":
-        if c.toks[c.i + 1].text == "(":
+    if kind == "ident":
+        if c.texts[c.i + 1] == "(":
             if not _at_builtin(c, "term"):
-                raise SyntaxErrorAt(f"unknown term function {t.text!r}",
-                                    t.line, t.col)
+                c.error(f"unknown term function {text!r}")
             return _builtin(c, S.TCall)
         c.advance()
         if c.accept("["):
             idx = _term(c)
             c.expect("]")
-            return S.TIndex(t.text, idx, t.loc)
-        return S.TName(t.text, t.loc)
-    c.error(f"unexpected token {t.text!r} in annotation term")
+            return S.TIndex(text, idx, c.loc(t))
+        return S.TName(text, c.loc(t))
+    c.error(f"unexpected token {text!r} in annotation term")
 
 
 _term = _climber(_parse_term_operand, S.TBin, S.TERM_PREC)
@@ -384,36 +383,35 @@ def _parse_pred_atom(c: _Cursor) -> S.Pred:
     """A negation, a `\\let`, a predicate built-in, a parenthesized
     predicate, or a comparison; a chain `a <= b <= c` is read as
     `a <= b && b <= c`."""
-    t = c.cur
+    t = c.i
     if c.accept("!"):
-        return S.PNot(_parse_pred_atom(c), t.loc)
-    if t.kind == "let":
+        return S.PNot(_parse_pred_atom(c), c.loc(t))
+    if c.kind == "let":
         c.advance()
         parens = c.accept("(")
-        names = _items(c, lambda c: c.expect_kind("ident").text,
-                       ")" if parens else "=", empty=False)
+        names = _items(c, _Cursor.expect_ident, ")" if parens else "=",
+                       empty=False)
         if parens:
             c.expect("=")
         value = (_builtin(c, S.PBuiltin) if _at_builtin(c, "get")
                  else _term(c))
         c.expect(";")
-        return S.PLet(names, value, _pred(c), t.loc)
+        return S.PLet(names, value, _pred(c), c.loc(t))
     if _at_builtin(c, "assert", "enlarge", "print"):
         return _builtin(c, S.PBuiltin)
-    if t.text == "(":
+    if c.text == "(":
         # a parenthesized predicate, or else the start of a term
-        mark = c.i
         try:
             c.advance()
             p = _pred(c)
             c.expect(")")
             return p
         except SyntaxErrorAt:
-            c.i, c.cur = mark, t
+            c.seek(t)
     left = _term(c)
     p = None
-    while c.cur.text in S.COMPARISONS:
-        op = c.advance().text
+    while c.text in S.COMPARISONS:
+        op = c.texts[c.advance()]
         right = _term(c)
         cmp = S.PCmp(op, left, right, left.loc)
         p = cmp if p is None else S.PRel("&&", p, cmp, p.loc)
@@ -429,10 +427,10 @@ _pred = _climber(_parse_pred_atom, S.PRel, S.PRED_PREC)
 _MARKER_RE = re.compile(r"^\s*(split|merge)\s*\(\s*(\d+)\s*((?:,\s*[A-Za-z_]\w*\s*)*)\)\s*;?\s*$")
 
 
-def parse_annotation(tok: Token):
-    """Parse an /*@ ... */ token into ('assert', pred) or a section marker
-    ('split'|'merge', id, [vars])."""
-    body = tok.text[3:-2].strip()
+def parse_annotation(text: str, loc: S.Loc):
+    """Parse the text of an /*@ ... */ token at loc into ('assert', pred)
+    or a section marker ('split'|'merge', id, [vars])."""
+    body = text[3:-2].strip()
     m = _MARKER_RE.match(body)
     if m is not None:
         names = [s.strip() for s in m.group(3).split(",") if s.strip()]
@@ -441,7 +439,7 @@ def parse_annotation(tok: Token):
         body = body[len("assert"):]
     if body.endswith(";"):
         body = body[:-1]
-    c = _Cursor(_tokenize_annot(body, tok.line, tok.col))
+    c = _Cursor(_tokenize_annot(body, loc.line, loc.col))
     return ("assert", _whole(c, _pred, "annotation"))
 
 
@@ -451,7 +449,7 @@ def parse_annotation(tok: Token):
 
 
 def _parse_block(c: _Cursor) -> S.Block:
-    loc = c.expect("{").loc
+    loc = c.loc(c.expect("{"))
     stmts: List[S.Stmt] = []
     open_sections: List[Tuple[int, List[str], S.Loc, List[S.Stmt]]] = []
 
@@ -459,19 +457,19 @@ def _parse_block(c: _Cursor) -> S.Block:
         return open_sections[-1][3] if open_sections else stmts
 
     while not c.at("}"):
-        if c.cur.kind == "annot":
-            tok = c.advance()
-            parsed = parse_annotation(tok)
+        if c.kind == "annot":
+            t = c.advance()
+            tloc = c.loc(t)
+            parsed = parse_annotation(c.texts[t], tloc)
             if parsed[0] == "assert":
                 for n in S.pred_names(parsed[1]):
                     c.use(n.name, n.loc)
-                sink().append(S.AssertStmt(parsed[1], tok.loc))
+                sink().append(S.AssertStmt(parsed[1], tloc))
             elif parsed[0] == "split":
-                open_sections.append((parsed[1], parsed[2], tok.loc, []))
+                open_sections.append((parsed[1], parsed[2], tloc, []))
             else:  # merge
                 if not open_sections or open_sections[-1][0] != parsed[1]:
-                    raise SyntaxErrorAt(f"unmatched merge({parsed[1]})",
-                                        tok.line, tok.col)
+                    c.error(f"unmatched merge({parsed[1]})", t)
                 sid, save, sloc, body = open_sections.pop()
                 sink().append(S.SectionStmt(sid, save, parsed[2], body, sloc))
             continue
@@ -485,12 +483,12 @@ def _parse_block(c: _Cursor) -> S.Block:
 
 
 def _parse_stmt(c: _Cursor) -> S.Stmt:
-    t = c.cur
+    kind, text, t = c.kind, c.text, c.i
     if c.at("{"):
         return _parse_block(c)
-    if t.kind == "kw" and t.text in ("int", "float", "double"):
+    if kind == "kw" and text in ("int", "float", "double"):
         c.advance()
-        name = c.expect_kind("ident").text
+        name = c.expect_ident()
         if c.accept("["):
             size = _array_size(c)
             c.expect("]")
@@ -499,19 +497,18 @@ def _parse_stmt(c: _Cursor) -> S.Stmt:
                 c.expect("{")
                 init_list = _items(c, _parse_expr, "}", empty=False)
                 if len(init_list) != size:
-                    raise SyntaxErrorAt(
-                        f"array {name} initializer has {len(init_list)}"
-                        f" elements for size {size}", t.line, t.col)
+                    c.error(f"array {name} initializer has {len(init_list)}"
+                            f" elements for size {size}", t)
             c.expect(";")
-            c.declare(name, (t.text, True), t.loc)
-            return S.Decl(t.text, name, None, size, init_list, t.loc)
+            c.declare(name, (text, True), c.loc(t))
+            return S.Decl(text, name, None, size, init_list, c.loc(t))
         init = None
         if c.accept("="):
             init = _parse_expr(c)
         c.expect(";")
-        c.declare(name, (t.text, False), t.loc)
-        return S.Decl(t.text, name, init, None, None, t.loc)
-    if t.kind == "kw":
+        c.declare(name, (text, False), c.loc(t))
+        return S.Decl(text, name, init, None, None, c.loc(t))
+    if kind == "kw":
         if c.accept("if"):
             c.expect("(")
             cond = _parse_expr(c)
@@ -520,12 +517,12 @@ def _parse_stmt(c: _Cursor) -> S.Stmt:
             els = None
             if c.accept("else"):
                 els = _as_block(_parse_stmt(c))
-            return S.If(cond, then, els, t.loc)
+            return S.If(cond, then, els, c.loc(t))
         if c.accept("while"):
             c.expect("(")
             cond = _parse_expr(c)
             c.expect(")")
-            return S.While(cond, _as_block(_parse_stmt(c)), t.loc)
+            return S.While(cond, _as_block(_parse_stmt(c)), c.loc(t))
         if c.accept("do"):
             body = _as_block(_parse_stmt(c))
             c.expect("while")
@@ -533,28 +530,28 @@ def _parse_stmt(c: _Cursor) -> S.Stmt:
             cond = _parse_expr(c)
             c.expect(")")
             c.expect(";")
-            return S.DoWhile(body, cond, t.loc)
+            return S.DoWhile(body, cond, c.loc(t))
         if c.accept("return"):
             e = None if c.at(";") else _parse_expr(c)
             c.expect(";")
-            return S.Return(e, t.loc)
+            return S.Return(e, c.loc(t))
         if c.accept("assume"):
             c.expect("(")
             cond = _parse_expr(c)
             c.expect(")")
             c.expect(";")
-            return S.AssumeStmt(cond, t.loc)
+            return S.AssumeStmt(cond, c.loc(t))
     # assignment or expression statement
     e = _parse_expr(c)
     if c.accept("="):
         if not isinstance(e, (S.Var, S.Index)):
-            raise SyntaxErrorAt("assignment target must be a variable or"
-                                " array element", t.line, t.col)
+            c.error("assignment target must be a variable or array element",
+                    t)
         rhs = _parse_expr(c)
         c.expect(";")
-        return S.Assign(e, rhs, t.loc)
+        return S.Assign(e, rhs, c.loc(t))
     c.expect(";")
-    return S.ExprStmt(e, t.loc)
+    return S.ExprStmt(e, c.loc(t))
 
 
 def _as_block(s: S.Stmt) -> S.Block:
@@ -562,29 +559,29 @@ def _as_block(s: S.Stmt) -> S.Block:
 
 
 def _parse_function(c: _Cursor) -> S.FuncDef:
-    t = c.cur
-    if not (t.kind == "kw" and t.text in ("int", "float", "double", "void")):
-        c.error(f"expected a function definition, found {t.text!r}")
-    ret = c.advance().text
-    name = c.expect_kind("ident").text
+    ret = c.text
+    if not (c.kind == "kw" and ret in ("int", "float", "double", "void")):
+        c.error(f"expected a function definition, found {ret!r}")
+    t = c.advance()
+    name = c.expect_ident()
     c.expect("(")
-    if c.at("void") and c.toks[c.i + 1].text == ")":
+    if c.at("void") and c.texts[c.i + 1] == ")":
         c.advance()
     params = _items(c, _parse_param, ")")
     c.names = {p.name: (p.ctype, p.is_array) for p in params}
     body = _parse_block(c)
-    return S.FuncDef(ret, name, params, body, t.loc, c.names)
+    return S.FuncDef(ret, name, params, body, c.loc(t), c.names)
 
 
 def _parse_param(c: _Cursor) -> S.Param:
-    t = c.cur
-    if not (t.kind == "kw" and t.text in ("int", "float", "double")):
-        c.error(f"expected a parameter type, found {t.text!r}")
-    ctype = c.advance().text
+    ctype = c.text
+    if not (c.kind == "kw" and ctype in ("int", "float", "double")):
+        c.error(f"expected a parameter type, found {ctype!r}")
+    c.advance()
     is_array = c.accept("*")
-    name = c.expect_kind("ident").text
+    name = c.expect_ident()
     if c.accept("["):
-        if c.cur.kind == "num":
+        if c.kind == "num":
             _array_size(c)
         is_array = True
         c.expect("]")
@@ -593,15 +590,15 @@ def _parse_param(c: _Cursor) -> S.Param:
 
 def _array_size(c: _Cursor) -> int:
     """An array size: a decimal integer literal."""
-    if not c.cur.text.isdigit():
-        c.error(f"array size must be an integer, found {c.cur.text!r}")
-    return int(c.advance().text)
+    if not c.text.isdigit():
+        c.error(f"array size must be an integer, found {c.text!r}")
+    return int(c.texts[c.advance()])
 
 
 def parse_program(src: str) -> S.Program:
     c = _Cursor(tokenize(src))
     funcs = {}
-    while c.cur.kind != "eof":
+    while c.kind != "eof":
         fn = _parse_function(c)
         if fn.name in funcs:
             raise SyntaxErrorAt(f"duplicate function {fn.name!r}",
@@ -628,8 +625,8 @@ def parse_program(src: str) -> S.Program:
 def _whole(c: _Cursor, read: Callable, what: str):
     """What `read` reads, which must take every token up to eof."""
     x = read(c)
-    if c.cur.kind != "eof":
-        c.error(f"trailing tokens in {what}: {c.cur.text!r}")
+    if c.kind != "eof":
+        c.error(f"trailing tokens in {what}: {c.text!r}")
     return x
 
 

@@ -11,8 +11,10 @@ annotations and stray characters, with and without blanks between them.
 Walk orders are compared on every corpus function after instrumentation,
 so sections and the rewritten returns are walked too.
 """
+import gc
 import hashlib
 import re
+import tracemalloc
 from typing import List, Tuple
 
 import pytest
@@ -232,7 +234,9 @@ def lexed(tokenize_fn, *args):
 def as_tuples(toks):
     if isinstance(toks, tuple):
         return toks
-    return [(t.kind, t.text, t.line, t.col) for t in toks]
+    locs = map(toks.loc, range(len(toks)))
+    return [(kind, text, loc.line, loc.col)
+            for kind, text, loc in zip(toks.kinds, toks.texts, locs)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -253,6 +257,20 @@ def test_annotation_tokens_match_the_reference(body, bad):
 def test_corpus_tokens_match_the_reference(name):
     src = corpus_source(name)
     assert as_tuples(tokenize(src)) == ref_tokenize(src)
+
+
+@pytest.mark.parametrize("workload,seed", [
+    ("wide_instrument", 11), ("wide_instrument", 37),
+    ("branch_fanout", 11), ("branch_fanout", 37)])
+def test_generated_tokens_match_the_reference(workload, seed):
+    """The 70 KB sources run to about 5,500 lines and to offsets past
+    65,535, far beyond the Hypothesis streams. The token count, eof
+    included, is what the benchmark's `frontend.tokens_per_s` counts."""
+    for p in W.WORKLOADS[workload](seed):
+        ref = ref_tokenize(p.source)
+        toks = tokenize(p.source)
+        assert len(toks) == len(ref)
+        assert as_tuples(toks) == ref
 
 
 @pytest.mark.parametrize("src,message,line,col", [
@@ -531,6 +549,24 @@ def test_program_trees_match_the_pins(workload, seed):
 def test_predicate_trees_match_the_pins(src, tree):
     assert repr(parse_pred(src)).replace(", loc=Loc(line=0, col=0)", "") \
         == tree
+
+
+def test_parsing_the_largest_source_holds_no_more_memory_than_before():
+    """tracemalloc's peak during `parse_program` of the seed-37 70 KB
+    source, and the tree it returns, in MB: 4.76 and 2.38 when every token
+    was an object holding its line and column."""
+    src = W.wide_instrument(37)[-1].source
+    parse_program(src)  # compiles and caches the patterns it uses
+    gc.collect()
+    tracemalloc.start()
+    try:
+        tree = parse_program(src)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tree.functions
+    assert round(peak / 1e6, 2) <= 4.76
+    assert round(held / 1e6, 2) <= 2.38
 
 
 MAIN = ("int main() {\n  double x = read_double(0.0, 1.0);\n"

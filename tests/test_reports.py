@@ -751,6 +751,25 @@ def test_cli_input_past_the_double_range_raises_overflow(tmp_path, bounds,
     assert ("overflow" in res.output) == (code == 1)
 
 
+@pytest.mark.parametrize("body,at", [
+    ("double x = 1e400;", "1:25"),
+    ("double x = 0.0; x = 1e400;", "1:34"),
+    ("double x = 0.0; double y = x + 1e400;", "1:45"),
+    ("double y = f(1e400);", "1:27"),
+], ids=["declaration", "assignment", "operand", "argument"])
+def test_cli_literal_past_the_double_range_alarms_where_it_is_read(
+        tmp_path, body, at):
+    """A literal no double can hold alarms at the literal, as an input
+    bound does."""
+    src = tmp_path / "p.c"
+    src.write_text(f"int main() {{ {body} return 0; }}\n"
+                   "double f(double a) { return a; }\n")
+    res = CliRunner().invoke(main, ["analyze", str(src)])
+    assert res.exit_code == 1, res.output
+    assert (f"[alarm] overflow: {at}: 1e+400 rounds beyond the largest"
+            " finite value") in res.output
+
+
 def test_cli_int_past_the_float_range_raises_overflow(tmp_path):
     """An int no float of the format can hold alarms where it converts."""
     src = tmp_path / "p.c"
