@@ -22,8 +22,8 @@ from typing import Dict, List, Optional, Tuple
 from ..domain import AbstractFloat
 from ..errors import AnalysisAlarm, TypeErrorAt
 from ..frontend import syntax as S
-from ..numerics import (FloatFormat, RInterval, compare, interval_over,
-                        round_nearest, trunc_div)
+from ..numerics import (RING_OPS, FloatFormat, RInterval, compare,
+                        interval_over, round_nearest, trunc_div)
 from ..zonotope import SymbolEnv, SymbolPool
 from .kinds import INT_RANGE
 from .typecheck import (TypedBuiltin, TypedCmp, TypedLet, TypedNot, TypedPred,
@@ -67,9 +67,10 @@ class Memory:
         self.env = env
         self.vars: Dict[str, object] = {}
 
-    def load(self, name: str):
+    def load(self, name: str, loc: S.Loc):
         if name not in self.vars:
-            raise AnalysisAlarm("out-of-bounds", f"read of unset variable {name}")
+            raise AnalysisAlarm("out-of-bounds", f"{loc}: read of unset"
+                                f" variable {name}", loc)
         return self.vars[name]
 
     def cells(self, name: str, iv: RInterval, loc: S.Loc,
@@ -77,7 +78,7 @@ class Memory:
         """The array `name` and the bounds lo, hi of an index in the int
         interval iv: an error at loc when `name` holds no array, an
         out-of-bounds alarm there when iv reaches past either end."""
-        arr = self.load(name)
+        arr = self.load(name, loc)
         if not isinstance(arr, list):
             raise TypeErrorAt(f"{loc}: {name} is not an array")
         lo, hi = iv.lo_n, iv.hi_n
@@ -127,7 +128,7 @@ def _load_lvalue(tt: TypedTerm, mem: Memory, binders):
     if isinstance(t, S.TName):
         if t.name in binders:
             return binders[t.name]
-        return mem.load(t.name)
+        return mem.load(t.name, t.loc)
     arr, lo, hi = mem.cells(t.name, eval_term(tt.children[0], mem, binders),
                             t.loc)
     return arr[lo] if lo == hi else arr[lo:hi + 1]
@@ -152,12 +153,8 @@ def eval_term(tt: TypedTerm, mem: Memory, binders=None) -> RInterval:
     if isinstance(t, S.TBin):
         a = eval_term(tt.children[0], mem, binders)
         b = eval_term(tt.children[1], mem, binders)
-        if t.op == "+":
-            return a + b
-        if t.op == "-":
-            return a - b
-        if t.op == "*":
-            return a * b
+        if t.op in RING_OPS:
+            return RING_OPS[t.op](a, b)
         if t.op == "/":
             if tt.compute in INT_RANGE or tt.compute == "Z":
                 return trunc_div(a, b, t.loc)
@@ -267,7 +264,8 @@ def _store_lvalue(tt: TypedTerm, value, mem: Memory, binders) -> None:
     if isinstance(t, S.TName):
         mem.store(t.name, value)
     else:
-        mem.load(t.name)[eval_term(tt.children[0], mem, binders).lo_n] = value
+        arr = mem.load(t.name, t.loc)
+        arr[eval_term(tt.children[0], mem, binders).lo_n] = value
 
 
 def _eval_pred_tv(p: TypedPred, mem: Memory, binders,

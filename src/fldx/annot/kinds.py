@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
-from ..numerics import BINARY32, BINARY64
+from ..numerics import BINARY32, BINARY64, RING_OPS
 
 #: Machine integer types ordered smallest-first for T(I).
 INT_TYPES: Tuple[Tuple[str, int, int], ...] = (
@@ -74,12 +74,8 @@ def _corners(a: IntInterval, b: IntInterval, op) -> IntInterval:
 
 
 def int_interval_arith(op: str, a: IntInterval, b: IntInterval) -> IntInterval:
-    if op == "+":
-        return _corners(a, b, lambda x, y: x + y)
-    if op == "-":
-        return _corners(a, b, lambda x, y: x - y)
-    if op == "*":
-        return _corners(a, b, lambda x, y: x * y)
+    if op in RING_OPS:
+        return _corners(a, b, RING_OPS[op])
     if op == "/":
         # C truncating division. With a nonzero divisor the quotient lies
         # between 0 and the dividend (positive divisor) or its negation

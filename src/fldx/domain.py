@@ -32,7 +32,7 @@ the general path, hands its ints to `round_nearest` or `round_directed`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import gcd, lcm
@@ -40,9 +40,9 @@ from operator import is_
 from typing import Dict, Iterable, Optional, Tuple
 
 from .errors import DivisionByZero, InfeasiblePath
-from .numerics import (FloatFormat, RInterval, RationalLike, interval_over,
-                       narrowed, pair_over, products_over_lcm, rat,
-                       representation_error_bound, round_directed,
+from .numerics import (RING_OPS, FloatFormat, RInterval, RationalLike,
+                       interval_over, narrowed, pair_over, products_over_lcm,
+                       rat, representation_error_bound, round_directed,
                        round_nearest)
 from .zonotope import (UNIT, AffineForm, Origin, SymbolEnv, SymbolPool,
                        condense, af_div, af_mul, sym_range)
@@ -102,21 +102,23 @@ class AbstractFloat:
     # -- refined views ----------------------------------------------------
 
     def real_refined(self, env: SymbolEnv) -> RInterval:
-        m = self.real.concretize(env).meet(self.real_iv)
-        if m is None:
-            raise InfeasiblePath
-        return m
+        return self.real_iv if self._current(env) \
+            else _refined(self.real, self.real_iv, env)
 
     def err_refined(self, env: SymbolEnv) -> RInterval:
-        m = self.err.concretize(env).meet(self.err_iv)
-        if m is None:
-            raise InfeasiblePath
-        return m
+        return self.err_iv if self._current(env) \
+            else _refined(self.err, self.err_iv, env)
 
     def _ranges(self, env: SymbolEnv) -> tuple:
         """The range objects of the symbols of real, then of err."""
         return tuple([env.get(i, UNIT) for i in self.real.ns]
                      + [env.get(i, UNIT) for i in self.err.ns])
+
+    def _current(self, env: SymbolEnv) -> bool:
+        """Whether the value was refreshed under the ranges env gives; its
+        intervals are then its own refinements (see `refresh`)."""
+        rec = self.__dict__.get("_refreshed")
+        return rec is not None and all(map(is_, self._ranges(env), rec))
 
     def refresh(self, env: SymbolEnv) -> "AbstractFloat":
         """Re-meet the interval refinements against form concretizations
@@ -135,23 +137,31 @@ class AbstractFloat:
         e in E, where e = f - r lies in E', so R' ⊆ F' - E'; likewise
         E' ⊆ F' - R'. Since R' ⊆ C_r and E' ⊆ C_e, the second refresh
         meets every field with a superset of it and changes none.
+
+        A value with no symbols, as `_exact` builds it, is born refreshed
+        with an empty record: a refresh returns it without concretizing,
+        as one would give its own fields, the points f, r and f - r.
         """
-        rec = self.__dict__.get("_refreshed")
-        if rec is not None and all(map(is_, self._ranges(env), rec)):
+        if self._current(env):
             return self
-        real_iv = self.real_refined(env)
-        err_iv = self.err_refined(env)
+        real_iv = _refined(self.real, self.real_iv, env)
+        err_iv = _refined(self.err, self.err_iv, env)
         fiv = self.float_iv.meet(real_iv + err_iv)
         if fiv is None:
             raise InfeasiblePath
         real_iv2 = real_iv.meet(fiv - err_iv) or real_iv
         err_iv2 = err_iv.meet(fiv - real_iv) or err_iv
         out = AbstractFloat(fiv, self.real, real_iv2, self.err, err_iv2)
-        object.__setattr__(out, "_refreshed", self._ranges(env))
+        out.__dict__["_refreshed"] = self._ranges(env)
         return out
 
-    def with_float_iv(self, fiv: RInterval) -> "AbstractFloat":
-        return replace(self, float_iv=fiv)
+
+def _refined(form: AffineForm, iv: RInterval, env: SymbolEnv) -> RInterval:
+    """iv met with the concretization of form under env."""
+    m = form.concretize(env).meet(iv)
+    if m is None:
+        raise InfeasiblePath
+    return m
 
 
 def _exact(fn: int, fd: int, rn: int, rd: int) -> AbstractFloat:
@@ -164,8 +174,10 @@ def _exact(fn: int, fd: int, rn: int, rd: int) -> AbstractFloat:
     g = gcd(fd, rd)
     en = fiv.lo_n * (rd // g) - riv.lo_n * (fd // g)
     eiv = interval_over(en, en, fd // g * rd)
-    return AbstractFloat(fiv, AffineForm.of_point(riv), riv,
-                         AffineForm.of_point(eiv), eiv)
+    out = AbstractFloat(fiv, AffineForm.of_point(riv), riv,
+                        AffineForm.of_point(eiv), eiv)
+    out.__dict__["_refreshed"] = ()
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -207,26 +219,21 @@ def abs_op(op: str, a: AbstractFloat, b: AbstractFloat, fmt: FloatFormat,
 
     if op == "+":
         real = a.real + b.real
-        riv_op = a_riv + b_riv
     elif op == "-":
         real = a.real - b.real
-        riv_op = a_riv - b_riv
     elif op == "*":
         real = af_mul(a.real, b.real, pool, env)
-        riv_op = a_riv * b_riv
     elif op == "/":
         if b.float_iv.contains(0):
             raise DivisionByZero("abstract division by zero-containing float")
-        hint_r = b_riv
-        if hint_r.contains(0):
+        if b_riv.contains(0):
             raise DivisionByZero("abstract division: real divisor may be zero")
-        real = af_div(a.real, b.real, hint_r, pool, env)
-        riv_op = a_riv.divide(b_riv)
+        real = af_div(a.real, b.real, b_riv, pool, env)
     else:
         raise ValueError(f"unknown operator {op!r}")
 
     real = condense(real, max_syms, pool, env)
-    real_iv = real.concretize(env).meet(riv_op)
+    real_iv = real.concretize(env).meet(_iv_op(op, a_riv, b_riv))
     if real_iv is None:
         raise InfeasiblePath
 
@@ -243,14 +250,7 @@ def abs_op(op: str, a: AbstractFloat, b: AbstractFloat, fmt: FloatFormat,
             raise InfeasiblePath
         return AbstractFloat(float_iv, real, real_iv, err, err_iv0)
 
-    if op == "/":
-        z_iv = a.float_iv.divide(b.float_iv)
-    elif op == "+":
-        z_iv = a.float_iv + b.float_iv
-    elif op == "-":
-        z_iv = a.float_iv - b.float_iv
-    else:
-        z_iv = a.float_iv * b.float_iv
+    z_iv = _iv_op(op, a.float_iv, b.float_iv)
     # rounding is monotone, so rounding the exact endpoints is sound
     float_iv = pair_over(*round_nearest(z_iv.lo_n, z_iv.den, fmt),
                          *round_nearest(z_iv.hi_n, z_iv.den, fmt))
@@ -291,6 +291,11 @@ def _exact_op(op: str, a: AbstractFloat, b: AbstractFloat,
     fn, fd = round_nearest(*_ratio_op(op, fa.lo_n, fa.den, fb.lo_n, fb.den),
                            fmt)
     return _exact(fn, fd, rn, rd)
+
+
+def _iv_op(op: str, a: RInterval, b: RInterval) -> RInterval:
+    """a op b, for b not containing 0 when op is `/`."""
+    return a.divide(b) if op == "/" else RING_OPS[op](a, b)
 
 
 def _ratio_op(op: str, an: int, ad: int, bn: int, bd: int):

@@ -24,14 +24,15 @@ region and an ideal region of t:
     a single state whose float fields come from the machine run and
     whose real fields come from the ideal run.
 
-The chosen flow constrains the float, real and error forms of t jointly
-and meets the operands; `assume` applies the stable true flow the same
-way, without a decision. One coercion, `_coerce`, converts a value to a
-C type for a cast, a store, an argument and a result alike: a float to
-int is a cast decision, an int to float a promotion rounded to the
-format (exact when the format holds every int of the range), and anything
-else (an array, the result of a void function) an error at the operand.
-So every value in a frame has its declared type.
+The chosen flow constrains the float, real and error forms of t jointly,
+each distinct constraint projected once, meets the operands and then
+refreshes every value once; `assume` applies the stable true flow the
+same way, without a decision. One coercion, `_coerce`, converts a value
+to a C type for a cast, a store, an argument and a result alike: a float
+to int is a cast decision, an int to float a promotion rounded to the
+format (exact when the format holds every int of the range), and
+anything else (an array, the result of a void function) an error at the
+operand. So every value in a frame has its declared type.
 
 A return is a store. Programs come from `pipeline.prepare`, whose
 `normalize_returns` leaves a function's only `return` as the last
@@ -97,9 +98,9 @@ from ..domain import (AbstractFloat, abs_neg, abs_op,
 from ..errors import (AnalysisAlarm, DivisionByZero, InfeasiblePath,
                       OverflowAlarm, SectionInfeasible, TypeErrorAt)
 from ..frontend import syntax as S
-from ..numerics import (ANY, REGIONS, RationalLike, RInterval, check_finite,
-                        interval_over, pair_over, settled, trunc_div,
-                        trunc_quotient)
+from ..numerics import (ANY, REGIONS, RING_OPS, RationalLike, RInterval,
+                        check_finite, interval_over, pair_over, settled,
+                        trunc_div, trunc_quotient)
 from ..zonotope import AffineForm, Origin, SymbolEnv, SymbolPool, sym_range
 from .explorer import PathExplorer
 
@@ -122,10 +123,6 @@ class SectionCtx:
     depth: int = 0  # the call depth the section body runs at
     signature: List = field(default_factory=list)
     interp: Optional[str] = None
-
-    def reset(self) -> None:
-        self.signature = []
-        self.interp = None
 
 
 @dataclass
@@ -282,17 +279,23 @@ class Interp:
     def _constrain_joint(self, constraints) -> None:
         """Narrow symbol ranges under several simultaneous form
         constraints: iterate the projections to a fixpoint on a scratch
-        copy of the ranges, then adopt every narrowing at once.
+        copy of the ranges, then adopt the narrowing of each symbol a
+        projection moved, in symbol order.
 
-        A projection depends only on the ranges of its form's symbols, so
-        a constraint whose last projection changed nothing is skipped
-        (`quiet`) until another projection gives one of its symbols a new
-        range; projecting it again would change nothing either."""
+        Projecting one linear constraint is exact, so projecting it again
+        at once would change nothing: equal constraints, such as the
+        float and the real one of a stable test on error-free operands,
+        are projected as one. A constraint whose last projection changed
+        nothing is skipped (`quiet`) until another moves one of its
+        form's symbols, the only ranges a projection reads."""
+        live = []
+        for c in constraints:
+            if (c[1] is not None or c[2] is not None) and c not in live:
+                live.append(c)
         scratch = dict(self.env)
-        live = [c for c in constraints if c[1] is not None or c[2] is not None]
+        moved: Set[int] = set()
         quiet = [False] * len(live)
         for _ in range(8):
-            changed = False
             for k, (form, lo, hi) in enumerate(live):
                 if quiet[k]:
                     continue
@@ -300,18 +303,15 @@ class Interp:
                 if not updates:
                     quiet[k] = True
                     continue
-                changed = True
                 scratch.update(updates)
+                moved.update(updates)
                 for j, (other, _, _) in enumerate(live):
                     if quiet[j] and not other.ns.keys().isdisjoint(updates):
                         quiet[j] = False
-            if not changed:
+            if all(quiet):  # no projection changed anything
                 break
-        for sym in sorted(scratch):
-            nr = scratch[sym]
-            cur = sym_range(self.env, sym)
-            if nr is not cur and nr != cur:
-                self._narrow_symbol(sym, nr)
+        for sym in sorted(moved):
+            self._narrow_symbol(sym, scratch[sym])
 
     def _refresh_all(self) -> None:
         for name, v in list(self.mem.vars.items()):
@@ -341,8 +341,8 @@ class Interp:
             m = (v if kind is RInterval else v.float_iv).meet(region)
             if m is None:
                 raise InfeasiblePath
-            self.mem.vars[e.name] = m if kind is RInterval \
-                else v.with_float_iv(m).refresh(self.env)
+            self.mem.vars[e.name] = m if kind is RInterval else \
+                AbstractFloat(m, v.real, v.real_iv, v.err, v.err_iv)
 
     # -- expression evaluation --------------------------------------------
 
@@ -359,7 +359,7 @@ class Interp:
                     raise OverflowAlarm(f"{e.loc}: {exn}", e.loc) from None
             return v
         if isinstance(e, S.Var):
-            return self.mem.load(e.name)
+            return self.mem.load(e.name, e.loc)
         if isinstance(e, S.Index):
             arr, lo, hi = self._cells(e, e.loc, "index")
             return self._hull([(v, self.env) for v in arr[lo:hi + 1]])
@@ -418,12 +418,8 @@ class Interp:
 
     def _int_arith(self, op: str, a: RInterval, b: RInterval,
                    loc: S.Loc) -> RInterval:
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
+        if op in RING_OPS:
+            return RING_OPS[op](a, b)
         if op == "/":
             return trunc_div(a, b, loc)
         if op == "%":
@@ -518,8 +514,8 @@ class Interp:
                 return known != neg
             take_true = self.ctx.explorer.choose(2) == 0
             self.ctx.signature.append((id(e), "iT" if take_true else "iF"))
-            self._trace(f"decision {e.loc}: int"
-                        f" {'true' if take_true else 'false'}")
+            if self.cfg.collect_trace:
+                self._trace(f"decision {e.loc}: int {str(take_true).lower()}")
             self._meet_operands(lhs, rhs, RInterval, a, b,
                                 true_reg if take_true != neg else false_reg)
             return take_true
@@ -560,9 +556,7 @@ class Interp:
         t_riv = l.real_refined(env) - r.real_refined(env)
         err_form = l.err - r.err
         t_eiv = err_form.concretize(env)
-        m = t_eiv.meet(l.err_refined(env) - r.err_refined(env))
-        if m is not None:
-            t_eiv = m
+        t_eiv = t_eiv.meet(l.err_refined(env) - r.err_refined(env)) or t_eiv
         fixed = ctx.interp
         flows = []
         gap = False
@@ -596,8 +590,9 @@ class Interp:
         if interp is not None and fixed is None:
             ctx.interp = interp
         first_line = len(self.trace)
-        self._trace(f"decision {loc}: {'cast ' if noun == 'cast' else ''}"
-                    f"{tag}" + (f"/{interp}" if interp else ""))
+        if self.cfg.collect_trace:
+            self._trace(f"decision {loc}: {'cast ' if noun == 'cast' else ''}"
+                        f"{tag}" + (f"/{interp}" if interp else ""))
         self._apply(lhs, rhs, l, r, f_reg, r_reg, e_reg, err_form)
         if keep and len(flows) > 1:
             ctx.explorer.save(((site, tag), ctx.interp, value,
@@ -624,7 +619,7 @@ class Interp:
                err_form: AffineForm) -> None:
         """Constrain t = l - r to a flow: its float form (real + error)
         to f_reg, its real form to r_reg and its error form (`err_form`)
-        to e_reg; then meet the operands and refresh every value."""
+        to e_reg; then meet the operands and refresh every value once."""
         self._constrain_joint([((l.real + l.err) - (r.real + r.err), *f_reg),
                                (l.real - r.real, *r_reg),
                                (err_form, *e_reg)])
@@ -795,20 +790,17 @@ class Interp:
         try:
             while True:
                 self._restore(checkpoint_mem, checkpoint_env)
-                ctx.reset()
+                ctx.signature, ctx.interp = [], None
                 self._skip = ex.skips()
+                end = None
                 try:
                     self.exec_stmts(sec.body)
                     finished.setdefault(tuple(ctx.signature), {})[
                         ctx.interp] = (self.mem.snapshot(), dict(self.env))
                     report.feasible_paths += 1
-                    self._trace(f"section {sec.section_id}: path"
-                                f" {_sig_str(ctx.signature, ctx.interp)}"
-                                f" feasible")
+                    end = "feasible"
                 except InfeasiblePath:
-                    self._trace(f"section {sec.section_id}: path"
-                                f" {_sig_str(ctx.signature, ctx.interp)}"
-                                f" infeasible")
+                    end = "infeasible"
                 except SectionInfeasible as si:
                     self._trace(f"section {sec.section_id}: path abandoned,"
                                 f" inner section {si.section_id} empty")
@@ -816,6 +808,9 @@ class Interp:
                     self._alarm(al)
                     self._trace(f"section {sec.section_id}: path aborted"
                                 f" with alarm {al.kind}")
+                if end is not None and self.cfg.collect_trace:
+                    sig = _sig_str(ctx.signature, ctx.interp)
+                    self._trace(f"section {sec.section_id}: path {sig} {end}")
                 if not ex.next_path():
                     break
             report.started_paths = ex.paths_started
@@ -854,7 +849,8 @@ class Interp:
             if combined is not None:
                 out.append(combined)
                 pairs += 1
-                self._trace(f"merge_unstable: paired {_sig_str(sig, None)}")
+                if self.cfg.collect_trace:
+                    self._trace(f"merge_unstable: paired {_sig_str(sig)}")
         return out, pairs
 
     def _combine_pair(self, mem_f, env_f: SymbolEnv, mem_r,
@@ -975,7 +971,7 @@ def _kind(v) -> str:
     return "an array" if isinstance(v, list) else "a floating-point value"
 
 
-def _sig_str(sig, interp) -> str:
+def _sig_str(sig, interp: Optional[str] = None) -> str:
     tags = "/".join(t for _, t in sig) or "straight"
     return tags + (f"[{interp}]" if interp else "")
 

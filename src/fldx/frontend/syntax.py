@@ -11,8 +11,10 @@ from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Loc:
+    """A line and column, never changed once built. Not frozen: a frozen
+    one takes three times as long to build, and a parse builds many."""
     line: int
     col: int
 

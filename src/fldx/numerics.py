@@ -328,6 +328,9 @@ def _region_table(one: int):
 #: the region table, on ints (True) and over the reals (False)
 REGIONS = {False: _region_table(0), True: _region_table(1)}
 
+#: `+`, `-` and `*` of two intervals, or of two numbers
+RING_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
 #: the operators read as the negation of another over the reals
 _NEGATION = {"<": ">=", ">": "<=", "!=": "=="}
 

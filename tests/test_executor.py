@@ -15,13 +15,15 @@ import pytest
 from fldx.config import AnalysisConfig
 from fldx.domain import AbstractFloat
 from fldx.errors import AnalysisAlarm, InfeasiblePath
+from fldx.executor import interp as I
 from fldx.executor.explorer import PathExplorer
 from fldx.executor.interp import Interp, SectionCtx
 from fldx.frontend import parse_expr, parse_program
 from fldx.frontend import syntax as S
-from fldx.numerics import BINARY32, RInterval, interval_over
+from fldx.numerics import BINARY32, FORMATS, RInterval, interval_over
 from fldx.pipeline import analyze, prepare
 from fldx.zonotope import AffineForm, Origin
+from perfbench import workloads as W
 from tests.conftest import all_corpus_names, corpus_source
 
 
@@ -708,3 +710,78 @@ def test_each_float_literal_node_is_built_once(monkeypatch):
     analyze(source, config)
     assert F(1, 10) in calls
     assert len(calls) <= len(nodes)
+
+
+# ---------------------------------------------------------------------------
+# One pass per decision
+# ---------------------------------------------------------------------------
+
+
+def test_a_stable_decision_projects_once_and_refreshes_once(monkeypatch):
+    """Each of the 2**7 - 2 applied flows of stable_program(6) constrains
+    x_i - 0.5 on error-free operands: its float and real constraints are
+    one, projected in a round that narrows and a round that does not, and
+    the met operand is refreshed only with every other variable."""
+    calls = {"project": 0, "refresh": 0}
+    project, refresh = I.project_onto_symbols, AbstractFloat.refresh
+
+    def counted_project(*args):
+        calls["project"] += 1
+        return project(*args)
+
+    def counted_refresh(self, env):
+        calls["refresh"] += 1
+        return refresh(self, env)
+
+    monkeypatch.setattr(I, "project_onto_symbols", counted_project)
+    monkeypatch.setattr(AbstractFloat, "refresh", counted_refresh)
+    text = analyze(stable_program(6), AnalysisConfig()).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == STABLE_6_SHA256
+    assert calls["project"] <= 2 * 126
+    assert calls["refresh"] <= 7 * 126
+
+
+def test_an_exact_value_refreshes_to_itself_without_concretizing(
+        monkeypatch):
+    v = AbstractFloat.from_literal(F(1, 10), BINARY32)
+
+    def concretize(self, env):
+        raise AssertionError("concretized")
+
+    monkeypatch.setattr(AffineForm, "concretize", concretize)
+    env = {0: RInterval(F(0), F(1))}
+    assert v.refresh(env) is v
+    assert v.real_refined(env) is v.real_iv
+    assert v.err_refined(env) is v.err_iv
+    assert v.float_iv - v.real_iv == v.err_iv
+
+
+def test_no_trace_text_is_formatted_unless_asked(monkeypatch):
+    calls = []
+    sig_str = I._sig_str
+
+    def counted(*args):
+        calls.append(args)
+        return sig_str(*args)
+
+    monkeypatch.setattr(I, "_sig_str", counted)
+    source = corpus_source("comp_disc.c")
+    analyze(source, AnalysisConfig())
+    assert calls == []
+    rep = analyze(source, AnalysisConfig(collect_trace=True))
+    assert calls and any("merge_unstable: paired" in t for t in rep.trace)
+
+
+#: the corpus and fanout_n4 .. fanout_n6 at seed 11
+TRACED = W.corpus() + [p for p in W.branch_fanout(11) if p.n_tests <= 6]
+
+
+@pytest.mark.parametrize("p", TRACED, ids=[p.name for p in TRACED])
+def test_a_trace_changes_nothing_but_the_trace(p):
+    reports = [analyze(p.source, AnalysisConfig(fmt=FORMATS[p.fmt],
+                                                collect_trace=traced),
+                       source_name=p.name).to_dict()
+               for traced in (False, True)]
+    plain, traced = (r.pop("trace") for r in reports)
+    assert plain == [] and traced
+    assert reports[0] == reports[1]

@@ -770,6 +770,25 @@ def test_cli_literal_past_the_double_range_alarms_where_it_is_read(
             " finite value") in res.output
 
 
+@pytest.mark.parametrize("read,at", [
+    ("double y = z + 1.0;", "7:14"),
+    ("/*@ assert (z <= 2.0); */", "7:3"),
+], ids=["code", "annotation"])
+def test_cli_read_of_an_unset_variable_alarms_where_it_is_read(
+        tmp_path, read, at):
+    """z is set on one side of a split test only, so the merge drops it
+    and the read after it finds it unset."""
+    src = tmp_path / "p.c"
+    src.write_text("int main(double x) {\n  double z;\n  if (x < 0.5) {\n"
+                   "    z = 1.0;\n  }\n  /*@ assert (x <= 1.0); */\n"
+                   f"  {read}\n  return 0;\n}}\n")
+    res = CliRunner().invoke(main, ["analyze", "--input", "x=[0,1]",
+                                    str(src)])
+    assert res.exit_code == 1, res.output
+    assert f"[alarm] out-of-bounds: {at}: read of unset variable z" \
+        in res.output
+
+
 def test_cli_int_past_the_float_range_raises_overflow(tmp_path):
     """An int no float of the format can hold alarms where it converts."""
     src = tmp_path / "p.c"

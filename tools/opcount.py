@@ -1,0 +1,91 @@
+"""Count the Python bytecodes one benchmark operation executes.
+
+Run from the root of a checkout:
+
+    python3 tools/opcount.py --workload branch_fanout --program fanout_n8 \\
+        --seed 11
+
+The operation is the one `perfbench/run.py` times for the program: an
+analysis followed by its JSON report on the analysis workloads, the
+instrumented source on wide_instrument. It runs once untraced, to fill the
+caches a first call fills, and then once under `sys.settrace` with opcode
+events on, counting every bytecode executed in Python frames. The process
+runs under a fixed PYTHONHASHSEED (it restarts itself under one when the
+environment sets another), so the count repeats exactly from run to run,
+while wall times on a shared host swing by a factor of two. The last line
+of standard output is the program's name and the count.
+"""
+from __future__ import annotations
+
+import argparse
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+HASH_SEED = "0"
+
+
+def count_opcodes(fn) -> int:
+    """The bytecodes executed in Python frames while fn() runs."""
+    n = 0
+
+    def local(frame, event, arg):
+        nonlocal n
+        if event == "opcode":
+            n += 1
+        return local
+
+    def start(frame, event, arg):
+        frame.f_trace_opcodes = True
+        return local
+
+    sys.settrace(start)
+    try:
+        fn()
+    finally:
+        sys.settrace(None)
+    return n
+
+
+def operation(workload: str, name: str, seed: int):
+    """The zero-argument operation perfbench runs for one program."""
+    from perfbench.workloads import WORKLOADS
+    from fldx.config import AnalysisConfig
+    from fldx.numerics import FORMATS
+    from fldx.pipeline import analyze, instrumented_source
+
+    programs = {p.name: p for p in WORKLOADS[workload](seed)}
+    if name not in programs:
+        raise SystemExit(f"error: {workload} has no program {name!r}; it has"
+                         f" {', '.join(programs)}")
+    p = programs[name]
+    config = AnalysisConfig(fmt=FORMATS[p.fmt])
+    if p.kind == "instrument":
+        return lambda: instrumented_source(p.source, config)
+    return lambda: analyze(p.source, config, source_name=p.name).to_json()
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--workload", default="branch_fanout",
+                    choices=("corpus", "branch_fanout", "wide_instrument"))
+    ap.add_argument("--program", default="fanout_n8",
+                    help="program name, e.g. fanout_n8, wide_70kb, filter.c")
+    ap.add_argument("--seed", type=int, default=11)
+    args = ap.parse_args()
+    if os.environ.get("PYTHONHASHSEED") != HASH_SEED:
+        env = dict(os.environ, PYTHONHASHSEED=HASH_SEED)
+        os.execve(sys.executable,
+                  [sys.executable, str(Path(__file__).resolve()),
+                   *sys.argv[1:]], env)
+    for p in (str(ROOT / "src"), str(ROOT)):
+        if p not in sys.path:
+            sys.path.insert(0, p)
+    op = operation(args.workload, args.program, args.seed)
+    op()
+    print(f"{args.program} {count_opcodes(op)}")
+
+
+if __name__ == "__main__":
+    main()
