@@ -32,9 +32,10 @@ the general path, hands its ints to `round_nearest` or `round_directed`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
+from itertools import chain, repeat
 from math import gcd, lcm
 from operator import is_
 from typing import Dict, Iterable, Optional, Tuple
@@ -59,20 +60,28 @@ def _snap_in(iv: RInterval, fmt: FloatFormat) -> RInterval:
     return iv
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class AbstractFloat:
     float_iv: RInterval
     real: AffineForm
     real_iv: RInterval
     err: AffineForm
     err_iv: RInterval
+    #: the refresh record (see `refresh`) and `rel` once read (False
+    #: before); neither takes part in `==`, hash or repr
+    _refreshed: Optional[tuple] = field(default=None, init=False,
+                                        repr=False, compare=False)
+    _rel: object = field(default=False, init=False, repr=False,
+                         compare=False)
 
-    @cached_property
+    @property
     def rel(self) -> Optional[RInterval]:
         """Relative error err/real, or None when the real value may be 0."""
-        if self.real_iv.contains(0):
-            return None
-        return self.err_iv.divide(self.real_iv)
+        rel = self._rel
+        if rel is False:
+            rel = self._rel = None if self.real_iv.contains(0) \
+                else self.err_iv.divide(self.real_iv)
+        return rel
 
     # -- constructors -----------------------------------------------------
 
@@ -109,15 +118,15 @@ class AbstractFloat:
         return self.err_iv if self._current(env) \
             else _refined(self.err, self.err_iv, env)
 
-    def _ranges(self, env: SymbolEnv) -> tuple:
-        """The range objects of the symbols of real, then of err."""
-        return tuple([env.get(i, UNIT) for i in self.real.ns]
-                     + [env.get(i, UNIT) for i in self.err.ns])
+    def _ranges(self, env: SymbolEnv):
+        """The range objects of the symbols of real, then of err, each
+        read from env as the iterator reaches it."""
+        return map(env.get, chain(self.real.ns, self.err.ns), repeat(UNIT))
 
     def _current(self, env: SymbolEnv) -> bool:
         """Whether the value was refreshed under the ranges env gives; its
         intervals are then its own refinements (see `refresh`)."""
-        rec = self.__dict__.get("_refreshed")
+        rec = self._refreshed
         return rec is not None and all(map(is_, self._ranges(env), rec))
 
     def refresh(self, env: SymbolEnv) -> "AbstractFloat":
@@ -125,9 +134,8 @@ class AbstractFloat:
         and restore mutual consistency (float = real + err).
 
         A refreshed value records the range objects it was refreshed
-        under (`_refreshed`, outside the dataclass fields, so it takes
-        no part in `==`, hash or repr). Refreshing it again while every
-        one of them is still the same object returns the value itself,
+        under (`_refreshed`). Refreshing it again while every one of
+        them is still the same object returns the value itself,
         which is exactly what a second refresh would compute. With C_r
         and C_e the unchanged concretizations, the first refresh gives
         R = C_r ∩ real_iv, E = C_e ∩ err_iv, F' = float_iv ∩ (R + E),
@@ -152,7 +160,7 @@ class AbstractFloat:
         real_iv2 = real_iv.meet(fiv - err_iv) or real_iv
         err_iv2 = err_iv.meet(fiv - real_iv) or err_iv
         out = AbstractFloat(fiv, self.real, real_iv2, self.err, err_iv2)
-        out.__dict__["_refreshed"] = self._ranges(env)
+        out._refreshed = tuple(self._ranges(env))
         return out
 
 
@@ -176,7 +184,7 @@ def _exact(fn: int, fd: int, rn: int, rd: int) -> AbstractFloat:
     eiv = interval_over(en, en, fd // g * rd)
     out = AbstractFloat(fiv, AffineForm.of_point(riv), riv,
                         AffineForm.of_point(eiv), eiv)
-    out.__dict__["_refreshed"] = ()
+    out._refreshed = ()
     return out
 
 

@@ -3,14 +3,14 @@
 The whole entry function runs as an implicit root section. Inside a
 section, every undecided test and every float-to-int cast is one
 decision step on t = lhs - rhs (for a cast, the cast value), enumerated
-by the section's path explorer. One body, `decide`, tests every
-condition: a comparison, or the truthiness e != 0 of any other scalar.
-It and `_assume` read the region table of `numerics`, which annotation
-comparisons read too, through `_regions`: a comparison maps to a true
-and a false region of t, and `!=` is decided as `==` negated. An int
-test chooses a side only when t straddles the boundary. A float test or
-a cast offers, in order, the candidates of `_flow`, each a machine
-region and an ideal region of t:
+by the section's path explorer. One closure, built by `_cond`, tests
+every condition: a comparison, or the truthiness e != 0 of any other
+scalar. It and `_assume` read the region table of `numerics`, which
+annotation comparisons read too: a comparison maps to a true and a false
+region of t, and `!=` is decided as `==` negated. An int test chooses a
+side only when t straddles the boundary. A float test or a cast offers,
+in order, the candidates of `_flow`, each a machine region and an ideal
+region of t:
 
   * stable flows: machine and ideal executions take the same branch
     (cast to the same integer), the float and the real interval of t
@@ -82,6 +82,21 @@ emptiness to the enclosing section.
 An int value is an RInterval over denominator 1, built so by literals,
 inputs, truth values and casts and kept so by the int operations; its
 bounds are read as the ints `lo_n` and `hi_n`.
+
+The program runs compiled: on its first visit in an analysis, an
+expression (`_expr`), a condition (`_cond`) or a statement (`_stmt`)
+becomes a closure specialized to its operator, literal value, location
+and site id, which checks its operands' kinds as it runs; int + and -
+and int tests (`settled`) work on the bounds, with no gcd. A closure
+compiles its operands on its own first run, so compiling goes no deeper
+than evaluating, and a literal past the format's range raises only when
+run. `eval`, `decide` and `exec_stmt` look a node's closure up in a
+cache keyed by id, which holds the node too and lives as long as the
+Interp. Closures take the Interp as their argument and never hold it:
+cached on it, one that did would leave every finished analysis in a
+cycle. They reach domain functions through module globals and Interp
+methods through attributes when they run, and run each statement of a
+body through `exec_stmt`.
 """
 from __future__ import annotations
 
@@ -90,7 +105,7 @@ from functools import cached_property, reduce
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..annot.evaluate import AssertRecord, Memory, eval_pred
-from ..annot.typecheck import TypedPred, type_pred
+from ..annot.typecheck import type_pred
 from ..config import AnalysisConfig, InputSpec
 from ..domain import (AbstractFloat, abs_neg, abs_op,
                       apply_substitution, make_substitution,
@@ -98,9 +113,9 @@ from ..domain import (AbstractFloat, abs_neg, abs_op,
 from ..errors import (AnalysisAlarm, DivisionByZero, InfeasiblePath,
                       OverflowAlarm, SectionInfeasible, TypeErrorAt)
 from ..frontend import syntax as S
-from ..numerics import (ANY, REGIONS, RING_OPS, RationalLike, RInterval,
-                        check_finite, interval_over, pair_over, settled,
-                        trunc_div, trunc_quotient)
+from ..numerics import (ANY, REGIONS, RationalLike, RInterval,
+                        check_finite, int_range, interval_over, pair_over,
+                        settled, trunc_div, trunc_quotient)
 from ..zonotope import AffineForm, Origin, SymbolEnv, SymbolPool, sym_range
 from .explorer import PathExplorer
 
@@ -149,11 +164,10 @@ class Interp:
         self.warnings: List[str] = []
         self.trace: List[str] = []
         self.section_reports: List[SectionReport] = []
-        self._typed: Dict[int, TypedPred] = {}
-        #: the value of each IntLit and FloatLit node, by id
-        self._literals: Dict[int, object] = {}
-        #: the InputSpec of each read_double with literal bounds, by id
-        self._inputs: Dict[int, InputSpec] = {}
+        #: the compiled form: (closure, node) by id(node), of the nodes
+        #: run through `exec_stmt` and `eval`, and of those `decide` runs
+        self._code: Dict[int, tuple] = {}
+        self._conds: Dict[int, tuple] = {}
         self._fn: Optional[S.FuncDef] = None
         self._call_depth = 0
         self._skip = False
@@ -344,82 +358,127 @@ class Interp:
             self.mem.vars[e.name] = m if kind is RInterval else \
                 AbstractFloat(m, v.real, v.real_iv, v.err, v.err_iv)
 
-    # -- expression evaluation --------------------------------------------
+    # -- the compiled form (module docstring) -----------------------------
 
-    def eval(self, e: S.Expr, target: Optional[str] = None):
+    def _compile(self, node, build, cache=None) -> tuple:
+        """Build node's closure and enter it, with node, in cache."""
+        entry = (self._code if cache is None else cache)[id(node)] = (
+            build(node), node)
+        return entry
+
+    def eval(self, e: S.Expr):
+        return (self._code.get(id(e)) or self._compile(e, self._expr))[0](self)
+
+    def decide(self, e: S.Expr, branch: bool = False) -> bool:
+        """Truth of condition e on the current path (module docstring);
+        `branch` marks the condition of an if, while or do statement,
+        whose float tests may resume a saved state (see `_flow`)."""
+        code = self._conds.get(id(e)) or self._compile(e, self._cond,
+                                                       self._conds)
+        return code[0](self, branch)
+
+    def exec_stmt(self, s: S.Stmt) -> None:
+        (self._code.get(id(s)) or self._compile(s, self._stmt))[0](self)
+
+    def _expr(self, e: S.Expr, target: Optional[str] = None):
+        """e's closure; `target`, the variable e is stored to, binds a
+        read_double to its input."""
         if isinstance(e, (S.IntLit, S.FloatLit)):
-            v = self._literals.get(id(e))
-            if v is None:
-                try:
-                    v = self._literals[id(e)] = (
-                        interval_over(e.value, e.value, 1)
-                        if isinstance(e, S.IntLit) else
-                        AbstractFloat.from_literal(e.value, self.fmt))
-                except OverflowAlarm as exn:
-                    raise OverflowAlarm(f"{e.loc}: {exn}", e.loc) from None
-            return v
+            try:
+                v = int_range(e.value, e.value) if isinstance(e, S.IntLit) \
+                    else AbstractFloat.from_literal(e.value, self.fmt)
+            except OverflowAlarm as exn:
+                msg = f"{e.loc}: {exn}"
+
+                def overflow(it):
+                    raise OverflowAlarm(msg, e.loc)
+                return overflow
+            return lambda it: v
         if isinstance(e, S.Var):
-            return self.mem.load(e.name, e.loc)
-        if isinstance(e, S.Index):
-            arr, lo, hi = self._cells(e, e.loc, "index")
-            return self._hull([(v, self.env) for v in arr[lo:hi + 1]])
-        if isinstance(e, S.Unary):
-            if e.op == "-":
-                v = self._number(self.eval(e.expr), e.expr.loc)
-                return abs_neg(v) if isinstance(v, AbstractFloat) else -v
-            # logical not
-            return _INT_ZERO if self.decide(e.expr) else _INT_ONE
-        if isinstance(e, S.Binary):
-            if e.op in S.COMPARISONS or e.op in ("&&", "||"):
-                return _INT_ONE if self.decide(e) else _INT_ZERO
-            return self._eval_arith(e)
-        if isinstance(e, S.Ternary):
-            return self.eval(e.then) if self.decide(e.cond) else self.eval(e.els)
-        if isinstance(e, S.Cast):
-            return self._coerce(e.ctype, self.eval(e.expr), e.loc, id(e),
-                                e.expr)
+            def load(it):
+                v = it.mem.vars.get(e.name)
+                return it.mem.load(e.name, e.loc) if v is None else v
+            return load
+        if isinstance(e, S.Binary) and e.op in _ARITH:
+            return self._arith(e)
         if isinstance(e, S.Call):
-            return self._eval_call(e, target)
+            return self._call(e, target)
+        sub = None
+        if isinstance(e, (S.Unary, S.Binary)) and e.op != "-":
+            def truth(it):  # of `!`, a comparison, `&&` or `||`
+                nonlocal sub
+                sub = sub or it._cond(e)
+                return _INT_ONE if sub(it, False) else _INT_ZERO
+            return truth
+        if isinstance(e, S.Unary):  # '-'
+            def negate(it):
+                nonlocal sub
+                sub = sub or it._expr(e.expr)
+                v = it._number(sub(it), e.expr.loc)
+                return abs_neg(v) if type(v) is AbstractFloat else -v
+            return negate
+        if isinstance(e, S.Cast):
+            def cast(it):
+                nonlocal sub
+                sub = sub or it._expr(e.expr)
+                return it._coerce(e.ctype, sub(it), e.loc, id(e), e.expr)
+            return cast
+        if isinstance(e, S.Index):
+            def cell(it):
+                arr, lo, hi = it.mem.cells(e.name, it._as_int(
+                    it.eval(e.index), e.index.loc), e.loc, "index")
+                return it._hull([(v, it.env) for v in arr[lo:hi + 1]])
+            return cell
+        if isinstance(e, S.Ternary):
+            def pick(it):
+                nonlocal sub
+                sub = sub or (it._expr(e.then), it._expr(e.els))
+                return sub[0](it) if it.decide(e.cond) else sub[1](it)
+            return pick
         raise TypeErrorAt(f"unknown expression {e!r}")
 
-    def _cells(self, e: S.Index, loc: S.Loc, what: str):
-        """The array e names and the bounds lo, hi of its index, read
-        through `Memory.cells` at loc."""
-        iv = self._as_int(self.eval(e.index), e.index.loc)
-        return self.mem.cells(e.name, iv, loc, what)
-
-    def _eval_arith(self, e: S.Binary):
-        """An arithmetic operation, left operand first. The left spine of
-        a chain such as a + b + c is walked with a loop, not a call per
-        operand, and evaluated in the same order."""
+    def _arith(self, e: S.Binary):
+        """The closure of a chain such as a + b + c, left operand first:
+        its left spine runs as a loop, each operator on two ints through
+        `_int_arith`, on other operands through `abs_op`."""
         spine = []
         while isinstance(e, S.Binary) and e.op in _ARITH:
             spine.append(e)
             e = e.left
-        a = self.eval(e)
-        for e in reversed(spine):
-            b = self.eval(e.right)
-            if isinstance(a, RInterval) and isinstance(b, RInterval):
-                a = self._int_arith(e.op, a, b, e.loc)
-                continue
-            if e.op == "%":
-                raise TypeErrorAt(f"{e.loc}: % requires integer operands")
-            x = self._as_float(a, e.left.loc)
-            y = self._as_float(b, e.right.loc)
-            try:
-                a = abs_op(e.op, x, y, self.fmt, self.pool, self.env,
-                           self.cfg.max_syms)
-            except DivisionByZero as exn:
-                raise DivisionByZero(f"{e.right.loc}: {exn}",
-                                     e.right.loc) from None
-            except OverflowAlarm as exn:
-                raise OverflowAlarm(f"{e.loc}: {exn}", e.loc) from None
-        return a
+        left, spine, subs = e, spine[::-1], None
+
+        def chain(it):
+            nonlocal subs
+            subs = subs or (it._expr(left),
+                            [(x, x.right.loc, it._expr(x.right))
+                             for x in spine])
+            a = subs[0](it)
+            for x, at, sub in subs[1]:
+                b = sub(it)
+                if type(a) is RInterval and type(b) is RInterval:
+                    a = it._int_arith(x.op, a, b, x.loc)
+                    continue
+                if x.op == "%":
+                    raise TypeErrorAt(f"{x.loc}: % requires integer operands")
+                l, r = it._as_float(a, x.left.loc), it._as_float(b, at)
+                try:
+                    a = abs_op(x.op, l, r, it.fmt, it.pool, it.env,
+                               it.cfg.max_syms)
+                except DivisionByZero as exn:
+                    raise DivisionByZero(f"{at}: {exn}", at) from None
+                except OverflowAlarm as exn:
+                    raise OverflowAlarm(f"{x.loc}: {exn}", x.loc) from None
+            return a
+        return chain
 
     def _int_arith(self, op: str, a: RInterval, b: RInterval,
                    loc: S.Loc) -> RInterval:
-        if op in RING_OPS:
-            return RING_OPS[op](a, b)
+        if op == "+":
+            return int_range(a.lo_n + b.lo_n, a.hi_n + b.hi_n)
+        if op == "-":
+            return int_range(a.lo_n - b.hi_n, a.hi_n - b.lo_n)
+        if op == "*":
+            return a * b
         if op == "/":
             return trunc_div(a, b, loc)
         if op == "%":
@@ -434,99 +493,110 @@ class Interp:
                                  m if a.hi_n > 0 else 0, 1)
         raise TypeErrorAt(f"unknown integer operator {op!r}")
 
-    def _eval_call(self, e: S.Call, target: Optional[str]):
+    def _call(self, e: S.Call, target: Optional[str]):
+        """A call's closure: a read_double reads the input bound to
+        `target`, else its bounds'; a function runs on its arguments."""
         if e.name == "read_double":
-            return self._read_input(e, target)
-        fn = self.program.functions[e.name]
-        if self._call_depth > 16:
-            raise TypeErrorAt(f"{e.loc}: call depth exceeded (recursion is"
-                              f" not supported)")
-        frame = {p.name: self.eval(a) if p.is_array
-                 else self._coerce(p.ctype, self.eval(a), a.loc, id(a))
-                 for p, a in zip(fn.params, e.args)}
-        saved_vars, saved_fn = self.mem.vars, self._fn
-        self.mem.vars, self._fn = frame, fn
-        self._call_depth += 1
-        try:
-            self.exec_stmts(fn.body.stmts)
-            result = self.mem.vars.get("__return__")
-        finally:
-            self._call_depth -= 1
-            self.mem.vars, self._fn = saved_vars, saved_fn
-        self._not_plain()
-        return result
+            spec = self.cfg.inputs.get(target)
 
-    def _read_input(self, e: S.Call, target: Optional[str]) -> AbstractFloat:
-        if target is not None and target in self.cfg.inputs:
-            spec = self.cfg.inputs[target]
-        elif not e.args:
+            def read(it):
+                nonlocal spec
+                spec = spec or it._input_spec(e)
+                return AbstractFloat.from_input(spec.value, spec.err, it.fmt,
+                                                it.pool, it.env)
+            return read
+        fn = self.program.functions[e.name]
+
+        def call(it):
+            if it._call_depth > 16:
+                raise TypeErrorAt(f"{e.loc}: call depth exceeded (recursion"
+                                  f" is not supported)")
+            frame = {p.name: it.eval(a) if p.is_array
+                     else it._coerce(p.ctype, it.eval(a), a.loc, id(a))
+                     for p, a in zip(fn.params, e.args)}
+            saved_vars, saved_fn = it.mem.vars, it._fn
+            it.mem.vars, it._fn = frame, fn
+            it._call_depth += 1
+            try:
+                it.exec_stmts(fn.body.stmts)
+                result = it.mem.vars.get("__return__")
+            finally:
+                it._call_depth -= 1
+                it.mem.vars, it._fn = saved_vars, saved_fn
+            it._not_plain()
+            return result
+        return call
+
+    def _input_spec(self, e: S.Call) -> InputSpec:
+        if not e.args:
             raise TypeErrorAt(f"{e.loc}: read_double needs bounds or an"
                               f" input binding")
-        else:
-            spec = self._inputs.get(id(e))
-            if spec is None:
-                ends = [_literal_value(a) for a in e.args]
-                try:
-                    value = RInterval(*ends[:2])
-                    err = RInterval(*ends[2:]) if ends[2:] else None
-                except ValueError as exn:
-                    raise TypeErrorAt(f"{e.loc}: read_double: {exn}") from None
-                try:
-                    check_finite(value, self.fmt)
-                except OverflowAlarm as exn:
-                    raise OverflowAlarm(f"{e.loc}: {exn}", e.loc) from None
-                spec = self._inputs[id(e)] = InputSpec(value, err)
-        return AbstractFloat.from_input(spec.value, spec.err, self.fmt,
-                                        self.pool, self.env)
+        ends = [_literal_value(a) for a in e.args]
+        try:
+            value = RInterval(*ends[:2])
+            err = RInterval(*ends[2:]) if ends[2:] else None
+        except ValueError as exn:
+            raise TypeErrorAt(f"{e.loc}: read_double: {exn}") from None
+        try:
+            check_finite(value, self.fmt)
+        except OverflowAlarm as exn:
+            raise OverflowAlarm(f"{e.loc}: {exn}", e.loc) from None
+        return InputSpec(value, err)
 
     # -- decisions --------------------------------------------------------
 
-    def decide(self, e: S.Expr, branch: bool = False) -> bool:
-        """Truth of a condition on the current path, splitting as needed
-        on the regions of t = lhs - rhs: a comparison, or the truthiness
-        e != 0 of any other scalar; `!=` is decided as `==`, negated.
-        `branch` marks the condition of an if, while or do statement,
-        whose float tests may resume a saved state (see `_flow`). While
-        the walk skips, a test takes up the next saved decision."""
+    def _cond(self, e: S.Expr):
+        """The closure deciding e (see `decide`) on the interpreter and
+        `branch` it is given; an int test works on the bounds of t."""
+        sub = None
         if isinstance(e, S.Unary) and e.op == "!":
-            return not self.decide(e.expr, branch)
-        if isinstance(e, S.Binary) and e.op == "&&":
-            return self.decide(e.left, branch) and self.decide(e.right, branch)
-        if isinstance(e, S.Binary) and e.op == "||":
-            return self.decide(e.left, branch) or self.decide(e.right, branch)
-        if isinstance(e, S.Binary) and e.op in S.COMPARISONS:
-            op, lhs, rhs = e.op, e.left, e.right
-        else:
-            op, lhs, rhs = "!=", e, None
+            def negation(it, branch):
+                nonlocal sub
+                sub = sub or it._cond(e.expr)
+                return not sub(it, branch)
+            return negation
+        if isinstance(e, S.Binary) and e.op in ("&&", "||"):
+            def junction(it, branch):
+                nonlocal sub
+                sub = sub or (it._cond(e.left), it._cond(e.right))
+                if e.op == "&&":
+                    return sub[0](it, branch) and sub[1](it, branch)
+                return sub[0](it, branch) or sub[1](it, branch)
+            return junction
+        op, lhs, rhs = (e.op, e.left, e.right) if isinstance(e, S.Binary) \
+            and e.op in S.COMPARISONS else ("!=", e, None)
         neg = op == "!="
-        if self._skip:
-            return neg != self._resume(self.ctx.explorer.resume())
-        a = self.eval(lhs)
-        if rhs is not None:
-            b = self.eval(rhs)
-        else:
-            b = _INT_ZERO if isinstance(a, RInterval) else self._float_zero
-        integral, true_reg, false_reg = _regions(op, a, b)
-        if integral:
-            known = settled(a, b, true_reg)
+        ints = REGIONS[True]["==" if neg else op]
+        t, f = REGIONS[False]["==" if neg else op]
+        flows = [("sT", True, t, True, t), ("sF", False, f, False, f),
+                 ("uT", True, t, False, f), ("uF", False, f, True, t)]
+
+        def test(it, branch):
+            nonlocal sub
+            if it._skip:
+                return neg != it._resume(it.ctx.explorer.resume())
+            sub = sub or (it._expr(lhs), rhs and it._expr(rhs))
+            a = sub[0](it)
+            b = sub[1](it) if rhs else _INT_ZERO \
+                if type(a) is RInterval else it._float_zero
+            if type(a) is not RInterval or type(b) is not RInterval:
+                return neg != it._flow(
+                    e.loc, id(e), "test", flows, lhs, rhs,
+                    it._as_float(a, lhs.loc),
+                    it._as_float(b, (rhs or lhs).loc), branch)
+            known = settled(a, b, ints[0])
             if known is not None:
-                self._not_plain()
+                it._not_plain()
                 return known != neg
-            take_true = self.ctx.explorer.choose(2) == 0
-            self.ctx.signature.append((id(e), "iT" if take_true else "iF"))
-            if self.cfg.collect_trace:
-                self._trace(f"decision {e.loc}: int {str(take_true).lower()}")
-            self._meet_operands(lhs, rhs, RInterval, a, b,
-                                true_reg if take_true != neg else false_reg)
+            # t straddles the boundary of the true region: choose a side
+            take_true = it.ctx.explorer.choose(2) == 0
+            it.ctx.signature.append((id(e), "iT" if take_true else "iF"))
+            if it.cfg.collect_trace:
+                it._trace(f"decision {e.loc}: int {str(take_true).lower()}")
+            it._meet_operands(lhs, rhs, RInterval, a, b,
+                              ints[take_true == neg])
             return take_true
-        return neg != self._flow(
-            e.loc, id(e), "test",
-            [("sT", True, true_reg, True, true_reg),
-             ("sF", False, false_reg, False, false_reg),
-             ("uT", True, true_reg, False, false_reg),
-             ("uF", False, false_reg, True, true_reg)],
-            lhs, rhs, self._as_float(a, lhs.loc),
-            self._as_float(b, (rhs or lhs).loc), branch)
+        return test
 
     def _flow(self, loc: S.Loc, site: int, noun: str, candidates,
               lhs: Optional[S.Expr], rhs: Optional[S.Expr],
@@ -661,88 +731,107 @@ class Interp:
         for s in stmts:
             self.exec_stmt(s)
 
-    def exec_stmt(self, s: S.Stmt) -> None:
-        if self._skip and isinstance(s, (S.Decl, S.Assign, S.ExprStmt)):
-            return
-        if isinstance(s, S.Decl):
-            self._exec_decl(s)
-        elif isinstance(s, S.Assign):
-            self._exec_assign(s)
-        elif isinstance(s, S.If):
-            if self.decide(s.cond, True):
-                self.exec_stmts(s.then.stmts)
-            elif s.els is not None:
-                self.exec_stmts(s.els.stmts)
-        elif isinstance(s, (S.While, S.DoWhile)):
+    def _stmt(self, s: S.Stmt):
+        """s's closure, which runs each statement of s through `exec_stmt`
+        and, but for a return, stores nothing while the walk skips."""
+        if isinstance(s, (S.Decl, S.Assign, S.Return)):
+            return self._store(s)
+        sub = None
+        if isinstance(s, S.If):
+            def branch(it):
+                nonlocal sub
+                sub = sub or it._cond(s.cond)
+                taken = s.then if sub(it, True) else s.els
+                for x in taken.stmts if taken is not None else ():
+                    it.exec_stmt(x)
+            return branch
+        if isinstance(s, (S.While, S.DoWhile)):
             # a do-while runs its body once before the first test
-            n = 0
-            while n == 0 and isinstance(s, S.DoWhile) \
-                    or self.decide(s.cond, True):
-                self.exec_stmts(s.body.stmts)
-                n += 1
-                if n > _LOOP_LIMIT:
-                    raise AnalysisAlarm("loop-limit",
-                                        f"{s.loc}: loop iteration limit"
-                                        f" exceeded", s.loc)
-        elif isinstance(s, S.Return):
-            if s.expr is not None:
-                self.mem.store("__return__", self._coerce(
-                    self._fn.ret_type, self.eval(s.expr), s.loc, id(s)))
-        elif isinstance(s, S.ExprStmt):
-            self.eval(s.expr)
-        elif isinstance(s, S.AssertStmt):
-            self._exec_assert(s)
-        elif isinstance(s, S.AssumeStmt):
-            self._assume(s.cond)
-            self._not_plain()
-        elif isinstance(s, S.Block):
-            self.exec_stmts(s.stmts)
-        elif isinstance(s, S.SectionStmt):
-            self.exec_section(s)
-        else:
-            raise TypeErrorAt(f"unknown statement {s!r}")
+            do = isinstance(s, S.DoWhile)
 
-    def _exec_decl(self, s: S.Decl) -> None:
-        if s.array_init is not None:
-            self.mem.store(s.name, [self._coerce(s.ctype, self.eval(e), s.loc,
-                                                 id(e)) for e in s.array_init])
-            return
-        if s.array_size is not None:
-            self.mem.store(s.name, [_INT_ZERO if s.ctype == "int"
-                                    else self._float_zero] * s.array_size)
-            return
-        if s.init is None:
-            return
-        v = self.eval(s.init, target=s.name)
-        self.mem.store(s.name, self._coerce(s.ctype, v, s.loc, id(s)))
+            def loop(it):
+                nonlocal sub
+                sub = sub or it._cond(s.cond)
+                n = 0
+                while n == 0 and do or sub(it, True):
+                    for x in s.body.stmts:
+                        it.exec_stmt(x)
+                    n += 1
+                    if n > _LOOP_LIMIT:
+                        raise AnalysisAlarm("loop-limit",
+                                            f"{s.loc}: loop iteration limit"
+                                            f" exceeded", s.loc)
+            return loop
+        if isinstance(s, S.AssertStmt):
+            def check(it):
+                nonlocal sub
+                sub = sub or type_pred(s.pred, it._fn.var_types)
+                it._not_plain()
+                res = eval_pred(sub, it.mem)
+                it.records.extend(res.records)
+                if res.verdict != "valid":
+                    it._alarm(AnalysisAlarm(
+                        "assertion", f"{s.loc}: assertion {res.verdict}",
+                        s.loc))
+            return check
+        if isinstance(s, S.AssumeStmt):
+            def assume(it):
+                it._assume(s.cond)
+                it._not_plain()
+            return assume
+        if isinstance(s, S.ExprStmt):
+            return lambda it: it._skip or it.eval(s.expr)
+        if isinstance(s, S.Block):
+            def block(it):
+                for x in s.stmts:
+                    it.exec_stmt(x)
+            return block
+        if isinstance(s, S.SectionStmt):
+            return lambda it: it.exec_section(s)
+        raise TypeErrorAt(f"unknown statement {s!r}")
 
-    def _exec_assign(self, s: S.Assign) -> None:
-        name = s.target.name
-        ctype = self._fn.var_types[name][0]
-        v = self.eval(s.expr, target=name)
-        v = self._coerce(ctype, v, s.loc, id(s))
-        if isinstance(s.target, S.Var):
-            self.mem.store(name, v)
-            return
-        arr, lo, hi = self._cells(s.target, s.loc, "write index")
-        if lo == hi:
-            arr[lo] = v
+    def _store(self, s):
+        """The closure of a declaration, an assignment or a return: its
+        value, converted to the C type of its target, stored there."""
+        index, sub = None, None
+        if isinstance(s, S.Return):
+            name, ctype, e = "__return__", self._fn.ret_type, s.expr
+        elif isinstance(s, S.Assign):
+            name, e, index = s.target.name, s.expr, getattr(s.target,
+                                                            "index", None)
+            ctype = self._fn.var_types[name][0]
         else:
-            self._warn(f"{s.loc}: weak update of {name}[{lo}..{hi}]")
+            name, ctype, e = s.name, s.ctype, s.init
+            if s.array_init is not None:
+                sub = lambda it: [it._coerce(ctype, it.eval(x), s.loc, id(x))
+                                  for x in s.array_init]
+            elif s.array_size is not None:
+                zero = _INT_ZERO if ctype == "int" else self._float_zero
+                sub = lambda it: [zero] * s.array_size
+        if e is None and sub is None:  # nothing to store
+            return lambda it: None
+        scalar, skips = sub is None, not isinstance(s, S.Return)
+
+        def store(it):
+            nonlocal sub
+            if skips and it._skip:
+                return
+            sub = sub or it._expr(e, name)
+            v = sub(it)
+            if scalar:
+                v = it._coerce(ctype, v, s.loc, id(s))
+            if index is None:
+                it.mem.vars[name] = v
+                return
+            arr, lo, hi = it.mem.cells(name, it._as_int(
+                it.eval(index), index.loc), s.loc, "write index")
+            if lo == hi:
+                arr[lo] = v
+                return
+            it._warn(f"{s.loc}: weak update of {name}[{lo}..{hi}]")
             for i in range(lo, hi + 1):
-                arr[i] = self._hull([(arr[i], self.env), (v, self.env)])
-
-    def _exec_assert(self, s: S.AssertStmt) -> None:
-        key = id(s)
-        if key not in self._typed:
-            self._typed[key] = type_pred(s.pred, self._fn.var_types)
-        self._not_plain()
-        res = eval_pred(self._typed[key], self.mem)
-        self.records.extend(res.records)
-        if res.verdict != "valid":
-            self._alarm(AnalysisAlarm(
-                "assertion",
-                f"{s.loc}: assertion {res.verdict}", s.loc))
+                arr[i] = it._hull([(arr[i], it.env), (v, it.env)])
+        return store
 
     def _assume(self, e: S.Expr) -> None:
         """Keep the paths where e holds: a comparison applies its stable
@@ -758,7 +847,8 @@ class Interp:
         a = self.eval(e.left)
         b = self.eval(e.right)
         neg = e.op == "!="
-        integral, true_reg, false_reg = _regions(e.op, a, b)
+        integral = type(a) is RInterval and type(b) is RInterval
+        true_reg, false_reg = REGIONS[integral]["==" if neg else e.op]
         reg = false_reg if neg else true_reg
         if integral:
             known = settled(a, b, true_reg)
@@ -983,14 +1073,6 @@ def _trunc_preimage(k: int):
     if k < 0:
         return k - 1, k
     return -1, 1
-
-
-def _regions(op: str, a, b):
-    """(integral, true region, false region) of `a op b` on t = a - b:
-    integral when both operands are ints; `!=` gets the regions of `==`,
-    which its caller negates."""
-    integral = isinstance(a, RInterval) and isinstance(b, RInterval)
-    return (integral, *REGIONS[integral]["==" if op == "!=" else op])
 
 
 def _error_region(f_reg, r_reg, e_iv: RInterval):

@@ -31,8 +31,9 @@ report.
 A module-private constructor skips the checks of the public one, and
 only code of this module calls it: `_iv(lo_n, hi_n, den)` builds an
 RInterval from ints already in canonical form and ordered;
-`interval_over` reduces ordered ints that may share a factor first, and
-`pair_over` ordered endpoints over two denominators. Every value that
+`interval_over` reduces ordered ints that may share a factor first,
+`pair_over` ordered endpoints over two denominators, and `int_range`
+ordered ints over 1, which need no reduction. Every value that
 comes from outside (ints, strings, endpoints of unknown order) goes
 through `RInterval(...)`, which coerces and checks.
 
@@ -281,6 +282,11 @@ def interval_over(lo_n: int, hi_n: int, den: int) -> RInterval:
     return _iv(lo_n // g, hi_n // g, den // g)
 
 
+def int_range(lo: int, hi: int) -> RInterval:
+    """[lo, hi] for ordered ints, over 1: canonical, so no gcd is taken."""
+    return _iv(lo, hi, 1)
+
+
 def pair_over(lo_n: int, lo_d: int, hi_n: int, hi_d: int) -> RInterval:
     """[lo_n/lo_d, hi_n/hi_d] for ordered endpoints over their lcm."""
     g = gcd(lo_d, hi_d)
@@ -337,11 +343,15 @@ _NEGATION = {"<": ">=", ">": "<=", "!=": "=="}
 
 def settled(a: RInterval, b: RInterval, reg) -> Optional[bool]:
     """True when t = a - b lies inside region reg, False when it misses
-    it, None when it straddles its boundary."""
-    t = a - b
-    if t.within(*reg):
-        return True
-    return None if t.meets(*reg) else False
+    it, None when it straddles its boundary: read on the bounds of t over
+    the product of the denominators, so no gcd is taken."""
+    (lo, hi), d, e = reg, a.den, b.den
+    t_lo, t_hi = a.lo_n * e - b.hi_n * d, a.hi_n * e - b.lo_n * d
+    d *= e
+    if lo is not None and t_hi < lo * d or hi is not None and t_lo > hi * d:
+        return False
+    return (lo is None or t_lo >= lo * d) and (hi is None or t_hi <= hi * d) \
+        or None
 
 
 def compare(op: str, a: RInterval, b: RInterval) -> Optional[bool]:

@@ -53,7 +53,7 @@ class Origin(enum.Enum):
     CONSTRAINT = "constraint-derived"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class NoiseSymbol:
     id: int
     origin: Origin

@@ -1,7 +1,9 @@
 """Abstract execution: the six evaluation flows of an unstable test with
 their exact constrained states, path enumeration within sections,
-emptiness propagation across nested sections, and what a merge costs in
-fresh symbols and the order it joins in."""
+emptiness propagation across nested sections, what a merge costs in
+fresh symbols and the order it joins in, and the compiled form: each
+node compiled once, and no analysis left to the cyclic collector."""
+import gc
 import hashlib
 import json
 import os
@@ -9,6 +11,7 @@ import subprocess
 import sys
 from fractions import Fraction as F
 from pathlib import Path
+from types import FunctionType
 
 import pytest
 
@@ -785,3 +788,80 @@ def test_a_trace_changes_nothing_but_the_trace(p):
     plain, traced = (r.pop("trace") for r in reports)
     assert plain == [] and traced
     assert reports[0] == reports[1]
+
+
+# ---------------------------------------------------------------------------
+# The compiled form: each node compiled once, no cyclic garbage
+# ---------------------------------------------------------------------------
+
+
+def compiles_of(monkeypatch, program):
+    """The nodes compiled while main of `program` runs on a fresh
+    interpreter, in order."""
+    built = []
+    with monkeypatch.context() as m:
+        for name in ("_expr", "_cond", "_stmt"):
+            raw = getattr(Interp, name)
+
+            def counted(self, node, *args, raw=raw):
+                built.append(node)
+                return raw(self, node, *args)
+            m.setattr(Interp, name, counted)
+        Interp(program, AnalysisConfig(fmt=BINARY32)).run("main")
+    return built
+
+
+def nodes_of(fn):
+    """Every statement and expression of fn's body, as the tree holds
+    them."""
+    return [n for s in S.walk_stmts(fn.body)
+            for n in [s] + [e for top in S.stmt_exprs(s)
+                            for e in S.walk_exprs(top)]]
+
+
+def test_patriot_compiles_each_node_once_however_long_its_loop(
+        monkeypatch):
+    counts = []
+    for bound in ("1000", "10"):
+        source = corpus_source("patriot.c").replace("i < 1000",
+                                                    f"i < {bound}")
+        program, _ = prepare(source, AnalysisConfig(fmt=BINARY32))
+        built = compiles_of(monkeypatch, program)
+        assert 0 < len(built) <= len(nodes_of(program.functions["main"]))
+        assert len({id(n) for n in built}) == len(built)
+        counts.append(len(built))
+    # the loop's body, test and operands are compiled on its first round
+    assert counts[0] == counts[1]
+
+
+def test_an_analysis_leaves_no_fldx_object_to_the_cyclic_collector():
+    """Closures take the interpreter as an argument: one that closed over
+    it, cached on it, would keep every finished analysis in a cycle."""
+    programs = W.corpus() + [p for p in W.branch_fanout(11)
+                             if p.n_tests <= 6]
+
+    def run_all():
+        for p in programs:
+            analyze(p.source, AnalysisConfig(fmt=FORMATS[p.fmt]),
+                    source_name=p.name).to_json()
+
+    def owner(o):
+        return o if isinstance(o, FunctionType) else type(o)
+
+    run_all()  # warm up
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run_all()
+        gc.collect()
+        found = sorted({owner(o).__qualname__ for o in gc.garbage
+                        if (owner(o).__module__ or "").split(".")[0]
+                        == "fldx"})
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert found == []

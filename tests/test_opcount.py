@@ -37,3 +37,19 @@ def test_fanout_n4_prints_its_count_under_a_fixed_hash_seed():
     assert res.returncode == 0, res.stderr
     m = re.fullmatch(r"fanout_n4 (\d+)", res.stdout.strip().splitlines()[-1])
     assert m and int(m[1]) > 100_000
+
+
+def test_top_lists_the_busiest_code_objects_above_the_count():
+    res = subprocess.run([sys.executable, str(TOOL), "--workload",
+                          "branch_fanout", "--program", "fanout_n4",
+                          "--seed", "11", "--top", "5"], cwd=ROOT,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    *top, last = res.stdout.strip().splitlines()
+    rows = [re.fullmatch(r" *(\d+)  (\S+):(\S+)", line) for line in top]
+    assert len(rows) == 5 and all(rows)
+    counts = [int(m[1]) for m in rows]
+    assert counts == sorted(counts, reverse=True)
+    m = re.fullmatch(r"fanout_n4 (\d+)", last)
+    assert m and sum(counts) <= int(m[1])
+    assert any(m[2].startswith("src/fldx/") for m in rows)

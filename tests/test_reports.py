@@ -2,7 +2,11 @@
 conformance, assertion aggregation, and the command-line interface."""
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -466,6 +470,55 @@ def test_cli_3000_term_sum_analyzes(tmp_path):
     assert [from_json(v) for v in rec["err"]] == [0, 0]
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: nests about as deep as the parser takes, each with the print line it
+#: reports: the code after `double y =` in main
+DEEP = {
+    "950-unary-minuses": ("- " * 950 + "x;", "1:1962", "float=[1, 2] real=[1,"
+                          " 2] err=[-2.22045e-16, 2.22045e-16]"),
+    "200-cast-pairs": ("(double) (int) " * 200 + "x;", "1:3062",
+                       "float=[0, 2] real=[0, 2] err=[0, 0] rel=?"),
+    "300-chained-ternaries": ("".join(f"x < {1 + i / 400:.4f} ? {i}.0 : "
+                                      for i in range(1, 301)) + "2.0;",
+                              "1:6256", "float=[1, 256] real=[1, 256]"),
+    "400-nested-blocks": ("x; " + "{ " * 400 + "y = -y; " + "} " * 400,
+                          "1:1671", "float=[-2, -1] real=[-2, -1]"),
+}
+
+
+@pytest.mark.parametrize("code,at,hull", DEEP.values(), ids=DEEP.keys())
+def test_cli_deep_nests_analyze(tmp_path, code, at, hull):
+    # in a process of its own, with the stack the `fldx` command has
+    src = tmp_path / "deep.c"
+    src.write_text("int main() { double x = read_double(1.0, 2.0); double y ="
+                   f" {code} /*@ assert dprint(y); */ return 0; }}")
+    res = subprocess.run(
+        [sys.executable, "-c", "from fldx.cli import main; main()",
+         "analyze", str(src)], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert res.returncode == 0, res.stdout[-500:] + res.stderr[-500:]
+    assert f"[print] {at} y: {hull}" in res.stdout
+
+
+@pytest.mark.parametrize("test,code", [("x > 2.0", 0), ("x < 2.0", 1)],
+                         ids=["branch-not-taken", "branch-taken"])
+def test_cli_literal_past_the_double_range_alarms_only_when_reached(
+        tmp_path, test, code):
+    """A literal is compiled when its branch first runs: one in a branch
+    no path takes raises nothing."""
+    src = tmp_path / "p.c"
+    src.write_text("int main() {\n  double x = read_double(0.0, 1.0);\n"
+                   f"  double y = 0.0;\n  if ({test}) {{\n    y = 1e400;\n"
+                   "  }\n  /*@ assert accuracy_assert_derr(y, 0, 0); */\n"
+                   "  return 0;\n}\n")
+    res = CliRunner().invoke(main, ["analyze", str(src)])
+    assert res.exit_code == code, res.output
+    overflow = "[alarm] overflow: 5:9: 1e+400 rounds beyond the largest"
+    assert (overflow in res.output) == (code == 1)
+    assert ("[valid]" in res.output) == (code == 0)
+
+
 LONG_TERMS = " + ".join(["1.0"] * 2999)
 
 
@@ -651,6 +704,12 @@ REDECLARED_T = ("int main() {\n  double x = read_double(0.0, 1.0);\n"
     ("analyze", VOID_F % "double y = -f()", [], 6,
      "error: execute: 3:15: expected a number, got the result of a void"
      " function"),
+    ("analyze", "void g() { return; }\nvoid f() { return g(); }\n"
+     + VOID_F.split("\n", 1)[1] % "f()", [], 6,
+     "error: execute: 2:12: expected a number, got the result of a void"
+     " function"),
+    ("analyze", VOID_F.replace("return;", "double a[2]; return a;") % "f()",
+     [], 6, "error: execute: 1:25: expected a number, got an array"),
     ("analyze", ARRAY_A % "double y = -a", [], 6,
      "error: execute: 3:15: expected a number, got an array"),
     ("analyze", ARRAY_A % "int k = (int) a", [], 6,
@@ -696,6 +755,7 @@ REDECLARED_T = ("int main() {\n  double x = read_double(0.0, 1.0);\n"
         "read-double-error-reversed", "read-double-three-arguments",
         "read-double-five-arguments", "call-extra-argument",
         "call-missing-argument", "void-result-cast", "void-result-negated",
+        "void-result-returned", "array-returned-from-void",
         "array-negated", "array-cast", "scalar-indexed",
         "assert-name-on-a-dead-path", "enlarge-target-in-an-if",
         "assignment-target", "analyze-not-utf8",
@@ -715,6 +775,18 @@ def test_cli_bad_input_ends_in_its_exit_code(tmp_path, command, source, args,
     assert type(res.exception) is SystemExit
     assert message in res.output
     assert "Traceback" not in res.output
+
+
+def test_cli_a_void_function_returns_an_int_as_a_double(tmp_path):
+    """`return e;` in a void function converts e as a double return does,
+    so the int caller casts the result back: a cast decision, no pair."""
+    src = tmp_path / "p.c"
+    src.write_text("void f(int i) { return i + 1; }\nint main() {\n"
+                   "  int n = (int) read_double(0.0, 2.5);\n  int k = f(n);\n"
+                   "  return 0;\n}\n")
+    res = CliRunner().invoke(main, ["analyze", str(src)])
+    assert res.exit_code == 0, res.output
+    assert "[section 1] paths=11/11 pairs=0" in res.output
 
 
 def test_cli_a_let_binder_needs_no_program_variable(tmp_path):

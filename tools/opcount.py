@@ -13,27 +13,34 @@ events on, counting every bytecode executed in Python frames. The process
 runs under a fixed PYTHONHASHSEED (it restarts itself under one when the
 environment sets another), so the count repeats exactly from run to run,
 while wall times on a shared host swing by a factor of two. The last line
-of standard output is the program's name and the count.
+of standard output is the program's name and the count. With --top N, the
+N code objects that executed the most bytecodes come before it, one a
+line: the count and `file:function`.
 """
 from __future__ import annotations
 
 import argparse
 import os
 import sys
+from collections import Counter
 from pathlib import Path
+from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 HASH_SEED = "0"
 
 
-def count_opcodes(fn) -> int:
-    """The bytecodes executed in Python frames while fn() runs."""
+def count_opcodes(fn, by_code: Optional[Counter] = None) -> int:
+    """The bytecodes executed in Python frames while fn() runs; by_code,
+    if given, gets the count of each code object added to it."""
     n = 0
 
     def local(frame, event, arg):
         nonlocal n
         if event == "opcode":
             n += 1
+            if by_code is not None:
+                by_code[frame.f_code] += 1
         return local
 
     def start(frame, event, arg):
@@ -73,6 +80,9 @@ def main() -> None:
     ap.add_argument("--program", default="fanout_n8",
                     help="program name, e.g. fanout_n8, wide_70kb, filter.c")
     ap.add_argument("--seed", type=int, default=11)
+    ap.add_argument("--top", type=int, default=0, metavar="N",
+                    help="also print the N code objects that executed the"
+                    " most bytecodes")
     args = ap.parse_args()
     if os.environ.get("PYTHONHASHSEED") != HASH_SEED:
         env = dict(os.environ, PYTHONHASHSEED=HASH_SEED)
@@ -84,7 +94,20 @@ def main() -> None:
             sys.path.insert(0, p)
     op = operation(args.workload, args.program, args.seed)
     op()
-    print(f"{args.program} {count_opcodes(op)}")
+    by_code = Counter() if args.top > 0 else None
+    total = count_opcodes(op, by_code)
+    for code, n in (by_code.most_common(args.top) if by_code else ()):
+        print(f"{n:>10}  {where(code)}")
+    print(f"{args.program} {total}")
+
+
+def where(code) -> str:
+    """`file:function` of a code object, the file relative to the
+    checkout when it lies inside it."""
+    path = Path(code.co_filename)
+    if path.is_relative_to(ROOT):
+        path = path.relative_to(ROOT)
+    return f"{path}:{getattr(code, 'co_qualname', code.co_name)}"
 
 
 if __name__ == "__main__":
