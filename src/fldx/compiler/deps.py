@@ -10,7 +10,8 @@ truth (a condition of if, while, do, assume or `?:`, an operand of `!`,
 an int parameter, the result of an int function). Facts are a pure
 function of the node and placement wraps the same leaves in sections, so
 placement and the validator share one table; a block or a section does
-nothing itself.
+nothing itself. One bottom-up walk of each expression gives its C type,
+its reads and its tests, with a loop along chains of operators.
 
 A region is a consecutive run of statements of one block, nested ones
 included. Placement and the validator each build their own CFG and
@@ -23,15 +24,15 @@ ask two questions of a region:
   * save_list: the variables it writes and may read before writing them.
     Each path through a section starts from their values at the split.
 
-The reaching-definitions solve holds one mask of definitions per CFG
-node, its out-set. A node's in-set is built only after the fixed point,
-and only where the node reads; nodes that certainly write the same
-variables share one kill mask.
+The reaching-definitions solve keeps one mask of definitions per CFG
+node, its out-set, and sweeps the nodes in flow order, their ids. When
+the out-set of a node with a loop back edge changes, the sweep goes back
+to where those edges enter: each loop is solved as the sweep reaches its
+end. In-sets are built after, only where a node reads.
 """
 from __future__ import annotations
 
-from typing import (Dict, FrozenSet, List, NamedTuple, Sequence, Set,
-                    Tuple)
+from typing import Dict, FrozenSet, List, NamedTuple, Set, Tuple
 
 from ..frontend import cfg as C
 from ..frontend import syntax as S
@@ -55,7 +56,18 @@ NOTHING = Facts(EMPTY, EMPTY, EMPTY, False)
 #: id(statement) -> its facts, for every statement of one function
 Table = Dict[int, Facts]
 
-_FLOATS = ("float", "double")
+# An expression's code: its C type as one of three bits, and a fourth bit
+# when it holds an unstable test; "void" counts as int
+INT, FLOAT, DOUBLE, UNSTABLE = 1, 2, 4, 8
+_CODE = {"int": INT, "float": FLOAT, "double": DOUBLE}
+#: arithmetic on operands whose codes or together to t
+_JOIN = tuple(t & UNSTABLE | (DOUBLE if t & DOUBLE else FLOAT if t & FLOAT
+                              else INT) for t in range(16))
+#: a value of code t compared, tested for truth or converted to int
+_TEST = tuple(t & UNSTABLE | INT | (UNSTABLE if t & 6 else 0)
+              for t in range(16))
+_TESTS = S.COMPARISONS | {"&&", "||"}
+_CONDITIONS = (S.If, S.While, S.DoWhile, S.AssumeStmt)
 
 
 def _enlarge_targets(p: S.Pred) -> FrozenSet[str]:
@@ -75,88 +87,104 @@ def _enlarge_targets(p: S.Pred) -> FrozenSet[str]:
     return frozenset(out) if out else EMPTY
 
 
-def _any_float(exprs: Sequence[S.Expr], fn: S.FuncDef,
-               program: S.Program) -> bool:
-    return any(S.expr_ctype(x, fn.var_types, program) in _FLOATS
-               for x in exprs)
-
-
-def _read(e: S.Expr, reads: Set[str], fn: S.FuncDef,
-          program: S.Program) -> bool:
-    """Add the variables e reads to reads, and tell whether e holds an
-    unstable test: a node that tests or converts to int an operand that
-    may be a float."""
-    unstable = False
-    for sub in S.walk_exprs(e):
-        kind = type(sub)
-        if kind is S.Var or kind is S.Index:
-            reads.add(sub.name)
-        elif unstable:
-            continue
+def _scan(e: S.Expr, reads: Set[str], codes: Dict[str, int],
+          functions: Dict[str, S.FuncDef]) -> int:
+    """e's code, from one walk of its nodes, each after its operands, with
+    no recursion however deep e nests; adds the variables e reads to
+    reads."""
+    stack: List[int] = []  # the codes of the operands met, last on top
+    for x in reversed(list(S.walk_exprs(e))):
+        kind = type(x)
+        if kind is S.Var:
+            reads.add(x.name)
+            stack.append(codes[x.name])
         elif kind is S.Binary:
-            if sub.op in S.COMPARISONS or sub.op in ("&&", "||"):
-                unstable = _any_float((sub.left, sub.right), fn, program)
-        elif kind is S.Unary:
-            unstable = sub.op == "!" and _any_float((sub.expr,), fn, program)
-        elif kind is S.Ternary:
-            unstable = _any_float((sub.cond,), fn, program)
-        elif kind is S.Cast:
-            unstable = sub.ctype == "int" \
-                and _any_float((sub.expr,), fn, program)
-        elif kind is S.Call and sub.name in program.functions:
-            unstable = _any_float(
-                [a for p, a in zip(program.functions[sub.name].params,
-                                   sub.args)
-                 if p.ctype == "int" and not p.is_array], fn, program)
-    return unstable
-
-
-def stmt_facts(s: S.Stmt, fn: S.FuncDef, program: S.Program) -> Facts:
-    """The facts of one statement of fn, from one walk of each expression
-    it evaluates itself."""
-    kind = type(s)
-    if kind is S.Block or kind is S.SectionStmt:
-        return NOTHING
-    exprs = S.stmt_exprs(s)
-    writes = certain = EMPTY
-    # the values s itself tests for truth or converts to int
-    operands: Sequence[S.Expr] = ()
-    if kind is S.Decl:
-        if s.init is not None or s.array_init is not None:
-            writes = certain = frozenset((s.name,))
-        operands = exprs if s.ctype == "int" else ()
-    elif kind is S.Assign:
-        writes = frozenset((s.target.name,))
-        # an array cell write leaves the other cells live
-        certain = EMPTY if type(s.target) is S.Index else writes
-        operands = exprs[:1] if fn.var_types[s.target.name][0] == "int" \
-            else ()
-    elif kind is S.Return:
-        operands = exprs if fn.ret_type == "int" else ()
-    elif kind is not S.ExprStmt:  # a condition, or an assertion
-        operands = exprs
-    reads: Set[str] = set()
-    tests = [_read(e, reads, fn, program) for e in exprs]  # reads them all
-    if kind is S.AssertStmt:
-        reads.update(t.name for t in S.pred_names(s.pred))
-        writes = certain = _enlarge_targets(s.pred)
-    return Facts(writes, certain, frozenset(reads) if reads else EMPTY,
-                 any(tests) or _any_float(operands, fn, program))
+            t = stack.pop() | stack.pop()
+            stack.append(_TEST[t] if x.op in _TESTS else _JOIN[t])
+        elif kind is S.IntLit or kind is S.FloatLit:
+            stack.append(INT if kind is S.IntLit else DOUBLE)
+        elif kind is S.Index:
+            reads.add(x.name)
+            stack.append(codes[x.name] | stack.pop() & UNSTABLE)
+        elif kind is S.Cast and x.ctype != "int":
+            stack.append(stack.pop() & UNSTABLE | _CODE[x.ctype])
+        elif kind is S.Cast or kind is S.Unary and x.op == "!":
+            stack.append(_TEST[stack.pop()])
+        elif kind is S.Ternary:  # its condition's code is on top
+            t = _TEST[stack.pop()] & UNSTABLE
+            stack.append(t | _JOIN[stack.pop() | stack.pop()])
+        elif kind is S.Call:
+            args = [stack.pop() for _ in x.args]
+            t = UNSTABLE if any(a & UNSTABLE for a in args) else 0
+            callee = functions.get(x.name)
+            for p, a in zip(callee.params if callee else (), args):
+                if p.ctype == "int" and not p.is_array and a & 6:
+                    t |= UNSTABLE
+            stack.append(t | (DOUBLE if callee is None
+                              or x.name == "read_double"
+                              else _CODE.get(callee.ret_type, INT)))
+        elif kind is not S.Unary:  # a minus leaves its operand's code
+            raise TypeError(f"unknown expression {x!r}")
+    return stack[0]
 
 
 def fact_table(fn: S.FuncDef, program: S.Program) -> Table:
     """The facts of every statement of fn, in one walk. Statements with
     equal facts share one Facts object, and facts one object per equal
     set of names, so that a table costs little more than its keys."""
-    shared: Dict[Facts, Facts] = {}
-    sets: Dict[FrozenSet[str], FrozenSet[str]] = {}
+    codes = {v: _CODE[t] for v, (t, _) in fn.var_types.items()}
+    reads: Set[str] = set()  # those of the statement being walked
+
+    def scan(e: S.Expr) -> int:
+        return _scan(e, reads, codes, program.functions)
+
+    # the code bits that make a statement a candidate: a float counts where
+    # it is tested or converted to int
+    into_int = UNSTABLE | FLOAT | DOUBLE
+    returns = into_int if fn.ret_type == "int" else UNSTABLE
+    sets: Dict[FrozenSet[str], FrozenSet[str]] = {EMPTY: EMPTY}
+    shared: Dict[tuple, Facts] = {}
     table: Table = {}
-    for s in S.walk_stmts(fn.body):
-        f = stmt_facts(s, fn, program)
-        if f not in shared:
-            shared[f] = Facts(*[sets.setdefault(x, x) for x in f[:3]],
-                              f.candidate)
-        table[id(s)] = shared[f]
+    todo: List[S.Stmt] = [fn.body]
+    while todo:
+        s = todo.pop()
+        kind = type(s)
+        writes = certain = EMPTY
+        u = 0
+        if kind is S.Assign:
+            name = s.target.name
+            u = scan(s.expr) & (into_int if codes[name] == INT else UNSTABLE)
+            writes = frozenset((name,))
+            if type(s.target) is S.Index:  # the other cells stay live
+                u |= scan(s.target.index) & UNSTABLE
+            else:
+                certain = writes
+        elif kind is S.Block or kind is S.SectionStmt:
+            todo.extend(s.stmts if kind is S.Block else s.body)
+            table[id(s)] = NOTHING
+            continue
+        elif kind in _CONDITIONS:
+            u = scan(s.cond) & into_int
+            todo.extend(S.stmt_children(s))
+        elif kind is S.Decl:
+            exprs = s.array_init or []
+            for x in exprs if s.init is None else [s.init, *exprs]:
+                u |= scan(x)
+            u &= into_int if s.ctype == "int" else UNSTABLE
+            if s.init is not None or s.array_init is not None:
+                writes = certain = frozenset((s.name,))
+        elif kind is S.AssertStmt:
+            reads.update(t.name for t in S.pred_names(s.pred))
+            writes = certain = _enlarge_targets(s.pred)
+        elif s.expr is not None:  # a return or an expression statement
+            u = scan(s.expr) & (returns if kind is S.Return else UNSTABLE)
+        key = (writes, certain, frozenset(reads) if reads else EMPTY, u != 0)
+        reads.clear()
+        f = shared.get(key)
+        if f is None:
+            f = shared[key] = Facts(*[sets.setdefault(x, x) for x in key[:3]],
+                                    key[3])
+        table[id(s)] = f
     return table
 
 
@@ -169,68 +197,65 @@ def table_of(fn: S.FuncDef, program: S.Program,
 
 
 def compute_dep_sets(fn: S.FuncDef, graph: C.Cfg, table: Table) -> Readers:
-    """Reaching definitions over fn's CFG, one bit per (variable, writer)
-    definition; parameters are definitions at entry."""
+    """Reaching definitions over fn's CFG, one bit per (writer, variable)
+    definition. A parameter's value at entry has no writer in fn, so it
+    gets no bit and no readers."""
     n_nodes = len(graph.succ)
-    facts = [NOTHING if st is None else table[id(st)]
-             for st in map(graph.stmt_of.get, range(n_nodes))]
-
-    defs_of: Dict[str, int] = {}  # variable -> mask of its definitions
-    def_site: List[Tuple[int, str]] = []  # bit -> (writer id, variable)
-
-    def define(v: str, writer: int) -> int:
-        bit = 1 << len(def_site)
-        def_site.append((writer, v))
-        defs_of[v] = defs_of.get(v, 0) | bit
-        return bit
-
     gen = [0] * n_nodes
-    for n, f in enumerate(facts):
-        for v in f.writes:
-            gen[n] |= define(v, id(graph.stmt_of[n]))
-    params = 0
-    for p in fn.params:
-        params |= define(p.name, id(fn))
-    gen[C.ENTRY] |= params
+    keep = [-1] * n_nodes  # the definitions each node lets through
+    site: List[Tuple[int, str]] = []  # bit index -> (writer id, variable)
+    defs_of: Dict[str, int] = {}  # variable -> mask of its definitions
+    certain: List[Tuple[int, FrozenSet[str]]] = []
+    bit = 1
+    for sid, n in graph.node_of.items():
+        f = table[sid]
+        if f.writes:
+            for v in f.writes:
+                site.append((sid, v))
+                defs_of[v] = defs_of.get(v, 0) | bit
+                gen[n] |= bit
+                bit <<= 1
+            if f.certain:
+                certain.append((n, f.certain))
     # one kill mask per distinct certain set; masks of distinct variables
     # are disjoint, so their sum is their union
     kills: Dict[FrozenSet[str], int] = {}
-    for f in facts:
-        if f.certain not in kills:
-            kills[f.certain] = ~sum(map(defs_of.__getitem__, f.certain))
-    keep = [kills[f.certain] for f in facts]
+    for n, vs in certain:
+        if vs not in kills:
+            kills[vs] = ~sum(map(defs_of.__getitem__, vs))
+        keep[n] = kills[vs]
 
-    # sweep in reverse postorder from entry, then the unreachable nodes:
-    # round-robin sweeps reach the same least fixed point as any worklist
-    nodes = graph.order + sorted(set(range(n_nodes)) - set(graph.order))
-    pred = graph.pred
+    pred, back = graph.pred, graph.back
     out = gen[:]
-    changed = True
-    while changed:
-        changed = False
-        for n in nodes:
+    start = C.EXIT + 1  # ENTRY defines nothing, EXIT reads nothing
+    while True:
+        for n in range(start, n_nodes):
             x = 0
             for p in pred[n]:
                 x |= out[p]
             o = gen[n] | (x & keep[n])
             if o != out[n]:
                 out[n] = o
-                changed = True
+                if n in back:  # a change went round a loop: sweep it again
+                    start = back[n]
+                    break
+        else:
+            break
 
     readers: Readers = {}
-    for n, f in enumerate(facts):
-        if not f.reads:
+    for sid, n in graph.node_of.items():
+        names = table[sid].reads
+        if not names:
             continue
         inn = 0  # the union of the out-masks of n's predecessors
         for p in pred[n]:
             inn |= out[p]
-        for v in f.reads:
-            bits = inn & defs_of.get(v, 0) & ~params
+        for v in names:
+            bits = inn & defs_of.get(v, 0)
             while bits:
                 low = bits & -bits
                 bits ^= low
-                key = def_site[low.bit_length() - 1]
-                readers.setdefault(key, set()).add(id(graph.stmt_of[n]))
+                readers.setdefault(site[low.bit_length() - 1], set()).add(sid)
     return readers
 
 

@@ -37,34 +37,33 @@ class Placement:
         return self.block[self.start:self.end + 1]
 
 
-@dataclass
-class PlacementResult:
-    placements: List[Placement]
-    warnings: List[str] = field(default_factory=list)
-
-
-def find_candidates(fn: S.FuncDef, table: D.Table) -> List[S.Stmt]:
-    """Statements that hold an unstable test, in source order."""
-    return [s for s in S.walk_stmts(fn.body) if table[id(s)].candidate]
-
-
-def _parent_maps(fn: S.FuncDef):
-    """For every statement: the block list that directly owns it and its
-    index there, plus each block list's owning statement."""
+def outline(fn: S.FuncDef, table: D.Table):
+    """The statements of fn that hold an unstable test, in source order,
+    and where every statement sits: the block list that directly owns it
+    and its index there, plus each block list's owning statement (None for
+    the body's), from one walk."""
+    cands: List[S.Stmt] = []
     owner: Dict[int, Tuple[List[S.Stmt], int]] = {}
-    block_owner: Dict[int, Optional[S.Stmt]] = {}
-
-    todo: List[Tuple[List[S.Stmt], Optional[S.Stmt]]] = [
-        (fn.body.stmts, None)]
+    block_owner: Dict[int, Optional[S.Stmt]] = {id(fn.body.stmts): None}
+    todo: List[S.Stmt] = [fn.body]  # the next statement on top
     while todo:
-        stmts, owning = todo.pop()
-        block_owner[id(stmts)] = owning
-        for i, s in enumerate(stmts):
-            owner[id(s)] = (stmts, i)
-            kids = S.stmt_children(s)  # statements, or the blocks they own
-            todo += [(kids, s)] if isinstance(s, (S.Block, S.SectionStmt)) \
-                else [(b.stmts, s) for b in kids]
-    return owner, block_owner
+        s = todo.pop()
+        kind = type(s)
+        if kind is S.Block or kind is S.SectionStmt:
+            stmts = s.stmts if kind is S.Block else s.body
+            block_owner.setdefault(id(stmts), s)  # unless an arm's or a body's
+            for i, sub in enumerate(stmts):
+                owner[id(sub)] = (stmts, i)
+            todo.extend(reversed(stmts))
+            continue
+        if table[id(s)].candidate:
+            cands.append(s)
+        if kind is S.If or kind is S.While or kind is S.DoWhile:
+            kids = S.stmt_children(s)  # its arms, or its body
+            for b in kids:
+                block_owner[id(b.stmts)] = s
+            todo.extend(reversed(kids))
+    return cands, owner, block_owner
 
 
 def _index_in(sid: int, block: List[S.Stmt], owner, block_owner
@@ -112,15 +111,17 @@ def _grow(fn: S.FuncDef, cand: S.Stmt, readers: D.Readers, table: D.Table,
     return Placement(block, start, end)
 
 
-def place_sections(fn: S.FuncDef, readers: D.Readers,
-                   table: D.Table) -> PlacementResult:
-    warnings: List[str] = []
-    owner, block_owner = _parent_maps(fn)
-    placements = [_grow(fn, cand, readers, table, owner, block_owner,
-                        warnings)
-                  for cand in find_candidates(fn, table)]
-
-    placements = _fuse(placements, owner, block_owner)
+def place_sections(fn: S.FuncDef, graph: Cfg, table: D.Table,
+                   warnings: List[str]) -> List[Placement]:
+    """Sections around the candidates of fn, whose CFG is graph; with no
+    candidate, none, and no dependencies are solved."""
+    cands, owner, block_owner = outline(fn, table)
+    if not cands:
+        return []
+    readers = D.compute_dep_sets(fn, graph, table)
+    placements = _fuse([_grow(fn, cand, readers, table, owner, block_owner,
+                              warnings) for cand in cands],
+                       owner, block_owner)
     for sid, p in enumerate(placements, 1):
         p.section_id = sid
         p.save_list = sorted(D.save_list(p.stmts, table))
@@ -132,7 +133,7 @@ def place_sections(fn: S.FuncDef, readers: D.Readers,
         warnings.extend(f"section {sid}: whole array {v!r} merged"
                         f" (element-level tracking not attempted)"
                         for v in p.merge_list if fn.var_types[v][1])
-    return PlacementResult(placements, warnings)
+    return placements
 
 
 def _fuse(placements: List[Placement], owner, block_owner) -> List[Placement]:
@@ -151,24 +152,25 @@ def _fuse(placements: List[Placement], owner, block_owner) -> List[Placement]:
         else:
             i += 1
 
-    def covers(outer: Placement, p: Placement) -> bool:
-        """p's whole span lies (possibly nested) within outer's span."""
-        if p.block is outer.block:
-            return outer.start <= p.start and p.end <= outer.end \
-                and (outer.start, outer.end) != (p.start, p.end)
-        i = _index_in(id(p.stmts[0]), outer.block, owner, block_owner)
-        return i is not None and outer.start <= i <= outer.end
+    # the spans of one block are now disjoint, so a span lies within
+    # another only if one of its ancestors lies in that span
+    covered = {id(s) for p in placements for s in p.stmts}
+    kept = []
+    for p in placements:
+        owning = block_owner[id(p.block)]
+        while owning is not None and id(owning) not in covered:
+            owning = block_owner[id(owner[id(owning)][0])]
+        if owning is None:
+            kept.append(p)
+    return kept
 
-    return [p for p in placements
-            if not any(q is not p and covers(q, p) for q in placements)]
 
-
-def instrument_function(fn: S.FuncDef, result: PlacementResult,
+def instrument_function(fn: S.FuncDef, placements: List[Placement],
                         table: D.Table) -> None:
     """Rewrite blocks in place, wrapping placed spans in SectionStmt, each
     entered in fn's fact table as a statement that does nothing itself."""
     by_block: Dict[int, List[Placement]] = {}
-    for p in result.placements:
+    for p in placements:
         by_block.setdefault(id(p.block), []).append(p)
     for plist in by_block.values():
         plist.sort(key=lambda p: p.start, reverse=True)
@@ -198,8 +200,6 @@ def instrument(program: S.Program, cfgs: Optional[Dict[str, Cfg]] = None,
     warnings: List[str] = []
     for fn in program.functions.values():
         table = D.table_of(fn, program, tables)
-        readers = D.compute_dep_sets(fn, cfgs.pop(fn.name), table)
-        res = place_sections(fn, readers, table)
-        warnings.extend(res.warnings)
-        instrument_function(fn, res, table)
+        instrument_function(fn, place_sections(fn, cfgs.pop(fn.name), table,
+                                               warnings), table)
     return program, warnings

@@ -17,11 +17,12 @@ from . import deps as D
 def validate_function(fn: S.FuncDef, table: D.Table) -> List[str]:
     """Returns a list of criterion violations (empty means valid)."""
     problems: List[str] = []
+    sections = [s for s in S.walk_stmts(fn.body)
+                if type(s) is S.SectionStmt]
+    if not sections:  # nothing to check, so no CFG to build
+        return problems
     graph = C.build_cfg(fn)
     readers = D.compute_dep_sets(fn, graph, table)
-
-    sections = [s for s in S.walk_stmts(fn.body)
-                if isinstance(s, S.SectionStmt)]
     for sec in sections:
         split = graph.node_of.get(id(sec))
         merge = graph.merge_of.get(id(sec))

@@ -3,13 +3,19 @@
 Nodes are leaf statements plus synthetic ENTRY/EXIT nodes; section
 markers contribute a split node and a merge node so dominance queries
 about section boundaries are direct.
+
+Nodes are numbered in flow order, a do-while's test after its body, so
+an edge into a lower id either enters EXIT, numbered 1 but last, or is a
+loop back edge. The builder records the back edges, the nodes ENTRY
+reaches, and the order it finishes nodes in, a while test after its body:
+both dominator solves get their orders without a search.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import syntax as S
 
@@ -17,35 +23,20 @@ ENTRY = 0
 EXIT = 1
 
 
-def reverse_postorder(succ: List[List[int]], root: int) -> List[int]:
-    """The nodes reachable from root, in reverse postorder of one
-    depth-first search that takes successors in list order."""
-    post: List[int] = []
-    seen = {root}
-    stack = [(root, iter(succ[root]))]
-    while stack:
-        n, todo = stack[-1]
-        for m in todo:
-            if m not in seen:
-                seen.add(m)
-                stack.append((m, iter(succ[m])))
-                break
-        else:
-            stack.pop()
-            post.append(n)
-    post.reverse()
-    return post
-
-
-def immediate_dominators(pred: List[List[int]], order: List[int]
-                         ) -> Dict[int, int]:
-    """Immediate dominator of each node of order, a reverse postorder
-    from its root order[0], which maps to itself. The iterative algorithm
-    of Cooper, Harvey & Kennedy, "A Simple, Fast Dominance Algorithm"
-    (2001): a predecessor outside order is unreachable and ignored."""
+def immediate_dominators(pred: List[List[int]], order: Sequence[int],
+                         rank: Sequence[int]) -> Dict[int, int]:
+    """Immediate dominator of each node of order, whose root order[0] maps
+    to itself: the iterative algorithm of Cooper, Harvey & Kennedy, "A
+    Simple, Fast Dominance Algorithm" (2001). order lists the nodes
+    reachable from the root, each after one of its predecessors, ranked
+    by rank; a node that is no node's predecessor may be out of rank.
+    The first sweep solves the acyclic graph of the edges from nodes
+    already swept. That is final if each edge it skipped enters a
+    dominator of its source, as loop back edges do in a reducible graph;
+    else sweeps go on until none changes."""
     root = order[0]
-    rank = {n: i for i, n in enumerate(order)}
     idom = {root: root}
+    skipped: Optional[List[Tuple[int, int]]] = []
     changed = True
     while changed:
         changed = False
@@ -53,6 +44,8 @@ def immediate_dominators(pred: List[List[int]], order: List[int]
             new = None
             for p in pred[n]:
                 if p not in idom:
+                    if skipped is not None:
+                        skipped.append((p, n))
                     continue
                 if new is None:
                     new = p
@@ -66,42 +59,43 @@ def immediate_dominators(pred: List[List[int]], order: List[int]
             if idom.get(n) != new:
                 idom[n] = new
                 changed = True
+        if skipped is not None:
+            if all(p not in idom or _dom_query(idom, n, p)
+                   for p, n in skipped):
+                break
+            skipped = None
     return idom
 
 
 @dataclass
 class Cfg:
-    """A function's CFG over node ids 0..n-1. It must not change once
-    built: the orders and immediate-(post-)dominator maps are computed on
-    first use and kept."""
+    """A function's CFG over node ids 0..n-1, numbered in flow order. It
+    must not change once built: the immediate-(post-)dominator maps are
+    computed on first use and kept."""
 
     succ: List[List[int]]
     pred: List[List[int]]
-    #: node id -> statement (None for entry/exit and merge nodes)
-    stmt_of: Dict[int, Optional[S.Stmt]]
     #: id(statement) -> its node; a SectionStmt's node is its split
     node_of: Dict[int, int]
     #: id(SectionStmt) -> synthetic merge node
     merge_of: Dict[int, int]
-
-    @cached_property
-    def order(self) -> List[int]:
-        """Reverse postorder of the nodes reachable from ENTRY."""
-        return reverse_postorder(self.succ, ENTRY)
-
-    @cached_property
-    def back_order(self) -> List[int]:
-        """Reverse postorder of the nodes that reach EXIT, searched from
-        EXIT along the predecessor lists."""
-        return reverse_postorder(self.pred, EXIT)
+    #: the nodes reachable from ENTRY, by increasing id, EXIT last
+    order: List[int]
+    #: each node with a loop back edge -> the lowest node it jumps back to
+    back: Dict[int, int]
+    #: EXIT, then every other node after one of its successors
+    back_order: List[int]
 
     @cached_property
     def idom(self) -> Dict[int, int]:
-        return immediate_dominators(self.pred, self.order)
+        return immediate_dominators(self.pred, self.order,
+                                    range(len(self.succ)))
 
     @cached_property
     def ipdom(self) -> Dict[int, int]:
-        return immediate_dominators(self.succ, self.back_order)
+        order = self.back_order
+        return immediate_dominators(self.succ, order,
+                                    {n: i for i, n in enumerate(order)})
 
     def dominates(self, a, b) -> bool:
         return _dom_query(self.idom, a, b)
@@ -118,101 +112,116 @@ class Cfg:
 
 def _dom_query(idom: Dict[int, int], a, b) -> bool:
     """a dominates b under the immediate-dominator map."""
-    n = b
-    while True:
-        if n == a:
-            return True
-        if n not in idom or idom[n] == n:
-            return False
-        n = idom[n]
+    while b != a and b in idom and idom[b] != b:
+        b = idom[b]
+    return b == a
 
 
 class _Builder:
     def __init__(self) -> None:
-        self.succ: List[List[int]] = [[], []]
+        self.succ: List[List[int]] = [[], []]  # ENTRY's and EXIT's
         self.pred: List[List[int]] = [[], []]
-        self.stmt_of: Dict[int, Optional[S.Stmt]] = {ENTRY: None, EXIT: None}
         self.node_of: Dict[int, int] = {}
         self.merge_of: Dict[int, int] = {}
+        self.back: Dict[int, int] = {}
+        self.dead: set = set()  # the nodes ENTRY does not reach
+        self.done = [ENTRY]  # the nodes in the order they are finished
 
-    def node(self, stmt: Optional[S.Stmt], preds: List[int]) -> int:
-        """A new node for stmt, entered from each of preds."""
+    def node(self, stmt: Optional[S.Stmt], preds: List[int],
+             done: bool = True) -> int:
+        """A new node for stmt, entered from preds; finished if done."""
         n = len(self.succ)
-        self.succ.append([])
-        self.pred.append([])
-        self.stmt_of[n] = stmt
+        succ = self.succ
+        succ.append([])
+        self.pred.append(list(preds))
         if stmt is not None:
             self.node_of[id(stmt)] = n
         for p in preds:
-            self.edge(p, n)
+            succ[p].append(n)
+        if not preds or self.dead and self.dead.issuperset(preds):
+            self.dead.add(n)
+        if done:
+            self.done.append(n)
         return n
 
     def edge(self, a: int, b: int) -> None:
-        # one edge per pair: an `if` with an empty then-block wires its
-        # test to the next statement twice
-        if b not in self.succ[a]:
-            self.succ[a].append(b)
-            self.pred[b].append(a)
+        self.succ[a].append(b)
+        self.pred[b].append(a)
 
     def seq(self, stmts: List[S.Stmt], preds: List[int]) -> List[int]:
-        """Wire a statement sequence; returns the fall-through predecessors."""
+        """Wire a statement sequence; returns its fall-through nodes, once."""
         for s in stmts:
-            preds = self.stmt(s, preds)
+            kind = type(s)
+            preds = [self.node(s, preds)] if kind not in _WIRED \
+                else self.wire(s, kind, preds)
         return preds
 
-    def stmt(self, s: S.Stmt, preds: List[int]) -> List[int]:
-        if isinstance(s, S.Block):
+    def wire(self, s: S.Stmt, kind: type, preds: List[int]) -> List[int]:
+        if kind is S.Block:
             return self.seq(s.stmts, preds)
-        if isinstance(s, S.If):
+        if kind is S.If:
             n = self.node(s, preds)
             out = self.seq(s.then.stmts, [n])
-            if s.els is not None:
-                out = out + self.seq(s.els.stmts, [n])
-            else:
-                out = out + [n]
-            return out
-        if isinstance(s, S.While):
-            n = self.node(s, preds)
+            other = self.seq(s.els.stmts, [n]) if s.els is not None else [n]
+            return out + other if out != other else out  # both may be [n]
+        if kind is S.While:
+            n = self.node(s, preds, False)
             for p in self.seq(s.body.stmts, [n]):
                 self.edge(p, n)
+                # p may end an inner do-while too, whose head is higher
+                self.back[p] = n
+            self.done.append(n)
             return [n]
-        if isinstance(s, S.DoWhile):
-            n = self.node(s, [])
-            for p in self.seq(s.body.stmts, preds + [n]):
-                self.edge(p, n)
+        if kind is S.DoWhile:
+            first = len(self.succ)  # the test itself if the body is empty
+            n = self.node(s, self.seq(s.body.stmts, preds))
+            self.edge(n, first)
+            self.back[n] = first
             return [n]
-        if isinstance(s, S.Return):
+        if kind is S.Return:
             self.edge(self.node(s, preds), EXIT)
             return []
-        if isinstance(s, S.SectionStmt):
-            split = self.node(s, preds)
-            # a return closing the body leaves through the merge, as the
-            # executor merges the section's paths before it returns
-            tail = s.body[-1] if s.body and isinstance(s.body[-1], S.Return) \
-                else None
-            inner = self.seq(s.body[:-1] if tail else s.body, [split])
-            if tail is not None:
-                inner = [self.node(tail, inner)]
-            merge = self.node(None, inner)
-            self.merge_of[id(s)] = merge
-            if tail is not None:
-                self.edge(merge, EXIT)
-                return []
-            return [merge]
-        return [self.node(s, preds)]
+        split = self.node(s, preds)
+        # a return closing the body leaves through the merge, as the
+        # executor merges the section's paths before it returns
+        tail = s.body[-1] if s.body and type(s.body[-1]) is S.Return \
+            else None
+        inner = self.seq(s.body[:-1] if tail else s.body, [split])
+        if tail is not None:
+            inner = [self.node(tail, inner)]
+        merge = self.node(None, inner)
+        self.merge_of[id(s)] = merge
+        if tail is not None:
+            self.edge(merge, EXIT)
+            return []
+        return [merge]
+
+
+#: the statements that are not one node falling through to the next
+_WIRED = frozenset({S.Block, S.If, S.While, S.DoWhile, S.Return,
+                    S.SectionStmt})
 
 
 def build_cfg(fn: S.FuncDef) -> Cfg:
     b = _Builder()
     for p in b.seq(fn.body.stmts, [ENTRY]):
         b.edge(p, EXIT)
-    return Cfg(b.succ, b.pred, b.stmt_of, b.node_of, b.merge_of)
+    live = range(EXIT + 1, len(b.succ))
+    if b.dead:
+        live = [n for n in live if n not in b.dead]
+    b.done.append(EXIT)  # which every node reaches
+    return Cfg(b.succ, b.pred, b.node_of, b.merge_of, [ENTRY, *live, EXIT],
+               b.back, b.done[::-1])
 
 
 def check_exit_reachable(cfg: Cfg) -> List[int]:
     """Nodes from which EXIT is unreachable (infinite loops)."""
-    reach = set(cfg.back_order)
-    return [n for n in range(len(cfg.succ)) if n not in reach]
+    seen, todo = {EXIT}, [EXIT]
+    while todo:
+        new = set(cfg.pred[todo.pop()]) - seen
+        seen |= new
+        todo += new
+    return sorted(set(range(len(cfg.succ))) - seen)
 
 
 # ---------------------------------------------------------------------------

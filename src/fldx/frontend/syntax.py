@@ -349,15 +349,12 @@ class Program:
 
 
 def stmt_children(s: Stmt) -> Sequence[Stmt]:
-    if isinstance(s, Block):
-        return s.stmts
-    if isinstance(s, If):
+    kind = type(s)
+    if kind is Block or kind is SectionStmt:
+        return s.stmts if kind is Block else s.body
+    if kind is If:
         return (s.then,) if s.els is None else (s.then, s.els)
-    if isinstance(s, (While, DoWhile)):
-        return (s.body,)
-    if isinstance(s, SectionStmt):
-        return s.body
-    return ()
+    return (s.body,) if kind is While or kind is DoWhile else ()
 
 
 def walk_stmts(s: Stmt) -> Iterator[Stmt]:
@@ -370,25 +367,28 @@ def walk_stmts(s: Stmt) -> Iterator[Stmt]:
     while stack:
         s = stack.pop()
         yield s
-        kids = stmt_children(s)
-        if kids:
-            stack.extend(reversed(kids))
+        if type(s) not in _LEAVES:
+            kids = stmt_children(s)
+            if kids:
+                stack.extend(reversed(kids))
+
+
+#: the statements that hold no statement
+_LEAVES = frozenset({Decl, Assign, Return, ExprStmt, AssertStmt,
+                     AssumeStmt})
 
 
 def expr_children(e: Expr) -> Sequence[Expr]:
-    if isinstance(e, (Var, IntLit, FloatLit)):  # most nodes: test them first
-        return ()
-    if isinstance(e, Binary):
+    kind = type(e)
+    if kind is Binary:
         return (e.left, e.right)
-    if isinstance(e, (Unary, Cast)):
+    if kind is Unary or kind is Cast:
         return (e.expr,)
-    if isinstance(e, Ternary):
-        return (e.cond, e.then, e.els)
-    if isinstance(e, Call):
-        return e.args
-    if isinstance(e, Index):
+    if kind is Index:
         return (e.index,)
-    return ()
+    if kind is Ternary:
+        return (e.cond, e.then, e.els)
+    return e.args if kind is Call else ()
 
 
 def walk_exprs(e: Expr) -> Iterator[Expr]:
@@ -398,32 +398,12 @@ def walk_exprs(e: Expr) -> Iterator[Expr]:
     while stack:
         e = stack.pop()
         yield e
-        kids = expr_children(e)
-        if kids:
-            stack.extend(reversed(kids))
+        if type(e) not in _ATOMS:
+            stack.extend(reversed(expr_children(e)))
 
 
-def stmt_exprs(s: Stmt) -> List[Expr]:
-    """Expressions evaluated directly by this statement (not sub-statements)."""
-    if isinstance(s, Decl):
-        out: List[Expr] = []
-        if s.init is not None:
-            out.append(s.init)
-        if s.array_init:
-            out.extend(s.array_init)
-        return out
-    if isinstance(s, Assign):
-        out = [s.expr]
-        if isinstance(s.target, Index):
-            out.append(s.target.index)
-        return out
-    if isinstance(s, (If, While, DoWhile)):
-        return [s.cond]
-    if isinstance(s, Return):
-        return [s.expr] if s.expr is not None else []
-    if isinstance(s, (ExprStmt, AssumeStmt)):
-        return [s.expr] if isinstance(s, ExprStmt) else [s.cond]
-    return []
+#: the expressions that hold no expression
+_ATOMS = frozenset({Var, IntLit, FloatLit})
 
 
 def pred_names(p: Pred) -> List[Union[TName, TIndex]]:
@@ -449,41 +429,3 @@ def pred_names(p: Pred) -> List[Union[TName, TIndex]]:
         elif isinstance(q, (TCall, PBuiltin)):
             todo += [(a, bound) for a in reversed(q.args)]
     return out
-
-
-def expr_ctype(e: Expr, var_types: Dict[str, Tuple[str, bool]],
-               program: Optional[Program] = None) -> str:
-    """Static C type of an expression: 'int', 'float' or 'double'. The
-    left spine of an arithmetic chain such as a + b + c is walked with a
-    loop, not a call per operand."""
-    if isinstance(e, IntLit):
-        return "int"
-    if isinstance(e, FloatLit):
-        return "double"
-    if isinstance(e, (Var, Index)):
-        return var_types[e.name][0]
-    if isinstance(e, Unary):
-        return "int" if e.op == "!" else expr_ctype(e.expr, var_types, program)
-    if isinstance(e, Binary) and (e.op in COMPARISONS or e.op in ("&&", "||")):
-        return "int"
-    if isinstance(e, Cast):
-        return e.ctype
-    if isinstance(e, Call):
-        if e.name == "read_double":
-            return "double"
-        if program is not None and e.name in program.functions:
-            return program.functions[e.name].ret_type
-        return "double"
-    if isinstance(e, Ternary):
-        sides = [e.then, e.els]
-    elif isinstance(e, Binary):
-        sides = []
-        while isinstance(e, Binary) and e.op in ("+", "-", "*", "/", "%"):
-            sides.append(e.right)
-            e = e.left
-        sides.append(e)
-    else:
-        raise TypeError(f"unknown expression {e!r}")
-    types = {expr_ctype(x, var_types, program) for x in sides}
-    return "double" if "double" in types \
-        else "float" if "float" in types else "int"

@@ -35,7 +35,21 @@ def rational_to_json(x: Fraction):
         if scale:
             s = s[:-scale] + "." + s[-scale:]
         return ("-" if x < 0 else "") + s
-    return {"num": str(x.numerator), "den": str(x.denominator)}
+    return {"num": _decimal(x.numerator), "den": _decimal(x.denominator)}
+
+
+def _decimal(n: int) -> str:
+    """n in decimal, past the limit on int-to-str conversion 500 digits
+    at a time, fewer than any limit the interpreter may set."""
+    try:
+        return str(n)
+    except ValueError:
+        chunks, rest = [], abs(n)
+        while rest:
+            rest, low = divmod(rest, 10 ** 500)
+            chunks.append(f"{low:0500d}")
+        digits = "".join(reversed(chunks)).lstrip("0")
+        return "-" + digits if n < 0 else digits
 
 
 def interval_to_json(iv: Optional[RInterval]):

@@ -27,7 +27,7 @@ from fldx.numerics import BINARY32, FORMATS, RInterval, interval_over
 from fldx.pipeline import analyze, prepare
 from fldx.zonotope import AffineForm, Origin
 from perfbench import workloads as W
-from tests.conftest import all_corpus_names, corpus_source
+from tests.conftest import all_corpus_names, corpus_source, stmt_exprs
 
 
 # ---------------------------------------------------------------------------
@@ -700,7 +700,7 @@ def test_each_float_literal_node_is_built_once(monkeypatch):
     source, config = corpus_source("patriot.c"), AnalysisConfig(fmt=BINARY32)
     program, _ = prepare(source, config)
     nodes = [e for fn in program.functions.values()
-             for s in S.walk_stmts(fn.body) for top in S.stmt_exprs(s)
+             for s in S.walk_stmts(fn.body) for top in stmt_exprs(s)
              for e in S.walk_exprs(top) if isinstance(e, S.FloatLit)]
     calls = []
     built = AbstractFloat.from_literal
@@ -815,7 +815,7 @@ def nodes_of(fn):
     """Every statement and expression of fn's body, as the tree holds
     them."""
     return [n for s in S.walk_stmts(fn.body)
-            for n in [s] + [e for top in S.stmt_exprs(s)
+            for n in [s] + [e for top in stmt_exprs(s)
                             for e in S.walk_exprs(top)]]
 
 

@@ -31,7 +31,7 @@ from fldx.frontend import syntax as S
 from fldx.frontend.parser import KEYWORDS, _tokenize_annot, tokenize
 from fldx.pipeline import prepare
 from perfbench import workloads as W
-from tests.conftest import all_corpus_names, corpus_source
+from tests.conftest import all_corpus_names, corpus_source, stmt_exprs
 
 # ---------------------------------------------------------------------------
 # Reference code: the lexer loops and the recursive walks
@@ -301,7 +301,7 @@ def test_walk_orders_match_the_reference(name):
         assert [id(s) for s in stmts] \
             == [id(s) for s in ref_walk_stmts(fn.body)]
         for s in stmts:
-            for e in S.stmt_exprs(s):
+            for e in stmt_exprs(s):
                 assert [id(x) for x in S.walk_exprs(e)] \
                     == [id(x) for x in ref_walk_exprs(e)]
 
@@ -314,10 +314,10 @@ def test_walkers_do_not_recurse_on_deep_trees():
     assert all(isinstance(n, S.Binary) for n in nodes[:2999])
     assert all(isinstance(n, S.Var) for n in nodes[2999:])
     # the fact table reads the sum with the same walk
-    program = S.Program({})
-    fn = S.FuncDef("double", "f", [S.Param("double", "x")], S.Block([]),
+    ret = S.Return(e)
+    fn = S.FuncDef("double", "f", [S.Param("double", "x")], S.Block([ret]),
                    var_types={"x": ("double", False)})
-    assert D.stmt_facts(S.Return(e), fn, program).reads == {"x"}
+    assert D.fact_table(fn, S.Program({"f": fn}))[id(ret)].reads == {"x"}
     block = S.Block([])
     for _ in range(3000):
         block = S.Block([block])

@@ -1,4 +1,5 @@
 """`tools/opcount.py`: the bytecode count of one benchmark operation."""
+import gc
 import importlib.util
 import os
 import re
@@ -53,3 +54,38 @@ def test_top_lists_the_busiest_code_objects_above_the_count():
     m = re.fullmatch(r"fanout_n4 (\d+)", last)
     assert m and sum(counts) <= int(m[1])
     assert any(m[2].startswith("src/fldx/") for m in rows)
+
+
+def test_a_collection_inside_the_window_adds_nothing_to_the_count():
+    """A `gc.callbacks` hook, such as the one Hypothesis installs, runs
+    Python bytecodes at each collection: none may fall inside a count."""
+    count = load_tool().count_opcodes
+    seen = []
+
+    def hook(phase, info):
+        seen.append(phase)
+
+    def churn():
+        kept = []
+        for _ in range(200):
+            kept.append([])  # a live container counts toward a collection
+
+    plain = count(churn)
+    threshold = gc.get_threshold()
+    gc.callbacks.append(hook)
+    gc.set_threshold(1)  # a collection at every container allocated
+    try:
+        churn()
+        ran = len(seen)  # the hook does run outside a count
+        hooked = count(churn)
+    finally:
+        gc.callbacks.remove(hook)
+        gc.set_threshold(*threshold)
+    assert ran > 0 and hooked == plain
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        count(churn)
+        assert not gc.isenabled()  # the previous state is restored
+    finally:
+        gc.enable()

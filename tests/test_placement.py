@@ -13,7 +13,7 @@ from fldx import pipeline
 from fldx.cli import main
 from fldx.compiler import deps as D
 from fldx.compiler import placement as P
-from fldx.compiler.placement import find_candidates, instrument
+from fldx.compiler.placement import instrument, outline
 from fldx.compiler.validator import validate
 from fldx.config import AnalysisConfig
 from fldx.executor.oracle import ShadowRun
@@ -22,7 +22,8 @@ from fldx.frontend import cfg as C
 from fldx.frontend import syntax as S
 from fldx.pipeline import instrumented_source, prepare
 from perfbench import workloads as W
-from tests.conftest import all_corpus_names, corpus_source
+from tests.conftest import (all_corpus_names, corpus_source,
+                            kernel_functions, stmt_exprs)
 
 
 def instrumented(name):
@@ -235,9 +236,8 @@ def test_validator_flags_a_return_that_skips_the_merge(monkeypatch):
     }
     """
     program = parse_program(src)
-    built, dominator_runs, order_runs = [], [], []
+    built, dominator_runs = [], []
     build_cfg, immediate_dominators = C.build_cfg, C.immediate_dominators
-    reverse_postorder = C.reverse_postorder
 
     def counting_build(fn):
         built.append(fn)
@@ -247,21 +247,14 @@ def test_validator_flags_a_return_that_skips_the_merge(monkeypatch):
         dominator_runs.append(args)
         return immediate_dominators(*args, **kwargs)
 
-    def counting_orders(*args, **kwargs):
-        order_runs.append(args)
-        return reverse_postorder(*args, **kwargs)
-
     monkeypatch.setattr(C, "build_cfg", counting_build)
     monkeypatch.setattr(C, "immediate_dominators", counting_dominators)
-    monkeypatch.setattr(C, "reverse_postorder", counting_orders)
     assert validate(program) == [
         "main: section 1: merge does not strictly post-dominate split"]
     # one CFG for the one function, with dominators and post-dominators
-    # computed once each however many sections are checked, from one
-    # depth-first search per direction
+    # computed once each however many sections are checked
     assert len(built) == 1
     assert len(dominator_runs) <= 2
-    assert len(order_runs) <= 2 * len(built)
 
 
 @pytest.mark.parametrize("args", [["instrument", "--format", "binary32"],
@@ -352,7 +345,7 @@ def ref_certain(s):
 
 
 def ref_reads(s):
-    out = {n.name for e in S.stmt_exprs(s) for n in S.walk_exprs(e)
+    out = {n.name for e in stmt_exprs(s) for n in S.walk_exprs(e)
            if isinstance(n, (S.Var, S.Index))}
     if isinstance(s, S.AssertStmt):
         out |= {t.name for t in S.pred_names(s.pred)}
@@ -401,13 +394,128 @@ def ref_candidate(s, fn, program):
                     or isinstance(s, S.Assign)
                     and fn.var_types[s.target.name][0] == "int"
                     or isinstance(s, S.Return) and fn.ret_type == "int")
-        for e in S.stmt_exprs(s):
+        for e in stmt_exprs(s):
             is_value = not (isinstance(s, S.Assign) and e is not s.expr)
             if into_int and is_value:
                 tested.append(e)
             visit(e, False)
-    return any(S.expr_ctype(e, fn.var_types, program) in ("float", "double")
+    return any(ref_ctype(e, fn.var_types, program) in ("float", "double")
                for e in tested)
+
+
+def ref_ctype(e, var_types, program):
+    """Static C type of an expression, with a loop down the left spine of
+    an arithmetic chain: the typing the fact table had before it typed
+    each expression in the walk that reads it."""
+    if isinstance(e, S.IntLit):
+        return "int"
+    if isinstance(e, S.FloatLit):
+        return "double"
+    if isinstance(e, (S.Var, S.Index)):
+        return var_types[e.name][0]
+    if isinstance(e, S.Unary):
+        return "int" if e.op == "!" else ref_ctype(e.expr, var_types, program)
+    if isinstance(e, S.Binary) and (e.op in S.COMPARISONS
+                                    or e.op in ("&&", "||")):
+        return "int"
+    if isinstance(e, S.Cast):
+        return e.ctype
+    if isinstance(e, S.Call):
+        if e.name == "read_double":
+            return "double"
+        if e.name in program.functions:
+            return program.functions[e.name].ret_type
+        return "double"
+    if isinstance(e, S.Ternary):
+        sides = [e.then, e.els]
+    else:
+        sides = []
+        while isinstance(e, S.Binary) and e.op in ("+", "-", "*", "/", "%"):
+            sides.append(e.right)
+            e = e.left
+        sides.append(e)
+    types = {ref_ctype(x, var_types, program) for x in sides}
+    return "double" if "double" in types \
+        else "float" if "float" in types else "int"
+
+
+def ref_any_float(exprs, fn, program):
+    return any(ref_ctype(x, fn.var_types, program) in ("float", "double")
+               for x in exprs)
+
+
+def ref_read(e, reads, fn, program):
+    """The previous fact table's walk of one expression: adds the
+    variables e reads to reads, and tells whether e holds an unstable
+    test."""
+    unstable = False
+    for sub in S.walk_exprs(e):
+        kind = type(sub)
+        if kind is S.Var or kind is S.Index:
+            reads.add(sub.name)
+        elif unstable:
+            continue
+        elif kind is S.Binary:
+            if sub.op in S.COMPARISONS or sub.op in ("&&", "||"):
+                unstable = ref_any_float((sub.left, sub.right), fn, program)
+        elif kind is S.Unary:
+            unstable = sub.op == "!" and ref_any_float((sub.expr,), fn,
+                                                       program)
+        elif kind is S.Ternary:
+            unstable = ref_any_float((sub.cond,), fn, program)
+        elif kind is S.Cast:
+            unstable = sub.ctype == "int" \
+                and ref_any_float((sub.expr,), fn, program)
+        elif kind is S.Call and sub.name in program.functions:
+            unstable = ref_any_float(
+                [a for p, a in zip(program.functions[sub.name].params,
+                                   sub.args)
+                 if p.ctype == "int" and not p.is_array], fn, program)
+    return unstable
+
+
+def ref_stmt_facts(s, fn, program):
+    """The facts of one statement as the fact table computed them before
+    it typed each expression in one walk: kept as the reference."""
+    kind = type(s)
+    if kind is S.Block or kind is S.SectionStmt:
+        return D.NOTHING
+    exprs = stmt_exprs(s)
+    writes = certain = frozenset()
+    operands = ()
+    if kind is S.Decl:
+        if s.init is not None or s.array_init is not None:
+            writes = certain = frozenset((s.name,))
+        operands = exprs if s.ctype == "int" else ()
+    elif kind is S.Assign:
+        writes = frozenset((s.target.name,))
+        certain = frozenset() if type(s.target) is S.Index else writes
+        operands = exprs[:1] if fn.var_types[s.target.name][0] == "int" \
+            else ()
+    elif kind is S.Return:
+        operands = exprs if fn.ret_type == "int" else ()
+    elif kind is not S.ExprStmt:
+        operands = exprs
+    reads = set()
+    tests = [ref_read(e, reads, fn, program) for e in exprs]
+    if kind is S.AssertStmt:
+        reads.update(t.name for t in S.pred_names(s.pred))
+        writes = certain = frozenset(ref_enlarged(s.pred))
+    return D.Facts(writes, certain, frozenset(reads),
+                   any(tests) or ref_any_float(operands, fn, program))
+
+
+def test_fact_table_matches_the_previous_stmt_facts():
+    """On every kernel function, before and after placement."""
+    checked = 0
+    for program, fn in kernel_functions():
+        table = D.fact_table(fn, program)
+        stmts = list(S.walk_stmts(fn.body))
+        assert set(table) == {id(s) for s in stmts}
+        for s in stmts:
+            assert table[id(s)] == ref_stmt_facts(s, fn, program), s.loc
+        checked += len(stmts)
+    assert checked > 1500  # 1842 statements when this test was written
 
 
 def fact_programs():
@@ -433,7 +541,7 @@ def test_fact_table_matches_the_reference_on_every_statement():
             want = [s for s in stmts
                     if not isinstance(s, (S.Block, S.SectionStmt))
                     and ref_candidate(s, fn, program)]
-            assert find_candidates(fn, table) == want
+            assert outline(fn, table)[0] == want
             candidates += len(want)
     # a guard that the programs were read: 37685 statements, 945
     # candidates when this test was written
@@ -452,40 +560,76 @@ def test_truth_tests_are_candidates_by_the_reference_too():
             if not isinstance(s, (S.Block, S.SectionStmt))
             and ref_candidate(s, fn, program)]
     assert len(want) == len(TRUTH_TESTS) + 1
-    assert find_candidates(fn, table) == want
+    assert outline(fn, table)[0] == want
 
 
-def test_each_statement_is_walked_once_and_each_cfg_built_twice(
-        monkeypatch):
-    """During prepare, each statement's facts are computed once, shared by
-    placement and the validator, and each function's CFG is built twice:
-    once by the normalize stage for placement, once by the validator."""
-    facts, built = Counter(), Counter()
-    stmt_facts, build_cfg = D.stmt_facts, C.build_cfg
+def counting_stages(monkeypatch):
+    """Counters, by function name, of the fact tables built, the CFGs
+    built and the reaching-definitions solves run from now on."""
+    tables, built, solved = Counter(), Counter(), Counter()
+    fact_table, build_cfg = D.fact_table, C.build_cfg
+    compute_dep_sets = D.compute_dep_sets
 
-    def counting_facts(s, fn, program):
-        facts[id(s)] += 1
-        return stmt_facts(s, fn, program)
+    def counting_table(fn, program):
+        tables[fn.name] += 1
+        return fact_table(fn, program)
 
     def counting_build(fn):
         built[fn.name] += 1
         return build_cfg(fn)
 
-    monkeypatch.setattr(D, "stmt_facts", counting_facts)
+    def counting_solve(fn, graph, table):
+        solved[fn.name] += 1
+        return compute_dep_sets(fn, graph, table)
+
+    monkeypatch.setattr(D, "fact_table", counting_table)
+    monkeypatch.setattr(D, "compute_dep_sets", counting_solve)
     for module in (C, P, pipeline):
         monkeypatch.setattr(module, "build_cfg", counting_build)
+    return tables, built, solved
+
+
+def test_each_table_is_built_once_and_a_cfg_again_only_where_checked(
+        monkeypatch):
+    """During prepare, each function's facts are computed once, in one
+    walk, and shared by placement and the validator. The normalize stage
+    builds each function's CFG for placement; the validator builds its own
+    only for a function with sections. Each of the two solves reaching
+    definitions only where sections are placed or checked."""
+    tables, built, solved = counting_stages(monkeypatch)
     wide = W.wide_instrument(1)[0].source
     for source in (corpus_source("inter_loop.c"), wide):
-        facts.clear()
-        built.clear()
+        for counter in (tables, built, solved):
+            counter.clear()
         program, _ = prepare(source, AnalysisConfig())
-        assert sections_of(program)
-        stmts = {id(s) for fn in program.functions.values()
-                 for s in S.walk_stmts(fn.body)}
-        placed = {id(s) for s in sections_of(program)}
-        assert set(facts) == stmts - placed
-        assert set(facts.values()) == {1}
-        assert built == {name: 2 for name in program.functions}
+        checked = {fn.name for fn in program.functions.values()
+                   if any(type(s) is S.SectionStmt
+                          for s in S.walk_stmts(fn.body))}
+        assert checked
+        assert tables == {name: 1 for name in program.functions}
+        assert built == {name: 1 + (name in checked)
+                         for name in program.functions}
+        assert solved == {name: 2 for name in checked}
+
+
+def test_no_dataflow_for_a_function_without_candidates(monkeypatch):
+    tables, built, solved = counting_stages(monkeypatch)
+    program, _ = prepare("""
+    double helper(double a) { double b = a * 2.0; return b + 1.0; }
+    int main() {
+      double x = read_double(0.0, 1.0);
+      double y = helper(x);
+      if (y < 2.0) { y = y + 1.0; }
+      /*@ assert dprint(y); */
+      return 0;
+    }
+    """, AnalysisConfig())
+    assert len(sections_of(program)) == 1
+    # the helper's CFG comes from the normalize stage alone, and neither
+    # placement nor the validator solves its dependencies
+    assert built == {"helper": 1, "main": 2}
+    assert solved == {"main": 2}
+    assert tables == {"helper": 1, "main": 1}
 
 
 def test_instrumenting_leaves_no_cyclic_garbage():
@@ -507,12 +651,21 @@ def test_instrumenting_leaves_no_cyclic_garbage():
 # ---------------------------------------------------------------------------
 
 
+def statements_of(fn, graph):
+    """Each node of fn's CFG -> its statement; None for ENTRY, EXIT and
+    merge nodes."""
+    out = dict.fromkeys(range(len(graph.succ)))
+    out.update((graph.node_of[id(s)], s) for s in S.walk_stmts(fn.body)
+               if id(s) in graph.node_of)
+    return out
+
+
 def brute_def_use(fn):
     """(writer, reader, v) where a breadth-first search from the writer's
     successors reaches the reader without passing a node that must-define
     v, by the reference definitions. Parameters are not writers."""
     graph = C.build_cfg(fn)
-    succ, stmt_of = graph.succ, graph.stmt_of
+    succ, stmt_of = graph.succ, statements_of(fn, graph)
     out = set()
     for w in range(len(succ)):
         if stmt_of.get(w) is None:
@@ -568,6 +721,44 @@ DEF_USE_PROGRAMS = [
     }
     """,
 ]
+
+
+def textbook_readers(fn, graph, table):
+    """Reaching definitions as sets of (node, variable) pairs, solved by a
+    worklist to the least fixed point, then each definition's readers."""
+    n = len(graph.succ)
+    stmt_of = statements_of(fn, graph)
+    facts = [D.NOTHING if stmt_of[v] is None else table[id(stmt_of[v])]
+             for v in range(n)]
+    ins = [set() for _ in range(n)]
+    outs = [set() for _ in range(n)]
+    work = deque(range(n))
+    while work:
+        v = work.popleft()
+        ins[v] = set().union(*(outs[p] for p in graph.pred[v]))
+        new = {(v, x) for x in facts[v].writes} \
+            | {d for d in ins[v] if d[1] not in facts[v].certain}
+        if new != outs[v]:
+            outs[v] = new
+            work.extend(graph.succ[v])
+    readers = {}
+    for v in range(n):
+        for w, x in ins[v]:
+            if x in facts[v].reads:
+                readers.setdefault((id(stmt_of[w]), x), set()).add(
+                    id(stmt_of[v]))
+    return readers
+
+
+def test_readers_match_a_textbook_solver_on_every_kernel_function():
+    pairs = 0
+    for program, fn in kernel_functions():
+        table = D.fact_table(fn, program)
+        graph = C.build_cfg(fn)
+        readers = D.compute_dep_sets(fn, graph, table)
+        assert readers == textbook_readers(fn, graph, table), fn.name
+        pairs += sum(map(len, readers.values()))
+    assert pairs > 1000
 
 
 def def_use_triples(readers):

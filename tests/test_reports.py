@@ -3,6 +3,7 @@ conformance, assertion aggregation, and the command-line interface."""
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -881,3 +882,60 @@ def test_cli_array_input_elements_are_parsed_before_the_run(tmp_path):
     assert res.exit_code == 0, res.output
     y, = [p for p in json.loads(res.output)["prints"] if p["variable"] == "y"]
     assert [from_json(v) for v in y["float"]] == [F(1, 4), F(1, 4)]
+
+
+def rounds_program(n):
+    """A value squared and pushed through a division n times: the exact
+    denominators of its error hull about double in length each round."""
+    return ("double h(double a) { return a / (a + 1.0); }\n"
+            "int main() {\n  double x = read_double(0.1, 0.9);\n"
+            "  double y = x;\n" + "  y = y * y + h(y);\n" * n
+            + "  /*@ assert accuracy_assert_derr(y, -1.0, 1.0); */\n"
+            "  return 0;\n}\n")
+
+
+def rationals_in(v):
+    """Every {num, den} pair anywhere in a JSON value."""
+    if isinstance(v, dict):
+        if set(v) == {"num", "den"}:
+            yield v
+        else:
+            for x in v.values():
+                yield from rationals_in(x)
+    elif isinstance(v, list):
+        for x in v:
+            yield from rationals_in(x)
+
+
+@pytest.mark.parametrize("rounds", [4, 5])
+def test_cli_json_report_writes_integers_past_4300_digits(tmp_path, rounds):
+    # str() of an int that long raises under the interpreter's default
+    # limit; the writer converts it in chunks, and changes no setting
+    src = tmp_path / "rounds.c"
+    src.write_text(rounds_program(rounds))
+    limit = sys.get_int_max_str_digits()
+    res = CliRunner().invoke(main, ["analyze", "--report", "json", str(src)])
+    assert res.exit_code == 0, res.output[-500:]
+    assert sys.get_int_max_str_digits() == limit
+    report = json.loads(res.output)
+    jsonschema.validate(report, REPORT_SCHEMA)
+    pairs = list(rationals_in(report))
+    assert pairs and all(re.fullmatch(r"-?\d+", p["num"])
+                         and re.fullmatch(r"\d+", p["den"]) for p in pairs)
+    assert max(len(p["den"]) for p in pairs) > 4300
+
+
+def test_rational_to_json_past_the_digit_limit_round_trips():
+    x = F(-(3 ** 12_000) - 1, 7 ** 6_000)
+    v = rational_to_json(x)
+    num, den = v["num"], v["den"]
+    assert len(num) > 4300 and len(den) > 4300 and num[0] == "-"
+    assert F(-undecimal(num[1:]), undecimal(den)) == x
+
+
+def undecimal(s):
+    """int(s) in 500-digit pieces, as int() of all of s would raise."""
+    n = 0
+    for i in range(0, len(s), 500):
+        n = n * 10 ** len(s[i:i + 500]) + int(s[i:i + 500])
+    return n

@@ -9,17 +9,19 @@ The operation is the one `perfbench/run.py` times for the program: an
 analysis followed by its JSON report on the analysis workloads, the
 instrumented source on wide_instrument. It runs once untraced, to fill the
 caches a first call fills, and then once under `sys.settrace` with opcode
-events on, counting every bytecode executed in Python frames. The process
-runs under a fixed PYTHONHASHSEED (it restarts itself under one when the
-environment sets another), so the count repeats exactly from run to run,
-while wall times on a shared host swing by a factor of two. The last line
-of standard output is the program's name and the count. With --top N, the
-N code objects that executed the most bytecodes come before it, one a
-line: the count and `file:function`.
+events on, counting every bytecode executed in Python frames, with the
+garbage collector off, so that no collection's callbacks are counted. The
+process runs under a fixed PYTHONHASHSEED (it restarts itself under one
+when the environment sets another), so the count repeats exactly from run
+to run, while wall times on a shared host swing by a factor of two. The
+last line of standard output is the program's name and the count. With
+--top N, the N code objects that executed the most bytecodes come before
+it, one a line: the count and `file:function`.
 """
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from collections import Counter
@@ -32,7 +34,10 @@ HASH_SEED = "0"
 
 def count_opcodes(fn, by_code: Optional[Counter] = None) -> int:
     """The bytecodes executed in Python frames while fn() runs; by_code,
-    if given, gets the count of each code object added to it."""
+    if given, gets the count of each code object added to it. The garbage
+    collector is emptied first and kept off while fn() runs, so that no
+    collection, nor any `gc.callbacks` hook it calls, falls inside the
+    count; its previous state is restored after."""
     n = 0
 
     def local(frame, event, arg):
@@ -47,11 +52,16 @@ def count_opcodes(fn, by_code: Optional[Counter] = None) -> int:
         frame.f_trace_opcodes = True
         return local
 
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
     sys.settrace(start)
     try:
         fn()
     finally:
         sys.settrace(None)
+        if enabled:
+            gc.enable()
     return n
 
 
