@@ -2,12 +2,13 @@
 split/merge placement and its validator.
 
 `fact_table` walks a function once and gives each statement's own facts,
-its sub-statements aside: the variables it may write, those it certainly
-and fully overwrites, those it reads, and whether it holds an unstable
-test, a placement candidate: a comparison of a float, a float tested for
-truth (a condition of if, while, do, assume or `?:`, an operand of `!`,
-`&&` or `||`), or a float converted to int (a cast, a store into an int,
-an int parameter, the result of an int function). Facts are a pure
+its sub-statements aside: the variables it may write (an array passed to
+a function among them), those it certainly and fully overwrites, those
+it reads, and whether it holds an unstable test, a placement candidate:
+a comparison of a float, a float tested for truth (a condition of if,
+while, do, assume or `?:`, an operand of `!`, `&&` or `||`), or a float
+converted to int (a cast, a store into an int, an int parameter, the
+result of an int function). Facts are a pure
 function of the node and placement wraps the same leaves in sections, so
 placement and the validator share one table; a block or a section does
 nothing itself. One bottom-up walk of each expression gives its C type,
@@ -87,11 +88,12 @@ def _enlarge_targets(p: S.Pred) -> FrozenSet[str]:
     return frozenset(out) if out else EMPTY
 
 
-def _scan(e: S.Expr, reads: Set[str], codes: Dict[str, int],
-          functions: Dict[str, S.FuncDef]) -> int:
+def _scan(e: S.Expr, reads: Set[str], passed: Set[str],
+          codes: Dict[str, int], functions: Dict[str, S.FuncDef]) -> int:
     """e's code, from one walk of its nodes, each after its operands, with
-    no recursion however deep e nests; adds the variables e reads to
-    reads."""
+    no recursion however deep e nests; adds the variables e reads to reads
+    and the arrays it passes to a function, which may write them, to
+    passed."""
     stack: List[int] = []  # the codes of the operands met, last on top
     for x in reversed(list(S.walk_exprs(e))):
         kind = type(x)
@@ -117,8 +119,12 @@ def _scan(e: S.Expr, reads: Set[str], codes: Dict[str, int],
             args = [stack.pop() for _ in x.args]
             t = UNSTABLE if any(a & UNSTABLE for a in args) else 0
             callee = functions.get(x.name)
-            for p, a in zip(callee.params if callee else (), args):
-                if p.ctype == "int" and not p.is_array and a & 6:
+            for p, a, arg in zip(callee.params if callee else (), args,
+                                 x.args):
+                if p.is_array:
+                    if type(arg) is S.Var:
+                        passed.add(arg.name)
+                elif p.ctype == "int" and a & 6:
                     t |= UNSTABLE
             stack.append(t | (DOUBLE if callee is None
                               or x.name == "read_double"
@@ -134,9 +140,10 @@ def fact_table(fn: S.FuncDef, program: S.Program) -> Table:
     set of names, so that a table costs little more than its keys."""
     codes = {v: _CODE[t] for v, (t, _) in fn.var_types.items()}
     reads: Set[str] = set()  # those of the statement being walked
+    passed: Set[str] = set()  # the arrays it passes to a function
 
     def scan(e: S.Expr) -> int:
-        return _scan(e, reads, codes, program.functions)
+        return _scan(e, reads, passed, codes, program.functions)
 
     # the code bits that make a statement a candidate: a float counts where
     # it is tested or converted to int
@@ -178,6 +185,9 @@ def fact_table(fn: S.FuncDef, program: S.Program) -> Table:
             writes = certain = _enlarge_targets(s.pred)
         elif s.expr is not None:  # a return or an expression statement
             u = scan(s.expr) & (returns if kind is S.Return else UNSTABLE)
+        if passed:  # a write, though not a certain one
+            writes = writes | passed
+            passed.clear()
         key = (writes, certain, frozenset(reads) if reads else EMPTY, u != 0)
         reads.clear()
         f = shared.get(key)

@@ -10,11 +10,15 @@ block when needed) until:
      post-dominates the split,
   2. both markers sit in the same syntactic block,
   3. no integer variable written inside the section is read after it.
+
+Mini-C has no `goto`, `break` or `continue`, so a span's shape gives 2
+and decides 1; the validator reads 1 from it, and nothing computes
+dominators. A parser that adds any of the three must bring them back.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import PlacementError
 from ..frontend import syntax as S
@@ -31,6 +35,8 @@ class Placement:
     save_list: List[str] = field(default_factory=list)
     merge_list: List[str] = field(default_factory=list)
     section_id: int = 0
+    #: `deps.escaping` of the span as it grew; None once fusion widens it
+    escaped: Optional[Dict[str, Set[int]]] = None
 
     @property
     def stmts(self) -> List[S.Stmt]:
@@ -108,7 +114,7 @@ def _grow(fn: S.FuncDef, cand: S.Stmt, readers: D.Readers, table: D.Table,
     if start == 0 and end == len(fn.body.stmts) - 1 and block is fn.body.stmts:
         warnings.append(f"section for candidate at {cand.loc} spans the"
                         f" whole function body")
-    return Placement(block, start, end)
+    return Placement(block, start, end, escaped=escaped)
 
 
 def place_sections(fn: S.FuncDef, graph: Cfg, table: D.Table,
@@ -125,7 +131,8 @@ def place_sections(fn: S.FuncDef, graph: Cfg, table: D.Table,
     for sid, p in enumerate(placements, 1):
         p.section_id = sid
         p.save_list = sorted(D.save_list(p.stmts, table))
-        p.merge_list = sorted(D.escaping(p.stmts, readers, table))
+        p.merge_list = sorted(D.escaping(p.stmts, readers, table)
+                              if p.escaped is None else p.escaped)
         ints = [v for v in p.merge_list if fn.var_types[v][0] == "int"]
         if ints:
             raise PlacementError(
@@ -138,19 +145,28 @@ def place_sections(fn: S.FuncDef, graph: Cfg, table: D.Table,
 
 def _fuse(placements: List[Placement], owner, block_owner) -> List[Placement]:
     """Fuse the overlapping spans of each block, then drop every span that
-    lies within another."""
+    lies within another. A span that fusion widens loses its escape map."""
+    by_block: Dict[int, List[Placement]] = {}
+    for p in placements:
+        by_block.setdefault(id(p.block), []).append(p)
     # a fused span overlaps no span before it, since neither part did
-    i = 0
-    while i < len(placements):
-        a = placements[i]
-        for j in range(i + 1, len(placements)):
-            b = placements[j]
-            if a.block is b.block and a.start <= b.end and b.start <= a.end:
-                a.start, a.end = min(a.start, b.start), max(a.end, b.end)
-                del placements[j]
-                break
-        else:
-            i += 1
+    for spans in by_block.values():
+        i = 0
+        while i < len(spans):
+            a = spans[i]
+            for j in range(i + 1, len(spans)):
+                b = spans[j]
+                if a.start <= b.end and b.start <= a.end:
+                    if b.start < a.start or b.end > a.end:
+                        a.start, a.end = min(a.start, b.start), \
+                            max(a.end, b.end)
+                        a.escaped = None
+                    del spans[j]
+                    break
+            else:
+                i += 1
+    left = {id(p) for spans in by_block.values() for p in spans}
+    placements = [p for p in placements if id(p) in left]
 
     # the spans of one block are now disjoint, so a span lies within
     # another only if one of its ancestors lies in that span

@@ -1,21 +1,23 @@
-"""Statement-level control-flow graph, dominators and post-dominators.
+"""Statement-level control-flow graph.
 
-Nodes are leaf statements plus synthetic ENTRY/EXIT nodes; section
-markers contribute a split node and a merge node so dominance queries
-about section boundaries are direct.
+Nodes are leaf statements plus synthetic ENTRY/EXIT nodes; a section
+contributes a split node and a merge node.
 
 Nodes are numbered in flow order, a do-while's test after its body, so
 an edge into a lower id either enters EXIT, numbered 1 but last, or is a
-loop back edge. The builder records the back edges, the nodes ENTRY
-reaches, and the order it finishes nodes in, a while test after its body:
-both dominator solves get their orders without a search.
+loop back edge. The builder records the back edges, which the
+reaching-definitions solve reads, and the nodes ENTRY does not reach.
+
+There are no dominator trees: mini-C has no `goto`, `break` or
+`continue`, so the validator reads the dominance criterion from a
+section's shape (`compiler/validator.py`). A parser that adds any of the
+three must bring dominators back.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Set
 
 from . import syntax as S
 
@@ -23,55 +25,9 @@ ENTRY = 0
 EXIT = 1
 
 
-def immediate_dominators(pred: List[List[int]], order: Sequence[int],
-                         rank: Sequence[int]) -> Dict[int, int]:
-    """Immediate dominator of each node of order, whose root order[0] maps
-    to itself: the iterative algorithm of Cooper, Harvey & Kennedy, "A
-    Simple, Fast Dominance Algorithm" (2001). order lists the nodes
-    reachable from the root, each after one of its predecessors, ranked
-    by rank; a node that is no node's predecessor may be out of rank.
-    The first sweep solves the acyclic graph of the edges from nodes
-    already swept. That is final if each edge it skipped enters a
-    dominator of its source, as loop back edges do in a reducible graph;
-    else sweeps go on until none changes."""
-    root = order[0]
-    idom = {root: root}
-    skipped: Optional[List[Tuple[int, int]]] = []
-    changed = True
-    while changed:
-        changed = False
-        for n in order[1:]:
-            new = None
-            for p in pred[n]:
-                if p not in idom:
-                    if skipped is not None:
-                        skipped.append((p, n))
-                    continue
-                if new is None:
-                    new = p
-                    continue
-                # walk both up the tree to their nearest common dominator
-                while p != new:
-                    while rank[p] > rank[new]:
-                        p = idom[p]
-                    while rank[new] > rank[p]:
-                        new = idom[new]
-            if idom.get(n) != new:
-                idom[n] = new
-                changed = True
-        if skipped is not None:
-            if all(p not in idom or _dom_query(idom, n, p)
-                   for p, n in skipped):
-                break
-            skipped = None
-    return idom
-
-
 @dataclass
 class Cfg:
-    """A function's CFG over node ids 0..n-1, numbered in flow order. It
-    must not change once built: the immediate-(post-)dominator maps are
-    computed on first use and kept."""
+    """A function's CFG over node ids 0..n-1, numbered in flow order."""
 
     succ: List[List[int]]
     pred: List[List[int]]
@@ -79,42 +35,10 @@ class Cfg:
     node_of: Dict[int, int]
     #: id(SectionStmt) -> synthetic merge node
     merge_of: Dict[int, int]
-    #: the nodes reachable from ENTRY, by increasing id, EXIT last
-    order: List[int]
     #: each node with a loop back edge -> the lowest node it jumps back to
     back: Dict[int, int]
-    #: EXIT, then every other node after one of its successors
-    back_order: List[int]
-
-    @cached_property
-    def idom(self) -> Dict[int, int]:
-        return immediate_dominators(self.pred, self.order,
-                                    range(len(self.succ)))
-
-    @cached_property
-    def ipdom(self) -> Dict[int, int]:
-        order = self.back_order
-        return immediate_dominators(self.succ, order,
-                                    {n: i for i, n in enumerate(order)})
-
-    def dominates(self, a, b) -> bool:
-        return _dom_query(self.idom, a, b)
-
-    def strictly_dominates(self, a, b) -> bool:
-        return a != b and self.dominates(a, b)
-
-    def post_dominates(self, a, b) -> bool:
-        return _dom_query(self.ipdom, a, b)
-
-    def strictly_post_dominates(self, a, b) -> bool:
-        return a != b and self.post_dominates(a, b)
-
-
-def _dom_query(idom: Dict[int, int], a, b) -> bool:
-    """a dominates b under the immediate-dominator map."""
-    while b != a and b in idom and idom[b] != b:
-        b = idom[b]
-    return b == a
+    #: the nodes ENTRY does not reach
+    dead: Set[int]
 
 
 class _Builder:
@@ -124,12 +48,10 @@ class _Builder:
         self.node_of: Dict[int, int] = {}
         self.merge_of: Dict[int, int] = {}
         self.back: Dict[int, int] = {}
-        self.dead: set = set()  # the nodes ENTRY does not reach
-        self.done = [ENTRY]  # the nodes in the order they are finished
+        self.dead: Set[int] = set()
 
-    def node(self, stmt: Optional[S.Stmt], preds: List[int],
-             done: bool = True) -> int:
-        """A new node for stmt, entered from preds; finished if done."""
+    def node(self, stmt: Optional[S.Stmt], preds: List[int]) -> int:
+        """A new node for stmt, entered from preds."""
         n = len(self.succ)
         succ = self.succ
         succ.append([])
@@ -140,8 +62,6 @@ class _Builder:
             succ[p].append(n)
         if not preds or self.dead and self.dead.issuperset(preds):
             self.dead.add(n)
-        if done:
-            self.done.append(n)
         return n
 
     def edge(self, a: int, b: int) -> None:
@@ -165,12 +85,11 @@ class _Builder:
             other = self.seq(s.els.stmts, [n]) if s.els is not None else [n]
             return out + other if out != other else out  # both may be [n]
         if kind is S.While:
-            n = self.node(s, preds, False)
+            n = self.node(s, preds)
             for p in self.seq(s.body.stmts, [n]):
                 self.edge(p, n)
                 # p may end an inner do-while too, whose head is higher
                 self.back[p] = n
-            self.done.append(n)
             return [n]
         if kind is S.DoWhile:
             first = len(self.succ)  # the test itself if the body is empty
@@ -206,12 +125,7 @@ def build_cfg(fn: S.FuncDef) -> Cfg:
     b = _Builder()
     for p in b.seq(fn.body.stmts, [ENTRY]):
         b.edge(p, EXIT)
-    live = range(EXIT + 1, len(b.succ))
-    if b.dead:
-        live = [n for n in live if n not in b.dead]
-    b.done.append(EXIT)  # which every node reaches
-    return Cfg(b.succ, b.pred, b.node_of, b.merge_of, [ENTRY, *live, EXIT],
-               b.back, b.done[::-1])
+    return Cfg(b.succ, b.pred, b.node_of, b.merge_of, b.back, b.dead)
 
 
 def check_exit_reachable(cfg: Cfg) -> List[int]:

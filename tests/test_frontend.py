@@ -1,16 +1,19 @@
 """Parser, printer, and control-flow graph construction."""
+import itertools
+import random
+from collections import Counter
+
 import networkx as nx
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
+from fldx.compiler.deps import fact_table
+from fldx.compiler.validator import validate_function
 from fldx.config import AnalysisConfig
 from fldx.errors import SyntaxErrorAt, TypeErrorAt
 from fldx.frontend import parse_expr, parse_pred, parse_program, print_program
 from fldx.frontend import syntax as S
 from fldx.frontend.cfg import (ENTRY, EXIT, RETFLAG, RETVAL, build_cfg,
-                               check_exit_reachable, immediate_dominators,
-                               normalize_returns)
+                               check_exit_reachable, normalize_returns)
 from fldx.frontend.printer import print_expr, print_pred
 from fldx.pipeline import prepare
 from tests.conftest import all_corpus_names, corpus_source, kernel_functions
@@ -140,29 +143,37 @@ def test_duplicate_function_rejected():
 
 
 # ---------------------------------------------------------------------------
-# CFG: dominators against a brute-force reachability oracle
+# CFG: the validator's criterion 1 against brute force and networkx
 # ---------------------------------------------------------------------------
 
 
-def brute_dominates(g, root, a, b):
-    """a dominates b iff removing a disconnects b from root (or a == b)."""
-    if a == b:
-        return True
+def brute_strictly_dominates(g, root, a, b):
+    """a strictly dominates b iff root reaches b and removing a
+    disconnects b from root."""
+    if a == b or not nx.has_path(g, root, b):
+        return False
     if a == root:
         return True
     h = g.copy()
     h.remove_node(a)
-    return not (b in h and nx.has_path(h, root, b))
+    return not nx.has_path(h, root, b)
 
 
+# every kind of section: one that holds, one a return leaves early, one
+# round a loop body, a dead one, and one closing with a return
 PROGRAMS = [
     """
     int main() {
       double x = read_double(0.0, 1.0);
       double y = 0.0;
+      /*@ split(1); */
       if (x > 0.5) { y = x; } else { y = 0.0 - x; }
+      /*@ merge(1); */
       int i = 0;
-      while (i < 3) { y = y + x; i = i + 1; }
+      while (i < 3) {
+        /*@ split(2); */ y = y + x; /*@ merge(2); */
+        i = i + 1;
+      }
       return 0;
     }
     """,
@@ -170,8 +181,25 @@ PROGRAMS = [
     int main() {
       double x = read_double(0.0, 1.0);
       do { x = x * 0.5; } while (x > 0.125);
+      /*@ split(1); */
       if (x > 0.0) { return 1; }
+      /*@ merge(1); */
       return 0;
+      /*@ split(2); */ x = x + 1.0; /*@ merge(2); */
+    }
+    """,
+    """
+    int main() {
+      double x = read_double(0.0, 1.0);
+      if (x > 0.5) {
+        /*@ split(1); */
+        x = x * 2.0;
+        /*@ split(2); */ if (x > 1.5) { return 2; } return 1;
+        /*@ merge(2); */
+        /*@ merge(1); */
+      }
+      return 0;
+      /*@ split(3); */ do { return 3; } while (x > 0.0); /*@ merge(3); */
     }
     """,
 ]
@@ -179,56 +207,145 @@ PROGRAMS = [
 
 @pytest.mark.parametrize("src", PROGRAMS)
 def test_dominators_match_brute_force(src):
-    fn = next(iter(parse_program(src).functions.values()))
-    normalize_returns(fn)
+    """The validator's criterion-1 messages, the back edges and the dead
+    nodes of the CFG agree with dominance read off node removal."""
+    program = parse_program(src)
+    fn = program.functions["main"]
     cfg = build_cfg(fn)
+    g = nx_graph(cfg)
+    rev = g.reverse(copy=True)
+    want = []
+    for sec in S.walk_stmts(fn.body):
+        if type(sec) is not S.SectionStmt:
+            continue
+        split, merge = cfg.node_of[id(sec)], cfg.merge_of[id(sec)]
+        tag = f"section {sec.section_id}"
+        if not brute_strictly_dominates(g, ENTRY, split, merge):
+            want.append(f"{tag}: split does not strictly dominate merge")
+        if not brute_strictly_dominates(rev, EXIT, merge, split):
+            want.append(f"{tag}: merge does not strictly post-dominate split")
+    got = [p for p in validate_function(fn, fact_table(fn, program))
+           if "dominate" in p]
+    assert got == want
+    reach = {ENTRY} | nx.descendants(g, ENTRY)
+    assert cfg.dead == set(g) - reach
+    for a, b in g.edges:
+        if b <= a and b != EXIT:
+            assert cfg.back[a] <= b
+            assert a not in reach or b == a \
+                or brute_strictly_dominates(g, ENTRY, b, a)
+
+
+def random_function(rng, name, ids):
+    """Source of an int function of random statements: ifs, whiles and
+    do-whiles, hand-placed sections, nested up to three deep, and returns
+    anywhere, so that some code is dead. Some sections close with a
+    return; section ids come from ids."""
+    def block(depth):
+        out = []
+        for _ in range(rng.randint(1, 3)):
+            r = rng.random() if depth < 3 else 1.0
+            if r < 0.3:
+                k = next(ids)
+                body = block(depth + 1)
+                if rng.random() < 0.3:
+                    body.append("return k;")
+                out += [f"/*@ split({k}); */", *body, f"/*@ merge({k}); */"]
+            elif r < 0.45:
+                els = f" else {{ {' '.join(block(depth + 1))} }}" \
+                    if rng.random() < 0.5 else ""
+                out.append(f"if (x < 0.5) {{ {' '.join(block(depth + 1))} }}"
+                           + els)
+            elif r < 0.55:
+                out.append(f"while (k < 3) {{ {' '.join(block(depth + 1))} }}")
+            elif r < 0.62:
+                out.append(f"do {{ {' '.join(block(depth + 1))} }}"
+                           f" while (y < 2.0);")
+            elif r < 0.75:
+                out.append("return k;")
+            else:
+                out.append(rng.choice(["y = y + x;", "k = k + 1;"]))
+        return out
+
+    tail = " return 0;" if rng.random() < 0.7 else ""
+    return (f"int {name}(double x) {{ double y = 0.0; int k = 0;"
+            f" {' '.join(block(0))}{tail} }}")
+
+
+def nx_graph(cfg):
+    """cfg's nodes and edges as a networkx graph."""
     g = nx.DiGraph()
     g.add_nodes_from(range(len(cfg.succ)))
     g.add_edges_from((a, b) for a, succ in enumerate(cfg.succ) for b in succ)
-    nodes = list(g.nodes)
-    for a in nodes:
-        for b in nodes:
-            want = brute_dominates(g, ENTRY, a, b)
-            assert cfg.dominates(a, b) == want, (a, b)
-            want_pd = brute_dominates(g.reverse(copy=True), EXIT, a, b)
-            assert cfg.post_dominates(a, b) == want_pd, (a, b)
+    return g
 
 
-@st.composite
-def rooted_digraphs(draw):
-    """(node count, edge list, root): edges may repeat a pair or loop on
-    a node, and some nodes may be unreachable from the root."""
-    n = draw(st.integers(1, 12))
-    node = st.integers(0, n - 1)
-    edges = draw(st.lists(st.tuples(node, node), max_size=3 * n))
-    return n, edges, draw(node)
+def nx_criterion_1(fn):
+    """The criterion-1 messages of fn's sections, from networkx's
+    dominators and post-dominators over the CFG's graph."""
+    cfg = build_cfg(fn)
+    g = nx_graph(cfg)
+    dom = nx.immediate_dominators(g, ENTRY)
+    pdom = nx.immediate_dominators(g.reverse(copy=True), EXIT)
+    out = []
+    for sec in S.walk_stmts(fn.body):
+        if type(sec) is not S.SectionStmt:
+            continue
+        split, merge = cfg.node_of[id(sec)], cfg.merge_of[id(sec)]
+        tag = f"section {sec.section_id}"
+        if merge not in dom or not nx_dominates(dom, ENTRY, split, merge):
+            out.append(f"{tag}: split does not strictly dominate merge")
+        if not nx_dominates(pdom, EXIT, merge, split):
+            out.append(f"{tag}: merge does not strictly post-dominate split")
+    return out
 
 
-@settings(max_examples=300, deadline=None)
-@given(rooted_digraphs())
-# irreducible: y is entered from x and, round the back edge, from z, so
-# the first sweep's dominator of y, x, is not final
-@example((4, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 2)], 0))
-def test_orders_and_dominators_match_networkx(graph):
-    n, edges, root = graph
-    succ = [[] for _ in range(n)]
-    pred = [[] for _ in range(n)]
-    for a, b in edges:
-        succ[a].append(b)
-        pred[b].append(a)
-    g = nx.DiGraph()
-    g.add_nodes_from(range(n))
-    g.add_edges_from(edges)
-    # ranked by networkx's own reverse postorder; the unreachable nodes,
-    # which have no rank, are ignored
-    rpo = list(nx.dfs_postorder_nodes(g, root))[::-1]
-    idom = immediate_dominators(pred, rpo, {v: i for i, v in enumerate(rpo)})
-    assert idom[root] == root
-    # networkx 3.6 leaves the root out of its map, earlier versions map it
-    # to itself
-    want = nx.immediate_dominators(g, root)
-    assert {k: v for k, v in idom.items() if k != root} \
-        == {k: v for k, v in want.items() if k != root}
+def check_flow_order(cfg):
+    """Every edge into a lower id but EXIT is a recorded loop back edge
+    whose target dominates its reachable source; dead is the nodes
+    ENTRY does not reach."""
+    g = nx_graph(cfg)
+    reach = {ENTRY} | nx.descendants(g, ENTRY)
+    dom = nx.immediate_dominators(g, ENTRY)
+    back = {}
+    for a, b in g.edges:
+        if b <= a and b != EXIT:
+            back[a] = min(back.get(a, b), b)
+            assert a not in reach or nx_dominates(dom, ENTRY, b, a)
+    assert cfg.back == back
+    assert cfg.dead == set(g) - reach
+
+
+def test_orders_and_dominators_match_networkx():
+    """On seeded random functions, the validator's criterion-1 messages,
+    read from each section's shape, are those that networkx's dominators
+    over the CFG give, and each of the four outcomes of a section occurs;
+    the CFG's flow order leaves only back edges, each entering a
+    dominator of its source, and edges into EXIT pointing to a lower
+    id, and its dead nodes are those ENTRY does not reach."""
+    rng = random.Random(27)
+    ids = itertools.count(1)
+    outcomes = Counter()
+    checked = 0
+    for _ in range(60):
+        program = parse_program("\n".join(
+            random_function(rng, f"f{i}", ids) for i in range(10)))
+        for fn in program.functions.values():
+            got = [p for p in validate_function(fn, fact_table(fn, program))
+                   if "dominate" in p]
+            want = nx_criterion_1(fn)
+            assert got == want, print_program(S.Program({fn.name: fn}))
+            check_flow_order(build_cfg(fn))
+            for sec in S.walk_stmts(fn.body):
+                if type(sec) is S.SectionStmt:
+                    tag = f"section {sec.section_id}: "
+                    outcomes[(f"{tag}split does not strictly dominate merge"
+                              in want,
+                              f"{tag}merge does not strictly post-dominate"
+                              f" split" in want)] += 1
+            checked += 1
+    assert checked >= 500
+    assert len(outcomes) == 4, outcomes
 
 
 def nx_dominates(idom, root, a, b):
@@ -241,36 +358,13 @@ def nx_dominates(idom, root, a, b):
 def test_cfg_nodes_are_numbered_in_flow_order():
     """On every kernel function: an edge into a lower id, but into EXIT, is
     a loop back edge, whose target dominates its source, and the builder
-    records it; no edge is doubled; order is the reachable nodes by id,
-    EXIT last; back_order has every node after one of its successors; the
-    dominators of both directions are networkx's."""
+    records it; no edge is doubled; dead is the nodes ENTRY does not
+    reach."""
     for _, fn in kernel_functions():
         cfg = build_cfg(fn)
-        g = nx.DiGraph()
-        g.add_nodes_from(range(len(cfg.succ)))
-        g.add_edges_from((a, b) for a, succ in enumerate(cfg.succ)
-                         for b in succ)
-        assert sum(map(len, cfg.succ)) == g.number_of_edges()
-        reach = {ENTRY} | nx.descendants(g, ENTRY)
-        dom = nx.immediate_dominators(g, ENTRY)
-        back = {}
-        for a, b in g.edges:
-            if b <= a and b != EXIT:
-                back[a] = min(back.get(a, b), b)
-                assert a not in reach or nx_dominates(dom, ENTRY, b, a)
-        assert cfg.back == back
-        assert cfg.order == sorted(reach - {EXIT}) + [EXIT]
+        assert sum(map(len, cfg.succ)) == nx_graph(cfg).number_of_edges()
+        check_flow_order(cfg)
         assert check_exit_reachable(cfg) == []
-        assert cfg.back_order[0] == EXIT
-        assert sorted(cfg.back_order) == list(range(len(cfg.succ)))
-        place = {n: i for i, n in enumerate(cfg.back_order)}
-        assert all(min(place[m] for m in cfg.succ[n]) < place[n]
-                   for n in cfg.back_order[1:])
-        pdom = nx.immediate_dominators(g.reverse(copy=True), EXIT)
-        for mine, want, root in ((cfg.idom, dom, ENTRY),
-                                 (cfg.ipdom, pdom, EXIT)):
-            assert {k: v for k, v in mine.items() if k != root} \
-                == {k: v for k, v in want.items() if k != root}
 
 
 @pytest.mark.parametrize("name", all_corpus_names())
