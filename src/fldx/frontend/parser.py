@@ -2,22 +2,22 @@
 
 Annotation comments ``/*@ ... */`` carry accuracy assertions and
 split/merge section markers; they are lexed as single tokens and parsed
-with a dedicated sub-grammar.
-
-Both grammars are read by three shared readers:
+with a dedicated sub-grammar. Both grammars are read by shared readers:
 
 - `_climber` builds a precedence climber from an operand reader, a node
   constructor and a table of operator precedences from `syntax`, which
   the printer reads too: `EXPR_PREC` for C expressions, `TERM_PREC` for
   annotation terms and `PRED_PREC` for predicates. Every operator folds
-  to the left except those of `syntax.RIGHT_ASSOC` (`==>`).
-- `_items` reads a comma-separated list and its closing token: call
-  arguments, array initializers, parameters, `\\let` names and built-in
-  arguments.
+  to the left except those of `syntax.RIGHT_ASSOC` (`==>`). An operand
+  reader reads an operand and its prefixes in one call, a name or a
+  number first; the climber calls itself only for a tighter operator.
+- `_items` reads a comma-separated list and its closing token.
 - `_builtin` reads a call of an annotation built-in and checks its
-  argument count against the built-in's declaration in `syntax`;
-  `_at_builtin` tells whether a call of a built-in of given actions
-  starts at the cursor.
+  argument count against its declaration in `syntax`; `_at_builtin`
+  tells whether a call of a built-in of given actions starts here.
+
+Punctuation and keywords are matched by text alone: no ident, number or
+annotation token spells one, and eof spells "".
 
 Names are resolved as they are read. `_Cursor.names` starts from a
 function's parameters and takes each declaration once its initializer
@@ -31,13 +31,13 @@ source order, a call before its arguments; the first error is raised
 once the whole source has parsed, so any syntax error comes first.
 `parse_expr` and `parse_pred` check no names.
 
-Position model: tokens are rows (`Tokens`), a kind, a text and a start
-offset each, so no token is an object. Line and column come from the
-offset, by bisecting the offsets at which the source's lines start, only
-when a node or an error asks for them. A token gets at most one `S.Loc`,
-shared by every node the token starts (a statement and its first
-operand), and the `S.Loc`s of one line share one line number. All the
-tokens of an annotation share one `S.Loc`: the annotation's position.
+Position model: tokens are rows (`Tokens`), a kind, an interned text
+(so a name's tokens share one string) and a start offset each. Line and
+column come from the offset, by bisecting the offsets at which the
+source's lines start, only when a node or an error asks for them. A
+token gets at most one `S.Loc`, shared by every node it starts (a
+statement and its first operand), and the `S.Loc`s of one line share one
+line number. An annotation's tokens share its position.
 """
 from __future__ import annotations
 
@@ -45,6 +45,9 @@ import re
 from array import array
 from bisect import bisect_right
 from fractions import Fraction
+from functools import lru_cache
+from itertools import count, islice
+from sys import intern
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import SyntaxErrorAt, TypeErrorAt
@@ -53,8 +56,10 @@ from . import syntax as S
 KEYWORDS = {"int", "float", "double", "void", "if", "else", "while", "do",
             "return", "assume"}
 
+_TYPES = ("int", "float", "double")
+
 #: One match per token, the blanks and comments before it included; only
-#: a match at the end of the source takes no group. `open_annot`,
+#: matches at the end of the source take no group. `open_annot`,
 #: `open_comment` and `bad` are errors: their matches take the rest of
 #: the source, so an error is the last token.
 _LEX_RE = re.compile(
@@ -78,20 +83,25 @@ _LEX_ERRORS = {"open_annot": "unterminated annotation",
                "open_comment": "unterminated comment",
                "bad": "unexpected character {!r}"}
 
+#: a literal's value; the few dozen a source repeats share one each
+_fraction = lru_cache(maxsize=1024)(Fraction)
+
 
 class Tokens:
     """Token i is of kind `kinds[i]` ('num', 'ident', 'op', 'kw', 'annot'
     or 'eof', which comes last), spelled `texts[i]`, at offset
     `offsets[i]` of `src`, and `loc(i)` is its position; `len()` counts
     the tokens. An annotation's tokens have no offsets: all are at `at`."""
-    __slots__ = ("kinds", "texts", "offsets", "src", "_starts", "_lines",
-                 "_locs")
+    __slots__ = ("kinds", "texts", "offsets", "_starts", "_lines", "_locs")
 
     def __init__(self, kinds, texts, offsets, src, at=None) -> None:
-        self.kinds, self.texts, self.offsets, self.src = \
-            kinds, texts, offsets, src
-        self._starts, self._lines = None, []  # each line's offset, number
+        self.kinds, self.texts, self.offsets = kinds, texts, offsets
         self._locs = [at] * len(kinds)
+        if at is None:
+            # line starts and numbers: `count` makes ints of 28 bytes
+            self._starts = starts = array("i", [0])
+            starts.extend(map(re.Match.end, re.finditer("\n", src)))
+            self._lines = list(islice(count(), len(starts) + 1))
 
     def __len__(self) -> int:
         return len(self.kinds)
@@ -99,17 +109,10 @@ class Tokens:
     def loc(self, i: int) -> S.Loc:
         loc = self._locs[i]
         if loc is None:
-            starts = self._starts
-            if starts is None:
-                starts = self._starts = array("i", [0])
-                starts.extend(m.end() for m in re.finditer("\n", self.src))
-                self._lines = [None] * (len(starts) + 1)
-            off = self.offsets[i]
+            off, starts = self.offsets[i], self._starts
             k = bisect_right(starts, off)
-            line = self._lines[k]
-            if line is None:
-                line = self._lines[k] = k
-            loc = self._locs[i] = S.Loc(line, off - starts[k - 1] + 1)
+            loc = self._locs[i] = S.Loc(self._lines[k],
+                                        off - starts[k - 1] + 1)
         return loc
 
 
@@ -120,7 +123,7 @@ def tokenize(src: str) -> Tokens:
         g = m.lastindex
         if g is not None:
             kinds.append(m.lastgroup)
-            texts.append(m[g])
+            texts.append(intern(m[g]))
             offsets.append(m.start(g))
     error = _LEX_ERRORS.get(kinds[-1]) if kinds else None
     kinds.append("eof")
@@ -133,48 +136,35 @@ def tokenize(src: str) -> Tokens:
 
 
 class _Cursor:
-    """A position in `Tokens`: token `i`, of kind `kind` and text `text`.
-    `names` is the current function's variables as declared so far, and
-    `pending` the calls and name errors met so far, in source order."""
-    __slots__ = ("kinds", "texts", "loc", "i", "kind", "text", "names",
-                 "pending")
+    """A position in `Tokens`: token `i`, spelled `text`; a reader moves it
+    by setting both. `names` is the current function's variables declared
+    so far, `pending` the calls and name errors met so far, in order."""
+    __slots__ = ("kinds", "texts", "loc", "i", "text", "names", "pending")
 
     def __init__(self, toks: Tokens) -> None:
         self.kinds, self.texts, self.loc = toks.kinds, toks.texts, toks.loc
-        self.seek(0)
+        self.i, self.text = 0, self.texts[0]
         self.names: Dict[str, Tuple[str, bool]] = {}
         self.pending: list = []
 
-    def seek(self, i: int) -> None:
-        self.i, self.kind, self.text = i, self.kinds[i], self.texts[i]
-
-    def advance(self) -> int:
-        """Move past the current token, unless it is eof; its index."""
-        i = self.i
-        if self.kind != "eof":
-            self.i = j = i + 1
-            self.kind = self.kinds[j]
-            self.text = self.texts[j]
-        return i
-
-    def at(self, text: str) -> bool:
-        return self.text == text and self.kind in ("op", "kw")
-
     def accept(self, text: str) -> bool:
-        if self.text == text and self.kind in ("op", "kw"):
-            self.advance()
-            return True
-        return False
+        if self.text != text:
+            return False
+        self.i, self.text = self.i + 1, self.texts[self.i + 1]
+        return True
 
     def expect(self, text: str) -> int:
-        if not self.at(text):
+        """Move past token text, which must be the current one: its index."""
+        i = self.i
+        if self.text != text:
             self.error(f"expected {text!r}, found {self.text!r}")
-        return self.advance()
+        self.i, self.text = i + 1, self.texts[i + 1]
+        return i
 
     def expect_ident(self) -> str:
-        if self.kind != "ident":
+        if self.kinds[self.i] != "ident":
             self.error(f"expected ident, found {self.text!r}")
-        return self.texts[self.advance()]
+        return self.texts[self.expect(self.text)]
 
     def error(self, msg: str, i: Optional[int] = None):
         """Raise msg at token i, the current one by default."""
@@ -186,12 +176,6 @@ class _Cursor:
         if name not in self.names:
             self.pending.append(TypeErrorAt(
                 f"{loc}: use of undeclared variable {name!r}"))
-
-    def declare(self, name: str, kind: Tuple[str, bool], loc: S.Loc) -> None:
-        """Declare name at loc as kind: (its type, whether an array)."""
-        if self.names.setdefault(name, kind) != kind:
-            self.pending.append(TypeErrorAt(
-                f"{loc}: {name} redeclared with another type"))
 
 
 # ---------------------------------------------------------------------------
@@ -207,19 +191,23 @@ def _climber(operand: Callable, make: Callable,
     takes only the operators binding tighter than its own, so equal
     precedence folds to the left; an operator of `S.RIGHT_ASSOC` lets
     its right operand take itself too, and folds to the right."""
-    #: operator -> (its precedence, the least its right operand takes)
+    #: operator -> (its precedence, the least its right operand takes);
+    #: any other token binds (-1, 0), which nothing takes
     binds = {op: (prec, prec if op in S.RIGHT_ASSOC else prec + 1)
              for op, prec in precs.items()}
 
-    def climb(c: _Cursor, min_prec: int = 0):
-        left = operand(c)
+    def climb(c: _Cursor, min_prec: int = 0, left=None):
+        left = operand(c) if left is None else left  # or go on from left
         while True:
             op = c.text  # no other kind of token spells an operator
-            bind = binds.get(op)
-            if bind is None or bind[0] < min_prec:
+            bind = binds.get(op, (-1, 0))
+            if bind[0] < min_prec:
                 return left
-            c.advance()
-            left = make(op, left, climb(c, bind[1]), left.loc)
+            c.i, c.text = c.i + 1, c.texts[c.i + 1]
+            right = operand(c)
+            if binds.get(c.text, (-1, 0))[0] >= bind[1]:
+                right = climb(c, bind[1], right)
+            left = make(op, left, right, left.loc)
     return climb
 
 
@@ -230,15 +218,15 @@ def _items(c: _Cursor, item: Callable, close: str,
     items = []
     if not (empty and c.accept(close)):
         items.append(item(c))
-        while c.accept(","):
+        while c.text == ",":
+            c.i, c.text = c.i + 1, c.texts[c.i + 1]
             items.append(item(c))
         c.expect(close)
     return items
 
 
 def _at_builtin(c: _Cursor, *actions: str) -> bool:
-    """Whether a call of a built-in doing one of `actions` starts at the
-    cursor."""
+    """Whether a call of a built-in doing one of `actions` starts here."""
     b = S.BUILTINS.get(c.text)
     return b is not None and b.action in actions and c.texts[c.i + 1] == "("
 
@@ -246,14 +234,21 @@ def _at_builtin(c: _Cursor, *actions: str) -> bool:
 def _builtin(c: _Cursor, make: Callable):
     """The call of the built-in at the cursor, its argument count checked
     against its declaration: `make(name, args, loc)`."""
-    name = c.text
-    t = c.advance()
-    c.advance()  # (
+    t, name = c.i, c.text
+    c.i, c.text = t + 2, c.texts[t + 2]  # past the name and its (
     args = _items(c, _term, ")")
     arity = S.BUILTINS[name].arity
     if len(args) != arity:
         c.error(f"{name} expects {arity} arguments", t)
     return make(name, args, c.loc(t))
+
+
+def _integer(c: _Cursor, i: int) -> int:
+    """Token i, an integer literal: octal with a leading 0, as in C."""
+    text = c.texts[i]
+    if text[0] == "0" and ("8" in text or "9" in text):
+        c.error(f"invalid digit in octal constant {text!r}", i)
+    return int(text, 8 if text[0] == "0" else 10)
 
 
 # ---------------------------------------------------------------------------
@@ -264,57 +259,57 @@ def _builtin(c: _Cursor, make: Callable):
 def _parse_expr(c: _Cursor) -> S.Expr:
     """A ternary, or a binary expression; `?:` is right-associative."""
     cond = _binary(c)
-    if c.accept("?"):
+    if c.text == "?":
+        c.i, c.text = c.i + 1, c.texts[c.i + 1]
         then = _parse_expr(c)
         c.expect(":")
         return S.Ternary(cond, then, _parse_expr(c), cond.loc)
     return cond
 
 
-def _parse_unary(c: _Cursor) -> S.Expr:
-    op = c.text
-    if c.kind == "op" and op in ("-", "!"):
-        t = c.advance()
-        return S.Unary(op, _parse_unary(c), c.loc(t))
-    return _parse_primary(c)
-
-
-def _parse_primary(c: _Cursor) -> S.Expr:
-    kind, text = c.kind, c.text
-    if kind == "num":
-        t = c.advance()
-        if text.isdigit():
-            return S.IntLit(int(text), c.loc(t))
-        return S.FloatLit(text, Fraction(text), c.loc(t))
+def _parse_operand(c: _Cursor) -> S.Expr:
+    """A name, a number, a call, an array cell, a negation, a cast or a
+    parenthesized expression."""
+    i, text, texts = c.i, c.text, c.texts
+    kind = c.kinds[i]
     if kind == "ident":
-        t = c.advance()
-        if c.accept("("):
-            call = S.Call(text, [], c.loc(t))
+        c.i, c.text = i + 1, texts[i + 1]
+        if c.text == "(":
+            call = S.Call(text, [], c.loc(i))
             c.pending.append(call)  # checked before its arguments
+            c.i, c.text = i + 2, texts[i + 2]
             call.args = _items(c, _parse_expr, ")")
             return call
-        loc = c.loc(t)
-        c.use(text, loc)
-        if c.accept("["):
-            idx = _parse_expr(c)
-            c.expect("]")
-            return S.Index(text, idx, loc)
-        return S.Var(text, loc)
-    if c.at("("):
-        # cast or parenthesized expression
-        t = c.advance()
-        if c.kind == "kw" and c.text in ("int", "float", "double") \
-                and c.texts[c.i + 1] == ")":
-            ctype = c.texts[c.advance()]
-            c.advance()
-            return S.Cast(ctype, _parse_unary(c), c.loc(t))
+        loc = c.loc(i)
+        if text not in c.names:
+            c.use(text, loc)
+        if c.text != "[":
+            return S.Var(text, loc)
+        c.i, c.text = i + 2, texts[i + 2]
+        idx = _parse_expr(c)
+        c.expect("]")
+        return S.Index(text, idx, loc)
+    if kind == "num":
+        c.i, c.text = i + 1, texts[i + 1]
+        if text.isdigit():
+            return S.IntLit(_integer(c, i), c.loc(i))
+        return S.FloatLit(text, _fraction(text), c.loc(i))
+    if text == "-" or text == "!":
+        c.i, c.text = i + 1, texts[i + 1]
+        return S.Unary(text, _parse_operand(c), c.loc(i))
+    if text == "(":  # a cast or a parenthesized expression
+        ctype = texts[i + 1]
+        if ctype in _TYPES and texts[i + 2] == ")":
+            c.i, c.text = i + 3, texts[i + 3]
+            return S.Cast(ctype, _parse_operand(c), c.loc(i))
+        c.i, c.text = i + 1, ctype
         e = _parse_expr(c)
         c.expect(")")
         return e
     c.error(f"unexpected token {text!r} in expression")
 
 
-_binary = _climber(_parse_unary, S.Binary, S.EXPR_PREC)
+_binary = _climber(_parse_operand, S.Binary, S.EXPR_PREC)
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +343,23 @@ def _tokenize_annot(body: str, line: int, col: int) -> Tokens:
 def _parse_term_operand(c: _Cursor) -> S.Term:
     """A number, a negation, a parenthesized term, a built-in call, an
     array cell or a name. The negation of a number is a number."""
-    kind, text, t = c.kind, c.text, c.i
+    t, text, texts = c.i, c.text, c.texts
+    kind = c.kinds[t]
     if kind == "num":
-        c.advance()
-        return S.TConst(Fraction(text), text, c.loc(t))
+        c.i, c.text = t + 1, texts[t + 1]
+        value = _fraction(_integer(c, t) if text.isdigit() else text)
+        return S.TConst(value, text, c.loc(t))
+    if kind == "ident":
+        if texts[t + 1] == "(":
+            if not _at_builtin(c, "term"):
+                c.error(f"unknown term function {text!r}")
+            return _builtin(c, S.TCall)
+        c.i, c.text = t + 1, texts[t + 1]
+        if not c.accept("["):
+            return S.TName(text, c.loc(t))
+        idx = _term(c)
+        c.expect("]")
+        return S.TIndex(text, idx, c.loc(t))
     if c.accept("-"):
         inner = _parse_term_operand(c)
         if isinstance(inner, S.TConst):
@@ -362,17 +370,6 @@ def _parse_term_operand(c: _Cursor) -> S.Term:
         e = _term(c)
         c.expect(")")
         return e
-    if kind == "ident":
-        if c.texts[c.i + 1] == "(":
-            if not _at_builtin(c, "term"):
-                c.error(f"unknown term function {text!r}")
-            return _builtin(c, S.TCall)
-        c.advance()
-        if c.accept("["):
-            idx = _term(c)
-            c.expect("]")
-            return S.TIndex(text, idx, c.loc(t))
-        return S.TName(text, c.loc(t))
     c.error(f"unexpected token {text!r} in annotation term")
 
 
@@ -383,11 +380,10 @@ def _parse_pred_atom(c: _Cursor) -> S.Pred:
     """A negation, a `\\let`, a predicate built-in, a parenthesized
     predicate, or a comparison; a chain `a <= b <= c` is read as
     `a <= b && b <= c`."""
-    t = c.i
+    t, texts = c.i, c.texts
     if c.accept("!"):
         return S.PNot(_parse_pred_atom(c), c.loc(t))
-    if c.kind == "let":
-        c.advance()
+    if c.accept("\\let"):
         parens = c.accept("(")
         names = _items(c, _Cursor.expect_ident, ")" if parens else "=",
                        empty=False)
@@ -402,16 +398,17 @@ def _parse_pred_atom(c: _Cursor) -> S.Pred:
     if c.text == "(":
         # a parenthesized predicate, or else the start of a term
         try:
-            c.advance()
+            c.i, c.text = t + 1, texts[t + 1]
             p = _pred(c)
             c.expect(")")
             return p
         except SyntaxErrorAt:
-            c.seek(t)
+            c.i, c.text = t, texts[t]
     left = _term(c)
     p = None
     while c.text in S.COMPARISONS:
-        op = c.texts[c.advance()]
+        op = c.text
+        c.i, c.text = c.i + 1, texts[c.i + 1]
         right = _term(c)
         cmp = S.PCmp(op, left, right, left.loc)
         p = cmp if p is None else S.PRel("&&", p, cmp, p.loc)
@@ -435,10 +432,7 @@ def parse_annotation(text: str, loc: S.Loc):
     if m is not None:
         names = [s.strip() for s in m.group(3).split(",") if s.strip()]
         return (m.group(1), int(m.group(2)), names)
-    if body.startswith("assert"):
-        body = body[len("assert"):]
-    if body.endswith(";"):
-        body = body[:-1]
+    body = body.removeprefix("assert").removesuffix(";")
     c = _Cursor(_tokenize_annot(body, loc.line, loc.col))
     return ("assert", _whole(c, _pred, "annotation"))
 
@@ -451,107 +445,110 @@ def parse_annotation(text: str, loc: S.Loc):
 def _parse_block(c: _Cursor) -> S.Block:
     loc = c.loc(c.expect("{"))
     stmts: List[S.Stmt] = []
+    out = stmts  # where statements go: the innermost open section's body
     open_sections: List[Tuple[int, List[str], S.Loc, List[S.Stmt]]] = []
-
-    def sink() -> List[S.Stmt]:
-        return open_sections[-1][3] if open_sections else stmts
-
-    while not c.at("}"):
-        if c.kind == "annot":
-            t = c.advance()
-            tloc = c.loc(t)
-            parsed = parse_annotation(c.texts[t], tloc)
-            if parsed[0] == "assert":
-                for n in S.pred_names(parsed[1]):
-                    c.use(n.name, n.loc)
-                sink().append(S.AssertStmt(parsed[1], tloc))
-            elif parsed[0] == "split":
-                open_sections.append((parsed[1], parsed[2], tloc, []))
-            else:  # merge
-                if not open_sections or open_sections[-1][0] != parsed[1]:
-                    c.error(f"unmatched merge({parsed[1]})", t)
-                sid, save, sloc, body = open_sections.pop()
-                sink().append(S.SectionStmt(sid, save, parsed[2], body, sloc))
+    kinds = c.kinds
+    while c.text != "}":
+        t = c.i
+        if kinds[t] != "annot":
+            out.append(_parse_stmt(c))
             continue
-        sink().append(_parse_stmt(c))
+        c.i, c.text = t + 1, c.texts[t + 1]
+        tloc = c.loc(t)
+        parsed = parse_annotation(c.texts[t], tloc)
+        if parsed[0] == "assert":
+            for n in S.pred_names(parsed[1]):
+                c.use(n.name, n.loc)
+            out.append(S.AssertStmt(parsed[1], tloc))
+        elif parsed[0] == "split":
+            out = []
+            open_sections.append((parsed[1], parsed[2], tloc, out))
+        else:  # merge
+            if not open_sections or open_sections[-1][0] != parsed[1]:
+                c.error(f"unmatched merge({parsed[1]})", t)
+            sid, save, sloc, body = open_sections.pop()
+            out = open_sections[-1][3] if open_sections else stmts
+            out.append(S.SectionStmt(sid, save, parsed[2], body, sloc))
     if open_sections:
         sid, _, sloc, _ = open_sections[-1]
         raise SyntaxErrorAt(f"split({sid}) without matching merge",
                             sloc.line, sloc.col)
-    c.expect("}")
+    c.i, c.text = c.i + 1, c.texts[c.i + 1]  # past the }
     return S.Block(stmts, loc)
 
 
 def _parse_stmt(c: _Cursor) -> S.Stmt:
-    kind, text, t = c.kind, c.text, c.i
-    if c.at("{"):
+    """A statement; those that end in `;` share its check."""
+    t, text, texts = c.i, c.text, c.texts
+    kind = c.kinds[t]
+    if kind == "ident" and texts[t + 1] == "=":  # name = expr;
+        loc = c.loc(t)
+        if text not in c.names:
+            c.use(text, loc)
+        c.i, c.text = t + 2, texts[t + 2]
+        s = S.Assign(S.Var(text, loc), _parse_expr(c), loc)
+    elif text == "{":
         return _parse_block(c)
-    if kind == "kw" and text in ("int", "float", "double"):
-        c.advance()
-        name = c.expect_ident()
-        if c.accept("["):
-            size = _array_size(c)
-            c.expect("]")
-            init_list: Optional[List[S.Expr]] = None
-            if c.accept("="):
-                c.expect("{")
-                init_list = _items(c, _parse_expr, "}", empty=False)
-                if len(init_list) != size:
-                    c.error(f"array {name} initializer has {len(init_list)}"
-                            f" elements for size {size}", t)
-            c.expect(";")
-            c.declare(name, (text, True), c.loc(t))
-            return S.Decl(text, name, None, size, init_list, c.loc(t))
-        init = None
+    elif kind != "kw" or text == "void" or text == "else":
+        e = _parse_expr(c)  # an assignment or an expression statement
         if c.accept("="):
-            init = _parse_expr(c)
-        c.expect(";")
-        c.declare(name, (text, False), c.loc(t))
-        return S.Decl(text, name, init, None, None, c.loc(t))
-    if kind == "kw":
-        if c.accept("if"):
-            c.expect("(")
-            cond = _parse_expr(c)
-            c.expect(")")
+            if not isinstance(e, (S.Var, S.Index)):
+                c.error("assignment target must be a variable or array"
+                        " element", t)
+            s = S.Assign(e, _parse_expr(c), c.loc(t))
+        else:
+            s = S.ExprStmt(e, c.loc(t))
+    else:
+        c.i, c.text = t + 1, texts[t + 1]  # past the keyword
+        if text in _TYPES:
+            name = c.expect_ident()
+            size = init = init_list = None
+            if c.accept("["):
+                size = _array_size(c)
+                c.expect("]")
+                if c.accept("="):
+                    c.expect("{")
+                    init_list = _items(c, _parse_expr, "}", empty=False)
+                    if len(init_list) != size:
+                        c.error(f"array {name} initializer has"
+                                f" {len(init_list)} elements for size {size}",
+                                t)
+            elif c.accept("="):
+                init = _parse_expr(c)
+            s = S.Decl(text, name, init, size, init_list, c.loc(t))
+            typed = (text, size is not None)  # its type, whether an array
+            if c.names.setdefault(name, typed) != typed:
+                c.pending.append(TypeErrorAt(
+                    f"{s.loc}: {name} redeclared with another type"))
+        elif text == "if":
+            cond = _parse_cond(c)
             then = _as_block(_parse_stmt(c))
-            els = None
-            if c.accept("else"):
-                els = _as_block(_parse_stmt(c))
+            els = _as_block(_parse_stmt(c)) if c.accept("else") else None
             return S.If(cond, then, els, c.loc(t))
-        if c.accept("while"):
-            c.expect("(")
-            cond = _parse_expr(c)
-            c.expect(")")
+        elif text == "while":
+            cond = _parse_cond(c)
             return S.While(cond, _as_block(_parse_stmt(c)), c.loc(t))
-        if c.accept("do"):
+        elif text == "do":
             body = _as_block(_parse_stmt(c))
             c.expect("while")
-            c.expect("(")
-            cond = _parse_expr(c)
-            c.expect(")")
-            c.expect(";")
-            return S.DoWhile(body, cond, c.loc(t))
-        if c.accept("return"):
-            e = None if c.at(";") else _parse_expr(c)
-            c.expect(";")
-            return S.Return(e, c.loc(t))
-        if c.accept("assume"):
-            c.expect("(")
-            cond = _parse_expr(c)
-            c.expect(")")
-            c.expect(";")
-            return S.AssumeStmt(cond, c.loc(t))
-    # assignment or expression statement
-    e = _parse_expr(c)
-    if c.accept("="):
-        if not isinstance(e, (S.Var, S.Index)):
-            c.error("assignment target must be a variable or array element",
-                    t)
-        rhs = _parse_expr(c)
-        c.expect(";")
-        return S.Assign(e, rhs, c.loc(t))
-    c.expect(";")
-    return S.ExprStmt(e, c.loc(t))
+            s = S.DoWhile(body, _parse_cond(c), c.loc(t))
+        elif text == "return":
+            e = None if c.text == ";" else _parse_expr(c)
+            s = S.Return(e, c.loc(t))
+        else:  # assume
+            s = S.AssumeStmt(_parse_cond(c), c.loc(t))
+    if c.text != ";":
+        c.expect(";")  # raises
+    c.i, c.text = c.i + 1, texts[c.i + 1]
+    return s
+
+
+def _parse_cond(c: _Cursor) -> S.Expr:
+    """A parenthesized condition."""
+    c.expect("(")
+    cond = _parse_expr(c)
+    c.expect(")")
+    return cond
 
 
 def _as_block(s: S.Stmt) -> S.Block:
@@ -559,14 +556,14 @@ def _as_block(s: S.Stmt) -> S.Block:
 
 
 def _parse_function(c: _Cursor) -> S.FuncDef:
-    ret = c.text
-    if not (c.kind == "kw" and ret in ("int", "float", "double", "void")):
+    t, ret = c.i, c.text
+    if not (ret in _TYPES or ret == "void"):
         c.error(f"expected a function definition, found {ret!r}")
-    t = c.advance()
+    c.i, c.text = t + 1, c.texts[t + 1]
     name = c.expect_ident()
     c.expect("(")
-    if c.at("void") and c.texts[c.i + 1] == ")":
-        c.advance()
+    if c.text == "void" and c.texts[c.i + 1] == ")":
+        c.i, c.text = c.i + 1, ")"
     params = _items(c, _parse_param, ")")
     c.names = {p.name: (p.ctype, p.is_array) for p in params}
     body = _parse_block(c)
@@ -574,14 +571,14 @@ def _parse_function(c: _Cursor) -> S.FuncDef:
 
 
 def _parse_param(c: _Cursor) -> S.Param:
-    ctype = c.text
-    if not (c.kind == "kw" and ctype in ("int", "float", "double")):
+    t, ctype = c.i, c.text
+    if ctype not in _TYPES:
         c.error(f"expected a parameter type, found {ctype!r}")
-    c.advance()
+    c.i, c.text = t + 1, c.texts[t + 1]
     is_array = c.accept("*")
     name = c.expect_ident()
     if c.accept("["):
-        if c.kind == "num":
+        if c.kinds[c.i] == "num":
             _array_size(c)
         is_array = True
         c.expect("]")
@@ -589,16 +586,16 @@ def _parse_param(c: _Cursor) -> S.Param:
 
 
 def _array_size(c: _Cursor) -> int:
-    """An array size: a decimal integer literal."""
+    """An array size: an integer literal."""
     if not c.text.isdigit():
         c.error(f"array size must be an integer, found {c.text!r}")
-    return int(c.texts[c.advance()])
+    return _integer(c, c.expect(c.text))
 
 
 def parse_program(src: str) -> S.Program:
     c = _Cursor(tokenize(src))
     funcs = {}
-    while c.kind != "eof":
+    while c.text:
         fn = _parse_function(c)
         if fn.name in funcs:
             raise SyntaxErrorAt(f"duplicate function {fn.name!r}",
@@ -625,7 +622,7 @@ def parse_program(src: str) -> S.Program:
 def _whole(c: _Cursor, read: Callable, what: str):
     """What `read` reads, which must take every token up to eof."""
     x = read(c)
-    if c.kind != "eof":
+    if c.text:
         c.error(f"trailing tokens in {what}: {c.text!r}")
     return x
 

@@ -5,7 +5,9 @@ from collections import Counter
 
 import networkx as nx
 import pytest
+from click.testing import CliRunner
 
+from fldx.cli import main
 from fldx.compiler.deps import fact_table
 from fldx.compiler.validator import validate_function
 from fldx.config import AnalysisConfig
@@ -140,6 +142,59 @@ def test_a_do_while_condition_reads_what_its_body_declared():
 def test_duplicate_function_rejected():
     with pytest.raises((SyntaxErrorAt, TypeErrorAt)):
         parse_program("int f() { return 0; } int f() { return 1; }")
+
+
+# ---------------------------------------------------------------------------
+# Integer literals: a leading 0 makes one octal, as in C
+# ---------------------------------------------------------------------------
+
+OCTAL = """int main() {
+  int k = 010;
+  double a[010] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
+  double y = 8.0 + a[7];
+  double z = 010.5;
+  double w = 1.0 * k;
+  /*@ assert y == 010; */
+  /*@ assert dprint(w); */
+  /*@ assert dprint(z); */
+  return 00;
+}
+"""
+
+
+def test_cli_a_leading_zero_integer_is_octal(tmp_path):
+    """In code, in an array size and in an annotation constant 010 is 8;
+    a float keeps its decimal digits."""
+    src = tmp_path / "octal.c"
+    src.write_text(OCTAL)
+    res = CliRunner().invoke(main, ["analyze", str(src)])
+    assert res.exit_code == 0, res.output  # y == 010 holds
+    assert "[print] 8:3 w: float=[8, 8] real=[8, 8]" in res.output
+    assert "[print] 9:3 z: float=[10.5, 10.5] real=[10.5, 10.5]" \
+        in res.output
+    res = CliRunner().invoke(main, ["instrument", str(src)])
+    assert res.exit_code == 0, res.output
+    assert "int k = 8;" in res.output and "double a[8] =" in res.output
+    assert "y == 010" in res.output  # an annotation keeps its text
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("int k = 010;", "int k = 08;",
+     "2:11: invalid digit in octal constant '08'"),
+    ("a[7]", "a[0709]", "4:22: invalid digit in octal constant '0709'"),
+    ("double a[010]", "double a[09]",
+     "3:12: invalid digit in octal constant '09'"),
+    ("y == 010", "y == 08", "7:3: invalid digit in octal constant '08'"),
+    ("return 00;", "return 09;", "10:10: invalid digit in octal constant"
+     " '09'"),
+])
+def test_cli_octal_literal_with_8_or_9_is_a_parse_error(tmp_path, old, new,
+                                                        message):
+    src = tmp_path / "octal.c"
+    src.write_text(OCTAL.replace(old, new))
+    res = CliRunner().invoke(main, ["analyze", str(src)])
+    assert res.exit_code == 2, res.output
+    assert f"error: parse: {message}" in res.output
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,10 @@ so sections and the rewritten returns are walked too.
 """
 import gc
 import hashlib
+import random
 import re
 import tracemalloc
+from collections import Counter
 from typing import List, Tuple
 
 import pytest
@@ -25,7 +27,7 @@ from hypothesis import strategies as st
 from fldx.cli import main
 from fldx.compiler import deps as D
 from fldx.config import AnalysisConfig
-from fldx.errors import SyntaxErrorAt
+from fldx.errors import SyntaxErrorAt, TypeErrorAt
 from fldx.frontend import parse_expr, parse_pred, parse_program
 from fldx.frontend import syntax as S
 from fldx.frontend.parser import KEYWORDS, _tokenize_annot, tokenize
@@ -655,3 +657,77 @@ def test_rejected_sources_end_in_a_parse_error(tmp_path, name):
     res = CliRunner().invoke(main, ["analyze", str(src)])
     assert res.exit_code == 2, res.output
     assert f"error: parse: {message}" in res.output
+
+
+# ---------------------------------------------------------------------------
+# Token mutants
+# ---------------------------------------------------------------------------
+
+#: SHA-256 over the outcome of every mutant `token_mutants` makes: the
+#: `repr` of the parsed tree, or the error's class and message
+MUTANTS_SHA256 = \
+    "e9199538b7505c3c70ff761f2e245b071c379aa20d797284ac358fe2da790594"
+
+
+def mutate(rng, texts: List[str], vocabulary: List[str]) -> List[str]:
+    """texts with one token deleted, duplicated, swapped with the next
+    one or replaced by a token of the vocabulary."""
+    out = list(texts)
+    i = rng.randrange(len(out))
+    how = rng.randrange(4)
+    if how == 0:
+        del out[i]
+    elif how == 1:
+        out.insert(i, out[i])
+    elif how == 2 and i + 1 < len(out):
+        out[i], out[i + 1] = out[i + 1], out[i]
+    else:
+        out[i] = rng.choice(vocabulary)
+    return out
+
+
+def token_mutants(n: int, seed: int = 28) -> List[str]:
+    """n sources, each a corpus program with one token mutated and its
+    tokens joined by single spaces. One in four mutates a token inside
+    one of the program's annotations instead."""
+    rng = random.Random(seed)
+    sources = [tokenize(corpus_source(name)).texts[:-1]
+               for name in all_corpus_names()]
+    vocabulary = sorted({t for texts in sources for t in texts
+                         if not t.startswith("/*@")})
+    bodies = [_tokenize_annot(t[3:-2], 0, 0).texts[:-1]
+              for texts in sources for t in texts if t.startswith("/*@")]
+    annot_vocabulary = sorted({t for body in bodies for t in body})
+    out = []
+    for _ in range(n):
+        texts = list(rng.choice(sources))
+        annots = [i for i, t in enumerate(texts) if t.startswith("/*@")]
+        if annots and rng.randrange(4) == 0:
+            i = rng.choice(annots)
+            body = _tokenize_annot(texts[i][3:-2], 0, 0).texts[:-1]
+            texts[i] = "/*@ " + " ".join(
+                mutate(rng, body, annot_vocabulary)) + " */"
+        else:
+            texts = mutate(rng, texts, vocabulary)
+        out.append(" ".join(texts))
+    return out
+
+
+def test_token_mutants_parse_or_fail_as_pinned():
+    """800 one-token mutants of the corpus: each parses to the pinned
+    tree or fails with the pinned syntax or name error, and none raises
+    anything else. About 9 in 10 are syntax errors, so this pins the
+    parser's error paths: which token each rejection names, and where."""
+    digest = hashlib.sha256()
+    kinds = Counter()
+    for src in token_mutants(800):
+        try:
+            outcome = repr(parse_program(src))
+            kind = "tree"
+        except (SyntaxErrorAt, TypeErrorAt) as exn:
+            kind = type(exn).__name__
+            outcome = f"{kind}: {exn}"
+        kinds[kind] += 1
+        digest.update(hashlib.sha256(outcome.encode()).digest())
+    assert set(kinds) == {"tree", "SyntaxErrorAt", "TypeErrorAt"}
+    assert digest.hexdigest() == MUTANTS_SHA256

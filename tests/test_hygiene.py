@@ -1,6 +1,7 @@
 """Source hygiene: every module of the package uses each name it
-imports and imports no private name of another fldx module, the package
-reads every function, method and instance attribute it defines, some
+imports and imports no private name of another fldx module, the
+package, the benchmark or the tools read every function and method it
+defines, the package reads every instance attribute it defines, some
 module of the repository reads every dataclass field, and
 `pyproject.toml` lists exactly the third-party modules it imports. No
 nested function names itself or a sibling, which would keep all it
@@ -120,9 +121,11 @@ def entry_points():
     return out
 
 
-def unread_functions(modules, exempt=frozenset()):
+def unread_functions(modules, exempt=frozenset(), readers=None):
     """(module, line, name) of every function or method defined in
-    `modules` ({dotted name: source}) whose name the code never reads.
+    `modules` ({dotted name: source}) whose name the code never reads:
+    the code of `modules` and of `readers` ({dotted name: source}, code
+    that reads the package but defines nothing it must read).
 
     A method counts as read by any attribute access of its name. A
     module-level or nested function counts as read by its bare name, by
@@ -131,7 +134,7 @@ def unread_functions(modules, exempt=frozenset()):
     Dunders and the `exempt` (module, name) pairs are left out.
     """
     attrs, names, defs = set(), set(), []
-    for m, src in modules.items():
+    for m, src in {**(readers or {}), **modules}.items():
         tree = ast.parse(src)
         bound = set()
         for node in ast.walk(tree):
@@ -148,7 +151,8 @@ def unread_functions(modules, exempt=frozenset()):
                 attrs.add(node.attr)
                 if isinstance(node.value, ast.Name) and node.value.id in bound:
                     names.add(node.attr)
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and m in modules:
                 defs.append((m, node.lineno, node.name, id(node) in methods))
     return sorted((m, line, name) for m, line, name, is_method in defs
                   if not (name.startswith("__") and name.endswith("__"))
@@ -168,12 +172,23 @@ def test_scan_finds_an_unread_function():
            "def main(): A().f()\n")
     assert unread_functions({"m": src}, {("m", "main")}) == [
         ("m", 3, "unused"), ("m", 4, "f"), ("m", 7, "g")]
+    tool = "import m\ndef main(): m.unused()\n"
+    assert unread_functions({"m": src}, {("m", "main")}, {"t": tool}) == [
+        ("m", 4, "f"), ("m", 7, "g")]
 
 
 def test_every_function_is_read():
+    """The benchmark and the tools read the package too; a function only
+    a test reads is what this test is for, so tests are no readers."""
     modules = {".".join(("fldx",) + p.relative_to(SRC).with_suffix("").parts):
                p.read_text() for p in sorted(SRC.rglob("*.py"))}
-    assert unread_functions(modules, entry_points()) == []
+    root = SRC.parent.parent
+    readers = {f"{p.parent.name}.{p.stem}": p.read_text()
+               for d in ("perfbench", "tools")
+               for p in sorted((root / d).glob("*.py"))
+               if not p.name.startswith("test_")}
+    assert "perfbench.checks" in readers and "tools.opcount" in readers
+    assert unread_functions(modules, entry_points(), readers) == []
 
 
 # ---------------------------------------------------------------------------

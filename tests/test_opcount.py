@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "opcount.py"
 
@@ -89,3 +91,29 @@ def test_a_collection_inside_the_window_adds_nothing_to_the_count():
         assert not gc.isenabled()  # the previous state is restored
     finally:
         gc.enable()
+
+
+def opcount(*args):
+    res = subprocess.run([sys.executable, str(TOOL), "--seed", "11", *args],
+                         cwd=ROOT, capture_output=True, text=True,
+                         timeout=60)
+    assert res.returncode == 0, res.stderr
+    return res.stdout.strip().splitlines()
+
+
+@pytest.mark.parametrize("workload,program,stages", [
+    ("branch_fanout", "fanout_n4",
+     ["parse", "normalize", "instrument", "validate", "execute", "report"]),
+    ("wide_instrument", "wide_10kb",
+     ["parse", "normalize", "instrument", "validate", "print"]),
+])
+def test_stages_count_each_stage_above_the_total(workload, program, stages):
+    args = ["--workload", workload, "--program", program]
+    *rows, last = opcount(*args, "--stages")
+    rows = [re.fullmatch(r"(\w+) +(\d+)", line) for line in rows]
+    assert all(rows) and [m[1] for m in rows] == stages
+    counts = [int(m[2]) for m in rows]
+    m = re.fullmatch(rf"{program} (\d+)", last)
+    assert m and all(n > 0 for n in counts) and sum(counts) <= int(m[1])
+    # counting by stage changes no count
+    assert opcount(*args) == [last]

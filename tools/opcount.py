@@ -16,41 +16,84 @@ when the environment sets another), so the count repeats exactly from run
 to run, while wall times on a shared host swing by a factor of two. The
 last line of standard output is the program's name and the count. With
 --top N, the N code objects that executed the most bytecodes come before
-it, one a line: the count and `file:function`.
+it, one a line: the count and `file:function`. With --stages, the count of
+each pipeline stage the operation runs comes just before it, one a line:
+the stage and its count. A stage is what runs below the pipeline's call
+of the stage's entry points (`STAGES`), so the validator's own
+`build_cfg` counts under validate; glue between stages is in no stage.
 """
 from __future__ import annotations
 
 import argparse
 import gc
+import importlib
 import os
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Optional
+from typing import Dict, Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 HASH_SEED = "0"
 
+#: (stage, module, attribute path) of each entry point of a pipeline stage
+STAGES = (
+    ("parse", "fldx.frontend.parser", "parse_program"),
+    ("normalize", "fldx.frontend.cfg", "normalize_returns"),
+    ("normalize", "fldx.frontend.cfg", "build_cfg"),
+    ("normalize", "fldx.frontend.cfg", "check_exit_reachable"),
+    ("instrument", "fldx.compiler.placement", "instrument"),
+    ("validate", "fldx.compiler.validator", "validate"),
+    ("print", "fldx.frontend.printer", "print_program"),
+    ("execute", "fldx.executor.interp", "Interp.run"),
+    ("report", "fldx.report", "summarize_assertions"),
+    ("report", "fldx.report", "RunReport.to_json"),
+)
 
-def count_opcodes(fn, by_code: Optional[Counter] = None) -> int:
+
+def stage_entries() -> Dict[object, str]:
+    """The code object of each entry point of `STAGES`, to its stage."""
+    out = {}
+    for stage, module, path in STAGES:
+        obj = importlib.import_module(module)
+        for name in path.split("."):
+            obj = getattr(obj, name)
+        out[obj.__code__] = stage
+    return out
+
+
+def count_opcodes(fn, by_code: Optional[Counter] = None,
+                  by_stage: Optional[Counter] = None) -> int:
     """The bytecodes executed in Python frames while fn() runs; by_code,
-    if given, gets the count of each code object added to it. The garbage
-    collector is emptied first and kept off while fn() runs, so that no
-    collection, nor any `gc.callbacks` hook it calls, falls inside the
-    count; its previous state is restored after."""
+    if given, gets the count of each code object added to it, and
+    by_stage the count of each stage of `STAGES`: a frame is in the stage
+    of the frame that called it, or else in the stage its code enters, if
+    any. The garbage collector is emptied first and kept off while fn()
+    runs, so that no collection, nor any `gc.callbacks` hook it calls,
+    falls inside the count; its previous state is restored after."""
     n = 0
 
-    def local(frame, event, arg):
-        nonlocal n
-        if event == "opcode":
-            n += 1
-            if by_code is not None:
-                by_code[frame.f_code] += 1
+    def tracer(stage):
+        def local(frame, event, arg):
+            nonlocal n
+            if event == "opcode":
+                n += 1
+                if by_code is not None:
+                    by_code[frame.f_code] += 1
+                if stage is not None:
+                    by_stage[stage] += 1
+            return local
         return local
+
+    entries = stage_entries() if by_stage is not None else {}
+    tracers = {stage: tracer(stage) for stage in {None, *entries.values()}}
+    stage_of = {t: stage for stage, t in tracers.items()}
 
     def start(frame, event, arg):
         frame.f_trace_opcodes = True
-        return local
+        caller = frame.f_back
+        stage = stage_of.get(caller.f_trace) if caller is not None else None
+        return tracers[stage or entries.get(frame.f_code)]
 
     enabled = gc.isenabled()
     gc.collect()
@@ -93,6 +136,8 @@ def main() -> None:
     ap.add_argument("--top", type=int, default=0, metavar="N",
                     help="also print the N code objects that executed the"
                     " most bytecodes")
+    ap.add_argument("--stages", action="store_true",
+                    help="also print the count of each pipeline stage")
     args = ap.parse_args()
     if os.environ.get("PYTHONHASHSEED") != HASH_SEED:
         env = dict(os.environ, PYTHONHASHSEED=HASH_SEED)
@@ -105,9 +150,14 @@ def main() -> None:
     op = operation(args.workload, args.program, args.seed)
     op()
     by_code = Counter() if args.top > 0 else None
-    total = count_opcodes(op, by_code)
+    by_stage = Counter() if args.stages else None
+    total = count_opcodes(op, by_code, by_stage)
     for code, n in (by_code.most_common(args.top) if by_code else ()):
         print(f"{n:>10}  {where(code)}")
+    if by_stage is not None:
+        for stage in dict.fromkeys(stage for stage, _, _ in STAGES):
+            if by_stage[stage]:
+                print(f"{stage:<10} {by_stage[stage]:>10}")
     print(f"{args.program} {total}")
 
 
