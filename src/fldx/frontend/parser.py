@@ -31,13 +31,14 @@ source order, a call before its arguments; the first error is raised
 once the whole source has parsed, so any syntax error comes first.
 `parse_expr` and `parse_pred` check no names.
 
-Position model: tokens are rows (`Tokens`), a kind, an interned text
-(so a name's tokens share one string) and a start offset each. Line and
-column come from the offset, by bisecting the offsets at which the
-source's lines start, only when a node or an error asks for them. A
-token gets at most one `S.Loc`, shared by every node it starts (a
-statement and its first operand), and the `S.Loc`s of one line share one
-line number. An annotation's tokens share its position.
+Position model: tokens are rows (`Tokens`), a kind, a text and a start
+offset each. Line and column come from the offset, by bisecting the
+offsets at which the source's lines start, only when a node or an error
+asks for them. A token gets at most one `S.Loc`, shared by every node it
+starts (a statement and its first operand), and the `S.Loc`s of one line
+share one line number. An annotation's tokens share its position. Equal
+texts of one source share one string, and its equal float literals one
+value; nothing is kept across sources.
 """
 from __future__ import annotations
 
@@ -45,9 +46,7 @@ import re
 from array import array
 from bisect import bisect_right
 from fractions import Fraction
-from functools import lru_cache
 from itertools import count, islice
-from sys import intern
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import SyntaxErrorAt, TypeErrorAt
@@ -83,9 +82,6 @@ _LEX_ERRORS = {"open_annot": "unterminated annotation",
                "open_comment": "unterminated comment",
                "bad": "unexpected character {!r}"}
 
-#: a literal's value; the few dozen a source repeats share one each
-_fraction = lru_cache(maxsize=1024)(Fraction)
-
 
 class Tokens:
     """Token i is of kind `kinds[i]` ('num', 'ident', 'op', 'kw', 'annot'
@@ -119,11 +115,13 @@ class Tokens:
 def tokenize(src: str) -> Tokens:
     """The tokens of src; eof sits just past its last character."""
     kinds, texts, offsets = [], [], array("i")
+    share = {}.setdefault
     for m in _LEX_RE.finditer(src):
         g = m.lastindex
         if g is not None:
             kinds.append(m.lastgroup)
-            texts.append(intern(m[g]))
+            text = m[g]
+            texts.append(share(text, text))
             offsets.append(m.start(g))
     error = _LEX_ERRORS.get(kinds[-1]) if kinds else None
     kinds.append("eof")
@@ -138,14 +136,17 @@ def tokenize(src: str) -> Tokens:
 class _Cursor:
     """A position in `Tokens`: token `i`, spelled `text`; a reader moves it
     by setting both. `names` is the current function's variables declared
-    so far, `pending` the calls and name errors met so far, in order."""
-    __slots__ = ("kinds", "texts", "loc", "i", "text", "names", "pending")
+    so far, `pending` the calls and name errors met so far, in order, and
+    `values` the value of each float literal read so far."""
+    __slots__ = ("kinds", "texts", "loc", "i", "text", "names", "pending",
+                 "values")
 
     def __init__(self, toks: Tokens) -> None:
         self.kinds, self.texts, self.loc = toks.kinds, toks.texts, toks.loc
         self.i, self.text = 0, self.texts[0]
         self.names: Dict[str, Tuple[str, bool]] = {}
         self.pending: list = []
+        self.values: Dict[str, Fraction] = {}
 
     def accept(self, text: str) -> bool:
         if self.text != text:
@@ -281,8 +282,7 @@ def _parse_operand(c: _Cursor) -> S.Expr:
             call.args = _items(c, _parse_expr, ")")
             return call
         loc = c.loc(i)
-        if text not in c.names:
-            c.use(text, loc)
+        c.use(text, loc)
         if c.text != "[":
             return S.Var(text, loc)
         c.i, c.text = i + 2, texts[i + 2]
@@ -293,7 +293,10 @@ def _parse_operand(c: _Cursor) -> S.Expr:
         c.i, c.text = i + 1, texts[i + 1]
         if text.isdigit():
             return S.IntLit(_integer(c, i), c.loc(i))
-        return S.FloatLit(text, _fraction(text), c.loc(i))
+        value = c.values.get(text)
+        if value is None:
+            value = c.values[text] = Fraction(text)
+        return S.FloatLit(text, value, c.loc(i))
     if text == "-" or text == "!":
         c.i, c.text = i + 1, texts[i + 1]
         return S.Unary(text, _parse_operand(c), c.loc(i))
@@ -347,7 +350,7 @@ def _parse_term_operand(c: _Cursor) -> S.Term:
     kind = c.kinds[t]
     if kind == "num":
         c.i, c.text = t + 1, texts[t + 1]
-        value = _fraction(_integer(c, t) if text.isdigit() else text)
+        value = Fraction(_integer(c, t) if text.isdigit() else text)
         return S.TConst(value, text, c.loc(t))
     if kind == "ident":
         if texts[t + 1] == "(":
@@ -483,8 +486,7 @@ def _parse_stmt(c: _Cursor) -> S.Stmt:
     kind = c.kinds[t]
     if kind == "ident" and texts[t + 1] == "=":  # name = expr;
         loc = c.loc(t)
-        if text not in c.names:
-            c.use(text, loc)
+        c.use(text, loc)
         c.i, c.text = t + 2, texts[t + 2]
         s = S.Assign(S.Var(text, loc), _parse_expr(c), loc)
     elif text == "{":
