@@ -232,14 +232,15 @@ def eval_builtin(b: TypedBuiltin, mem: Memory, binders,
         _store_lvalue(arg, y, mem, binders)
         return True
     verdict = True
+    rel = x.rel
     if spec.action != "print":
         if spec.quantity == "relerr":
-            if x.rel is None:
+            if rel is None:
                 raise AnalysisAlarm(
                     "relerr-undefined", f"{b.loc}: relative error of"
                     f" {arg.term.name} undefined: real interval contains"
                     f" zero", b.loc)
-            quantity = x.rel
+            quantity = rel
         elif spec.quantity == "real":
             quantity = x.real_refined(env)
         else:
@@ -253,7 +254,7 @@ def eval_builtin(b: TypedBuiltin, mem: Memory, binders,
         spec.action, b.name, arg.term.name,
         _TRUTH[verdict] if spec.action == "assert" else None,
         err_hull=x.err_refined(env), real_hull=x.real_refined(env),
-        rel_hull=x.rel, float_hull=x.float_iv, loc=b.loc))
+        rel_hull=rel, float_hull=x.float_iv, loc=b.loc))
     return verdict
 
 

@@ -110,8 +110,9 @@ def _call_kind(name: str, kinds: List[Kind]) -> Kind:
         return kind_join(kinds[0], kinds[1])
     if name == "abs":
         k = kinds[0]
-        if isinstance(k, ZKind) and k.iv.is_bounded():
-            m = max(abs(k.iv.lo), abs(k.iv.hi))
+        if isinstance(k, ZKind):
+            m = max(abs(k.iv.lo), abs(k.iv.hi)) if k.iv.is_bounded() \
+                else None
             return ZKind(IntInterval(0, m))
         return k if isinstance(k, FKind) else Q
     return Q  # max_distance

@@ -10,7 +10,7 @@ import click
 
 from .config import AnalysisConfig, InputSpec, parse_input_spec
 from .errors import FldxError, OverflowAlarm
-from .numerics import FORMATS, check_finite
+from .numerics import FORMATS
 from .pipeline import STAGES, StageError, analyze, instrumented_source
 from .report import REPORT_SCHEMA
 
@@ -45,7 +45,7 @@ def _build_config(fmt, inputs, entry, max_noise, path_budget, threshold,
     for name, parsed in inputs:
         if isinstance(parsed, InputSpec):
             try:
-                check_finite(parsed.value, cfg.fmt)
+                parsed.check_finite(cfg.fmt)
             except OverflowAlarm as exn:
                 raise click.BadParameter(f"{name}: {exn}",
                                          param_hint="'--input'") from None

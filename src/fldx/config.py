@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
-from .numerics import FORMATS, FloatFormat, RInterval, rat
+from .numerics import FORMATS, FloatFormat, RInterval, rat, round_nearest
 
 
 @dataclass
@@ -14,6 +14,18 @@ class InputSpec:
     (None error = representation error of the value interval)."""
     value: RInterval
     err: Optional[RInterval] = None
+
+    def check_finite(self, fmt: FloatFormat) -> None:
+        """Raise OverflowAlarm, naming the endpoint, when an endpoint of
+        the value, or of the float interval value + err that
+        `AbstractFloat.from_input` rounds, rounds past the largest finite
+        value of fmt."""
+        ivs = [self.value]
+        if self.err is not None:
+            ivs.append(self.value + self.err)
+        for iv in ivs:
+            round_nearest(iv.lo_n, iv.den, fmt)
+            round_nearest(iv.hi_n, iv.den, fmt)
 
 
 @dataclass

@@ -7,7 +7,7 @@ AbstractFloat holding:
   * real_iv   -- interval refinement of the real value,
   * err       -- zonotope of the absolute error (float - real),
   * err_iv    -- interval refinement of the error,
-and derives from err_iv and real_iv, on first read,
+and derives from err_iv and real_iv:
   * rel       -- interval of the relative error, or None when the real
                  value may cross zero (relative error unbounded).
 
@@ -67,21 +67,17 @@ class AbstractFloat:
     real_iv: RInterval
     err: AffineForm
     err_iv: RInterval
-    #: the refresh record (see `refresh`) and `rel` once read (False
-    #: before); neither takes part in `==`, hash or repr
+    #: the refresh record (see `refresh`); it takes no part in `==`,
+    #: hash or repr
     _refreshed: Optional[tuple] = field(default=None, init=False,
                                         repr=False, compare=False)
-    _rel: object = field(default=False, init=False, repr=False,
-                         compare=False)
 
     @property
     def rel(self) -> Optional[RInterval]:
         """Relative error err/real, or None when the real value may be 0."""
-        rel = self._rel
-        if rel is False:
-            rel = self._rel = None if self.real_iv.contains(0) \
-                else self.err_iv.divide(self.real_iv)
-        return rel
+        if self.real_iv.contains(0):
+            return None
+        return self.err_iv.divide(self.real_iv)
 
     # -- constructors -----------------------------------------------------
 

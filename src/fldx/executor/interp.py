@@ -113,9 +113,9 @@ from ..domain import (AbstractFloat, abs_neg, abs_op,
 from ..errors import (AnalysisAlarm, DivisionByZero, InfeasiblePath,
                       OverflowAlarm, SectionInfeasible, TypeErrorAt)
 from ..frontend import syntax as S
-from ..numerics import (ANY, REGIONS, RationalLike, RInterval,
-                        check_finite, int_range, interval_over, pair_over,
-                        settled, trunc_div, trunc_quotient)
+from ..numerics import (ANY, REGIONS, RationalLike, RInterval, int_range,
+                        interval_over, pair_over, settled, trunc_div,
+                        trunc_quotient)
 from ..zonotope import AffineForm, Origin, SymbolEnv, SymbolPool, sym_range
 from .explorer import PathExplorer
 
@@ -160,7 +160,6 @@ class Interp:
         self.stack: List[SectionCtx] = []
         self.records: List[AssertRecord] = []
         self.alarms: List[AnalysisAlarm] = []
-        self._alarm_keys: Set[Tuple[str, str]] = set()
         self.warnings: List[str] = []
         self.trace: List[str] = []
         self.section_reports: List[SectionReport] = []
@@ -184,8 +183,7 @@ class Interp:
 
     def _alarm(self, alarm: AnalysisAlarm) -> None:
         key = (alarm.kind, str(alarm))
-        if key not in self._alarm_keys:
-            self._alarm_keys.add(key)
+        if key not in [(a.kind, str(a)) for a in self.alarms]:
             self.alarms.append(alarm)
 
     @property
@@ -299,30 +297,23 @@ class Interp:
         Projecting one linear constraint is exact, so projecting it again
         at once would change nothing: equal constraints, such as the
         float and the real one of a stable test on error-free operands,
-        are projected as one. A constraint whose last projection changed
-        nothing is skipped (`quiet`) until another moves one of its
-        form's symbols, the only ranges a projection reads."""
+        are projected as one. Every round projects each of them, until a
+        round changes nothing."""
         live = []
         for c in constraints:
             if (c[1] is not None or c[2] is not None) and c not in live:
                 live.append(c)
         scratch = dict(self.env)
         moved: Set[int] = set()
-        quiet = [False] * len(live)
         for _ in range(8):
-            for k, (form, lo, hi) in enumerate(live):
-                if quiet[k]:
-                    continue
+            changed = False
+            for form, lo, hi in live:
                 updates = project_onto_symbols(form, lo, hi, scratch)
-                if not updates:
-                    quiet[k] = True
-                    continue
-                scratch.update(updates)
-                moved.update(updates)
-                for j, (other, _, _) in enumerate(live):
-                    if quiet[j] and not other.ns.keys().isdisjoint(updates):
-                        quiet[j] = False
-            if all(quiet):  # no projection changed anything
+                if updates:
+                    changed = True
+                    scratch.update(updates)
+                    moved.update(updates)
+            if not changed:
                 break
         for sym in sorted(moved):
             self._narrow_symbol(sym, scratch[sym])
@@ -533,15 +524,15 @@ class Interp:
                               f" input binding")
         ends = [_literal_value(a) for a in e.args]
         try:
-            value = RInterval(*ends[:2])
-            err = RInterval(*ends[2:]) if ends[2:] else None
+            spec = InputSpec(RInterval(*ends[:2]),
+                             RInterval(*ends[2:]) if ends[2:] else None)
         except ValueError as exn:
             raise TypeErrorAt(f"{e.loc}: read_double: {exn}") from None
         try:
-            check_finite(value, self.fmt)
+            spec.check_finite(self.fmt)
         except OverflowAlarm as exn:
             raise OverflowAlarm(f"{e.loc}: {exn}", e.loc) from None
-        return InputSpec(value, err)
+        return spec
 
     # -- decisions --------------------------------------------------------
 

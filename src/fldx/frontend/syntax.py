@@ -2,7 +2,7 @@
 
 Every node class is slotted, so a node has no `__dict__` and nothing may
 add an attribute to it; a cache of per-node data keys by `id(node)`, as
-`Interp._literals` and `Interp._typed` do.
+`Interp._code` and `Interp._conds` do.
 """
 from __future__ import annotations
 

@@ -24,9 +24,8 @@ as ints (n', d'), d' > 0, which a caller turns into an interval with
 `interval_over` or `pair_over`.
 
 `fractions.Fraction` appears only at the boundary: `RInterval(lo, hi)`
-and `RInterval.point` take rationals in, and `lo`/`hi` (built on first
-read and kept) and `max_abs` give them out, for the annotations and the
-report.
+and `RInterval.point` take rationals in, and `lo`, `hi` and `max_abs`
+give them out, for the annotations and the report.
 
 A module-private constructor skips the checks of the public one, and
 only code of this module calls it: `_iv(lo_n, hi_n, den)` builds an
@@ -79,19 +78,17 @@ class RInterval:
     form (see the module docstring). Immutable: no operation changes an
     interval, each builds a new one or returns an operand."""
 
-    __slots__ = ("lo_n", "hi_n", "den", "_lo", "_hi")
+    __slots__ = ("lo_n", "hi_n", "den")
 
     def __init__(self, lo: RationalLike, hi: RationalLike) -> None:
-        self._lo = lo
-        self._hi = hi
-        self.__post_init__()
+        self.__post_init__(lo, hi)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, lo: RationalLike, hi: RationalLike) -> None:
         """Coerce the endpoints given and check their order. Two reduced
         fractions over the lcm of their denominators are canonical.
         (The name is the one the checking step had when RInterval was a
         dataclass; the benchmark's tracer counts calls to it.)"""
-        lo, hi = rat(self._lo), rat(self._hi)
+        lo, hi = rat(lo), rat(hi)
         p, q = lo.denominator, hi.denominator
         d = lcm(p, q)
         self.lo_n = lo.numerator * (d // p)
@@ -99,29 +96,19 @@ class RInterval:
         self.den = d
         if self.lo_n > self.hi_n:
             raise ValueError(f"invalid interval [{lo}, {hi}]")
-        self._lo = lo
-        self._hi = hi
 
     @staticmethod
     def point(x: RationalLike) -> "RInterval":
         x = rat(x)
-        iv = _iv(x.numerator, x.numerator, x.denominator)
-        iv._lo = iv._hi = x
-        return iv
+        return _iv(x.numerator, x.numerator, x.denominator)
 
     @property
     def lo(self) -> Fraction:
-        x = self._lo
-        if x is None:
-            x = self._lo = Fraction(self.lo_n, self.den)
-        return x
+        return Fraction(self.lo_n, self.den)
 
     @property
     def hi(self) -> Fraction:
-        x = self._hi
-        if x is None:
-            x = self._hi = Fraction(self.hi_n, self.den)
-        return x
+        return Fraction(self.hi_n, self.den)
 
     def __eq__(self, other) -> bool:
         if type(other) is not RInterval:
@@ -269,7 +256,6 @@ def _iv(lo_n: int, hi_n: int, den: int) -> RInterval:
     iv.lo_n = lo_n
     iv.hi_n = hi_n
     iv.den = den
-    iv._lo = iv._hi = None
     return iv
 
 
@@ -535,13 +521,6 @@ def round_directed(n: int, d: int, fmt: FloatFormat,
     d' > 0; used to snap interval endpoints."""
     outward = up == (n > 0)
     return _round(n, d, fmt, _ceil_div if outward else operator.floordiv)
-
-
-def check_finite(iv: RInterval, fmt: FloatFormat) -> None:
-    """Raise OverflowAlarm, naming the endpoint as written, when an
-    endpoint of iv rounds past the largest finite value of fmt."""
-    round_nearest(iv.lo_n, iv.den, fmt)
-    round_nearest(iv.hi_n, iv.den, fmt)
 
 
 def is_representable(x: RationalLike, fmt: FloatFormat) -> bool:

@@ -12,8 +12,7 @@ times den and `ns` each symbol's coefficient times den. Every operation
 (`+`, `-`, negation, `scale`, `shift`, `substitute`, `af_mul`'s linear
 part, `condense`) works on those ints and reduces its result by one gcd;
 `center` and `terms` give the rationals as Fractions, for printing and
-tests, and `terms` keeps its dict once built. Reads of the symbols
-alone (`sym in form.ns`) build no Fraction.
+tests. Reads of the symbols alone (`sym in form.ns`) build no Fraction.
 
 The center and terms of an AffineForm never change after it is built:
 every operation builds a new form. Symbol environments are never
@@ -86,13 +85,12 @@ class AffineForm:
     stored.
 
     `n0`, `ns` and `den` are fixed when the form is built (see the
-    module docstring); only the caches change: `_terms` holds `terms`
-    once read, `_key` the range objects the last `linear_part` read, one
-    per term, `_lin` its result and `_conc` that result shifted by the
-    center.
+    module docstring); only the `linear_part` memo changes: `_key` the
+    range objects the last `linear_part` read, one per term, `_lin` its
+    result and `_conc` that result shifted by the center.
     """
 
-    __slots__ = ("n0", "ns", "den", "_terms", "_key", "_lin", "_conc")
+    __slots__ = ("n0", "ns", "den", "_key", "_lin", "_conc")
 
     def __init__(self, center: RationalLike = 0,
                  terms: Optional[Dict[int, Fraction]] = None) -> None:
@@ -105,7 +103,6 @@ class AffineForm:
         self.ns: Dict[int, int] = {
             i: c.numerator * (d // c.denominator) for i, c in terms.items()}
         self.den = d
-        self._terms = None
         self._key = self._lin = self._conc = None
 
     @property
@@ -115,11 +112,8 @@ class AffineForm:
     @property
     def terms(self) -> Dict[int, Fraction]:
         """The coefficient of each symbol, in term order."""
-        t = self._terms
-        if t is None:
-            d = self.den
-            t = self._terms = {i: Fraction(c, d) for i, c in self.ns.items()}
-        return t
+        d = self.den
+        return {i: Fraction(c, d) for i, c in self.ns.items()}
 
     @staticmethod
     def of_point(iv: RInterval) -> "AffineForm":
@@ -231,7 +225,7 @@ def _form(n0: int, ns: Dict[int, int], den: int) -> AffineForm:
     f.n0 = n0
     f.ns = ns
     f.den = den
-    f._terms = f._key = f._lin = f._conc = None
+    f._key = f._lin = f._conc = None
     return f
 
 

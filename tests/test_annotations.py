@@ -8,17 +8,18 @@ from fractions import Fraction as F
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fldx.annot.typecheck import type_pred
 from fldx.cli import main
 from fldx.config import AnalysisConfig
 from fldx.errors import FldxError, SyntaxErrorAt, TypeErrorAt
+from fldx.executor.oracle import ShadowRun
 from fldx.frontend import parse_pred
 from fldx.frontend import syntax as S
 from fldx.numerics import RInterval, compare
-from fldx.pipeline import analyze
+from fldx.pipeline import analyze, prepare
 
 # ---------------------------------------------------------------------------
 # Comparisons
@@ -176,6 +177,80 @@ def test_cli_annotation_probe_ends_in_its_exit_code(tmp_path, pred, code,
     assert res.exit_code == code, res.output
     assert message in res.output
     assert "Traceback" not in res.output
+
+
+# ---------------------------------------------------------------------------
+# Integer terms against the oracle
+# ---------------------------------------------------------------------------
+
+INT_TERMS = ("int main() {\n  int i = %d;\n  int j = %d;\n  int k = %d;\n"
+             "  /*@ assert %s == %d; */\n  return 0;\n}\n")
+
+
+def test_cli_abs_of_an_unbounded_int_term_divides_as_an_int(tmp_path):
+    """i / abs(j) has no bounds the typing knows, but abs of it is still an
+    int, so the division around it truncates, as in C: 7 / 2 is 3."""
+    src = tmp_path / "p.c"
+    src.write_text(INT_TERMS % (7, 1, 0, "abs(i / abs(j)) / 2", 3))
+    res = CliRunner().invoke(main, ["analyze", str(src)])
+    assert res.exit_code == 0, res.output
+
+
+def c_div(a, b):
+    """a / b as C truncates it, b != 0."""
+    q = abs(a) // abs(b)
+    return q if (a < 0) == (b < 0) else -q
+
+
+def int_node(parts):
+    """(text, value) of an operator or a call over drawn operands; a
+    divisor that is 0 becomes one plus itself."""
+    op, (ta, a), (tb, b) = parts
+    if op == "abs":
+        return f"abs({ta})", abs(a)
+    if op in ("min", "max"):
+        return f"{op}({ta}, {tb})", (min if op == "min" else max)(a, b)
+    if op == "/" and b == 0:
+        tb, b = f"({tb} + 1)", 1
+    value = {"+": a + b, "-": a - b, "*": a * b}.get(op)
+    return f"({ta} {op} {tb})", c_div(a, b) if value is None else value
+
+
+@st.composite
+def int_terms(draw):
+    """The values of i, j and k, and (text, value) of an int term over
+    them and small literals, nested, with every divisor nonzero."""
+    env = {n: draw(st.integers(-20, 20)) for n in "ijk"}
+    leaves = st.one_of(st.sampled_from(sorted(env.items())),
+                       st.integers(0, 9).map(lambda c: (str(c), c)))
+    term = draw(st.recursive(leaves, lambda kids: st.tuples(
+        st.sampled_from(["+", "-", "*", "/", "abs", "min", "max"]),
+        kids, kids).map(int_node), max_leaves=6))
+    return env, term
+
+
+class TruthRun(ShadowRun):
+    """The oracle, keeping the truth of each assertion it runs."""
+
+    def _assert(self, s):
+        self.truths.append(self._pred(s.pred, {}, s.loc))
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_terms(), st.integers(-1, 1))
+@example(({"i": 7, "j": 1, "k": 0}, ("abs(i / abs(j)) / 2", 3)), 0)
+def test_int_term_verdicts_match_the_oracle(drawn, offset):
+    """The analyzer proves `term == v` exactly when the concrete run finds
+    it true, and refutes it exactly when the run finds it false."""
+    env, (term, value) = drawn
+    source = INT_TERMS % (env["i"], env["j"], env["k"], term, value + offset)
+    config = AnalysisConfig()
+    alarms = tuple(a["message"] for a in analyze(source, config).alarms)
+    verdict = {(): True, ("5:3: assertion violated",): False}.get(alarms)
+    oracle = TruthRun(prepare(source, config)[0], config.fmt)
+    oracle.truths = []
+    oracle.run("main")
+    assert oracle.truths == [verdict], (term, alarms)
 
 
 # ---------------------------------------------------------------------------

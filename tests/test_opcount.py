@@ -117,3 +117,21 @@ def test_stages_count_each_stage_above_the_total(workload, program, stages):
     assert m and all(n > 0 for n in counts) and sum(counts) <= int(m[1])
     # counting by stage changes no count
     assert opcount(*args) == [last]
+
+
+def test_all_counts_one_pass_as_the_sum_of_each_program(monkeypatch):
+    from perfbench import workloads as W
+
+    sources = {"a.c": "double f(void) {\n  double x = read_double(0.0, 1.0);\n"
+                      "  double y = x * x + 1.0;\n  /*@ dprint(y); */\n"
+                      "  return y;\n}\n",
+               "b.c": "double g(void) {\n  double x = read_double(1.0, 2.0);\n"
+                      "  double y = 0.0;\n"
+                      "  if (x < 1.5) { y = x; } else { y = x / 2.0; }\n"
+                      "  /*@ dprint(y); */\n  return y;\n}\n"}
+    monkeypatch.setitem(W.WORKLOADS, "stub", lambda seed: [
+        W.Program(name, src, "analyze") for name, src in sources.items()])
+    count = load_tool().count_program
+    a, b = count("stub", "a.c", 11), count("stub", "b.c", 11)
+    assert a > 0 and b > 0
+    assert count("stub", "all", 11) == a + b

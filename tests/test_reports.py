@@ -824,6 +824,28 @@ def test_cli_input_past_the_double_range_raises_overflow(tmp_path, bounds,
     assert ("overflow" in res.output) == (code == 1)
 
 
+def test_cli_input_error_past_the_range_is_a_usage_error(tmp_path):
+    """The float an input can take is its value plus its error: an error
+    bound past the double range fails the usage check, as a value bound
+    does."""
+    src = tmp_path / "p.c"
+    src.write_text(READ_X % "0.0, 1.0")
+    res = CliRunner().invoke(main, ["analyze", "--input",
+                                    "x=[0,1]~[0,1e400]", str(src)])
+    assert res.exit_code == 2, res.output
+    assert ("Invalid value for '--input': x: 1e+400 rounds beyond the"
+            " largest finite value") in res.output
+
+
+def test_cli_read_double_error_past_the_range_alarms_at_the_call(tmp_path):
+    src = tmp_path / "p.c"
+    src.write_text(HALVE_X % "0.0, 1.0, 0.0, 1e400")
+    res = CliRunner().invoke(main, ["analyze", str(src)])
+    assert res.exit_code == 1, res.output
+    assert ("[alarm] overflow: 2:14: 1e+400 rounds beyond the largest"
+            " finite value") in res.output
+
+
 @pytest.mark.parametrize("body,at", [
     ("double x = 1e400;", "1:25"),
     ("double x = 0.0; x = 1e400;", "1:34"),

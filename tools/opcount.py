@@ -15,6 +15,9 @@ process runs under a fixed PYTHONHASHSEED (it restarts itself under one
 when the environment sets another), so the count repeats exactly from run
 to run, while wall times on a shared host swing by a factor of two. The
 last line of standard output is the program's name and the count. With
+--program all, the operation is one pass over every program of the
+workload, the unit the benchmark times: each program runs once untraced,
+and then the count is the sum of each program's count, in order. With
 --top N, the N code objects that executed the most bytecodes come before
 it, one a line: the count and `file:function`. With --stages, the count of
 each pipeline stage the operation runs comes just before it, one a line:
@@ -31,7 +34,7 @@ import os
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 HASH_SEED = "0"
@@ -108,22 +111,37 @@ def count_opcodes(fn, by_code: Optional[Counter] = None,
     return n
 
 
-def operation(workload: str, name: str, seed: int):
-    """The zero-argument operation perfbench runs for one program."""
+def operations(workload: str, name: str, seed: int) -> List[Callable]:
+    """The zero-argument operation perfbench runs for the program named,
+    or for each program of the workload, in order, when name is `all`."""
     from perfbench.workloads import WORKLOADS
     from fldx.config import AnalysisConfig
     from fldx.numerics import FORMATS
     from fldx.pipeline import analyze, instrumented_source
 
     programs = {p.name: p for p in WORKLOADS[workload](seed)}
-    if name not in programs:
+    if name != "all" and name not in programs:
         raise SystemExit(f"error: {workload} has no program {name!r}; it has"
                          f" {', '.join(programs)}")
-    p = programs[name]
-    config = AnalysisConfig(fmt=FORMATS[p.fmt])
-    if p.kind == "instrument":
-        return lambda: instrumented_source(p.source, config)
-    return lambda: analyze(p.source, config, source_name=p.name).to_json()
+
+    def operation(p):
+        config = AnalysisConfig(fmt=FORMATS[p.fmt])
+        if p.kind == "instrument":
+            return lambda: instrumented_source(p.source, config)
+        return lambda: analyze(p.source, config, source_name=p.name).to_json()
+    return [operation(p) for p in programs.values()
+            if name in ("all", p.name)]
+
+
+def count_program(workload: str, name: str, seed: int,
+                  by_code: Optional[Counter] = None,
+                  by_stage: Optional[Counter] = None) -> int:
+    """The count `main` prints: each operation of `operations` runs once
+    untraced, and then the counts of one more run of each are summed."""
+    ops = operations(workload, name, seed)
+    for op in ops:
+        op()
+    return sum(count_opcodes(op, by_code, by_stage) for op in ops)
 
 
 def main() -> None:
@@ -131,7 +149,8 @@ def main() -> None:
     ap.add_argument("--workload", default="branch_fanout",
                     choices=("corpus", "branch_fanout", "wide_instrument"))
     ap.add_argument("--program", default="fanout_n8",
-                    help="program name, e.g. fanout_n8, wide_70kb, filter.c")
+                    help="program name, e.g. fanout_n8, wide_70kb, filter.c,"
+                    " or all for one pass over every program")
     ap.add_argument("--seed", type=int, default=11)
     ap.add_argument("--top", type=int, default=0, metavar="N",
                     help="also print the N code objects that executed the"
@@ -147,11 +166,10 @@ def main() -> None:
     for p in (str(ROOT / "src"), str(ROOT)):
         if p not in sys.path:
             sys.path.insert(0, p)
-    op = operation(args.workload, args.program, args.seed)
-    op()
     by_code = Counter() if args.top > 0 else None
     by_stage = Counter() if args.stages else None
-    total = count_opcodes(op, by_code, by_stage)
+    total = count_program(args.workload, args.program, args.seed, by_code,
+                          by_stage)
     for code, n in (by_code.most_common(args.top) if by_code else ()):
         print(f"{n:>10}  {where(code)}")
     if by_stage is not None:
