@@ -19,13 +19,14 @@ from fractions import Fraction
 from functools import reduce
 from typing import Dict, List, Optional, Tuple
 
+from ..config import InputSpec
 from ..domain import AbstractFloat
-from ..errors import AnalysisAlarm, TypeErrorAt
+from ..errors import AnalysisAlarm, OverflowAlarm, TypeErrorAt
 from ..frontend import syntax as S
 from ..numerics import (RING_OPS, FloatFormat, RInterval, compare,
                         interval_over, round_nearest, trunc_div)
 from ..zonotope import SymbolEnv, SymbolPool
-from .kinds import INT_RANGE
+from .kinds import ZKind
 from .typecheck import (TypedBuiltin, TypedCmp, TypedLet, TypedNot, TypedPred,
                         TypedRel, TypedTerm)
 
@@ -149,14 +150,17 @@ def eval_term(tt: TypedTerm, mem: Memory, binders=None) -> RInterval:
     if isinstance(t, S.TConst):
         return RInterval.point(t.value)
     if isinstance(t, (S.TName, S.TIndex)):
-        return _math_value(_load_lvalue(tt, mem, binders))
+        v = _load_lvalue(tt, mem, binders)
+        if isinstance(t, S.TName) and isinstance(v, list):
+            raise TypeErrorAt(f"{t.loc}: expected a number, got an array")
+        return _math_value(v)
     if isinstance(t, S.TBin):
         a = eval_term(tt.children[0], mem, binders)
         b = eval_term(tt.children[1], mem, binders)
         if t.op in RING_OPS:
             return RING_OPS[t.op](a, b)
         if t.op == "/":
-            if tt.compute in INT_RANGE or tt.compute == "Z":
+            if isinstance(tt.kind, ZKind):
                 return trunc_div(a, b, t.loc)
             return a.divide(b, t.loc)
         raise TypeErrorAt(f"bad term operator {t.op!r}")
@@ -210,10 +214,12 @@ def _abs(a: RInterval) -> RInterval:
 def eval_builtin(b: TypedBuiltin, mem: Memory, binders,
                  records: List[AssertRecord]):
     """Built-in b on its variable, as its declaration says: an enlarge
-    widens the variable and holds; a print records the variable's hulls
-    and holds; an assert records them with its verdict, whether the
-    quantity it reads lies between its bounds, and returns that verdict;
-    a get returns the hull of the quantity it reads."""
+    widens the variable and holds, or raises OverflowAlarm at b when the
+    widened float interval leaves the format's range; a print records
+    the variable's hulls and holds; an assert records them with its
+    verdict, whether the quantity it reads lies between its bounds, and
+    returns that verdict; a get returns the hull of the quantity it
+    reads."""
     spec = S.BUILTINS[b.name]
     arg = b.args[0]
     x = _load_lvalue(arg, mem, binders)
@@ -228,6 +234,10 @@ def eval_builtin(b: TypedBuiltin, mem: Memory, binders,
             err = x.err_refined(env).join(RInterval(elo.lo, ehi.hi))
         except ValueError as exn:
             raise TypeErrorAt(f"{b.loc}: {b.name}: {exn}") from None
+        try:
+            InputSpec(val, err).check_finite(mem.fmt)
+        except OverflowAlarm as exn:
+            raise OverflowAlarm(f"{b.loc}: {exn}", b.loc) from None
         y = AbstractFloat.from_input(val, err, mem.fmt, mem.pool, env)
         _store_lvalue(arg, y, mem, binders)
         return True
@@ -282,7 +292,7 @@ def _eval_pred_tv(p: TypedPred, mem: Memory, binders,
     if isinstance(p, TypedNot):
         return _tv_not(_eval_pred_tv(p.pred, mem, binders, records))
     if isinstance(p, TypedCmp):
-        if p.compute in ("float", "double"):
+        if p.on_floats:
             # machine comparison on the float domains
             a = _machine_side(p.left, mem, binders)
             b = _machine_side(p.right, mem, binders)
@@ -305,10 +315,16 @@ def _eval_pred_tv(p: TypedPred, mem: Memory, binders,
 
 
 def _machine_side(tt: TypedTerm, mem: Memory, binders) -> RInterval:
+    """A side of a comparison decided on the float domains: a bare
+    literal rounds to the format, as in code, and one past its range
+    raises OverflowAlarm at the literal."""
     t = tt.term
     if isinstance(t, S.TConst):
         x = t.value
-        n, d = round_nearest(x.numerator, x.denominator, mem.fmt)
+        try:
+            n, d = round_nearest(x.numerator, x.denominator, mem.fmt)
+        except OverflowAlarm as exn:
+            raise OverflowAlarm(f"{t.loc}: {exn}", t.loc) from None
         return interval_over(n, n, d)
     return eval_term(tt, mem, binders)
 

@@ -2,34 +2,16 @@
 
 A kind classifies the values a term may take: Z(I) for integers within
 interval I, F(tau) for values of a machine floating-point type, Q for
-arbitrary rationals. theta maps a kind to the cheapest execution type
-that can hold it: the smallest machine integer type containing I, a
-float type, or exact rationals.
+arbitrary rationals. The join of two kinds is the least kind holding the
+values of both: integers stay in F(tau) while tau holds each of them
+exactly, and fall to Q beyond.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional, Union
 
 from ..numerics import BINARY32, BINARY64, RING_OPS
-
-#: Machine integer types ordered smallest-first for T(I).
-INT_TYPES: Tuple[Tuple[str, int, int], ...] = (
-    ("int8", -(2**7), 2**7 - 1),
-    ("uint8", 0, 2**8 - 1),
-    ("int16", -(2**15), 2**15 - 1),
-    ("uint16", 0, 2**16 - 1),
-    ("int32", -(2**31), 2**31 - 1),
-    ("uint32", 0, 2**32 - 1),
-    ("int64", -(2**63), 2**63 - 1),
-    ("uint64", 0, 2**64 - 1),
-)
-
-INT_RANGE = {name: (lo, hi) for name, lo, hi in INT_TYPES}
-
-#: Execution types, cheapest first; 'Z' is arbitrary-precision integers,
-#: 'Q' exact rationals.
-EXEC_TYPES = tuple(n for n, _, _ in INT_TYPES) + ("Z", "float", "double", "Q")
 
 
 @dataclass(frozen=True)
@@ -59,11 +41,6 @@ class IntInterval:
         lo = None if self.lo is None else min(self.lo, 0)
         hi = None if self.hi is None else max(self.hi, 0)
         return IntInterval(lo, hi)
-
-    def __str__(self) -> str:
-        a = "-inf" if self.lo is None else str(self.lo)
-        b = "+inf" if self.hi is None else str(self.hi)
-        return f"[{a}, {b}]"
 
 
 def _corners(a: IntInterval, b: IntInterval, op) -> IntInterval:
@@ -116,24 +93,6 @@ Kind = Union[ZKind, FKind, QKind]
 Q = QKind()
 
 
-def smallest_int_type(iv: IntInterval) -> str:
-    """T(I): the smallest machine integer type containing I, else 'Z'."""
-    if iv.is_bounded():
-        for name, lo, hi in INT_TYPES:
-            if lo <= iv.lo and iv.hi <= hi:
-                return name
-    return "Z"
-
-
-def theta(k: Kind) -> str:
-    """Cheapest execution type able to hold all values of the kind."""
-    if isinstance(k, ZKind):
-        return smallest_int_type(k.iv)
-    if isinstance(k, FKind):
-        return k.tau
-    return "Q"
-
-
 def kind_join(a: Kind, b: Kind) -> Kind:
     if isinstance(a, ZKind) and isinstance(b, ZKind):
         return ZKind(a.iv.join(b.iv))
@@ -155,43 +114,3 @@ def _int_float_join(z: ZKind, f: FKind) -> Kind:
         if -limit <= z.iv.lo and z.iv.hi <= limit:
             return FKind(f.tau)
     return Q
-
-
-# -- type subsumption --------------------------------------------------------
-
-_FLOAT_INT_LIMIT = {"float": 2**24, "double": 2**53}
-
-
-def type_le(a: str, b: str) -> bool:
-    """Every value of execution type a is exactly a value of type b."""
-    if a == b:
-        return True
-    if b == "Q":
-        return True
-    if a in INT_RANGE:
-        if b in INT_RANGE:
-            alo, ahi = INT_RANGE[a]
-            blo, bhi = INT_RANGE[b]
-            return blo <= alo and ahi <= bhi
-        if b == "Z":
-            return True
-        if b in _FLOAT_INT_LIMIT:
-            alo, ahi = INT_RANGE[a]
-            lim = _FLOAT_INT_LIMIT[b]
-            return -lim <= alo and ahi <= lim
-        return False
-    if a == "Z":
-        return b == "Q"
-    if a == "float":
-        return b in ("double", "Q")
-    if a == "double":
-        return b == "Q"
-    return False
-
-
-def type_join(a: str, b: str) -> str:
-    """Smallest execution type above both (falls back to Q)."""
-    for t in EXEC_TYPES:
-        if type_le(a, t) and type_le(b, t):
-            return t
-    return "Q"

@@ -1,17 +1,16 @@
 """Typing of annotation terms and predicates.
 
-Every term receives a judgement carry ~> compute: the operation is
-evaluated at the compute type (machine int, big int, machine float, or
-exact rationals) and its result fits in the carry type, which may be
-smaller (downcast rule).
+Every term receives a kind (`kinds`): Z(I), an integer in the interval
+I; F(tau), a value of the float type tau; or Q, a rational. A term's
+kind comes from its children's.
 
 The checker (`evaluate`) computes every term exactly, as a rational
-interval, whatever its judgement. Typing decides three things there: a
-division at an integer compute type truncates, and any other divides
-exactly; a comparison decided at a float type rounds a bare literal to
+interval, whatever its kind. The kinds decide three things there: a
+division of kind Z truncates, and any other divides exactly; a
+comparison whose two sides join to a kind F rounds a bare literal to
 the analysis format; and a built-in accepts as its first argument only
-a program variable of its declared float type (`syntax.BUILTINS`) or of
-one that converts to it.
+a program variable of kind F of its declared float type
+(`syntax.BUILTINS`), or of `float` where it declares `double`.
 """
 from __future__ import annotations
 
@@ -21,11 +20,11 @@ from typing import Dict, List, Optional, Union
 from ..errors import TypeErrorAt
 from ..frontend import syntax as S
 from ..numerics import BINARY64, is_representable
-from .kinds import (INT_RANGE, IntInterval, Kind, FKind, Q, ZKind,
-                    int_interval_arith, kind_join, theta, type_join, type_le)
+from .kinds import (IntInterval, Kind, FKind, Q, ZKind, int_interval_arith,
+                    kind_join)
 
 CTYPE_KIND = {
-    "int": ZKind(IntInterval(*INT_RANGE["int32"])),
+    "int": ZKind(IntInterval(-(2**31), 2**31 - 1)),
     "float": FKind("float"),
     "double": FKind("double"),
 }
@@ -35,8 +34,6 @@ CTYPE_KIND = {
 class TypedTerm:
     term: S.Term
     kind: Kind
-    carry: str
-    compute: str
     children: List["TypedTerm"] = field(default_factory=list)
 
 
@@ -45,7 +42,7 @@ class TypedCmp:
     op: str
     left: TypedTerm
     right: TypedTerm
-    compute: str  # type at which the comparison is decided
+    on_floats: bool  # decided on the float domains, a literal rounded
 
 
 TypedPred = Union["TypedRel", "TypedNot", TypedCmp, "TypedLet", "TypedBuiltin"]
@@ -122,53 +119,43 @@ def type_term(t: S.Term, var_types, gamma: Optional[Gamma] = None) -> TypedTerm:
     """Type t bottom-up: each node's kind comes from its children's."""
     gamma = gamma or {}
     if isinstance(t, S.TConst):
-        k = const_kind(t)
-        tau = theta(k)
-        return TypedTerm(t, k, tau, tau)
+        return TypedTerm(t, const_kind(t))
     if isinstance(t, (S.TName, S.TIndex)):
         k = _lvalue_kind(t, var_types, gamma)
-        tau = theta(k)
         kids = []
         if isinstance(t, S.TIndex):
             kids = [type_term(t.index, var_types, gamma)]
             if not isinstance(kids[0].kind, ZKind):
                 raise TypeErrorAt(f"{t.loc}: index of {t.name} is not an"
                                   f" integer")
-        return TypedTerm(t, k, tau, tau, kids)
+        return TypedTerm(t, k, kids)
     if isinstance(t, S.TBin):
         kids = [type_term(t.left, var_types, gamma),
                 type_term(t.right, var_types, gamma)]
         kl, kr = kids[0].kind, kids[1].kind
         if isinstance(kl, ZKind) and isinstance(kr, ZKind):
-            k = ZKind(int_interval_arith(t.op, kl.iv, kr.iv))
-        else:
-            k = Q  # any non-integer operation is mathematical, hence rational
-        compute = theta(kind_join(kind_join(kl, kr), k))
-    elif isinstance(t, S.TCall):
+            return TypedTerm(t, ZKind(int_interval_arith(t.op, kl.iv, kr.iv)),
+                             kids)
+        # any non-integer operation is mathematical, hence rational
+        return TypedTerm(t, Q, kids)
+    if isinstance(t, S.TCall):
         kids = [type_term(a, var_types, gamma) for a in t.args]
-        k = _call_kind(t.name, [kid.kind for kid in kids])
-        compute = theta(k)
-        for kid in kids:
-            compute = type_join(compute, kid.carry)
-    else:
-        raise TypeErrorAt(f"unknown term {t!r}")
-    carry = theta(k)
-    if not type_le(carry, compute):
-        carry = compute
-    return TypedTerm(t, k, carry, compute, kids)
+        return TypedTerm(t, _call_kind(t.name, [kid.kind for kid in kids]),
+                         kids)
+    raise TypeErrorAt(f"unknown term {t!r}")
 
 
 def type_cmp(op: str, left: S.Term, right: S.Term, var_types,
              gamma: Gamma) -> TypedCmp:
     tl = type_term(left, var_types, gamma)
     tr = type_term(right, var_types, gamma)
-    tau = theta(kind_join(tl.kind, tr.kind))
-    return TypedCmp(op, tl, tr, tau)
+    return TypedCmp(op, tl, tr, isinstance(kind_join(tl.kind, tr.kind), FKind))
 
 
 def _type_builtin(b: S.PBuiltin, var_types, gamma: Gamma) -> TypedBuiltin:
     """Type a predicate or pair built-in, whose first argument must be a
-    variable of its declared float type or of one it converts to."""
+    variable of its declared float type or of one it converts to: a
+    float converts to a double."""
     if not isinstance(b.args[0], (S.TName, S.TIndex)):
         raise TypeErrorAt(f"{b.loc}: first argument of {b.name} must be a"
                           f" program variable")
@@ -176,9 +163,10 @@ def _type_builtin(b: S.PBuiltin, var_types, gamma: Gamma) -> TypedBuiltin:
     k0 = args[0].kind
     want = S.BUILTINS[b.name].ctype
     if not isinstance(k0, FKind):
+        got = "an int" if isinstance(k0, ZKind) else "a rational"
         raise TypeErrorAt(f"{b.loc}: {b.name} expects a floating-point"
-                          f" variable, got {args[0].carry}")
-    if not type_le(k0.tau, want):
+                          f" variable, got {got}")
+    if k0.tau != want and want != "double":
         raise TypeErrorAt(f"{b.loc}: {b.name} expects a {want} variable,"
                           f" got {k0.tau}")
     return TypedBuiltin(b.name, args, b.loc)

@@ -427,7 +427,7 @@ def apply_substitution(form: AffineForm, sub: Substitution,
 
     old must be the form's linear part before the symbol's range was
     narrowed; the recorded range shrinks either way, the rewrite only
-    changes which symbols carry the correlation.
+    changes which symbols hold the correlation.
     """
     if sub.sym not in form.ns:
         return form

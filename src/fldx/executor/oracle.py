@@ -367,7 +367,10 @@ class ShadowRun:
         if isinstance(t, S.TName):
             if t.name in binders:
                 return binders[t.name]
-            return _machine(self._load(t.name, loc))
+            v = self._load(t.name, loc)
+            if isinstance(v, list):
+                raise TypeErrorAt(f"{loc}: expected a number, got an array")
+            return _machine(v)
         if isinstance(t, S.TIndex):
             return _machine(self._cell(t.name,
                                        self._term(t.index, binders, loc), loc))

@@ -1,6 +1,6 @@
 """Hand-written lexer and recursive-descent parser for the mini-C subset.
 
-Annotation comments ``/*@ ... */`` carry accuracy assertions and
+Annotation comments ``/*@ ... */`` hold accuracy assertions and
 split/merge section markers; they are lexed as single tokens and parsed
 with a dedicated sub-grammar. Both grammars are read by shared readers:
 

@@ -52,6 +52,7 @@ def test_criterion_2_constrained_flows_exact():
 
 
 def test_criterion_3_typing_judgements():
+    from fldx.annot.kinds import Q, ZKind
     from fldx.annot.typecheck import type_pred
 
     ints = {"x": ("int", False), "y": ("int", False)}
@@ -61,10 +62,9 @@ def test_criterion_3_typing_judgements():
     sub_cmp = type_pred(parse_pred("f - 0.1 <= g"), floats)
     dbl = {"f": ("double", False)}
     eq_cmp = type_pred(parse_pred("f == 0.0"), dbl)
-    ok = (div_cmp.left.compute == "Z" and div_cmp.left.carry == "int32"
-          and div_cmp.compute == "int32"
-          and sub_cmp.left.compute == "Q" and sub_cmp.compute == "Q"
-          and eq_cmp.compute == "double")
+    ok = (isinstance(div_cmp.left.kind, ZKind) and not div_cmp.on_floats
+          and sub_cmp.left.kind == Q and not sub_cmp.on_floats
+          and eq_cmp.on_floats)
     assert report_line(3, "machine/exact typing of annotation terms", ok)
 
 

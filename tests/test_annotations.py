@@ -164,11 +164,16 @@ PROBE = ("int main() {\n  double x = read_double(0.0, 1.0);\n  int i = 3;\n"
      "[alarm] out-of-bounds: 6:3: index of a in [3, 3] outside [0, 1]"),
     ("\\let (lo, hi) = accuracy_get_drelerr(x); lo <= hi", 1,
      "[alarm] relerr-undefined: 6:3: relative error of x undefined"),
+    ("accuracy_enlarge_dval_err(x, 0.0, 1.0, 0.0, 1e400)", 1,
+     "[alarm] overflow: 6:3: 1e+400 rounds beyond the largest finite"
+     " value"),
+    ("a <= 2.5", 6, "error: execute: 6:3: expected a number, got an array"),
 ], ids=["scalar-indexed", "int-division-by-zero",
         "int-division-by-a-zero-variable", "enlarge-value-reversed",
         "enlarge-error-reversed", "rational-division-by-zero",
         "max-distance-of-a-scalar", "max-distance-past-the-end",
-        "index-past-the-end", "relative-error-of-a-real-that-may-be-0"])
+        "index-past-the-end", "relative-error-of-a-real-that-may-be-0",
+        "enlarge-past-the-range", "array-name-as-a-number"])
 def test_cli_annotation_probe_ends_in_its_exit_code(tmp_path, pred, code,
                                                     message):
     src = tmp_path / "p.c"
@@ -177,6 +182,22 @@ def test_cli_annotation_probe_ends_in_its_exit_code(tmp_path, pred, code,
     assert res.exit_code == code, res.output
     assert message in res.output
     assert "Traceback" not in res.output
+
+
+def test_cli_literal_past_the_format_in_a_float_comparison_alarms_there(
+        tmp_path):
+    """2**128 is a double but past binary32's range: a comparison decided
+    on the float domains rounds it to the format, and the overflow alarm
+    names the annotation, as it names a literal in code."""
+    src = tmp_path / "p.c"
+    src.write_text("int main() {\n  double x = read_double(0.0, 1.0);\n"
+                   "  /*@ assert x <= 3402823669209384634633746074317682"
+                   "11456.0; */\n  return 0;\n}\n")
+    res = CliRunner().invoke(main, ["analyze", "--format", "binary32",
+                                    str(src)])
+    assert res.exit_code == 1, res.output
+    assert ("[alarm] overflow: 3:3: 3.40282e+38 rounds beyond the largest"
+            " finite value") in res.output
 
 
 # ---------------------------------------------------------------------------

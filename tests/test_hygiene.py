@@ -3,7 +3,9 @@ imports and imports no private name of another fldx module, the
 package, the benchmark or the tools read every function and method it
 defines, the package reads every instance attribute it defines, some
 module of the repository reads every dataclass field, and
-`pyproject.toml` lists exactly the third-party modules it imports. No
+`pyproject.toml` lists exactly the third-party modules it imports, and
+its `test` extra exactly the others that the tests, the benchmark and
+the tools import. No
 nested function names itself or a sibling, which would keep all it
 closes over in a reference cycle, and every syntax node is slotted.
 
@@ -471,3 +473,26 @@ def test_runtime_dependencies_are_the_third_party_imports():
     third_party = imported - set(sys.stdlib_module_names) - {"fldx"}
     assert sorted(third_party - listed) == []
     assert sorted(listed - imported) == []
+
+
+def test_test_dependencies_are_the_third_party_imports_of_the_tests():
+    """The `test` extra lists every third-party module that the tests,
+    the benchmark or the tools import and the runtime dependencies do
+    not, and nothing they do not import."""
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads(PYPROJECT.read_text())["project"]
+
+    def names(deps):
+        return {re.match(r"[A-Za-z0-9_.-]+", d).group().lower()
+                .replace("-", "_") for d in deps}
+
+    runtime = names(project["dependencies"])
+    extra = names(project["optional-dependencies"]["test"])
+    root = PYPROJECT.parent
+    imported = set().union(*(imported_modules(p.read_text())
+                             for d in ("tests", "perfbench", "tools")
+                             for p in (root / d).rglob("*.py")))
+    third_party = imported - set(sys.stdlib_module_names) \
+        - {"fldx", "tests", "perfbench"}
+    assert sorted(third_party - runtime - extra) == []
+    assert sorted(extra - imported) == []

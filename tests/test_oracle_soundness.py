@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from fldx.config import AnalysisConfig
-from fldx.errors import FldxError
+from fldx.errors import FldxError, TypeErrorAt
 from fldx.executor.interp import Interp, _literal_value
 from fldx.executor.oracle import ShadowRun
 from fldx.frontend import parse_program
@@ -198,4 +198,16 @@ CELL_PROBE = ("int main() {\n  double x = 0.5;\n"
 def test_the_oracle_reads_only_the_cells_of_an_array(pred, message):
     shadow = ShadowRun(parse_program(CELL_PROBE % pred), FORMATS["binary64"])
     with pytest.raises(FldxError, match=message):
+        shadow.run("main")
+
+
+@pytest.mark.parametrize("pred", ["a <= 2.5", "\\let b = a; b <= 2.5",
+                                  "min(a, 1.0) <= 2.5"],
+                         ids=["compared", "bound", "called"])
+def test_the_oracle_reads_no_array_name_as_a_number(pred):
+    """A bare array name in an annotation term is an error at the
+    annotation, as it is in code."""
+    shadow = ShadowRun(parse_program(CELL_PROBE % pred), FORMATS["binary64"])
+    with pytest.raises(TypeErrorAt,
+                       match="4:3: expected a number, got an array"):
         shadow.run("main")
