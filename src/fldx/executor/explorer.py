@@ -5,30 +5,34 @@ the section body. The explorer replays the recorded prefix and extends it
 with first alternatives; next_path() advances the last non-exhausted
 decision, giving plain DFS over the decision tree.
 
-Next to its trace of choices the explorer keeps one saved state per
-branch point of the current path (`saved`, aligned with `trace`, None
-where nothing was saved): what the first visit of that decision left,
-and whether the stretch of the walk that led to it, from the choice
-before it or from the path start, was plain. A stretch is plain when it
-ran no assert, assume, dprint or nested section, called no user function
-and settled no int test without a choice; the interpreter clears `plain`
-on each of these, and every choice sets it again. `next_path` drops
-every entry from the position it advances, so an entry is read back
-(`resume`) only on a replay of the prefix that made it, and at most one
-state per decision of the current path is held. While the decision at
-the cursor saved a state after a plain stretch (`skips`), a replay runs
-nothing up to it.
+Next to its trace of choices the explorer keeps one entry per branch
+point of the current path (`saved`, aligned with `trace`, None where
+nothing was saved). An entry holds three things: the snapshot of what
+the decision saw before its flow was applied, saved at its first visit
+(`save`); the state the chosen flow left (`save_post`); and whether the
+stretch of the walk that led to it, from the choice before it or from
+the path start, was plain. A stretch is plain when it ran no assert,
+assume, dprint or nested section, called no user function and settled
+no int test without a choice; the interpreter clears `plain` on each of
+these, and every choice sets it again. `next_path` keeps the entry of
+the decision it advances but drops its post-flow state, and drops every
+deeper entry: so a post-flow state is read back (`entry`) only on a
+replay of the prefix that made it, the snapshot by every alternative of
+its decision, and at most one entry per decision of the current path is
+held. While the decision at the cursor saved an entry after a plain
+stretch (`skips`), a replay runs nothing up to it.
 """
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 
 class PathExplorer:
     def __init__(self, budget: int = 256) -> None:
         self.trace: List[int] = []
         self.limits: List[int] = []
-        self.saved: List[Optional[Tuple[object, bool]]] = []
+        #: [snapshot, post-flow state or None, plain] per decision
+        self.saved: List[Optional[list]] = []
         self.plain = True
         self.pos = 0
         self.budget = budget
@@ -50,30 +54,25 @@ class PathExplorer:
         self.plain = True
         return i
 
-    def save(self, state: object, plain: bool) -> None:
-        """Keep state as what the decision just chosen left, after a
-        stretch that was plain or not."""
-        at = self.pos - 1
-        self.saved.extend([None] * (at + 1 - len(self.saved)))
-        self.saved[at] = (state, plain)
+    def save(self, snapshot: object, plain: bool) -> None:
+        """Keep snapshot as what the decision at the cursor, not yet
+        chosen, saw after a stretch that was plain or not."""
+        self.saved.extend([None] * (self.pos + 1 - len(self.saved)))
+        self.saved[self.pos] = [snapshot, None, plain]
 
-    def _entry(self) -> Optional[Tuple[object, bool]]:
+    def save_post(self, state: object) -> None:
+        """Keep state as what the decision just chosen left."""
+        self.saved[self.pos - 1][1] = state
+
+    def entry(self) -> Optional[list]:
+        """The entry of the decision at the cursor, or None."""
         return self.saved[self.pos] if self.pos < len(self.saved) else None
 
-    def resume(self) -> object:
-        """The state saved at the current decision point, its recorded
-        choice consumed; None, consuming nothing, when there is none."""
-        entry = self._entry()
-        if entry is None:
-            return None
-        self.choose(self.limits[self.pos])
-        return entry[0]
-
     def skips(self) -> bool:
-        """True when the decision at the cursor saved a state after a
+        """True when the decision at the cursor saved an entry after a
         plain stretch, which a replay may then skip."""
-        entry = self._entry()
-        return entry is not None and entry[1]
+        entry = self.entry()
+        return entry is not None and entry[2]
 
     def next_path(self) -> bool:
         """Advance to the next path; False when the tree is exhausted or
@@ -87,7 +86,9 @@ class PathExplorer:
             self.budget_hit = True
             return False
         self.trace[-1] += 1
-        del self.saved[len(self.trace) - 1:]
+        del self.saved[len(self.trace):]
+        if len(self.saved) == len(self.trace) and self.saved[-1] is not None:
+            self.saved[-1][1] = None
         self.pos = 0
         self.plain = True
         self.paths_started += 1

@@ -43,29 +43,35 @@ Each argument is bound to its parameter through `_coerce`; an array
 passes by reference.
 
 Each path walks the section body from its checkpoint, replaying the
-explorer's recorded choices. A float test that chose among several
-flows saves what it left (signature item, interpretation, control
-value, trace lines, mem and env) in the explorer, and a replay of it
-takes that state up instead of computing the flow again. Only a test of
-an if, while or do condition (through `!`, `&&`, `||`) at the section's
-own call depth saves, where nothing but mem and env is live. A test
-inside an expression or a callee, a cast and an int test are computed on
-every visit, since a Python local there may hold a value built on the
-replay's own symbols. The explorer holds at most one state per decision
-of the current path.
+explorer's recorded choices. A float test with more than one flow saves
+an entry in the explorer: a snapshot of what it saw (mem, env,
+interpretation, candidate flows and operands), and what its flow left
+(signature item, interpretation, control value, trace lines, mem and
+env). A replay takes up what each decision before the one the explorer
+advanced left; that one restores its snapshot and applies the flow the
+trace selects through `_take`, as its first visit did. So every
+alternative of a decision starts from the state the decision saw, and
+the float and the real run of an unstable flow share the symbols of the
+inputs read before it. Only a test of an if, while or do condition
+(through `!`, `&&`, `||`) at the section's own call depth saves, where
+nothing but mem and env is live. A test inside an expression or a
+callee, a cast and an int test are computed on every visit, since a
+Python local there may hold a value built on the replay's own symbols.
+The explorer holds at most one entry per decision of the current path.
 
-With each saved state the explorer records whether the stretch of the
-walk that led to it, from the choice before it, was plain: it ran no
-assert, assume, dprint or nested section, called no user function and
-settled no int test without a choice. Such a stretch changes nothing
-but mem and env, which the saved state holds, and takes no branch of
-its own. So while the next decision of a replay saved a state after a
-plain stretch, the walk skips (`_skip`): declarations, assignments and
-expression statements return at once, and a condition takes up the
-saved decision (`_resume`) without evaluating its operands. Mem and env
-are restored once, at the last decision of such a chain, and the walk
-runs from there. Every other decision is a choice with no saved state,
-and it ends the chain.
+With each entry the explorer records whether the stretch of the walk
+that led to it, from the choice before it, was plain: it ran no assert,
+assume, dprint or nested section, called no user function and settled
+no int test without a choice. Such a stretch changes nothing but mem and
+env, which the entry holds, and takes no branch of its own. So while the
+next decision of a replay saved an entry after a plain stretch, the walk
+skips (`_skip`): declarations, assignments and expression statements
+return at once, and a condition takes up the saved decision (`_resume`)
+without evaluating its operands. Mem and env are restored once, at the
+last decision of such a chain, and the walk runs from there. A stretch
+that is not plain runs again, so that its events are recorded again,
+before its decision takes up its entry. Every other decision is a
+choice with no saved state, and it ends the chain.
 
 A finished path leaves its mem and env, grouped by signature and
 interpretation; `_merge_unstable` pairs the float and the real run of
@@ -565,7 +571,7 @@ class Interp:
         def test(it, branch):
             nonlocal sub
             if it._skip:
-                return neg != it._resume(it.ctx.explorer.resume())
+                return neg != it._resume(it.ctx.explorer.entry())
             sub = sub or (it._expr(lhs), rhs and it._expr(rhs))
             a = sub[0](it)
             b = sub[1](it) if rhs else _INT_ZERO \
@@ -605,13 +611,14 @@ class Interp:
         machine ("float") or the ideal ("real") run.
 
         A test of a `branch` condition at the section's own call depth
-        saves what it left and restores it on a replay (module docstring).
+        with several flows saves what it saw and, in `_take`, what its
+        flow left; a later visit takes them up (module docstring).
         """
         ctx = self.ctx
         keep = branch and self._call_depth == ctx.depth
-        saved = ctx.explorer.resume() if keep else None
-        if saved is not None:
-            return self._resume(saved)
+        entry = ctx.explorer.entry() if keep else None
+        if entry is not None:
+            return self._resume(entry)
         env = self.env
         t_fiv = l.float_iv - r.float_iv
         t_riv = l.real_refined(env) - r.real_refined(env)
@@ -644,30 +651,49 @@ class Interp:
                 f"{loc}: unstable {noun} not covered by a section", loc))
         if not flows:
             raise InfeasiblePath
-        plain = ctx.explorer.plain
+        snap = (loc, site, noun, flows, lhs, rhs, l, r, err_form)
+        keep = keep and len(flows) > 1
+        if keep:
+            ctx.explorer.save((snap, fixed, self.mem.snapshot(),
+                               dict(self.env)), ctx.explorer.plain)
+        return self._take(snap, keep)
+
+    def _take(self, snap, keep: bool):
+        """Choose one of the flows of snap, a decision's candidates and
+        operands as `_flow` found them, apply it and return its control
+        value; when keep, save what it left."""
+        ctx = self.ctx
+        loc, site, noun, flows, lhs, rhs, l, r, err_form = snap
         tag, interp, value, f_reg, r_reg, e_reg = \
             flows[ctx.explorer.choose(len(flows))]
         ctx.signature.append((site, tag))
-        if interp is not None and fixed is None:
+        if interp is not None and ctx.interp is None:
             ctx.interp = interp
         first_line = len(self.trace)
         if self.cfg.collect_trace:
             self._trace(f"decision {loc}: {'cast ' if noun == 'cast' else ''}"
                         f"{tag}" + (f"/{interp}" if interp else ""))
         self._apply(lhs, rhs, l, r, f_reg, r_reg, e_reg, err_form)
-        if keep and len(flows) > 1:
-            ctx.explorer.save(((site, tag), ctx.interp, value,
-                               self.trace[first_line:], self.mem.snapshot(),
-                               dict(self.env)), plain)
+        if keep:
+            ctx.explorer.save_post(((site, tag), ctx.interp, value,
+                                    self.trace[first_line:],
+                                    self.mem.snapshot(), dict(self.env)))
         return value
 
-    def _resume(self, saved):
-        """Take up a saved decision: its signature item, interpretation
-        and trace lines, and its control value, returned. The walk skips
-        on while the next decision saved a state after a plain stretch;
-        otherwise mem and env are restored here."""
+    def _resume(self, entry):
+        """Take up a saved decision: what its flow left, its signature
+        item, interpretation, trace lines and control value, returned,
+        the walk skipping on while the next decision saved an entry after
+        a plain stretch, else mem and env restored here; or, with no such
+        state, its snapshot restored and the selected flow taken."""
         ctx = self.ctx
-        item, ctx.interp, value, lines, mem, env = saved
+        (snap, interp, mem, env), post, _ = entry
+        if post is None:
+            ctx.interp, self._skip = interp, False
+            self._restore(mem, env)
+            return self._take(snap, True)
+        ctx.explorer.choose(len(snap[3]))
+        item, ctx.interp, value, lines, mem, env = post
         ctx.signature.append(item)
         self.trace.extend(lines)
         self._skip = ctx.explorer.skips()
@@ -938,7 +964,12 @@ class Interp:
                       env_r: SymbolEnv) -> Optional[PathEnd]:
         """The float fields of the machine run's end (mem_f, env_f) with
         the real fields of the ideal run's, under the meet of their envs;
-        None when that is empty."""
+        None when that is empty. Sharing symbols is sound: both runs start
+        from their decision's one snapshot, so a symbol both hold, such
+        as an input's, names one quantity in both, and one allocated
+        later is in one env only. The meet is then the conjunction of
+        both flows' constraints, which the machine and the ideal
+        execution of one input satisfy together."""
         env_c: SymbolEnv = {}
         for sym in env_f.keys() | env_r.keys():
             m = sym_range(env_f, sym).meet(sym_range(env_r, sym))

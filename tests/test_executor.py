@@ -14,7 +14,9 @@ from pathlib import Path
 from types import FunctionType
 
 import pytest
+from click.testing import CliRunner
 
+from fldx.cli import main
 from fldx.config import AnalysisConfig
 from fldx.domain import AbstractFloat
 from fldx.errors import AnalysisAlarm, InfeasiblePath
@@ -253,6 +255,36 @@ def test_unstable_cast_enumerates_and_merges():
     assert sec["merged_pairs"] == 2
     out = [r for r in rep.prints if r.variable == "out"]
     assert out, "dprint record missing"
+
+
+#: unstable flows whose machine and ideal branch meet different
+#: decisions: at real x = 0.5 - 2**-56 the machine value is 0.5, so the
+#: machine run sets s = 3 and the ideal run s = 1 or 2; in the loop, at
+#: real x = 1 - 2**-56 the ideal run goes round once and the machine run
+#: not at all, an error of -1
+UNPAIRED_FLOWS = {
+    "nested": "if (x < 0.5) { if (y < 0.5) { s = 1.0; } else { s = 2.0; } }"
+              " else { s = 3.0; }",
+    "loop": "double w = x; while (w < 1.0) { w = w + 0.75; s = s + 1.0; }",
+}
+
+
+@pytest.mark.xfail(strict=True, reason="_merge_unstable pairs a float and"
+                   " a real run only when their whole signatures are equal,"
+                   " so unstable flows whose two branches meet different"
+                   " decisions are never paired and their error is lost")
+@pytest.mark.parametrize("name", sorted(UNPAIRED_FLOWS))
+def test_cli_unstable_flows_whose_branches_part_are_not_valid(tmp_path,
+                                                              name):
+    src = tmp_path / "p.c"
+    src.write_text("int main() {\n  double x = read_double(0.0, 1.0);\n"
+                   "  double y = read_double(0.0, 1.0, 0.0, 0.0);\n"
+                   "  double s = 0.0;\n  " + UNPAIRED_FLOWS[name] + "\n"
+                   "  /*@ accuracy_assert_derr(s, -0.5, 0.5); */\n"
+                   "  return 0;\n}\n")
+    res = CliRunner().invoke(main, ["analyze", str(src)])
+    assert res.exit_code == 1, res.output
+    assert "[valid]" not in res.output
 
 
 # ---------------------------------------------------------------------------

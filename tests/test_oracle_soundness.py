@@ -16,7 +16,10 @@ from fldx.frontend import syntax as S
 from fldx.numerics import FORMATS
 from fldx.pipeline import pick_entry, prepare
 from fldx.report import summarize_assertions
-from tests.conftest import all_corpus_names, corpus_source, rand_fraction
+from tests.conftest import (all_corpus_names, corpus_source, rand_fraction,
+                            rounded)
+from tests.test_replay import section_program
+from tests.test_reports import CALLEE_TEST, TERNARY_OPERAND
 
 RUNS = 1000
 
@@ -24,8 +27,10 @@ WITH_INPUTS = [n for n in all_corpus_names()
                if "read_double(" in corpus_source(n)]
 
 
-def input_ranges(program, entry):
-    """(variable, lo, hi) for every read_double bound to a variable."""
+def read_specs(program, entry):
+    """(variable, lo, hi, exact) for every read_double bound to a
+    variable; exact when the read gives its error as [0, 0], so that its
+    input must be a float of the format."""
     out = []
     for s in S.walk_stmts(program.functions[entry].body):
         target = init = None
@@ -35,9 +40,14 @@ def input_ranges(program, entry):
                 and isinstance(s.target, S.Var):
             target, init = s.target.name, s.expr
         if init is not None and init.name == "read_double":
-            out.append((target, _literal_value(init.args[0]),
-                        _literal_value(init.args[1])))
+            ends = [_literal_value(a) for a in init.args]
+            out.append((target, ends[0], ends[1], ends[2:] == [0, 0]))
     return out
+
+
+def input_ranges(program, entry):
+    """(variable, lo, hi) for every read_double bound to a variable."""
+    return [spec[:3] for spec in read_specs(program, entry)]
 
 
 def analysis_hulls(program, config):
@@ -211,3 +221,57 @@ def test_the_oracle_reads_no_array_name_as_a_number(pred):
     with pytest.raises(TypeErrorAt,
                        match="4:3: expected a number, got an array"):
         shadow.run("main")
+
+
+#: the constants the programs below test their inputs against, and the
+#: floats next to them; floats, since at a real input whose machine and
+#: ideal runs part the oracle reads the real value along the machine
+#: branch (ROADMAP item 2), which neither run computes
+NEAR_CONSTANTS = sorted({rounded(Fraction(c, 4) + d, FORMATS["binary64"])
+                         for c in range(5)
+                         for d in (0, Fraction(1, 2 ** 53),
+                                   -Fraction(1, 2 ** 53),
+                                   Fraction(1, 2 ** 52),
+                                   -Fraction(1, 2 ** 52))})
+
+
+@pytest.mark.parametrize("source", [TERNARY_OPERAND, CALLEE_TEST,
+                                    section_program(79),
+                                    section_program(203),
+                                    section_program(277)],
+                         ids=["ternary_operand", "callee_test",
+                              "section_program_79", "section_program_203",
+                              "section_program_277"])
+def test_shadow_runs_stay_inside_hulls_a_shared_snapshot_tightened(
+        source, rng):
+    """The hulls that every alternative of a decision starting from one
+    snapshot tightened (the float and the real run of an unstable test
+    then share their inputs' symbols) still hold every oracle value, on
+    sampled inputs and on float inputs at and next to the test
+    constants."""
+    config = AnalysisConfig(path_budget=4096)
+    program, _ = prepare(source, config)
+    entry = pick_entry(program, config)
+    specs = read_specs(program, entry)
+    hulls, prints = analysis_hulls(program, config)
+    violations = []
+    for run in range(300):
+        inputs = {}
+        for v, lo, hi, exact in specs:
+            near = [c for c in NEAR_CONSTANTS if lo <= c <= hi]
+            x = rng.choice(near) if run % 2 else rand_fraction(rng, lo, hi)
+            inputs[v] = rounded(x, config.fmt) if exact else x
+        shadow = ShadowRun(program, config.fmt, inputs=inputs)
+        shadow.run(entry)
+        assert shadow.records
+        for rec in shadow.records:
+            key = f"{rec.loc}:{rec.builtin}:{rec.variable}"
+            if rec.holds is None:
+                err_h, real_h = prints[key]
+            else:
+                summ = hulls[key]
+                err_h, real_h = summ.err_hull, summ.real_hull
+            if not (err_h.lo <= rec.err <= err_h.hi
+                    and real_h.lo <= rec.real_val <= real_h.hi):
+                violations.append((key, rec.err, rec.real_val, inputs))
+    assert violations == []

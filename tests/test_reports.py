@@ -174,7 +174,11 @@ int main() {
 
 #: a float test in a ternary operand after a single-flow test, replayed
 #: once the later test on z advances; y is built on x, whose range the
-#: operand's test narrows
+#: operand's test narrows. The float and the real run of the unstable test
+#: on z start from that test's one snapshot and so share z's input
+#: symbol: the err hull of s is ±(3 + 11 * 2**-53), the ideal-flow bound
+#: of 3 (1 from the operand's test, 2 from the test on z) plus roundings,
+#: where runs that each read z afresh gave ±(3.5 + 2**-50)
 TERNARY_OPERAND = """\
 int main() {
   double s = 0.0;
@@ -192,7 +196,9 @@ int main() {
 }
 """
 
-#: a float test inside a function the section calls
+#: a float test inside a function the section calls; with the float and
+#: the real run of the test on z starting from one snapshot, the low end
+#: of the err hull of s is -4 - 10 * 2**-53 (was -4 - 11 * 2**-53)
 CALLEE_TEST = """\
 double step(double v) {
   double r = v - 1.0;
@@ -285,10 +291,10 @@ SECTION_REPORT_SHA256 = {
         "451a20f509818ec747239d5246c624ef5e85ab4a4da19cfe318e09ec135432bc"),
     "ternary_operand": (
         TERNARY_OPERAND,
-        "f32e5898240d75b8985b0524fd456d5a2c0275405d35044856e1778c35cc7dcb"),
+        "a3ee5083b5b76db54bc78f9b07f19cee19414e1dd39b2d34dcb0bc8de895cbcb"),
     "callee_test": (
         CALLEE_TEST,
-        "2a779cf327a57f12f0cd14ce922364b88a76c6f0f9da96d6951d3500f665ad57"),
+        "2bf6c25c6a35cb6106f9d2f8a4ca051b38072521ee70eb9cdf20e6756a5c4f86"),
     "array_write": (
         ARRAY_WRITE,
         "714d534fb6ad15291741548955bd94e1018379ac6a1bada40d3d7f3c28b9713a"),
