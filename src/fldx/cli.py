@@ -19,11 +19,11 @@ _STAGE_EXIT = {stage: i + 2 for i, stage in enumerate(STAGES)}
 
 
 def _parsed(parse):
-    """A click callback that parses a value; ValueError is a usage error."""
+    """A click callback that parses a value; a bad one is a usage error."""
     def callback(ctx, param, value):
         try:
             return parse(value)
-        except ValueError as exn:
+        except (ValueError, ZeroDivisionError) as exn:
             raise click.BadParameter(str(exn)) from None
     return callback
 
@@ -34,6 +34,15 @@ def _read_source(path: str) -> str:
     except UnicodeDecodeError as exn:
         raise StageError("parse", FldxError(
             f"source is not UTF-8 text ({exn.reason} at byte {exn.start})"))
+
+
+def _write(path: str, text: str) -> None:
+    """Write text to path; a path that cannot be written is exit 2."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exn:
+        click.echo(f"error: cannot write {path}: {exn.strerror}", err=True)
+        sys.exit(2)
 
 
 def _build_config(fmt, inputs, entry, max_noise, path_budget, threshold,
@@ -116,7 +125,7 @@ def analyze_cmd(source, fmt, inputs, entry, max_noise, path_budget,
                                    source_name=source))
     text = rep.to_json() if report_fmt == "json" else rep.to_text()
     if output:
-        Path(output).write_text(text + "\n")
+        _write(output, text + "\n")
     else:
         click.echo(text)
     sys.exit(1 if rep.has_alarms else 0)
@@ -135,7 +144,7 @@ def instrument(source, no_instrument, output):
     cfg = AnalysisConfig(auto_instrument=not no_instrument)
     text = _or_exit(lambda: instrumented_source(_read_source(source), cfg))
     if output:
-        Path(output).write_text(text)
+        _write(output, text)
     else:
         click.echo(text, nl=False)
 

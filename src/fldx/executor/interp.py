@@ -24,13 +24,14 @@ region of t:
     a single state whose float fields come from the machine run and
     whose real fields come from the ideal run.
 
-The chosen flow constrains the float, real and error forms of t jointly,
-each distinct constraint projected once, meets the operands and then
-refreshes every value once; `assume` applies the stable true flow the
-same way, without a decision. One coercion, `_coerce`, converts a value
-to a C type for a cast, a store, an argument and a result alike: a float
-to int is a cast decision, an int to float a promotion rounded to the
-format (exact when the format holds every int of the range), and
+A decision builds the float, real and error forms of t once, into its
+snapshot; the chosen flow constrains them jointly, equal constraints
+projected as one and a lone one in a single round, meets the operands
+and then refreshes every value once; `assume` applies the stable true
+flow the same way, without a decision. One coercion, `_coerce`, converts
+a value to a C type for a cast, a store, an argument and a result alike:
+a float to int is a cast decision, an int to float a promotion rounded
+to the format (exact when the format holds every int of the range), and
 anything else (an array, the result of a void function) an error at the
 operand. So every value in a frame has its declared type.
 
@@ -45,14 +46,14 @@ passes by reference.
 Each path walks the section body from its checkpoint, replaying the
 explorer's recorded choices. A float test with more than one flow saves
 an entry in the explorer: a snapshot of what it saw (mem, env,
-interpretation, candidate flows and operands), and what its flow left
-(signature item, interpretation, control value, trace lines, mem and
-env). A replay takes up what each decision before the one the explorer
-advanced left; that one restores its snapshot and applies the flow the
-trace selects through `_take`, as its first visit did. So every
-alternative of a decision starts from the state the decision saw, and
-the float and the real run of an unstable flow share the symbols of the
-inputs read before it. Only a test of an if, while or do condition
+interpretation, candidate flows, operands and the forms of t), and what
+its flow left (signature item, interpretation, control value, trace
+lines, mem and env). A replay takes up what each decision before the one
+the explorer advanced left; that one restores its snapshot and applies
+the flow the trace selects through `_take`, as its first visit did. So
+every alternative of a decision starts from the state the decision saw,
+and the float and the real run of an unstable flow share the symbols of
+the inputs read before it. Only a test of an if, while or do condition
 (through `!`, `&&`, `||`) at the section's own call depth saves, where
 nothing but mem and env is live. A test inside an expression or a
 callee, a cast and an int test are computed on every visit, since a
@@ -300,18 +301,23 @@ class Interp:
         copy of the ranges, then adopt the narrowing of each symbol a
         projection moved, in symbol order.
 
-        Projecting one linear constraint is exact, so projecting it again
-        at once would change nothing: equal constraints, such as the
-        float and the real one of a stable test on error-free operands,
-        are projected as one. Every round projects each of them, until a
-        round changes nothing."""
+        Projecting one linear constraint on a nonempty region is exact:
+        each symbol keeps just the values at which the form can meet the
+        region, the hull of the solutions, so projecting again changes
+        nothing (Benhamou et al., ICLP 1999). Equal constraints, such as
+        the float and the real one of a stable test on error-free
+        operands, are projected as one, and a lone one in one round. Two
+        or more, or a lone empty region (none built here is), take rounds
+        projecting each of them until a round changes nothing."""
         live = []
         for c in constraints:
             if (c[1] is not None or c[2] is not None) and c not in live:
                 live.append(c)
         scratch = dict(self.env)
         moved: Set[int] = set()
-        for _ in range(8):
+        lone = len(live) == 1 and (None in live[0][1:]
+                                   or live[0][1] <= live[0][2])
+        for _ in range(1 if lone else 8):
             changed = False
             for form, lo, hi in live:
                 updates = project_onto_symbols(form, lo, hi, scratch)
@@ -610,9 +616,11 @@ class Interp:
         Inside one it is offered twice, its control value taken from the
         machine ("float") or the ideal ("real") run.
 
-        A test of a `branch` condition at the section's own call depth
-        with several flows saves what it saw and, in `_take`, what its
-        flow left; a later visit takes them up (module docstring).
+        The forms of t are built here once, kept in the snapshot for
+        every flow `_take` applies. A test of a `branch` condition at the
+        section's own call depth with several flows saves what it saw
+        and, in `_take`, what its flow left; a later visit takes them up
+        (module docstring).
         """
         ctx = self.ctx
         keep = branch and self._call_depth == ctx.depth
@@ -622,8 +630,8 @@ class Interp:
         env = self.env
         t_fiv = l.float_iv - r.float_iv
         t_riv = l.real_refined(env) - r.real_refined(env)
-        err_form = l.err - r.err
-        t_eiv = err_form.concretize(env)
+        forms = _forms(l, r)
+        t_eiv = forms[2].concretize(env)
         t_eiv = t_eiv.meet(l.err_refined(env) - r.err_refined(env)) or t_eiv
         fixed = ctx.interp
         flows = []
@@ -651,7 +659,7 @@ class Interp:
                 f"{loc}: unstable {noun} not covered by a section", loc))
         if not flows:
             raise InfeasiblePath
-        snap = (loc, site, noun, flows, lhs, rhs, l, r, err_form)
+        snap = (loc, site, noun, flows, lhs, rhs, l, r, forms)
         keep = keep and len(flows) > 1
         if keep:
             ctx.explorer.save((snap, fixed, self.mem.snapshot(),
@@ -659,11 +667,11 @@ class Interp:
         return self._take(snap, keep)
 
     def _take(self, snap, keep: bool):
-        """Choose one of the flows of snap, a decision's candidates and
-        operands as `_flow` found them, apply it and return its control
-        value; when keep, save what it left."""
+        """Choose one of the flows of snap, a decision's candidates,
+        operands and forms of t as `_flow` built them, apply it and return
+        its control value; when keep, save what it left."""
         ctx = self.ctx
-        loc, site, noun, flows, lhs, rhs, l, r, err_form = snap
+        loc, site, noun, flows, lhs, rhs, l, r, forms = snap
         tag, interp, value, f_reg, r_reg, e_reg = \
             flows[ctx.explorer.choose(len(flows))]
         ctx.signature.append((site, tag))
@@ -673,7 +681,7 @@ class Interp:
         if self.cfg.collect_trace:
             self._trace(f"decision {loc}: {'cast ' if noun == 'cast' else ''}"
                         f"{tag}" + (f"/{interp}" if interp else ""))
-        self._apply(lhs, rhs, l, r, f_reg, r_reg, e_reg, err_form)
+        self._apply(lhs, rhs, l, r, forms, f_reg, r_reg, e_reg)
         if keep:
             ctx.explorer.save_post(((site, tag), ctx.interp, value,
                                     self.trace[first_line:],
@@ -702,14 +710,13 @@ class Interp:
         return value
 
     def _apply(self, lhs: Optional[S.Expr], rhs: Optional[S.Expr],
-               l: AbstractFloat, r: AbstractFloat, f_reg, r_reg, e_reg,
-               err_form: AffineForm) -> None:
-        """Constrain t = l - r to a flow: its float form (real + error)
-        to f_reg, its real form to r_reg and its error form (`err_form`)
-        to e_reg; then meet the operands and refresh every value once."""
-        self._constrain_joint([((l.real + l.err) - (r.real + r.err), *f_reg),
-                               (l.real - r.real, *r_reg),
-                               (err_form, *e_reg)])
+               l: AbstractFloat, r: AbstractFloat, forms, f_reg, r_reg,
+               e_reg) -> None:
+        """Constrain t = l - r to a flow: of its `_forms`, built once per
+        decision, the float one to f_reg, the real one to r_reg and the
+        error one to e_reg; then meet the operands and refresh once."""
+        self._constrain_joint([(forms[0], *f_reg), (forms[1], *r_reg),
+                               (forms[2], *e_reg)])
         self._meet_operands(lhs, rhs, AbstractFloat, l.float_iv, r.float_iv,
                             f_reg)
         self._refresh_all()
@@ -876,7 +883,7 @@ class Interp:
             return
         l = self._as_float(a, e.left.loc)
         r = self._as_float(b, e.right.loc)
-        self._apply(e.left, e.right, l, r, reg, reg, ANY, l.err - r.err)
+        self._apply(e.left, e.right, l, r, _forms(l, r), reg, reg, ANY)
 
     # -- sections ---------------------------------------------------------
 
@@ -1095,6 +1102,11 @@ def _trunc_preimage(k: int):
     if k < 0:
         return k - 1, k
     return -1, 1
+
+
+def _forms(l: AbstractFloat, r: AbstractFloat) -> tuple:
+    """The float (real + error), real and error forms of t = l - r."""
+    return (l.real + l.err) - (r.real + r.err), l.real - r.real, l.err - r.err
 
 
 def _error_region(f_reg, r_reg, e_iv: RInterval):

@@ -488,25 +488,28 @@ def _round(n: int, d: int, fmt: FloatFormat,
 
 def short(x: Fraction) -> str:
     """x with six significant digits, as `%.6g` prints float(x). Past the
-    range of a double, where float(x) raises OverflowError, the digits
-    and the exponent come from the numerator and denominator instead."""
-    try:
-        return f"{float(x):.6g}"
-    except OverflowError:
-        pass
+    top of the double range, where float(x) raises OverflowError, and
+    below 2**-1022, where it loses digits, the digits and the exponent
+    come from the numerator and denominator instead."""
     n, d = abs(x.numerator), x.denominator
-    # |x| >= 2**1024 here; 30103/100000 is log10(2) to five digits
+    if not n or n << 1022 >= d:
+        try:
+            return f"{float(x):.6g}"
+        except OverflowError:
+            pass
+    # 10**e <= |x| < 10**(e + 1); 30103/100000 is log10(2) to five digits
     e = (n.bit_length() - d.bit_length()) * 30103 // 100000
-    while n >= d * 10 ** (e + 1):
+    while abs(x) >= Fraction(10) ** (e + 1):
         e += 1
-    while n < d * 10 ** e:
+    while abs(x) < Fraction(10) ** e:
         e -= 1
-    m = _round_half_even(n, d * 10 ** (e - 5))
+    q = abs(x) / Fraction(10) ** (e - 5)
+    m = _round_half_even(q.numerator, q.denominator)
     if m == 10**6:
         m, e = 10**5, e + 1
     digits = str(m).rstrip("0")
     mant = digits[0] + ("." + digits[1:] if len(digits) > 1 else "")
-    return f"{'-' if x < 0 else ''}{mant}e+{e}"
+    return f"{'-' if x < 0 else ''}{mant}e{e:+d}"
 
 
 def round_nearest(n: int, d: int, fmt: FloatFormat) -> Tuple[int, int]:

@@ -2,11 +2,13 @@
 replaced, kept here as the reference: the interval operations, the
 affine-form operations, the concretization of an affine form, the
 projection of a form constraint onto its symbols, the interval meet,
-the n-ary `union` of abstract floats, the projection fixpoint of `Interp._constrain_joint` that skips
-repeats, `abs_op` and `AbstractFloat.from_literal` on exact operands,
-and rounding, which now takes and gives ints. Every interval and form
-the kernel builds is checked for the canonical form that its equality
-relies on, and an analysis is checked to build no Fraction per rounding.
+the n-ary `union` of abstract floats, the projection fixpoint of
+`Interp._constrain_joint` that skips repeats and projects a lone
+constraint once, `abs_op` and `AbstractFloat.from_literal` on exact
+operands, and rounding, which now takes and gives ints. Every interval
+and form the kernel builds is checked for the canonical form that its
+equality relies on, and an analysis is checked to build no Fraction per
+rounding.
 
 Values are drawn dyadic and not (1/3, 1/10, 0.1 rounded to binary32),
 with negative and mixed-sign coefficients, points, forms without terms,
@@ -533,11 +535,30 @@ def test_constrain_joint_skips_only_projections_that_would_repeat(
         return
     scratch, _ = expected
     assert got is None
-    # equal constraints are projected as one
-    _, ref_calls = ref_constrain_scratch(env, list(dict.fromkeys(constraints)))
-    assert len(calls) == ref_calls
+    # equal constraints are projected as one, and a lone one on a
+    # nonempty region in one round
+    live = [c for c in dict.fromkeys(constraints)
+            if c[1] is not None or c[2] is not None]
+    _, ref_calls = ref_constrain_scratch(env, live)
+    lone = len(live) == 1 and (None in live[0][1:] or live[0][1] <= live[0][2])
+    assert len(calls) == (1 if lone else ref_calls)
     for sym in range(N_SYMS):
         assert sym_range(it.env, sym) == sym_range(scratch, sym)
+
+
+@settings(max_examples=300, deadline=None)
+@given(forms(), envs(), st.data())
+def test_one_projection_is_its_own_fixpoint(form, env, data):
+    """Projecting one linear constraint on a nonempty region is exact,
+    so projecting it again under the ranges it left moves no symbol:
+    `_constrain_joint` projects a lone constraint in one round."""
+    lo, hi = data.draw(bound_pairs(form, env))
+    if lo is not None and hi is not None and lo > hi:
+        lo, hi = hi, lo
+    updates = outcome(project_onto_symbols, form, lo, hi, env)
+    if updates is InfeasiblePath:
+        return
+    assert project_onto_symbols(form, lo, hi, {**env, **updates}) == {}
 
 
 def test_constrain_joint_projects_again_after_a_symbol_moves():

@@ -109,7 +109,8 @@ def test_round_overflow_raises():
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(st.fractions(), st.builds(
     lambda m, e: Fraction(m) * Fraction(2) ** e,
-    st.integers(-2**53, 2**53), st.integers(-1100, 970))))
+    st.integers(-2**53, 2**53), st.integers(-1100, 970))).filter(
+        lambda x: x == 0 or abs(x) >= Fraction(1, 2**1022)))
 def test_short_prints_as_percent_g_of_the_float(x):
     assert short(x) == f"{float(x):.6g}"
 
@@ -130,6 +131,26 @@ def test_short_past_the_double_range(n, d, e, neg):
     assert not mant.endswith("0") and not mant.endswith(".")
     # the six digits are x rounded to nearest
     assert abs(Fraction(s) - x) <= Fraction(5, 10**6) * 10**int(exp)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10**7), st.integers(1, 10**7), st.integers(300, 5000),
+       st.booleans())
+@example(9999995, 1, 336, False)  # rounds up to the next decade
+@example(10**5 * 10 + 5, 10, 330, True)  # a tie, to even
+@example(1, 2**1075, 0, False)  # half the least subnormal
+@example(1, 1, 400, True)  # -1e-400, which float() makes -0
+def test_short_below_the_normal_range(n, d, e, neg):
+    x = Fraction(n, d) / 10**e * (-1 if neg else 1)
+    if abs(x) >= Fraction(1, 2**1022):
+        return
+    s = short(x)
+    mant, exp = s.lstrip("-").split("e-")
+    assert s.startswith("-") == neg
+    assert 1 <= Fraction(mant) < 10 and len(mant.replace(".", "")) <= 6
+    assert not mant.endswith("0") and not mant.endswith(".")
+    # the six digits are x rounded to nearest
+    assert abs(Fraction(s) - x) <= Fraction(5, 10**6) / 10**int(exp)
 
 
 def test_cli_overflow_alarm_prints_the_value_short(tmp_path):

@@ -1,12 +1,14 @@
 """Replays that skip a plain prefix: a seeded generator of section
 programs whose reports must not change when no stretch counts as plain,
 and the work a replay still does on n independent stable tests: each
-node of the decision tree is computed once, and every alternative of a
-decision starts from the one snapshot that decision saved."""
+node of the decision tree is computed once, every alternative of a
+decision starts from the one snapshot that decision saved, and the
+forms of its test are built once."""
 import random
 
 import pytest
 
+from fldx import zonotope
 from fldx.config import AnalysisConfig
 from fldx.domain import AbstractFloat
 from fldx.executor import interp as I
@@ -167,6 +169,24 @@ def test_a_replay_reads_no_input_again(monkeypatch, n):
     assert [s["feasible_paths"] for s in rep.sections if s["id"] == 1] \
         == [2 ** n]
     assert calls == {"choose": n * 2 ** n, "from_input": 2 ** n - 1}
+
+
+@pytest.mark.parametrize("program", [stable_program, read_then_test_program])
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_a_decision_builds_its_forms_once(monkeypatch, program, n):
+    """Each of the 2**(n+1) - 2 applied flows projects its one distinct
+    constraint once, and the three forms of t are built once per node of
+    the decision tree, from its snapshot: five form sums or differences
+    per decision, where rebuilding them for every alternative and
+    projecting each constraint a second time did more."""
+    calls = {}
+    _counting(monkeypatch, PathExplorer, "choose", calls)
+    _counting(monkeypatch, I, "project_onto_symbols", calls)
+    _counting(monkeypatch, zonotope, "_combine", calls)
+    analyze(program(n), AnalysisConfig())
+    assert calls == {"choose": n * 2 ** n,
+                     "project_onto_symbols": 2 ** (n + 1) - 2,
+                     "_combine": 5 * (2 ** n - 1)}
 
 
 def test_the_float_and_the_real_run_of_a_decision_share_its_inputs(

@@ -688,6 +688,14 @@ REDECLARED_T = ("int main() {\n  double x = read_double(0.0, 1.0);\n"
      " finite value"),
     ("analyze", READ_X % "0.0, 1.0", ["--threshold", "abc"], 2,
      "Invalid value for '--threshold'"),
+    ("analyze", READ_X % "0.0, 1.0", ["--threshold", "1/0"], 2,
+     "Invalid value for '--threshold'"),
+    ("analyze", READ_X % "", ["--input", "x=[1/0,1]"], 2,
+     "Invalid value for '--input'"),
+    ("analyze", READ_X % "", ["--input", "x=[0,1]~[0,1/0]"], 2,
+     "Invalid value for '--input'"),
+    ("analyze", ARRAY_PARAM, ["--input", "t={1/0}"], 2,
+     "Invalid value for '--input'"),
     ("analyze", READ_X % "0.0, 1.0", ["--max-noise", "0"], 2,
      "Invalid value for '--max-noise'"),
     ("analyze", READ_X % "0.0, 1.0", ["--path-budget", "0"], 2,
@@ -757,7 +765,10 @@ REDECLARED_T = ("int main() {\n  double x = read_double(0.0, 1.0);\n"
 ], ids=["input-reversed", "input-not-a-number", "input-one-end",
         "input-ends-not-numbers", "input-error-one-end", "input-array-element",
         "input-past-the-double-range", "input-past-the-binary32-range",
-        "threshold", "max-noise", "path-budget-zero", "path-budget-negative",
+        "threshold", "threshold-zero-denominator",
+        "input-zero-denominator", "input-error-zero-denominator",
+        "input-array-zero-denominator", "max-noise", "path-budget-zero",
+        "path-budget-negative",
         "read-double-reversed",
         "read-double-error-reversed", "read-double-three-arguments",
         "read-double-five-arguments", "call-extra-argument",
@@ -782,6 +793,19 @@ def test_cli_bad_input_ends_in_its_exit_code(tmp_path, command, source, args,
     assert type(res.exception) is SystemExit
     assert message in res.output
     assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("command", ["analyze", "instrument"])
+def test_cli_an_unwritable_output_is_one_line_and_exit_2(tmp_path, command):
+    src = tmp_path / "p.c"
+    src.write_text(READ_X % "0.0, 1.0")
+    out = tmp_path / "missing" / "out.txt"
+    res = CliRunner().invoke(main, [command, str(src), "-o", str(out)])
+    assert res.exit_code == 2, res.output
+    assert type(res.exception) is SystemExit
+    assert res.output == f"error: cannot write {out}: No such file or" \
+        f" directory\n"
+    assert not out.parent.exists()
 
 
 def test_cli_a_void_function_returns_an_int_as_a_double(tmp_path):
